@@ -230,8 +230,7 @@ def hyperelliptic_chi1_routes(sig: Signature, tagging: Tagging) -> tuple[int, Fr
     per Weierstrass zero; pairs and free points contribute no correction.
     """
     model = cm.HyperellipticModel(sig.genus, tagging.model_tags(sig))
-    dims = cm.filtration_dims(model, sig, 1)
-    summed = sum(dims[1:])
+    summed = cm.runs_chi_log(cm.filtration_dims(model, sig, 1))
     shortcut = clifford_cap(sig) - sum(
         Fraction(sig.ell - sig.ell // (v + 1), 4) for v in tagging.weierstrass
     )
@@ -291,8 +290,8 @@ def clifford_profile_chi1(sig: Signature) -> int:
     Cross-checked against the parity-count identity
     chi1 = (g*ell - N+)/2 + a_1 before returning.
     """
-    dims = cm.filtration_dims(cm.CliffordMaxModel(sig.genus), sig, 1)
-    total = sum(dims[1:])
+    runs = cm.filtration_dims(cm.CliffordMaxModel(sig.genus), sig, 1)
+    total = cm.runs_chi_log(runs)
     a1 = sig.weights_a[0]
     nplus = n_plus(sig, a1 + 1, sig.ell - a1)
     if 2 * total != sig.genus * sig.ell - nplus + 2 * a1:
@@ -349,7 +348,7 @@ def _nonhyp_records(sig, rhs, entries):
             model = cm.OverrideModel(
                 cm.CliffordMaxModel(g), ((tuple(divisor), h0),)
             )
-            chi1 = sum(cm.filtration_dims(model, sig, 1)[1:])
+            chi1 = cm.runs_chi_log(cm.filtration_dims(model, sig, 1))
             if chi1 != e.expected.chi1_log:
                 raise RuntimeError(
                     f"{e.id}: override filtration gives {chi1}, "
@@ -419,8 +418,8 @@ def semigroup_search(g: int, threshold=DEFAULT_THRESHOLD) -> tuple[SemigroupReco
     for H in sg.enumerate_symmetric(g):
         total = sum(H.first_elements(g))
         chi1 = g * (2 * g - 1) - total
-        dims = cm.filtration_dims(cm.UnibranchModel(H), sig, 1)
-        if sum(dims[1:]) != chi1:
+        runs = cm.filtration_dims(cm.UnibranchModel(H), sig, 1)
+        if cm.runs_chi_log(runs) != chi1:
             raise RuntimeError(f"unibranch chi1 routes disagree for {H}")
         spin = None
         if not H.hyperelliptic:

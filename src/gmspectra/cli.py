@@ -30,10 +30,13 @@ from .classifier import (
     semigroup_search,
     threshold_coefficient,
 )
-from .signature import derive
+from .signature import Signature, derive
 
 log = logging.getLogger("gmspectra")
 logging.basicConfig(level=os.environ.get("LOG_LEVEL", "WARNING").upper())
+
+# `filtration` prints one number per level; refuse longer sequences
+MAX_PRINTED_LEVELS = 10**6
 
 
 # -------------------------------------------------------------- rendering
@@ -54,12 +57,17 @@ def parse_rational(text: str) -> Fraction:
         raise click.BadParameter(f"expected an integer or p/q, got {text!r}") from exc
 
 
-def parse_signature(text: str) -> tuple[int, ...]:
+def parse_signature(text: str) -> Signature:
     try:
         orders = tuple(int(part) for part in text.replace(" ", "").split(","))
     except ValueError as exc:
-        raise click.BadParameter(f"expected comma-separated integers, got {text!r}") from exc
-    return orders
+        raise click.BadParameter(
+            f"expected comma-separated integers, got {text!r}", param_hint="'--signature'"
+        ) from exc
+    try:
+        return derive(orders)
+    except ValueError as exc:
+        raise click.BadParameter(f"{exc}, got {text!r}", param_hint="'--signature'") from exc
 
 
 def build_model(spec: str, sig):
@@ -183,14 +191,21 @@ def filtration(entry_id, sig_text, model_spec, m, fmt):
     """Dimension sequence of the weight filtration at level m."""
     if entry_id is not None:
         entry = load_entry(entry_id)
-        sig, alg = entry_algebra(entry, m)
-        model = cm.AlgebraModel(alg)
+        sig = derive(entry.signature)
     elif sig_text is not None and model_spec is not None:
-        sig = derive(parse_signature(sig_text))
-        model = build_model(model_spec, sig)
+        sig = parse_signature(sig_text)
     else:
         raise click.UsageError("give --catalog, or both --signature and --model")
-    dims = cm.filtration_dims(model, sig, m)
+    if m * sig.ell + 1 > MAX_PRINTED_LEVELS:
+        raise click.UsageError(
+            f"{sig} has {m * sig.ell + 1} filtration levels at m = {m}; "
+            f"this command prints at most {MAX_PRINTED_LEVELS}"
+        )
+    if entry_id is not None:
+        model = cm.AlgebraModel(entry_algebra(entry, m)[1])
+    else:
+        model = build_model(model_spec, sig)
+    dims = cm.expand_runs(cm.filtration_dims(model, sig, m))
     chi = sum(dims[1:])
     if fmt == "json":
         click.echo(json.dumps({"signature": list(sig.orders), "m": m,
@@ -481,12 +496,12 @@ def slope(sig_text, model_spec, entry_id, decimal):
         sig, alg = entry_algebra(entry, 2)
         model = cm.AlgebraModel(alg)
     elif sig_text is not None:
-        sig = derive(parse_signature(sig_text))
+        sig = parse_signature(sig_text)
         model = build_model(model_spec, sig)
     else:
         raise click.UsageError("give --signature (with --model) or --catalog")
-    chi1 = sum(cm.filtration_dims(model, sig, 1)[1:])
-    chi2_log = sum(cm.filtration_dims(model, sig, 2)[1:])
+    chi1 = cm.runs_chi_log(cm.filtration_dims(model, sig, 1))
+    chi2_log = cm.runs_chi_log(cm.filtration_dims(model, sig, 2))
     click.echo(fmt_rational(inv.slope(chi1, chi2_log, sig), decimal))
 
 

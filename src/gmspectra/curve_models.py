@@ -177,12 +177,20 @@ def model_from_spec(doc: dict):
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[int, ...]:
-    """Dimensions of the weight filtration levels lam = 0..m*ell.
+Run = tuple[int, int, int]  # (lam_lo, lam_hi, dim), inclusive bounds
+
+
+def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[Run, ...]:
+    """Weight filtration levels lam = 0..m*ell as runs of equal dimension.
 
     Level lam holds the m-fold pluricanonical sections vanishing to ladder
     order, so its dimension is h0 of m*(m_i + 1) minus the ladder at lam.
     The lam = 0 value is g-1+n for m = 1 and (2m-1)(g-1) + m*n beyond.
+
+    The ladder ceil(lam/a_i) only steps at lam = k*a_i + 1, so h0 is read
+    once per run start in {0} and {k*a_i + 1 <= m*ell}: at most
+    m(2g-2+n) + 1 reads, whatever ell is.  Adjacent runs of equal
+    dimension are merged, so neighbouring triples always differ in dim.
     """
     if m < 1:
         raise ValueError("pluricanonical level m must be at least 1")
@@ -190,11 +198,29 @@ def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[int, ...]:
         raise ValueError(
             f"model genus {model.genus} differs from signature genus {sig.genus}"
         )
-    dims = []
-    for lam in range(m * sig.ell + 1):
+    top = m * sig.ell
+    starts = sorted({0}.union(*(range(1, top + 1, a) for a in sig.weights_a)))
+    runs: list[Run] = []
+    run_lo, run_dim = 0, None
+    for lam in starts:
         steps = ladder(sig, lam)
         divisor = tuple(
-            m * (order + 1) - step for order, step in zip(sig.orders, steps)
+            [m * (order + 1) - step for order, step in zip(sig.orders, steps)]
         )
-        dims.append(model.h0(divisor))
-    return tuple(dims)
+        dim = model.h0(divisor)
+        if dim != run_dim:
+            if run_dim is not None:
+                runs.append((run_lo, lam - 1, run_dim))
+            run_lo, run_dim = lam, dim
+    runs.append((run_lo, top, run_dim))
+    return tuple(runs)
+
+
+def expand_runs(runs) -> tuple[int, ...]:
+    """The dense dimension sequence, one entry per level."""
+    return tuple(dim for lo, hi, dim in runs for _ in range(hi - lo + 1))
+
+
+def runs_chi_log(runs) -> int:
+    """Sum of the dimensions over the levels lam >= 1, i.e. chi_m^log."""
+    return sum((hi - max(lo, 1) + 1) * dim for lo, hi, dim in runs)

@@ -49,9 +49,10 @@ class WeightSpectrum:
 def weight_spectrum(source, m: int = 1, sig: Signature | None = None) -> WeightSpectrum:
     """Spectrum from a branch algebra, or from an h0 model plus signature.
 
-    Algebra route: N_{m,lam} = dim R_{m*ell - lam}.  Model route: successive
-    differences of the filtration dimensions.  Both need level m within the
-    algebra's degree cap (the model route has no cap).
+    Algebra route: N_{m,lam} = dim R_{m*ell - lam}, which needs level m
+    within the algebra's degree cap.  Model route: successive differences
+    of the filtration dimensions, nonzero only at the last level of each
+    run, with no cap.
     """
     if m < 1:
         raise ValueError("pluricanonical level m must be at least 1")
@@ -65,11 +66,9 @@ def weight_spectrum(source, m: int = 1, sig: Signature | None = None) -> WeightS
     else:
         if sig is None:
             raise ValueError("model sources need the signature")
-        dims = filtration_dims(source, sig, m)
-        counts = [
-            (lam, dims[lam] - (dims[lam + 1] if lam + 1 < len(dims) else 0))
-            for lam in range(len(dims))
-        ]
+        runs = filtration_dims(source, sig, m)
+        next_dims = [dim for _, _, dim in runs[1:]] + [0]
+        counts = [(hi, dim - after) for (_, hi, dim), after in zip(runs, next_dims)]
         if any(c < 0 for _, c in counts):
             raise ValueError("filtration dimensions are not non-increasing")
     return WeightSpectrum(m, tuple((lam, c) for lam, c in counts if c > 0))

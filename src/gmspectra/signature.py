@@ -60,7 +60,7 @@ def ladder(sig: Signature, lam: int):
     """Tuple ``(ceil(lam/a_1), ..., ceil(lam/a_n))`` for ``lam >= 0``."""
     if lam < 0:
         raise ValueError("ladder level must be non-negative")
-    return tuple(-(-lam // a) for a in sig.weights_a)
+    return tuple([-(-lam // a) for a in sig.weights_a])
 
 
 def ladder_sum_identity(sig: Signature, i: int) -> int:
@@ -91,14 +91,24 @@ def parity_count(k1: int, k2: int) -> int:
 
 
 def n_plus(sig: Signature, lam_lo: int, lam_hi: int) -> int:
-    """Count levels ``lam in [lam_lo, lam_hi]`` with ``sum_i (l_{lam,i} - 1)`` even."""
+    """Count levels ``lam in [lam_lo, lam_hi]`` with ``sum_i (l_{lam,i} - 1)`` even.
+
+    The ladder only steps at ``lam = k*a_i + 1``, so the parity is read
+    once per run between those breakpoints and the run's length is added
+    when it is even: the cost grows with the breakpoints in the range,
+    ``(lam_hi - lam_lo) * sum_i 1/a_i``, not with its length.
+    """
     if lam_lo > lam_hi:
         return 0
+    starts = {lam_lo}.union(
+        *(range(-(-lam_lo // a) * a + 1, lam_hi + 1, a) for a in sig.weights_a)
+    )
+    bounds = sorted(starts) + [lam_hi + 1]
     n = sig.n
     total = 0
-    for lam in range(lam_lo, lam_hi + 1):
-        if (sum(ladder(sig, lam)) - n) % 2 == 0:
-            total += 1
+    for lo, next_lo in zip(bounds, bounds[1:]):
+        if (sum(ladder(sig, lo)) - n) % 2 == 0:
+            total += next_lo - lo
     return total
 
 

@@ -338,8 +338,8 @@ def weierstrass_point_model(g):
 
 def slope_record(orders, model):
     sig = derive(orders)
-    chi1 = sum(cm.filtration_dims(model, sig, 1)[1:])
-    chi2 = sum(cm.filtration_dims(model, sig, 2)[1:])
+    chi1 = sum(cm.expand_runs(cm.filtration_dims(model, sig, 1))[1:])
+    chi2 = sum(cm.expand_runs(cm.filtration_dims(model, sig, 2))[1:])
     return inv.alpha_slope_record(chi1, chi2, sig)
 
 
@@ -381,7 +381,7 @@ def test_criterion_09_filtration_level_dimensions():
         entry = cat.get(ident)
         sig = derive(entry.signature)
         model = cm.AlgebraModel(entry.algebra())
-        assert cm.filtration_dims(model, sig, 1) == dims, ident
+        assert cm.expand_runs(cm.filtration_dims(model, sig, 1)) == dims, ident
         assert sum(dims[1:]) == entry.expected.chi1_log, ident
 
 

@@ -1,11 +1,13 @@
 """Command-line surface: exact rendering, report round-trips, exit codes."""
 
 import json
+from fractions import Fraction
 
 from click.testing import CliRunner
 
 import gmspectra.branch_algebra as ba
 from gmspectra import cli
+from gmspectra.classifier import clifford_profile_chi1
 from gmspectra.signature import derive
 
 runner = CliRunner()
@@ -122,6 +124,39 @@ def test_filtration_hyperelliptic_spec():
 def test_filtration_rejects_unknown_model():
     result = invoke("filtration", "--signature", "4", "--model", "mystery")
     assert result.exit_code != 0
+
+
+def assert_usage_error(result, *fragments):
+    """Exit code 2, one `Error:` line naming the fragments, no traceback."""
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+    for fragment in fragments:
+        assert fragment in errors[0]
+
+
+def test_filtration_rejects_invalid_signatures():
+    for text, reason in (("1,2", "even"), ("-2,4", "non-negative")):
+        result = invoke("filtration", "--signature", text, "--model", "clifford-max")
+        assert_usage_error(result, "--signature", reason, text)
+
+
+LARGE_ELL = "30,28,22,18,16,12,10,6,4,2"  # ell = 100280245065
+
+
+def test_filtration_refuses_to_print_beyond_the_level_bound():
+    result = invoke("filtration", "--signature", LARGE_ELL, "--model", "clifford-max")
+    assert_usage_error(result, "100280245066", str(cli.MAX_PRINTED_LEVELS))
+
+
+def test_slope_at_large_ell():
+    sig = derive(tuple(int(v) for v in LARGE_ELL.split(",")))
+    chi1 = clifford_profile_chi1(sig)
+    deficit = (2 * sig.genus - 2 + sig.n) * sig.ell - sum(sig.weights_a)
+    result = invoke("slope", "--signature", LARGE_ELL)
+    assert result.exit_code == 0
+    assert result.output == cli.fmt_rational(12 - Fraction(deficit, chi1)) + "\n"
 
 
 # ---------------------------------------------------------------- classify

@@ -66,7 +66,7 @@ def test_hyperelliptic_free_points_inert():
     assert model.h0((4, 1)) == model.h0((4, 0)) == 3
     # the two-branch family filtration at level two: dims 3g - lam
     sig = derive((2 * g - 2, 0))
-    dims = cm.filtration_dims(model, sig, 2)
+    dims = cm.expand_runs(cm.filtration_dims(model, sig, 2))
     assert dims[0] == 3 * (g - 1) + 2 * 2
     for lam in range(1, 2 * g + 1):
         assert dims[lam] == 3 * g - lam
@@ -110,7 +110,7 @@ def test_clifford_max_principal_stratum():
     # all-ones signature: only three filtration levels survive
     for g in (3, 5, 8):
         sig = derive((1,) * (2 * g - 2))
-        dims = cm.filtration_dims(cm.CliffordMaxModel(g), sig, 1)
+        dims = cm.expand_runs(cm.filtration_dims(cm.CliffordMaxModel(g), sig, 1))
         assert dims == (3 * g - 3, g, 1)
 
 
@@ -133,10 +133,10 @@ def test_override_special_locus_filtration():
     sig = derive(e.signature)
     divisor, value = e.locus_condition
     model = cm.OverrideModel(cm.CliffordMaxModel(sig.genus), ((divisor, value),))
-    dims = cm.filtration_dims(model, sig, 1)
+    dims = cm.expand_runs(cm.filtration_dims(model, sig, 1))
     assert sum(dims[1:]) == e.expected.chi1_log == 20
     # and the algebra computes the same filtration
-    alg_dims = cm.filtration_dims(cm.AlgebraModel(e.algebra()), sig, 1)
+    alg_dims = cm.expand_runs(cm.filtration_dims(cm.AlgebraModel(e.algebra()), sig, 1))
     assert dims == alg_dims
     assert cm.AlgebraModel(e.algebra()).h0(divisor) == value
 
@@ -161,7 +161,7 @@ def test_filtration_level_zero_law():
     for model, sig in models:
         g, n = sig.genus, sig.n
         for m in (1, 2, 3):
-            dims = cm.filtration_dims(model, sig, m)
+            dims = cm.expand_runs(cm.filtration_dims(model, sig, m))
             assert len(dims) == m * sig.ell + 1
             expected0 = g - 1 + n if m == 1 else (2 * m - 1) * (g - 1) + m * n
             assert dims[0] == expected0
@@ -177,7 +177,8 @@ def test_filtration_genus_mismatch():
 
 
 def test_filtration_genus_one():
-    dims = cm.filtration_dims(cm.UnibranchModel(sg.from_generators((2, 3))), derive((0,)), 1)
+    model = cm.UnibranchModel(sg.from_generators((2, 3)))
+    dims = cm.expand_runs(cm.filtration_dims(model, derive((0,)), 1))
     assert dims == (1, 1)
 
 

@@ -1,0 +1,148 @@
+"""Run-length filtrations against the per-level definitions they replace.
+
+``filtration_dims`` reads h0 once per ladder breakpoint and ``n_plus``
+reads the parity once per run.  Every property here rebuilds the dense
+per-level answer by brute force (one ladder, one divisor, one h0 per
+level) and compares.  The last tests run at a period ell near 10^11,
+where only the run form can finish.
+"""
+
+import time
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import gmspectra.curve_models as cm
+import gmspectra.invariants as inv
+import gmspectra.semigroup as sg
+from gmspectra.classifier import (
+    clifford_profile_chi1,
+    hyperelliptic_chi1,
+    hyperelliptic_taggings,
+)
+from gmspectra.signature import derive, enumerate_signatures, ladder, n_plus
+
+SIGNATURES = [
+    sig for g in range(1, 7) for sig in enumerate_signatures(g, 5, zeros_allowed=True)
+]
+LEVELS = st.sampled_from((1, 2, 3))
+
+
+def level_divisor(sig, m, lam):
+    steps = ladder(sig, lam)
+    return tuple(m * (order + 1) - step for order, step in zip(sig.orders, steps))
+
+
+def dense_reference(model, sig, m):
+    """The per-level filtration: ladder, then divisor, then h0, at every lam."""
+    return tuple(model.h0(level_divisor(sig, m, lam)) for lam in range(m * sig.ell + 1))
+
+
+def models_for(sig):
+    """Clifford-max, every hyperelliptic tagging, and unibranch when n = 1."""
+    out = [cm.CliffordMaxModel(sig.genus)]
+    out += [
+        cm.HyperellipticModel(sig.genus, t.model_tags(sig))
+        for t in hyperelliptic_taggings(sig)
+    ]
+    if sig.n == 1:
+        out += [cm.UnibranchModel(H) for H in sg.enumerate_symmetric(sig.genus)]
+    return out
+
+
+@st.composite
+def cases(draw):
+    """(model, sig, m) with an optional override pinning one level's divisor."""
+    sig = draw(st.sampled_from(SIGNATURES))
+    m = draw(LEVELS)
+    model = draw(st.sampled_from(models_for(sig)))
+    if draw(st.booleans()):
+        divisor = level_divisor(sig, m, draw(st.integers(0, m * sig.ell)))
+        value = max(0, model.h0(divisor) + draw(st.integers(-1, 1)))
+        model = cm.OverrideModel(model, ((divisor, value),))
+    return model, sig, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_runs_tile_the_levels(case):
+    model, sig, m = case
+    runs = cm.filtration_dims(model, sig, m)
+    assert runs[0][0] == 0
+    assert runs[-1][1] == m * sig.ell
+    for (lo, hi, dim), (next_lo, _, next_dim) in zip(runs, runs[1:]):
+        assert lo <= hi
+        assert next_lo == hi + 1
+        assert dim != next_dim
+    assert len(runs) <= m * (2 * sig.genus - 2 + sig.n) + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_expanded_runs_equal_the_dense_filtration(case):
+    model, sig, m = case
+    runs = cm.filtration_dims(model, sig, m)
+    dense = dense_reference(model, sig, m)
+    assert cm.expand_runs(runs) == dense
+    assert cm.runs_chi_log(runs) == sum(dense[1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_weight_spectrum_is_the_successive_differences(case):
+    model, sig, m = case
+    dense = dense_reference(model, sig, m)
+    diffs = [(lam, a - b) for lam, (a, b) in enumerate(zip(dense, dense[1:] + (0,)))]
+    if any(c < 0 for _, c in diffs):
+        try:
+            inv.weight_spectrum(model, m, sig)
+        except ValueError:
+            return
+        raise AssertionError("an increasing filtration was accepted")
+    spectrum = inv.weight_spectrum(model, m, sig)
+    assert spectrum.entries == tuple((lam, c) for lam, c in diffs if c > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_n_plus_counts_even_levels(data):
+    sig = data.draw(st.sampled_from(SIGNATURES))
+    top = 3 * sig.ell + 2
+    lo = data.draw(st.one_of(st.just(0), st.integers(0, top)))
+    hi = data.draw(st.integers(max(0, lo - 3), top))
+    brute = sum(
+        1 for lam in range(lo, hi + 1) if (sum(ladder(sig, lam)) - sig.n) % 2 == 0
+    )
+    assert n_plus(sig, lo, hi) == brute
+
+
+def test_n_plus_empty_and_single_ranges():
+    sig = derive((4, 2))
+    assert n_plus(sig, 5, 4) == 0
+    assert n_plus(sig, 0, 0) == 1  # every ladder is zero, sum_i (0 - 1) = -2
+    assert n_plus(sig, 1, 1) == 1  # every ladder is one
+
+
+# ------------------------------------------------------ ell near 10^11
+
+LARGE = derive((30, 28, 22, 18, 16, 12, 10, 6, 4, 2))
+
+
+def test_large_ell_hyperelliptic_closed_form():
+    assert LARGE.ell > 10**11
+    start = time.perf_counter()
+    taggings = hyperelliptic_taggings(LARGE)
+    assert taggings
+    for tagging in taggings:
+        closed = Fraction((LARGE.genus + 1) * LARGE.ell, 2) - sum(
+            Fraction(LARGE.ell - LARGE.ell // (v + 1), 4) for v in tagging.weierstrass
+        )
+        assert hyperelliptic_chi1(LARGE, tagging) == closed
+    assert time.perf_counter() - start < 5
+
+
+def test_large_ell_clifford_profile():
+    start = time.perf_counter()
+    chi1 = clifford_profile_chi1(LARGE)  # raises if the parity identity fails
+    assert time.perf_counter() - start < 5
+    assert 0 < chi1 <= Fraction((LARGE.genus + 1) * LARGE.ell, 2)
