@@ -341,6 +341,15 @@ def section_space(alg: BranchAlgebra, divisor) -> SectionSpace:
     return SectionSpace(total, tuple(per))
 
 
+def spin_parity(alg: BranchAlgebra) -> str | None:
+    """Parity of the half-canonical sections, or None unless every order is even."""
+    orders = alg.signature.orders
+    if any(v % 2 for v in orders):
+        return None
+    half = tuple(v // 2 for v in orders)
+    return "odd" if section_space(alg, half).dimension % 2 else "even"
+
+
 # --------------------------------------------------------- validation
 
 
@@ -422,25 +431,31 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
 # ------------------------------------------------------------- JSON I/O
 
 
-def algebra_from_json(doc: dict, degree_cap: int | None = None):
-    """Build (algebra, dualizing units) from a plain JSON document.
+def generators_from_json(doc: dict):
+    """((name, terms), ...) and the dualizing units of a JSON algebra document.
 
-    Branch indices are 0-based; coefficients and units are rational
-    strings such as "1", "-1", or "3/2".
+    Each generator lists ``monomials`` of the form {"branch", "exp",
+    "coeff"}; branch indices are 0-based; coefficients and units are
+    rational strings such as "1", "-1", or "3/2".  Units default to one
+    per branch.
     """
-    sig = derive(doc["signature"])
-    gens = [
-        generator(
-            sig,
-            [(m["branch"], m["exp"], Fraction(m["coeff"])) for m in gd["monomials"]],
-            name=gd.get("name", ""),
-        )
+    n = len(doc["signature"])
+    gens = tuple(
+        (gd.get("name", ""),
+         tuple((m["branch"], m["exp"], Fraction(m["coeff"])) for m in gd["monomials"]))
         for gd in doc["generators"]
-    ]
-    units = tuple(Fraction(u) for u in doc.get("dualizing_units", ["1"] * sig.n))
-    if len(units) != sig.n:
+    )
+    units = tuple(Fraction(u) for u in doc.get("dualizing_units", ["1"] * n))
+    if len(units) != n:
         raise ValueError("dualizing_units length must match the number of branches")
-    return close(sig, gens, degree_cap), units
+    return gens, units
+
+
+def algebra_from_json(doc: dict, degree_cap: int | None = None):
+    """Build (algebra, dualizing units) from a plain JSON document."""
+    sig = derive(doc["signature"])
+    gens, units = generators_from_json(doc)
+    return close(sig, [generator(sig, terms, name) for name, terms in gens], degree_cap), units
 
 
 def algebra_summary(alg: BranchAlgebra) -> dict:

@@ -11,13 +11,14 @@ points, monomial curves) are constructed on demand by :func:`family`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from math import lcm
 from typing import Optional, Sequence, Union
 
 from . import branch_algebra as ba
+from . import invariants as inv
 from . import semigroup as sg
 from .semigroup import NumericalSemigroup
 from .signature import derive
@@ -56,10 +57,6 @@ class CatalogEntry:
         return ba.close(sig, gens, degree_cap=degree_cap)
 
 
-def _coeff(value) -> Fraction:
-    return Fraction(value) if not isinstance(value, str) else Fraction(value)
-
-
 def _entry_from_doc(doc: dict) -> CatalogEntry:
     exp = doc["expected"]
     expected = ExpectedInvariants(
@@ -72,6 +69,7 @@ def _entry_from_doc(doc: dict) -> CatalogEntry:
         spin=exp["spin"],
         ambient_weights=tuple(exp["ambient_weights"]),
     )
+    generators, units = ba.generators_from_json(doc)
     locus = None
     if doc.get("locus_condition"):
         locus = (tuple(doc["locus_condition"]["divisor"]), doc["locus_condition"]["h0"])
@@ -81,11 +79,8 @@ def _entry_from_doc(doc: dict) -> CatalogEntry:
         signature=tuple(doc["signature"]),
         component=doc.get("component"),
         nonvarying=doc["nonvarying"],
-        generators=tuple(
-            (g["name"], tuple((t[0], t[1], _coeff(t[2])) for t in g["terms"]))
-            for g in doc["generators"]
-        ),
-        dualizing_units=tuple(_coeff(u) for u in doc["dualizing_units"]),
+        generators=generators,
+        dualizing_units=units,
         expected=expected,
         locus_condition=locus,
     )
@@ -122,7 +117,9 @@ def special_locus_entries() -> tuple[CatalogEntry, ...]:
 
 
 def as_dict(entry: CatalogEntry) -> dict:
-    """JSON-ready representation (fractions rendered as 'p/q')."""
+    """JSON-ready representation in the ``monomials`` schema that
+    ``strata.json``, ``catalog show --json`` and ``invariants --input``
+    share (fractions rendered as 'p/q' strings)."""
     doc = {
         "id": entry.id,
         "aliases": list(entry.aliases),
@@ -130,10 +127,11 @@ def as_dict(entry: CatalogEntry) -> dict:
         "component": entry.component,
         "nonvarying": entry.nonvarying,
         "generators": [
-            {"name": name, "terms": [[b, e, str(c) if c.denominator != 1 else int(c)] for b, e, c in terms]}
+            {"name": name,
+             "monomials": [{"branch": b, "exp": e, "coeff": str(c)} for b, e, c in terms]}
             for name, terms in entry.generators
         ],
-        "dualizing_units": [str(u) if u.denominator != 1 else int(u) for u in entry.dualizing_units],
+        "dualizing_units": [str(u) for u in entry.dualizing_units],
         "expected": {
             "gap_sequence": list(entry.expected.gap_sequence),
             "delta": entry.expected.delta,
@@ -153,28 +151,15 @@ def as_dict(entry: CatalogEntry) -> dict:
 
 # --- parametric families -------------------------------------------------
 
-def _alpha_from_characters(chi1: int, chi2_log: int) -> Fraction:
-    den = 13 * chi1 - chi2_log
-    if den == 0:
-        raise ValueError("alpha undefined: chi2_log = 13 * chi1_log")
-    return Fraction(13 * chi1 - 2 * chi2_log, den)
-
-
-def _slope_from_characters(chi1: int, chi2_log: int, a_sum: int) -> Fraction:
-    return Fraction(13 * chi1 - (chi2_log - a_sum), chi1)
-
-
 def _expected(sig: Sequence[int], gap: Sequence[int], delta: int, chi1: int,
               chi2_log: int, spin: Optional[str], ambient: Sequence[int]) -> ExpectedInvariants:
-    ell = lcm(*(m + 1 for m in sig))
-    a_sum = sum(ell // (m + 1) for m in sig)
     return ExpectedInvariants(
         gap_sequence=tuple(gap),
         delta=delta,
         chi1_log=chi1,
         chi2_log=chi2_log,
-        alpha=_alpha_from_characters(chi1, chi2_log),
-        slope=_slope_from_characters(chi1, chi2_log, a_sum),
+        alpha=inv.alpha(chi1, chi2_log),
+        slope=inv.slope(chi1, chi2_log, derive(sig)),
         spin=spin,
         ambient_weights=tuple(ambient),
     )
@@ -190,10 +175,9 @@ def _monomial_entry(H: NumericalSemigroup) -> CatalogEntry:
     chi2_log = (2 * g - 1) ** 2 + chi1
     gap = tuple(0 if H.contains(j) else 1 for j in range(1, 2 * g))
     if H.hyperelliptic:
-        ident, component, spin = f"A{2 * g}", "hyp", None
+        ident, component = f"A{2 * g}", "hyp"
     else:
-        spin = "even" if H.count_upto(g - 1) % 2 == 0 else "odd"
-        component = spin
+        component = H.spin
         ident = {(3, 4): "E6", (3, 5): "E8"}.get(H.generators, f"monomial{H}")
     return CatalogEntry(
         id=ident,
@@ -203,7 +187,7 @@ def _monomial_entry(H: NumericalSemigroup) -> CatalogEntry:
         nonvarying=H.hyperelliptic or ident in ("E6", "E8"),
         generators=gens,
         dualizing_units=(Fraction(1),),
-        expected=_expected(sig, gap, g, chi1, chi2_log, spin, (*H.generators, 1)),
+        expected=_expected(sig, gap, g, chi1, chi2_log, H.spin, (*H.generators, 1)),
     )
 
 
@@ -297,7 +281,8 @@ def with_ordinary_points(entry: CatalogEntry, k: int) -> CatalogEntry:
     """Append ``k`` ordinary (order-zero) branches to a catalog entry.
 
     The first character is unchanged, the second grows by k*ell, delta grows
-    by k, and the gap sequence, spin, and slope are untouched.
+    by k, and the gap sequence and spin are untouched; alpha and slope are
+    recomputed from the characters, and the slope comes out unchanged.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -312,16 +297,9 @@ def with_ordinary_points(entry: CatalogEntry, k: int) -> CatalogEntry:
         for j in range(k)
     )
     old = entry.expected
-    expected = ExpectedInvariants(
-        gap_sequence=old.gap_sequence,
-        delta=old.delta + k,
-        chi1_log=old.chi1_log,
-        chi2_log=old.chi2_log + k * ell,
-        alpha=_alpha_from_characters(old.chi1_log, old.chi2_log + k * ell),
-        slope=old.slope,
-        spin=old.spin,
-        ambient_weights=(*old.ambient_weights[:-1], *(ell,) * k, 1),
-    )
+    expected = _expected(new_sig, old.gap_sequence, old.delta + k, old.chi1_log,
+                         old.chi2_log + k * ell, old.spin,
+                         (*old.ambient_weights[:-1], *(ell,) * k, 1))
     return CatalogEntry(
         id=f"{entry.id}+{k}pt",
         aliases=(),

@@ -84,12 +84,15 @@ class Candidate:
     signature: tuple[int, ...]
     model: str
     chi1_log: int
-    threshold_lhs: Fraction
     threshold_rhs: Fraction
     passed: bool
     item: str  # genus-one | hyperelliptic | stratum | locus
     component: Optional[str] = None
     dangling: tuple[int, ...] = ()
+
+    @property
+    def threshold_lhs(self) -> Fraction:
+        return Fraction(self.chi1_log)
 
     @property
     def verdict(self) -> str:
@@ -110,14 +113,12 @@ def _make_candidate(
 ) -> Candidate:
     reduction = sum(sig.weights_a[i] for i in dangling)
     rhs = coeff * ((2 * sig.genus - 2 + sig.n) * sig.ell - reduction)
-    lhs = Fraction(chi1)
     return Candidate(
         signature=tuple(sig.orders),
         model=model,
         chi1_log=chi1,
-        threshold_lhs=lhs,
         threshold_rhs=rhs,
-        passed=lhs >= rhs,
+        passed=chi1 >= rhs,
         item=item,
         component=component,
         dangling=dangling,
@@ -421,16 +422,13 @@ def semigroup_search(g: int, threshold=DEFAULT_THRESHOLD) -> tuple[SemigroupReco
         runs = cm.filtration_dims(cm.UnibranchModel(H), sig, 1)
         if cm.runs_chi_log(runs) != chi1:
             raise RuntimeError(f"unibranch chi1 routes disagree for {H}")
-        spin = None
-        if not H.hyperelliptic:
-            spin = "odd" if H.count_upto(g - 1) % 2 else "even"
         out.append(
             SemigroupRecord(
                 semigroup=H,
                 chi1_log=chi1,
                 element_sum=total,
                 hyperelliptic=H.hyperelliptic,
-                spin=spin,
+                spin=H.spin,
                 passed=Fraction(chi1) >= rhs,
             )
         )
@@ -605,13 +603,7 @@ def nonvarying_regression(entries=None, *, raise_on_mismatch: bool = True) -> Re
         check(e.id, "genus", sig.genus, genus)
         report = ba.conductor_and_gorenstein(alg)
         check(e.id, "gorenstein", True, report.gorenstein)
-        if all(v % 2 == 0 for v in e.signature):
-            half = tuple(v // 2 for v in e.signature)
-            parity = ba.section_space(alg, half).dimension % 2
-            spin = "odd" if parity else "even"
-        else:
-            spin = None
-        check(e.id, "spin", exp.spin, spin)
+        check(e.id, "spin", exp.spin, ba.spin_parity(alg))
         chi1 = inv.weight_spectrum(alg, 1).chi_log
         chi2 = inv.weight_spectrum(alg, 2).chi_log
         check(e.id, "chi1_log", exp.chi1_log, chi1)

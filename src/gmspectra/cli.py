@@ -57,6 +57,15 @@ def parse_rational(text: str) -> Fraction:
         raise click.BadParameter(f"expected an integer or p/q, got {text!r}") from exc
 
 
+def parse_threshold(text: str) -> Fraction:
+    tau = parse_rational(text)
+    try:
+        threshold_coefficient(tau)  # validate range before searching
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--threshold") from exc
+    return tau
+
+
 def parse_signature(text: str) -> Signature:
     try:
         orders = tuple(int(part) for part in text.replace(" ", "").split(","))
@@ -70,24 +79,22 @@ def parse_signature(text: str) -> Signature:
         raise click.BadParameter(f"{exc}, got {text!r}", param_hint="'--signature'") from exc
 
 
+# the model_from_spec field that a short spec's comma list fills
+SHORT_SPEC_FIELDS = {"unibranch": ("generators", int), "hyperelliptic": ("tags", str)}
+
+
 def build_model(spec: str, sig):
-    """Model from a short spec: clifford-max, unibranch:3,7,
-    hyperelliptic:w,pair:1,pair:1, or an inline JSON document."""
+    """Model from an inline JSON document or a short spec (clifford-max,
+    unibranch:3,7, hyperelliptic:w,pair:1,pair:1), which is first rewritten
+    to that document with the signature's genus."""
     if spec.lstrip().startswith("{"):
         return cm.model_from_spec(json.loads(spec))
     kind, _, rest = spec.partition(":")
-    if kind == "clifford-max":
-        return cm.CliffordMaxModel(sig.genus)
-    if kind == "unibranch":
-        gens = tuple(int(x) for x in rest.split(","))
-        return cm.UnibranchModel(sg.from_generators(gens))
-    if kind == "hyperelliptic":
-        tags = tuple(rest.split(",")) if rest else ()
-        return cm.HyperellipticModel(sig.genus, tags)
-    raise click.BadParameter(
-        f"unknown model {spec!r}; use clifford-max, unibranch:<gens>, "
-        "hyperelliptic:<tags>, or a JSON document"
-    )
+    doc = {"kind": kind, "genus": sig.genus}
+    if kind in SHORT_SPEC_FIELDS:
+        field, convert = SHORT_SPEC_FIELDS[kind]
+        doc[field] = [convert(x) for x in rest.split(",")] if rest else []
+    return cm.model_from_spec(doc)
 
 
 def emit_table(rows: list[dict], columns: list[str]) -> None:
@@ -115,7 +122,23 @@ def entry_algebra(entry, m_max: int):
 # ------------------------------------------------------------------ group
 
 
-@click.group()
+class Main(click.Group):
+    """Reports bad input as one `Error:` line with exit code 2.
+
+    Covers ValueError (malformed JSON included) and KeyError; the
+    RuntimeError and AssertionError of failed cross-checks still raise.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except KeyError as exc:
+            raise click.UsageError(f"missing key {exc}") from exc
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=Main)
 def main():
     """Exact weight spectra, singularity invariants, and stratum searches."""
 
@@ -160,10 +183,9 @@ def invariants(entry_id, path, levels_text, fmt, decimal):
         report["chi2"] = rec.chi2
         report["alpha"] = rec.alpha
         report["slope"] = rec.slope
-    if all(v % 2 == 0 for v in sig.orders):
-        half = tuple(v // 2 for v in sig.orders)
-        parity = ba.section_space(alg, half).dimension % 2
-        report["spin"] = "odd" if parity else "even"
+    spin = ba.spin_parity(alg)
+    if spin is not None:
+        report["spin"] = spin
 
     if fmt == "json":
         clean = {k: (fmt_rational(v) if isinstance(v, Fraction) else v)
@@ -250,11 +272,7 @@ def candidate_row(c, decimal=False) -> dict:
 @click.option("--decimal", is_flag=True)
 def classify_alpha(genus, threshold, dangling, fmt, decimal):
     """All models at the genus whose alpha-invariant clears the cutoff."""
-    tau = parse_rational(threshold)
-    try:
-        threshold_coefficient(tau)  # validate range before searching
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="--threshold")
+    tau = parse_threshold(threshold)
     cands = alpha_search(genus, threshold=tau, dangling=dangling)
     rows = [candidate_row(c, decimal and fmt == "text") for c in cands]
     if fmt == "json":
@@ -289,11 +307,11 @@ SEMIGROUP_COLUMNS = ["semigroup", "hyperelliptic", "spin", "chi1_log",
               default="text")
 def classify_semigroups(genus, threshold, fmt):
     """Score every symmetric semigroup for the single-zero stratum."""
-    tau = parse_rational(threshold)
+    tau = parse_threshold(threshold)
     try:
         records = semigroup_search(genus, threshold=tau)
     except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="--threshold")
+        raise click.BadParameter(str(exc), param_hint="--genus") from exc
     rows = [{
         "semigroup": str(r.semigroup),
         "hyperelliptic": r.hyperelliptic,
@@ -315,37 +333,6 @@ def classify_semigroups(genus, threshold, fmt):
 
 
 # ---------------------------------------------------------------- catalog
-
-
-def entry_doc(e) -> dict:
-    doc = {
-        "id": e.id,
-        "aliases": list(e.aliases),
-        "signature": list(e.signature),
-        "component": e.component,
-        "nonvarying": e.nonvarying,
-        "generators": [
-            {"name": name,
-             "monomials": [{"branch": b, "exp": k, "coeff": fmt_rational(c)}
-                           for b, k, c in terms]}
-            for name, terms in e.generators
-        ],
-        "dualizing_units": [fmt_rational(u) for u in e.dualizing_units],
-        "expected": {
-            "gap_sequence": list(e.expected.gap_sequence),
-            "delta": e.expected.delta,
-            "chi1_log": e.expected.chi1_log,
-            "chi2_log": e.expected.chi2_log,
-            "alpha": fmt_rational(e.expected.alpha),
-            "slope": fmt_rational(e.expected.slope),
-            "spin": e.expected.spin,
-            "ambient_weights": list(e.expected.ambient_weights),
-        },
-    }
-    if e.locus_condition is not None:
-        divisor, h0 = e.locus_condition
-        doc["locus_condition"] = {"divisor": list(divisor), "h0": h0}
-    return doc
 
 
 @main.group("catalog")
@@ -373,7 +360,7 @@ def catalog_list():
 @click.option("--json", "as_json", is_flag=True)
 def catalog_show(entry_id, as_json):
     e = load_entry(entry_id)
-    doc = entry_doc(e)
+    doc = cat.as_dict(e)
     if as_json:
         click.echo(json.dumps(doc, indent=2))
         return

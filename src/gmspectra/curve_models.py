@@ -174,7 +174,10 @@ def model_from_spec(doc: dict):
     if kind == "override":
         table = tuple((tuple(e["divisor"]), e["h0"]) for e in doc["table"])
         return OverrideModel(model_from_spec(doc["base"]), table)
-    raise ValueError(f"unknown model kind {kind!r}")
+    raise ValueError(
+        f"unknown model kind {kind!r}; use unibranch, hyperelliptic, "
+        "clifford-max or override"
+    )
 
 
 Run = tuple[int, int, int]  # (lam_lo, lam_hi, dim), inclusive bounds

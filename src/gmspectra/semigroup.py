@@ -50,6 +50,16 @@ class NumericalSemigroup:
         """True when 2 is an element (genus >= 2 gap sequences 1,3,5,...)."""
         return self.contains(2)
 
+    @property
+    def spin(self) -> str | None:
+        """Spin parity: that of the number of elements in [0, g-1].
+
+        None when hyperelliptic, where the stratum has no spin components.
+        """
+        if self.hyperelliptic:
+            return None
+        return "odd" if self.count_upto(self.genus - 1) % 2 else "even"
+
     def count_upto(self, k: int) -> int:
         """Number of elements in [0, k]."""
         if k < 0:

@@ -14,6 +14,7 @@ import pytest
 import gmspectra.branch_algebra as ba
 import gmspectra.invariants as inv
 from gmspectra import catalog
+from gmspectra import semigroup as sg
 from gmspectra.signature import derive
 
 ENTRY_IDS = [e.id for e in catalog.entries()]
@@ -64,13 +65,15 @@ def test_conductor_gorenstein_units(entry):
 def test_spin_parity(entry):
     # even-order signatures carry a parity label; odd orders have none
     sig = derive(entry.signature)
+    alg = entry.algebra()
     if any(m % 2 for m in sig.orders):
         assert entry.expected.spin is None
+        assert ba.spin_parity(alg) is None
         return
-    alg = entry.algebra()
     half = tuple(m // 2 for m in sig.orders)
     h = ba.section_space(alg, half).dimension
     assert entry.expected.spin == ("odd" if h % 2 else "even")
+    assert ba.spin_parity(alg) == entry.expected.spin
     assert entry.component in (entry.expected.spin, "hyp")
 
 
@@ -170,6 +173,7 @@ def test_as_dict_round_trip(entry):
     import json
 
     json.dumps(doc)  # must be serializable as-is
+    assert catalog._entry_from_doc(doc) == entry
 
 
 # ---------------------------------------------------------------- families
@@ -250,6 +254,12 @@ def test_family_monomial():
     assert e37.expected.chi1_log == 31
     assert 4 * e37.expected.chi1_log >= (2 * 6 - 2 + 1) * 11  # clears the 3/8 cut
     assert not e37.nonvarying
+    # the semigroup's parity below g is the half-canonical section parity
+    for g in range(2, 7):
+        for H in sg.enumerate_symmetric(g):
+            alg = catalog.family("monomial", H=H).algebra()
+            h = ba.section_space(alg, (g - 1,)).dimension
+            assert H.spin == (None if H.hyperelliptic else "odd" if h % 2 else "even"), H
 
 
 def test_family_validation():

@@ -3,10 +3,11 @@
 import json
 from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
 import gmspectra.branch_algebra as ba
-from gmspectra import cli
+from gmspectra import catalog, cli
 from gmspectra.classifier import clifford_profile_chi1
 from gmspectra.signature import derive
 
@@ -142,6 +143,32 @@ def test_filtration_rejects_invalid_signatures():
         assert_usage_error(result, "--signature", reason, text)
 
 
+BAD_INPUTS = [
+    (["classify", "alpha", "--genus", "9"], ["genus 9"]),
+    (["classify", "alpha", "--genus", "0"], ["genus must be at least 1"]),
+    (["classify", "semigroups", "--genus", "1"], ["--genus", "genus at least 2"]),
+    (["filtration", "--signature", "6", "--model", "unibranch:3,x"], ["'x'"]),
+    (["filtration", "--signature", "4", "--model", "{bad"], ["line 1 column 2"]),
+    (["filtration", "--signature", "4", "--model", "unibranch:3,7"],
+     ["model genus 6", "genus 3"]),
+    (["filtration", "--signature", "4,2", "--model", "hyperelliptic:w"],
+     ["divisor needs 1"]),
+    (["filtration", "--signature", "4", "--model", "mystery"], ["'mystery'"]),
+    (["invariants", "--catalog", "E7", "--m", "1,x"], ["'x'"]),
+]
+
+
+@pytest.mark.parametrize("args,fragments", BAD_INPUTS)
+def test_bad_input_is_one_error_line(args, fragments):
+    assert_usage_error(invoke(*args), *fragments)
+
+
+def test_input_without_signature_is_one_error_line(tmp_path):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"generators": []}))
+    assert_usage_error(invoke("invariants", "--input", str(path)), "'signature'")
+
+
 LARGE_ELL = "30,28,22,18,16,12,10,6,4,2"  # ell = 100280245065
 
 
@@ -236,12 +263,21 @@ def test_catalog_list_mentions_every_entry():
         assert needle in result.output
 
 
-def test_catalog_show_json_rebuilds_the_algebra():
-    result = invoke("catalog", "show", "E7", "--json")
-    doc = json.loads(result.output)
-    alg, units = ba.algebra_from_json(doc)
-    assert list(ba.gap_sequence(alg)) == doc["expected"]["gap_sequence"]
-    assert [str(u) for u in units] == doc["dualizing_units"]
+def test_catalog_show_json_rebuilds_the_algebra(tmp_path):
+    for entry in catalog.entries():
+        result = invoke("catalog", "show", entry.id, "--json")
+        doc = json.loads(result.output)
+        alg, units = ba.algebra_from_json(doc)
+        assert list(ba.gap_sequence(alg)) == doc["expected"]["gap_sequence"]
+        assert [str(u) for u in units] == doc["dualizing_units"]
+        path = tmp_path / "entry.json"
+        path.write_text(result.output)
+        rebuilt = json.loads(invoke("invariants", "--input", str(path),
+                                    "--format", "json").output)
+        stored = json.loads(invoke("invariants", "--catalog", entry.id,
+                                   "--format", "json").output)
+        for key in ("chi1_log", "chi2_log", "alpha", "slope"):
+            assert rebuilt[key] == stored[key], (entry.id, key)
 
 
 def test_catalog_show_unknown_id():
