@@ -135,20 +135,36 @@ class BranchAlgebra:
     generators: tuple[MonomialVector, ...]
     degree_cap: int
     graded_basis: dict[int, tuple[tuple[Fraction, ...], ...]]
+    stable_from: int | None = None  # R_k is full for every k >= stable_from
     _gap_full: tuple[int, ...] | None = field(default=None, repr=False)
+    _slots: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     @property
     def branches(self) -> int:
         return self.signature.n
 
     def slots(self, k: int) -> tuple[int, ...]:
-        a = self.signature.weights_a
-        return tuple(i for i in range(self.signature.n) if k % a[i] == 0)
+        """Branches that carry degree k; they depend on k mod ell only."""
+        r = k % self.signature.ell
+        if r not in self._slots:
+            a = self.signature.weights_a
+            self._slots[r] = tuple(i for i in range(self.signature.n) if r % a[i] == 0)
+        return self._slots[r]
 
-    def dim(self, k: int) -> int:
+    def _stable(self, k: int) -> bool:
         if not 0 <= k <= self.degree_cap:
             raise ValueError(f"degree {k} outside [0, {self.degree_cap}]")
-        return len(self.graded_basis[k])
+        return self.stable_from is not None and k >= self.stable_from
+
+    def basis(self, k: int) -> tuple[tuple[Fraction, ...], ...]:
+        """Canonical rref rows of R_k over slots(k); identity rows once stable."""
+        if not self._stable(k):
+            return self.graded_basis[k]
+        s = len(self.slots(k))
+        return tuple(tuple(_ONE if j == p else _ZERO for j in range(s)) for p in range(s))
+
+    def dim(self, k: int) -> int:
+        return len(self.slots(k)) if self._stable(k) else len(self.graded_basis[k])
 
     def contains(self, terms) -> bool:
         """Membership of a homogeneous element given as generator-style terms."""
@@ -160,7 +176,7 @@ class BranchAlgebra:
         vec = tuple(element.coefficient(i) for i in sl)
         if any(element.coefficient(i) for i in range(self.signature.n) if i not in sl):
             return False
-        return _in_span(self.graded_basis[k], vec)
+        return _in_span(self.basis(k), vec)
 
 
 def default_degree_cap(sig: Signature, m_max: int = 2) -> int:
@@ -169,7 +185,22 @@ def default_degree_cap(sig: Signature, m_max: int = 2) -> int:
 
 
 def close(sig: Signature, generators_in, degree_cap: int | None = None) -> BranchAlgebra:
-    """Span all products of the generators, degree by degree, up to the cap."""
+    """Span all products of the generators, degree by degree, up to the cap.
+
+    The loop stops early once it certifies that every later graded piece
+    is full, i.e. spanned by all monomials in slots(k).  It tracks K, the
+    first degree of the current unbroken run of full pieces (a piece with
+    no slots counts as full), and stops as soon as the run covers
+    [K, 2K + max_i a_i - 1], recording stable_from = K.
+
+    Proof that R_k is full for every k >= K: take branch i and
+    E = ceil(K / a_i).  Every e in [E, 2E) has K <= e*a_i < 2K + a_i, so
+    t_i^e lies in R.  Since t_i^e = t_i^E * t_i^(e-E), induction on e puts
+    every t_i^e with e >= E in R, and each slot i of a degree k >= K has
+    exponent k / a_i >= E.  Without a certificate (a ring that is not
+    cofinite, or a cap reached first) every degree up to the cap is
+    computed and stable_from stays None.
+    """
     if degree_cap is None:
         degree_cap = default_degree_cap(sig)
     if degree_cap < 2 * sig.ell:
@@ -181,19 +212,18 @@ def close(sig: Signature, generators_in, degree_cap: int | None = None) -> Branc
         else:
             g = generator(sig, g)
         gens.append(g)
-    a = sig.weights_a
-    n = sig.n
-    basis: dict[int, tuple] = {0: ((_ONE,) * n,)}
-    slot_cache = {k: tuple(i for i in range(n) if k % a[i] == 0) for k in range(degree_cap + 1)}
+    alg = BranchAlgebra(sig, tuple(gens), degree_cap, {0: ((_ONE,) * sig.n,)})
+    basis = alg.graded_basis
+    full_from = None
     for k in range(1, degree_cap + 1):
-        sl = slot_cache[k]
+        sl = alg.slots(k)
         candidates = []
         for g in gens:
             d = g.degree
             if d > k:
                 continue
             prev = basis[k - d]
-            prev_pos = {i: pos for pos, i in enumerate(slot_cache[k - d])}
+            prev_pos = {i: pos for pos, i in enumerate(alg.slots(k - d))}
             coeffs = {b: c for b, _, c in g.terms}
             for v in prev:
                 w = tuple(
@@ -203,11 +233,18 @@ def close(sig: Signature, generators_in, degree_cap: int | None = None) -> Branc
                 if any(w):
                     candidates.append(w)
         basis[k] = _rref(candidates)
-    return BranchAlgebra(sig, tuple(gens), degree_cap, basis)
+        if len(basis[k]) < len(sl):
+            full_from = None
+        elif full_from is None:
+            full_from = k
+        if full_from is not None and k >= 2 * full_from + max(sig.weights_a) - 1:
+            alg.stable_from = full_from
+            break
+    return alg
 
 
 def graded_dims(alg: BranchAlgebra) -> tuple[int, ...]:
-    return tuple(len(alg.graded_basis[k]) for k in range(alg.degree_cap + 1))
+    return tuple(alg.dim(k) for k in range(alg.degree_cap + 1))
 
 
 # --------------------------------------------------- singularity numbers
@@ -232,7 +269,7 @@ def _gap_sequence_full(alg: BranchAlgebra) -> tuple[int, ...]:
             sl = alg.slots(k)
             below = [pos for pos, i in enumerate(sl) if k // a[i] < j]
             level = [pos for pos, i in enumerate(sl) if k // a[i] == j]
-            sub = _vanishing_subspace(alg.graded_basis[k], below)
+            sub = _vanishing_subspace(alg.basis(k), below)
             rank += len(_rref([tuple(r[p] for p in level) for r in sub]))
         alphas.append(n - rank)
     alg._gap_full = tuple(alphas)
@@ -298,8 +335,8 @@ def conductor_and_gorenstein(alg: BranchAlgebra) -> ConductorReport:
     for k in range(k_top + 1):
         sl = alg.slots(k)
         outside = [pos for pos, i in enumerate(sl) if k // a[i] < conductor[i]]
-        inside = _vanishing_subspace(alg.graded_basis[k], outside)
-        length += len(alg.graded_basis[k]) - len(inside)
+        inside = _vanishing_subspace(alg.basis(k), outside)
+        length += alg.dim(k) - len(inside)
     return ConductorReport(
         conductor=tuple(conductor),
         quotient_length=length,
@@ -334,7 +371,7 @@ def section_space(alg: BranchAlgebra, divisor) -> SectionSpace:
     for k in range(k_top + 1):
         sl = alg.slots(k)
         excluded = [pos for pos, i in enumerate(sl) if k > a[i] * divisor[i]]
-        d = len(_vanishing_subspace(alg.graded_basis[k], excluded))
+        d = len(_vanishing_subspace(alg.basis(k), excluded))
         if d:
             per.append((k, d))
             total += d
@@ -395,6 +432,8 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
     g3 = True
     for i in range(n):
         reach = alg.degree_cap // sig.weights_a[i]
+        if alg.stable_from is not None:  # pure powers from there on are proven
+            reach = min(reach, (alg.stable_from - 1) // sig.weights_a[i])
         for e in range(top, reach + 1):
             if not alg.contains([(i, e, 1)]):
                 g3 = False

@@ -25,6 +25,7 @@ from . import curve_models as cm
 from . import invariants as inv
 from . import semigroup as sg
 from .classifier import (
+    GENUS_BOUND,
     alpha_search,
     nonvarying_regression,
     semigroup_search,
@@ -35,7 +36,8 @@ from .signature import Signature, derive
 log = logging.getLogger("gmspectra")
 logging.basicConfig(level=os.environ.get("LOG_LEVEL", "WARNING").upper())
 
-# `filtration` prints one number per level; refuse longer sequences
+# `filtration` prints one number per level and `invariants` one graded
+# dimension per degree up to the cap; refuse longer sequences
 MAX_PRINTED_LEVELS = 10**6
 
 
@@ -66,21 +68,32 @@ def parse_threshold(text: str) -> Fraction:
     return tau
 
 
+def parse_ints(text: str, param_hint: str) -> list[int]:
+    """The comma-separated integers of one option; blames the first bad item."""
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(int(part))
+        except ValueError:
+            raise click.BadParameter(
+                f"expected comma-separated integers, got {part!r}", param_hint=param_hint
+            ) from None
+    return values
+
+
+def parse_levels(text: str) -> list[int]:
+    levels = sorted(set(parse_ints(text, "'--m'")))
+    if levels[0] < 1:
+        raise click.BadParameter("levels must be positive integers", param_hint="'--m'")
+    return levels
+
+
 def parse_signature(text: str) -> Signature:
-    try:
-        orders = tuple(int(part) for part in text.replace(" ", "").split(","))
-    except ValueError as exc:
-        raise click.BadParameter(
-            f"expected comma-separated integers, got {text!r}", param_hint="'--signature'"
-        ) from exc
+    orders = parse_ints(text.replace(" ", ""), "'--signature'")
     try:
         return derive(orders)
     except ValueError as exc:
         raise click.BadParameter(f"{exc}, got {text!r}", param_hint="'--signature'") from exc
-
-
-# the model_from_spec field that a short spec's comma list fills
-SHORT_SPEC_FIELDS = {"unibranch": ("generators", int), "hyperelliptic": ("tags", str)}
 
 
 def build_model(spec: str, sig):
@@ -91,9 +104,10 @@ def build_model(spec: str, sig):
         return cm.model_from_spec(json.loads(spec))
     kind, _, rest = spec.partition(":")
     doc = {"kind": kind, "genus": sig.genus}
-    if kind in SHORT_SPEC_FIELDS:
-        field, convert = SHORT_SPEC_FIELDS[kind]
-        doc[field] = [convert(x) for x in rest.split(",")] if rest else []
+    if kind == "unibranch":
+        doc["generators"] = parse_ints(rest, "'--model'") if rest else []
+    elif kind == "hyperelliptic":
+        doc["tags"] = rest.split(",") if rest else []
     return cm.model_from_spec(doc)
 
 
@@ -104,19 +118,24 @@ def emit_table(rows: list[dict], columns: list[str]) -> None:
         click.echo("  ".join(str(r[c]).ljust(widths[c]) for c in columns).rstrip())
 
 
-def load_entry(entry_id: str) -> cat.CatalogEntry:
+def load_entry(entry_id: str, param_hint: str = "'--catalog'") -> cat.CatalogEntry:
     try:
         return cat.get(entry_id)
-    except KeyError:
-        raise click.ClickException(
-            f"unknown catalog id {entry_id!r}; try `gmspectra catalog list`"
-        )
+    except KeyError as exc:
+        raise click.BadParameter(
+            f"unknown catalog id {entry_id!r}; try `gmspectra catalog list`",
+            param_hint=param_hint,
+        ) from exc
+
+
+def degree_cap(sig, m_max: int) -> int:
+    """Degree cap that reaches weight level m_max and the conductor window."""
+    return max(m_max * sig.ell, ba.default_degree_cap(sig))
 
 
 def entry_algebra(entry, m_max: int):
     sig = derive(entry.signature)
-    cap = max(m_max * sig.ell, ba.default_degree_cap(sig))
-    return sig, entry.algebra(degree_cap=cap)
+    return sig, entry.algebra(degree_cap=degree_cap(sig, m_max))
 
 
 # ------------------------------------------------------------------ group
@@ -158,18 +177,20 @@ def invariants(entry_id, path, levels_text, fmt, decimal):
     """Recompute every invariant of one singularity algebra."""
     if (entry_id is None) == (path is None):
         raise click.UsageError("give exactly one of --catalog or --input")
-    levels = sorted({int(x) for x in levels_text.split(",")})
-    if not levels or levels[0] < 1:
-        raise click.BadParameter("levels must be positive integers")
+    levels = parse_levels(levels_text)
     if entry_id is not None:
-        entry = load_entry(entry_id)
-        sig, alg = entry_algebra(entry, levels[-1])
+        doc = cat.as_dict(load_entry(entry_id))
     else:
         with open(path) as fh:
             doc = json.load(fh)
-        sig = derive(doc["signature"])
-        cap = max(levels[-1] * sig.ell, ba.default_degree_cap(sig))
-        alg, _units = ba.algebra_from_json(doc, degree_cap=cap)
+    sig = derive(doc["signature"])
+    cap = degree_cap(sig, levels[-1])
+    if cap + 1 > MAX_PRINTED_LEVELS:
+        raise click.UsageError(
+            f"{sig} has {cap + 1} graded dimensions at m = {levels[-1]}; "
+            f"this command prints at most {MAX_PRINTED_LEVELS}"
+        )
+    alg, _units = ba.algebra_from_json(doc, degree_cap=cap)
 
     report = ba.algebra_summary(alg)
     report["signature"] = list(sig.orders)
@@ -273,6 +294,10 @@ def candidate_row(c, decimal=False) -> dict:
 def classify_alpha(genus, threshold, dangling, fmt, decimal):
     """All models at the genus whose alpha-invariant clears the cutoff."""
     tau = parse_threshold(threshold)
+    if genus > GENUS_BOUND:
+        raise click.BadParameter(
+            f"genus {genus} beyond the search bound {GENUS_BOUND}", param_hint="--genus"
+        )
     cands = alpha_search(genus, threshold=tau, dangling=dangling)
     rows = [candidate_row(c, decimal and fmt == "text") for c in cands]
     if fmt == "json":
@@ -359,7 +384,7 @@ def catalog_list():
 @click.argument("entry_id")
 @click.option("--json", "as_json", is_flag=True)
 def catalog_show(entry_id, as_json):
-    e = load_entry(entry_id)
+    e = load_entry(entry_id, param_hint="'ENTRY_ID'")
     doc = cat.as_dict(e)
     if as_json:
         click.echo(json.dumps(doc, indent=2))

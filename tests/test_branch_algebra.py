@@ -7,8 +7,10 @@ multiplication of the generator monomials before the engine existed.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gmspectra.branch_algebra as ba
+from gmspectra import catalog
 from gmspectra.signature import derive
 
 
@@ -395,3 +397,121 @@ def test_json_bad_units():
     }
     with pytest.raises(ValueError):
         ba.algebra_from_json(doc)
+
+
+# ------------------------------------------- the certified conductor stop
+
+
+def dense_close(sig, gens, cap):
+    """Reference closure: an exact rref at every degree up to the cap, no stop."""
+    a, n = sig.weights_a, sig.n
+
+    def slots(k):
+        return tuple(i for i in range(n) if k % a[i] == 0)
+
+    basis = {0: ((Fraction(1),) * n,)}
+    for k in range(1, cap + 1):
+        rows = []
+        for g in gens:
+            if g.degree > k:
+                continue
+            prev = slots(k - g.degree)
+            coeffs = {b: c for b, _, c in g.terms}
+            for v in basis[k - g.degree]:
+                w = tuple(
+                    coeffs.get(i, 0) * v[prev.index(i)] if i in prev else Fraction(0)
+                    for i in slots(k)
+                )
+                if any(w):
+                    rows.append(w)
+        basis[k] = ba._rref(rows)
+    return ba.BranchAlgebra(sig, tuple(gens), cap, basis)
+
+
+def outcome(fn, alg):
+    """The value of fn(alg), or the message of the ValueError it raises."""
+    try:
+        return fn(alg)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+SMALL_SIGNATURES = [
+    derive(orders)
+    for orders in sorted({
+        tuple(sorted((x, y, z)[:n], reverse=True))
+        for n in (1, 2, 3) for x in range(6) for y in range(6) for z in range(6)
+    })
+    if sum(orders) % 2 == 0
+]
+COEFFS = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def closures(draw):
+    """(sig, generators, cap): zero orders allowed, n <= 3, empty and
+    one-branch generator sets, caps at or above the default.  Two in three
+    draws add two consecutive pure powers per branch, so that many rings
+    are cofinite and get certified."""
+    sig = draw(st.sampled_from(SMALL_SIGNATURES))
+    a = sig.weights_a
+    one_branch = sig.n > 1 and draw(st.integers(0, 4)) == 0
+    branches = [0] if one_branch else list(range(sig.n))
+    gens = []
+    for _ in range(draw(st.integers(0, 5))):
+        first = draw(st.sampled_from(branches))
+        degree = draw(st.integers(1, 5)) * a[first]
+        terms = [(first, degree // a[first], draw(COEFFS))]
+        for i in branches:
+            if i != first and degree % a[i] == 0 and draw(st.booleans()):
+                terms.append((i, degree // a[i], draw(COEFFS)))
+        gens.append(ba.generator(sig, terms))
+    if draw(st.integers(0, 2)):  # consecutive pure powers make the ring cofinite
+        for i in branches:
+            e = draw(st.integers(2, 4))
+            gens += [ba.generator(sig, [(i, e, draw(COEFFS))]),
+                     ba.generator(sig, [(i, e + 1, draw(COEFFS))])]
+    cap = ba.default_degree_cap(sig)
+    return sig, gens, cap + draw(st.sampled_from((0, 1, sig.ell, 4 * cap)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(closures())
+def test_certified_stop_matches_the_dense_closure(case):
+    sig, gens, cap = case
+    alg = ba.close(sig, gens, degree_cap=cap)
+    ref = dense_close(sig, gens, cap)
+    for k in range(cap + 1):
+        assert alg.basis(k) == ref.basis(k), k
+        assert alg.dim(k) == ref.dim(k), k
+    assert ba.graded_dims(alg) == ba.graded_dims(ref)
+    assert ba.gap_sequence(alg) == ba.gap_sequence(ref)
+    assert outcome(ba.conductor_and_gorenstein, alg) == outcome(
+        ba.conductor_and_gorenstein, ref
+    )
+    assert ba.validate_G_conditions(alg) == ba.validate_G_conditions(ref)
+    touched = {b for g in gens for b, _, _ in g.terms}
+    if len(touched) < sig.n:
+        assert alg.stable_from is None  # no pure powers on an untouched branch
+    if alg.stable_from is not None:
+        assert all(ref.dim(k) == len(ref.slots(k)) for k in range(alg.stable_from, cap + 1))
+
+
+def test_no_conductor_means_no_certificate():
+    sig = derive((3, 1))
+    assert ba.close(sig, [[(0, 2, 1), (1, 1, 1)]], degree_cap=16).stable_from is None
+    assert ba.close(sig, [[(0, 2, 1)], [(0, 3, 1)]]).stable_from is None
+    assert ba.close(sig, []).stable_from is None
+    assert alg31().stable_from is None  # the default cap 10 comes first
+    gens = [[(0, 2, 1), (1, 1, 1)], [(0, 3, 1)]]
+    assert ba.close(sig, gens, degree_cap=16).stable_from == 5  # t1^5, t2^3 on
+
+
+@pytest.mark.parametrize("family,g", [("D-odd", 80), ("D-even", 60)])
+def test_close_stops_within_twice_the_conductor(family, g):
+    alg = catalog.family(family, g=g).algebra()
+    sig = alg.signature
+    conductor = ba.conductor_and_gorenstein(alg).conductor
+    top = max(a * c for a, c in zip(sig.weights_a, conductor))
+    assert alg.stable_from is not None and alg.stable_from <= top
+    assert len(alg.graded_basis) <= 2 * top + max(sig.weights_a)

@@ -1,6 +1,7 @@
 """Command-line surface: exact rendering, report round-trips, exit codes."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,13 @@ BAD_INPUTS = [
      ["divisor needs 1"]),
     (["filtration", "--signature", "4", "--model", "mystery"], ["'mystery'"]),
     (["invariants", "--catalog", "E7", "--m", "1,x"], ["'x'"]),
+    (["classify", "alpha", "--genus", "9"], ["--genus", "bound 8"]),
+    (["invariants", "--catalog", "E7", "--m", "1,x"], ["'--m'", "integers", "'x'"]),
+    (["invariants", "--catalog", "E7", "--m", "0,1"], ["'--m'", "positive"]),
+    (["filtration", "--signature", "6", "--model", "unibranch:3,x"],
+     ["'--model'", "integers", "'x'"]),
+    (["filtration", "--signature", "6,x", "--model", "clifford-max"],
+     ["'--signature'", "integers", "'x'"]),
 ]
 
 
@@ -169,12 +177,37 @@ def test_input_without_signature_is_one_error_line(tmp_path):
     assert_usage_error(invoke("invariants", "--input", str(path)), "'signature'")
 
 
+@pytest.mark.parametrize("args,option", [
+    (["invariants", "--catalog", "nope"], "'--catalog'"),
+    (["filtration", "--catalog", "nope"], "'--catalog'"),
+    (["slope", "--catalog", "nope"], "'--catalog'"),
+    (["catalog", "show", "nope"], "'ENTRY_ID'"),
+])
+def test_unknown_catalog_id_is_a_usage_error(args, option):
+    assert_usage_error(invoke(*args), option, "'nope'", "catalog list")
+
+
 LARGE_ELL = "30,28,22,18,16,12,10,6,4,2"  # ell = 100280245065
 
 
 def test_filtration_refuses_to_print_beyond_the_level_bound():
     result = invoke("filtration", "--signature", LARGE_ELL, "--model", "clifford-max")
     assert_usage_error(result, "100280245066", str(cli.MAX_PRINTED_LEVELS))
+
+
+def test_invariants_refuses_a_cap_beyond_the_level_bound(tmp_path):
+    doc = {"signature": [int(v) for v in LARGE_ELL.split(",")],
+           "generators": [{"name": "x", "monomials": [
+               {"branch": 0, "exp": 2, "coeff": "1"}]}]}
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    result = invoke("invariants", "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert_usage_error(result, "graded dimensions", str(cli.MAX_PRINTED_LEVELS))
+    # the bound also holds for a catalog entry at a high level
+    result = invoke("invariants", "--catalog", "E7", "--m", "1,2,250000")
+    assert_usage_error(result, "1000001", str(cli.MAX_PRINTED_LEVELS))
 
 
 def test_slope_at_large_ell():
