@@ -15,7 +15,9 @@ optionally re-scores every record for dangling branch subsets.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +32,8 @@ from .signature import Signature, derive, enumerate_signatures, n_plus
 
 DEFAULT_THRESHOLD = Fraction(3, 8)
 GENUS_BOUND = 8  # desk-scale searches; raise explicitly for more
+
+log = logging.getLogger("gmspectra")
 
 __all__ = [
     "Candidate",
@@ -415,8 +419,11 @@ def semigroup_search(g: int, threshold=DEFAULT_THRESHOLD) -> tuple[SemigroupReco
     coeff = threshold_coefficient(threshold)
     sig = derive((2 * g - 2,))
     rhs = coeff * (2 * g - 2 + 1) * sig.ell
+    start = time.perf_counter()
+    semigroups = sg.enumerate_symmetric(g)
+    enumerated = time.perf_counter()
     out = []
-    for H in sg.enumerate_symmetric(g):
+    for H in semigroups:
         total = sum(H.first_elements(g))
         chi1 = g * (2 * g - 1) - total
         runs = cm.filtration_dims(cm.UnibranchModel(H), sig, 1)
@@ -432,6 +439,11 @@ def semigroup_search(g: int, threshold=DEFAULT_THRESHOLD) -> tuple[SemigroupReco
                 passed=Fraction(chi1) >= rhs,
             )
         )
+    log.debug(
+        "semigroup_search g=%d enumerated=%d passed=%d enumerate_s=%.6f score_s=%.6f",
+        g, len(out), sum(r.passed for r in out),
+        enumerated - start, time.perf_counter() - enumerated,
+    )
     return tuple(out)
 
 

@@ -33,7 +33,6 @@ from .classifier import (
 )
 from .signature import Signature, derive
 
-log = logging.getLogger("gmspectra")
 logging.basicConfig(level=os.environ.get("LOG_LEVEL", "WARNING").upper())
 
 # `filtration` prints one number per level and `invariants` one graded
@@ -298,7 +297,10 @@ def classify_alpha(genus, threshold, dangling, fmt, decimal):
         raise click.BadParameter(
             f"genus {genus} beyond the search bound {GENUS_BOUND}", param_hint="--genus"
         )
-    cands = alpha_search(genus, threshold=tau, dangling=dangling)
+    try:
+        cands = alpha_search(genus, threshold=tau, dangling=dangling)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--genus") from exc
     rows = [candidate_row(c, decimal and fmt == "text") for c in cands]
     if fmt == "json":
         payload = [{**candidate_row(c),

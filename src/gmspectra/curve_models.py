@@ -51,13 +51,8 @@ class UnibranchModel:
             raise ValueError(
                 "unibranch model only supports divisors on its single point"
             )
-        k = divisor[0]
-        g = self.genus
-        if k < 0:
-            return 0
-        if k > 2 * g - 2:
-            return k - g + 1
-        return self.semigroup.count_upto(k)
+        # count_upto is Riemann-Roch from the conductor on, and F <= 2g-1
+        return self.semigroup.count_upto(divisor[0])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Numerical semigroups and Weierstrass gap sequences.
 
 A numerical semigroup is a cofinite additive submonoid of the naturals.
-Everything here is exact integer combinatorics: membership tables are
-materialized up to twice the Frobenius number, which is enough to decide
-closure, symmetry, and minimal generators.
+Everything here is exact integer combinatorics on bitmasks: a semigroup
+stores its elements in [0, F] as one integer whose bit k is set when k is
+an element (every k > F is one).  Closure, sumsets and minimal generators
+are shift-ors of such masks, and counting elements is a popcount.
 """
 
 from __future__ import annotations
@@ -12,12 +13,17 @@ from dataclasses import dataclass, field
 from math import gcd
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits, ascending."""
+    return tuple(i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1")
+
+
 @dataclass(frozen=True)
 class NumericalSemigroup:
     generators: tuple[int, ...]  # minimal generating set, ascending
     gaps: tuple[int, ...]  # ascending; empty for the full monoid
     frobenius: int  # largest gap, -1 if there are none
-    _members: tuple[bool, ...] = field(repr=False)  # table on [0, 2F+2]
+    _mask: int = field(repr=False)  # bit k set iff k in [0, F] is an element
 
     @property
     def genus(self) -> int:
@@ -29,14 +35,14 @@ class NumericalSemigroup:
 
     @property
     def elements_below_conductor(self) -> tuple[int, ...]:
-        return tuple(k for k in range(self.conductor) if self._members[k])
+        return _bits(self._mask)
 
     def contains(self, k: int) -> bool:
         if k < 0:
             return False
-        if k >= len(self._members):
-            return True  # beyond the table means beyond the Frobenius number
-        return self._members[k]
+        if k > self.frobenius:
+            return True
+        return bool(self._mask >> k & 1)
 
     def __contains__(self, k: int) -> bool:
         return self.contains(k)
@@ -66,39 +72,34 @@ class NumericalSemigroup:
             return 0
         if k >= self.frobenius:
             return k - self.genus + 1
-        return sum(1 for j in range(k + 1) if self._members[j])
+        return (self._mask & ((1 << (k + 1)) - 1)).bit_count()
 
     def first_elements(self, count: int) -> tuple[int, ...]:
         """The `count` smallest elements, starting from 0."""
-        out = []
-        k = 0
-        while len(out) < count:
-            if self.contains(k):
-                out.append(k)
-            k += 1
-        return tuple(out)
+        if count <= 0:
+            return ()
+        small = self.elements_below_conductor[:count]
+        return small + tuple(range(self.conductor, self.conductor + count - len(small)))
 
     def __str__(self) -> str:
         return "<" + ",".join(str(g) for g in self.generators) + ">"
 
 
-def _finish(members: list[bool], frobenius: int) -> NumericalSemigroup:
-    """Package a membership table (valid through index >= 2F+2)."""
+def _finish(mask: int, frobenius: int) -> NumericalSemigroup:
+    """Package the element mask on [0, F] (higher bits are ignored)."""
     if frobenius == -1:
-        return NumericalSemigroup((1,), (), -1, (True,))
-    table = tuple(members[: 2 * frobenius + 3])
-    gaps = tuple(k for k in range(1, frobenius + 1) if not table[k])
-    mult = next(k for k in range(1, len(table)) if table[k])
+        return NumericalSemigroup((1,), (), -1, 0)
+    mask &= (1 << (frobenius + 1)) - 1
+    gaps = _bits(~mask & ((1 << (frobenius + 1)) - 2))
+    rest = mask >> 1 | 1 << frobenius  # bit i: is i+1 an element (F+1 is)
+    mult = (rest & -rest).bit_length()  # smallest positive element
     # minimal generators: positive elements that are not sums of two
     # positive elements; all lie at or below F + multiplicity
-    mingens = []
-    for e in range(1, min(frobenius + mult, 2 * frobenius + 2) + 1):
-        if not table[e]:
-            continue
-        if any(table[a] and table[e - a] for a in range(mult, e - mult + 1)):
-            continue
-        mingens.append(e)
-    return NumericalSemigroup(tuple(mingens), gaps, frobenius, table)
+    pos = (mask & ~1) | (((1 << mult) - 1) << (frobenius + 1))
+    sums = 0
+    for e in _bits(pos):
+        sums |= pos << e
+    return NumericalSemigroup(_bits(pos & ~sums), gaps, frobenius, mask)
 
 
 def from_generators(gens) -> NumericalSemigroup:
@@ -113,16 +114,18 @@ def from_generators(gens) -> NumericalSemigroup:
         d = gcd(d, g)
     if d != 1:
         raise ValueError(f"gcd of generators is {d}, not 1: not cofinite")
-    if gset[0] == 1:
-        return _finish([], -1)
     lo, hi = gset[0], gset[-1]
-    bound = 2 * (lo - 1) * (hi - 1) + 2  # >= 2F+2 since F <= (lo-1)(hi-1)-1
-    members = [False] * (bound + 1)
-    members[0] = True
-    for k in range(1, bound + 1):
-        members[k] = any(members[k - g] for g in gset if g <= k)
-    frob = max(k for k in range(bound + 1) if not members[k])
-    return _finish(members, frob)
+    bound = (lo - 1) * (hi - 1)  # > F, since F <= (lo-1)(hi-1)-1 (0 when lo = 1)
+    full = (1 << (bound + 1)) - 1
+    mask = 1
+    for g in gset:
+        # multiples of g by doubling: after the shift by 2^j g the mask
+        # holds every sum with up to 2^(j+1)-1 copies of g
+        step = g
+        while step <= bound:
+            mask |= (mask << step) & full
+            step <<= 1
+    return _finish(mask, (full & ~mask).bit_length() - 1)
 
 
 def gap_sum(H: NumericalSemigroup) -> int:
@@ -144,42 +147,34 @@ def planar_gap_sum_formula(p: int, q: int) -> int:
 def enumerate_symmetric(g: int) -> list[NumericalSemigroup]:
     """All numerical semigroups of genus g with Frobenius number 2g-1.
 
-    Symmetry forces exactly one of k, 2g-1-k to be an element for each
-    0 <= k <= 2g-1, so the search walks gap-set choices for k = 1..g-1
-    depth-first, pruning assignments that already violate additive
-    closure among decided positions.
+    Symmetry forces exactly one of k, F-k (F = 2g-1) to be an element for
+    each 0 <= k <= F, so the search decides the pairs {k, F-k} for
+    k = 1..g-1 depth-first, after {0, F}.  Every decided pair holds one
+    element and one gap, so closure among decided positions fails exactly
+    when three decided elements a, b, c (0 allowed) sum to F: a decided
+    gap a+b pairs with the decided element c = F-a-b, and conversely
+    a+b = F-c is the decided gap paired with c.  The walk carries the
+    mask of decided elements and the mask of their pairwise sums (an
+    element with itself and with 0 included).  Deciding element e sets
+    ``elems |= 1 << e`` and then ``sums |= elems << e``; every new triple
+    contains e, so the node is pruned iff bit F-e of ``sums`` is set.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
     F = 2 * g - 1
-    mem: list[bool | None] = [None] * (F + 1)
-    mem[0] = True
-    mem[F] = False
     found: list[NumericalSemigroup] = []
 
-    def closed_so_far() -> bool:
-        for a in range(1, F + 1):
-            if mem[a] is not True:
-                continue
-            for b in range(a, F - a + 1):
-                if mem[b] is True and mem[a + b] is False:
-                    return False
-        return True
-
-    def walk(k: int) -> None:
+    def walk(k: int, elems: int, sums: int) -> None:
         if k == g:
-            table = [bool(v) for v in mem] + [True] * (F + 2)
-            found.append(_finish(table, F))
+            found.append(_finish(elems, F))
             return
-        for inside in (False, True):
-            mem[k] = inside
-            mem[F - k] = not inside
-            if closed_so_far():
-                walk(k + 1)
-        mem[k] = None
-        mem[F - k] = None
+        for e in (F - k, k):
+            new = elems | 1 << e
+            new_sums = sums | new << e
+            if not new_sums >> (F - e) & 1:
+                walk(k + 1, new, new_sums)
 
-    walk(1)
+    walk(1, 1, 1)  # 0 is an element and 0 + 0 = 0
     found.sort(key=lambda H: H.gaps)
     return found
 

@@ -10,11 +10,13 @@ search, and the nonvarying regression harness including its failure mode.
 """
 
 import dataclasses
+import logging
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import gmspectra.curve_models as cm
 import gmspectra.semigroup as sg
 from gmspectra import catalog
 from gmspectra.classifier import (
@@ -462,6 +464,32 @@ def test_hyperelliptic_semigroup_always_passes():
     for g in (2, 5, 9):
         hyp = [r for r in semigroup_search(g) if r.hyperelliptic]
         assert len(hyp) == 1 and hyp[0].passed and hyp[0].spin is None
+
+
+def test_semigroup_search_raises_when_either_chi1_route_is_off(monkeypatch):
+    filtration_route = cm.runs_chi_log
+    monkeypatch.setattr(cm, "runs_chi_log", lambda runs: filtration_route(runs) + 1)
+    with pytest.raises(RuntimeError, match="unibranch chi1 routes disagree"):
+        semigroup_search(5)
+    monkeypatch.undo()
+    element_route = sg.NumericalSemigroup.first_elements
+    monkeypatch.setattr(sg.NumericalSemigroup, "first_elements",
+                        lambda H, count: element_route(H, count)[:-1])
+    with pytest.raises(RuntimeError, match="unibranch chi1 routes disagree"):
+        semigroup_search(5)
+
+
+def test_semigroup_search_logs_one_debug_line(caplog):
+    with caplog.at_level(logging.WARNING, logger="gmspectra"):
+        semigroup_search(6)
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="gmspectra"):
+        records = semigroup_search(6)
+    (line,) = caplog.records
+    assert line.name == "gmspectra" and line.levelno == logging.DEBUG
+    passed = sum(r.passed for r in records)
+    assert f"g=6 enumerated={len(records)} passed={passed} " in line.getMessage()
+    assert "enumerate_s=" in line.getMessage() and "score_s=" in line.getMessage()
 
 
 # ------------------------------------------------------------- resolution

@@ -163,6 +163,7 @@ BAD_INPUTS = [
      ["'--model'", "integers", "'x'"]),
     (["filtration", "--signature", "6,x", "--model", "clifford-max"],
      ["'--signature'", "integers", "'x'"]),
+    (["classify", "alpha", "--genus", "0"], ["--genus", "at least 1"]),
 ]
 
 

@@ -136,6 +136,39 @@ def test_closure_invariants(raw):
     assert H.genus == len(H.gaps)
 
 
+def assert_matches_brute_force(H, gens):
+    """Every read of H against the saturation oracle on [0, 2F+3]."""
+    assert sgp.from_generators(H.generators) == H
+    F = H.frobenius
+    top = 2 * F + 3  # >= F + multiplicity, past every minimal generator
+    elems = sorted(brute_membership(sorted(set(gens)), top))
+    for k in range(-1, top + 1):
+        assert H.contains(k) == (k in elems)
+        assert H.count_upto(k) == sum(1 for e in elems if e <= k)
+    for count in range(len(elems) + 1):
+        assert H.first_elements(count) == tuple(elems[:count])
+    assert H.elements_below_conductor == tuple(e for e in elems if e <= F)
+    positive = [e for e in elems if e > 0]
+    assert H.generators == tuple(
+        e for e in positive if not any(e - a in positive for a in positive))
+
+
+@given(st.lists(st.integers(1, 24), min_size=1, max_size=5))
+def test_generator_sets_match_brute_force(raw):
+    d = 0
+    for g in raw:
+        d = gcd(d, g)
+    if d != 1:
+        raw.append(d + 1)  # force cofiniteness
+    assert_matches_brute_force(sgp.from_generators(raw), raw)
+
+
+def test_symmetric_semigroups_match_brute_force():
+    for g in range(1, 13):
+        for H in sgp.enumerate_symmetric(g):
+            assert_matches_brute_force(H, H.generators)
+
+
 def test_counting_helpers():
     H = sgp.from_generators([3, 7])
     # elements: 0,3,6,7,9,10,12,13,14,...
@@ -194,12 +227,16 @@ def test_enumerate_symmetric_first_genera():
 def test_enumerate_symmetric_counts():
     # frozen from the exhaustive pair-assignment oracle
     expected = {1: 1, 2: 1, 3: 2, 4: 3, 5: 3, 6: 6, 7: 8, 8: 7}
+    # OEIS A158206 (symmetric numerical semigroups by genus)
+    expected.update({9: 15, 10: 20, 11: 18, 12: 36, 13: 44, 14: 45, 15: 83,
+                     16: 109, 17: 101, 18: 174, 19: 246, 20: 227, 21: 420,
+                     22: 546, 23: 498, 24: 926})
     for g, count in expected.items():
         assert len(sgp.enumerate_symmetric(g)) == count
 
 
 def test_enumerate_symmetric_matches_brute_force():
-    for g in range(1, 9):
+    for g in range(1, 13):
         got = [H.gaps for H in sgp.enumerate_symmetric(g)]
         assert got == brute_symmetric_gap_sets(g)
         assert len(set(got)) == len(got)
