@@ -131,17 +131,24 @@ def _vanishing_subspace(rows, zero_cols):
 
 @dataclass(eq=False)
 class BranchAlgebra:
+    """The ring spanned by the generators; graded_basis holds R_0, R_1, ... so far."""
+
     signature: Signature
     generators: tuple[MonomialVector, ...]
-    degree_cap: int
     graded_basis: dict[int, tuple[tuple[Fraction, ...], ...]]
     stable_from: int | None = None  # R_k is full for every k >= stable_from
+    _full_from: int | None = field(default=None, repr=False)  # start of the current full run
     _gap_full: tuple[int, ...] | None = field(default=None, repr=False)
     _slots: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     @property
     def branches(self) -> int:
         return self.signature.n
+
+    @property
+    def degree_cap(self) -> int:
+        """The last degree computed so far; read only by perfbench/tracer.py."""
+        return len(self.graded_basis) - 1
 
     def slots(self, k: int) -> tuple[int, ...]:
         """Branches that carry degree k; they depend on k mod ell only."""
@@ -151,9 +158,53 @@ class BranchAlgebra:
             self._slots[r] = tuple(i for i in range(self.signature.n) if r % a[i] == 0)
         return self._slots[r]
 
+    def _close_to(self, top: int) -> None:
+        """Compute R_k degree by degree up to top, stopping for good once certified.
+
+        The closure tracks K, the first degree of the current unbroken run
+        of full pieces (a piece with no slots counts as full), and stops as
+        soon as the run covers [K, 2K + max_i a_i - 1], recording
+        stable_from = K.  Degree 0 never starts a run.
+
+        Proof that R_k is full for every k >= K: take branch i and
+        E = ceil(K / a_i).  Every e in [E, 2E) has K <= e*a_i < 2K + a_i, so
+        t_i^e lies in R.  Since t_i^e = t_i^E * t_i^(e-E), induction on e puts
+        every t_i^e with e >= E in R, and each slot i of a degree k >= K has
+        exponent k / a_i >= E.  A ring that is not cofinite never gets a
+        certificate, so every degree read is computed.
+        """
+        if self.stable_from is not None:
+            return
+        basis = self.graded_basis
+        step = max(self.signature.weights_a) - 1
+        for k in range(len(basis), top + 1):
+            sl = self.slots(k)
+            candidates = []
+            for g in self.generators:
+                d = g.degree
+                if d > k:
+                    continue
+                prev_pos = {i: pos for pos, i in enumerate(self.slots(k - d))}
+                coeffs = {b: c for b, _, c in g.terms}
+                for v in basis[k - d]:
+                    w = tuple(
+                        coeffs.get(i, _ZERO) * v[prev_pos[i]] if i in prev_pos else _ZERO
+                        for i in sl
+                    )
+                    if any(w):
+                        candidates.append(w)
+            basis[k] = _rref(candidates)
+            if len(basis[k]) < len(sl):
+                self._full_from = None
+            elif self._full_from is None:
+                self._full_from = k
+            if self._full_from is not None and k >= 2 * self._full_from + step:
+                self.stable_from = self._full_from
+                return
+
     def _stable(self, k: int) -> bool:
-        if not 0 <= k <= self.degree_cap:
-            raise ValueError(f"degree {k} outside [0, {self.degree_cap}]")
+        if k >= len(self.graded_basis):
+            self._close_to(k)
         return self.stable_from is not None and k >= self.stable_from
 
     def basis(self, k: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -170,8 +221,6 @@ class BranchAlgebra:
         """Membership of a homogeneous element given as generator-style terms."""
         element = generator(self.signature, terms)
         k = element.degree
-        if k > self.degree_cap:
-            raise ValueError(f"degree {k} beyond cap {self.degree_cap}")
         sl = self.slots(k)
         vec = tuple(element.coefficient(i) for i in sl)
         if any(element.coefficient(i) for i in range(self.signature.n) if i not in sl):
@@ -179,72 +228,24 @@ class BranchAlgebra:
         return _in_span(self.basis(k), vec)
 
 
-def default_degree_cap(sig: Signature, m_max: int = 2) -> int:
-    top_order = sig.orders[0] + 2
-    return max(m_max * sig.ell, max(a * top_order for a in sig.weights_a))
+def window(sig: Signature) -> int:
+    """W = max(2*ell, max_i a_i*(max(m)+2)): levels 1, 2 and the conductor window."""
+    return max(2 * sig.ell, max(a * (sig.orders[0] + 2) for a in sig.weights_a))
 
 
-def close(sig: Signature, generators_in, degree_cap: int | None = None) -> BranchAlgebra:
-    """Span all products of the generators, degree by degree, up to the cap.
-
-    The loop stops early once it certifies that every later graded piece
-    is full, i.e. spanned by all monomials in slots(k).  It tracks K, the
-    first degree of the current unbroken run of full pieces (a piece with
-    no slots counts as full), and stops as soon as the run covers
-    [K, 2K + max_i a_i - 1], recording stable_from = K.
-
-    Proof that R_k is full for every k >= K: take branch i and
-    E = ceil(K / a_i).  Every e in [E, 2E) has K <= e*a_i < 2K + a_i, so
-    t_i^e lies in R.  Since t_i^e = t_i^E * t_i^(e-E), induction on e puts
-    every t_i^e with e >= E in R, and each slot i of a degree k >= K has
-    exponent k / a_i >= E.  Without a certificate (a ring that is not
-    cofinite, or a cap reached first) every degree up to the cap is
-    computed and stable_from stays None.
-    """
-    if degree_cap is None:
-        degree_cap = default_degree_cap(sig)
-    if degree_cap < 2 * sig.ell:
-        raise ValueError(f"degree cap {degree_cap} below 2*ell = {2 * sig.ell}")
-    gens = []
-    for g in generators_in:
-        if isinstance(g, MonomialVector):
-            g = generator(sig, g.terms, g.name)  # revalidate against sig
-        else:
-            g = generator(sig, g)
-        gens.append(g)
-    alg = BranchAlgebra(sig, tuple(gens), degree_cap, {0: ((_ONE,) * sig.n,)})
-    basis = alg.graded_basis
-    full_from = None
-    for k in range(1, degree_cap + 1):
-        sl = alg.slots(k)
-        candidates = []
-        for g in gens:
-            d = g.degree
-            if d > k:
-                continue
-            prev = basis[k - d]
-            prev_pos = {i: pos for pos, i in enumerate(alg.slots(k - d))}
-            coeffs = {b: c for b, _, c in g.terms}
-            for v in prev:
-                w = tuple(
-                    coeffs.get(i, _ZERO) * v[prev_pos[i]] if i in prev_pos else _ZERO
-                    for i in sl
-                )
-                if any(w):
-                    candidates.append(w)
-        basis[k] = _rref(candidates)
-        if len(basis[k]) < len(sl):
-            full_from = None
-        elif full_from is None:
-            full_from = k
-        if full_from is not None and k >= 2 * full_from + max(sig.weights_a) - 1:
-            alg.stable_from = full_from
-            break
+def close(sig: Signature, generators_in) -> BranchAlgebra:
+    """Span all products of the generators up to window(sig), or to a certified
+    conductor first (see BranchAlgebra._close_to); a read of any later degree
+    extends the same closure."""
+    gens = tuple(generator(sig, g.terms, g.name) if isinstance(g, MonomialVector)
+                 else generator(sig, g) for g in generators_in)  # revalidate against sig
+    alg = BranchAlgebra(sig, gens, {0: ((_ONE,) * sig.n,)})
+    alg._close_to(window(sig))
     return alg
 
 
-def graded_dims(alg: BranchAlgebra) -> tuple[int, ...]:
-    return tuple(alg.dim(k) for k in range(alg.degree_cap + 1))
+def graded_dims(alg: BranchAlgebra, top: int) -> tuple[int, ...]:
+    return tuple(alg.dim(k) for k in range(top + 1))
 
 
 # --------------------------------------------------- singularity numbers
@@ -258,10 +259,6 @@ def _gap_sequence_full(alg: BranchAlgebra) -> tuple[int, ...]:
     a = sig.weights_a
     n = sig.n
     top = sig.orders[0] + 2
-    if alg.degree_cap < top * max(a):
-        raise ValueError(
-            f"degree cap {alg.degree_cap} cannot reach order {top} on every branch"
-        )
     alphas = []
     for j in range(1, top + 1):
         rank = 0
@@ -303,34 +300,23 @@ def conductor_and_gorenstein(alg: BranchAlgebra) -> ConductorReport:
 
     c_i is the least exponent from which pure powers of t_i all lie in R
     across the checked window ending at max(m)+2; inputs whose conductor
-    ideal genuinely starts beyond that window are reported with
-    conductor_bound_ok = False rather than rejected.
+    ideal genuinely starts beyond that window get c_i = max(m)+3 and are
+    reported with conductor_bound_ok = False rather than rejected (the
+    length test then reads R past the closure's window, which extends it).
     """
     sig = alg.signature
     a = sig.weights_a
     n = sig.n
     top = sig.orders[0] + 2
-    if alg.degree_cap < top * max(a):
-        raise ValueError(
-            f"degree cap {alg.degree_cap} cannot reach exponent {top} on every branch"
-        )
     conductor = []
-    bound_ok = True
     for i in range(n):
-        pure = [alg.contains([(i, e, 1)]) for e in range(1, top + 1)]
         c = top + 1
-        for e in range(top, 0, -1):
-            if pure[e - 1]:
-                c = e
-            else:
-                break
+        while c > 1 and alg.contains([(i, c - 1, 1)]):
+            c -= 1
         conductor.append(c)
-        if c > top:
-            bound_ok = False
+    bound_ok = all(c <= top for c in conductor)
     delta, _ = delta_and_genus(alg)
     k_top = max(a[i] * conductor[i] for i in range(n))
-    if k_top > alg.degree_cap:
-        raise ValueError(f"conductor window needs degree {k_top} > cap {alg.degree_cap}")
     length = 0
     for k in range(k_top + 1):
         sl = alg.slots(k)
@@ -364,8 +350,6 @@ def section_space(alg: BranchAlgebra, divisor) -> SectionSpace:
     if len(divisor) != sig.n:
         raise ValueError(f"divisor needs {sig.n} coefficients, got {len(divisor)}")
     k_top = max((a[i] * c for i, c in enumerate(divisor) if c >= 0), default=-1)
-    if k_top > alg.degree_cap:
-        raise ValueError(f"divisor needs degree {k_top} > cap {alg.degree_cap}")
     per = []
     total = 0
     for k in range(k_top + 1):
@@ -431,7 +415,7 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
     top = sig.orders[0] + 2
     g3 = True
     for i in range(n):
-        reach = alg.degree_cap // sig.weights_a[i]
+        reach = window(sig) // sig.weights_a[i]
         if alg.stable_from is not None:  # pure powers from there on are proven
             reach = min(reach, (alg.stable_from - 1) // sig.weights_a[i])
         for e in range(top, reach + 1):
@@ -470,31 +454,59 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
 # ------------------------------------------------------------- JSON I/O
 
 
+_JSON_TYPES = {"an object": dict, "a list": list, "an integer": int,
+               "a rational string": (int, str)}
+
+
+def _field(value, kind: str, name: str, *args):
+    """value (a Fraction for a rational string) if it has the JSON kind, else
+    a ValueError naming the field name.format(*args)."""
+    if not isinstance(value, bool) and isinstance(value, _JSON_TYPES[kind]):
+        try:
+            return Fraction(value) if kind == "a rational string" else value
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{name.format(*args)} must be {kind}, got {value!r}")
+
+
+def _entries(doc: dict, key: str, kind: str, at: str = "") -> list:
+    """The entries of the JSON list doc[key], each checked to have the kind."""
+    name = at + key
+    return [_field(v, kind, "{}[{}]", name, i) for i, v in enumerate(_field(doc[key], "a list", name))]
+
+
 def generators_from_json(doc: dict):
-    """((name, terms), ...) and the dualizing units of a JSON algebra document.
+    """(signature, ((name, terms), ...), dualizing units) of a JSON algebra document.
 
     Each generator lists ``monomials`` of the form {"branch", "exp",
     "coeff"}; branch indices are 0-based; coefficients and units are
     rational strings such as "1", "-1", or "3/2".  Units default to one
-    per branch.
+    per branch.  A field of the wrong JSON type is a ValueError naming
+    it; derive() and generator() check the ranges.
     """
-    n = len(doc["signature"])
-    gens = tuple(
-        (gd.get("name", ""),
-         tuple((m["branch"], m["exp"], Fraction(m["coeff"])) for m in gd["monomials"]))
-        for gd in doc["generators"]
-    )
-    units = tuple(Fraction(u) for u in doc.get("dualizing_units", ["1"] * n))
-    if len(units) != n:
+    _field(doc, "an object", "the algebra document")
+    sig = derive(_entries(doc, "signature", "an integer"))
+    gens = []
+    at = "generators[{}].monomials[{}]."
+    for j, gd in enumerate(_entries(doc, "generators", "an object")):
+        terms = tuple(
+            (_field(m["branch"], "an integer", at + "branch", j, t),
+             _field(m["exp"], "an integer", at + "exp", j, t),
+             _field(m["coeff"], "a rational string", at + "coeff", j, t))
+            for t, m in enumerate(_entries(gd, "monomials", "an object", f"generators[{j}]."))
+        )
+        gens.append((gd.get("name", ""), terms))
+    units = _entries({"dualizing_units": ["1"] * sig.n, **doc}, "dualizing_units",
+                     "a rational string")
+    if len(units) != sig.n:
         raise ValueError("dualizing_units length must match the number of branches")
-    return gens, units
+    return sig, tuple(gens), tuple(units)
 
 
-def algebra_from_json(doc: dict, degree_cap: int | None = None):
+def algebra_from_json(doc: dict):
     """Build (algebra, dualizing units) from a plain JSON document."""
-    sig = derive(doc["signature"])
-    gens, units = generators_from_json(doc)
-    return close(sig, [generator(sig, terms, name) for name, terms in gens], degree_cap), units
+    sig, gens, units = generators_from_json(doc)
+    return close(sig, [generator(sig, terms, name) for name, terms in gens]), units
 
 
 def algebra_summary(alg: BranchAlgebra) -> dict:
@@ -507,5 +519,4 @@ def algebra_summary(alg: BranchAlgebra) -> dict:
         "gap_sequence": list(gap_sequence(alg)),
         "conductor": list(report.conductor),
         "gorenstein": report.gorenstein,
-        "graded_dims": list(graded_dims(alg)),
     }

@@ -51,10 +51,9 @@ class CatalogEntry:
     # (divisor, h0) pinning a special locus inside a varying stratum
     locus_condition: Optional[tuple[tuple[int, ...], int]] = None
 
-    def algebra(self, degree_cap: Optional[int] = None) -> ba.BranchAlgebra:
+    def algebra(self) -> ba.BranchAlgebra:
         sig = derive(self.signature)
-        gens = [ba.generator(sig, terms, name) for name, terms in self.generators]
-        return ba.close(sig, gens, degree_cap=degree_cap)
+        return ba.close(sig, [ba.generator(sig, terms, name) for name, terms in self.generators])
 
 
 def _entry_from_doc(doc: dict) -> CatalogEntry:
@@ -69,7 +68,7 @@ def _entry_from_doc(doc: dict) -> CatalogEntry:
         spin=exp["spin"],
         ambient_weights=tuple(exp["ambient_weights"]),
     )
-    generators, units = ba.generators_from_json(doc)
+    _sig, generators, units = ba.generators_from_json(doc)
     locus = None
     if doc.get("locus_condition"):
         locus = (tuple(doc["locus_condition"]["divisor"]), doc["locus_condition"]["h0"])

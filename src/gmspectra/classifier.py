@@ -21,6 +21,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import branch_algebra as ba
@@ -57,6 +58,7 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=16)  # alpha_search reads it once per ordinary-point budget
 def threshold_coefficient(threshold) -> Fraction:
     """Coefficient c with "alpha >= tau iff chi1_log >= c*(2g-2+n)*ell".
 
@@ -129,15 +131,19 @@ def _make_candidate(
     )
 
 
-def ordinary_point_budget(sig: Signature, chi1_log: int, threshold=DEFAULT_THRESHOLD) -> int:
-    """Largest k with chi1_log >= c*(2g-2+n+k)*ell.
+def ordinary_point_budget(
+    sig: Signature, chi1_log: int, threshold=DEFAULT_THRESHOLD, dangling=()
+) -> int:
+    """Largest k with chi1_log >= c*((2g-2+n+k)*ell - sum_{i in Q} a_i).
 
     Appending an ordinary marked point leaves chi1_log unchanged while the
     right-hand side grows by c*ell per point, so the budget is a floor.
+    The branches Q in ``dangling`` lower the right-hand side by their a_i.
     Negative when even the bare signature misses the bound.
     """
     coeff = threshold_coefficient(threshold)
-    slack = Fraction(chi1_log) / (coeff * sig.ell) - (2 * sig.genus - 2 + sig.n)
+    reduction = sum(sig.weights_a[i] for i in dangling)
+    slack = (Fraction(chi1_log) / coeff + reduction) / sig.ell - (2 * sig.genus - 2 + sig.n)
     return math.floor(slack)
 
 
@@ -540,11 +546,7 @@ def alpha_search(
             if not cand.passed:
                 continue
             emit(cand)
-            reduction = sum(sig.weights_a[i] for i in q)
-            slack = (
-                Fraction(chi1) / coeff + reduction
-            ) / sig.ell - (2 * g - 2 + sig.n)
-            for k in range(1, math.floor(slack) + 1):
+            for k in range(1, ordinary_point_budget(sig, chi1, threshold, q) + 1):
                 ext = _zero_extended(sig, k)
                 ext_label = tagging.with_free(k).label if tagging else label
                 emit(_make_candidate(ext, ext_label, chi1, coeff, item, comp, q))

@@ -36,7 +36,7 @@ from .signature import Signature, derive
 logging.basicConfig(level=os.environ.get("LOG_LEVEL", "WARNING").upper())
 
 # `filtration` prints one number per level and `invariants` one graded
-# dimension per degree up to the cap; refuse longer sequences
+# dimension per degree up to max(m*ell, ba.window); refuse longer sequences
 MAX_PRINTED_LEVELS = 10**6
 
 
@@ -127,16 +127,6 @@ def load_entry(entry_id: str, param_hint: str = "'--catalog'") -> cat.CatalogEnt
         ) from exc
 
 
-def degree_cap(sig, m_max: int) -> int:
-    """Degree cap that reaches weight level m_max and the conductor window."""
-    return max(m_max * sig.ell, ba.default_degree_cap(sig))
-
-
-def entry_algebra(entry, m_max: int):
-    sig = derive(entry.signature)
-    return sig, entry.algebra(degree_cap=degree_cap(sig, m_max))
-
-
 # ------------------------------------------------------------------ group
 
 
@@ -182,23 +172,24 @@ def invariants(entry_id, path, levels_text, fmt, decimal):
     else:
         with open(path) as fh:
             doc = json.load(fh)
-    sig = derive(doc["signature"])
-    cap = degree_cap(sig, levels[-1])
-    if cap + 1 > MAX_PRINTED_LEVELS:
+    sig, gens, _units = ba.generators_from_json(doc)
+    top = max(levels[-1] * sig.ell, ba.window(sig))
+    if top + 1 > MAX_PRINTED_LEVELS:
         raise click.UsageError(
-            f"{sig} has {cap + 1} graded dimensions at m = {levels[-1]}; "
+            f"{sig} has {top + 1} graded dimensions at m = {levels[-1]}; "
             f"this command prints at most {MAX_PRINTED_LEVELS}"
         )
-    alg, _units = ba.algebra_from_json(doc, degree_cap=cap)
+    alg = ba.close(sig, [terms for _, terms in gens])
 
     report = ba.algebra_summary(alg)
+    report["graded_dims"] = list(ba.graded_dims(alg, top))
     report["signature"] = list(sig.orders)
     report["ell"] = sig.ell
     report["weights_a"] = list(sig.weights_a)
     chi = {m: inv.weight_spectrum(alg, m).chi_log for m in levels}
     for m in levels:
         report[f"chi{m}_log"] = chi[m]
-    if 1 in chi and 2 in chi:
+    if 1 in chi and 2 in chi and report["gorenstein"]:  # the slope identity needs it
         rec = inv.alpha_slope_record(chi[1], chi[2], sig)
         report["chi2"] = rec.chi2
         report["alpha"] = rec.alpha
@@ -244,7 +235,7 @@ def filtration(entry_id, sig_text, model_spec, m, fmt):
             f"this command prints at most {MAX_PRINTED_LEVELS}"
         )
     if entry_id is not None:
-        model = cm.AlgebraModel(entry_algebra(entry, m)[1])
+        model = cm.AlgebraModel(entry.algebra())
     else:
         model = build_model(model_spec, sig)
     dims = cm.expand_runs(cm.filtration_dims(model, sig, m))
@@ -416,7 +407,7 @@ def _verify_regression() -> list[str]:
 def _verify_identities() -> list[str]:
     failures = []
     for e in cat.entries():
-        sig, alg = entry_algebra(e, 4)
+        sig, alg = derive(e.signature), e.algebra()
         spectrum_1 = inv.weight_spectrum(alg, 1)
         for m in (2, 3, 4):
             rep = inv.verify_weight_identities(
@@ -507,8 +498,8 @@ def slope(sig_text, model_spec, entry_id, decimal):
     """Slope of the one-parameter family attached to a model."""
     if entry_id is not None:
         entry = load_entry(entry_id)
-        sig, alg = entry_algebra(entry, 2)
-        model = cm.AlgebraModel(alg)
+        sig = derive(entry.signature)
+        model = cm.AlgebraModel(entry.algebra())
     elif sig_text is not None:
         sig = parse_signature(sig_text)
         model = build_model(model_spec, sig)

@@ -49,19 +49,15 @@ class WeightSpectrum:
 def weight_spectrum(source, m: int = 1, sig: Signature | None = None) -> WeightSpectrum:
     """Spectrum from a branch algebra, or from an h0 model plus signature.
 
-    Algebra route: N_{m,lam} = dim R_{m*ell - lam}, which needs level m
-    within the algebra's degree cap.  Model route: successive differences
-    of the filtration dimensions, nonzero only at the last level of each
-    run, with no cap.
+    Algebra route: N_{m,lam} = dim R_{m*ell - lam}, at any level m (a
+    level past the computed degrees extends the closure).  Model route:
+    successive differences of the filtration dimensions, nonzero only at
+    the last level of each run.
     """
     if m < 1:
         raise ValueError("pluricanonical level m must be at least 1")
     if isinstance(source, ba.BranchAlgebra):
         top = m * source.signature.ell
-        if top > source.degree_cap:
-            raise ValueError(
-                f"level {m} needs graded dimensions up to {top}, cap is {source.degree_cap}"
-            )
         counts = [(lam, source.dim(top - lam)) for lam in range(top + 1)]
     else:
         if sig is None:

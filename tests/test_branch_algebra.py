@@ -17,6 +17,12 @@ from gmspectra.signature import derive
 # ------------------------------------------------------- fixture algebras
 
 
+def read_first(alg, k):
+    """alg after a read of R_k, which extends the closure past its window."""
+    alg.dim(k)
+    return alg
+
+
 def alg31():
     sig = derive((3, 1))
     return ba.close(sig, [[(0, 2, 1), (1, 1, 1)], [(0, 3, 1)]])
@@ -103,13 +109,13 @@ def alg62odd():
 
 def cusp23():
     # genus-1 semigroup <2,3>, so the marked point is ordinary: order 0
-    return ba.close(derive((0,)), [[(0, 2, 1)], [(0, 3, 1)]], degree_cap=8)
+    return read_first(ba.close(derive((0,)), [[(0, 2, 1)], [(0, 3, 1)]]), 8)
 
 
 def vandermonde(n):
     sig = derive((0,) * n)
     gens = [[(i, 1, i**j) for i in range(n)] for j in range(n - 1)]
-    return ba.close(sig, gens, degree_cap=max(4, 2 * sig.ell))
+    return read_first(ba.close(sig, gens), max(4, 2 * sig.ell))
 
 
 # --------------------------------------------------------------- closure
@@ -117,8 +123,8 @@ def vandermonde(n):
 
 def test_close_31_dims():
     alg = alg31()
-    assert ba.graded_dims(alg)[:9] == (1, 0, 1, 1, 1, 1, 2, 1, 2)
-    assert sum(ba.graded_dims(alg)[:9]) == 10
+    assert ba.graded_dims(alg, 8) == (1, 0, 1, 1, 1, 1, 2, 1, 2)
+    assert sum(ba.graded_dims(alg, 8)) == 10
 
 
 def test_close_vandermonde_dims():
@@ -130,17 +136,12 @@ def test_close_vandermonde_dims():
 
 def test_close_empty_generators():
     sig = derive((1, 1))
-    alg = ba.close(sig, [], degree_cap=8)
-    assert ba.graded_dims(alg) == (1,) + (0,) * 8
+    alg = ba.close(sig, [])
+    assert ba.graded_dims(alg, 8) == (1,) + (0,) * 8
     report = ba.validate_G_conditions(alg)
     assert not report.conductor_bound
     assert not report.gap_tail
     assert not report.all_pass
-
-
-def test_close_rejects_small_cap():
-    with pytest.raises(ValueError):
-        ba.close(derive((3, 1)), [[(0, 2, 1), (1, 1, 1)]], degree_cap=7)
 
 
 def test_generator_validation():
@@ -162,7 +163,8 @@ def test_generator_validation():
 
 def test_close_deterministic():
     a1, a2 = alg62odd(), alg62odd()
-    assert ba.graded_dims(a1) == ba.graded_dims(a2)
+    top = ba.window(a1.signature)
+    assert ba.graded_dims(a1, top) == ba.graded_dims(a2, top)
     assert a1.graded_basis == a2.graded_basis
 
 
@@ -172,8 +174,7 @@ def test_membership():
     assert alg.contains([(0, 4, 1)])
     assert not alg.contains([(0, 6, 1)])  # only with the t2 partner
     assert alg.contains([(0, 6, 1), (1, 2, 1)])
-    with pytest.raises(ValueError):
-        alg.contains([(0, 1000, 1)])
+    assert alg.contains([(0, 1000, 1)])  # past the certified conductor
 
 
 # ---------------------------------------------------------- gap sequences
@@ -200,9 +201,10 @@ def test_gap_sequences(build, expected):
 
 
 def test_gap_sequence_needs_reach():
-    alg = ba.close(derive((3, 1)), [[(0, 2, 1), (1, 1, 1)], [(0, 3, 1)]], degree_cap=8)
-    with pytest.raises(ValueError):
-        ba.gap_sequence(alg)
+    # the gap sequence reads up to degree 10 = (max(m) + 2) * max(a), past this read
+    alg = ba.close(derive((3, 1)), [[(0, 2, 1), (1, 1, 1)], [(0, 3, 1)]])
+    assert ba.graded_dims(alg, 8) == (1, 0, 1, 1, 1, 1, 2, 1, 2)
+    assert ba.gap_sequence(alg) == (1, 1, 0, 1)
 
 
 def test_gap_sequence_properties():
@@ -256,12 +258,14 @@ def test_conductor_catalog_pattern():
 def test_mutilated_31_not_gorenstein():
     # dropping the cubic generator leaves a ring with no pure powers at all
     sig = derive((3, 1))
-    alg = ba.close(sig, [[(0, 2, 1), (1, 1, 1)]], degree_cap=16)
-    rep = ba.conductor_and_gorenstein(alg)
+    gens = [[(0, 2, 1), (1, 1, 1)]]
+    alg = ba.close(sig, gens)
+    rep = ba.conductor_and_gorenstein(alg)  # reads degree 12, past the window W = 10
     assert not rep.conductor_bound_ok
     assert not rep.gorenstein
     assert rep.quotient_length != rep.delta
     assert rep.quotient_length == 6
+    assert ba.conductor_and_gorenstein(read_first(ba.close(sig, gens), 16)) == rep
 
 
 # ----------------------------------------------------------- sections
@@ -280,8 +284,9 @@ def test_section_space_negative_and_errors():
     assert ba.section_space(alg31(), (2, -1)).dimension == 0
     with pytest.raises(ValueError):
         ba.section_space(alg31(), (2,))
-    with pytest.raises(ValueError):
-        ba.section_space(alg31(), (100, 0))
+    # reads past the window W = 10: the closure extends, certifies at 11 and
+    # answers 1 (constants) + 1 (t1^3) + 96 (t1^k, 5 <= k <= 100)
+    assert ba.section_space(alg31(), (100, 0)).dimension == 98
 
 
 def test_section_space_full_divisor_identity():
@@ -386,7 +391,7 @@ def test_json_round_trip():
     assert summary["gap_sequence"] == [1, 1, 0, 1]
     assert summary["conductor"] == [5, 3]
     assert summary["gorenstein"] is True
-    assert summary["graded_dims"][:9] == [1, 0, 1, 1, 1, 1, 2, 1, 2]
+    assert list(ba.graded_dims(alg, ba.window(alg.signature)))[:9] == [1, 0, 1, 1, 1, 1, 2, 1, 2]
 
 
 def test_json_bad_units():
@@ -402,15 +407,15 @@ def test_json_bad_units():
 # ------------------------------------------- the certified conductor stop
 
 
-def dense_close(sig, gens, cap):
-    """Reference closure: an exact rref at every degree up to the cap, no stop."""
+def dense_close(sig, gens, top):
+    """Reference closure: an exact rref at every degree up to top, no stop."""
     a, n = sig.weights_a, sig.n
 
     def slots(k):
         return tuple(i for i in range(n) if k % a[i] == 0)
 
     basis = {0: ((Fraction(1),) * n,)}
-    for k in range(1, cap + 1):
+    for k in range(1, top + 1):
         rows = []
         for g in gens:
             if g.degree > k:
@@ -425,15 +430,7 @@ def dense_close(sig, gens, cap):
                 if any(w):
                     rows.append(w)
         basis[k] = ba._rref(rows)
-    return ba.BranchAlgebra(sig, tuple(gens), cap, basis)
-
-
-def outcome(fn, alg):
-    """The value of fn(alg), or the message of the ValueError it raises."""
-    try:
-        return fn(alg)
-    except ValueError as exc:
-        return ("ValueError", str(exc))
+    return ba.BranchAlgebra(sig, tuple(gens), basis)
 
 
 SMALL_SIGNATURES = [
@@ -449,10 +446,12 @@ COEFFS = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
 
 @st.composite
 def closures(draw):
-    """(sig, generators, cap): zero orders allowed, n <= 3, empty and
-    one-branch generator sets, caps at or above the default.  Two in three
-    draws add two consecutive pure powers per branch, so that many rings
-    are cofinite and get certified."""
+    """(sig, generators, bound, first reads, descending): zero orders allowed,
+    n <= 3, empty and one-branch generator sets, bounds at or above the
+    window W, first reads drawn from [W, bound], then every degree up to
+    the bound in a drawn direction.  Two in three draws add two consecutive
+    pure powers per branch, so that many rings are cofinite and get
+    certified."""
     sig = draw(st.sampled_from(SMALL_SIGNATURES))
     a = sig.weights_a
     one_branch = sig.n > 1 and draw(st.integers(0, 4)) == 0
@@ -471,40 +470,48 @@ def closures(draw):
             e = draw(st.integers(2, 4))
             gens += [ba.generator(sig, [(i, e, draw(COEFFS))]),
                      ba.generator(sig, [(i, e + 1, draw(COEFFS))])]
-    cap = ba.default_degree_cap(sig)
-    return sig, gens, cap + draw(st.sampled_from((0, 1, sig.ell, 4 * cap)))
+    window = ba.window(sig)
+    bound = window + draw(st.sampled_from((0, 1, sig.ell, 4 * window)))
+    first_reads = draw(st.lists(st.integers(window, bound), min_size=1, max_size=3))
+    return sig, gens, bound, first_reads, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
 @given(closures())
 def test_certified_stop_matches_the_dense_closure(case):
-    sig, gens, cap = case
-    alg = ba.close(sig, gens, degree_cap=cap)
-    ref = dense_close(sig, gens, cap)
-    for k in range(cap + 1):
+    sig, gens, bound, first_reads, descending = case
+    alg = ba.close(sig, gens)
+    assert alg.degree_cap <= ba.window(sig)  # close() itself stops at W
+    # the conductor test may read up to max_i a_i*(max(m)+3)
+    top = max(bound, max(a * (sig.orders[0] + 3) for a in sig.weights_a))
+    ref = dense_close(sig, gens, top)
+    for k in first_reads:
+        assert alg.dim(k) == ref.dim(k), k
+    for k in (range(bound, -1, -1) if descending else range(bound + 1)):
         assert alg.basis(k) == ref.basis(k), k
         assert alg.dim(k) == ref.dim(k), k
-    assert ba.graded_dims(alg) == ba.graded_dims(ref)
+    assert ba.graded_dims(alg, bound) == ba.graded_dims(ref, bound)
     assert ba.gap_sequence(alg) == ba.gap_sequence(ref)
-    assert outcome(ba.conductor_and_gorenstein, alg) == outcome(
-        ba.conductor_and_gorenstein, ref
-    )
+    assert ba.conductor_and_gorenstein(alg) == ba.conductor_and_gorenstein(ref)
     assert ba.validate_G_conditions(alg) == ba.validate_G_conditions(ref)
+    assert len(ref.graded_basis) == top + 1  # the reference never extended itself
     touched = {b for g in gens for b, _, _ in g.terms}
     if len(touched) < sig.n:
         assert alg.stable_from is None  # no pure powers on an untouched branch
     if alg.stable_from is not None:
-        assert all(ref.dim(k) == len(ref.slots(k)) for k in range(alg.stable_from, cap + 1))
+        assert all(ref.dim(k) == len(ref.slots(k)) for k in range(alg.stable_from, top + 1))
 
 
 def test_no_conductor_means_no_certificate():
     sig = derive((3, 1))
-    assert ba.close(sig, [[(0, 2, 1), (1, 1, 1)]], degree_cap=16).stable_from is None
-    assert ba.close(sig, [[(0, 2, 1)], [(0, 3, 1)]]).stable_from is None
-    assert ba.close(sig, []).stable_from is None
-    assert alg31().stable_from is None  # the default cap 10 comes first
+    far = 20 * ba.window(sig)
+    assert read_first(ba.close(sig, [[(0, 2, 1), (1, 1, 1)]]), 16).stable_from is None
+    assert read_first(ba.close(sig, [[(0, 2, 1), (1, 1, 1)]]), far).stable_from is None
+    assert read_first(ba.close(sig, [[(0, 2, 1)], [(0, 3, 1)]]), far).stable_from is None
+    assert read_first(ba.close(sig, []), far).stable_from is None
+    assert alg31().stable_from is None  # the window W = 10 ends before the stop at 11
     gens = [[(0, 2, 1), (1, 1, 1)], [(0, 3, 1)]]
-    assert ba.close(sig, gens, degree_cap=16).stable_from == 5  # t1^5, t2^3 on
+    assert read_first(ba.close(sig, gens), 16).stable_from == 5  # t1^5, t2^3 on
 
 
 @pytest.mark.parametrize("family,g", [("D-odd", 80), ("D-even", 60)])

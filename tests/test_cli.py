@@ -178,6 +178,52 @@ def test_input_without_signature_is_one_error_line(tmp_path):
     assert_usage_error(invoke("invariants", "--input", str(path)), "'signature'")
 
 
+def monomial_doc(**fields):
+    """The (3, 1) document with one generator t1^2, its monomial overridden."""
+    return {"signature": [3, 1], "generators": [
+        {"name": "x", "monomials": [{"branch": 0, "exp": 2, "coeff": "1", **fields}]}]}
+
+
+MALFORMED_DOCUMENTS = [
+    (monomial_doc(branch="0"), ["monomials[0].branch", "integer", "'0'"]),
+    ({"signature": "31", "generators": []}, ["signature", "list", "'31'"]),
+    ({"signature": [3, 1], "generators": 5}, ["generators", "list", "5"]),
+    (monomial_doc(coeff=[1]), ["monomials[0].coeff", "rational", "[1]"]),
+    ([{"signature": [3, 1], "generators": []}], ["document", "object"]),
+    (monomial_doc(exp=2.5), ["monomials[0].exp", "integer", "2.5"]),
+    (monomial_doc(coeff="1/0"), ["monomials[0].coeff", "'1/0'"]),
+]
+
+
+@pytest.mark.parametrize("doc,fragments", MALFORMED_DOCUMENTS)
+def test_malformed_algebra_document_is_one_error_line(tmp_path, doc, fragments):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    assert_usage_error(invoke("invariants", "--input", str(path)), *fragments)
+
+
+def test_ring_without_generators_gets_a_full_report(tmp_path):
+    # its conductor window reaches degree 12, past the closure's window W = 10
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"signature": [3, 1], "generators": []}))
+    result = invoke("invariants", "--input", str(path))
+    assert result.exit_code == 0, result.output
+    assert "gorenstein: False\n" in result.output
+    assert "conductor: 6 6\n" in result.output
+    assert "graded_dims: 1 0 0 0 0 0 0 0 0 0 0\n" in result.output
+    assert "slope" not in result.output  # alpha and slope need a Gorenstein ring
+
+
+def test_slope_routes_still_check_rings_that_pass_the_length_test(tmp_path):
+    # a node passes len(R/c) = delta but is no (1, 1) ring: the two slope routes disagree
+    doc = {"signature": [1, 1], "generators": [
+        {"monomials": [{"branch": 0, "exp": 1, "coeff": "1"}]},
+        {"monomials": [{"branch": 1, "exp": 1, "coeff": "1"}]}]}
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    assert_usage_error(invoke("invariants", "--input", str(path)), "slope routes disagree")
+
+
 @pytest.mark.parametrize("args,option", [
     (["invariants", "--catalog", "nope"], "'--catalog'"),
     (["filtration", "--catalog", "nope"], "'--catalog'"),

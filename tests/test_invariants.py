@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import pytest
 
-import gmspectra.branch_algebra as ba
 import gmspectra.curve_models as cm
 import gmspectra.invariants as inv
 import gmspectra.semigroup as sg
@@ -21,8 +20,7 @@ ENTRY_IDS = [e.id for e in catalog.entries()]
 
 def spectra(entry, m_max=2):
     sig = derive(entry.signature)
-    cap = max(m_max * sig.ell, ba.default_degree_cap(sig))
-    alg = entry.algebra(degree_cap=cap)
+    alg = entry.algebra()
     return sig, [inv.weight_spectrum(alg, m) for m in range(1, m_max + 1)]
 
 
@@ -56,9 +54,10 @@ def test_spectrum_multiplicity_laws():
 
 def test_spectrum_cap_and_level_errors():
     e = catalog.get("E7")
-    alg = e.algebra()  # cap 2*ell
-    with pytest.raises(ValueError):
-        inv.weight_spectrum(alg, 3)
+    alg = e.algebra()  # computed up to the window W = 10
+    s3 = inv.weight_spectrum(alg, 3)  # level 3 reads degree 12 and extends the closure
+    report = inv.verify_weight_identities(s3, inv.weight_spectrum(alg, 1), derive(e.signature))
+    assert report.all_pass, report.notes
     with pytest.raises(ValueError):
         inv.weight_spectrum(alg, 0)
     with pytest.raises(ValueError):
