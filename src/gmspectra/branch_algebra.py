@@ -279,7 +279,13 @@ def gap_sequence(alg: BranchAlgebra) -> tuple[int, ...]:
 
 
 def delta_and_genus(alg: BranchAlgebra) -> tuple[int, int]:
-    """(delta, arithmetic genus): delta counts the order-0 piece too."""
+    """(delta, arithmetic genus): delta counts the order-0 piece too.
+
+    The gap sequence is summed over orders 1..max(m)+1 only, so the sum is
+    delta only when the conductor is certified
+    (``conductor_and_gorenstein(alg).conductor_bound_ok``); a ring that is
+    not cofinite has infinite delta yet still gets a finite sum here.
+    """
     g = sum(gap_sequence(alg))
     delta = alg.signature.n - 1 + g
     assert g == delta - alg.signature.n + 1
@@ -510,12 +516,18 @@ def algebra_from_json(doc: dict):
 
 
 def algebra_summary(alg: BranchAlgebra) -> dict:
-    """Plain-JSON summary of the computed singularity invariants."""
-    delta, genus = delta_and_genus(alg)
+    """Plain-JSON summary of the computed singularity invariants.
+
+    delta and genus are left out unless the conductor is certified: without
+    that, the summed gap sequence need not be delta, which is infinite on a
+    ring that is not cofinite.
+    """
     report = conductor_and_gorenstein(alg)
+    finite = {}
+    if report.conductor_bound_ok:
+        finite = dict(zip(("delta", "genus"), delta_and_genus(alg)))
     return {
-        "delta": delta,
-        "genus": genus,
+        **finite,
         "gap_sequence": list(gap_sequence(alg)),
         "conductor": list(report.conductor),
         "gorenstein": report.gorenstein,

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import branch_algebra as ba
 from . import semigroup as sg
-from .signature import Signature, ladder
+from .signature import Signature, ladder_columns
 
 Divisor = Sequence[int]
 
@@ -185,10 +185,10 @@ def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[Run, ...]:
     order, so its dimension is h0 of m*(m_i + 1) minus the ladder at lam.
     The lam = 0 value is g-1+n for m = 1 and (2m-1)(g-1) + m*n beyond.
 
-    The ladder ceil(lam/a_i) only steps at lam = k*a_i + 1, so h0 is read
-    once per run start in {0} and {k*a_i + 1 <= m*ell}: at most
-    m(2g-2+n) + 1 reads, whatever ell is.  Adjacent runs of equal
-    dimension are merged, so neighbouring triples always differ in dim.
+    The ladder only steps at lam = k*a_i + 1, so the divisors are built as
+    one column per branch over those run starts (ladder_columns) and h0 is
+    read once per start: at most m(2g-2+n) + 1 reads whatever ell is, with
+    no other per-level work.  Equal neighbours merge into one run.
     """
     if m < 1:
         raise ValueError("pluricanonical level m must be at least 1")
@@ -197,20 +197,16 @@ def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[Run, ...]:
             f"model genus {model.genus} differs from signature genus {sig.genus}"
         )
     top = m * sig.ell
-    starts = sorted({0}.union(*(range(1, top + 1, a) for a in sig.weights_a)))
+    starts, steps = ladder_columns(sig, 0, top)
+    columns = [[m * (order + 1) - s for s in col] for order, col in zip(sig.orders, steps)]
+    dims = list(map(model.h0, zip(*columns)))
     runs: list[Run] = []
-    run_lo, run_dim = 0, None
-    for lam in starts:
-        steps = ladder(sig, lam)
-        divisor = tuple(
-            [m * (order + 1) - step for order, step in zip(sig.orders, steps)]
-        )
-        dim = model.h0(divisor)
-        if dim != run_dim:
-            if run_dim is not None:
-                runs.append((run_lo, lam - 1, run_dim))
-            run_lo, run_dim = lam, dim
-    runs.append((run_lo, top, run_dim))
+    run_lo = 0
+    for lam, dim, prev in zip(starts[1:], dims[1:], dims):
+        if dim != prev:
+            runs.append((run_lo, lam - 1, prev))
+            run_lo = lam
+    runs.append((run_lo, top, dims[-1]))
     return tuple(runs)
 
 

@@ -15,7 +15,7 @@ from math import gcd
 
 def _bits(mask: int) -> tuple[int, ...]:
     """Positions of the set bits, ascending."""
-    return tuple(i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1")
+    return tuple([i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"])
 
 
 @dataclass(frozen=True)

@@ -90,26 +90,30 @@ def parity_count(k1: int, k2: int) -> int:
     )
 
 
+def ladder_columns(sig: Signature, lam_lo: int, lam_hi: int):
+    """``(starts, columns)``: the ladder's run starts in ``[lam_lo, lam_hi]``,
+    i.e. ``lam_lo`` and every ``k*a_i + 1`` in range, sorted, and per branch
+    the list of ``ceil(lam/a_i)`` at those starts; between them it is flat."""
+    if lam_lo < 0:
+        raise ValueError("ladder level must be non-negative")
+    steps = (range(-(-lam_lo // a) * a + 1, lam_hi + 1, a) for a in sig.weights_a)
+    starts = sorted({lam_lo}.union(*steps))
+    return starts, [[-(-lam // a) for lam in starts] for a in sig.weights_a]
+
+
 def n_plus(sig: Signature, lam_lo: int, lam_hi: int) -> int:
     """Count levels ``lam in [lam_lo, lam_hi]`` with ``sum_i (l_{lam,i} - 1)`` even.
 
-    The ladder only steps at ``lam = k*a_i + 1``, so the parity is read
-    once per run between those breakpoints and the run's length is added
-    when it is even: the cost grows with the breakpoints in the range,
-    ``(lam_hi - lam_lo) * sum_i 1/a_i``, not with its length.
+    The parity is read once per run start from the ladder columns and the
+    run's length added when it is even: the cost grows with the breakpoints
+    in the range, ``(lam_hi - lam_lo) * sum_i 1/a_i``, not with its length.
     """
     if lam_lo > lam_hi:
         return 0
-    starts = {lam_lo}.union(
-        *(range(-(-lam_lo // a) * a + 1, lam_hi + 1, a) for a in sig.weights_a)
-    )
-    bounds = sorted(starts) + [lam_hi + 1]
-    n = sig.n
-    total = 0
-    for lo, next_lo in zip(bounds, bounds[1:]):
-        if (sum(ladder(sig, lo)) - n) % 2 == 0:
-            total += next_lo - lo
-    return total
+    starts, columns = ladder_columns(sig, lam_lo, lam_hi)
+    ends, n = starts[1:] + [lam_hi + 1], sig.n
+    return sum([end - lo for lo, end, total in zip(starts, ends, map(sum, zip(*columns)))
+                if (total - n) % 2 == 0])
 
 
 def _partitions(total, max_part, max_len):

@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import gmspectra.classifier as classifier
 import gmspectra.curve_models as cm
 import gmspectra.semigroup as sg
 from gmspectra import catalog
@@ -25,6 +26,7 @@ from gmspectra.classifier import (
     alpha_search,
     clifford_cap,
     clifford_profile_chi1,
+    hyperelliptic_chi1,
     hyperelliptic_chi1_routes,
     hyperelliptic_taggings,
     nonvarying_regression,
@@ -477,6 +479,25 @@ def test_semigroup_search_raises_when_either_chi1_route_is_off(monkeypatch):
                         lambda H, count: element_route(H, count)[:-1])
     with pytest.raises(RuntimeError, match="unibranch chi1 routes disagree"):
         semigroup_search(5)
+
+
+def test_hyperelliptic_chi1_raises_when_the_filtration_route_is_off(monkeypatch):
+    sig = derive((4, 2))
+    tagging = hyperelliptic_taggings(sig)[0]
+    hyperelliptic_chi1(sig, tagging)
+    filtration_route = cm.runs_chi_log
+    monkeypatch.setattr(cm, "runs_chi_log", lambda runs: filtration_route(runs) + 1)
+    with pytest.raises(RuntimeError, match="hyperelliptic chi1 routes disagree"):
+        hyperelliptic_chi1(sig, tagging)
+
+
+def test_clifford_profile_chi1_raises_when_n_plus_is_off(monkeypatch):
+    sig = derive((4, 2))
+    clifford_profile_chi1(sig)
+    parity_route = classifier.n_plus
+    monkeypatch.setattr(classifier, "n_plus", lambda *args: parity_route(*args) + 1)
+    with pytest.raises(RuntimeError, match="Clifford profile identity failed"):
+        clifford_profile_chi1(sig)
 
 
 def test_semigroup_search_logs_one_debug_line(caplog):

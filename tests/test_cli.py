@@ -212,6 +212,13 @@ def test_ring_without_generators_gets_a_full_report(tmp_path):
     assert "conductor: 6 6\n" in result.output
     assert "graded_dims: 1 0 0 0 0 0 0 0 0 0 0\n" in result.output
     assert "slope" not in result.output  # alpha and slope need a Gorenstein ring
+    # the ring is not cofinite (delta is infinite), so no finite delta or genus
+    keys = {line.split(":")[0] for line in result.output.splitlines()}
+    assert "delta" not in keys and "genus" not in keys and "gap_sequence" in keys
+    result = invoke("invariants", "--input", str(path), "--format", "json")
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert "delta" not in doc and "genus" not in doc and doc["gorenstein"] is False
 
 
 def test_slope_routes_still_check_rings_that_pass_the_length_test(tmp_path):

@@ -1,13 +1,15 @@
 """Run-length filtrations against the per-level definitions they replace.
 
-``filtration_dims`` reads h0 once per ladder breakpoint and ``n_plus``
-reads the parity once per run.  Every property here rebuilds the dense
-per-level answer by brute force (one ladder, one divisor, one h0 per
-level) and compares.  The last tests run at a period ell near 10^11,
-where only the run form can finish.
+``filtration_dims`` reads h0 once per ladder breakpoint, ``n_plus`` reads
+the parity once per run and the ladder-difference check of
+``verify_weight_identities`` compares on the breakpoints only.  Every
+property here rebuilds the dense per-level answer by brute force (one
+ladder, one divisor, one h0 per level) and compares.  The last tests run
+at a period ell near 10^11, where only the run form can finish.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -116,6 +118,46 @@ def test_n_plus_counts_even_levels(data):
     assert n_plus(sig, lo, hi) == brute
 
 
+def dense_ladder_note(spectrum, sig):
+    """The first note of the per-level ladder-difference loop, or None."""
+    for lam in range((spectrum.m - 1) * sig.ell):
+        expected = sum(ladder(sig, lam + 1)) - sum(ladder(sig, lam))
+        if spectrum.multiplicity(lam) != expected:
+            return (
+                f"multiplicity at {lam} is {spectrum.multiplicity(lam)}, "
+                f"ladder difference gives {expected}"
+            )
+    return None
+
+
+def moved(spectrum, source, target):
+    """The spectrum with one unit of multiplicity moved from source to target."""
+    counts = Counter(dict(spectrum.entries))
+    counts[source] -= 1
+    counts[target] += 1
+    return inv.WeightSpectrum(spectrum.m, tuple(sorted((+counts).items())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ladder_differences_match_the_per_level_loop(data):
+    sig = data.draw(st.sampled_from(SIGNATURES))
+    m = data.draw(st.sampled_from((2, 3)))
+    model = data.draw(st.sampled_from(models_for(sig)))
+    try:
+        level_one = inv.weight_spectrum(model, 1, sig)
+        spectrum = inv.weight_spectrum(model, m, sig)
+    except ValueError:
+        return  # an increasing filtration has no spectrum
+    if data.draw(st.booleans()):
+        source = data.draw(st.sampled_from([lam for lam, _ in spectrum.entries]))
+        spectrum = moved(spectrum, source, data.draw(st.integers(0, m * sig.ell)))
+    report = inv.verify_weight_identities(spectrum, level_one, sig)
+    note = dense_ladder_note(spectrum, sig)
+    assert report.ladder_differences_ok == (note is None)
+    assert [n for n in report.notes if "ladder difference" in n] == ([note] if note else [])
+
+
 def test_n_plus_empty_and_single_ranges():
     sig = derive((4, 2))
     assert n_plus(sig, 5, 4) == 0
@@ -146,3 +188,23 @@ def test_large_ell_clifford_profile():
     chi1 = clifford_profile_chi1(LARGE)  # raises if the parity identity fails
     assert time.perf_counter() - start < 5
     assert 0 < chi1 <= Fraction((LARGE.genus + 1) * LARGE.ell, 2)
+
+
+def test_large_ell_weight_identities():
+    start = time.perf_counter()
+    model = cm.CliffordMaxModel(LARGE.genus)
+    level_one = inv.weight_spectrum(model, 1, LARGE)
+    level_two = inv.weight_spectrum(model, 2, LARGE)
+    report = inv.verify_weight_identities(level_two, level_one, LARGE)
+    assert time.perf_counter() - start < 5
+    assert report.all_pass, report.notes
+    # one multiplicity moved off the smallest progression step, below the pivot
+    a = min(LARGE.weights_a)
+    held = level_two.multiplicity(a)
+    broken = moved(level_two, a, a + 1)
+    report = inv.verify_weight_identities(broken, level_one, LARGE)
+    assert time.perf_counter() - start < 5
+    assert not report.ladder_differences_ok
+    assert report.notes[0] == (
+        f"multiplicity at {a} is {held - 1}, ladder difference gives {held}"
+    )
