@@ -5,8 +5,11 @@ with the degree of an exponent-e monomial on branch i set to e*a_i.
 A homogeneous element of degree k is stored as its coefficient vector
 over the branches that can carry degree k (those with a_i | k), and
 multiplication is componentwise, so closing a generating set under
-products reduces to degree-by-degree linear algebra over the
-rationals.  Everything downstream (delta, gap sequence, conductor,
+products reduces to degree-by-degree linear algebra.  That algebra is
+exact and runs on Python ints alone: rational generator coefficients,
+membership vectors and dualizing units are scaled once to integer
+vectors on the same line, and each graded piece is stored as integer
+echelon rows.  Everything downstream (delta, gap sequence, conductor,
 section spaces) reads off the graded bases.
 """
 
@@ -14,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
 
 from .signature import Signature, derive
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -28,12 +30,6 @@ class MonomialVector:
     terms: tuple[tuple[int, int, Fraction], ...]  # (branch, exponent, coefficient)
     degree: int
     name: str = ""
-
-    def coefficient(self, branch: int) -> Fraction:
-        for b, _, c in self.terms:
-            if b == branch:
-                return c
-        return _ZERO
 
     def __str__(self) -> str:
         parts = []
@@ -73,57 +69,88 @@ def generator(sig: Signature, terms, name: str = "") -> MonomialVector:
 
 
 # ------------------------------------------------- exact linear algebra
+#
+# Rows are lists or tuples of Python ints.  Elimination is fraction-free,
+# r <- p[c]*r - r[c]*p, and a row is stored primitive: the gcd of its
+# entries is 1 and its leading entry is positive.  Rationals are scaled
+# to integers once, where they enter (_integral).
 
 
-def _rref(rows):
-    """Reduced row echelon form of rational row vectors, canonical order."""
-    pivots: list[tuple[int, list[Fraction]]] = []
-    for row in rows:
-        r = list(row)
+def _integral(values) -> list[int]:
+    """A vector of ints and Fractions times the lcm of its denominators: an
+    integer vector on the same line."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _integer_coefficients(g: MonomialVector) -> dict[int, int]:
+    """{branch: coefficient} of g scaled once to integers."""
+    return dict(zip([b for b, _, _ in g.terms], _integral(c for _, _, c in g.terms)))
+
+
+def _primitive(r: list[int], lead: int) -> list[int]:
+    g = gcd(*r)
+    if r[lead] < 0:
+        g = -g
+    return r if g == 1 else [x // g for x in r]
+
+
+def _echelon(rows) -> list[tuple[int, list[int]]]:
+    """(pivot column, primitive row) pairs spanning the rows; each row is
+    zero in the pivot columns of the rows found before it."""
+    pivots = []
+    for r in rows:
         for col, p in pivots:
-            if r[col]:
-                f = r[col]
-                r = [x - f * y for x, y in zip(r, p)]
+            f = r[col]
+            if f:
+                c = p[col]
+                r = [c * x - f * y for x, y in zip(r, p)]
         lead = next((j for j, x in enumerate(r) if x), None)
-        if lead is None:
-            continue
-        inv = r[lead]
-        pivots.append((lead, [x / inv for x in r]))
-    pivots.sort(key=lambda cp: cp[0])
-    for idx in range(len(pivots) - 1, -1, -1):
+        if lead is not None:
+            pivots.append((lead, _primitive(r, lead)))
+    return pivots
+
+
+def _rref(rows) -> tuple[tuple[int, ...], ...]:
+    """Canonical integer echelon basis of the span of integer rows.
+
+    Rows come out in pivot order; each is primitive with a positive pivot
+    and zero in every other pivot column, so it is the unique such
+    multiple of the matching reduced row echelon row.
+    """
+    pivots = sorted(_echelon(rows))  # pivot columns are distinct
+    for idx in range(len(pivots) - 2, -1, -1):
         col, r = pivots[idx]
         for col2, r2 in pivots[idx + 1 :]:
-            if r[col2]:
-                f = r[col2]
-                r = [x - f * y for x, y in zip(r, r2)]
-        pivots[idx] = (col, r)
+            f = r[col2]
+            if f:
+                c = r2[col2]
+                r = [c * x - f * y for x, y in zip(r, r2)]
+        pivots[idx] = (col, _primitive(r, col))
     return tuple(tuple(r) for _, r in pivots)
 
 
 def _in_span(rows, vector) -> bool:
-    r = list(vector)
+    """Whether an integer vector lies in the span of _rref rows."""
+    r = vector
     for row in rows:
         lead = next(j for j, x in enumerate(row) if x)
-        if r[lead]:
-            f = r[lead]
-            r = [x - f * y for x, y in zip(r, row)]
+        f = r[lead]
+        if f:
+            c = row[lead]
+            r = [c * x - f * y for x, y in zip(r, row)]
     return not any(r)
 
 
-def _vanishing_subspace(rows, zero_cols):
-    """Basis of the subspace of span(rows) vanishing on the given columns."""
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    zero_cols = sorted(set(zero_cols))
-    order = zero_cols + [j for j in range(ncols) if j not in zero_cols]
-    permuted = _rref([tuple(r[j] for j in order) for r in rows])
-    cut = len(zero_cols)
-    kept = [r for r in permuted if next(j for j, x in enumerate(r) if x) >= cut]
-    inverse = [0] * ncols
-    for pos, j in enumerate(order):
-        inverse[j] = pos
-    return tuple(tuple(r[inverse[j]] for j in range(ncols)) for r in kept)
+@cache
+def _identity(s: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(j == p) for j in range(s)) for p in range(s))
+
+
+def _rank(rows, cols) -> int:
+    """Rank of the rows restricted to the given columns."""
+    return len(_echelon([[r[j] for j in cols] for r in rows]))
 
 
 # ----------------------------------------------------------- the algebra
@@ -135,11 +162,19 @@ class BranchAlgebra:
 
     signature: Signature
     generators: tuple[MonomialVector, ...]
-    graded_basis: dict[int, tuple[tuple[Fraction, ...], ...]]
+    graded_basis: dict[int, tuple[tuple[int, ...], ...]]  # _rref rows of R_k over slots(k)
     stable_from: int | None = None  # R_k is full for every k >= stable_from
     _full_from: int | None = field(default=None, repr=False)  # start of the current full run
     _gap_full: tuple[int, ...] | None = field(default=None, repr=False)
     _slots: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
+    # (degree, {branch: coefficient}) per generator, scaled once to integers;
+    # a nonzero multiple of a generator spans the same ring
+    _integer_generators: tuple[tuple[int, dict[int, int]], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._integer_generators = tuple(
+            (g.degree, _integer_coefficients(g)) for g in self.generators
+        )
 
     @property
     def branches(self) -> int:
@@ -180,17 +215,15 @@ class BranchAlgebra:
         for k in range(len(basis), top + 1):
             sl = self.slots(k)
             candidates = []
-            for g in self.generators:
-                d = g.degree
+            for d, coeffs in self._integer_generators:
                 if d > k:
                     continue
-                prev_pos = {i: pos for pos, i in enumerate(self.slots(k - d))}
-                coeffs = {b: c for b, _, c in g.terms}
+                # a branch the generator touches carries degree d, so it is
+                # a slot of k - d whenever it is a slot of k
+                prev = self.slots(k - d)
+                picks = [(prev.index(i), coeffs[i]) if i in coeffs else (0, 0) for i in sl]
                 for v in basis[k - d]:
-                    w = tuple(
-                        coeffs.get(i, _ZERO) * v[prev_pos[i]] if i in prev_pos else _ZERO
-                        for i in sl
-                    )
+                    w = [c * v[pos] for pos, c in picks]
                     if any(w):
                         candidates.append(w)
             basis[k] = _rref(candidates)
@@ -207,12 +240,12 @@ class BranchAlgebra:
             self._close_to(k)
         return self.stable_from is not None and k >= self.stable_from
 
-    def basis(self, k: int) -> tuple[tuple[Fraction, ...], ...]:
-        """Canonical rref rows of R_k over slots(k); identity rows once stable."""
+    def basis(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """Integer echelon rows of R_k over slots(k) (see _rref); identity
+        rows of ints once stable."""
         if not self._stable(k):
             return self.graded_basis[k]
-        s = len(self.slots(k))
-        return tuple(tuple(_ONE if j == p else _ZERO for j in range(s)) for p in range(s))
+        return _identity(len(self.slots(k)))
 
     def dim(self, k: int) -> int:
         return len(self.slots(k)) if self._stable(k) else len(self.graded_basis[k])
@@ -221,11 +254,8 @@ class BranchAlgebra:
         """Membership of a homogeneous element given as generator-style terms."""
         element = generator(self.signature, terms)
         k = element.degree
-        sl = self.slots(k)
-        vec = tuple(element.coefficient(i) for i in sl)
-        if any(element.coefficient(i) for i in range(self.signature.n) if i not in sl):
-            return False
-        return _in_span(self.basis(k), vec)
+        coeffs = _integer_coefficients(element)  # every branch it touches is a slot of k
+        return _in_span(self.basis(k), [coeffs.get(i, 0) for i in self.slots(k)])
 
 
 def window(sig: Signature) -> int:
@@ -239,7 +269,7 @@ def close(sig: Signature, generators_in) -> BranchAlgebra:
     extends the same closure."""
     gens = tuple(generator(sig, g.terms, g.name) if isinstance(g, MonomialVector)
                  else generator(sig, g) for g in generators_in)  # revalidate against sig
-    alg = BranchAlgebra(sig, gens, {0: ((_ONE,) * sig.n,)})
+    alg = BranchAlgebra(sig, gens, {0: ((1,) * sig.n,)})
     alg._close_to(window(sig))
     return alg
 
@@ -263,11 +293,13 @@ def _gap_sequence_full(alg: BranchAlgebra) -> tuple[int, ...]:
     for j in range(1, top + 1):
         rank = 0
         for k in sorted({j * a[i] for i in range(n)}):
+            # the order-j coefficients of the elements vanishing below order j:
+            # their rank is the rank over below + level minus that over below
             sl = alg.slots(k)
             below = [pos for pos, i in enumerate(sl) if k // a[i] < j]
             level = [pos for pos, i in enumerate(sl) if k // a[i] == j]
-            sub = _vanishing_subspace(alg.basis(k), below)
-            rank += len(_rref([tuple(r[p] for p in level) for r in sub]))
+            rows = alg.basis(k)
+            rank += _rank(rows, below + level) - _rank(rows, below)
         alphas.append(n - rank)
     alg._gap_full = tuple(alphas)
     return alg._gap_full
@@ -327,8 +359,7 @@ def conductor_and_gorenstein(alg: BranchAlgebra) -> ConductorReport:
     for k in range(k_top + 1):
         sl = alg.slots(k)
         outside = [pos for pos, i in enumerate(sl) if k // a[i] < conductor[i]]
-        inside = _vanishing_subspace(alg.basis(k), outside)
-        length += alg.dim(k) - len(inside)
+        length += _rank(alg.basis(k), outside)  # dim R_k minus its part in c
     return ConductorReport(
         conductor=tuple(conductor),
         quotient_length=length,
@@ -361,7 +392,7 @@ def section_space(alg: BranchAlgebra, divisor) -> SectionSpace:
     for k in range(k_top + 1):
         sl = alg.slots(k)
         excluded = [pos for pos, i in enumerate(sl) if k > a[i] * divisor[i]]
-        d = len(_vanishing_subspace(alg.basis(k), excluded))
+        d = alg.dim(k) - _rank(alg.basis(k), excluded)
         if d:
             per.append((k, d))
             total += d
@@ -406,10 +437,11 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
     n = sig.n
     notes = []
     if dualizing_units is None:
-        units = (_ONE,) * n
+        units = [1] * n
     else:
-        units = tuple(Fraction(u) for u in dualizing_units)
-        if len(units) != n or any(u == 0 for u in units):
+        # scaling every unit by one factor keeps each pair on its line
+        units = _integral(Fraction(u) for u in dualizing_units)
+        if len(units) != n or not all(units):
             raise ValueError("need one nonzero unit per branch")
 
     g1 = True

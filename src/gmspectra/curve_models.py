@@ -29,6 +29,10 @@ class AlgebraModel:
 
     @cached_property
     def genus(self) -> int:
+        """The arithmetic genus; a ValueError unless the conductor is certified,
+        since the summed gap sequence is delta only then."""
+        if not ba.conductor_and_gorenstein(self.algebra).conductor_bound_ok:
+            raise ValueError("genus undefined: the ring's conductor is not certified")
         return ba.delta_and_genus(self.algebra)[1]
 
     def h0(self, divisor: Divisor) -> int:

@@ -4,6 +4,7 @@ Expected values for the named strata algebras were fixed by hand
 multiplication of the generator monomials before the engine existed.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -404,11 +405,108 @@ def test_json_bad_units():
         ba.algebra_from_json(doc)
 
 
+# ------------------------------------------------- the integer kernel
+
+
+def oracle_rref(rows):
+    """Reduced row echelon form of rational rows over Fraction: the oracle."""
+    pivots = []
+    for row in rows:
+        r = [Fraction(x) for x in row]
+        for col, p in pivots:
+            if r[col]:
+                f = r[col]
+                r = [x - f * y for x, y in zip(r, p)]
+        lead = next((j for j, x in enumerate(r) if x), None)
+        if lead is None:
+            continue
+        inv = r[lead]
+        pivots.append((lead, [x / inv for x in r]))
+    pivots.sort(key=lambda cp: cp[0])
+    for idx in range(len(pivots) - 1, -1, -1):
+        col, r = pivots[idx]
+        for col2, r2 in pivots[idx + 1 :]:
+            if r[col2]:
+                f = r[col2]
+                r = [x - f * y for x, y in zip(r, r2)]
+        pivots[idx] = (col, r)
+    return tuple(tuple(r) for _, r in pivots)
+
+
+def integer_row(row):
+    """A rational row times the lcm of its denominators."""
+    den = math.lcm(*(Fraction(x).denominator for x in row))
+    return [int(x * den) for x in row]
+
+
+def primitive(row):
+    """The integer multiple of a nonzero rational row with gcd 1 and a
+    positive leading entry."""
+    ints = integer_row(row)
+    g = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def oracle_in_span(rref_rows, vector):
+    r = [Fraction(x) for x in vector]
+    for row in rref_rows:
+        lead = next(j for j, x in enumerate(row) if x)
+        if r[lead]:
+            f = r[lead]
+            r = [x - f * y for x, y in zip(r, row)]
+    return not any(r)
+
+
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def matrices(draw):
+    """(rows, vectors, cols): up to 6x6 rationals p/q with |p| <= 5 and
+    q <= 4, zero and repeated rows allowed; the vectors include a
+    combination of the rows, which lies in their span; cols is a set of
+    columns to restrict the rows to."""
+    width = draw(st.integers(1, 6))
+    row = st.lists(SMALL_RATIONALS, min_size=width, max_size=width)
+    zero = st.just([Fraction(0)] * width)
+    rows = draw(st.lists(st.one_of(row, zero), max_size=6))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    vectors = draw(st.lists(row, max_size=3))
+    weights = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    vectors.append([sum(w * r[j] for w, r in zip(weights, rows)) for j in range(width)])
+    cols = draw(st.lists(st.integers(0, width - 1), unique=True))
+    return rows, vectors, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_integer_kernel_matches_the_fraction_oracle(case):
+    rows, vectors, cols = case
+    echelon = ba._rref([integer_row(r) for r in rows])
+    oracle = oracle_rref(rows)
+    leads = [next(j for j, x in enumerate(r) if x) for r in echelon]
+    assert leads == sorted(set(leads))
+    for r, lead in zip(echelon, leads):
+        assert all(type(x) is int for x in r)
+        assert math.gcd(*r) == 1 and r[lead] > 0
+        assert all(r[j] == 0 for j in leads if j != lead)
+    assert len(echelon) == len(oracle)
+    assert echelon == tuple(primitive(r) for r in oracle)  # same row space
+    for v in vectors:
+        assert ba._in_span(echelon, integer_row(v)) == oracle_in_span(oracle, v)
+    projected = oracle_rref([[r[j] for j in cols] for r in rows])
+    assert ba._rank(echelon, cols) == len(projected)
+
+
 # ------------------------------------------- the certified conductor stop
 
 
 def dense_close(sig, gens, top):
-    """Reference closure: an exact rref at every degree up to top, no stop."""
+    """Reference closure: an oracle rref over Fraction at every degree up to
+    top, no stop; its rows are scaled to primitive integer rows at the end."""
     a, n = sig.weights_a, sig.n
 
     def slots(k):
@@ -429,8 +527,9 @@ def dense_close(sig, gens, top):
                 )
                 if any(w):
                     rows.append(w)
-        basis[k] = ba._rref(rows)
-    return ba.BranchAlgebra(sig, tuple(gens), basis)
+        basis[k] = oracle_rref(rows)
+    integer = {k: tuple(primitive(r) for r in rows) for k, rows in basis.items()}
+    return ba.BranchAlgebra(sig, tuple(gens), integer)
 
 
 SMALL_SIGNATURES = [
@@ -522,3 +621,17 @@ def test_close_stops_within_twice_the_conductor(family, g):
     top = max(a * c for a, c in zip(sig.weights_a, conductor))
     assert alg.stable_from is not None and alg.stable_from <= top
     assert len(alg.graded_basis) <= 2 * top + max(sig.weights_a)
+
+
+@pytest.mark.parametrize("entry", [
+    *catalog.entries(),
+    catalog.family("A", g=3), catalog.family("A-odd", g=3), catalog.family("D-odd", g=3),
+    catalog.family("D-even", g=3), catalog.family("elliptic", n=6),
+    catalog.family("monomial", H=(3, 5)),
+], ids=lambda e: e.id)
+def test_graded_bases_hold_only_ints(entry):
+    alg = entry.algebra()
+    ba.algebra_summary(alg)  # reads past the window extend the closure
+    ba.validate_G_conditions(alg, entry.dualizing_units)
+    for k, rows in alg.graded_basis.items():
+        assert all(type(x) is int for r in rows for x in r), k

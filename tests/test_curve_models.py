@@ -149,6 +149,19 @@ def test_algebra_model_sections():
     assert model.h0((3, 1)) == 3  # the zero divisor of the form is canonical
 
 
+def test_algebra_model_genus_needs_a_certified_conductor():
+    # no generators: the ring is not cofinite, so delta is infinite, yet
+    # the summed gap sequence is finite
+    sig, gens, _units = ba.generators_from_json({"signature": [3, 1], "generators": []})
+    alg = ba.close(sig, [terms for _, terms in gens])
+    assert ba.delta_and_genus(alg)[1] == 8
+    model = cm.AlgebraModel(alg)
+    with pytest.raises(ValueError, match="conductor is not certified") as info:
+        model.genus
+    assert "\n" not in str(info.value)
+    assert model.h0((0, 0)) == 1  # sections are still read
+
+
 # ---------------------------------------------------------- filtrations
 
 
