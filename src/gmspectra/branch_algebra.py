@@ -320,7 +320,6 @@ def delta_and_genus(alg: BranchAlgebra) -> tuple[int, int]:
     """
     g = sum(gap_sequence(alg))
     delta = alg.signature.n - 1 + g
-    assert g == delta - alg.signature.n + 1
     return delta, g
 
 

@@ -1,16 +1,22 @@
 """Section-count oracles for divisors supported on marked points.
 
-Each model answers h0(D) for a divisor D given as one integer coefficient
-per marked point.  Models are used where no branch algebra is available:
-semigroup counts at a single point, tagged hyperelliptic closed forms,
-the Clifford-maximal profile, and finite override tables layered on any
-base model.  All of them agree with Riemann-Roch once deg D > 2g-2.
+Each model answers h0 for a whole batch of divisors in one call,
+``h0_column(columns)``: the batch is one coefficient list per marked point
+(row r is the divisor ``(columns[0][r], ..., columns[n-1][r])``), as
+``filtration_dims`` builds it from the ladder columns, and the answer is
+one dimension per row.  That column read is each model's only h0 formula;
+``h0(divisor)`` is the point read, a one-row batch.  Models are used where
+no branch algebra is available: semigroup counts at a single point, tagged
+hyperelliptic closed forms, the Clifford-maximal profile, and finite
+override tables layered on any base model.  All of them agree with
+Riemann-Roch once deg D > 2g-2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Sequence
 
 from . import branch_algebra as ba
@@ -18,11 +24,20 @@ from . import semigroup as sg
 from .signature import Signature, ladder_columns
 
 Divisor = Sequence[int]
+Columns = Sequence[Sequence[int]]  # one coefficient list per marked point
+
+
+class _ColumnRead:
+    """The point read of a model that answers whole columns."""
+
+    def h0(self, divisor: Divisor) -> int:
+        (dim,) = self.h0_column([[c] for c in divisor])
+        return dim
 
 
 @dataclass(frozen=True)
-class AlgebraModel:
-    """h0 read off a graded branch algebra via its section spaces."""
+class AlgebraModel(_ColumnRead):
+    """h0 read off a graded branch algebra: one section space per row."""
 
     algebra: ba.BranchAlgebra
     kind = "algebra"
@@ -35,13 +50,18 @@ class AlgebraModel:
             raise ValueError("genus undefined: the ring's conductor is not certified")
         return ba.delta_and_genus(self.algebra)[1]
 
-    def h0(self, divisor: Divisor) -> int:
-        return ba.section_space(self.algebra, tuple(divisor)).dimension
+    def h0_column(self, columns: Columns) -> list[int]:
+        return [ba.section_space(self.algebra, row).dimension for row in zip(*columns)]
 
 
 @dataclass(frozen=True)
-class UnibranchModel:
-    """One marked point whose pole orders form the given semigroup."""
+class UnibranchModel(_ColumnRead):
+    """One marked point whose pole orders form the given semigroup.
+
+    h0(c p) is the number of elements in [0, c]: read off the semigroup's
+    prefix counts up to F, and c - g + 1 (Riemann-Roch) from F on.  Any
+    nonzero coefficient at a second point is a ValueError.
+    """
 
     semigroup: sg.NumericalSemigroup
     kind = "unibranch"
@@ -50,17 +70,18 @@ class UnibranchModel:
     def genus(self) -> int:
         return self.semigroup.genus
 
-    def h0(self, divisor: Divisor) -> int:
-        if any(divisor[1:]):
+    def h0_column(self, columns: Columns) -> list[int]:
+        if any(map(any, columns[1:])):
             raise ValueError(
                 "unibranch model only supports divisors on its single point"
             )
-        # count_upto is Riemann-Roch from the conductor on, and F <= 2g-1
-        return self.semigroup.count_upto(divisor[0])
+        H = self.semigroup
+        F, g, counts = H.frobenius, H.genus, H.prefix_counts()
+        return [c - g + 1 if c >= F else counts[c] if c >= 0 else 0 for c in columns[0]]
 
 
 @dataclass(frozen=True)
-class HyperellipticModel:
+class HyperellipticModel(_ColumnRead):
     """Marked points tagged as Weierstrass, conjugate pairs, or free.
 
     Tags: ``"w"`` for a Weierstrass point, ``"pair:<id>"`` for one half of
@@ -68,7 +89,7 @@ class HyperellipticModel:
     general position.  Below the Riemann-Roch range the dimension is
     1 + (number of extractable copies of the degree-two pencil): floor(c/2)
     from a Weierstrass coefficient c, min(b, c) from a pair, nothing from
-    free points.
+    free points, clamped at 0.
     """
 
     genus: int
@@ -93,51 +114,46 @@ class HyperellipticModel:
                 raise ValueError(f"pair {key!r} has {len(members)} members, needs 2")
         return tuple(weierstrass), tuple((m[0], m[1]) for m in pairs.values())
 
-    def h0(self, divisor: Divisor) -> int:
-        if len(divisor) != len(self.tags):
+    def h0_column(self, columns: Columns) -> list[int]:
+        if len(columns) != len(self.tags):
             raise ValueError(f"divisor needs {len(self.tags)} coefficients")
         g = self.genus
-        deg = sum(divisor)
-        if deg < 0:
-            return 0
-        if deg > 2 * g - 2:
-            return deg - g + 1
         weierstrass, pairs = self._groups
-        pencils = sum(divisor[i] // 2 for i in weierstrass)
-        pencils += sum(min(divisor[i], divisor[j]) for i, j in pairs)
-        return max(1 + pencils, 0)
+        parts = [[c // 2 for c in columns[i]] for i in weierstrass]
+        parts += [list(map(min, columns[i], columns[j])) for i, j in pairs]
+        pencils = map(sum, zip(*parts)) if parts else repeat(0)
+        return [0 if deg < 0 else deg - g + 1 if deg > 2 * g - 2 else max(1 + p, 0)
+                for deg, p in zip(map(sum, zip(*columns)), pencils)]
 
 
 @dataclass(frozen=True)
-class CliffordMaxModel:
+class CliffordMaxModel(_ColumnRead):
     """The largest h0 profile a nonhyperelliptic curve allows.
 
-    Only the degree matters: 0 below degree zero, 1 at zero, g at the
-    canonical degree 2g-2 (the only degree-(2g-2) divisors that occur in
-    the filtrations are canonical), ceil(deg/2) strictly in between, and
-    Riemann-Roch above.
+    Only the degree matters, so the column read works on the row sums: 0
+    below degree zero, 1 at zero, g at the canonical degree 2g-2 (the only
+    degree-(2g-2) divisors that occur in the filtrations are canonical),
+    ceil(deg/2) strictly in between, and Riemann-Roch above.
     """
 
     genus: int
     kind = "clifford-max"
 
-    def h0(self, divisor: Divisor) -> int:
+    def h0_column(self, columns: Columns) -> list[int]:
         g = self.genus
-        deg = sum(divisor)
-        if deg < 0:
-            return 0
-        if deg == 0:
-            return 1
-        if deg == 2 * g - 2:
-            return g
-        if deg > 2 * g - 2:
-            return deg - g + 1
-        return (deg + 1) // 2
+        canonical = 2 * g - 2
+        return [0 if deg < 0 else 1 if deg == 0 else g if deg == canonical
+                else deg - g + 1 if deg > canonical else (deg + 1) // 2
+                for deg in map(sum, zip(*columns))]
 
 
 @dataclass(frozen=True)
-class OverrideModel:
-    """A base model with finitely many divisors pinned to other values."""
+class OverrideModel(_ColumnRead):
+    """A base model with finitely many divisors pinned to other values.
+
+    The base column with the table rows patched in; when a divisor is
+    listed twice, its first entry wins.
+    """
 
     base: object
     table: tuple[tuple[tuple[int, ...], int], ...]
@@ -147,12 +163,10 @@ class OverrideModel:
     def genus(self) -> int:
         return self.base.genus
 
-    def h0(self, divisor: Divisor) -> int:
-        key = tuple(divisor)
-        for entry, value in self.table:
-            if entry == key:
-                return value
-        return self.base.h0(divisor)
+    def h0_column(self, columns: Columns) -> list[int]:
+        table = dict(reversed(self.table))
+        return [table.get(row, dim)
+                for row, dim in zip(zip(*columns), self.base.h0_column(columns))]
 
 
 def model_from_spec(doc: dict):
@@ -190,9 +204,10 @@ def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[Run, ...]:
     The lam = 0 value is g-1+n for m = 1 and (2m-1)(g-1) + m*n beyond.
 
     The ladder only steps at lam = k*a_i + 1, so the divisors are built as
-    one column per branch over those run starts (ladder_columns) and h0 is
-    read once per start: at most m(2g-2+n) + 1 reads whatever ell is, with
-    no other per-level work.  Equal neighbours merge into one run.
+    one column per branch over those run starts (ladder_columns) and the
+    model answers them in one ``h0_column`` call: at most m(2g-2+n) + 1
+    rows whatever ell is, with no per-level call.  Equal neighbours merge
+    into one run.
     """
     if m < 1:
         raise ValueError("pluricanonical level m must be at least 1")
@@ -203,7 +218,7 @@ def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[Run, ...]:
     top = m * sig.ell
     starts, steps = ladder_columns(sig, 0, top)
     columns = [[m * (order + 1) - s for s in col] for order, col in zip(sig.orders, steps)]
-    dims = list(map(model.h0, zip(*columns)))
+    dims = model.h0_column(columns)
     runs: list[Run] = []
     run_lo = 0
     for lam, dim, prev in zip(starts[1:], dims[1:], dims):

@@ -10,7 +10,10 @@ are shift-ors of such masks, and counting elements is a popcount.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import gcd
+
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -74,6 +77,14 @@ class NumericalSemigroup:
             return k - self.genus + 1
         return (self._mask & ((1 << (k + 1)) - 1)).bit_count()
 
+    def prefix_counts(self) -> list[int]:
+        """Entry k is the number of elements in [0, k], for k = 0..F.
+
+        One pass over the binary digits of the mask, bits 0..F in order.
+        """
+        digits = bin(self._mask | 1 << (self.frobenius + 1))[:2:-1]
+        return list(accumulate(digits.encode().translate(_DIGITS)))
+
     def first_elements(self, count: int) -> tuple[int, ...]:
         """The `count` smallest elements, starting from 0."""
         if count <= 0:
@@ -94,10 +105,13 @@ def _finish(mask: int, frobenius: int) -> NumericalSemigroup:
     rest = mask >> 1 | 1 << frobenius  # bit i: is i+1 an element (F+1 is)
     mult = (rest & -rest).bit_length()  # smallest positive element
     # minimal generators: positive elements that are not sums of two
-    # positive elements; all lie at or below F + multiplicity
+    # positive elements; all lie at or below F + multiplicity.  A sum
+    # a + b <= F + mult with a <= b has 2a <= F + mult, so the smaller
+    # summand runs over the elements up to (F + mult) // 2 only.
     pos = (mask & ~1) | (((1 << mult) - 1) << (frobenius + 1))
+    half = (frobenius + mult) // 2
     sums = 0
-    for e in _bits(pos):
+    for e in _bits(pos & ((1 << (half + 1)) - 1)):
         sums |= pos << e
     return NumericalSemigroup(_bits(pos & ~sums), gaps, frobenius, mask)
 

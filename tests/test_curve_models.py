@@ -6,7 +6,7 @@ algebra route (section spaces), or the Riemann-Roch line.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import gmspectra.branch_algebra as ba
 import gmspectra.curve_models as cm
@@ -236,6 +236,125 @@ def test_riemann_roch_regime_agreement():
                 else:
                     value = model.h0((deg - 1, 1) if model.kind == "hyperelliptic" else (deg, 0))
                 assert value == deg - g + 1, (g, deg, model.kind)
+
+
+# ---------------------------------------------------------- column reads
+#
+# h0 is the one-row column read, so these check h0_column itself, on
+# arbitrary columns (negative and Riemann-Roch entries included), against
+# per-divisor formulas written out here.
+
+COEFFS = st.integers(min_value=-6, max_value=30)
+
+
+def rows_of(width):
+    return st.lists(st.tuples(*[COEFFS] * width), max_size=12)
+
+
+def columns_of(rows, width):
+    return [[row[i] for row in rows] for i in range(width)]
+
+
+def clifford_formula(g, divisor):
+    deg = sum(divisor)
+    if deg < 0:
+        return 0
+    if deg == 0:
+        return 1
+    if deg == 2 * g - 2:
+        return g
+    if deg > 2 * g - 2:
+        return deg - g + 1
+    return (deg + 1) // 2
+
+
+def hyperelliptic_formula(g, tags, divisor):
+    deg = sum(divisor)
+    if deg < 0:
+        return 0
+    if deg > 2 * g - 2:
+        return deg - g + 1
+    pencils = sum(c // 2 for c, tag in zip(divisor, tags) if tag == "w")
+    for key in {tag for tag in tags if tag.startswith("pair:")}:
+        i, j = (k for k, tag in enumerate(tags) if tag == key)
+        pencils += min(divisor[i], divisor[j])
+    return max(1 + pencils, 0)
+
+
+@given(st.lists(COEFFS, max_size=12),
+       st.sampled_from([(1,), (2, 3), (3, 7), (4, 5, 6), (5, 7, 9, 11)]))
+def test_unibranch_column_counts_elements(column, gens):
+    H = sg.from_generators(gens)
+    model = cm.UnibranchModel(H)
+    expected = [sum(1 for j in range(c + 1) if H.contains(j)) for c in column]
+    assert model.h0_column([column]) == expected
+    assert model.h0_column([column, [0] * len(column)]) == expected
+    if column:
+        with pytest.raises(ValueError, match="single point"):
+            model.h0_column([column, [0] * (len(column) - 1) + [1]])
+
+
+@given(st.integers(1, 8), st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), rows_of(n))))
+def test_clifford_max_column_matches_formula(g, case):
+    n, rows = case
+    model = cm.CliffordMaxModel(g)
+    assert model.h0_column(columns_of(rows, n)) == [clifford_formula(g, r) for r in rows]
+
+
+HYPERELLIPTIC_TAGS = [("w",), ("free",), ("w", "free"), ("pair:1", "pair:1"),
+                      ("w", "pair:1", "pair:1"), ("pair:a", "w", "pair:b", "pair:a",
+                                                  "free", "pair:b")]
+
+
+@given(st.integers(1, 8), st.sampled_from(HYPERELLIPTIC_TAGS).flatmap(
+    lambda tags: st.tuples(st.just(tags), rows_of(len(tags)))))
+@example(3, (("w", "free"), [(-6, 6), (-5, 7), (-1, 1)]))  # 1 + pencils < 0
+def test_hyperelliptic_column_matches_formula(g, case):
+    tags, rows = case
+    model = cm.HyperellipticModel(g, tags)
+    expected = [hyperelliptic_formula(g, tags, r) for r in rows]
+    assert model.h0_column(columns_of(rows, len(tags))) == expected
+
+
+def test_hyperelliptic_column_clamp_and_errors():
+    model = cm.HyperellipticModel(3, ("w", "free"))
+    # degree 0, pencils -3: the clamp answers 0, not -2
+    assert model.h0_column([[-6, 0], [6, 0]]) == [0, 1]
+    with pytest.raises(ValueError, match="needs 2 coefficients"):
+        model.h0_column([[1, 2]])
+    with pytest.raises(ValueError, match="unknown tag"):
+        cm.HyperellipticModel(3, ("w", "wat")).h0_column([[1], [1]])
+    with pytest.raises(ValueError, match="needs 2"):
+        cm.HyperellipticModel(3, ("w", "pair:1")).h0_column([[1], [1]])
+
+
+@given(rows_of(2), st.lists(st.tuples(st.tuples(COEFFS, COEFFS), st.integers(0, 9)),
+                            max_size=4), st.data())
+def test_override_column_patches_table_rows(rows, table, data):
+    base = cm.CliffordMaxModel(5)
+    model = cm.OverrideModel(base, tuple(table))
+    # put some table divisors in the middle of the column
+    for divisor, _ in table:
+        rows.insert(data.draw(st.integers(0, len(rows))), divisor)
+    first = {}
+    for divisor, value in table:
+        first.setdefault(divisor, value)
+    expected = [first.get(r, clifford_formula(5, r)) for r in rows]
+    assert model.h0_column(columns_of(rows, 2)) == expected
+
+
+def test_override_column_first_entry_wins():
+    model = cm.OverrideModel(cm.CliffordMaxModel(5), (((3, 0), 2), ((3, 0), 7)))
+    assert model.h0_column([[4, 3, 2], [0, 0, 0]]) == [2, 2, 1]
+
+
+def test_algebra_column_reads_one_section_space_per_row():
+    alg = catalog.get("E7").algebra()
+    rows = [(0, 0), (3, 1), (1, 0), (2, 2), (-1, 3), (5, 0), (0, 0)]
+    expected = [ba.section_space(alg, r).dimension for r in rows]
+    assert cm.AlgebraModel(alg).h0_column(columns_of(rows, 2)) == expected
+    assert expected[:2] == [1, 3]
 
 
 # ------------------------------------------------------------- JSON spec

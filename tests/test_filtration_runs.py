@@ -1,10 +1,11 @@
 """Run-length filtrations against the per-level definitions they replace.
 
-``filtration_dims`` reads h0 once per ladder breakpoint, ``n_plus`` reads
-the parity once per run and the ladder-difference check of
-``verify_weight_identities`` compares on the breakpoints only.  Every
-property here rebuilds the dense per-level answer by brute force (one
-ladder, one divisor, one h0 per level) and compares.  The last tests run
+``filtration_dims`` reads the model once per filtration, one column read
+over the ladder breakpoints, ``n_plus`` reads the parity once per run and
+the ladder-difference check of ``verify_weight_identities`` compares on
+the breakpoints only.  Every property here rebuilds the dense per-level
+answer by brute force (one ladder, one divisor, one h0 per level) and
+compares.  The last tests run
 at a period ell near 10^11, where only the run form can finish.
 """
 

@@ -145,6 +145,7 @@ def assert_matches_brute_force(H, gens):
     for k in range(-1, top + 1):
         assert H.contains(k) == (k in elems)
         assert H.count_upto(k) == sum(1 for e in elems if e <= k)
+    assert H.prefix_counts() == [sum(1 for e in elems if e <= k) for k in range(F + 1)]
     for count in range(len(elems) + 1):
         assert H.first_elements(count) == tuple(elems[:count])
     assert H.elements_below_conductor == tuple(e for e in elems if e <= F)
@@ -169,6 +170,29 @@ def test_symmetric_semigroups_match_brute_force():
             assert_matches_brute_force(H, H.generators)
 
 
+def test_finish_sumset_reaches_half_of_f_plus_multiplicity():
+    # _finish sums pairs whose smaller summand is at most (F + mult) // 2.
+    # Here F + mult is even and its half h is an element, so F + mult =
+    # h + h is the sum that a bound one lower would miss.
+    cases = [H for g in range(1, 11) for H in sgp.enumerate_symmetric(g)]
+    cases += [sgp.from_generators(gens) for gens in
+              [(3, 4), (3, 5), (4, 6, 7), (5, 6, 8), (4, 5, 11), (6, 7, 8, 9, 10)]]
+    pinned = 0
+    for H in cases:
+        F = H.frobenius
+        mult = H.first_elements(2)[1]
+        if (F + mult) % 2 or not H.contains((F + mult) // 2):
+            continue
+        pinned += 1
+        positive = [e for e in range(1, F + mult + 1) if H.contains(e)]
+        minimal = tuple(e for e in positive if not any(H.contains(e - a) for a in positive
+                                                        if 0 < a < e))
+        assert sgp._finish(H._mask, F).generators == minimal == H.generators, H
+    assert pinned >= 20
+    H = sgp.from_generators([3, 4])  # F + mult = 8 = 4 + 4 only
+    assert H.generators == (3, 4) and sgp._finish(H._mask, 5).generators == (3, 4)
+
+
 def test_counting_helpers():
     H = sgp.from_generators([3, 7])
     # elements: 0,3,6,7,9,10,12,13,14,...
@@ -176,6 +200,8 @@ def test_counting_helpers():
     assert H.count_upto(0) == 1
     assert H.count_upto(-1) == 0
     assert H.count_upto(100) == 100 - 6 + 1
+    assert H.prefix_counts() == [1, 1, 1, 2, 2, 2, 3, 4, 4, 5, 6, 6]
+    assert sgp.from_generators([1]).prefix_counts() == []
     assert H.first_elements(6) == (0, 3, 6, 7, 9, 10)
     assert H.elements_below_conductor == (0, 3, 6, 7, 9, 10)
     assert str(H) == "<3,7>"
