@@ -6,11 +6,14 @@ A homogeneous element of degree k is stored as its coefficient vector
 over the branches that can carry degree k (those with a_i | k), and
 multiplication is componentwise, so closing a generating set under
 products reduces to degree-by-degree linear algebra.  That algebra is
-exact and runs on Python ints alone: rational generator coefficients,
-membership vectors and dualizing units are scaled once to integer
-vectors on the same line, and each graded piece is stored as integer
-echelon rows.  Everything downstream (delta, gap sequence, conductor,
-section spaces) reads off the graded bases.
+exact and runs on Python ints alone.  A generator is given as
+(branch, exponent, coefficient) terms and stored only as its degree and
+integer coefficients: generator() validates the terms and scales the
+rational coefficients once to an integer vector on the same line, as it
+does for membership vectors; dualizing units are scaled the same way.
+Each graded piece is stored as integer echelon rows.  Everything
+downstream (delta, gap sequence, conductor, section spaces) reads off
+the graded bases.
 """
 
 from __future__ import annotations
@@ -23,26 +26,17 @@ from math import gcd, lcm
 from .signature import Signature, derive
 
 
-@dataclass(frozen=True)
-class MonomialVector:
-    """A homogeneous combination of one monomial per branch."""
-
-    terms: tuple[tuple[int, int, Fraction], ...]  # (branch, exponent, coefficient)
-    degree: int
-    name: str = ""
-
-    def __str__(self) -> str:
-        parts = []
-        for b, e, c in self.terms:
-            mono = f"t{b + 1}" + (f"^{e}" if e > 1 else "")
-            parts.append(mono if c == 1 else f"({c})*{mono}")
-        body = " + ".join(parts) if parts else "0"
-        return f"{self.name} = {body}" if self.name else body
+Generator = tuple[int, dict[int, int]]  # (degree, {branch: coefficient})
 
 
-def generator(sig: Signature, terms, name: str = "") -> MonomialVector:
-    """Validate and package generator terms as (branch, exponent, coeff)."""
-    seen = {}
+def generator(sig: Signature, terms) -> Generator:
+    """Validate (branch, exponent, coefficient) terms of one homogeneous element.
+
+    Returns its degree and {branch: coefficient} with the rational
+    coefficients scaled once by _integral: a nonzero multiple spans the
+    same line, so the ring and every membership answer are unchanged.
+    """
+    coeffs = {}
     degree = None
     for branch, exp, coeff in terms:
         coeff = Fraction(coeff)
@@ -52,7 +46,7 @@ def generator(sig: Signature, terms, name: str = "") -> MonomialVector:
             raise ValueError(f"branch {branch} out of range for {sig}")
         if exp < 1:
             raise ValueError(f"exponent {exp} must be at least 1")
-        if branch in seen:
+        if branch in coeffs:
             raise ValueError(f"branch {branch} appears twice in one generator")
         d = exp * sig.weights_a[branch]
         if degree is None:
@@ -62,10 +56,10 @@ def generator(sig: Signature, terms, name: str = "") -> MonomialVector:
                 f"non-homogeneous generator: degree {d} on branch {branch}, "
                 f"expected {degree}"
             )
-        seen[branch] = (branch, exp, coeff)
+        coeffs[branch] = coeff
     if degree is None:
         raise ValueError("generator has no nonzero terms")
-    return MonomialVector(tuple(seen[b] for b in sorted(seen)), degree, name)
+    return degree, dict(zip(coeffs, _integral(coeffs.values())))
 
 
 # ------------------------------------------------- exact linear algebra
@@ -82,11 +76,6 @@ def _integral(values) -> list[int]:
     values = list(values)
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values]
-
-
-def _integer_coefficients(g: MonomialVector) -> dict[int, int]:
-    """{branch: coefficient} of g scaled once to integers."""
-    return dict(zip([b for b, _, _ in g.terms], _integral(c for _, _, c in g.terms)))
 
 
 def _primitive(r: list[int], lead: int) -> list[int]:
@@ -161,20 +150,12 @@ class BranchAlgebra:
     """The ring spanned by the generators; graded_basis holds R_0, R_1, ... so far."""
 
     signature: Signature
-    generators: tuple[MonomialVector, ...]
+    generators: tuple[Generator, ...]  # see generator()
     graded_basis: dict[int, tuple[tuple[int, ...], ...]]  # _rref rows of R_k over slots(k)
     stable_from: int | None = None  # R_k is full for every k >= stable_from
     _full_from: int | None = field(default=None, repr=False)  # start of the current full run
     _gap_full: tuple[int, ...] | None = field(default=None, repr=False)
     _slots: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
-    # (degree, {branch: coefficient}) per generator, scaled once to integers;
-    # a nonzero multiple of a generator spans the same ring
-    _integer_generators: tuple[tuple[int, dict[int, int]], ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._integer_generators = tuple(
-            (g.degree, _integer_coefficients(g)) for g in self.generators
-        )
 
     @property
     def branches(self) -> int:
@@ -215,7 +196,7 @@ class BranchAlgebra:
         for k in range(len(basis), top + 1):
             sl = self.slots(k)
             candidates = []
-            for d, coeffs in self._integer_generators:
+            for d, coeffs in self.generators:
                 if d > k:
                     continue
                 # a branch the generator touches carries degree d, so it is
@@ -252,9 +233,7 @@ class BranchAlgebra:
 
     def contains(self, terms) -> bool:
         """Membership of a homogeneous element given as generator-style terms."""
-        element = generator(self.signature, terms)
-        k = element.degree
-        coeffs = _integer_coefficients(element)  # every branch it touches is a slot of k
+        k, coeffs = generator(self.signature, terms)  # every branch it touches is a slot of k
         return _in_span(self.basis(k), [coeffs.get(i, 0) for i in self.slots(k)])
 
 
@@ -264,11 +243,11 @@ def window(sig: Signature) -> int:
 
 
 def close(sig: Signature, generators_in) -> BranchAlgebra:
-    """Span all products of the generators up to window(sig), or to a certified
-    conductor first (see BranchAlgebra._close_to); a read of any later degree
-    extends the same closure."""
-    gens = tuple(generator(sig, g.terms, g.name) if isinstance(g, MonomialVector)
-                 else generator(sig, g) for g in generators_in)  # revalidate against sig
+    """Span all products of the generators, each a list of generator() terms,
+    up to window(sig), or to a certified conductor first (see
+    BranchAlgebra._close_to); a read of any later degree extends the same
+    closure."""
+    gens = tuple(generator(sig, terms) for terms in generators_in)
     alg = BranchAlgebra(sig, gens, {0: ((1,) * sig.n,)})
     alg._close_to(window(sig))
     return alg
@@ -543,7 +522,7 @@ def generators_from_json(doc: dict):
 def algebra_from_json(doc: dict):
     """Build (algebra, dualizing units) from a plain JSON document."""
     sig, gens, units = generators_from_json(doc)
-    return close(sig, [generator(sig, terms, name) for name, terms in gens]), units
+    return close(sig, [terms for _, terms in gens]), units
 
 
 def algebra_summary(alg: BranchAlgebra) -> dict:

@@ -32,7 +32,7 @@ class ExpectedInvariants:
     delta: int
     chi1_log: int
     chi2_log: int
-    alpha: Fraction
+    alpha: Optional[Fraction]  # None where 13*chi1_log = chi2_log
     slope: Fraction
     spin: Optional[str]
     ambient_weights: tuple[int, ...]
@@ -52,8 +52,7 @@ class CatalogEntry:
     locus_condition: Optional[tuple[tuple[int, ...], int]] = None
 
     def algebra(self) -> ba.BranchAlgebra:
-        sig = derive(self.signature)
-        return ba.close(sig, [ba.generator(sig, terms, name) for name, terms in self.generators])
+        return ba.close(derive(self.signature), [terms for _, terms in self.generators])
 
 
 def _entry_from_doc(doc: dict) -> CatalogEntry:
@@ -63,7 +62,7 @@ def _entry_from_doc(doc: dict) -> CatalogEntry:
         delta=exp["delta"],
         chi1_log=exp["chi1_log"],
         chi2_log=exp["chi2_log"],
-        alpha=Fraction(exp["alpha"]),
+        alpha=None if exp["alpha"] is None else Fraction(exp["alpha"]),
         slope=Fraction(exp["slope"]),
         spin=exp["spin"],
         ambient_weights=tuple(exp["ambient_weights"]),
@@ -136,7 +135,7 @@ def as_dict(entry: CatalogEntry) -> dict:
             "delta": entry.expected.delta,
             "chi1_log": entry.expected.chi1_log,
             "chi2_log": entry.expected.chi2_log,
-            "alpha": str(entry.expected.alpha),
+            "alpha": None if entry.expected.alpha is None else str(entry.expected.alpha),
             "slope": str(entry.expected.slope),
             "spin": entry.expected.spin,
             "ambient_weights": list(entry.expected.ambient_weights),
@@ -152,12 +151,16 @@ def as_dict(entry: CatalogEntry) -> dict:
 
 def _expected(sig: Sequence[int], gap: Sequence[int], delta: int, chi1: int,
               chi2_log: int, spin: Optional[str], ambient: Sequence[int]) -> ExpectedInvariants:
+    try:
+        alpha = inv.alpha(chi1, chi2_log)
+    except ValueError:  # 13*chi1_log = chi2_log, as on elliptic-12
+        alpha = None
     return ExpectedInvariants(
         gap_sequence=tuple(gap),
         delta=delta,
         chi1_log=chi1,
         chi2_log=chi2_log,
-        alpha=inv.alpha(chi1, chi2_log),
+        alpha=alpha,
         slope=inv.slope(chi1, chi2_log, derive(sig)),
         spin=spin,
         ambient_weights=tuple(ambient),
@@ -288,7 +291,7 @@ def with_ordinary_points(entry: CatalogEntry, k: int) -> CatalogEntry:
     sig = entry.signature
     n = len(sig)
     m1 = sig[0]
-    ell = lcm(*(m + 1 for m in sig))
+    ell = derive(sig).ell
     new_sig = (*sig, *(0,) * k)
     one = Fraction(1)
     extra = tuple(

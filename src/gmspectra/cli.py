@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 
 import click
 
@@ -238,8 +239,9 @@ def filtration(entry_id, sig_text, model_spec, m, fmt):
         model = cm.AlgebraModel(entry.algebra())
     else:
         model = build_model(model_spec, sig)
-    dims = cm.expand_runs(cm.filtration_dims(model, sig, m))
-    chi = sum(dims[1:])
+    runs = cm.filtration_dims(model, sig, m)
+    dims = cm.expand_runs(runs)
+    chi = cm.runs_chi_log(runs)
     if fmt == "json":
         click.echo(json.dumps({"signature": list(sig.orders), "m": m,
                                "dims": list(dims), f"chi{m}_log": chi}))
@@ -449,7 +451,7 @@ def _verify_semigroups() -> list[str]:
         failures.append(f"genus-6 nonhyperelliptic passers: {passers}")
     for p in range(2, 13):
         for q in range(p + 1, 14):
-            if sg.gcd(p, q) != 1:
+            if gcd(p, q) != 1:
                 continue
             H = sg.from_generators((p, q))
             if sg.gap_sum(H) != sg.planar_gap_sum_formula(p, q):

@@ -207,7 +207,7 @@ def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[Run, ...]:
     one column per branch over those run starts (ladder_columns) and the
     model answers them in one ``h0_column`` call: at most m(2g-2+n) + 1
     rows whatever ell is, with no per-level call.  Equal neighbours merge
-    into one run.
+    into one run; the first run always starts at lam = 0.
     """
     if m < 1:
         raise ValueError("pluricanonical level m must be at least 1")
@@ -235,5 +235,9 @@ def expand_runs(runs) -> tuple[int, ...]:
 
 
 def runs_chi_log(runs) -> int:
-    """Sum of the dimensions over the levels lam >= 1, i.e. chi_m^log."""
-    return sum((hi - max(lo, 1) + 1) * dim for lo, hi, dim in runs)
+    """Sum of the dimensions over the levels lam >= 1, i.e. chi_m^log.
+
+    Runs from filtration_dims start at lam = 0, so this is the sum over all
+    levels less the lam = 0 dimension, which is that of the first run.
+    """
+    return sum([(hi - lo + 1) * dim for lo, hi, dim in runs]) - runs[0][2]

@@ -2,14 +2,17 @@
 
 A numerical semigroup is a cofinite additive submonoid of the naturals.
 Everything here is exact integer combinatorics on bitmasks: a semigroup
-stores its elements in [0, F] as one integer whose bit k is set when k is
-an element (every k > F is one).  Closure, sumsets and minimal generators
-are shift-ors of such masks, and counting elements is a popcount.
+stores only its Frobenius number F and its elements in [0, F] as one
+integer whose bit k is set when k is an element (every k > F is one).
+Gaps and minimal generators are derived from that mask on first read.
+Closure, sumsets and minimal generators are shift-ors of such masks, and
+counting elements is a popcount.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from math import gcd
 
@@ -23,29 +26,64 @@ def _bits(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class NumericalSemigroup:
-    generators: tuple[int, ...]  # minimal generating set, ascending
-    gaps: tuple[int, ...]  # ascending; empty for the full monoid
     frobenius: int  # largest gap, -1 if there are none
-    _mask: int = field(repr=False)  # bit k set iff k in [0, F] is an element
+    mask: int  # bit k set iff k in [0, F] is an element; no higher bits
 
     @property
     def genus(self) -> int:
-        return len(self.gaps)
+        return self.conductor - self.mask.bit_count()
 
     @property
     def conductor(self) -> int:
         return self.frobenius + 1
 
+    @cached_property
+    def gaps(self) -> tuple[int, ...]:
+        """Ascending; empty for the full monoid."""
+        return _bits(~self.mask & ((1 << self.conductor) - 1))
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The minimal generating set, ascending.
+
+        The minimal generators are the positive elements that are not sums
+        of two positive elements; all lie at or below F + multiplicity.  A
+        sum a + b <= F + mult with a <= b has 2a <= F + mult, so the smaller
+        summand runs over the elements up to (F + mult) // 2 only.
+        """
+        F, mask = self.frobenius, self.mask
+        if F == -1:
+            return (1,)
+        rest = mask >> 1 | 1 << F  # bit i: is i+1 an element (F+1 is)
+        mult = (rest & -rest).bit_length()  # smallest positive element
+        pos = (mask & ~1) | (((1 << mult) - 1) << (F + 1))
+        sums = 0
+        for e in _bits(pos & ((1 << ((F + mult) // 2 + 1)) - 1)):
+            sums |= pos << e
+        return _bits(pos & ~sums)
+
     @property
-    def elements_below_conductor(self) -> tuple[int, ...]:
-        return _bits(self._mask)
+    def element_sum(self) -> int:
+        """Sum of the g smallest elements, g the genus.
+
+        Each k in [0, F] has at most one of k, F - k in H, or F = k + (F - k)
+        would be an element; so the F + 1 - g elements of [0, F] number at
+        most (F + 1) / 2, i.e. F <= 2g - 1, and they are the F + 1 - g
+        smallest elements, at most g of them.  Their sum is F(F+1)/2 minus
+        the gap sum.  The other r = 2g - 1 - F >= 0 of the g smallest are
+        C, C+1, ..., C+r-1 from the conductor C = F + 1 on, summing to
+        r*C + r(r-1)/2.
+        """
+        F, C = self.frobenius, self.conductor
+        r = 2 * self.genus - 1 - F
+        return F * C // 2 - sum(self.gaps) + r * C + r * (r - 1) // 2
 
     def contains(self, k: int) -> bool:
         if k < 0:
             return False
         if k > self.frobenius:
             return True
-        return bool(self._mask >> k & 1)
+        return bool(self.mask >> k & 1)
 
     def __contains__(self, k: int) -> bool:
         return self.contains(k)
@@ -75,45 +113,18 @@ class NumericalSemigroup:
             return 0
         if k >= self.frobenius:
             return k - self.genus + 1
-        return (self._mask & ((1 << (k + 1)) - 1)).bit_count()
+        return (self.mask & ((1 << (k + 1)) - 1)).bit_count()
 
     def prefix_counts(self) -> list[int]:
         """Entry k is the number of elements in [0, k], for k = 0..F.
 
         One pass over the binary digits of the mask, bits 0..F in order.
         """
-        digits = bin(self._mask | 1 << (self.frobenius + 1))[:2:-1]
+        digits = bin(self.mask | 1 << self.conductor)[:2:-1]
         return list(accumulate(digits.encode().translate(_DIGITS)))
-
-    def first_elements(self, count: int) -> tuple[int, ...]:
-        """The `count` smallest elements, starting from 0."""
-        if count <= 0:
-            return ()
-        small = self.elements_below_conductor[:count]
-        return small + tuple(range(self.conductor, self.conductor + count - len(small)))
 
     def __str__(self) -> str:
         return "<" + ",".join(str(g) for g in self.generators) + ">"
-
-
-def _finish(mask: int, frobenius: int) -> NumericalSemigroup:
-    """Package the element mask on [0, F] (higher bits are ignored)."""
-    if frobenius == -1:
-        return NumericalSemigroup((1,), (), -1, 0)
-    mask &= (1 << (frobenius + 1)) - 1
-    gaps = _bits(~mask & ((1 << (frobenius + 1)) - 2))
-    rest = mask >> 1 | 1 << frobenius  # bit i: is i+1 an element (F+1 is)
-    mult = (rest & -rest).bit_length()  # smallest positive element
-    # minimal generators: positive elements that are not sums of two
-    # positive elements; all lie at or below F + multiplicity.  A sum
-    # a + b <= F + mult with a <= b has 2a <= F + mult, so the smaller
-    # summand runs over the elements up to (F + mult) // 2 only.
-    pos = (mask & ~1) | (((1 << mult) - 1) << (frobenius + 1))
-    half = (frobenius + mult) // 2
-    sums = 0
-    for e in _bits(pos & ((1 << (half + 1)) - 1)):
-        sums |= pos << e
-    return NumericalSemigroup(_bits(pos & ~sums), gaps, frobenius, mask)
 
 
 def from_generators(gens) -> NumericalSemigroup:
@@ -123,9 +134,7 @@ def from_generators(gens) -> NumericalSemigroup:
         raise ValueError("need at least one generator")
     if any(g < 1 for g in gset):
         raise ValueError("generators must be positive")
-    d = 0
-    for g in gset:
-        d = gcd(d, g)
+    d = gcd(*gset)
     if d != 1:
         raise ValueError(f"gcd of generators is {d}, not 1: not cofinite")
     lo, hi = gset[0], gset[-1]
@@ -139,7 +148,8 @@ def from_generators(gens) -> NumericalSemigroup:
         while step <= bound:
             mask |= (mask << step) & full
             step <<= 1
-    return _finish(mask, (full & ~mask).bit_length() - 1)
+    F = (full & ~mask).bit_length() - 1
+    return NumericalSemigroup(F, mask & ((1 << (F + 1)) - 1))
 
 
 def gap_sum(H: NumericalSemigroup) -> int:
@@ -180,7 +190,7 @@ def enumerate_symmetric(g: int) -> list[NumericalSemigroup]:
 
     def walk(k: int, elems: int, sums: int) -> None:
         if k == g:
-            found.append(_finish(elems, F))
+            found.append(NumericalSemigroup(F, elems))
             return
         for e in (F - k, k):
             new = elems | 1 << e
@@ -208,7 +218,7 @@ def element_sum_bound_filter(g: int, semigroups) -> list[ElementSumRecord]:
     for H in semigroups:
         if H.genus != g:
             raise ValueError(f"expected genus {g}, got {H.genus} for {H}")
-        total = sum(H.first_elements(g))
+        total = H.element_sum
         slack = g * g - 1 - total
         if slack >= 0:
             out.append(ElementSumRecord(H, total, slack))

@@ -90,7 +90,7 @@ def test_criterion_02_gap_sequences_and_gorenstein():
     # dropping the second-branch term of the degree-2 generator leaves a
     # ring that is no longer dual to itself
     sig = derive((3, 1))
-    gens = [ba.generator(sig, [(0, 2, 1)], "x"), ba.generator(sig, [(0, 3, 1)], "y")]
+    gens = [[(0, 2, 1)], [(0, 3, 1)]]
     broken = ba.close(sig, gens)
     broken.dim(40)  # a read far past the window W = 10 extends the closure first
     assert not ba.conductor_and_gorenstein(broken).gorenstein

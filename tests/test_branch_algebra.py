@@ -157,9 +157,14 @@ def test_generator_validation():
         ba.generator(sig, [(0, 0, 1)])  # exponent below 1
     with pytest.raises(ValueError):
         ba.generator(sig, [(0, 2, 0)])  # vanishing generator
-    g = ba.generator(sig, [(1, 1, Fraction(1)), (0, 2, 1)], name="x")
-    assert g.degree == 2
-    assert g.terms == ((0, 2, Fraction(1)), (1, 1, Fraction(1)))
+    assert ba.generator(sig, [(1, 1, Fraction(1)), (0, 2, 1)]) == (2, {0: 1, 1: 1})
+    # coefficients are scaled once to ints on their line; weights a = (1, 2)
+    degree, coeffs = ba.generator(sig, [(0, 2, "1/2"), (1, 1, "-3/4")])
+    assert (degree, coeffs) == (2, {0: 2, 1: -3})
+    assert all(type(c) is int for c in coeffs.values())
+    # zero terms drop out before scaling; an integral vector is kept as is
+    assert ba.generator(sig, [(0, 4, "2/3"), (1, 2, 0)]) == (4, {0: 2})
+    assert ba.generator(sig, [(0, 2, 6), (1, 1, -4)]) == (2, {0: 6, 1: -4})
 
 
 def test_close_deterministic():
@@ -515,12 +520,13 @@ def dense_close(sig, gens, top):
     basis = {0: ((Fraction(1),) * n,)}
     for k in range(1, top + 1):
         rows = []
-        for g in gens:
-            if g.degree > k:
+        for terms in gens:
+            degree = terms[0][1] * a[terms[0][0]]
+            if degree > k:
                 continue
-            prev = slots(k - g.degree)
-            coeffs = {b: c for b, _, c in g.terms}
-            for v in basis[k - g.degree]:
+            prev = slots(k - degree)
+            coeffs = {b: Fraction(c) for b, _, c in terms}
+            for v in basis[k - degree]:
                 w = tuple(
                     coeffs.get(i, 0) * v[prev.index(i)] if i in prev else Fraction(0)
                     for i in slots(k)
@@ -529,7 +535,7 @@ def dense_close(sig, gens, top):
                     rows.append(w)
         basis[k] = oracle_rref(rows)
     integer = {k: tuple(primitive(r) for r in rows) for k, rows in basis.items()}
-    return ba.BranchAlgebra(sig, tuple(gens), integer)
+    return ba.BranchAlgebra(sig, tuple(ba.generator(sig, t) for t in gens), integer)
 
 
 SMALL_SIGNATURES = [
@@ -563,12 +569,11 @@ def closures(draw):
         for i in branches:
             if i != first and degree % a[i] == 0 and draw(st.booleans()):
                 terms.append((i, degree // a[i], draw(COEFFS)))
-        gens.append(ba.generator(sig, terms))
+        gens.append(terms)
     if draw(st.integers(0, 2)):  # consecutive pure powers make the ring cofinite
         for i in branches:
             e = draw(st.integers(2, 4))
-            gens += [ba.generator(sig, [(i, e, draw(COEFFS))]),
-                     ba.generator(sig, [(i, e + 1, draw(COEFFS))])]
+            gens += [[(i, e, draw(COEFFS))], [(i, e + 1, draw(COEFFS))]]
     window = ba.window(sig)
     bound = window + draw(st.sampled_from((0, 1, sig.ell, 4 * window)))
     first_reads = draw(st.lists(st.integers(window, bound), min_size=1, max_size=3))
@@ -594,7 +599,7 @@ def test_certified_stop_matches_the_dense_closure(case):
     assert ba.conductor_and_gorenstein(alg) == ba.conductor_and_gorenstein(ref)
     assert ba.validate_G_conditions(alg) == ba.validate_G_conditions(ref)
     assert len(ref.graded_basis) == top + 1  # the reference never extended itself
-    touched = {b for g in gens for b, _, _ in g.terms}
+    touched = {b for terms in gens for b, _, _ in terms}
     if len(touched) < sig.n:
         assert alg.stable_from is None  # no pure powers on an untouched branch
     if alg.stable_from is not None:

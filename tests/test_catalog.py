@@ -7,6 +7,7 @@ of them.  Family constructors and the ordinary-point extension rule get
 the same treatment.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -79,7 +80,7 @@ def test_spin_parity(entry):
 
 def test_ambient_weights(entry):
     # stored in display order; generator degrees plus the weight-one slot
-    degrees = [g.degree for g in entry.algebra().generators]
+    degrees = [d for d, _ in entry.algebra().generators]
     assert sorted(entry.expected.ambient_weights) == sorted(degrees + [1])
 
 
@@ -239,6 +240,26 @@ def test_family_elliptic():
         assert inv.chi2_from_log(n + 1, sig) == 1
         assert e.expected.slope == 12
         assert ba.validate_G_conditions(alg, e.dualizing_units).all_pass
+
+
+def test_family_elliptic_12_stores_alpha_as_undefined():
+    # 13*chi1_log = 13 = chi2_log: alpha's denominator vanishes, yet the ring
+    # is a valid Gorenstein ring and its slope is defined and checked
+    with pytest.raises(ValueError, match="alpha undefined"):
+        inv.alpha(1, 13)
+    e = catalog.family("elliptic", n=12)
+    assert (e.expected.chi1_log, e.expected.chi2_log) == (1, 13)
+    assert e.expected.alpha is None
+    assert e.expected.slope == 12
+    alg = e.algebra()
+    assert inv.weight_spectrum(alg, 1).chi_log == 1
+    assert inv.weight_spectrum(alg, 2).chi_log == 13
+    assert ba.validate_G_conditions(alg, e.dualizing_units).all_pass
+    text = json.dumps(catalog.as_dict(e))
+    assert '"alpha": null' in text
+    assert catalog._entry_from_doc(json.loads(text)) == e
+    plus = catalog.with_ordinary_points(catalog.family("elliptic", n=11), 1)
+    assert plus.expected.alpha is None and plus.expected.slope == 12
 
 
 def test_family_monomial():

@@ -474,9 +474,9 @@ def test_semigroup_search_raises_when_either_chi1_route_is_off(monkeypatch):
     with pytest.raises(RuntimeError, match="unibranch chi1 routes disagree"):
         semigroup_search(5)
     monkeypatch.undo()
-    element_route = sg.NumericalSemigroup.first_elements
-    monkeypatch.setattr(sg.NumericalSemigroup, "first_elements",
-                        lambda H, count: element_route(H, count)[:-1])
+    element_route = sg.NumericalSemigroup.element_sum.fget
+    monkeypatch.setattr(sg.NumericalSemigroup, "element_sum",
+                        property(lambda H: element_route(H) - 1))
     with pytest.raises(RuntimeError, match="unibranch chi1 routes disagree"):
         semigroup_search(5)
 

@@ -138,7 +138,8 @@ def test_closure_invariants(raw):
 
 def assert_matches_brute_force(H, gens):
     """Every read of H against the saturation oracle on [0, 2F+3]."""
-    assert sgp.from_generators(H.generators) == H
+    built = sgp.from_generators(H.generators)  # fields compare, whatever was read
+    assert built == H and hash(built) == hash(H)
     F = H.frobenius
     top = 2 * F + 3  # >= F + multiplicity, past every minimal generator
     elems = sorted(brute_membership(sorted(set(gens)), top))
@@ -146,9 +147,9 @@ def assert_matches_brute_force(H, gens):
         assert H.contains(k) == (k in elems)
         assert H.count_upto(k) == sum(1 for e in elems if e <= k)
     assert H.prefix_counts() == [sum(1 for e in elems if e <= k) for k in range(F + 1)]
-    for count in range(len(elems) + 1):
-        assert H.first_elements(count) == tuple(elems[:count])
-    assert H.elements_below_conductor == tuple(e for e in elems if e <= F)
+    assert H.element_sum == sum(elems[:H.genus])
+    assert H.mask == sum(1 << e for e in elems if e <= F)
+    assert H.gaps == tuple(k for k in range(F + 1) if k not in elems)
     positive = [e for e in elems if e > 0]
     assert H.generators == tuple(
         e for e in positive if not any(e - a in positive for a in positive))
@@ -170,8 +171,8 @@ def test_symmetric_semigroups_match_brute_force():
             assert_matches_brute_force(H, H.generators)
 
 
-def test_finish_sumset_reaches_half_of_f_plus_multiplicity():
-    # _finish sums pairs whose smaller summand is at most (F + mult) // 2.
+def test_generators_sumset_reaches_half_of_f_plus_multiplicity():
+    # generators sums pairs whose smaller summand is at most (F + mult) // 2.
     # Here F + mult is even and its half h is an element, so F + mult =
     # h + h is the sum that a bound one lower would miss.
     cases = [H for g in range(1, 11) for H in sgp.enumerate_symmetric(g)]
@@ -180,17 +181,17 @@ def test_finish_sumset_reaches_half_of_f_plus_multiplicity():
     pinned = 0
     for H in cases:
         F = H.frobenius
-        mult = H.first_elements(2)[1]
+        mult = next(e for e in range(1, F + 2) if H.contains(e))
         if (F + mult) % 2 or not H.contains((F + mult) // 2):
             continue
         pinned += 1
         positive = [e for e in range(1, F + mult + 1) if H.contains(e)]
         minimal = tuple(e for e in positive if not any(H.contains(e - a) for a in positive
                                                         if 0 < a < e))
-        assert sgp._finish(H._mask, F).generators == minimal == H.generators, H
+        assert sgp.NumericalSemigroup(F, H.mask).generators == minimal == H.generators, H
     assert pinned >= 20
     H = sgp.from_generators([3, 4])  # F + mult = 8 = 4 + 4 only
-    assert H.generators == (3, 4) and sgp._finish(H._mask, 5).generators == (3, 4)
+    assert H.generators == (3, 4) and sgp.NumericalSemigroup(5, H.mask).generators == (3, 4)
 
 
 def test_counting_helpers():
@@ -202,8 +203,9 @@ def test_counting_helpers():
     assert H.count_upto(100) == 100 - 6 + 1
     assert H.prefix_counts() == [1, 1, 1, 2, 2, 2, 3, 4, 4, 5, 6, 6]
     assert sgp.from_generators([1]).prefix_counts() == []
-    assert H.first_elements(6) == (0, 3, 6, 7, 9, 10)
-    assert H.elements_below_conductor == (0, 3, 6, 7, 9, 10)
+    assert sgp.from_generators([1]).element_sum == 0  # genus 0: nothing summed
+    assert H.element_sum == sum((0, 3, 6, 7, 9, 10))
+    assert H.mask == sum(1 << e for e in (0, 3, 6, 7, 9, 10))
     assert str(H) == "<3,7>"
 
 
