@@ -12,8 +12,8 @@ integer coefficients: generator() validates the terms and scales the
 rational coefficients once to an integer vector on the same line, as it
 does for membership vectors; dualizing units are scaled the same way.
 Each graded piece is stored as integer echelon rows.  Everything
-downstream (delta, gap sequence, conductor, section spaces) reads off
-the graded bases.
+downstream reads the graded bases through one reader: degrees(top), the
+slot-carrying degrees; rank(k, positions); and has_power, a row lookup.
 """
 
 from __future__ import annotations
@@ -120,26 +120,9 @@ def _rref(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for _, r in pivots)
 
 
-def _in_span(rows, vector) -> bool:
-    """Whether an integer vector lies in the span of _rref rows."""
-    r = vector
-    for row in rows:
-        lead = next(j for j, x in enumerate(row) if x)
-        f = r[lead]
-        if f:
-            c = row[lead]
-            r = [c * x - f * y for x, y in zip(r, row)]
-    return not any(r)
-
-
 @cache
 def _identity(s: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(j == p) for j in range(s)) for p in range(s))
-
-
-def _rank(rows, cols) -> int:
-    """Rank of the rows restricted to the given columns."""
-    return len(_echelon([[r[j] for j in cols] for r in rows]))
 
 
 # ----------------------------------------------------------- the algebra
@@ -231,10 +214,28 @@ class BranchAlgebra:
     def dim(self, k: int) -> int:
         return len(self.slots(k)) if self._stable(k) else len(self.graded_basis[k])
 
+    def degrees(self, top: int) -> list[int]:
+        """The degrees in [0, top] that carry a slot, ascending; R_k = 0 at the others."""
+        return sorted(set().union(*(range(0, top + 1, a) for a in self.signature.weights_a)))
+
+    def rank(self, k: int, positions) -> int:
+        """Rank of R_k on the given slot positions: len(positions) on a full piece."""
+        if self.dim(k) == len(self.slots(k)):
+            return len(positions)
+        return len(_echelon([[r[j] for j in positions] for r in self.basis(k)]))
+
+    def has_power(self, branch: int, exp: int) -> bool:
+        """Whether t_branch^exp is in R: a unit vector lies in the span of _rref
+        rows exactly when it is one of them (the one pivoting at its entry)."""
+        k = exp * self.signature.weights_a[branch]
+        sl = self.slots(k)
+        return _identity(len(sl))[sl.index(branch)] in self.basis(k)
+
     def contains(self, terms) -> bool:
-        """Membership of a homogeneous element given as generator-style terms."""
+        """Membership of generator-style terms: R_k's rank stays when they join its rows."""
         k, coeffs = generator(self.signature, terms)  # every branch it touches is a slot of k
-        return _in_span(self.basis(k), [coeffs.get(i, 0) for i in self.slots(k)])
+        rows = self.basis(k)
+        return len(_echelon([*rows, [coeffs.get(i, 0) for i in self.slots(k)]])) == len(rows)
 
 
 def window(sig: Signature) -> int:
@@ -277,8 +278,7 @@ def _gap_sequence_full(alg: BranchAlgebra) -> tuple[int, ...]:
             sl = alg.slots(k)
             below = [pos for pos, i in enumerate(sl) if k // a[i] < j]
             level = [pos for pos, i in enumerate(sl) if k // a[i] == j]
-            rows = alg.basis(k)
-            rank += _rank(rows, below + level) - _rank(rows, below)
+            rank += alg.rank(k, below + level) - alg.rank(k, below)
         alphas.append(n - rank)
     alg._gap_full = tuple(alphas)
     return alg._gap_full
@@ -327,17 +327,17 @@ def conductor_and_gorenstein(alg: BranchAlgebra) -> ConductorReport:
     conductor = []
     for i in range(n):
         c = top + 1
-        while c > 1 and alg.contains([(i, c - 1, 1)]):
+        while c > 1 and alg.has_power(i, c - 1):
             c -= 1
         conductor.append(c)
     bound_ok = all(c <= top for c in conductor)
     delta, _ = delta_and_genus(alg)
     k_top = max(a[i] * conductor[i] for i in range(n))
     length = 0
-    for k in range(k_top + 1):
+    for k in alg.degrees(k_top):
         sl = alg.slots(k)
         outside = [pos for pos, i in enumerate(sl) if k // a[i] < conductor[i]]
-        length += _rank(alg.basis(k), outside)  # dim R_k minus its part in c
+        length += alg.rank(k, outside)  # dim R_k minus its part in c
     return ConductorReport(
         conductor=tuple(conductor),
         quotient_length=length,
@@ -366,15 +366,13 @@ def section_space(alg: BranchAlgebra, divisor) -> SectionSpace:
         raise ValueError(f"divisor needs {sig.n} coefficients, got {len(divisor)}")
     k_top = max((a[i] * c for i, c in enumerate(divisor) if c >= 0), default=-1)
     per = []
-    total = 0
-    for k in range(k_top + 1):
+    for k in alg.degrees(k_top):
         sl = alg.slots(k)
         excluded = [pos for pos, i in enumerate(sl) if k > a[i] * divisor[i]]
-        d = alg.dim(k) - _rank(alg.basis(k), excluded)
+        d = alg.dim(k) - alg.rank(k, excluded)
         if d:
             per.append((k, d))
-            total += d
-    return SectionSpace(total, tuple(per))
+    return SectionSpace(sum(d for _, d in per), tuple(per))
 
 
 def spin_parity(alg: BranchAlgebra) -> str | None:
@@ -413,7 +411,6 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
     """Check the five structural conditions of a dualizing-graded branch ring."""
     sig = alg.signature
     n = sig.n
-    notes = []
     if dualizing_units is None:
         units = [1] * n
     else:
@@ -422,11 +419,9 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
         if len(units) != n or not all(units):
             raise ValueError("need one nonzero unit per branch")
 
-    g1 = True
-    for i in range(n):
-        if alg.contains([(i, 1, 1)]):
-            g1 = False
-            notes.append(f"bare parameter on branch {i} lies in the ring")
+    notes = [f"bare parameter on branch {i} lies in the ring"
+             for i in range(n) if alg.has_power(i, 1)]
+    g1 = not notes
 
     top = sig.orders[0] + 2
     g3 = True
@@ -435,7 +430,7 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
         if alg.stable_from is not None:  # pure powers from there on are proven
             reach = min(reach, (alg.stable_from - 1) // sig.weights_a[i])
         for e in range(top, reach + 1):
-            if not alg.contains([(i, e, 1)]):
+            if not alg.has_power(i, e):
                 g3 = False
                 notes.append(f"pure power t{i + 1}^{e} missing from the ring")
                 break

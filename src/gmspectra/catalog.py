@@ -151,17 +151,14 @@ def as_dict(entry: CatalogEntry) -> dict:
 
 def _expected(sig: Sequence[int], gap: Sequence[int], delta: int, chi1: int,
               chi2_log: int, spin: Optional[str], ambient: Sequence[int]) -> ExpectedInvariants:
-    try:
-        alpha = inv.alpha(chi1, chi2_log)
-    except ValueError:  # 13*chi1_log = chi2_log, as on elliptic-12
-        alpha = None
+    rec = inv.alpha_slope_record(chi1, chi2_log, derive(sig))
     return ExpectedInvariants(
         gap_sequence=tuple(gap),
         delta=delta,
         chi1_log=chi1,
         chi2_log=chi2_log,
-        alpha=alpha,
-        slope=inv.slope(chi1, chi2_log, derive(sig)),
+        alpha=rec.alpha,
+        slope=rec.slope,
         spin=spin,
         ambient_weights=tuple(ambient),
     )

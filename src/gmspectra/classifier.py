@@ -73,8 +73,8 @@ def threshold_coefficient(threshold) -> Fraction:
 def clifford_cap(sig: Signature) -> Fraction:
     """Largest chi1_log any curve model allows: (g+1)*ell/2.
 
-    Signatures with n >= 5 have the cap below the pass threshold, so the
-    searches prune them outright.
+    At tau = 3/8 (c = 1/4) it is below c*(2g-2+n)*ell exactly when n > 4, and
+    a higher tau raises c, so alpha_search enumerates at most four branches.
     """
     return Fraction((sig.genus + 1) * sig.ell, 2)
 
@@ -485,7 +485,6 @@ def alpha_search(
     threshold=DEFAULT_THRESHOLD,
     *,
     dangling: bool = False,
-    max_branches: int = 4,
     genus_bound: int = GENUS_BOUND,
 ) -> tuple[Candidate, ...]:
     """All models at genus g whose alpha-invariant clears the threshold.
@@ -494,8 +493,7 @@ def alpha_search(
     is re-evaluated for every subset Q of its core branches with the
     right-hand side lowered by sum of a_i over Q, which can admit models
     the plain search rejects; appended ordinary points never dangle.
-    ``max_branches`` widens the enumeration only to demonstrate that the
-    Clifford cap prunes everything beyond four branches.
+    Signatures have at most four branches (see clifford_cap).
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
@@ -512,10 +510,10 @@ def alpha_search(
     if g == 1:
         rows.append((derive((0,)), "elliptic", 1, "genus-one", None, None))
     else:
-        for sig in enumerate_signatures(g, max_branches):
+        for sig in enumerate_signatures(g, 4):
             rhs = coeff * (2 * g - 2 + sig.n) * sig.ell
             if clifford_cap(sig) < rhs:
-                continue  # kills every n >= 5 signature
+                continue
             for tagging in hyperelliptic_taggings(sig):
                 chi1 = hyperelliptic_chi1(sig, tagging)
                 rows.append(
@@ -622,8 +620,9 @@ def nonvarying_regression(entries=None, *, raise_on_mismatch: bool = True) -> Re
         chi2 = inv.weight_spectrum(alg, 2).chi_log
         check(e.id, "chi1_log", exp.chi1_log, chi1)
         check(e.id, "chi2_log", exp.chi2_log, chi2)
-        check(e.id, "alpha", exp.alpha, inv.alpha(chi1, chi2))
-        check(e.id, "slope", exp.slope, inv.slope(chi1, chi2, sig))
+        rec = inv.alpha_slope_record(chi1, chi2, sig)
+        check(e.id, "alpha", exp.alpha, rec.alpha)
+        check(e.id, "slope", exp.slope, rec.slope)
         degrees = sorted(d for d, _ in alg.generators) + [1]
         check(
             e.id,

@@ -193,7 +193,8 @@ def invariants(entry_id, path, levels_text, fmt, decimal):
     if 1 in chi and 2 in chi and report["gorenstein"]:  # the slope identity needs it
         rec = inv.alpha_slope_record(chi[1], chi[2], sig)
         report["chi2"] = rec.chi2
-        report["alpha"] = rec.alpha
+        if rec.alpha is not None:  # undefined where 13*chi1_log = chi2_log
+            report["alpha"] = rec.alpha
         report["slope"] = rec.slope
     spin = ba.spin_parity(alg)
     if spin is not None:

@@ -40,7 +40,6 @@ class AlgebraModel(_ColumnRead):
     """h0 read off a graded branch algebra: one section space per row."""
 
     algebra: ba.BranchAlgebra
-    kind = "algebra"
 
     @cached_property
     def genus(self) -> int:
@@ -64,7 +63,6 @@ class UnibranchModel(_ColumnRead):
     """
 
     semigroup: sg.NumericalSemigroup
-    kind = "unibranch"
 
     @property
     def genus(self) -> int:
@@ -94,7 +92,6 @@ class HyperellipticModel(_ColumnRead):
 
     genus: int
     tags: tuple[str, ...]
-    kind = "hyperelliptic"
 
     @cached_property
     def _groups(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
@@ -137,7 +134,6 @@ class CliffordMaxModel(_ColumnRead):
     """
 
     genus: int
-    kind = "clifford-max"
 
     def h0_column(self, columns: Columns) -> list[int]:
         g = self.genus
@@ -157,7 +153,6 @@ class OverrideModel(_ColumnRead):
 
     base: object
     table: tuple[tuple[tuple[int, ...], int], ...]
-    kind = "override"
 
     @property
     def genus(self) -> int:

@@ -51,7 +51,8 @@ def weight_spectrum(source, m: int = 1, sig: Signature | None = None) -> WeightS
     """Spectrum from a branch algebra, or from an h0 model plus signature.
 
     Algebra route: N_{m,lam} = dim R_{m*ell - lam}, at any level m (a
-    level past the computed degrees extends the closure).  Model route:
+    level past the computed degrees extends the closure), read only on the
+    degrees that carry a slot.  Model route:
     successive differences of the filtration dimensions, nonzero only at
     the last level of each run.
     """
@@ -59,7 +60,7 @@ def weight_spectrum(source, m: int = 1, sig: Signature | None = None) -> WeightS
         raise ValueError("pluricanonical level m must be at least 1")
     if isinstance(source, ba.BranchAlgebra):
         top = m * source.signature.ell
-        counts = [(lam, source.dim(top - lam)) for lam in range(top + 1)]
+        counts = [(top - k, source.dim(k)) for k in reversed(source.degrees(top))]
     else:
         if sig is None:
             raise ValueError("model sources need the signature")
@@ -198,7 +199,7 @@ class AlphaSlopeRecord:
     chi1_log: int
     chi2_log: int
     chi2: int
-    alpha: Fraction
+    alpha: Fraction | None  # None where 13*chi1_log equals the adjusted chi2_log
     slope: Fraction
     dangling: tuple[int, ...] = ()
 
@@ -206,11 +207,15 @@ class AlphaSlopeRecord:
 def alpha_slope_record(
     chi1_log: int, chi2_log: int, sig: Signature, dangling=()
 ) -> AlphaSlopeRecord:
+    try:
+        value = alpha(chi1_log, chi2_log, sig, dangling)
+    except ValueError:  # 13*chi1_log equals the adjusted chi2_log, as on elliptic-12
+        value = None
     return AlphaSlopeRecord(
         chi1_log=chi1_log,
         chi2_log=chi2_log,
         chi2=chi2_from_log(chi2_log, sig),
-        alpha=alpha(chi1_log, chi2_log, sig, dangling),
+        alpha=value,
         slope=slope(chi1_log, chi2_log, sig),
         dangling=tuple(sorted(set(dangling))),
     )

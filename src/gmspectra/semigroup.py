@@ -4,15 +4,14 @@ A numerical semigroup is a cofinite additive submonoid of the naturals.
 Everything here is exact integer combinatorics on bitmasks: a semigroup
 stores only its Frobenius number F and its elements in [0, F] as one
 integer whose bit k is set when k is an element (every k > F is one).
-Gaps and minimal generators are derived from that mask on first read.
+Gaps and minimal generators are derived on first read and kept in slots.
 Closure, sumsets and minimal generators are shift-ors of such masks, and
 counting elements is a popcount.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import accumulate
 from math import gcd
 
@@ -24,10 +23,12 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple([i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumericalSemigroup:
     frobenius: int  # largest gap, -1 if there are none
     mask: int  # bit k set iff k in [0, F] is an element; no higher bits
+    _gaps: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _generators: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def genus(self) -> int:
@@ -37,13 +38,20 @@ class NumericalSemigroup:
     def conductor(self) -> int:
         return self.frobenius + 1
 
-    @cached_property
+    @property
     def gaps(self) -> tuple[int, ...]:
         """Ascending; empty for the full monoid."""
-        return _bits(~self.mask & ((1 << self.conductor) - 1))
+        if self._gaps is None:
+            object.__setattr__(self, "_gaps", _bits(~self.mask & ((1 << self.conductor) - 1)))
+        return self._gaps
 
-    @cached_property
+    @property
     def generators(self) -> tuple[int, ...]:
+        if self._generators is None:
+            object.__setattr__(self, "_generators", self._minimal_generators())
+        return self._generators
+
+    def _minimal_generators(self) -> tuple[int, ...]:
         """The minimal generating set, ascending.
 
         The minimal generators are the positive elements that are not sums

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gmspectra.branch_algebra as ba
+import gmspectra.invariants as inv
+import gmspectra.semigroup as sg
 from gmspectra import catalog
 from gmspectra.signature import derive
 
@@ -500,10 +502,18 @@ def test_integer_kernel_matches_the_fraction_oracle(case):
         assert all(r[j] == 0 for j in leads if j != lead)
     assert len(echelon) == len(oracle)
     assert echelon == tuple(primitive(r) for r in oracle)  # same row space
+    # the rows as R_1 of a ring whose every degree has one slot per column
+    width = len(vectors[0])
+    alg = ba.BranchAlgebra(derive((0,) * width), (), {0: ((1,) * width,), 1: echelon})
     for v in vectors:
-        assert ba._in_span(echelon, integer_row(v)) == oracle_in_span(oracle, v)
+        if any(v):
+            terms = [(i, 1, x) for i, x in enumerate(v)]
+            assert alg.contains(terms) == oracle_in_span(oracle, v)
+    for i in range(width):  # the pure-power row lookup
+        unit = [int(j == i) for j in range(width)]
+        assert alg.has_power(i, 1) == oracle_in_span(oracle, unit)
     projected = oracle_rref([[r[j] for j in cols] for r in rows])
-    assert ba._rank(echelon, cols) == len(projected)
+    assert alg.rank(1, cols) == len(projected)
 
 
 # ------------------------------------------- the certified conductor stop
@@ -640,3 +650,62 @@ def test_graded_bases_hold_only_ints(entry):
     ba.validate_G_conditions(alg, entry.dualizing_units)
     for k, rows in alg.graded_basis.items():
         assert all(type(x) is int for r in rows for x in r), k
+
+
+# ------------------------------------------------------- the one reader
+
+
+def assert_pure_powers_agree(alg):
+    """has_power, a row lookup, against contains, an elimination, for every
+    t_i^e in the window."""
+    sig = alg.signature
+    for i, a in enumerate(sig.weights_a):
+        for e in range(1, ba.window(sig) // a + 1):
+            assert alg.has_power(i, e) == alg.contains([(i, e, 1)]), (i, e)
+
+
+FAMILY_MEMBERS = [
+    *(catalog.family(name, g=g) for name in ("A", "A-odd", "D-odd", "D-even")
+      for g in range(2, 6)),
+    *(catalog.family("elliptic", n=n) for n in (*range(3, 9), 12)),
+    *(catalog.family("monomial", H=H) for g in range(2, 7) for H in sg.enumerate_symmetric(g)),
+    catalog.with_ordinary_points(catalog.family("elliptic", n=11), 1),
+]
+
+
+@pytest.mark.parametrize("entry", [*catalog.entries(), *FAMILY_MEMBERS], ids=lambda e: e.id)
+def test_pure_power_lookup_matches_membership(entry):
+    assert_pure_powers_agree(entry.algebra())
+
+
+@settings(max_examples=100, deadline=None)
+@given(closures())
+def test_pure_power_lookup_on_the_dense_closure(case):
+    sig, gens, _, _, _ = case
+    ref = dense_close(sig, gens, ba.window(sig))  # no certificate: every row is computed
+    assert_pure_powers_agree(ref)
+    assert len(ref.graded_basis) == ba.window(sig) + 1
+
+
+def t345(orders):
+    """Two branches, each generated by t^3, t^4, t^5."""
+    return ba.close(derive(orders), [[(i, e, 1)] for i in range(2) for e in (3, 4, 5)])
+
+
+def test_spectrum_reads_only_the_degrees_that_carry_a_slot(monkeypatch):
+    alg = t345((1000, 998))  # ell = 999,999
+    sig = alg.signature
+    reads = []
+    dim = ba.BranchAlgebra.dim
+    monkeypatch.setattr(ba.BranchAlgebra, "dim", lambda self, k: reads.append(k) or dim(self, k))
+    spectrum = inv.weight_spectrum(alg, 1)
+    assert 0 < len(reads) <= (2 * sig.genus - 2 + sig.n) + sig.n
+    assert spectrum.chi_log == 996005004  # as read on every degree before
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_spectrum_matches_the_dense_read(m):
+    alg = t345((98, 100))  # ell = 9,999
+    top = m * alg.signature.ell
+    dense = [(lam, alg.dim(top - lam)) for lam in range(top + 1)]
+    assert inv.weight_spectrum(alg, m).entries == tuple((lam, d) for lam, d in dense if d)

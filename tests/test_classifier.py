@@ -257,9 +257,13 @@ def test_no_candidate_has_five_branches():
 
 
 def test_wider_enumeration_changes_nothing():
-    # five or more branches never survive the Clifford cap at 3/8
-    for g in (2, 3, 4):
-        assert alpha_search(g, max_branches=7) == alpha_search(g)
+    # five or more branches never survive the Clifford cap at 3/8, so the
+    # search enumerates at most four
+    coeff = threshold_coefficient(Fraction(3, 8))
+    wide = [sig for g in (2, 3, 4) for sig in enumerate_signatures(g, 7) if sig.n >= 5]
+    assert len(wide) == 2  # (2,1,1,1,1) and (1,1,1,1,1,1) at genus 4
+    for sig in wide:
+        assert clifford_cap(sig) < coeff * (2 * sig.genus - 2 + sig.n) * sig.ell, sig
 
 
 def test_genus_bounds():
@@ -548,6 +552,14 @@ def test_regression_names_entry_and_field_on_mismatch():
     report = nonvarying_regression([bad], raise_on_mismatch=False)
     assert not report.ok
     assert [(c.entry_id, c.field) for c in report.failures()] == [("E7", "delta")]
+
+
+def test_regression_reports_an_undefined_alpha_as_none():
+    # elliptic-12 has 13*chi1_log = chi2_log: both sides of the alpha check are None
+    report = nonvarying_regression([catalog.family("elliptic", n=12)], raise_on_mismatch=False)
+    checks = {c.field: c for c in report.checks}
+    assert checks["alpha"].expected is None and checks["alpha"].actual is None
+    assert checks["alpha"].ok and checks["slope"].ok and checks["chi2_log"].ok
 
 
 def test_regression_catches_character_corruption():

@@ -221,6 +221,21 @@ def test_ring_without_generators_gets_a_full_report(tmp_path):
     assert "delta" not in doc and "genus" not in doc and doc["gorenstein"] is False
 
 
+def test_elliptic_12_input_reports_without_alpha(tmp_path):
+    # 13*chi1_log = chi2_log: alpha is undefined, the rest of the report stands
+    path = tmp_path / "elliptic-12.json"
+    path.write_text(json.dumps(catalog.as_dict(catalog.family("elliptic", n=12))))
+    result = invoke("invariants", "--input", str(path))
+    assert result.exit_code == 0, result.output
+    keys = {line.split(":")[0] for line in result.output.splitlines()}
+    assert "alpha" not in keys
+    assert "chi2_log: 13\n" in result.output and "slope: 12\n" in result.output
+    result = invoke("invariants", "--input", str(path), "--format", "json")
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert "alpha" not in doc and doc["slope"] == "12"
+
+
 def test_slope_routes_still_check_rings_that_pass_the_length_test(tmp_path):
     # a node passes len(R/c) = delta but is no (1, 1) ring: the two slope routes disagree
     doc = {"signature": [1, 1], "generators": [
