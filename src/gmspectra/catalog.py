@@ -5,7 +5,8 @@ dualizing units) together with the frozen invariants it is expected to
 reproduce: gap sequence, delta, both characters, alpha, slope, spin parity,
 and the ambient weighted-projective weights.  Entries live in
 ``data/strata.json``; parametric families (A/D series, elliptic multiple
-points, monomial curves) are constructed on demand by :func:`family`.
+points, monomial curves) are constructed on demand by :func:`family`, and
+store a spin parity wherever every zero order is even.
 """
 
 from __future__ import annotations
@@ -164,6 +165,15 @@ def _expected(sig: Sequence[int], gap: Sequence[int], delta: int, chi1: int,
     )
 
 
+def _hyperelliptic_spin(sig: Sequence[int]) -> Optional[str]:
+    """Spin of a hyperelliptic (or genus-one) component: the parity of
+    floor((g+1)/2) (Kontsevich-Zorich), or None unless every order is even."""
+    if any(v % 2 for v in sig):
+        return None
+    g = sum(sig) // 2 + 1
+    return "odd" if (g + 1) // 2 % 2 else "even"
+
+
 def _monomial_entry(H: NumericalSemigroup) -> CatalogEntry:
     if not H.symmetric:
         raise ValueError(f"monomial entry needs a symmetric semigroup, got {H}")
@@ -173,10 +183,12 @@ def _monomial_entry(H: NumericalSemigroup) -> CatalogEntry:
     chi1 = sum(H.gaps)
     chi2_log = (2 * g - 1) ** 2 + chi1
     gap = tuple(0 if H.contains(j) else 1 for j in range(1, 2 * g))
+    # the parity of the elements in [0, g-1]; H.spin says None on <2, 2g+1>
+    spin = "odd" if H.count_upto(g - 1) % 2 else "even"
     if H.hyperelliptic:
         ident, component = f"A{2 * g}", "hyp"
     else:
-        component = H.spin
+        component = spin
         ident = {(3, 4): "E6", (3, 5): "E8"}.get(H.generators, f"monomial{H}")
     return CatalogEntry(
         id=ident,
@@ -186,7 +198,7 @@ def _monomial_entry(H: NumericalSemigroup) -> CatalogEntry:
         nonvarying=H.hyperelliptic or ident in ("E6", "E8"),
         generators=gens,
         dualizing_units=(Fraction(1),),
-        expected=_expected(sig, gap, g, chi1, chi2_log, H.spin, (*H.generators, 1)),
+        expected=_expected(sig, gap, g, chi1, chi2_log, spin, (*H.generators, 1)),
     )
 
 
@@ -213,7 +225,7 @@ def family(name: str, *, g: Optional[int] = None, n: Optional[int] = None,
             ("y", ((0, g + 1, one), (1, g + 1, -one))),
         )
         exp = _expected(sig, (1,) * g, g + 1, g * (g + 1) // 2,
-                        (5 * g * g + g) // 2, None, (1, g + 1, 1))
+                        (5 * g * g + g) // 2, _hyperelliptic_spin(sig), (1, g + 1, 1))
         return CatalogEntry(f"A{2*g+1}", (), sig, "hyp", True, gens,
                             (one, -one), exp)
     if name == "D-odd":
@@ -225,8 +237,8 @@ def family(name: str, *, g: Optional[int] = None, n: Optional[int] = None,
             ("y", ((0, 2 * g - 1, one), (1, 1, one))),
         )
         gap = tuple(1 if j % 2 == 1 else 0 for j in range(1, 2 * g))
-        exp = _expected(sig, gap, g + 1, g * g, 5 * g * g - 2 * g, None,
-                        (2, 2 * g - 1, 1))
+        exp = _expected(sig, gap, g + 1, g * g, 5 * g * g - 2 * g,
+                        _hyperelliptic_spin(sig), (2, 2 * g - 1, 1))
         return CatalogEntry(f"D{2*g+1}", (), sig, "hyp", True, gens,
                             (one, -one), exp)
     if name == "D-even":
@@ -238,7 +250,7 @@ def family(name: str, *, g: Optional[int] = None, n: Optional[int] = None,
             ("y", ((0, g, one), (1, g, -one), (2, 1, one))),
         )
         exp = _expected(sig, (1,) * g, g + 2, g * (g + 1) // 2,
-                        (5 * g * g + 3 * g) // 2, None, (1, g, 1))
+                        (5 * g * g + 3 * g) // 2, _hyperelliptic_spin(sig), (1, g, 1))
         return CatalogEntry(f"D{2*g+2}", (), sig, "hyp", True, gens,
                             (one, -one, -2 * one), exp)
     if name == "elliptic":
@@ -249,7 +261,7 @@ def family(name: str, *, g: Optional[int] = None, n: Optional[int] = None,
             (f"x{j+1}", tuple((i, 1, Fraction((i + 1) ** j)) for i in range(n)))
             for j in range(n - 1)
         )
-        exp = _expected(sig, (1,), n, 1, n + 1, None, (1,) * n)
+        exp = _expected(sig, (1,), n, 1, n + 1, _hyperelliptic_spin(sig), (1,) * n)
         return CatalogEntry(f"elliptic-{n}", (), sig, None, False, gens,
                             tuple(_elliptic_units(n)), exp)
     if name == "monomial":

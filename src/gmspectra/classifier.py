@@ -1,9 +1,12 @@
 """Threshold searches for level-one characters over strata and models.
 
-Everything here evaluates one inequality in different guises: a model
-passes a cutoff tau when its level-one character chi1_log reaches
-(2-tau)/(11-12tau) * (2g-2+n) * ell, the exact condition for the
-alpha-invariant to be at least tau.  The search enumerates signatures
+Everything here evaluates one inequality: a model passes a cutoff tau
+when its level-one character chi1_log reaches threshold_rhs, which is
+c*((2g-2+n)*ell - sum of a_i over the dangling branches) with
+c = (2-tau)/(11-12tau), the exact condition for the alpha-invariant to
+be at least tau.  The Clifford cap, the nonhyperelliptic screen, the
+semigroup walk, the ordinary-point budget and every candidate read that
+one function.  The search enumerates signatures
 (at most four branches survive the Clifford cap), runs every admissible
 hyperelliptic tagging, resolves the nonhyperelliptic side through the
 Clifford profile, the shipped catalog, explicit exclusion rules and the
@@ -40,7 +43,6 @@ __all__ = [
     "Candidate",
     "EXCLUSIONS",
     "RegressionCheck",
-    "RegressionError",
     "RegressionReport",
     "SemigroupRecord",
     "Tagging",
@@ -55,6 +57,7 @@ __all__ = [
     "ordinary_point_budget",
     "semigroup_search",
     "threshold_coefficient",
+    "threshold_rhs",
 ]
 
 
@@ -108,43 +111,31 @@ class Candidate:
         return (self.signature, self.model, self.dangling)
 
 
-def _make_candidate(
-    sig: Signature,
-    model: str,
-    chi1: int,
-    coeff: Fraction,
-    item: str,
-    component: Optional[str],
-    dangling: tuple[int, ...] = (),
-) -> Candidate:
-    reduction = sum(sig.weights_a[i] for i in dangling)
-    rhs = coeff * ((2 * sig.genus - 2 + sig.n) * sig.ell - reduction)
-    return Candidate(
-        signature=tuple(sig.orders),
-        model=model,
-        chi1_log=chi1,
-        threshold_rhs=rhs,
-        passed=chi1 >= rhs,
-        item=item,
-        component=component,
-        dangling=dangling,
-    )
+def threshold_rhs(sig: Signature, coeff: Fraction, dangling=()) -> Fraction:
+    """The cutoff c*((2g-2+n)*ell - sum_{i in Q} a_i) that chi1_log must reach.
+
+    With chi2_log = chi1_log + (2g-2+n)*ell (the level-two identity), alpha
+    = (13x1 - 2x2)/(13x1 - x2) >= tau is chi1_log >= c*(2g-2+n)*ell.  A
+    dangling branch i in Q drops its weight a_i from chi2_log first, which
+    lowers the cutoff by c*a_i.  Every scorer in this module reads it.
+    """
+    drop = sum(sig.weights_a[i] for i in dangling)
+    return coeff * ((2 * sig.genus - 2 + sig.n) * sig.ell - drop)
 
 
 def ordinary_point_budget(
     sig: Signature, chi1_log: int, threshold=DEFAULT_THRESHOLD, dangling=()
 ) -> int:
-    """Largest k with chi1_log >= c*((2g-2+n+k)*ell - sum_{i in Q} a_i).
+    """Largest k with chi1_log >= threshold_rhs of sig with k zeros appended.
 
-    Appending an ordinary marked point leaves chi1_log unchanged while the
-    right-hand side grows by c*ell per point, so the budget is a floor.
-    The branches Q in ``dangling`` lower the right-hand side by their a_i.
-    Negative when even the bare signature misses the bound.
+    An ordinary marked point leaves g, ell, the core a_i and chi1_log
+    unchanged and raises n by one, so the cutoff grows by c*ell per point
+    and the budget is floor((chi1_log - rhs)/(c*ell)).  Negative when even
+    the bare signature misses the cutoff.
     """
     coeff = threshold_coefficient(threshold)
-    reduction = sum(sig.weights_a[i] for i in dangling)
-    slack = (Fraction(chi1_log) / coeff + reduction) / sig.ell - (2 * sig.genus - 2 + sig.n)
-    return math.floor(slack)
+    rhs = threshold_rhs(sig, coeff, dangling)
+    return math.floor((chi1_log - rhs) / (coeff * sig.ell))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +334,7 @@ def _nonhyp_records(sig, rhs, entries):
     if g < 3:
         return []
     cap_total = clifford_profile_chi1(sig)
-    if Fraction(cap_total) < rhs:
+    if cap_total < rhs:
         return []
     if sig.orders[0] == 1:
         # every level is canonical or trivial, so the profile is exact for
@@ -422,9 +413,8 @@ def semigroup_search(g: int, threshold=DEFAULT_THRESHOLD) -> tuple[SemigroupReco
     """
     if g < 2:
         raise ValueError("single-zero strata need genus at least 2")
-    coeff = threshold_coefficient(threshold)
     sig = derive((2 * g - 2,))
-    rhs = coeff * (2 * g - 2 + 1) * sig.ell
+    rhs = threshold_rhs(sig, threshold_coefficient(threshold))
     start = time.perf_counter()
     semigroups = sg.enumerate_symmetric(g)
     enumerated = time.perf_counter()
@@ -442,7 +432,7 @@ def semigroup_search(g: int, threshold=DEFAULT_THRESHOLD) -> tuple[SemigroupReco
                 element_sum=total,
                 hyperelliptic=H.hyperelliptic,
                 spin=H.spin,
-                passed=Fraction(chi1) >= rhs,
+                passed=chi1 >= rhs,
             )
         )
     log.debug(
@@ -473,10 +463,6 @@ def _unibranch_records(g: int, threshold) -> list[tuple[str, int, str, Optional[
 
 # ---------------------------------------------------------------------------
 # the search
-
-
-def _zero_extended(sig: Signature, k: int) -> Signature:
-    return derive(sig.orders + (0,) * k)
 
 
 def alpha_search(
@@ -511,7 +497,7 @@ def alpha_search(
         rows.append((derive((0,)), "elliptic", 1, "genus-one", None, None))
     else:
         for sig in enumerate_signatures(g, 4):
-            rhs = coeff * (2 * g - 2 + sig.n) * sig.ell
+            rhs = threshold_rhs(sig, coeff)
             if clifford_cap(sig) < rhs:
                 continue
             for tagging in hyperelliptic_taggings(sig):
@@ -540,24 +526,21 @@ def alpha_search(
                 for q in itertools.combinations(range(sig.n), r)
             ]
         for q in subsets:
-            cand = _make_candidate(sig, label, chi1, coeff, item, comp, q)
-            if not cand.passed:
+            rhs = threshold_rhs(sig, coeff, q)
+            if chi1 < rhs:
                 continue
-            emit(cand)
-            for k in range(1, ordinary_point_budget(sig, chi1, threshold, q) + 1):
-                ext = _zero_extended(sig, k)
-                ext_label = tagging.with_free(k).label if tagging else label
-                emit(_make_candidate(ext, ext_label, chi1, coeff, item, comp, q))
+            # k appended zeros keep g, ell and the core a_i, so the cutoff
+            # grows by c*ell per point
+            for k in range(ordinary_point_budget(sig, chi1, threshold, q) + 1):
+                ext_label = tagging.with_free(k).label if tagging and k else label
+                emit(Candidate(sig.orders + (0,) * k, ext_label, chi1,
+                               rhs + k * coeff * sig.ell, True, item, comp, q))
 
     return tuple(sorted(found.values(), key=Candidate.sort_key))
 
 
 # ---------------------------------------------------------------------------
 # nonvarying regression
-
-
-class RegressionError(AssertionError):
-    """A recomputed invariant differs from the shipped value."""
 
 
 @dataclass(frozen=True)
@@ -584,26 +567,20 @@ class RegressionReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def nonvarying_regression(entries=None, *, raise_on_mismatch: bool = True) -> RegressionReport:
+def nonvarying_regression(entries=None) -> RegressionReport:
     """Recompute every shipped invariant of the nonvarying catalog entries.
 
     Covers the gap sequence, delta, genus, the Gorenstein test, spin
     parity, both characters from the weight spectra, alpha, slope, and
-    the ambient weights read off the generator degrees.  A mismatch is a
-    hard failure naming the entry and field unless ``raise_on_mismatch``
-    is disabled, in which case the report carries the failures.
+    the ambient weights read off the generator degrees.  Each mismatch is
+    a failure of the report naming the entry, the field and both values.
     """
     if entries is None:
         entries = cat.nonvarying_entries()
     checks: list[RegressionCheck] = []
 
     def check(entry_id: str, field: str, expected, actual) -> None:
-        c = RegressionCheck(entry_id, field, expected, actual)
-        if raise_on_mismatch and not c.ok:
-            raise RegressionError(
-                f"{entry_id}: {field}: expected {expected!r}, got {actual!r}"
-            )
-        checks.append(c)
+        checks.append(RegressionCheck(entry_id, field, expected, actual))
 
     for e in entries:
         sig = derive(e.signature)

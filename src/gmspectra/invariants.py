@@ -3,8 +3,9 @@
 The m-th spectrum lists the multiplicities N_{m,lam} of the scaling weights
 on m-fold pluricanonical sections; its weighted sum is the character
 chi_m^log.  From the first two characters come the alpha-invariant and the
-slope, always as exact fractions.  A standalone lattice-point identity
-cross-checks the one-branch toric count.
+slope, always as exact fractions; alpha reads the two characters alone
+(dangling branches lower only the search cutoff, classifier.threshold_rhs).
+A standalone lattice-point identity cross-checks the one-branch toric count.
 """
 
 from __future__ import annotations
@@ -153,23 +154,16 @@ def chi2_from_log(chi2_log: int, sig: Signature) -> int:
     return chi2_log - sum(sig.weights_a)
 
 
-def alpha(
-    chi1_log: int, chi2_log: int, sig: Signature | None = None, dangling=()
-) -> Fraction:
+def alpha(chi1_log: int, chi2_log: int) -> Fraction:
     """The alpha-invariant (13x1 - 2x2) / (13x1 - x2) on log characters.
 
-    Dangling branch indices subtract their weight a_i from chi_2^log first;
-    passing any requires the signature.
+    Dangling branches enter only through the search cutoff,
+    classifier.threshold_rhs.
     """
-    adjusted = chi2_log
-    if dangling:
-        if sig is None:
-            raise ValueError("dangling branches need the signature for their weights")
-        adjusted -= sum(sig.weights_a[i] for i in set(dangling))
-    den = 13 * chi1_log - adjusted
+    den = 13 * chi1_log - chi2_log
     if den == 0:
-        raise ValueError("alpha undefined: 13*chi1_log equals the adjusted chi2_log")
-    return Fraction(13 * chi1_log - 2 * adjusted, den)
+        raise ValueError("alpha undefined: 13*chi1_log equals chi2_log")
+    return Fraction(13 * chi1_log - 2 * chi2_log, den)
 
 
 def slope(chi1_log: int, chi2_log: int, sig: Signature) -> Fraction:
@@ -199,17 +193,14 @@ class AlphaSlopeRecord:
     chi1_log: int
     chi2_log: int
     chi2: int
-    alpha: Fraction | None  # None where 13*chi1_log equals the adjusted chi2_log
+    alpha: Fraction | None  # None where 13*chi1_log equals chi2_log
     slope: Fraction
-    dangling: tuple[int, ...] = ()
 
 
-def alpha_slope_record(
-    chi1_log: int, chi2_log: int, sig: Signature, dangling=()
-) -> AlphaSlopeRecord:
+def alpha_slope_record(chi1_log: int, chi2_log: int, sig: Signature) -> AlphaSlopeRecord:
     try:
-        value = alpha(chi1_log, chi2_log, sig, dangling)
-    except ValueError:  # 13*chi1_log equals the adjusted chi2_log, as on elliptic-12
+        value = alpha(chi1_log, chi2_log)
+    except ValueError:  # 13*chi1_log equals chi2_log, as on elliptic-12
         value = None
     return AlphaSlopeRecord(
         chi1_log=chi1_log,
@@ -217,7 +208,6 @@ def alpha_slope_record(
         chi2=chi2_from_log(chi2_log, sig),
         alpha=value,
         slope=slope(chi1_log, chi2_log, sig),
-        dangling=tuple(sorted(set(dangling))),
     )
 
 

@@ -231,9 +231,3 @@ def element_sum_bound_filter(g: int, semigroups) -> list[ElementSumRecord]:
         if slack >= 0:
             out.append(ElementSumRecord(H, total, slack))
     return out
-
-
-def tautological_coefficient(H: NumericalSemigroup) -> int:
-    """3*(gap sum) - g^2 + g; positive for every numerical semigroup."""
-    g = H.genus
-    return 3 * gap_sum(H) - g * g + g

@@ -16,9 +16,29 @@ import gmspectra.branch_algebra as ba
 import gmspectra.invariants as inv
 from gmspectra import catalog
 from gmspectra import semigroup as sg
+from gmspectra.classifier import nonvarying_regression
 from gmspectra.signature import derive
 
 ENTRY_IDS = [e.id for e in catalog.entries()]
+
+
+def family_members():
+    """A, A-odd, D-odd and D-even at g = 2..7, elliptic at n = 3..11, the
+    monomial ring of every symmetric semigroup with g = 3..7, and one and two
+    ordinary points on every stored entry."""
+    members = [catalog.family(name, g=g)
+               for name in ("A", "A-odd", "D-odd", "D-even") for g in range(2, 8)]
+    members += [catalog.family("elliptic", n=n) for n in range(3, 12)]
+    members += [catalog.family("monomial", H=H)
+                for g in range(3, 8) for H in sg.enumerate_symmetric(g)]
+    members += [catalog.with_ordinary_points(e, k) for e in catalog.entries() for k in (1, 2)]
+    return members
+
+
+# one entry per id, the stored one first (<2,2g+1> is also family A, <3,4> is E6)
+SPIN_ENTRIES: dict = {}
+for _e in (*catalog.entries(), *family_members()):
+    SPIN_ENTRIES.setdefault(_e.id, _e)
 
 
 @pytest.fixture(params=ENTRY_IDS)
@@ -63,8 +83,11 @@ def test_conductor_gorenstein_units(entry):
     assert ba.validate_G_conditions(alg, entry.dualizing_units).all_pass
 
 
+@pytest.mark.parametrize("entry", list(SPIN_ENTRIES.values()), ids=list(SPIN_ENTRIES))
 def test_spin_parity(entry):
-    # even-order signatures carry a parity label; odd orders have none
+    # even-order signatures carry a parity label, hyperelliptic and genus-one
+    # families included; odd orders have none
+    assert nonvarying_regression([entry]).failures() == ()
     sig = derive(entry.signature)
     alg = entry.algebra()
     if any(m % 2 for m in sig.orders):
@@ -75,7 +98,8 @@ def test_spin_parity(entry):
     h = ba.section_space(alg, half).dimension
     assert entry.expected.spin == ("odd" if h % 2 else "even")
     assert ba.spin_parity(alg) == entry.expected.spin
-    assert entry.component in (entry.expected.spin, "hyp")
+    if sig.genus > 1:  # genus one has no spin components to label
+        assert entry.component in (entry.expected.spin, "hyp")
 
 
 def test_ambient_weights(entry):

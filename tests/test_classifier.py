@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st
 
 import gmspectra.classifier as classifier
 import gmspectra.curve_models as cm
+import gmspectra.invariants as inv
 import gmspectra.semigroup as sg
 from gmspectra import catalog
 from gmspectra.classifier import (
@@ -33,7 +34,7 @@ from gmspectra.classifier import (
     ordinary_point_budget,
     semigroup_search,
     threshold_coefficient,
-    RegressionError,
+    threshold_rhs,
 )
 from gmspectra.signature import derive, enumerate_signatures
 
@@ -233,14 +234,19 @@ def test_g4_component_split():
 
 
 def test_candidate_fields_reconstruct():
-    for g in range(1, 7):
-        for c in alpha_search(g):
-            sig = derive(c.signature)
-            assert sum(c.signature) == 2 * g - 2
-            assert c.threshold_lhs == Fraction(c.chi1_log)
-            assert c.threshold_rhs == Fraction((2 * g - 2 + sig.n) * sig.ell, 4)
-            assert c.passed and c.verdict == "pass"
-            assert c.dangling == ()
+    # derive() rebuilds every signature, appended ordinary points included,
+    # where the search only adds c*ell to the cutoff per point
+    for tau in (Fraction(3, 8), FIVE_NINTHS):
+        coeff = threshold_coefficient(tau)
+        for g in range(1, 9):
+            for c in alpha_search(g, threshold=tau):
+                sig = derive(c.signature)
+                assert sum(c.signature) == 2 * g - 2
+                assert c.threshold_lhs == Fraction(c.chi1_log)
+                assert c.threshold_rhs == threshold_rhs(sig, coeff)
+                assert c.threshold_rhs == coeff * (2 * g - 2 + sig.n) * sig.ell
+                assert c.passed and c.verdict == "pass"
+                assert c.dangling == ()
 
 
 def test_search_is_deterministic_and_sorted():
@@ -418,12 +424,18 @@ def test_dangling_admits_the_odd_42_component():
 
 
 def test_dangling_candidates_all_pass_their_reduced_cutoff():
-    for c in alpha_search(5, dangling=True):
-        sig = derive(c.signature)
-        drop = sum(sig.weights_a[i] for i in c.dangling)
-        rhs = Fraction((2 * sig.genus - 2 + sig.n) * sig.ell - drop, 4)
-        assert c.threshold_rhs == rhs
-        assert c.threshold_lhs >= rhs
+    for tau in (Fraction(3, 8), FIVE_NINTHS):
+        coeff = threshold_coefficient(tau)
+        for g in range(1, 9):
+            for c in alpha_search(g, threshold=tau, dangling=True):
+                sig = derive(c.signature)
+                drop = sum(sig.weights_a[i] for i in c.dangling)
+                rhs = coeff * ((2 * sig.genus - 2 + sig.n) * sig.ell - drop)
+                assert c.threshold_rhs == threshold_rhs(sig, coeff, c.dangling) == rhs
+                assert c.threshold_lhs >= rhs
+                # chi2_log = chi1_log + (2g-2+n)*ell, less the weight a_i of
+                # each dangling branch, is rhs/c above chi1_log
+                assert inv.alpha(c.chi1_log, c.chi1_log + rhs / coeff) >= tau
 
 
 # --------------------------------------------------------------- semigroups
@@ -547,16 +559,15 @@ def test_regression_names_entry_and_field_on_mismatch():
     e = catalog.get("E7")
     bad = dataclasses.replace(
         e, expected=dataclasses.replace(e.expected, delta=99))
-    with pytest.raises(RegressionError, match="E7.*delta.*99"):
-        nonvarying_regression([bad])
-    report = nonvarying_regression([bad], raise_on_mismatch=False)
+    report = nonvarying_regression([bad])
     assert not report.ok
-    assert [(c.entry_id, c.field) for c in report.failures()] == [("E7", "delta")]
+    assert [(c.entry_id, c.field, c.expected, c.actual) for c in report.failures()] == [
+        ("E7", "delta", 99, e.expected.delta)]
 
 
 def test_regression_reports_an_undefined_alpha_as_none():
     # elliptic-12 has 13*chi1_log = chi2_log: both sides of the alpha check are None
-    report = nonvarying_regression([catalog.family("elliptic", n=12)], raise_on_mismatch=False)
+    report = nonvarying_regression([catalog.family("elliptic", n=12)])
     checks = {c.field: c for c in report.checks}
     assert checks["alpha"].expected is None and checks["alpha"].actual is None
     assert checks["alpha"].ok and checks["slope"].ok and checks["chi2_log"].ok
@@ -566,5 +577,5 @@ def test_regression_catches_character_corruption():
     e = catalog.get("H(5,3)")
     bad = dataclasses.replace(
         e, expected=dataclasses.replace(e.expected, chi2_log=1))
-    report = nonvarying_regression([bad], raise_on_mismatch=False)
+    report = nonvarying_regression([bad])
     assert {c.field for c in report.failures()} == {"chi2_log"}

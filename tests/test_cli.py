@@ -164,6 +164,11 @@ BAD_INPUTS = [
     (["filtration", "--signature", "6,x", "--model", "clifford-max"],
      ["'--signature'", "integers", "'x'"]),
     (["classify", "alpha", "--genus", "0"], ["--genus", "at least 1"]),
+    (["slope", "--catalog", "E7", "--signature", "6", "--model", "unibranch:3,7"],
+     ["--catalog alone"]),
+    (["slope", "--catalog", "E7", "--model", "clifford-max"], ["--catalog alone"]),
+    (["filtration", "--catalog", "E7", "--signature", "4", "--model", "clifford-max"],
+     ["--catalog alone"]),
 ]
 
 

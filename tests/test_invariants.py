@@ -125,15 +125,6 @@ def test_alpha_examples():
     assert inv.alpha(46, 256) == Fraction(43, 171)
 
 
-def test_alpha_dangling():
-    sig = derive((3, 1))
-    # dropping a dangling branch removes its weight from the second character
-    assert inv.alpha(7, 31, sig, dangling=(1,)) == inv.alpha(7, 31 - 2)
-    assert inv.alpha(7, 31, sig, dangling=(0, 1)) == inv.alpha(7, 28)
-    with pytest.raises(ValueError):
-        inv.alpha(7, 31, dangling=(0,))  # needs the signature
-
-
 def test_alpha_degenerate():
     with pytest.raises(ValueError):
         inv.alpha(1, 13)
@@ -188,7 +179,6 @@ def test_alpha_slope_record():
     assert rec.chi2 == 28
     assert rec.alpha == Fraction(29, 60)
     assert rec.slope == 9
-    assert rec.dangling == ()
 
 
 def test_chi2_elliptic_is_one():

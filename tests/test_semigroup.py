@@ -312,19 +312,3 @@ def test_element_sum_filter_hyperelliptic_always_passes():
 def test_element_sum_filter_genus_check():
     with pytest.raises(ValueError):
         sgp.element_sum_bound_filter(3, [sgp.from_generators([2, 5])])
-
-
-# ------------------------------------------------- tautological numbers
-
-
-def test_tautological_coefficient_examples():
-    assert sgp.tautological_coefficient(sgp.from_generators([3, 4])) == 18
-    assert sgp.tautological_coefficient(sgp.from_generators([2, 3])) == 3
-    assert sgp.tautological_coefficient(sgp.from_generators([2, 5])) == 10
-
-
-def test_tautological_coefficient_positive():
-    for g in range(1, 13):
-        for H in sgp.enumerate_symmetric(g):
-            assert sgp.tautological_coefficient(H) > 0
-        assert sgp.tautological_coefficient(sgp.from_generators([2, 2 * g + 1])) > 0
