@@ -14,6 +14,8 @@ does for membership vectors; dualizing units are scaled the same way.
 Each graded piece is stored as integer echelon rows.  Everything
 downstream reads the graded bases through one reader: degrees(top), the
 slot-carrying degrees; rank(k, positions); and has_power, a row lookup.
+The conductor has one proof, the closure's certificate (_conductor); the
+Gorenstein length test and the condition (G3) both read it.
 """
 
 from __future__ import annotations
@@ -85,11 +87,15 @@ def _primitive(r: list[int], lead: int) -> list[int]:
     return r if g == 1 else [x // g for x in r]
 
 
-def _echelon(rows) -> list[tuple[int, list[int]]]:
-    """(pivot column, primitive row) pairs spanning the rows; each row is
-    zero in the pivot columns of the rows found before it."""
+def _echelon(rows, width: int) -> list[tuple[int, list[int]]]:
+    """(pivot column, primitive row) pairs spanning rows of the given width;
+    each row is zero in the pivot columns of the rows found before it.  The
+    rows left once there are width pivots lie in their span, so they are
+    never read."""
     pivots = []
     for r in rows:
+        if len(pivots) == width:
+            break
         for col, p in pivots:
             f = r[col]
             if f:
@@ -101,14 +107,18 @@ def _echelon(rows) -> list[tuple[int, list[int]]]:
     return pivots
 
 
-def _rref(rows) -> tuple[tuple[int, ...], ...]:
-    """Canonical integer echelon basis of the span of integer rows.
+def _rref(rows, width: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical integer echelon basis of the span of integer rows of the width.
 
     Rows come out in pivot order; each is primitive with a positive pivot
     and zero in every other pivot column, so it is the unique such
-    multiple of the matching reduced row echelon row.
+    multiple of the matching reduced row echelon row: the identity rows
+    when the span is everything.
     """
-    pivots = sorted(_echelon(rows))  # pivot columns are distinct
+    pivots = _echelon(rows, width)
+    if len(pivots) == width:
+        return _identity(width)
+    pivots.sort()  # pivot columns are distinct
     for idx in range(len(pivots) - 2, -1, -1):
         col, r = pivots[idx]
         for col2, r2 in pivots[idx + 1 :]:
@@ -190,7 +200,7 @@ class BranchAlgebra:
                     w = [c * v[pos] for pos, c in picks]
                     if any(w):
                         candidates.append(w)
-            basis[k] = _rref(candidates)
+            basis[k] = _rref(candidates, len(sl))
             if len(basis[k]) < len(sl):
                 self._full_from = None
             elif self._full_from is None:
@@ -222,7 +232,7 @@ class BranchAlgebra:
         """Rank of R_k on the given slot positions: len(positions) on a full piece."""
         if self.dim(k) == len(self.slots(k)):
             return len(positions)
-        return len(_echelon([[r[j] for j in positions] for r in self.basis(k)]))
+        return len(_echelon([[r[j] for j in positions] for r in self.basis(k)], len(positions)))
 
     def has_power(self, branch: int, exp: int) -> bool:
         """Whether t_branch^exp is in R: a unit vector lies in the span of _rref
@@ -234,8 +244,8 @@ class BranchAlgebra:
     def contains(self, terms) -> bool:
         """Membership of generator-style terms: R_k's rank stays when they join its rows."""
         k, coeffs = generator(self.signature, terms)  # every branch it touches is a slot of k
-        rows = self.basis(k)
-        return len(_echelon([*rows, [coeffs.get(i, 0) for i in self.slots(k)]])) == len(rows)
+        rows, sl = self.basis(k), self.slots(k)
+        return len(_echelon([*rows, [coeffs.get(i, 0) for i in sl]], len(sl))) == len(rows)
 
 
 def window(sig: Signature) -> int:
@@ -292,14 +302,44 @@ def gap_sequence(alg: BranchAlgebra) -> tuple[int, ...]:
 def delta_and_genus(alg: BranchAlgebra) -> tuple[int, int]:
     """(delta, arithmetic genus): delta counts the order-0 piece too.
 
-    The gap sequence is summed over orders 1..max(m)+1 only, so the sum is
-    delta only when the conductor is certified
-    (``conductor_and_gorenstein(alg).conductor_bound_ok``); a ring that is
-    not cofinite has infinite delta yet still gets a finite sum here.
+    The gap sequence is summed over orders 1..max(m)+1 only.  Order j has
+    no gap once j >= every c_i, so the sum is delta exactly when every c_i
+    is at most max(m)+2: when ``conductor_and_gorenstein(alg)`` reports
+    ``conductor_bound_ok``.  A ring that is not cofinite has infinite delta
+    yet still gets a finite sum here.
     """
     g = sum(gap_sequence(alg))
     delta = alg.signature.n - 1 + g
     return delta, g
+
+
+def _conductor(alg: BranchAlgebra) -> tuple[int, ...] | None:
+    """The per-branch conductor exponents c_i, proven by the closure's
+    certificate, or None when there is none by degree D = 2*A*T + A - 1,
+    where A = max_i a_i and T = max(m)+2.  c_i is the least exponent with
+    t_i^e in R for every e >= c_i.
+
+    Proof that None means some c_i exceeds T: if every c_i <= T, each slot
+    i of a degree k >= A*T has exponent k/a_i >= T >= c_i, so every R_k
+    with k >= A*T is full.  The full run through D then starts at some
+    K <= A*T, and the stop rule of BranchAlgebra._close_to fires by
+    2K + A - 1 <= D.  Since W >= A*T, D <= 2W + A - 1.
+
+    Once certified, t_i^e lies in R whenever e*a_i >= stable_from, so c_i
+    is found walking down from ceil(stable_from / a_i) with has_power.
+    """
+    sig = alg.signature
+    reach = max(sig.weights_a)
+    alg._close_to(2 * reach * (sig.orders[0] + 2) + reach - 1)
+    if alg.stable_from is None:
+        return None
+    conductor = []
+    for i, a in enumerate(sig.weights_a):
+        c = -(-alg.stable_from // a)
+        while c > 1 and alg.has_power(i, c - 1):
+            c -= 1
+        conductor.append(c)
+    return tuple(conductor)
 
 
 @dataclass(frozen=True)
@@ -307,39 +347,37 @@ class ConductorReport:
     conductor: tuple[int, ...]  # per-branch exponents c_i
     quotient_length: int  # dim of R modulo the pure-monomial ideal
     gorenstein: bool
-    conductor_bound_ok: bool  # every c_i within the expected window
+    conductor_bound_ok: bool  # certified, and every c_i <= max(m)+2
     delta: int
 
 
 def conductor_and_gorenstein(alg: BranchAlgebra) -> ConductorReport:
     """Per-branch conductor exponents and the length test len(R/c) = delta.
 
-    c_i is the least exponent from which pure powers of t_i all lie in R
-    across the checked window ending at max(m)+2; inputs whose conductor
-    ideal genuinely starts beyond that window get c_i = max(m)+3 and are
-    reported with conductor_bound_ok = False rather than rejected (the
-    length test then reads R past the closure's window, which extends it).
+    R is Gorenstein exactly when len(R/c) = delta (Serre, Groupes
+    algebriques et corps de classes, IV 11), so the conductor is the one
+    _conductor proves.  conductor_bound_ok says it is proven and every c_i
+    is at most max(m)+2, which is also when the summed gap sequence is
+    delta (see delta_and_genus).  A ring with no certificate reports
+    c_i = max(m)+3 on every branch, a value never proven, and is not
+    Gorenstein; its length test still reads those values.
     """
     sig = alg.signature
     a = sig.weights_a
-    n = sig.n
     top = sig.orders[0] + 2
-    conductor = []
-    for i in range(n):
-        c = top + 1
-        while c > 1 and alg.has_power(i, c - 1):
-            c -= 1
-        conductor.append(c)
-    bound_ok = all(c <= top for c in conductor)
+    conductor = _conductor(alg)
+    bound_ok = conductor is not None and max(conductor) <= top
+    if conductor is None:
+        conductor = (top + 1,) * sig.n
     delta, _ = delta_and_genus(alg)
-    k_top = max(a[i] * conductor[i] for i in range(n))
+    k_top = max(a[i] * c for i, c in enumerate(conductor))
     length = 0
     for k in alg.degrees(k_top):
         sl = alg.slots(k)
         outside = [pos for pos, i in enumerate(sl) if k // a[i] < conductor[i]]
         length += alg.rank(k, outside)  # dim R_k minus its part in c
     return ConductorReport(
-        conductor=tuple(conductor),
+        conductor=conductor,
         quotient_length=length,
         gorenstein=bound_ok and length == delta,
         conductor_bound_ok=bound_ok,
@@ -423,17 +461,20 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
              for i in range(n) if alg.has_power(i, 1)]
     g1 = not notes
 
+    # (G3) is conductor_bound_ok; the note names a pure power past max(m)+2
+    # that R misses, from the last piece that is not full when there is no
+    # certificate: that piece lies at k >= A*T (see _conductor)
     top = sig.orders[0] + 2
-    g3 = True
-    for i in range(n):
-        reach = window(sig) // sig.weights_a[i]
-        if alg.stable_from is not None:  # pure powers from there on are proven
-            reach = min(reach, (alg.stable_from - 1) // sig.weights_a[i])
-        for e in range(top, reach + 1):
-            if not alg.has_power(i, e):
-                g3 = False
-                notes.append(f"pure power t{i + 1}^{e} missing from the ring")
-                break
+    conductor = _conductor(alg)
+    if conductor is None:
+        a = sig.weights_a
+        k = max(k for k, rows in alg.graded_basis.items() if len(rows) < len(alg.slots(k)))
+        missing = next((i, k // a[i]) for i in alg.slots(k) if not alg.has_power(i, k // a[i]))
+    else:
+        missing = next(((i, c - 1) for i, c in enumerate(conductor) if c > top), None)
+    g3 = missing is None
+    if not g3:
+        notes.append(f"pure power t{missing[0] + 1}^{missing[1]} missing from the ring")
 
     g4 = True
     for i in range(n):
@@ -465,7 +506,7 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
 # ------------------------------------------------------------- JSON I/O
 
 
-_JSON_TYPES = {"an object": dict, "a list": list, "an integer": int,
+_JSON_TYPES = {"an object": dict, "a list": list, "an integer": int, "a string": str,
                "a rational string": (int, str)}
 
 

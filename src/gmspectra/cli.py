@@ -28,6 +28,7 @@ from . import invariants as inv
 from . import semigroup as sg
 from .classifier import (
     GENUS_BOUND,
+    UnresolvedSignatureError,
     alpha_search,
     nonvarying_regression,
     semigroup_search,
@@ -305,6 +306,8 @@ def classify_alpha(genus, threshold, dangling, fmt, decimal):
         cands = alpha_search(genus, threshold=tau, dangling=dangling)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="--genus") from exc
+    except UnresolvedSignatureError as exc:  # no rule resolves a stratum at this cutoff
+        raise click.UsageError(f"threshold {fmt_rational(tau)}: stratum {exc}") from exc
     rows = [candidate_row(c, decimal and fmt == "text") for c in cands]
     if fmt == "json":
         payload = [{**candidate_row(c),

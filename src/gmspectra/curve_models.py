@@ -171,16 +171,24 @@ def model_from_spec(doc: dict):
     {"kind": "hyperelliptic", "genus": g, "tags": ["w", "pair:1", "pair:1"]},
     {"kind": "clifford-max", "genus": g},
     {"kind": "override", "base": {...}, "table": [{"divisor": [...], "h0": k}]}.
+    A field of the wrong JSON type is a ValueError naming it, as in
+    branch_algebra.generators_from_json.
     """
+    ba._field(doc, "an object", "the model spec")
     kind = doc["kind"]
     if kind == "unibranch":
-        return UnibranchModel(sg.from_generators(doc["generators"]))
+        return UnibranchModel(sg.from_generators(ba._entries(doc, "generators", "an integer")))
     if kind == "hyperelliptic":
-        return HyperellipticModel(doc["genus"], tuple(doc["tags"]))
+        return HyperellipticModel(ba._field(doc["genus"], "an integer", "genus"),
+                                  tuple(ba._entries(doc, "tags", "a string")))
     if kind == "clifford-max":
-        return CliffordMaxModel(doc["genus"])
+        return CliffordMaxModel(ba._field(doc["genus"], "an integer", "genus"))
     if kind == "override":
-        table = tuple((tuple(e["divisor"]), e["h0"]) for e in doc["table"])
+        table = tuple(
+            (tuple(ba._entries(e, "divisor", "an integer", f"table[{r}].")),
+             ba._field(e["h0"], "an integer", f"table[{r}].h0"))
+            for r, e in enumerate(ba._entries(doc, "table", "an object"))
+        )
         return OverrideModel(model_from_spec(doc["base"]), table)
     raise ValueError(
         f"unknown model kind {kind!r}; use unibranch, hyperelliptic, "

@@ -9,7 +9,6 @@ enumeration of tuples of fixed genus.
 """
 
 from dataclasses import dataclass
-from itertools import count
 from math import gcd, lcm
 
 
@@ -128,26 +127,12 @@ def _partitions(total, max_part, max_len):
             yield (first,) + rest
 
 
-def enumerate_signatures(g: int, n_max: int, zeros_allowed: bool = False):
-    """All non-increasing order tuples of genus ``g`` with at most ``n_max`` entries.
-
-    Zero entries are appended (in every count that fits) only when
-    ``zeros_allowed``.  Output is sorted lexicographically descending.
-    """
+def enumerate_signatures(g: int, n_max: int):
+    """All non-increasing positive order tuples of genus ``g`` with at most
+    ``n_max`` entries, sorted lexicographically descending; genus one has
+    none."""
     if g < 1 or n_max < 1:
         raise ValueError("need g >= 1 and n_max >= 1")
     total = 2 * g - 2
-    out = []
-    for part in _partitions(total, total if total else 1, n_max):
-        if not part and not zeros_allowed:
-            # genus one has no zero-free signatures
-            continue
-        out.append(part)
-        if zeros_allowed:
-            for k in count(1):
-                if len(part) + k > n_max:
-                    break
-                out.append(part + (0,) * k)
-    out = [t for t in out if t]
-    out.sort(reverse=True)
-    return [derive(t) for t in out]
+    out = sorted(_partitions(total, total, n_max), reverse=True)
+    return [derive(t) for t in out if t]

@@ -5,6 +5,7 @@ multiplication of the generator monomials before the engine existed.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -268,7 +269,7 @@ def test_mutilated_31_not_gorenstein():
     sig = derive((3, 1))
     gens = [[(0, 2, 1), (1, 1, 1)]]
     alg = ba.close(sig, gens)
-    rep = ba.conductor_and_gorenstein(alg)  # reads degree 12, past the window W = 10
+    rep = ba.conductor_and_gorenstein(alg)  # reads degree D = 21, past the window W = 10
     assert not rep.conductor_bound_ok
     assert not rep.gorenstein
     assert rep.quotient_length != rep.delta
@@ -492,7 +493,8 @@ def matrices(draw):
 @given(matrices())
 def test_integer_kernel_matches_the_fraction_oracle(case):
     rows, vectors, cols = case
-    echelon = ba._rref([integer_row(r) for r in rows])
+    width = len(vectors[0])
+    echelon = ba._rref([integer_row(r) for r in rows], width)
     oracle = oracle_rref(rows)
     leads = [next(j for j, x in enumerate(r) if x) for r in echelon]
     assert leads == sorted(set(leads))
@@ -503,7 +505,6 @@ def test_integer_kernel_matches_the_fraction_oracle(case):
     assert len(echelon) == len(oracle)
     assert echelon == tuple(primitive(r) for r in oracle)  # same row space
     # the rows as R_1 of a ring whose every degree has one slot per column
-    width = len(vectors[0])
     alg = ba.BranchAlgebra(derive((0,) * width), (), {0: ((1,) * width,), 1: echelon})
     for v in vectors:
         if any(v):
@@ -590,14 +591,32 @@ def closures(draw):
     return sig, gens, bound, first_reads, draw(st.booleans())
 
 
+def doubling_oracle(ref, top):
+    """Per-branch c_i = 1 + the last e with t_i^e not in R and e*a_i <= top,
+    read off a dense closure.  With top >= 2*a_i*T, where T = max(m)+2,
+    every c_i <= T is exact: t_i^e then lies in R for e in [T, 2T), so
+    t_i^e = t_i^T * t_i^(e-T) puts every later power in by induction."""
+    return tuple(
+        1 + max((e for e in range(1, top // a + 1) if not ref.has_power(i, e)), default=0)
+        for i, a in enumerate(ref.signature.weights_a)
+    )
+
+
+def missing_powers(notes):
+    """(branch, exponent) of each 'pure power t<i>^<e> missing' note."""
+    return [(int(i) - 1, int(e)) for note in notes if note.startswith("pure power")
+            for i, e in [note.split()[2][1:].split("^")]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(closures())
 def test_certified_stop_matches_the_dense_closure(case):
     sig, gens, bound, first_reads, descending = case
     alg = ba.close(sig, gens)
     assert alg.degree_cap <= ba.window(sig)  # close() itself stops at W
-    # the conductor test may read up to max_i a_i*(max(m)+3)
-    top = max(bound, max(a * (sig.orders[0] + 3) for a in sig.weights_a))
+    # the conductor reads up to D = 2*A*T + A - 1 (see branch_algebra._conductor)
+    reach, T = max(sig.weights_a), sig.orders[0] + 2
+    top = max(bound, 2 * reach * T + reach - 1)
     ref = dense_close(sig, gens, top)
     for k in first_reads:
         assert alg.dim(k) == ref.dim(k), k
@@ -606,14 +625,45 @@ def test_certified_stop_matches_the_dense_closure(case):
         assert alg.dim(k) == ref.dim(k), k
     assert ba.graded_dims(alg, bound) == ba.graded_dims(ref, bound)
     assert ba.gap_sequence(alg) == ba.gap_sequence(ref)
-    assert ba.conductor_and_gorenstein(alg) == ba.conductor_and_gorenstein(ref)
-    assert ba.validate_G_conditions(alg) == ba.validate_G_conditions(ref)
-    assert len(ref.graded_basis) == top + 1  # the reference never extended itself
+    report, conditions = ba.conductor_and_gorenstein(alg), ba.validate_G_conditions(alg)
     touched = {b for terms in gens for b, _, _ in terms}
     if len(touched) < sig.n:
         assert alg.stable_from is None  # no pure powers on an untouched branch
     if alg.stable_from is not None:
         assert all(ref.dim(k) == len(ref.slots(k)) for k in range(alg.stable_from, top + 1))
+
+    # the dense closure has no certificate by design; the doubling oracle
+    # decides the window, and supplies one where every c_i <= T
+    oracle = doubling_oracle(ref, top)
+    within = all(c <= T for c in oracle)
+    assert report.conductor_bound_ok == conditions.conductor_bound == within
+    assert report.conductor == (oracle if alg.stable_from is not None else (T + 1,) * sig.n)
+    assert within or not report.gorenstein
+    assert all(e >= T and not ref.has_power(i, e) for i, e in missing_powers(conditions.notes))
+    assert bool(missing_powers(conditions.notes)) == (not within)
+    if within:  # every R_k is full from max_i a_i*c_i on
+        ref.stable_from = max(a * c for a, c in zip(sig.weights_a, oracle))
+    if within or alg.stable_from is None:  # both read the same conductor
+        assert report == ba.conductor_and_gorenstein(ref)
+    ref_conditions = ba.validate_G_conditions(ref)
+    assert replace(conditions, notes=()) == replace(ref_conditions, notes=())
+    if within:
+        assert conditions.notes == ref_conditions.notes
+    assert len(ref.graded_basis) == top + 1  # the reference never extended itself
+
+
+@pytest.mark.parametrize("orders,gens", [
+    ((2,), [[(0, 2, 1)]]),  # k[t^2]: no odd power, delta is infinite
+    ((4,), [[(0, 2, 1)]]),
+    ((3, 1), [[(0, 2, 1)], [(0, 3, 1)]]),  # pure powers on the first branch only
+], ids=["t2-on-2", "t2-on-4", "one-branch-on-31"])
+def test_ring_that_is_not_cofinite_gets_no_conductor(orders, gens):
+    alg = ba.close(derive(orders), gens)
+    report = ba.conductor_and_gorenstein(alg)
+    assert alg.stable_from is None
+    assert not report.conductor_bound_ok and not report.gorenstein
+    assert not ba.validate_G_conditions(alg).conductor_bound
+    assert "delta" not in ba.algebra_summary(alg) and "genus" not in ba.algebra_summary(alg)
 
 
 def test_no_conductor_means_no_certificate():

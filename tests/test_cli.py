@@ -145,30 +145,40 @@ def test_filtration_rejects_invalid_signatures():
 
 
 BAD_INPUTS = [
-    (["classify", "alpha", "--genus", "9"], ["genus 9"]),
-    (["classify", "alpha", "--genus", "0"], ["genus must be at least 1"]),
+    (["classify", "alpha", "--genus", "9"], ["--genus", "genus 9", "bound 8"]),
+    (["classify", "alpha", "--genus", "0"], ["--genus", "genus must be at least 1", "at least 1"]),
     (["classify", "semigroups", "--genus", "1"], ["--genus", "genus at least 2"]),
-    (["filtration", "--signature", "6", "--model", "unibranch:3,x"], ["'x'"]),
+    (["filtration", "--signature", "6", "--model", "unibranch:3,x"],
+     ["'--model'", "integers", "'x'"]),
     (["filtration", "--signature", "4", "--model", "{bad"], ["line 1 column 2"]),
     (["filtration", "--signature", "4", "--model", "unibranch:3,7"],
      ["model genus 6", "genus 3"]),
     (["filtration", "--signature", "4,2", "--model", "hyperelliptic:w"],
      ["divisor needs 1"]),
     (["filtration", "--signature", "4", "--model", "mystery"], ["'mystery'"]),
-    (["invariants", "--catalog", "E7", "--m", "1,x"], ["'x'"]),
-    (["classify", "alpha", "--genus", "9"], ["--genus", "bound 8"]),
     (["invariants", "--catalog", "E7", "--m", "1,x"], ["'--m'", "integers", "'x'"]),
     (["invariants", "--catalog", "E7", "--m", "0,1"], ["'--m'", "positive"]),
-    (["filtration", "--signature", "6", "--model", "unibranch:3,x"],
-     ["'--model'", "integers", "'x'"]),
     (["filtration", "--signature", "6,x", "--model", "clifford-max"],
      ["'--signature'", "integers", "'x'"]),
-    (["classify", "alpha", "--genus", "0"], ["--genus", "at least 1"]),
     (["slope", "--catalog", "E7", "--signature", "6", "--model", "unibranch:3,7"],
      ["--catalog alone"]),
     (["slope", "--catalog", "E7", "--model", "clifford-max"], ["--catalog alone"]),
     (["filtration", "--catalog", "E7", "--signature", "4", "--model", "clifford-max"],
      ["--catalog alone"]),
+    # no catalog value, exclusion rule or exact profile resolves (4, 1, 1) at tau = 0
+    (["classify", "alpha", "--genus", "4", "--threshold", "0"], ["threshold 0", "(4, 1, 1)"]),
+    (["filtration", "--signature", "6", "--model", '{"kind": "unibranch", "generators": "3,5"}'],
+     ["generators", "list", "'3,5'"]),
+    (["filtration", "--signature", "2", "--model", '{"kind": "clifford-max", "genus": "2"}'],
+     ["genus", "integer", "'2'"]),
+    (["filtration", "--signature", "2", "--model",
+      '{"kind": "hyperelliptic", "genus": 2, "tags": ["w", 1]}'], ["tags[1]", "string", "1"]),
+    (["filtration", "--signature", "4", "--model",
+      '{"kind": "override", "base": {"kind": "clifford-max", "genus": 3},'
+      ' "table": [{"divisor": 5, "h0": 1}]}'], ["table[0].divisor", "list", "5"]),
+    (["filtration", "--signature", "4", "--model",
+      '{"kind": "override", "base": {"kind": "clifford-max", "genus": "3"}, "table": []}'],
+     ["genus", "integer", "'3'"]),
 ]
 
 
@@ -208,7 +218,7 @@ def test_malformed_algebra_document_is_one_error_line(tmp_path, doc, fragments):
 
 
 def test_ring_without_generators_gets_a_full_report(tmp_path):
-    # its conductor window reaches degree 12, past the closure's window W = 10
+    # its conductor read reaches degree D = 21, past the closure's window W = 10
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps({"signature": [3, 1], "generators": []}))
     result = invoke("invariants", "--input", str(path))
@@ -224,6 +234,18 @@ def test_ring_without_generators_gets_a_full_report(tmp_path):
     assert result.exit_code == 0, result.output
     doc = json.loads(result.output)
     assert "delta" not in doc and "genus" not in doc and doc["gorenstein"] is False
+
+
+def test_ring_that_is_not_cofinite_is_not_gorenstein(tmp_path):
+    # k[t^2] on (2,) has no odd power of t: no conductor, infinite delta
+    path = tmp_path / "t2.json"
+    path.write_text(json.dumps({"signature": [2], "generators": [
+        {"monomials": [{"branch": 0, "exp": 2, "coeff": "1"}]}]}))
+    result = invoke("invariants", "--input", str(path))
+    assert result.exit_code == 0, result.output
+    assert "gorenstein: False\n" in result.output
+    keys = {line.split(":")[0] for line in result.output.splitlines()}
+    assert not keys & {"delta", "genus", "alpha", "slope"}
 
 
 def test_elliptic_12_input_reports_without_alpha(tmp_path):

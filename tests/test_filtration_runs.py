@@ -26,7 +26,11 @@ from gmspectra.classifier import (
 from gmspectra.signature import derive, enumerate_signatures, ladder, n_plus
 
 SIGNATURES = [
-    sig for g in range(1, 7) for sig in enumerate_signatures(g, 5, zeros_allowed=True)
+    derive(orders + (0,) * k)
+    for g in range(1, 7)
+    for orders in [s.orders for s in enumerate_signatures(g, 5)] or [()]  # genus one: no core
+    for k in range(5 - len(orders) + 1)
+    if orders or k
 ]
 LEVELS = st.sampled_from((1, 2, 3))
 

@@ -174,10 +174,3 @@ def test_enumerate_signatures_examples():
     assert [s.orders for s in sg.enumerate_signatures(2, 2)] == [(2,), (1, 1)]
     got = [s.orders for s in sg.enumerate_signatures(3, 4)]
     assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    zeros = [s.orders for s in sg.enumerate_signatures(1, 3, zeros_allowed=True)]
-    assert set(zeros) == {(0,), (0, 0), (0, 0, 0)}
-
-
-def test_enumerate_signatures_with_zeros():
-    got = [s.orders for s in sg.enumerate_signatures(2, 3, zeros_allowed=True)]
-    assert set(got) == {(2,), (2, 0), (2, 0, 0), (1, 1), (1, 1, 0)}
