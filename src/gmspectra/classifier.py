@@ -328,17 +328,25 @@ def _divisor_condition_label(divisor: Sequence[int], h0: int) -> str:
     return f"override[h0({'+'.join(terms)})={h0}]"
 
 
-def _nonhyp_records(sig, rhs, entries):
-    """(model, chi1, item, component) rows for the nonhyperelliptic side."""
+def _nonhyp_records(sig, rhs, entries, stats: Counter):
+    """(model, chi1, item, component) rows for the nonhyperelliptic side.
+
+    Counts each stage it reaches in ``stats``: Clifford screens and those
+    screened out, exact profiles, override and catalog resolutions and
+    exclusions.
+    """
     g = sig.genus
     if g < 3:
         return []
+    stats["screens"] += 1
     cap_total = clifford_profile_chi1(sig)
     if cap_total < rhs:
+        stats["screened_out"] += 1
         return []
     if sig.orders[0] == 1:
         # every level is canonical or trivial, so the profile is exact for
         # any nonhyperelliptic curve
+        stats["profile"] += 1
         return [("clifford-max", cap_total, "stratum", None)]
     specials = [
         e for e in entries if e.signature == sig.orders and e.locus_condition
@@ -359,6 +367,7 @@ def _nonhyp_records(sig, rhs, entries):
             out.append(
                 (_divisor_condition_label(divisor, h0), chi1, "locus", e.component)
             )
+        stats["override"] += len(out)
         return out
     out = []
     for comp in _nonhyp_components(sig):
@@ -377,7 +386,9 @@ def _nonhyp_records(sig, rhs, entries):
                 )
             label = "catalog[" + "|".join(sorted(e.id for e in matches)) + "]"
             out.append((label, values.pop(), "stratum", comp))
+            stats["catalog"] += 1
         elif (sig.orders, comp) in EXCLUSIONS:
+            stats["excluded"] += 1
             continue
         else:
             raise UnresolvedSignatureError(
@@ -464,6 +475,12 @@ def _unibranch_records(g: int, threshold) -> list[tuple[str, int, str, Optional[
 # ---------------------------------------------------------------------------
 # the search
 
+# the stages alpha_search counts, in the order of its DEBUG line
+_STAGES = ("signatures", "pruned", "taggings", "screens", "screened_out", "profile",
+           "catalog", "override", "excluded", "semigroups")
+_SEARCH_LOG = ("alpha_search g=%d tau=%s " + " ".join(f"{k}=%d" for k in _STAGES)
+               + " candidates=%d score_s=%.6f emit_s=%.6f")
+
 
 def alpha_search(
     g: int,
@@ -479,7 +496,9 @@ def alpha_search(
     is re-evaluated for every subset Q of its core branches with the
     right-hand side lowered by sum of a_i over Q, which can admit models
     the plain search rejects; appended ordinary points never dangle.
-    Signatures have at most four branches (see clifford_cap).
+    Signatures have at most four branches (see clifford_cap).  Logs one
+    DEBUG line with the count of each stage and the scoring and emission
+    times.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
@@ -490,27 +509,35 @@ def alpha_search(
         )
     entries = list(catalog) if catalog is not None else list(cat.entries())
     coeff = threshold_coefficient(threshold)
+    start = time.perf_counter()
+    stats: Counter = Counter()
 
     # (sig, model label, chi1, item, component, tagging-or-None)
     rows: list[tuple[Signature, str, int, str, Optional[str], Optional[Tagging]]] = []
     if g == 1:
         rows.append((derive((0,)), "elliptic", 1, "genus-one", None, None))
     else:
-        for sig in enumerate_signatures(g, 4):
+        signatures = enumerate_signatures(g, 4)
+        stats["signatures"] = len(signatures)
+        for sig in signatures:
             rhs = threshold_rhs(sig, coeff)
             if clifford_cap(sig) < rhs:
+                stats["pruned"] += 1
                 continue
             for tagging in hyperelliptic_taggings(sig):
                 chi1 = hyperelliptic_chi1(sig, tagging)
                 rows.append(
                     (sig, tagging.label, chi1, "hyperelliptic", "hyp", tagging)
                 )
+                stats["taggings"] += 1
             if sig.n == 1:
                 for label, chi1, item, comp in _unibranch_records(g, threshold):
                     rows.append((sig, label, chi1, item, comp, None))
+                    stats["semigroups"] += 1
             else:
-                for label, chi1, item, comp in _nonhyp_records(sig, rhs, entries):
+                for label, chi1, item, comp in _nonhyp_records(sig, rhs, entries, stats):
                     rows.append((sig, label, chi1, item, comp, None))
+    scored = time.perf_counter()
 
     found: dict[tuple, Candidate] = {}
 
@@ -536,6 +563,8 @@ def alpha_search(
                 emit(Candidate(sig.orders + (0,) * k, ext_label, chi1,
                                rhs + k * coeff * sig.ell, True, item, comp, q))
 
+    log.debug(_SEARCH_LOG, g, threshold, *(stats[k] for k in _STAGES), len(found),
+              scored - start, time.perf_counter() - scored)
     return tuple(sorted(found.values(), key=Candidate.sort_key))
 
 

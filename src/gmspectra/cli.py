@@ -101,16 +101,19 @@ def parse_signature(text: str) -> Signature:
 def build_model(spec: str, sig):
     """Model from an inline JSON document or a short spec (clifford-max,
     unibranch:3,7, hyperelliptic:w,pair:1,pair:1), which is first rewritten
-    to that document with the signature's genus."""
+    to that document with the signature's genus.  Either is built for the
+    signature's genus, so a unibranch model of another is refused before
+    its semigroup is built."""
     if spec.lstrip().startswith("{"):
-        return cm.model_from_spec(json.loads(spec))
-    kind, _, rest = spec.partition(":")
-    doc = {"kind": kind, "genus": sig.genus}
-    if kind == "unibranch":
-        doc["generators"] = parse_ints(rest, "'--model'") if rest else []
-    elif kind == "hyperelliptic":
-        doc["tags"] = rest.split(",") if rest else []
-    return cm.model_from_spec(doc)
+        doc = json.loads(spec)
+    else:
+        kind, _, rest = spec.partition(":")
+        doc = {"kind": kind, "genus": sig.genus}
+        if kind == "unibranch":
+            doc["generators"] = parse_ints(rest, "'--model'") if rest else []
+        elif kind == "hyperelliptic":
+            doc["tags"] = rest.split(",") if rest else []
+    return cm.model_from_spec(doc, sig.genus)
 
 
 def resolve_model(entry_id, sig_text, model_spec, missing: str):

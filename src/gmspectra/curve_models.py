@@ -15,7 +15,7 @@ Riemann-Roch once deg D > 2g-2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Sequence
 
@@ -148,7 +148,8 @@ class OverrideModel(_ColumnRead):
     """A base model with finitely many divisors pinned to other values.
 
     The base column with the table rows patched in; when a divisor is
-    listed twice, its first entry wins.
+    listed twice, its first entry wins.  A row whose divisor has another
+    length than the columns is a ValueError naming it.
     """
 
     base: object
@@ -159,12 +160,23 @@ class OverrideModel(_ColumnRead):
         return self.base.genus
 
     def h0_column(self, columns: Columns) -> list[int]:
+        for r, (divisor, _) in enumerate(self.table):
+            if len(divisor) != len(columns):
+                raise ValueError(
+                    f"table[{r}].divisor has {len(divisor)} coefficients, "
+                    f"not one per marked point ({len(columns)})"
+                )
         table = dict(reversed(self.table))
         return [table.get(row, dim)
                 for row, dim in zip(zip(*columns), self.base.h0_column(columns))]
 
 
-def model_from_spec(doc: dict):
+def _same_genus(model_genus: int, genus: int) -> None:
+    if model_genus != genus:
+        raise ValueError(f"model genus {model_genus} differs from signature genus {genus}")
+
+
+def model_from_spec(doc: dict, genus: int | None = None):
     """Build a model from its JSON description.
 
     Kinds: {"kind": "unibranch", "generators": [3, 7]},
@@ -173,11 +185,24 @@ def model_from_spec(doc: dict):
     {"kind": "override", "base": {...}, "table": [{"divisor": [...], "h0": k}]}.
     A field of the wrong JSON type is a ValueError naming it, as in
     branch_algebra.generators_from_json.
+
+    ``genus``, when given, is the genus the model must have (that of the
+    signature it is read on).  A unibranch spec of another genus is refused
+    before its element mask, which grows with its own genus, is built:
+    1, ..., lo-1 are gaps of a semigroup whose smallest generator is lo, so
+    lo > genus + 1 is refused at once, and otherwise the genus is read off
+    the Apery set of lo (semigroup.generated_genus) in O(lo) classes.
     """
     ba._field(doc, "an object", "the model spec")
     kind = doc["kind"]
     if kind == "unibranch":
-        return UnibranchModel(sg.from_generators(ba._entries(doc, "generators", "an integer")))
+        gens = sg.generator_set(ba._entries(doc, "generators", "an integer"))
+        if genus is not None:
+            if gens[0] > genus + 1:
+                raise ValueError(f"model genus at least {gens[0] - 1} differs from "
+                                 f"signature genus {genus}")
+            _same_genus(sg.generated_genus(gens), genus)
+        return UnibranchModel(sg.from_generators(gens))
     if kind == "hyperelliptic":
         return HyperellipticModel(ba._field(doc["genus"], "an integer", "genus"),
                                   tuple(ba._entries(doc, "tags", "a string")))
@@ -189,7 +214,7 @@ def model_from_spec(doc: dict):
              ba._field(e["h0"], "an integer", f"table[{r}].h0"))
             for r, e in enumerate(ba._entries(doc, "table", "an object"))
         )
-        return OverrideModel(model_from_spec(doc["base"]), table)
+        return OverrideModel(model_from_spec(doc["base"], genus), table)
     raise ValueError(
         f"unknown model kind {kind!r}; use unibranch, hyperelliptic, "
         "clifford-max or override"
@@ -199,6 +224,22 @@ def model_from_spec(doc: dict):
 Run = tuple[int, int, int]  # (lam_lo, lam_hi, dim), inclusive bounds
 
 
+@lru_cache(maxsize=1)
+def _ladder_frame(sig: Signature, m: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """``(starts, columns)``: the model-free half of a filtration.
+
+    The run starts of [0, m*ell] (ladder_columns) and, per marked point,
+    the coefficients m*(m_i + 1) - ceil(lam/a_i) at those starts.  Only the
+    last frame is kept, so consecutive reads of one (signature, m) share it
+    and a change of either rebuilds it; tuples, so no model can alter it
+    for the next reader.
+    """
+    starts, steps = ladder_columns(sig, 0, m * sig.ell)
+    columns = tuple(tuple([m * (order + 1) - s for s in col])
+                    for order, col in zip(sig.orders, steps))
+    return tuple(starts), columns
+
+
 def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[Run, ...]:
     """Weight filtration levels lam = 0..m*ell as runs of equal dimension.
 
@@ -206,21 +247,18 @@ def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[Run, ...]:
     order, so its dimension is h0 of m*(m_i + 1) minus the ladder at lam.
     The lam = 0 value is g-1+n for m = 1 and (2m-1)(g-1) + m*n beyond.
 
-    The ladder only steps at lam = k*a_i + 1, so the divisors are built as
-    one column per branch over those run starts (ladder_columns) and the
-    model answers them in one ``h0_column`` call: at most m(2g-2+n) + 1
-    rows whatever ell is, with no per-level call.  Equal neighbours merge
-    into one run; the first run always starts at lam = 0.
+    The ladder only steps at lam = k*a_i + 1, so the divisors are one
+    column per branch over those run starts, a frame that depends on
+    (sig, m) alone: it is built once per (signature, m) and reused by
+    consecutive reads, so a semigroup search of one genus builds it once.
+    The model answers the frame in one ``h0_column`` call: at most
+    m(2g-2+n) + 1 rows whatever ell is, with no per-level call.  Equal
+    neighbours merge into one run; the first run always starts at lam = 0.
     """
     if m < 1:
         raise ValueError("pluricanonical level m must be at least 1")
-    if model.genus != sig.genus:
-        raise ValueError(
-            f"model genus {model.genus} differs from signature genus {sig.genus}"
-        )
-    top = m * sig.ell
-    starts, steps = ladder_columns(sig, 0, top)
-    columns = [[m * (order + 1) - s for s in col] for order, col in zip(sig.orders, steps)]
+    _same_genus(model.genus, sig.genus)
+    starts, columns = _ladder_frame(sig, m)
     dims = model.h0_column(columns)
     runs: list[Run] = []
     run_lo = 0
@@ -228,7 +266,7 @@ def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[Run, ...]:
         if dim != prev:
             runs.append((run_lo, lam - 1, prev))
             run_lo = lam
-    runs.append((run_lo, top, dims[-1]))
+    runs.append((run_lo, m * sig.ell, dims[-1]))
     return tuple(runs)
 
 

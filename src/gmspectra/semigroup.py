@@ -5,8 +5,9 @@ Everything here is exact integer combinatorics on bitmasks: a semigroup
 stores only its Frobenius number F and its elements in [0, F] as one
 integer whose bit k is set when k is an element (every k > F is one).
 Gaps and minimal generators are derived on first read and kept in slots.
-Closure, sumsets and minimal generators are shift-ors of such masks, and
-counting elements is a popcount.
+The closure of a generating set is read off its Apery set, sumsets and
+minimal generators are shift-ors of such masks, and counting elements is a
+popcount.
 """
 
 from __future__ import annotations
@@ -135,8 +136,9 @@ class NumericalSemigroup:
         return "<" + ",".join(str(g) for g in self.generators) + ">"
 
 
-def from_generators(gens) -> NumericalSemigroup:
-    """Additive closure of the given generators together with 0."""
+def generator_set(gens) -> list[int]:
+    """The distinct generators, ascending; a ValueError unless they are
+    positive with gcd 1 (the span is cofinite only then)."""
     gset = sorted(set(gens))
     if not gset:
         raise ValueError("need at least one generator")
@@ -145,18 +147,64 @@ def from_generators(gens) -> NumericalSemigroup:
     d = gcd(*gset)
     if d != 1:
         raise ValueError(f"gcd of generators is {d}, not 1: not cofinite")
-    lo, hi = gset[0], gset[-1]
-    bound = (lo - 1) * (hi - 1)  # > F, since F <= (lo-1)(hi-1)-1 (0 when lo = 1)
-    full = (1 << (bound + 1)) - 1
-    mask = 1
-    for g in gset:
-        # multiples of g by doubling: after the shift by 2^j g the mask
-        # holds every sum with up to 2^(j+1)-1 copies of g
-        step = g
-        while step <= bound:
-            mask |= (mask << step) & full
-            step <<= 1
-    F = (full & ~mask).bit_length() - 1
+    return gset
+
+
+def _apery(gset: list[int]) -> list[int]:
+    """Entry r is the least element congruent to r mod lo = gset[0].
+
+    Boecker and Liptak's round-robin walk: the generators join one at a
+    time.  Once h has joined, the least elements along each cycle
+    r -> r + h (mod lo) of the classes obey w[r + h] <= w[r] + h, and the
+    cycle's smallest entry cannot improve, so one pass around the cycle
+    from it settles the cycle.  O(lo * len(gset)) steps, whatever the
+    Frobenius number is.
+    """
+    lo = gset[0]
+    least: list[int | None] = [0] + [None] * (lo - 1)
+    for h in gset[1:]:
+        d = gcd(lo, h)
+        for p in range(d):
+            reached = [r for r in range(p, lo, d) if least[r] is not None]
+            if not reached:
+                continue
+            r = min(reached, key=least.__getitem__)
+            w = least[r]
+            for _ in range(lo // d - 1):
+                r, w = (r + h) % lo, w + h
+                if least[r] is None or w < least[r]:
+                    least[r] = w
+                else:
+                    w = least[r]
+    return least  # type: ignore[return-value]
+
+
+def generated_genus(gens) -> int:
+    """Genus of the semigroup the generators span, without its element mask.
+
+    The gaps of class r mod lo are r, r + lo, ..., below the least element
+    w_r of the class, (w_r - r) / lo of them (Selmer's formula).
+    """
+    gset = generator_set(gens)
+    return sum((w - r) // gset[0] for r, w in enumerate(_apery(gset)))
+
+
+def from_generators(gens) -> NumericalSemigroup:
+    """Additive closure of the given generators together with 0.
+
+    Read off the Apery set of the smallest generator lo: k is an element iff
+    k >= w_(k mod lo), and F = max(w) - lo.  Each class is one shifted comb
+    of bits lo apart, so the mask costs O(lo) shifts of F + 1 bits, and a
+    generator above F costs one walk over the classes, never F bits.
+    """
+    gset = generator_set(gens)
+    lo = gset[0]
+    least = _apery(gset)
+    F = max(least) - lo
+    comb = ((1 << lo * (F // lo + 1)) - 1) // ((1 << lo) - 1)  # bits 0, lo, 2lo, ...
+    mask = 0
+    for w in least:
+        mask |= comb << w
     return NumericalSemigroup(F, mask & ((1 << (F + 1)) - 1))
 
 
@@ -190,6 +238,15 @@ def enumerate_symmetric(g: int) -> list[NumericalSemigroup]:
     element with itself and with 0 included).  Deciding element e sets
     ``elems |= 1 << e`` and then ``sums |= elems << e``; every new triple
     contains e, so the node is pruned iff bit F-e of ``sums`` is set.
+
+    The walk emits the semigroups in ascending order of their gap tuples,
+    with no sort.  Every leaf has g gaps, F and one of each pair.  Take two
+    leaves that first differ at pair k: the one walked first took F-k, so
+    k is its gap, and the other took k as an element.  Every gap below k
+    comes from a pair j < k (F-j >= g > k for every pair j <= g-1), where
+    the two agree, so both gap tuples share the same gaps below k; next
+    comes k in the first and a larger gap in the second.  So the first
+    leaf has the smaller gap tuple.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
@@ -207,7 +264,6 @@ def enumerate_symmetric(g: int) -> list[NumericalSemigroup]:
                 walk(k + 1, new, new_sums)
 
     walk(1, 1, 1)  # 0 is an element and 0 + 0 = 0
-    found.sort(key=lambda H: H.gaps)
     return found
 
 

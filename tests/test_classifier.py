@@ -529,6 +529,29 @@ def test_semigroup_search_logs_one_debug_line(caplog):
     assert "enumerate_s=" in line.getMessage() and "score_s=" in line.getMessage()
 
 
+def test_alpha_search_logs_its_stages_in_one_debug_line(caplog):
+    with caplog.at_level(logging.WARNING, logger="gmspectra"):
+        alpha_search(6)
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="gmspectra"):
+        found = alpha_search(6)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("alpha_search")]
+    (line,) = lines  # one line per call, none per signature
+    fields = dict(part.split("=") for part in line.split()[1:])
+    assert fields["g"] == "6" and fields["tau"] == "3/8"
+    assert int(fields["candidates"]) == len(found)
+    assert int(fields["signatures"]) == len(enumerate_signatures(6, 4))
+    nonhyp = [r for r in semigroup_search(6) if not r.hyperelliptic]
+    assert int(fields["semigroups"]) == len(nonhyp)
+    # every signature of n >= 2 past the cap reaches the Clifford screen once
+    assert int(fields["screens"]) == int(fields["signatures"]) - int(fields["pruned"]) - 1
+    # two pass it: (7,3) is resolved by its override, both spins of (6,4)
+    # by exclusion rules
+    assert int(fields["screens"]) - int(fields["screened_out"]) == 2
+    assert (fields["override"], fields["excluded"], fields["catalog"]) == ("1", "2", "0")
+    assert int(fields["taggings"]) > 0 and float(fields["score_s"]) >= 0
+
+
 # ------------------------------------------------------------- resolution
 
 

@@ -179,12 +179,40 @@ BAD_INPUTS = [
     (["filtration", "--signature", "4", "--model",
       '{"kind": "override", "base": {"kind": "clifford-max", "genus": "3"}, "table": []}'],
      ["genus", "integer", "'3'"]),
+    # a table row with a coefficient per point of another signature
+    (["filtration", "--signature", "4", "--model",
+      '{"kind": "override", "base": {"kind": "clifford-max", "genus": 3},'
+      ' "table": [{"divisor": [1, 2, 3], "h0": 1}]}'],
+     ["table[0].divisor", "3 coefficients", "(1)"]),
+    # refused before a mask of about 10^12 bits is built
+    (["filtration", "--signature", "4", "--model",
+      '{"kind": "unibranch", "generators": [1000003, 1000033]}'],
+     ["model genus at least 1000002", "signature genus 3"]),
 ]
 
 
 @pytest.mark.parametrize("args,fragments", BAD_INPUTS)
 def test_bad_input_is_one_error_line(args, fragments):
     assert_usage_error(invoke(*args), *fragments)
+
+
+def test_unibranch_specs_are_decided_by_the_signature_genus():
+    # each verdict costs O(genus + smallest generator), whatever the
+    # Frobenius number of the generators' own semigroup is
+    start = time.perf_counter()
+    for spec, fragment in (
+        ('{"kind": "unibranch", "generators": [1000003, 1000033]}', "at least 1000002"),
+        ("unibranch:3,1000000000001", "model genus 1000000000000"),  # smallest is 3
+        ('{"kind": "override", "base": {"kind": "unibranch", "generators": [999999, 1000000]},'
+         ' "table": []}', "at least 999998"),
+    ):
+        result = invoke("filtration", "--signature", "6", "--model", spec)
+        assert_usage_error(result, fragment, "signature genus 4")
+    for spec in ("unibranch:3,5,100", "unibranch:3,5,1000000000000"):  # <3,5>, genus 4
+        result = invoke("filtration", "--signature", "6", "--model", spec)
+        assert result.exit_code == 0, result.output
+        assert result.output == "4 4 3 2 2 1 1 1\nchi1_log: 14\n"
+    assert time.perf_counter() - start < 1
 
 
 def test_input_without_signature_is_one_error_line(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import gmspectra.branch_algebra as ba
+import gmspectra.classifier as classifier
 import gmspectra.curve_models as cm
 import gmspectra.semigroup as sg
 from gmspectra import catalog
@@ -195,6 +196,61 @@ def test_filtration_genus_one():
     assert dims == (1, 1)
 
 
+# ----------------------------------------------------------- ladder frame
+
+
+def frame_pairs():
+    """Per model kind, two (model, signature) reads on different frames."""
+    clifford = cm.CliffordMaxModel(3)
+    return {
+        "unibranch": ((cm.UnibranchModel(sg.from_generators((3, 4))), derive((4,))),
+                      (cm.UnibranchModel(sg.from_generators((3, 5))), derive((6,)))),
+        "hyperelliptic": ((cm.HyperellipticModel(3, ("w",)), derive((4,))),
+                          (cm.HyperellipticModel(3, ("pair:1", "pair:1")), derive((2, 2)))),
+        "clifford-max": ((clifford, derive((4,))), (clifford, derive((3, 1)))),
+        "override": ((cm.OverrideModel(clifford, (((3,), 1),)), derive((4,))),
+                     (cm.OverrideModel(clifford, (((2, 1), 1),)), derive((3, 1)))),
+        "algebra": ((cm.AlgebraModel(catalog.get("E6").algebra()), derive((4,))),
+                    (cm.AlgebraModel(catalog.get("E7").algebra()), derive((3, 1)))),
+    }
+
+
+def interleaved_reads():
+    """Every kind's reads A, B, A at m = 1, then m = 2 on A's signature."""
+    reads = []
+    for a, b in frame_pairs().values():
+        reads += [(*a, 1), (*b, 1), (*a, 1), (*a, 2), (*a, 1), (*b, 2), (*a, 2)]
+    return reads
+
+
+def test_shared_frames_give_the_runs_of_fresh_frames():
+    reads = interleaved_reads()
+    fresh = []
+    for model, sig, m in reads:
+        cm._ladder_frame.cache_clear()
+        fresh.append(cm.filtration_dims(model, sig, m))
+    cm._ladder_frame.cache_clear()
+    assert [cm.filtration_dims(model, sig, m) for model, sig, m in reads] == fresh
+    # one frame per change of (signature, m), shared by the reads in between
+    frames = [(sig, m) for _, sig, m in reads]
+    changes = 1 + sum(x != y for x, y in zip(frames, frames[1:]))
+    info = cm._ladder_frame.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (changes, len(reads) - changes, 1)
+
+
+def test_a_semigroup_search_builds_one_frame():
+    cm._ladder_frame.cache_clear()
+    records = classifier.semigroup_search(10)
+    info = cm._ladder_frame.cache_info()
+    assert (info.misses, info.hits) == (1, len(records) - 1)
+
+
+def test_the_frame_is_immutable():
+    starts, columns = cm._ladder_frame(derive((3, 1)), 2)
+    assert type(starts) is tuple and type(columns) is tuple
+    assert all(type(col) is tuple for col in columns)
+
+
 # ------------------------------------------------------------ properties
 
 
@@ -340,6 +396,14 @@ def test_override_column_patches_table_rows(rows, table, data):
     assert model.h0_column(columns_of(rows, 2)) == expected
 
 
+def test_override_row_of_another_length_is_an_error():
+    model = cm.OverrideModel(cm.CliffordMaxModel(3), (((3, 0), 2), ((1, 2, 3), 1)))
+    with pytest.raises(ValueError, match=r"table\[1\]\.divisor has 3 coefficients.*\(2\)"):
+        model.h0_column([[4, 3], [0, 0]])
+    with pytest.raises(ValueError, match=r"table\[0\]\.divisor"):
+        cm.filtration_dims(model, derive((4,)), 1)
+
+
 def test_override_column_first_entry_wins():
     model = cm.OverrideModel(cm.CliffordMaxModel(5), (((3, 0), 2), ((3, 0), 7)))
     assert model.h0_column([[4, 3, 2], [0, 0, 0]]) == [2, 2, 1]
@@ -375,3 +439,12 @@ def test_model_from_spec():
     assert m4.h0((3, 0)) == 2 and m4.h0((5, 0)) == 3
     with pytest.raises(ValueError):
         cm.model_from_spec({"kind": "mystery"})
+
+
+def test_model_from_spec_decides_a_unibranch_genus_before_the_mask():
+    spec = {"kind": "unibranch", "generators": [3, 5, 10**12]}  # <3,5>
+    assert cm.model_from_spec(spec, 4).semigroup == sg.from_generators((3, 5))
+    with pytest.raises(ValueError, match="model genus 6 differs from signature genus 3"):
+        cm.model_from_spec({"kind": "unibranch", "generators": [3, 7]}, 3)
+    with pytest.raises(ValueError, match="model genus at least 1000002 differs"):
+        cm.model_from_spec({"kind": "unibranch", "generators": [1000003, 1000033]}, 3)

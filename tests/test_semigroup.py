@@ -165,6 +165,25 @@ def test_generator_sets_match_brute_force(raw):
     assert_matches_brute_force(sgp.from_generators(raw), raw)
 
 
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+def test_generated_genus_reads_no_mask(raw):
+    d = 0
+    for g in raw:
+        d = gcd(d, g)
+    if d != 1:
+        raw.append(d + 1)  # force cofiniteness
+    H = sgp.from_generators(raw)
+    assert sgp.generated_genus(raw) == H.genus == len(H.gaps)
+
+
+def test_generators_above_the_frobenius_number_cost_nothing():
+    # the mask spans [0, F] only: no generator past F is ever expanded
+    assert sgp.from_generators([3, 5, 10**12]) == sgp.from_generators([3, 5])
+    assert sgp.generated_genus([3, 10**12 + 1]) == 10**12
+    with pytest.raises(ValueError, match="gcd"):
+        sgp.generated_genus([4, 6])
+
+
 def test_symmetric_semigroups_match_brute_force():
     for g in range(1, 13):
         for H in sgp.enumerate_symmetric(g):
@@ -268,6 +287,13 @@ def test_enumerate_symmetric_matches_brute_force():
         got = [H.gaps for H in sgp.enumerate_symmetric(g)]
         assert got == brute_symmetric_gap_sets(g)
         assert len(set(got)) == len(got)
+
+
+def test_enumerate_symmetric_walks_in_gap_order():
+    # no sort: the depth-first walk itself emits ascending gap tuples
+    for g in range(1, 25):
+        found = sgp.enumerate_symmetric(g)
+        assert found == sorted(found, key=lambda H: H.gaps)
 
 
 def test_symmetric_biconditional():
