@@ -176,7 +176,7 @@ def _same_genus(model_genus: int, genus: int) -> None:
         raise ValueError(f"model genus {model_genus} differs from signature genus {genus}")
 
 
-def model_from_spec(doc: dict, genus: int | None = None):
+def model_from_spec(doc: dict, genus: int):
     """Build a model from its JSON description.
 
     Kinds: {"kind": "unibranch", "generators": [3, 7]},
@@ -186,22 +186,22 @@ def model_from_spec(doc: dict, genus: int | None = None):
     A field of the wrong JSON type is a ValueError naming it, as in
     branch_algebra.generators_from_json.
 
-    ``genus``, when given, is the genus the model must have (that of the
-    signature it is read on).  A unibranch spec of another genus is refused
-    before its element mask, which grows with its own genus, is built:
-    1, ..., lo-1 are gaps of a semigroup whose smallest generator is lo, so
-    lo > genus + 1 is refused at once, and otherwise the genus is read off
-    the Apery set of lo (semigroup.generated_genus) in O(lo) classes.
+    ``genus`` is the genus of the signature the model is read on.  A
+    unibranch spec of another genus is refused before its element mask,
+    which grows with its own genus, is built: 1, ..., lo-1 are gaps of a
+    semigroup whose smallest generator is lo, so lo > genus + 1 is refused
+    at once, and otherwise the genus is read off the Apery set of lo
+    (semigroup.generated_genus) in O(lo * min(k, lo)) steps for k
+    generators.
     """
     ba._field(doc, "an object", "the model spec")
     kind = doc["kind"]
     if kind == "unibranch":
         gens = sg.generator_set(ba._entries(doc, "generators", "an integer"))
-        if genus is not None:
-            if gens[0] > genus + 1:
-                raise ValueError(f"model genus at least {gens[0] - 1} differs from "
-                                 f"signature genus {genus}")
-            _same_genus(sg.generated_genus(gens), genus)
+        if gens[0] > genus + 1:
+            raise ValueError(f"model genus at least {gens[0] - 1} differs from "
+                             f"signature genus {genus}")
+        _same_genus(sg.generated_genus(gens), genus)
         return UnibranchModel(sg.from_generators(gens))
     if kind == "hyperelliptic":
         return HyperellipticModel(ba._field(doc["genus"], "an integer", "genus"),

@@ -157,12 +157,18 @@ def _apery(gset: list[int]) -> list[int]:
     time.  Once h has joined, the least elements along each cycle
     r -> r + h (mod lo) of the classes obey w[r + h] <= w[r] + h, and the
     cycle's smallest entry cannot improve, so one pass around the cycle
-    from it settles the cycle.  O(lo * len(gset)) steps, whatever the
-    Frobenius number is.
+    from it settles the cycle.  A generator h whose class already holds
+    an element w <= h is h = w + t*lo, in the span of the smaller ones, and
+    is skipped in one step; so at most lo - 1 generators are walked, and
+    the walk costs O(lo * min(k, lo)) steps for k generators, whatever
+    the Frobenius number is.
     """
     lo = gset[0]
     least: list[int | None] = [0] + [None] * (lo - 1)
     for h in gset[1:]:
+        w = least[h % lo]
+        if w is not None and w <= h:
+            continue
         d = gcd(lo, h)
         for p in range(d):
             reached = [r for r in range(p, lo, d) if least[r] is not None]
@@ -195,7 +201,8 @@ def from_generators(gens) -> NumericalSemigroup:
     Read off the Apery set of the smallest generator lo: k is an element iff
     k >= w_(k mod lo), and F = max(w) - lo.  Each class is one shifted comb
     of bits lo apart, so the mask costs O(lo) shifts of F + 1 bits, and a
-    generator above F costs one walk over the classes, never F bits.
+    generator in the span of the smaller ones (every one above F among
+    them) costs one step, never F bits.
     """
     gset = generator_set(gens)
     lo = gset[0]

@@ -421,24 +421,25 @@ def test_algebra_column_reads_one_section_space_per_row():
 
 
 def test_model_from_spec():
-    m1 = cm.model_from_spec({"kind": "unibranch", "generators": [3, 7]})
+    m1 = cm.model_from_spec({"kind": "unibranch", "generators": [3, 7]}, 6)
     assert isinstance(m1, cm.UnibranchModel) and m1.genus == 6
     m2 = cm.model_from_spec(
-        {"kind": "hyperelliptic", "genus": 4, "tags": ["w", "pair:1", "pair:1"]}
+        {"kind": "hyperelliptic", "genus": 4, "tags": ["w", "pair:1", "pair:1"]}, 4
     )
     assert m2.h0((2, 0, 0)) == 2
-    m3 = cm.model_from_spec({"kind": "clifford-max", "genus": 5})
+    m3 = cm.model_from_spec({"kind": "clifford-max", "genus": 5}, 5)
     assert m3.h0((8,)) == 5
     m4 = cm.model_from_spec(
         {
             "kind": "override",
             "base": {"kind": "clifford-max", "genus": 5},
             "table": [{"divisor": [3, 0], "h0": 2}],
-        }
+        },
+        5,
     )
     assert m4.h0((3, 0)) == 2 and m4.h0((5, 0)) == 3
     with pytest.raises(ValueError):
-        cm.model_from_spec({"kind": "mystery"})
+        cm.model_from_spec({"kind": "mystery"}, 5)
 
 
 def test_model_from_spec_decides_a_unibranch_genus_before_the_mask():
