@@ -1,12 +1,16 @@
 """Threshold searches for level-one characters over strata and models.
 
-Everything here evaluates one inequality: a model passes a cutoff tau
-when its level-one character chi1_log reaches threshold_rhs, which is
-c*((2g-2+n)*ell - sum of a_i over the dangling branches) with
-c = (2-tau)/(11-12tau), the exact condition for the alpha-invariant to
-be at least tau.  The Clifford cap, the nonhyperelliptic screen, the
-semigroup walk, the ordinary-point budget and every candidate read that
-one function.  The search enumerates signatures
+Everything here decides one inequality: a model passes a cutoff tau when
+its level-one character chi1_log reaches c*X, where
+X = (2g-2+n)*ell - sum of a_i over the dangling branches and
+c = (2-tau)/(11-12tau) = p/q, the exact condition for the alpha-invariant
+to be at least tau.  Both chi1_log and X are integers, so the test is
+q*chi1_log >= p*X on Python ints; X comes from one function,
+_threshold_x.  The Clifford cap, the nonhyperelliptic screen, the
+semigroup walk, the ordinary-point budget and every candidate decide it
+that way.  A Fraction c*X is built only for the threshold_rhs field of an
+emitted Candidate (threshold_rhs gives it for a signature) and for the
+message of an UnresolvedSignatureError.  The search enumerates signatures
 (at most four branches survive the Clifford cap), runs every admissible
 hyperelliptic tagging, resolves the nonhyperelliptic side through the
 Clifford profile, the shipped catalog, explicit exclusion rules and the
@@ -19,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -61,7 +64,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=16)  # alpha_search reads it once per ordinary-point budget
+@lru_cache(maxsize=16)  # ordinary_point_budget reads it on every call
 def threshold_coefficient(threshold) -> Fraction:
     """Coefficient c with "alpha >= tau iff chi1_log >= c*(2g-2+n)*ell".
 
@@ -111,16 +114,32 @@ class Candidate:
         return (self.signature, self.model, self.dangling)
 
 
+def _threshold_x(sig: Signature, dangling=()) -> int:
+    """X = (2g-2+n)*ell - sum_{i in Q} a_i, the integer the cutoff is c*X of."""
+    return (2 * sig.genus - 2 + sig.n) * sig.ell - sum(map(sig.weights_a.__getitem__, dangling))
+
+
+def _margin(coeff: Fraction, value: int, x: int) -> int:
+    """q*value - p*x for c = p/q: value >= c*x exactly when it is >= 0."""
+    return coeff.denominator * value - coeff.numerator * x
+
+
+def _budget(coeff: Fraction, chi1_log: int, x: int, ell: int) -> int:
+    """floor((q*chi1_log - p*x)/(p*ell)): the largest k with chi1_log >= c*(x + k*ell)."""
+    return _margin(coeff, chi1_log, x) // (coeff.numerator * ell)
+
+
 def threshold_rhs(sig: Signature, coeff: Fraction, dangling=()) -> Fraction:
     """The cutoff c*((2g-2+n)*ell - sum_{i in Q} a_i) that chi1_log must reach.
 
     With chi2_log = chi1_log + (2g-2+n)*ell (the level-two identity), alpha
     = (13x1 - 2x2)/(13x1 - x2) >= tau is chi1_log >= c*(2g-2+n)*ell.  A
     dangling branch i in Q drops its weight a_i from chi2_log first, which
-    lowers the cutoff by c*a_i.  Every scorer in this module reads it.
+    lowers the cutoff by c*a_i.  The scorers in this module decide the
+    same inequality on ints, q*chi1_log >= p*X with c = p/q; this Fraction
+    is the threshold_rhs a Candidate of sig reports.
     """
-    drop = sum(sig.weights_a[i] for i in dangling)
-    return coeff * ((2 * sig.genus - 2 + sig.n) * sig.ell - drop)
+    return coeff * _threshold_x(sig, dangling)
 
 
 def ordinary_point_budget(
@@ -129,13 +148,12 @@ def ordinary_point_budget(
     """Largest k with chi1_log >= threshold_rhs of sig with k zeros appended.
 
     An ordinary marked point leaves g, ell, the core a_i and chi1_log
-    unchanged and raises n by one, so the cutoff grows by c*ell per point
-    and the budget is floor((chi1_log - rhs)/(c*ell)).  Negative when even
-    the bare signature misses the cutoff.
+    unchanged and raises n by one, so X grows by ell per point and, with
+    c = p/q, the budget is floor((q*chi1_log - p*X)/(p*ell)), computed on
+    ints.  Negative when even the bare signature misses the cutoff.
     """
     coeff = threshold_coefficient(threshold)
-    rhs = threshold_rhs(sig, coeff, dangling)
-    return math.floor((chi1_log - rhs) / (coeff * sig.ell))
+    return _budget(coeff, chi1_log, _threshold_x(sig, dangling), sig.ell)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +251,10 @@ def hyperelliptic_chi1_routes(sig: Signature, tagging: Tagging) -> tuple[int, Fr
     """
     model = cm.HyperellipticModel(sig.genus, tagging.model_tags(sig))
     summed = cm.runs_chi_log(cm.filtration_dims(model, sig, 1))
-    shortcut = clifford_cap(sig) - sum(
-        Fraction(sig.ell - sig.ell // (v + 1), 4) for v in tagging.weierstrass
+    shortcut = Fraction(
+        2 * (sig.genus + 1) * sig.ell
+        - sum(sig.ell - sig.ell // (v + 1) for v in tagging.weierstrass),
+        4,
     )
     return summed, shortcut
 
@@ -328,7 +348,7 @@ def _divisor_condition_label(divisor: Sequence[int], h0: int) -> str:
     return f"override[h0({'+'.join(terms)})={h0}]"
 
 
-def _nonhyp_records(sig, rhs, entries, stats: Counter):
+def _nonhyp_records(sig, coeff, x, entries, stats: Counter):
     """(model, chi1, item, component) rows for the nonhyperelliptic side.
 
     Counts each stage it reaches in ``stats``: Clifford screens and those
@@ -340,7 +360,7 @@ def _nonhyp_records(sig, rhs, entries, stats: Counter):
         return []
     stats["screens"] += 1
     cap_total = clifford_profile_chi1(sig)
-    if cap_total < rhs:
+    if _margin(coeff, cap_total, x) < 0:
         stats["screened_out"] += 1
         return []
     if sig.orders[0] == 1:
@@ -393,7 +413,7 @@ def _nonhyp_records(sig, rhs, entries, stats: Counter):
         else:
             raise UnresolvedSignatureError(
                 f"{sig.orders} component {comp}: Clifford screen passes "
-                f"({cap_total} >= {rhs}) but no catalog value, exclusion "
+                f"({cap_total} >= {coeff * x}) but no catalog value, exclusion "
                 f"rule or exact profile applies"
             )
     return out
@@ -425,7 +445,7 @@ def semigroup_search(g: int, threshold=DEFAULT_THRESHOLD) -> tuple[SemigroupReco
     if g < 2:
         raise ValueError("single-zero strata need genus at least 2")
     sig = derive((2 * g - 2,))
-    rhs = threshold_rhs(sig, threshold_coefficient(threshold))
+    coeff, x = threshold_coefficient(threshold), _threshold_x(sig)
     start = time.perf_counter()
     semigroups = sg.enumerate_symmetric(g)
     enumerated = time.perf_counter()
@@ -443,7 +463,7 @@ def semigroup_search(g: int, threshold=DEFAULT_THRESHOLD) -> tuple[SemigroupReco
                 element_sum=total,
                 hyperelliptic=H.hyperelliptic,
                 spin=H.spin,
-                passed=chi1 >= rhs,
+                passed=_margin(coeff, chi1, x) >= 0,
             )
         )
     log.debug(
@@ -520,8 +540,9 @@ def alpha_search(
         signatures = enumerate_signatures(g, 4)
         stats["signatures"] = len(signatures)
         for sig in signatures:
-            rhs = threshold_rhs(sig, coeff)
-            if clifford_cap(sig) < rhs:
+            x = _threshold_x(sig)
+            # clifford_cap < c*x, doubled so both sides are integers
+            if _margin(coeff, (sig.genus + 1) * sig.ell, 2 * x) < 0:
                 stats["pruned"] += 1
                 continue
             for tagging in hyperelliptic_taggings(sig):
@@ -535,33 +556,29 @@ def alpha_search(
                     rows.append((sig, label, chi1, item, comp, None))
                     stats["semigroups"] += 1
             else:
-                for label, chi1, item, comp in _nonhyp_records(sig, rhs, entries, stats):
+                for label, chi1, item, comp in _nonhyp_records(sig, coeff, x, entries, stats):
                     rows.append((sig, label, chi1, item, comp, None))
     scored = time.perf_counter()
 
     found: dict[tuple, Candidate] = {}
-
-    def emit(cand: Candidate) -> None:
-        found.setdefault((cand.signature, cand.model, cand.dangling), cand)
-
     for sig, label, chi1, item, comp, tagging in rows:
         subsets: list[tuple[int, ...]] = [()]
         if dangling:
             subsets = [
-                q
+                Q
                 for r in range(sig.n + 1)
-                for q in itertools.combinations(range(sig.n), r)
+                for Q in itertools.combinations(range(sig.n), r)
             ]
-        for q in subsets:
-            rhs = threshold_rhs(sig, coeff, q)
-            if chi1 < rhs:
-                continue
-            # k appended zeros keep g, ell and the core a_i, so the cutoff
-            # grows by c*ell per point
-            for k in range(ordinary_point_budget(sig, chi1, threshold, q) + 1):
+        for Q in subsets:
+            x = _threshold_x(sig, Q)
+            # k appended zeros keep g, ell and the core a_i, so X grows by
+            # ell per point; a negative budget is a failing row
+            for k in range(_budget(coeff, chi1, x, sig.ell) + 1):
+                orders = sig.orders + (0,) * k
                 ext_label = tagging.with_free(k).label if tagging and k else label
-                emit(Candidate(sig.orders + (0,) * k, ext_label, chi1,
-                               rhs + k * coeff * sig.ell, True, item, comp, q))
+                if (orders, ext_label, Q) not in found:
+                    found[orders, ext_label, Q] = Candidate(
+                        orders, ext_label, chi1, coeff * (x + k * sig.ell), True, item, comp, Q)
 
     log.debug(_SEARCH_LOG, g, threshold, *(stats[k] for k in _STAGES), len(found),
               scored - start, time.perf_counter() - scored)

@@ -4,7 +4,8 @@ A numerical semigroup is a cofinite additive submonoid of the naturals.
 Everything here is exact integer combinatorics on bitmasks: a semigroup
 stores only its Frobenius number F and its elements in [0, F] as one
 integer whose bit k is set when k is an element (every k > F is one).
-Gaps and minimal generators are derived on first read and kept in slots.
+Gaps, minimal generators and the element sum are derived on first read and
+kept in slots, outside equality, hashing and repr.
 The closure of a generating set is read off its Apery set, sumsets and
 minimal generators are shift-ors of such masks, and counting elements is a
 popcount.
@@ -30,6 +31,7 @@ class NumericalSemigroup:
     mask: int  # bit k set iff k in [0, F] is an element; no higher bits
     _gaps: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _generators: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _element_sum: int | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def genus(self) -> int:
@@ -81,11 +83,15 @@ class NumericalSemigroup:
         smallest elements, at most g of them.  Their sum is F(F+1)/2 minus
         the gap sum.  The other r = 2g - 1 - F >= 0 of the g smallest are
         C, C+1, ..., C+r-1 from the conductor C = F + 1 on, summing to
-        r*C + r(r-1)/2.
+        r*C + r(r-1)/2.  Computed on first read and kept.
         """
-        F, C = self.frobenius, self.conductor
-        r = 2 * self.genus - 1 - F
-        return F * C // 2 - sum(self.gaps) + r * C + r * (r - 1) // 2
+        if self._element_sum is None:
+            F, C = self.frobenius, self.conductor
+            r = 2 * self.genus - 1 - F
+            object.__setattr__(
+                self, "_element_sum", F * C // 2 - sum(self.gaps) + r * C + r * (r - 1) // 2
+            )
+        return self._element_sum
 
     def contains(self, k: int) -> bool:
         if k < 0:

@@ -2,14 +2,18 @@
 
 The searches for genus up to six are pinned row by row (signature, model
 label, chi1_log, item, component); genus seven and eight must consist of
-the parametric hyperelliptic families and nothing else.  On top of the
-golden lists: dual-route agreement for every hyperelliptic tagging up to
-genus ten, the Clifford profile identity, ordinary-point budgets, the
-alternate 5/9 cutoff, dangling re-scoring, the symmetric-semigroup side
-search, and the nonvarying regression harness including its failure mode.
+the parametric hyperelliptic families and nothing else, and every search
+from genus seven to twenty of hyperelliptic candidates only.  Searches at
+cutoffs whose coefficient has a numerator above one are pinned by digest.
+On top of the golden lists: dual-route agreement for every hyperelliptic
+tagging up to genus ten, the Clifford profile identity, ordinary-point
+budgets, the alternate 5/9 cutoff, dangling re-scoring, the
+symmetric-semigroup side search, and the nonvarying regression harness
+including its failure mode.
 """
 
 import dataclasses
+import hashlib
 import logging
 from fractions import Fraction
 
@@ -148,12 +152,12 @@ def test_search_matches_golden_list(g, expected):
     assert rows(alpha_search(g)) == expected
 
 
-def test_g7_g8_are_hyperelliptic_only():
-    for g in (7, 8):
-        cands = alpha_search(g)
-        assert cands  # the parametric families never dry up
-        assert all(c.component == "hyp" for c in cands)
-        assert all(c.item == "hyperelliptic" for c in cands)
+def test_g7_to_g20_are_hyperelliptic_only():
+    for g in range(7, 21):
+        cands = alpha_search(g, genus_bound=g)
+        assert cands, g  # the parametric families never dry up
+        assert all(c.component == "hyp" for c in cands), g
+        assert all(c.item == "hyperelliptic" for c in cands), g
 
 
 def expected_family_rows(g):
@@ -337,12 +341,43 @@ SOME_SIGS = [derive(t) for t in
              [(2,), (1, 1), (4,), (3, 1), (2, 2, 2), (6, 2), (4, 4, 1, 1)]]
 
 
-@given(st.sampled_from(SOME_SIGS), st.integers(min_value=0, max_value=400))
-def test_budget_is_the_floor(sig, chi1):
-    k = ordinary_point_budget(sig, chi1)
-    base = 2 * sig.genus - 2 + sig.n
-    assert 4 * chi1 >= (base + k) * sig.ell
-    assert 4 * chi1 < (base + k + 1) * sig.ell
+@given(st.sampled_from(SOME_SIGS), st.integers(min_value=0, max_value=400),
+       st.sampled_from([Fraction(3, 8), 0, Fraction(1, 4), Fraction(1, 2), Fraction(2, 3),
+                        Fraction(9, 10)]),
+       st.data())
+def test_budget_is_the_floor(sig, chi1, tau, data):
+    # c = p/q is 1/4 at 3/8 and has p > 1 at every other tau drawn here
+    dangling = data.draw(st.sampled_from([(), (0,), tuple(range(sig.n))]))
+    coeff = threshold_coefficient(tau)
+    k = ordinary_point_budget(sig, chi1, tau, dangling)
+    rhs = threshold_rhs(sig, coeff, dangling)
+    assert rhs + k * coeff * sig.ell <= chi1 < rhs + (k + 1) * coeff * sig.ell
+
+
+# The candidate rows of alpha_search over g = 1..top at cutoffs whose
+# coefficient c = (2-tau)/(11-12tau) has a numerator above one (7/32, 3/10,
+# 4/9), with dangling off and on: (row count, sha256 of the sorted rows).
+PINNED_SEARCHES = {
+    (Fraction(1, 4), 3, False): (37, "4291b0ec549128e65df5c2b693e0082c26001b397647878d17e4c388bba8afec"),
+    (Fraction(1, 4), 3, True): (220, "d23a18cf7b26c4635002c79624e8aedeb9a2a7442e3844b35256781521963aab"),
+    (Fraction(1, 2), 8, False): (15, "ca92615fb53079eb49d89a0d62e4ea6814508be91ae78499ed5bbe62f3ce5643"),
+    (Fraction(1, 2), 8, True): (47, "592ad787ee0df0c61b9dfd1dd0d05bf646033e210338fddd9221d7b6c9cb7185"),
+    (Fraction(2, 3), 8, False): (3, "7ce79eef4e19e138b007a8259c0bd73a153848a95ae4feda46bdfae5aadb7c59"),
+    (Fraction(2, 3), 8, True): (7, "a0b7a9820b6f066b5cd1d7cf83a26d961dcde3284cbb647644aa9bceb2656439"),
+}
+
+
+@pytest.mark.parametrize("tau, top, dangling", sorted(PINNED_SEARCHES))
+def test_searches_at_coefficients_with_numerator_above_one_are_pinned(tau, top, dangling):
+    assert threshold_coefficient(tau).numerator > 1
+    lines = sorted(
+        f"{c.signature}|{c.model}|{c.chi1_log}|{c.threshold_rhs}|{c.passed}|"
+        f"{c.item}|{c.component}|{c.dangling}"
+        for g in range(1, top + 1)
+        for c in alpha_search(g, threshold=tau, dangling=dangling)
+    )
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == PINNED_SEARCHES[tau, top, dangling]
 
 
 # --------------------------------------------------------------- taggings

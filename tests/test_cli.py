@@ -1,5 +1,6 @@
 """Command-line surface: exact rendering, report round-trips, exit codes."""
 
+import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -463,3 +464,17 @@ def test_verify_exits_nonzero_on_mismatch(monkeypatch):
     assert result.exit_code == 1
     assert "FAIL search" in result.output
     assert "lost a stratum" in result.output
+
+
+def test_verify_search_flags_a_nonhyperelliptic_candidate_at_genus_20(monkeypatch):
+    search = cli.alpha_search
+
+    def doctored(g, *args, **kwargs):
+        cands = search(g, *args, **kwargs)
+        return cands + (dataclasses.replace(cands[0], component="odd"),) if g == 20 else cands
+
+    monkeypatch.setattr(cli, "alpha_search", doctored)
+    result = invoke("verify", "--suite", "search")
+    assert result.exit_code == 1
+    assert "  genus 20: unexpected nonhyperelliptic candidate\n" in result.output
+    assert "genus 19" not in result.output

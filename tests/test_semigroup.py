@@ -228,6 +228,12 @@ def test_counting_helpers():
     assert str(H) == "<3,7>"
 
 
+def test_element_sum_is_kept_outside_equality_hash_and_repr():
+    H, fresh = sgp.from_generators([3, 7]), sgp.from_generators([3, 7])
+    assert H.element_sum == 35 and H._element_sum == 35 and fresh._element_sum is None
+    assert H == fresh and hash(H) == hash(fresh) and repr(H) == repr(fresh)
+
+
 # ------------------------------------------------------------ gap sums
 
 
