@@ -428,7 +428,6 @@ def spin_parity(alg: BranchAlgebra) -> str | None:
 @dataclass(frozen=True)
 class GConditionReport:
     no_bare_parameters: bool  # (G1)
-    homogeneous: bool  # (G2), structural after close()
     conductor_bound: bool  # (G3)
     dualizing_pairs: bool  # (G4)
     gap_tail: bool  # (G5)
@@ -438,7 +437,6 @@ class GConditionReport:
     def all_pass(self) -> bool:
         return (
             self.no_bare_parameters
-            and self.homogeneous
             and self.conductor_bound
             and self.dualizing_pairs
             and self.gap_tail
@@ -446,7 +444,8 @@ class GConditionReport:
 
 
 def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditionReport:
-    """Check the five structural conditions of a dualizing-graded branch ring."""
+    """Check (G1) and (G3)-(G5) of a dualizing-graded branch ring; (G2),
+    homogeneity, holds by construction in close()."""
     sig = alg.signature
     n = sig.n
     if dualizing_units is None:
@@ -495,7 +494,6 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
 
     return GConditionReport(
         no_bare_parameters=g1,
-        homogeneous=True,
         conductor_bound=g3,
         dualizing_pairs=g4,
         gap_tail=g5,

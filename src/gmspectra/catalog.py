@@ -183,8 +183,7 @@ def _monomial_entry(H: NumericalSemigroup) -> CatalogEntry:
     chi1 = sum(H.gaps)
     chi2_log = (2 * g - 1) ** 2 + chi1
     gap = tuple(0 if H.contains(j) else 1 for j in range(1, 2 * g))
-    # the parity of the elements in [0, g-1]; H.spin says None on <2, 2g+1>
-    spin = "odd" if H.count_upto(g - 1) % 2 else "even"
+    spin = H.spin or _hyperelliptic_spin(sig)
     if H.hyperelliptic:
         ident, component = f"A{2 * g}", "hyp"
     else:

@@ -27,7 +27,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import branch_algebra as ba
@@ -64,7 +63,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=16)  # ordinary_point_budget reads it on every call
 def threshold_coefficient(threshold) -> Fraction:
     """Coefficient c with "alpha >= tau iff chi1_log >= c*(2g-2+n)*ell".
 

@@ -41,6 +41,8 @@ logging.basicConfig(level=os.environ.get("LOG_LEVEL", "WARNING").upper())
 # `filtration` prints one number per level and `invariants` one graded
 # dimension per degree up to max(m*ell, ba.window); refuse longer sequences
 MAX_PRINTED_LEVELS = 10**6
+# symmetric semigroups grow about 1.3x per genus (53,629 at g = 40)
+SEMIGROUP_GENUS_BOUND = 40
 
 
 # -------------------------------------------------------------- rendering
@@ -345,6 +347,9 @@ SEMIGROUP_COLUMNS = ["semigroup", "hyperelliptic", "spin", "chi1_log",
 def classify_semigroups(genus, threshold, fmt):
     """Score every symmetric semigroup for the single-zero stratum."""
     tau = parse_threshold(threshold)
+    if genus > SEMIGROUP_GENUS_BOUND:
+        raise click.BadParameter(f"genus {genus} beyond the semigroup search bound "
+                                 f"{SEMIGROUP_GENUS_BOUND}", param_hint="--genus")
     try:
         records = semigroup_search(genus, threshold=tau)
     except ValueError as exc:

@@ -225,23 +225,23 @@ Run = tuple[int, int, int]  # (lam_lo, lam_hi, dim), inclusive bounds
 
 
 @lru_cache(maxsize=1)
-def _ladder_frame(sig: Signature, m: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """``(starts, columns)``: the model-free half of a filtration.
+def _ladder_frame(sig: Signature, m: int) -> tuple[tuple, tuple, tuple]:
+    """``(starts, ends, columns)``: the model-free part of a filtration.
 
-    The run starts of [0, m*ell] (ladder_columns) and, per marked point,
-    the coefficients m*(m_i + 1) - ceil(lam/a_i) at those starts.  Only the
+    The runs of [0, m*ell] (ladder_columns) and, per marked point, the
+    coefficients m*(m_i + 1) - ceil(lam/a_i) at the run starts.  Only the
     last frame is kept, so consecutive reads of one (signature, m) share it
     and a change of either rebuilds it; tuples, so no model can alter it
     for the next reader.
     """
-    starts, steps = ladder_columns(sig, 0, m * sig.ell)
+    starts, ends, steps = ladder_columns(sig, 0, m * sig.ell)
     columns = tuple(tuple([m * (order + 1) - s for s in col])
                     for order, col in zip(sig.orders, steps))
-    return tuple(starts), columns
+    return tuple(starts), tuple(ends), columns
 
 
 def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[Run, ...]:
-    """Weight filtration levels lam = 0..m*ell as runs of equal dimension.
+    """Weight filtration levels lam = 0..m*ell as the ladder's runs.
 
     Level lam holds the m-fold pluricanonical sections vanishing to ladder
     order, so its dimension is h0 of m*(m_i + 1) minus the ladder at lam.
@@ -252,22 +252,20 @@ def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[Run, ...]:
     (sig, m) alone: it is built once per (signature, m) and reused by
     consecutive reads, so a semigroup search of one genus builds it once.
     The model answers the frame in one ``h0_column`` call: at most
-    m(2g-2+n) + 1 rows whatever ell is, with no per-level call.  Equal
-    neighbours merge into one run; the first run always starts at lam = 0.
+    m(2g-2+n) + 1 rows whatever ell is, with no per-level call.  The runs
+    are the ladder's, unmerged, the first at lam = 0; a level whose h0
+    exceeds the one before is a ValueError naming it.
     """
     if m < 1:
         raise ValueError("pluricanonical level m must be at least 1")
     _same_genus(model.genus, sig.genus)
-    starts, columns = _ladder_frame(sig, m)
+    starts, ends, columns = _ladder_frame(sig, m)
     dims = model.h0_column(columns)
-    runs: list[Run] = []
-    run_lo = 0
-    for lam, dim, prev in zip(starts[1:], dims[1:], dims):
-        if dim != prev:
-            runs.append((run_lo, lam - 1, prev))
-            run_lo = lam
-    runs.append((run_lo, m * sig.ell, dims[-1]))
-    return tuple(runs)
+    if dims != sorted(dims, reverse=True):
+        r = next(r for r in range(1, len(dims)) if dims[r] > dims[r - 1])
+        raise ValueError(f"filtration dimensions are not non-increasing: {dims[r]} at "
+                         f"lam = {starts[r]} exceeds {dims[r - 1]} at lam = {ends[r - 1]}")
+    return tuple(zip(starts, ends, dims))
 
 
 def expand_runs(runs) -> tuple[int, ...]:

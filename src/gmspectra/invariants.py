@@ -55,7 +55,7 @@ def weight_spectrum(source, m: int = 1, sig: Signature | None = None) -> WeightS
     level past the computed degrees extends the closure), read only on the
     degrees that carry a slot.  Model route:
     successive differences of the filtration dimensions, nonzero only at
-    the last level of each run.
+    the last level of a run; filtration_dims refuses an increase.
     """
     if m < 1:
         raise ValueError("pluricanonical level m must be at least 1")
@@ -68,8 +68,6 @@ def weight_spectrum(source, m: int = 1, sig: Signature | None = None) -> WeightS
         runs = filtration_dims(source, sig, m)
         next_dims = [dim for _, _, dim in runs[1:]] + [0]
         counts = [(hi, dim - after) for (_, hi, dim), after in zip(runs, next_dims)]
-        if any(c < 0 for _, c in counts):
-            raise ValueError("filtration dimensions are not non-increasing")
     return WeightSpectrum(m, tuple((lam, c) for lam, c in counts if c > 0))
 
 

@@ -233,7 +233,6 @@ def planar_gap_sum_formula(p: int, q: int) -> int:
     if gcd(p, q) != 1:
         raise ValueError(f"{p} and {q} are not coprime")
     num = (p - 1) * (q - 1) * (2 * p * q - p - q - 1)
-    assert num % 12 == 0
     return num // 12
 
 

@@ -90,28 +90,30 @@ def parity_count(k1: int, k2: int) -> int:
 
 
 def ladder_columns(sig: Signature, lam_lo: int, lam_hi: int):
-    """``(starts, columns)``: the ladder's run starts in ``[lam_lo, lam_hi]``,
-    i.e. ``lam_lo`` and every ``k*a_i + 1`` in range, sorted, and per branch
-    the list of ``ceil(lam/a_i)`` at those starts; between them it is flat."""
+    """``(starts, ends, columns)``: the ladder's runs in ``[lam_lo, lam_hi]``,
+    the one place a run's bounds are set.  A run starts at ``lam_lo`` or a
+    ``k*a_i + 1`` and ends one level before the next start, the last at
+    ``lam_hi``; per branch, ``columns`` lists ``ceil(lam/a_i)`` at the starts."""
     if lam_lo < 0:
         raise ValueError("ladder level must be non-negative")
     steps = (range(-(-lam_lo // a) * a + 1, lam_hi + 1, a) for a in sig.weights_a)
     starts = sorted({lam_lo}.union(*steps))
-    return starts, [[-(-lam // a) for lam in starts] for a in sig.weights_a]
+    ends = [lam - 1 for lam in starts[1:]] + [lam_hi]
+    return starts, ends, [[-(-lam // a) for lam in starts] for a in sig.weights_a]
 
 
 def n_plus(sig: Signature, lam_lo: int, lam_hi: int) -> int:
     """Count levels ``lam in [lam_lo, lam_hi]`` with ``sum_i (l_{lam,i} - 1)`` even.
 
-    The parity is read once per run start from the ladder columns and the
-    run's length added when it is even: the cost grows with the breakpoints
-    in the range, ``(lam_hi - lam_lo) * sum_i 1/a_i``, not with its length.
+    The parity is read once per run from the ladder columns and the run's
+    length added when it is even: the cost grows with the breakpoints in
+    the range, ``(lam_hi - lam_lo) * sum_i 1/a_i``, not with its length.
     """
     if lam_lo > lam_hi:
         return 0
-    starts, columns = ladder_columns(sig, lam_lo, lam_hi)
-    ends, n = starts[1:] + [lam_hi + 1], sig.n
-    return sum([end - lo for lo, end, total in zip(starts, ends, map(sum, zip(*columns)))
+    starts, ends, columns = ladder_columns(sig, lam_lo, lam_hi)
+    n = sig.n
+    return sum([hi - lo + 1 for lo, hi, total in zip(starts, ends, map(sum, zip(*columns)))
                 if (total - n) % 2 == 0])
 
 

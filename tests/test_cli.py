@@ -145,10 +145,16 @@ def test_filtration_rejects_invalid_signatures():
         assert_usage_error(result, "--signature", reason, text)
 
 
+INCREASING = ('{"kind": "override", "base": {"kind": "clifford-max", "genus": 3},'
+              ' "table": [{"divisor": [0], "h0": 9}]}')
+
 BAD_INPUTS = [
     (["classify", "alpha", "--genus", "9"], ["--genus", "genus 9", "bound 8"]),
     (["classify", "alpha", "--genus", "0"], ["--genus", "genus must be at least 1", "at least 1"]),
     (["classify", "semigroups", "--genus", "1"], ["--genus", "genus at least 2"]),
+    # refused before a walk that would overflow the recursion limit
+    (["classify", "semigroups", "--genus", "1200"], ["--genus", "genus 1200", "bound 40"]),
+    (["classify", "semigroups", "--genus", "41"], ["--genus", "genus 41", "bound 40"]),
     (["filtration", "--signature", "6", "--model", "unibranch:3,x"],
      ["'--model'", "integers", "'x'"]),
     (["filtration", "--signature", "4", "--model", "{bad"], ["line 1 column 2"]),
@@ -185,6 +191,10 @@ BAD_INPUTS = [
       '{"kind": "override", "base": {"kind": "clifford-max", "genus": 3},'
       ' "table": [{"divisor": [1, 2, 3], "h0": 1}]}'],
      ["table[0].divisor", "3 coefficients", "(1)"]),
+    # h0 = 9 at the last level, above the 1 before it: refused naming the level
+    (["filtration", "--signature", "4", "--model", INCREASING],
+     ["not non-increasing", "9 at lam = 5", "1 at lam = 4"]),
+    (["slope", "--signature", "4", "--model", INCREASING], ["not non-increasing", "lam = 5"]),
     # refused before a mask of about 10^12 bits is built
     (["filtration", "--signature", "4", "--model",
       '{"kind": "unibranch", "generators": [1000003, 1000033]}'],

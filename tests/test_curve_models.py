@@ -246,8 +246,8 @@ def test_a_semigroup_search_builds_one_frame():
 
 
 def test_the_frame_is_immutable():
-    starts, columns = cm._ladder_frame(derive((3, 1)), 2)
-    assert type(starts) is tuple and type(columns) is tuple
+    starts, ends, columns = cm._ladder_frame(derive((3, 1)), 2)
+    assert type(starts) is tuple and type(ends) is tuple and type(columns) is tuple
     assert all(type(col) is tuple for col in columns)
 
 

@@ -1,11 +1,14 @@
 """Run-length filtrations against the per-level definitions they replace.
 
-``filtration_dims`` reads the model once per filtration, one column read
-over the ladder breakpoints, ``n_plus`` reads the parity once per run and
-the ladder-difference check of ``verify_weight_identities`` compares on
-the breakpoints only.  Every property here rebuilds the dense per-level
-answer by brute force (one ladder, one divisor, one h0 per level) and
-compares.  The last tests run
+``ladder_columns`` sets the bounds of every run: its ends are checked
+against a scan of where the ladder changes.  ``filtration_dims`` reads the
+model once per filtration, one column read over the ladder breakpoints,
+and its runs are exactly the ladder's runs (equal neighbours are not
+merged); a filtration that increases is refused at its first rise.
+``n_plus`` reads the parity once per run and the ladder-difference check
+of ``verify_weight_identities`` compares on the breakpoints only.  Every
+property here rebuilds the dense per-level answer by brute force (one
+ladder, one divisor, one h0 per level) and compares.  The last tests run
 at a period ell near 10^11, where only the run form can finish.
 """
 
@@ -13,6 +16,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import gmspectra.curve_models as cm
@@ -23,7 +27,13 @@ from gmspectra.classifier import (
     hyperelliptic_chi1,
     hyperelliptic_taggings,
 )
-from gmspectra.signature import derive, enumerate_signatures, ladder, n_plus
+from gmspectra.signature import (
+    derive,
+    enumerate_signatures,
+    ladder,
+    ladder_columns,
+    n_plus,
+)
 
 SIGNATURES = [
     derive(orders + (0,) * k)
@@ -70,26 +80,40 @@ def cases(draw):
     return model, sig, m
 
 
+def runs_or_refusal(model, sig, m):
+    """(runs, dense): the runs are None where the dense filtration increases,
+    after checking that filtration_dims refuses it naming the first rise."""
+    dense = dense_reference(model, sig, m)
+    rise = next((lam for lam in range(1, len(dense)) if dense[lam] > dense[lam - 1]), None)
+    if rise is None:
+        return cm.filtration_dims(model, sig, m), dense
+    with pytest.raises(ValueError, match=f"not non-increasing: {dense[rise]} at lam = {rise} "):
+        cm.filtration_dims(model, sig, m)
+    return None, dense
+
+
 @settings(max_examples=200, deadline=None)
 @given(cases())
 def test_runs_tile_the_levels(case):
     model, sig, m = case
-    runs = cm.filtration_dims(model, sig, m)
+    runs, _ = runs_or_refusal(model, sig, m)
+    if runs is None:
+        return
     assert runs[0][0] == 0
     assert runs[-1][1] == m * sig.ell
-    for (lo, hi, dim), (next_lo, _, next_dim) in zip(runs, runs[1:]):
+    for (lo, hi, _), (next_lo, _, _) in zip(runs, runs[1:]):
         assert lo <= hi
         assert next_lo == hi + 1
-        assert dim != next_dim
+    assert [lo for lo, _, _ in runs] == ladder_columns(sig, 0, m * sig.ell)[0]
     assert len(runs) <= m * (2 * sig.genus - 2 + sig.n) + 1
 
 
 @settings(max_examples=200, deadline=None)
 @given(cases())
 def test_expanded_runs_equal_the_dense_filtration(case):
-    model, sig, m = case
-    runs = cm.filtration_dims(model, sig, m)
-    dense = dense_reference(model, sig, m)
+    runs, dense = runs_or_refusal(*case)
+    if runs is None:
+        return
     assert cm.expand_runs(runs) == dense
     assert cm.runs_chi_log(runs) == sum(dense[1:])
 
@@ -108,6 +132,20 @@ def test_weight_spectrum_is_the_successive_differences(case):
         raise AssertionError("an increasing filtration was accepted")
     spectrum = inv.weight_spectrum(model, m, sig)
     assert spectrum.entries == tuple((lam, c) for lam, c in diffs if c > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ladder_columns_end_where_the_ladder_changes(data):
+    sig = data.draw(st.sampled_from(SIGNATURES))
+    top = 3 * sig.ell + 2
+    lo = data.draw(st.integers(0, top))
+    hi = data.draw(st.integers(lo, top))
+    starts, ends, columns = ladder_columns(sig, lo, hi)
+    changes = [lam for lam in range(lo, hi) if ladder(sig, lam + 1) != ladder(sig, lam)]
+    assert ends == changes + [hi]
+    assert starts == [lo] + [lam + 1 for lam in changes]
+    assert [tuple(row) for row in zip(*columns)] == [ladder(sig, lam) for lam in starts]
 
 
 @settings(max_examples=200, deadline=None)
