@@ -5,7 +5,9 @@ Everything here is exact integer combinatorics on bitmasks: a semigroup
 stores only its Frobenius number F and its elements in [0, F] as one
 integer whose bit k is set when k is an element (every k > F is one).
 Gaps, minimal generators and the element sum are derived on first read and
-kept in slots, outside equality, hashing and repr.
+kept in slots, outside equality, hashing and repr; the symmetric walk fills
+the element-sum slot of each semigroup it finds with the sum it carried
+down, so its leaves build no gap tuple.
 The closure of a generating set is read off its Apery set, sumsets and
 minimal generators are shift-ors of such masks, and counting elements is a
 popcount.
@@ -18,6 +20,9 @@ from itertools import accumulate
 from math import gcd
 
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+# symmetric semigroups grow about 1.3x per genus (53,629 at g = 40)
+SEMIGROUP_GENUS_BOUND = 40
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -83,7 +88,8 @@ class NumericalSemigroup:
         smallest elements, at most g of them.  Their sum is F(F+1)/2 minus
         the gap sum.  The other r = 2g - 1 - F >= 0 of the g smallest are
         C, C+1, ..., C+r-1 from the conductor C = F + 1 on, summing to
-        r*C + r(r-1)/2.  Computed on first read and kept.
+        r*C + r(r-1)/2.  Computed on first read and kept; a semigroup found
+        by :func:`enumerate_symmetric` arrives with it already kept.
         """
         if self._element_sum is None:
             F, C = self.frobenius, self.conductor
@@ -259,23 +265,34 @@ def enumerate_symmetric(g: int) -> list[NumericalSemigroup]:
     the two agree, so both gap tuples share the same gaps below k; next
     comes k in the first and a larger gap in the second.  So the first
     leaf has the smaller gap tuple.
+
+    Each leaf arrives with its element sum kept.  Its elements in [0, F]
+    are 0 and the one chosen from each pair, g in all, so they are its g
+    smallest elements: the walk carries their running ``total``, one add
+    per node, and the leaf stores it in the slot ``element_sum`` reads.
+    The genus is capped at ``SEMIGROUP_GENUS_BOUND`` before the walk: the
+    leaves grow about 1.3x per genus, and the walk recurses g deep.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
+    if g > SEMIGROUP_GENUS_BOUND:
+        raise ValueError(f"genus {g} beyond the semigroup search bound {SEMIGROUP_GENUS_BOUND}")
     F = 2 * g - 1
     found: list[NumericalSemigroup] = []
 
-    def walk(k: int, elems: int, sums: int) -> None:
+    def walk(k: int, elems: int, sums: int, total: int) -> None:
         if k == g:
-            found.append(NumericalSemigroup(F, elems))
+            H = NumericalSemigroup(F, elems)
+            object.__setattr__(H, "_element_sum", total)
+            found.append(H)
             return
         for e in (F - k, k):
             new = elems | 1 << e
             new_sums = sums | new << e
             if not new_sums >> (F - e) & 1:
-                walk(k + 1, new, new_sums)
+                walk(k + 1, new, new_sums, total + e)
 
-    walk(1, 1, 1)  # 0 is an element and 0 + 0 = 0
+    walk(1, 1, 1, 0)  # 0 is an element and 0 + 0 = 0
     return found
 
 

@@ -105,16 +105,32 @@ def ladder_columns(sig: Signature, lam_lo: int, lam_hi: int):
 def n_plus(sig: Signature, lam_lo: int, lam_hi: int) -> int:
     """Count levels ``lam in [lam_lo, lam_hi]`` with ``sum_i (l_{lam,i} - 1)`` even.
 
-    The parity is read once per run from the ladder columns and the run's
-    length added when it is even: the cost grows with the breakpoints in
-    the range, ``(lam_hi - lam_lo) * sum_i 1/a_i``, not with its length.
+    ``ceil(lam/a)`` grows by one from ``lam - 1`` to ``lam`` exactly when
+    ``lam - 1`` is a multiple of ``a``, so the sum grows by the number of
+    branches stepping at ``lam``, each at its ``k*a_i + 1``, and its parity
+    flips exactly at the levels where an odd number of branches step: the
+    symmetric difference of the branches' step sets in
+    ``(lam_lo, lam_hi]``.  Between consecutive bounds of
+    ``[lam_lo, f_1, ..., f_r, lam_hi + 1]``, the flips ``f_j`` sorted, the
+    parity is constant and alternates from run to run, starting from its
+    value at ``lam_lo``.  So the even runs are every other bound pair,
+    from the first pair when the parity at ``lam_lo`` is even and from the
+    second otherwise, and the count is the alternating sum of their
+    bounds.  The cost grows with the steps in the range,
+    ``(lam_hi - lam_lo) * sum_i 1/a_i``, not with its length.
     """
     if lam_lo > lam_hi:
         return 0
-    starts, ends, columns = ladder_columns(sig, lam_lo, lam_hi)
-    n = sig.n
-    return sum([hi - lo + 1 for lo, hi, total in zip(starts, ends, map(sum, zip(*columns)))
-                if (total - n) % 2 == 0])
+    if lam_lo < 0:
+        raise ValueError("ladder level must be non-negative")
+    flips: set[int] = set()
+    parity = -sig.n
+    for a in sig.weights_a:
+        k = -(-lam_lo // a)
+        flips.symmetric_difference_update(range(k * a + 1, lam_hi + 1, a))
+        parity += k
+    bounds = [lam_lo, *sorted(flips), lam_hi + 1][parity % 2:]
+    return sum(bounds[1::2]) - sum(bounds[:-1:2])
 
 
 def _partitions(total, max_part, max_len):

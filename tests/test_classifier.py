@@ -532,6 +532,13 @@ def test_semigroup_search_raises_when_either_chi1_route_is_off(monkeypatch):
         semigroup_search(5)
 
 
+def test_searches_refuse_a_genus_past_the_semigroup_bound():
+    # (80,) is the first signature alpha_search scores at genus 41
+    for search in (lambda: semigroup_search(41), lambda: alpha_search(41, genus_bound=41)):
+        with pytest.raises(ValueError, match="^genus 41 beyond the semigroup search bound 40$"):
+            search()
+
+
 def test_hyperelliptic_chi1_raises_when_the_filtration_route_is_off(monkeypatch):
     sig = derive((4, 2))
     tagging = hyperelliptic_taggings(sig)[0]

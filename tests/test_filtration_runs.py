@@ -5,7 +5,8 @@ against a scan of where the ladder changes.  ``filtration_dims`` reads the
 model once per filtration, one column read over the ladder breakpoints,
 and its runs are exactly the ladder's runs (equal neighbours are not
 merged); a filtration that increases is refused at its first rise.
-``n_plus`` reads the parity once per run and the ladder-difference check
+``n_plus`` counts between the levels where the parity flips, pinned at its
+edges (a step at either end, steps that cancel), and the ladder-difference check
 of ``verify_weight_identities`` compares on the breakpoints only.  Every
 property here rebuilds the dense per-level answer by brute force (one
 ladder, one divisor, one h0 per level) and compares.  The last tests run
@@ -206,6 +207,41 @@ def test_n_plus_empty_and_single_ranges():
     assert n_plus(sig, 5, 4) == 0
     assert n_plus(sig, 0, 0) == 1  # every ladder is zero, sum_i (0 - 1) = -2
     assert n_plus(sig, 1, 1) == 1  # every ladder is one
+
+
+def brute_n_plus(sig, lo, hi):
+    return sum(1 for lam in range(lo, hi + 1) if (sum(ladder(sig, lam)) - sig.n) % 2 == 0)
+
+
+def test_n_plus_at_its_edges():
+    sig = derive((4, 2))  # a = (3, 5), ell = 15: steps at 3k + 1 and at 5k + 1
+    cases = [
+        (4, 12),  # lam_lo = 3*1 + 1 is a step
+        (6, 12),  # lam_lo = 5*1 + 1 is a step
+        (2, 9),  # lam_hi + 1 = 10 is a step
+        (2, 15),  # lam_hi + 1 = 16 is a step of both branches
+        (14, 18),  # both branches step at 16: their flips cancel
+        (16, 16), (15, 15), (0, 0), (7, 7),  # lam_lo = lam_hi
+        (40, 3 * 15 + 8),  # past 3*ell
+        (0, 4 * 15 + 1),
+    ]
+    for lo, hi in cases:
+        assert n_plus(sig, lo, hi) == brute_n_plus(sig, lo, hi), (lo, hi)
+    # the parity does not flip where both branches step
+    assert (sum(ladder(sig, 15)) - sum(ladder(sig, 16))) % 2 == 0
+    assert n_plus(sig, 15, 16) == 2 * n_plus(sig, 15, 15)
+    # three branches stepping together flip it; (2, 2, 2) has a = (1, 1, 1)
+    odd = derive((2, 2, 2))
+    assert [n_plus(odd, lam, lam) for lam in range(5)] == [0, 1, 0, 1, 0]
+    for lo, hi in [(0, 10), (1, 9), (2, 2), (3, 3 * odd.ell + 2)]:
+        assert n_plus(odd, lo, hi) == brute_n_plus(odd, lo, hi)
+
+
+def test_n_plus_refuses_a_negative_start():
+    sig = derive((4, 2))
+    with pytest.raises(ValueError, match="non-negative"):
+        n_plus(sig, -1, 5)
+    assert n_plus(sig, -1, -2) == 0  # an empty range is empty before any level is read
 
 
 # ------------------------------------------------------ ell near 10^11

@@ -289,10 +289,32 @@ def test_enumerate_symmetric_counts():
 
 
 def test_enumerate_symmetric_matches_brute_force():
+    # the gap tuples, and the element sums the walk carried to each leaf:
+    # the g smallest elements are those in [0, F], the complement of the gaps
     for g in range(1, 13):
-        got = [H.gaps for H in sgp.enumerate_symmetric(g)]
-        assert got == brute_symmetric_gap_sets(g)
+        found = sgp.enumerate_symmetric(g)
+        sums = [H.element_sum for H in found]
+        got = [H.gaps for H in found]
+        brute = brute_symmetric_gap_sets(g)
+        assert got == brute
         assert len(set(got)) == len(got)
+        assert sums == [g * (2 * g - 1) - sum(gaps) for gaps in brute]
+
+
+def test_walk_leaves_arrive_with_their_element_sum():
+    # the walk's running sum against the property's formula on a fresh copy
+    for g in range(1, 21):
+        for H in sgp.enumerate_symmetric(g):
+            assert H._element_sum is not None and H._gaps is None
+            fresh = sgp.NumericalSemigroup(H.frobenius, H.mask)
+            assert H.element_sum == fresh.element_sum
+            assert fresh._gaps is not None  # the formula read the gaps
+
+
+def test_enumerate_symmetric_refuses_a_genus_past_its_bound():
+    assert sgp.SEMIGROUP_GENUS_BOUND == 40
+    with pytest.raises(ValueError, match="^genus 41 beyond the semigroup search bound 40$"):
+        sgp.enumerate_symmetric(41)
 
 
 def test_enumerate_symmetric_walks_in_gap_order():
