@@ -553,12 +553,6 @@ def generators_from_json(doc: dict):
     return sig, tuple(gens), tuple(units)
 
 
-def algebra_from_json(doc: dict):
-    """Build (algebra, dualizing units) from a plain JSON document."""
-    sig, gens, units = generators_from_json(doc)
-    return close(sig, [terms for _, terms in gens]), units
-
-
 def algebra_summary(alg: BranchAlgebra) -> dict:
     """Plain-JSON summary of the computed singularity invariants.
 

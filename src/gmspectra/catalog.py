@@ -12,11 +12,11 @@ store a spin parity wherever every zero order is even.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
 from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from . import branch_algebra as ba
 from . import invariants as inv
@@ -56,18 +56,26 @@ class CatalogEntry:
         return ba.close(derive(self.signature), [terms for _, terms in self.generators])
 
 
+_EXPECTED_HINTS = get_type_hints(ExpectedInvariants)
+
+
+def _decode(hint, value):
+    """'p/q' (or null) for a Fraction field, a list for a tuple field."""
+    if value is not None and Fraction in (hint, *get_args(hint)):
+        return Fraction(value)
+    return tuple(value) if get_origin(hint) is tuple else value
+
+
+def _encode(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    return list(value) if isinstance(value, tuple) else value
+
+
 def _entry_from_doc(doc: dict) -> CatalogEntry:
     exp = doc["expected"]
     expected = ExpectedInvariants(
-        gap_sequence=tuple(exp["gap_sequence"]),
-        delta=exp["delta"],
-        chi1_log=exp["chi1_log"],
-        chi2_log=exp["chi2_log"],
-        alpha=None if exp["alpha"] is None else Fraction(exp["alpha"]),
-        slope=Fraction(exp["slope"]),
-        spin=exp["spin"],
-        ambient_weights=tuple(exp["ambient_weights"]),
-    )
+        **{name: _decode(hint, exp[name]) for name, hint in _EXPECTED_HINTS.items()})
     _sig, generators, units = ba.generators_from_json(doc)
     locus = None
     if doc.get("locus_condition"):
@@ -131,16 +139,8 @@ def as_dict(entry: CatalogEntry) -> dict:
             for name, terms in entry.generators
         ],
         "dualizing_units": [str(u) for u in entry.dualizing_units],
-        "expected": {
-            "gap_sequence": list(entry.expected.gap_sequence),
-            "delta": entry.expected.delta,
-            "chi1_log": entry.expected.chi1_log,
-            "chi2_log": entry.expected.chi2_log,
-            "alpha": None if entry.expected.alpha is None else str(entry.expected.alpha),
-            "slope": str(entry.expected.slope),
-            "spin": entry.expected.spin,
-            "ambient_weights": list(entry.expected.ambient_weights),
-        },
+        "expected": {f.name: _encode(getattr(entry.expected, f.name))
+                     for f in fields(entry.expected)},
     }
     if entry.locus_condition is not None:
         divisor, h0 = entry.locus_condition

@@ -25,11 +25,10 @@ import itertools
 import logging
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import branch_algebra as ba
 from . import catalog as cat
 from . import curve_models as cm
 from . import invariants as inv
@@ -514,17 +513,15 @@ def alpha_search(
     is re-evaluated for every subset Q of its core branches with the
     right-hand side lowered by sum of a_i over Q, which can admit models
     the plain search rejects; appended ordinary points never dangle.
-    Signatures have at most four branches (see clifford_cap).  Logs one
-    DEBUG line with the count of each stage and the scoring and emission
-    times.
+    Signatures have at most four branches (see clifford_cap).  A genus
+    above genus_bound is a ValueError; pass genus_bound explicitly to go
+    further.  Logs one DEBUG line with the count of each stage and the
+    scoring and emission times.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
     if g > genus_bound:
-        raise ValueError(
-            f"genus {g} beyond the configured bound {genus_bound}; "
-            "pass genus_bound explicitly to go further"
-        )
+        raise ValueError(f"genus {g} beyond the search bound {genus_bound}")
     entries = list(catalog) if catalog is not None else list(cat.entries())
     coeff = threshold_coefficient(threshold)
     start = time.perf_counter()
@@ -611,44 +608,32 @@ class RegressionReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
+# genus and the Gorenstein test follow delta and spin precedes the
+# characters; the other checks keep the order of the expected fields
+_LEADING_CHECKS = ("gap_sequence", "delta", "genus", "gorenstein", "spin")
+
+
 def nonvarying_regression(entries=None) -> RegressionReport:
     """Recompute every shipped invariant of the nonvarying catalog entries.
 
-    Covers the gap sequence, delta, genus, the Gorenstein test, spin
-    parity, both characters from the weight spectra, alpha, slope, and
-    the ambient weights read off the generator degrees.  Each mismatch is
-    a failure of the report naming the entry, the field and both values.
+    Each entry's invariants.algebra_report is compared with its
+    ExpectedInvariants field by field, a list read as a tuple and a key
+    the report leaves out (delta, genus, alpha or slope) as None; then the
+    genus must be the signature's, the ring Gorenstein, and the sorted
+    ambient weights the sorted generator degrees with 1 appended.  Each
+    mismatch is a failure naming the entry, the field and both values.
     """
     if entries is None:
         entries = cat.nonvarying_entries()
     checks: list[RegressionCheck] = []
-
-    def check(entry_id: str, field: str, expected, actual) -> None:
-        checks.append(RegressionCheck(entry_id, field, expected, actual))
-
     for e in entries:
-        sig = derive(e.signature)
         alg = e.algebra()
-        exp = e.expected
-        check(e.id, "gap_sequence", tuple(exp.gap_sequence), ba.gap_sequence(alg))
-        delta, genus = ba.delta_and_genus(alg)
-        check(e.id, "delta", exp.delta, delta)
-        check(e.id, "genus", sig.genus, genus)
-        report = ba.conductor_and_gorenstein(alg)
-        check(e.id, "gorenstein", True, report.gorenstein)
-        check(e.id, "spin", exp.spin, ba.spin_parity(alg))
-        chi1 = inv.weight_spectrum(alg, 1).chi_log
-        chi2 = inv.weight_spectrum(alg, 2).chi_log
-        check(e.id, "chi1_log", exp.chi1_log, chi1)
-        check(e.id, "chi2_log", exp.chi2_log, chi2)
-        rec = inv.alpha_slope_record(chi1, chi2, sig)
-        check(e.id, "alpha", exp.alpha, rec.alpha)
-        check(e.id, "slope", exp.slope, rec.slope)
-        degrees = sorted(d for d, _ in alg.generators) + [1]
-        check(
-            e.id,
-            "ambient_weights",
-            sorted(exp.ambient_weights),
-            sorted(degrees),
-        )
+        report = inv.algebra_report(alg)
+        got = {k: tuple(v) if isinstance(v, list) else v for k, v in report.items()}
+        got["ambient_weights"] = sorted([d for d, _ in alg.generators] + [1])
+        exp = {f.name: getattr(e.expected, f.name) for f in fields(e.expected)}
+        exp |= {"genus": derive(e.signature).genus, "gorenstein": True,
+                "ambient_weights": sorted(exp["ambient_weights"])}
+        order = sorted(exp, key=lambda k: (*_LEADING_CHECKS, k).index(k))
+        checks += [RegressionCheck(e.id, k, exp[k], got.get(k)) for k in order]
     return RegressionReport(tuple(checks))

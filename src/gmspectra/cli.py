@@ -27,7 +27,6 @@ from . import curve_models as cm
 from . import invariants as inv
 from . import semigroup as sg
 from .classifier import (
-    GENUS_BOUND,
     UnresolvedSignatureError,
     alpha_search,
     nonvarying_regression,
@@ -116,22 +115,31 @@ def build_model(spec: str, sig):
     return cm.model_from_spec(doc, sig.genus)
 
 
-def resolve_model(entry_id, sig_text, model_spec, missing: str):
+def resolve_model(entry_id, sig_text, model_spec, missing: str, check=lambda sig: None):
     """(signature, model) from --catalog alone or from --signature and --model.
 
     A --catalog given together with --signature or an explicit --model is
-    refused, as is a missing source (the ``missing`` message).
+    refused, as is a missing source (the ``missing`` message).  ``check``
+    sees the signature before the model is built.
     """
     if entry_id is not None:
         source = click.get_current_context().get_parameter_source("model_spec")
         if sig_text is not None or source is not ParameterSource.DEFAULT:
             raise click.UsageError("give --catalog alone, without --signature or --model")
         entry = load_entry(entry_id)
-        return derive(entry.signature), cm.AlgebraModel(entry.algebra())
+        check(sig := derive(entry.signature))
+        return sig, cm.AlgebraModel(entry.algebra())
     if sig_text is None or model_spec is None:
         raise click.UsageError(missing)
-    sig = parse_signature(sig_text)
+    check(sig := parse_signature(sig_text))
     return sig, build_model(model_spec, sig)
+
+
+def check_printed(sig, count: int, what: str, m: int) -> None:
+    """Refuse to print more than MAX_PRINTED_LEVELS values, before any work."""
+    if count > MAX_PRINTED_LEVELS:
+        raise click.UsageError(f"{sig} has {count} {what} at m = {m}; "
+                               f"this command prints at most {MAX_PRINTED_LEVELS}")
 
 
 def emit_table(rows: list[dict], columns: list[str]) -> None:
@@ -198,30 +206,17 @@ def invariants(entry_id, path, levels_text, fmt, decimal):
             doc = json.load(fh)
     sig, gens, _units = ba.generators_from_json(doc)
     top = max(levels[-1] * sig.ell, ba.window(sig))
-    if top + 1 > MAX_PRINTED_LEVELS:
-        raise click.UsageError(
-            f"{sig} has {top + 1} graded dimensions at m = {levels[-1]}; "
-            f"this command prints at most {MAX_PRINTED_LEVELS}"
-        )
+    check_printed(sig, top + 1, "graded dimensions", levels[-1])
     alg = ba.close(sig, [terms for _, terms in gens])
 
-    report = ba.algebra_summary(alg)
-    report["graded_dims"] = list(ba.graded_dims(alg, top))
-    report["signature"] = list(sig.orders)
-    report["ell"] = sig.ell
-    report["weights_a"] = list(sig.weights_a)
-    chi = {m: inv.weight_spectrum(alg, m).chi_log for m in levels}
-    for m in levels:
-        report[f"chi{m}_log"] = chi[m]
-    if 1 in chi and 2 in chi and report["gorenstein"]:  # the slope identity needs it
-        rec = inv.alpha_slope_record(chi[1], chi[2], sig)
-        report["chi2"] = rec.chi2
-        if rec.alpha is not None:  # undefined where 13*chi1_log = chi2_log
-            report["alpha"] = rec.alpha
-        report["slope"] = rec.slope
-    spin = ba.spin_parity(alg)
-    if spin is not None:
-        report["spin"] = spin
+    report = {}
+    for key, value in inv.algebra_report(alg, levels).items():
+        report[key] = value
+        if key == "gorenstein":  # the presentation keys follow the summary
+            report["graded_dims"] = list(ba.graded_dims(alg, top))
+            report["signature"] = list(sig.orders)
+            report["ell"] = sig.ell
+            report["weights_a"] = list(sig.weights_a)
 
     if fmt == "json":
         clean = {k: (fmt_rational(v) if isinstance(v, Fraction) else v)
@@ -247,13 +242,9 @@ def invariants(entry_id, path, levels_text, fmt, decimal):
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def filtration(entry_id, sig_text, model_spec, m, fmt):
     """Dimension sequence of the weight filtration at level m."""
-    sig, model = resolve_model(entry_id, sig_text, model_spec,
-                               "give --catalog, or both --signature and --model")
-    if m * sig.ell + 1 > MAX_PRINTED_LEVELS:
-        raise click.UsageError(
-            f"{sig} has {m * sig.ell + 1} filtration levels at m = {m}; "
-            f"this command prints at most {MAX_PRINTED_LEVELS}"
-        )
+    sig, model = resolve_model(
+        entry_id, sig_text, model_spec, "give --catalog, or both --signature and --model",
+        lambda sig: check_printed(sig, m * sig.ell + 1, "filtration levels", m))
     runs = cm.filtration_dims(model, sig, m)
     dims = cm.expand_runs(runs)
     chi = cm.runs_chi_log(runs)
@@ -301,10 +292,6 @@ def candidate_row(c, decimal=False) -> dict:
 def classify_alpha(genus, threshold, dangling, fmt, decimal):
     """All models at the genus whose alpha-invariant clears the cutoff."""
     tau = parse_threshold(threshold)
-    if genus > GENUS_BOUND:
-        raise click.BadParameter(
-            f"genus {genus} beyond the search bound {GENUS_BOUND}", param_hint="--genus"
-        )
     try:
         cands = alpha_search(genus, threshold=tau, dangling=dangling)
     except ValueError as exc:

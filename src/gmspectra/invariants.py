@@ -209,6 +209,27 @@ def alpha_slope_record(chi1_log: int, chi2_log: int, sig: Signature) -> AlphaSlo
     )
 
 
+def algebra_report(alg: ba.BranchAlgebra, levels=(1, 2)) -> dict:
+    """Every computed invariant of one algebra, as ``gmspectra invariants``
+    prints it: ba.algebra_summary, chi{m}_log per level, then chi2, alpha
+    (if defined) and slope when levels 1 and 2 are read on a Gorenstein
+    ring, as the slope identity needs, then spin when every order is even.
+    """
+    report = ba.algebra_summary(alg)
+    for m in levels:
+        report[f"chi{m}_log"] = weight_spectrum(alg, m).chi_log
+    if 1 in levels and 2 in levels and report["gorenstein"]:
+        rec = alpha_slope_record(report["chi1_log"], report["chi2_log"], alg.signature)
+        report["chi2"] = rec.chi2
+        if rec.alpha is not None:
+            report["alpha"] = rec.alpha
+        report["slope"] = rec.slope
+    spin = ba.spin_parity(alg)
+    if spin is not None:
+        report["spin"] = spin
+    return report
+
+
 # ------------------------------------------------------- toric identity
 
 

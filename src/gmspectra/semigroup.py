@@ -23,6 +23,9 @@ _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 # symmetric semigroups grow about 1.3x per genus (53,629 at g = 40)
 SEMIGROUP_GENUS_BOUND = 40
+# entries of an Apery list (the smallest generator) and bits of an element
+# mask (the Frobenius number) are refused past this, before either is built
+SEMIGROUP_SIZE_BOUND = 10**6
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -173,9 +176,13 @@ def _apery(gset: list[int]) -> list[int]:
     an element w <= h is h = w + t*lo, in the span of the smaller ones, and
     is skipped in one step; so at most lo - 1 generators are walked, and
     the walk costs O(lo * min(k, lo)) steps for k generators, whatever
-    the Frobenius number is.
+    the Frobenius number is.  An lo above SEMIGROUP_SIZE_BOUND is a
+    ValueError before the list is built.
     """
     lo = gset[0]
+    if lo > SEMIGROUP_SIZE_BOUND:
+        raise ValueError(f"smallest generator {lo} beyond the semigroup size bound "
+                         f"{SEMIGROUP_SIZE_BOUND}")
     least: list[int | None] = [0] + [None] * (lo - 1)
     for h in gset[1:]:
         w = least[h % lo]
@@ -214,12 +221,16 @@ def from_generators(gens) -> NumericalSemigroup:
     k >= w_(k mod lo), and F = max(w) - lo.  Each class is one shifted comb
     of bits lo apart, so the mask costs O(lo) shifts of F + 1 bits, and a
     generator in the span of the smaller ones (every one above F among
-    them) costs one step, never F bits.
+    them) costs one step, never F bits.  An F above SEMIGROUP_SIZE_BOUND is
+    a ValueError before the mask is built.
     """
     gset = generator_set(gens)
     lo = gset[0]
     least = _apery(gset)
     F = max(least) - lo
+    if F > SEMIGROUP_SIZE_BOUND:
+        raise ValueError(f"Frobenius number {F} beyond the semigroup size bound "
+                         f"{SEMIGROUP_SIZE_BOUND}")
     comb = ((1 << lo * (F // lo + 1)) - 1) // ((1 << lo) - 1)  # bits 0, lo, 2lo, ...
     mask = 0
     for w in least:

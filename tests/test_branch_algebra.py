@@ -391,7 +391,8 @@ def test_json_round_trip():
         ],
         "dualizing_units": ["1", "-1"],
     }
-    alg, units = ba.algebra_from_json(doc)
+    sig, gens, units = ba.generators_from_json(doc)
+    alg = ba.close(sig, [terms for _, terms in gens])
     assert units == (Fraction(1), Fraction(-1))
     assert ba.validate_G_conditions(alg, units).all_pass
     summary = ba.algebra_summary(alg)
@@ -410,7 +411,7 @@ def test_json_bad_units():
         "dualizing_units": ["1"],
     }
     with pytest.raises(ValueError):
-        ba.algebra_from_json(doc)
+        ba.generators_from_json(doc)
 
 
 # ------------------------------------------------- the integer kernel

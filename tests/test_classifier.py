@@ -638,6 +638,22 @@ def test_regression_reports_an_undefined_alpha_as_none():
     assert checks["alpha"].ok and checks["slope"].ok and checks["chi2_log"].ok
 
 
+def test_regression_reports_a_ring_without_a_certified_conductor():
+    # k[t1^2] on the (3, 1) branches: delta, genus, alpha and slope are
+    # left out of the report and read as None, so nothing raises
+    e = catalog.get("E7")
+    bad = dataclasses.replace(e, generators=(("x", ((0, 2, Fraction(1)),)),))
+    report = nonvarying_regression([bad])
+    failed = {c.field: c.actual for c in report.failures()}
+    assert [c.field for c in report.checks] == [
+        "gap_sequence", "delta", "genus", "gorenstein", "spin",
+        "chi1_log", "chi2_log", "alpha", "slope", "ambient_weights"]
+    assert set(failed) == {c.field for c in report.checks} - {"spin"}
+    assert failed["gorenstein"] is False
+    assert [failed[k] for k in ("delta", "genus", "alpha", "slope")] == [None] * 4
+    assert failed["gap_sequence"] == (2, 1, 2, 1)  # a tuple, as expected
+
+
 def test_regression_catches_character_corruption():
     e = catalog.get("H(5,3)")
     bad = dataclasses.replace(

@@ -224,6 +224,22 @@ def test_unibranch_specs_are_decided_by_the_signature_genus():
         assert result.output == "4 4 3 2 2 1 1 1\nchi1_log: 14\n"
 
 
+def test_unibranch_specs_beyond_the_semigroup_size_bound_end_in_one_error_line():
+    # the signature has the model's genus, so only the size bound refuses
+    # the 1000003-entry Apery list, or a mask of 1999999 bits
+    for sig, spec, fragment in (
+        ("1000034000062", "unibranch:1000003,1000033", "smallest generator 1000003"),
+        ("1999998", "unibranch:2,2000001", "Frobenius number 1999999"),
+    ):
+        start = time.perf_counter()
+        result = invoke("slope", "--signature", sig, "--model", spec)
+        assert time.perf_counter() - start < 1
+        assert_usage_error(result, fragment, "size bound 1000000")
+        # filtration refuses the printed length first, before the model
+        result = invoke("filtration", "--signature", sig, "--model", spec)
+        assert_usage_error(result, "filtration levels", str(cli.MAX_PRINTED_LEVELS))
+
+
 def test_input_without_signature_is_one_error_line(tmp_path):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps({"generators": []}))
@@ -430,20 +446,22 @@ def test_catalog_list_mentions_every_entry():
 
 
 def test_catalog_show_json_rebuilds_the_algebra(tmp_path):
+    # the document `catalog show --json` prints gives the whole invariants
+    # report of the stored entry, byte for byte, under every flag set
+    path = tmp_path / "entry.json"
     for entry in catalog.entries():
         result = invoke("catalog", "show", entry.id, "--json")
         doc = json.loads(result.output)
-        alg, units = ba.algebra_from_json(doc)
+        sig, gens, units = ba.generators_from_json(doc)
+        alg = ba.close(sig, [terms for _, terms in gens])
         assert list(ba.gap_sequence(alg)) == doc["expected"]["gap_sequence"]
         assert [str(u) for u in units] == doc["dualizing_units"]
-        path = tmp_path / "entry.json"
         path.write_text(result.output)
-        rebuilt = json.loads(invoke("invariants", "--input", str(path),
-                                    "--format", "json").output)
-        stored = json.loads(invoke("invariants", "--catalog", entry.id,
-                                   "--format", "json").output)
-        for key in ("chi1_log", "chi2_log", "alpha", "slope"):
-            assert rebuilt[key] == stored[key], (entry.id, key)
+        for flags in ([], ["--format", "json"], ["--m", "1,2,3", "--decimal"]):
+            stored = invoke("invariants", "--catalog", entry.id, *flags)
+            rebuilt = invoke("invariants", "--input", str(path), *flags)
+            assert stored.exit_code == rebuilt.exit_code == 0, (entry.id, flags)
+            assert rebuilt.stdout_bytes == stored.stdout_bytes, (entry.id, flags)
 
 
 def test_catalog_show_unknown_id():

@@ -181,6 +181,19 @@ def test_alpha_slope_record():
     assert rec.slope == 9
 
 
+def test_algebra_report_keys_follow_the_levels_and_the_ring():
+    alg = catalog.get("E7").algebra()
+    assert inv.algebra_report(alg) == {
+        "delta": 4, "genus": 3, "gap_sequence": [1, 1, 0, 1], "conductor": [5, 3],
+        "gorenstein": True, "chi1_log": 7, "chi2_log": 31, "chi2": 28,
+        "alpha": Fraction(29, 60), "slope": 9}
+    assert list(inv.algebra_report(alg, (1, 3))) == [
+        "delta", "genus", "gap_sequence", "conductor", "gorenstein", "chi1_log", "chi3_log"]
+    # 13*chi1_log = chi2_log: alpha alone is left out; every order even: spin
+    report = inv.algebra_report(catalog.family("elliptic", n=12).algebra())
+    assert "alpha" not in report and report["slope"] == 12 and report["spin"] == "odd"
+
+
 def test_chi2_elliptic_is_one():
     for n in range(3, 11):
         e = catalog.family("elliptic", n=n)

@@ -184,6 +184,21 @@ def test_generators_above_the_frobenius_number_cost_nothing():
         sgp.generated_genus([4, 6])
 
 
+def test_semigroups_beyond_the_size_bound_are_refused_before_their_lists():
+    bound = sgp.SEMIGROUP_SIZE_BOUND
+    # an Apery list of 1000003 entries, then a mask of about 10^12 bits
+    for call in (sgp.generated_genus, sgp.from_generators):
+        with pytest.raises(ValueError, match=f"^smallest generator {bound + 3} beyond "
+                                             f"the semigroup size bound {bound}$"):
+            call([bound + 3, bound + 33])
+    # a short Apery list whose Frobenius number is past the bound
+    with pytest.raises(ValueError, match=f"^Frobenius number {2 * bound + 1} beyond "
+                                         f"the semigroup size bound {bound}$"):
+        sgp.from_generators([2, 2 * bound + 3])
+    assert sgp.generated_genus([2, 2 * bound + 3]) == bound + 1  # no mask read
+    assert sgp.from_generators([2, bound + 1]).frobenius == bound - 1  # just inside
+
+
 def test_symmetric_semigroups_match_brute_force():
     for g in range(1, 13):
         for H in sgp.enumerate_symmetric(g):
