@@ -13,9 +13,12 @@ rational coefficients once to an integer vector on the same line, as it
 does for membership vectors; dualizing units are scaled the same way.
 Each graded piece is stored as integer echelon rows.  Everything
 downstream reads the graded bases through one reader: degrees(top), the
-slot-carrying degrees; rank(k, positions); and has_power, a row lookup.
-The conductor has one proof, the closure's certificate (_conductor); the
-Gorenstein length test and the condition (G3) both read it.
+slot-carrying degrees; rank(k, positions); has_power, a row lookup; and
+contains.  Membership and rank read the pivots of the stored rows, found
+once per degree, and never eliminate those rows again: only the vector,
+or the rows pivoting outside the positions, is reduced.  The conductor
+has one proof, the closure's certificate (_conductor), kept once found;
+the Gorenstein length test and the condition (G3) both read it.
 """
 
 from __future__ import annotations
@@ -148,7 +151,9 @@ class BranchAlgebra:
     stable_from: int | None = None  # R_k is full for every k >= stable_from
     _full_from: int | None = field(default=None, repr=False)  # start of the current full run
     _gap_full: tuple[int, ...] | None = field(default=None, repr=False)
+    _conductor: tuple[int, ...] | None = field(default=None, repr=False)  # once certified
     _slots: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
+    _pivots: dict[int, dict[int, int]] = field(default_factory=dict, repr=False)
 
     @property
     def branches(self) -> int:
@@ -228,11 +233,40 @@ class BranchAlgebra:
         """The degrees in [0, top] that carry a slot, ascending; R_k = 0 at the others."""
         return sorted(set().union(*(range(0, top + 1, a) for a in self.signature.weights_a)))
 
+    def _pivot_rows(self, k: int) -> dict[int, int]:
+        """{pivot column: row index} of R_k, a piece that is not full; found
+        at the first read of the degree.  A row's pivot is its first nonzero
+        entry, fixed when _rref stores the row."""
+        if k not in self._pivots:
+            self._pivots[k] = {r.index(next(filter(None, r))): i
+                               for i, r in enumerate(self.graded_basis[k])}
+        return self._pivots[k]
+
     def rank(self, k: int, positions) -> int:
-        """Rank of R_k on the given slot positions: len(positions) on a full piece."""
-        if self.dim(k) == len(self.slots(k)):
+        """Rank of R_k on the given (distinct) slot positions P, read at the pivots.
+
+        A full piece has rank len(P), a zero piece 0.  Otherwise every row
+        is zero in the other rows' pivot columns, so on P the rows pivoting
+        in P are zero on P ∩ pivots except at their own nonzero pivot entry,
+        and the other rows are zero on all of P ∩ pivots.  The restricted
+        matrix is block-triangular with an invertible diagonal block: its
+        rank is |P ∩ pivots| plus the rank of the other rows on P minus the
+        pivots, and only that remainder is eliminated.
+        """
+        rows = self.basis(k)
+        if len(rows) == len(self.slots(k)):
             return len(positions)
-        return len(_echelon([[r[j] for j in positions] for r in self.basis(k)], len(positions)))
+        if not rows:
+            return 0
+        pivots = self._pivot_rows(k)
+        free = [j for j in positions if j not in pivots]
+        if not free:
+            return len(positions)
+        if len(free) < len(positions):  # keep only the rows pivoting outside P
+            inside = set(positions)
+            rows = [rows[i] for col, i in pivots.items() if col not in inside]
+        return len(positions) - len(free) + len(_echelon([[r[j] for j in free] for r in rows],
+                                                         len(free)))
 
     def has_power(self, branch: int, exp: int) -> bool:
         """Whether t_branch^exp is in R: a unit vector lies in the span of _rref
@@ -242,10 +276,34 @@ class BranchAlgebra:
         return _identity(len(sl))[sl.index(branch)] in self.basis(k)
 
     def contains(self, terms) -> bool:
-        """Membership of generator-style terms: R_k's rank stays when they join its rows."""
+        """Membership of generator-style terms, read at R_k's pivots.
+
+        A full piece holds everything.  Otherwise the vector v is reduced
+        once, fraction-free, v <- c*v - v[j]*r, by the row r pivoting at
+        each pivot column j where v is nonzero, c = r[j].  Every row is zero
+        in the other pivot columns, so a step clears column j and only
+        scales v's other pivot entries: the remainder is zero at every
+        pivot, and only its entries on the other (free) columns are
+        computed.  It is a nonzero multiple of v minus a combination of
+        rows, and a vector of the span is fixed by its pivot entries, so v
+        lies in R_k exactly when the remainder is zero on the free columns.
+        """
         k, coeffs = generator(self.signature, terms)  # every branch it touches is a slot of k
         rows, sl = self.basis(k), self.slots(k)
-        return len(_echelon([*rows, [coeffs.get(i, 0) for i in sl]], len(sl))) == len(rows)
+        if len(rows) == len(sl):
+            return True
+        pivots = self._pivot_rows(k)
+        free = [j for j in range(len(sl)) if j not in pivots]
+        v = {sl.index(i): x for i, x in coeffs.items()}
+        rest = [v.get(j, 0) for j in free]
+        scale = 1  # the product of the c's so far: v's pivot entries carry it
+        for j, x in v.items():
+            if j in pivots:
+                r = rows[pivots[j]]
+                c, f = r[j], scale * x
+                rest = [c * y - f * r[col] for y, col in zip(rest, free)]
+                scale *= c
+        return not any(rest)
 
 
 def window(sig: Signature) -> int:
@@ -326,8 +384,13 @@ def _conductor(alg: BranchAlgebra) -> tuple[int, ...] | None:
     2K + A - 1 <= D.  Since W >= A*T, D <= 2W + A - 1.
 
     Once certified, t_i^e lies in R whenever e*a_i >= stable_from, so c_i
-    is found walking down from ceil(stable_from / a_i) with has_power.
+    is found walking down from ceil(stable_from / a_i) with has_power,
+    once per algebra: the certified exponents are kept.  Without a
+    certificate the closure has already run to D, so a second call costs
+    one check.
     """
+    if alg._conductor is not None:
+        return alg._conductor
     sig = alg.signature
     reach = max(sig.weights_a)
     alg._close_to(2 * reach * (sig.orders[0] + 2) + reach - 1)
@@ -339,7 +402,8 @@ def _conductor(alg: BranchAlgebra) -> tuple[int, ...] | None:
         while c > 1 and alg.has_power(i, c - 1):
             c -= 1
         conductor.append(c)
-    return tuple(conductor)
+    alg._conductor = tuple(conductor)
+    return alg._conductor
 
 
 @dataclass(frozen=True)

@@ -192,7 +192,7 @@ def model_from_spec(doc: dict, genus: int):
     semigroup whose smallest generator is lo, so lo > genus + 1 is refused
     at once, and otherwise the genus is read off the Apery set of lo
     (semigroup.generated_genus) in O(lo * min(k, lo)) steps for k
-    generators.
+    generators, a walk refused past semigroup.APERY_WORK_BOUND steps.
     """
     ba._field(doc, "an object", "the model spec")
     kind = doc["kind"]

@@ -26,6 +26,9 @@ SEMIGROUP_GENUS_BOUND = 40
 # entries of an Apery list (the smallest generator) and bits of an element
 # mask (the Frobenius number) are refused past this, before either is built
 SEMIGROUP_SIZE_BOUND = 10**6
+# steps of an Apery walk, lo * (min(k, lo) - 1) for k generators, are
+# refused past this before the walk starts
+APERY_WORK_BOUND = 10**6
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -176,13 +179,18 @@ def _apery(gset: list[int]) -> list[int]:
     an element w <= h is h = w + t*lo, in the span of the smaller ones, and
     is skipped in one step; so at most lo - 1 generators are walked, and
     the walk costs O(lo * min(k, lo)) steps for k generators, whatever
-    the Frobenius number is.  An lo above SEMIGROUP_SIZE_BOUND is a
-    ValueError before the list is built.
+    the Frobenius number is.  An lo above SEMIGROUP_SIZE_BOUND, then a
+    walk of more than APERY_WORK_BOUND steps, is a ValueError before the
+    list is built.
     """
     lo = gset[0]
     if lo > SEMIGROUP_SIZE_BOUND:
         raise ValueError(f"smallest generator {lo} beyond the semigroup size bound "
                          f"{SEMIGROUP_SIZE_BOUND}")
+    work = lo * (min(len(gset), lo) - 1)
+    if work > APERY_WORK_BOUND:
+        raise ValueError(f"Apery walk of {work} steps ({len(gset)} generators, smallest "
+                         f"{lo}) beyond the work bound {APERY_WORK_BOUND}")
     least: list[int | None] = [0] + [None] * (lo - 1)
     for h in gset[1:]:
         w = least[h % lo]

@@ -4,6 +4,7 @@ Expected values for the named strata algebras were fixed by hand
 multiplication of the generator monomials before the engine existed.
 """
 
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -516,6 +517,91 @@ def test_integer_kernel_matches_the_fraction_oracle(case):
         assert alg.has_power(i, 1) == oracle_in_span(oracle, unit)
     projected = oracle_rref([[r[j] for j in cols] for r in rows])
     assert alg.rank(1, cols) == len(projected)
+
+
+# ------------------------------------------------ the pivot readers
+
+
+@st.composite
+def partial_pieces(draw):
+    """(rows, units): at most width - 1 rational rows of a width up to 6,
+    zero and repeated rows allowed, so their span is never everything; and
+    one nonzero unit per column."""
+    width = draw(st.integers(1, 6))
+    row = st.lists(SMALL_RATIONALS, min_size=width, max_size=width)
+    rows = draw(st.lists(st.one_of(row, st.just([Fraction(0)] * width)), max_size=width - 1))
+    if rows and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    nonzero = SMALL_RATIONALS.filter(bool)
+    units = draw(st.lists(nonzero, min_size=width, max_size=width))
+    return rows, units
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_pieces())
+def test_pivot_readers_match_the_fraction_oracle(case):
+    rows, units = case
+    width = len(units)
+    echelon = ba._rref([integer_row(r) for r in rows], width)
+    oracle = oracle_rref(rows)
+    alg = ba.BranchAlgebra(derive((0,) * width), (), {0: ((1,) * width,), 1: echelon})
+    pivots = {next(j for j, x in enumerate(r) if x) for r in echelon}
+    free = [j for j in range(width) if j not in pivots]
+    assert free  # never a full piece: the pivot route is the one read
+    kinds = set()
+    for size in range(width + 1):
+        for cols in itertools.combinations(range(width), size):
+            projected = oracle_rref([[r[j] for j in cols] for r in rows])
+            assert alg.rank(1, list(cols)) == len(projected), cols
+            kinds.add("covers" if pivots <= set(cols) else
+                      "disjoint" if not pivots & set(cols) else "mixed")
+    assert kinds == ({"covers", "disjoint", "mixed"} if len(pivots) > 1 else
+                     {"covers", "disjoint"} if pivots else {"covers"})
+    # dualizing-pair vectors u_i e_j - u_j e_i
+    for i, j in itertools.combinations(range(width), 2):
+        pair = [0] * width
+        pair[i], pair[j] = units[j], -units[i]
+        assert alg.contains([(i, 1, units[j]), (j, 1, -units[i])]) == oracle_in_span(oracle, pair)
+    # a combination of two rows is inside: it is reduced at both of their pivots
+    for a, b in itertools.combinations(echelon, 2):
+        assert alg.contains([(j, 1, units[0] * x + units[-1] * y)
+                             for j, (x, y) in enumerate(zip(a, b))])
+    # a free unit vector, alone or added to a combination of the rows, is outside
+    for f in free:
+        outside = [units[f] * int(j == f) + sum((r[j] for r in rows), Fraction(0))
+                   for j in range(width)]
+        assert not oracle_in_span(oracle, outside)
+        assert not alg.contains([(j, 1, x) for j, x in enumerate(outside)])
+        assert not alg.contains([(f, 1, units[f])])
+
+
+def reference_readers(monkeypatch):
+    """Patch rank and contains with re-eliminations of the stored rows over
+    Fraction, a reference that reads no pivots."""
+    spans = {}
+
+    def rank(self, k, positions):
+        return len(oracle_rref([[r[j] for j in positions] for r in self.basis(k)]))
+
+    def contains(self, terms):
+        k, coeffs = ba.generator(self.signature, terms)
+        if (self, k) not in spans:
+            spans[self, k] = oracle_rref(self.basis(k))
+        return oracle_in_span(spans[self, k], [coeffs.get(i, 0) for i in self.slots(k)])
+
+    monkeypatch.setattr(ba.BranchAlgebra, "rank", rank)
+    monkeypatch.setattr(ba.BranchAlgebra, "contains", contains)
+
+
+@pytest.mark.parametrize("n", range(3, 21))
+def test_elliptic_conditions_match_the_re_elimination(n, monkeypatch):
+    entry = catalog.family("elliptic", n=n)
+    flipped = (-entry.dualizing_units[0], *entry.dualizing_units[1:])
+    unit_sets = (entry.dualizing_units, (1,) * n, flipped)
+    reports = [ba.validate_G_conditions(entry.algebra(), u) for u in unit_sets]
+    assert reports[0].all_pass and not reports[2].dualizing_pairs
+    reference_readers(monkeypatch)
+    assert reports == [ba.validate_G_conditions(entry.algebra(), u) for u in unit_sets]
 
 
 # ------------------------------------------- the certified conductor stop

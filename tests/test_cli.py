@@ -240,6 +240,16 @@ def test_unibranch_specs_beyond_the_semigroup_size_bound_end_in_one_error_line()
         assert_usage_error(result, "filtration levels", str(cli.MAX_PRINTED_LEVELS))
 
 
+def test_long_unibranch_specs_beyond_the_apery_work_bound_end_in_one_error_line():
+    # lo = 999000 is within the genus and the size bound; its four walked
+    # generators are not, and are refused before the walk
+    spec = "unibranch:" + ",".join(str(h) for h in range(999000, 999005))
+    start = time.perf_counter()
+    result = invoke("slope", "--signature", "1998000", "--model", spec)
+    assert time.perf_counter() - start < 1
+    assert_usage_error(result, "Apery walk of 3996000 steps", "work bound 1000000")
+
+
 def test_input_without_signature_is_one_error_line(tmp_path):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps({"generators": []}))

@@ -1,5 +1,6 @@
 """Semigroup arithmetic against brute-force oracles and frozen values."""
 
+import time
 from math import gcd
 
 import pytest
@@ -197,6 +198,27 @@ def test_semigroups_beyond_the_size_bound_are_refused_before_their_lists():
         sgp.from_generators([2, 2 * bound + 3])
     assert sgp.generated_genus([2, 2 * bound + 3]) == bound + 1  # no mask read
     assert sgp.from_generators([2, bound + 1]).frobenius == bound - 1  # just inside
+
+
+def test_apery_walks_beyond_the_work_bound_are_refused_before_their_lists():
+    bound = sgp.APERY_WORK_BOUND
+    # 4 walked generators of about 10^6 steps each: refused at once
+    gens = list(range(999000, 999005))
+    for call in (sgp.generated_genus, sgp.from_generators):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^Apery walk of 3996000 steps \(5 generators, "
+                                             rf"smallest 999000\) beyond the work bound {bound}$"):
+            call(gens)
+        assert time.perf_counter() - start < 0.1
+    # the smallest-generator check still comes first
+    with pytest.raises(ValueError, match="^smallest generator 1000003 beyond"):
+        sgp.generated_genus(range(1000003, 1000063))
+    # lo * (min(k, lo) - 1) = 2000 * 500 is the bound itself; the 499
+    # generators past 2001 lie in <2000, 2001> and are skipped in one step each
+    inside = [2000, 2001, *range(10**7, 10**7 + 499)]
+    assert sgp.generated_genus(inside) == 1999 * 2000 // 2
+    with pytest.raises(ValueError, match=f"^Apery walk of 1002000 steps .* {bound}$"):
+        sgp.generated_genus([*inside, 10**8])
 
 
 def test_symmetric_semigroups_match_brute_force():
