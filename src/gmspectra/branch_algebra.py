@@ -371,6 +371,13 @@ def delta_and_genus(alg: BranchAlgebra) -> tuple[int, int]:
     return delta, g
 
 
+def _certificate_bound(sig: Signature) -> tuple[int, int]:
+    """(A*T, D = 2*A*T + A - 1) with A = max_i a_i and T = max(m)+2 (see _conductor)."""
+    reach = max(sig.weights_a)
+    start = reach * (sig.orders[0] + 2)
+    return start, 2 * start + reach - 1
+
+
 def _conductor(alg: BranchAlgebra) -> tuple[int, ...] | None:
     """The per-branch conductor exponents c_i, proven by the closure's
     certificate, or None when there is none by degree D = 2*A*T + A - 1,
@@ -381,7 +388,9 @@ def _conductor(alg: BranchAlgebra) -> tuple[int, ...] | None:
     i of a degree k >= A*T has exponent k/a_i >= T >= c_i, so every R_k
     with k >= A*T is full.  The full run through D then starts at some
     K <= A*T, and the stop rule of BranchAlgebra._close_to fires by
-    2K + A - 1 <= D.  Since W >= A*T, D <= 2W + A - 1.
+    2K + A - 1 <= D.  Since W >= A*T, D <= 2W + A - 1.  A certificate with
+    stable_from > A*T fires past D, found only by a later read: it is not
+    used, so the answer does not depend on what was read before.
 
     Once certified, t_i^e lies in R whenever e*a_i >= stable_from, so c_i
     is found walking down from ceil(stable_from / a_i) with has_power,
@@ -391,13 +400,12 @@ def _conductor(alg: BranchAlgebra) -> tuple[int, ...] | None:
     """
     if alg._conductor is not None:
         return alg._conductor
-    sig = alg.signature
-    reach = max(sig.weights_a)
-    alg._close_to(2 * reach * (sig.orders[0] + 2) + reach - 1)
-    if alg.stable_from is None:
+    start, last = _certificate_bound(alg.signature)
+    alg._close_to(last)
+    if alg.stable_from is None or alg.stable_from > start:
         return None
     conductor = []
-    for i, a in enumerate(sig.weights_a):
+    for i, a in enumerate(alg.signature.weights_a):
         c = -(-alg.stable_from // a)
         while c > 1 and alg.has_power(i, c - 1):
             c -= 1
@@ -525,13 +533,14 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
     g1 = not notes
 
     # (G3) is conductor_bound_ok; the note names a pure power past max(m)+2
-    # that R misses, from the last piece that is not full when there is no
-    # certificate: that piece lies at k >= A*T (see _conductor)
+    # that R misses, from the last piece up to D that is not full when there
+    # is no certificate: that piece lies at k >= A*T (see _conductor)
     top = sig.orders[0] + 2
     conductor = _conductor(alg)
     if conductor is None:
         a = sig.weights_a
-        k = max(k for k, rows in alg.graded_basis.items() if len(rows) < len(alg.slots(k)))
+        _, last = _certificate_bound(sig)
+        k = next(k for k in range(last, -1, -1) if alg.dim(k) < len(alg.slots(k)))
         missing = next((i, k // a[i]) for i in alg.slots(k) if not alg.has_power(i, k // a[i]))
     else:
         missing = next(((i, c - 1) for i, c in enumerate(conductor) if c > top), None)

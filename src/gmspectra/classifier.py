@@ -5,13 +5,13 @@ its level-one character chi1_log reaches c*X, where
 X = (2g-2+n)*ell - sum of a_i over the dangling branches and
 c = (2-tau)/(11-12tau) = p/q, the exact condition for the alpha-invariant
 to be at least tau.  Both chi1_log and X are integers, so the test is
-q*chi1_log >= p*X on Python ints; X comes from one function,
-_threshold_x.  The Clifford cap, the nonhyperelliptic screen, the
-semigroup walk, the ordinary-point budget and every candidate decide it
-that way.  A Fraction c*X is built only for the threshold_rhs field of an
-emitted Candidate (threshold_rhs gives it for a signature) and for the
-message of an UnresolvedSignatureError.  The search enumerates signatures
-(at most four branches survive the Clifford cap), runs every admissible
+q*chi1_log >= p*X on Python ints (_margin); X comes from one function,
+_threshold_x.  The Clifford-cap prune, the nonhyperelliptic screen, the
+semigroup walk, the ordinary-point budget (_budget) and every candidate
+decide it that way.  A Fraction c*X is built only for the threshold_rhs
+field of an emitted Candidate and for the message of an
+UnresolvedSignatureError.  The search enumerates signatures (at most
+four branches survive the Clifford cap), runs every admissible
 hyperelliptic tagging, resolves the nonhyperelliptic side through the
 Clifford profile, the shipped catalog, explicit exclusion rules and the
 special-locus overrides, walks symmetric semigroups when there is a
@@ -49,16 +49,12 @@ __all__ = [
     "Tagging",
     "UnresolvedSignatureError",
     "alpha_search",
-    "clifford_cap",
     "clifford_profile_chi1",
     "hyperelliptic_chi1",
-    "hyperelliptic_chi1_routes",
     "hyperelliptic_taggings",
     "nonvarying_regression",
-    "ordinary_point_budget",
     "semigroup_search",
     "threshold_coefficient",
-    "threshold_rhs",
 ]
 
 
@@ -71,15 +67,6 @@ def threshold_coefficient(threshold) -> Fraction:
     if not 0 <= tau < Fraction(11, 12):
         raise ValueError(f"threshold must lie in [0, 11/12), got {tau}")
     return (2 - tau) / (11 - 12 * tau)
-
-
-def clifford_cap(sig: Signature) -> Fraction:
-    """Largest chi1_log any curve model allows: (g+1)*ell/2.
-
-    At tau = 3/8 (c = 1/4) it is below c*(2g-2+n)*ell exactly when n > 4, and
-    a higher tau raises c, so alpha_search enumerates at most four branches.
-    """
-    return Fraction((sig.genus + 1) * sig.ell, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -99,20 +86,18 @@ class Candidate:
     component: Optional[str] = None
     dangling: tuple[int, ...] = ()
 
-    @property
-    def threshold_lhs(self) -> Fraction:
-        return Fraction(self.chi1_log)
-
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.passed else "fail"
-
     def sort_key(self):
         return (self.signature, self.model, self.dangling)
 
 
 def _threshold_x(sig: Signature, dangling=()) -> int:
-    """X = (2g-2+n)*ell - sum_{i in Q} a_i, the integer the cutoff is c*X of."""
+    """X = (2g-2+n)*ell - sum_{i in Q} a_i, the integer the cutoff is c*X of.
+
+    With chi2_log = chi1_log + (2g-2+n)*ell (the level-two identity), alpha
+    = (13x1 - 2x2)/(13x1 - x2) >= tau is chi1_log >= c*(2g-2+n)*ell.  A
+    dangling branch i in Q drops its weight a_i from chi2_log first, which
+    lowers the cutoff by c*a_i.
+    """
     return (2 * sig.genus - 2 + sig.n) * sig.ell - sum(map(sig.weights_a.__getitem__, dangling))
 
 
@@ -124,33 +109,6 @@ def _margin(coeff: Fraction, value: int, x: int) -> int:
 def _budget(coeff: Fraction, chi1_log: int, x: int, ell: int) -> int:
     """floor((q*chi1_log - p*x)/(p*ell)): the largest k with chi1_log >= c*(x + k*ell)."""
     return _margin(coeff, chi1_log, x) // (coeff.numerator * ell)
-
-
-def threshold_rhs(sig: Signature, coeff: Fraction, dangling=()) -> Fraction:
-    """The cutoff c*((2g-2+n)*ell - sum_{i in Q} a_i) that chi1_log must reach.
-
-    With chi2_log = chi1_log + (2g-2+n)*ell (the level-two identity), alpha
-    = (13x1 - 2x2)/(13x1 - x2) >= tau is chi1_log >= c*(2g-2+n)*ell.  A
-    dangling branch i in Q drops its weight a_i from chi2_log first, which
-    lowers the cutoff by c*a_i.  The scorers in this module decide the
-    same inequality on ints, q*chi1_log >= p*X with c = p/q; this Fraction
-    is the threshold_rhs a Candidate of sig reports.
-    """
-    return coeff * _threshold_x(sig, dangling)
-
-
-def ordinary_point_budget(
-    sig: Signature, chi1_log: int, threshold=DEFAULT_THRESHOLD, dangling=()
-) -> int:
-    """Largest k with chi1_log >= threshold_rhs of sig with k zeros appended.
-
-    An ordinary marked point leaves g, ell, the core a_i and chi1_log
-    unchanged and raises n by one, so X grows by ell per point and, with
-    c = p/q, the budget is floor((q*chi1_log - p*X)/(p*ell)), computed on
-    ints.  Negative when even the bare signature misses the cutoff.
-    """
-    coeff = threshold_coefficient(threshold)
-    return _budget(coeff, chi1_log, _threshold_x(sig, dangling), sig.ell)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +198,8 @@ def hyperelliptic_taggings(sig: Signature) -> tuple[Tagging, ...]:
     return tuple(out)
 
 
-def hyperelliptic_chi1_routes(sig: Signature, tagging: Tagging) -> tuple[int, Fraction]:
-    """chi1_log of a tagging: summed model filtration and the closed form.
+def hyperelliptic_chi1(sig: Signature, tagging: Tagging) -> int:
+    """chi1_log of a tagging: the summed model filtration, checked by a closed form.
 
     The closed form is (g+1)*ell/2 minus half the correction (ell - a_i)/2
     per Weierstrass zero; pairs and free points contribute no correction.
@@ -253,11 +211,6 @@ def hyperelliptic_chi1_routes(sig: Signature, tagging: Tagging) -> tuple[int, Fr
         - sum(sig.ell - sig.ell // (v + 1) for v in tagging.weierstrass),
         4,
     )
-    return summed, shortcut
-
-
-def hyperelliptic_chi1(sig: Signature, tagging: Tagging) -> int:
-    summed, shortcut = hyperelliptic_chi1_routes(sig, tagging)
     if shortcut != summed:
         raise RuntimeError(
             f"hyperelliptic chi1 routes disagree on {sig} {tagging.label}: "
@@ -513,10 +466,10 @@ def alpha_search(
     is re-evaluated for every subset Q of its core branches with the
     right-hand side lowered by sum of a_i over Q, which can admit models
     the plain search rejects; appended ordinary points never dangle.
-    Signatures have at most four branches (see clifford_cap).  A genus
-    above genus_bound is a ValueError; pass genus_bound explicitly to go
-    further.  Logs one DEBUG line with the count of each stage and the
-    scoring and emission times.
+    Signatures have at most four branches (see the Clifford-cap prune).
+    A genus above genus_bound is a ValueError; pass genus_bound explicitly
+    to go further.  Logs one DEBUG line with the count of each stage and
+    the scoring and emission times.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
@@ -536,7 +489,10 @@ def alpha_search(
         stats["signatures"] = len(signatures)
         for sig in signatures:
             x = _threshold_x(sig)
-            # clifford_cap < c*x, doubled so both sides are integers
+            # the Clifford cap: no model has chi1_log above (g+1)*ell/2, so a
+            # signature whose cap misses c*x goes (doubled to stay on ints).
+            # At tau = 3/8 (c = 1/4) it misses exactly when n > 4, and a higher
+            # tau raises c, so enumerating at most four branches loses nothing
             if _margin(coeff, (sig.genus + 1) * sig.ell, 2 * x) < 0:
                 stats["pruned"] += 1
                 continue

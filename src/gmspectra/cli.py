@@ -264,6 +264,23 @@ def classify():
     """Threshold searches over signatures and semigroups."""
 
 
+def emit_search(rows: list[dict], columns: list[str], fmt: str, payload: list) -> None:
+    """A search's rows as the JSON payload, a csv table or an aligned text
+    table; empty text reads "no passing models" (a semigroup search never is)."""
+    if fmt == "json":
+        click.echo(json.dumps(payload, indent=2))
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
+        click.echo(buf.getvalue(), nl=False)
+    elif rows:
+        emit_table(rows, columns)
+    else:
+        click.echo("no passing models")
+
+
 ALPHA_COLUMNS = ["signature", "model", "chi1_log", "threshold", "verdict",
                  "item", "component", "dangling"]
 
@@ -274,7 +291,7 @@ def candidate_row(c, decimal=False) -> dict:
         "model": c.model,
         "chi1_log": c.chi1_log,
         "threshold": fmt_rational(c.threshold_rhs, decimal),
-        "verdict": c.verdict,
+        "verdict": "pass" if c.passed else "fail",
         "item": c.item,
         "component": c.component or "",
         "dangling": ",".join(str(i) for i in c.dangling),
@@ -299,25 +316,12 @@ def classify_alpha(genus, threshold, dangling, fmt, decimal):
     except UnresolvedSignatureError as exc:  # no rule resolves a stratum at this cutoff
         raise click.UsageError(f"threshold {fmt_rational(tau)}: stratum {exc}") from exc
     rows = [candidate_row(c, decimal and fmt == "text") for c in cands]
-    if fmt == "json":
-        payload = [{**candidate_row(c),
-                    "chi1_log": c.chi1_log,
-                    "threshold_lhs": fmt_rational(c.threshold_lhs),
-                    "threshold_rhs": fmt_rational(c.threshold_rhs),
-                    "signature": list(c.signature),
-                    "dangling": list(c.dangling)} for c in cands]
-        click.echo(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=ALPHA_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-        click.echo(buf.getvalue(), nl=False)
-    else:
-        if not rows:
-            click.echo("no passing models")
-            return
-        emit_table(rows, ALPHA_COLUMNS)
+    payload = [{**row,  # json rows carry no decimals
+                "threshold_lhs": fmt_rational(c.chi1_log),
+                "threshold_rhs": fmt_rational(c.threshold_rhs),
+                "signature": list(c.signature),
+                "dangling": list(c.dangling)} for row, c in zip(rows, cands)]
+    emit_search(rows, ALPHA_COLUMNS, fmt, payload)
 
 
 SEMIGROUP_COLUMNS = ["semigroup", "hyperelliptic", "spin", "chi1_log",
@@ -344,16 +348,7 @@ def classify_semigroups(genus, threshold, fmt):
         "element_sum": r.element_sum,
         "verdict": "pass" if r.passed else "fail",
     } for r in records]
-    if fmt == "json":
-        click.echo(json.dumps(rows, indent=2))
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=SEMIGROUP_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-        click.echo(buf.getvalue(), nl=False)
-    else:
-        emit_table(rows, SEMIGROUP_COLUMNS)
+    emit_search(rows, SEMIGROUP_COLUMNS, fmt, rows)
 
 
 # ---------------------------------------------------------------- catalog

@@ -4,7 +4,7 @@ The m-th spectrum lists the multiplicities N_{m,lam} of the scaling weights
 on m-fold pluricanonical sections; its weighted sum is the character
 chi_m^log.  From the first two characters come the alpha-invariant and the
 slope, always as exact fractions; alpha reads the two characters alone
-(dangling branches lower only the search cutoff, classifier.threshold_rhs).
+(dangling branches lower only the search cutoff, classifier._threshold_x).
 A standalone lattice-point identity cross-checks the one-branch toric count.
 """
 
@@ -156,7 +156,7 @@ def alpha(chi1_log: int, chi2_log: int) -> Fraction:
     """The alpha-invariant (13x1 - 2x2) / (13x1 - x2) on log characters.
 
     Dangling branches enter only through the search cutoff,
-    classifier.threshold_rhs.
+    classifier._threshold_x.
     """
     den = 13 * chi1_log - chi2_log
     if den == 0:

@@ -724,7 +724,8 @@ def test_certified_stop_matches_the_dense_closure(case):
     oracle = doubling_oracle(ref, top)
     within = all(c <= T for c in oracle)
     assert report.conductor_bound_ok == conditions.conductor_bound == within
-    assert report.conductor == (oracle if alg.stable_from is not None else (T + 1,) * sig.n)
+    assert report.conductor == (oracle if alg.stable_from is not None and alg.stable_from <= reach * T
+                                else (T + 1,) * sig.n)
     assert within or not report.gorenstein
     assert all(e >= T and not ref.has_power(i, e) for i, e in missing_powers(conditions.notes))
     assert bool(missing_powers(conditions.notes)) == (not within)
@@ -763,6 +764,27 @@ def test_no_conductor_means_no_certificate():
     assert alg31().stable_from is None  # the window W = 10 ends before the stop at 11
     gens = [[(0, 2, 1), (1, 1, 1)], [(0, 3, 1)]]
     assert read_first(ba.close(sig, gens), 16).stable_from == 5  # t1^5, t2^3 on
+
+
+@pytest.mark.parametrize("exps", [(6, 7, 8, 9, 10, 11), (6, 7, 8, 10, 11)],
+                         ids=["t6-to-t11", "t6-to-t11-but-t9"])
+def test_conductor_reports_do_not_depend_on_what_was_read_before(exps):
+    # on (2), A*T = 4 and D = 8: neither ring is certified by D, and a
+    # level-5 spectrum reads past it, far enough to certify the first ring
+    # at stable_from = 6 and to meet the second one's last gap t1^9
+    sig = derive((2,))
+    gens = [[(0, e, 1)] for e in exps]
+    fresh = ba.close(sig, gens)
+    expected = (ba.conductor_and_gorenstein(fresh), ba.validate_G_conditions(fresh))
+    assert expected[0].conductor == (5,) and not expected[0].conductor_bound_ok
+    assert expected[1].notes[0] == "pure power t1^5 missing from the ring"
+    read = ba.close(sig, gens)
+    inv.weight_spectrum(read, 5)
+    assert len(read.graded_basis) > 10
+    assert read.stable_from == (6 if 9 in exps else None)
+    assert (ba.conductor_and_gorenstein(read), ba.validate_G_conditions(read)) == expected
+    inv.weight_spectrum(fresh, 5)  # the same object, read past D after its reports
+    assert (ba.conductor_and_gorenstein(fresh), ba.validate_G_conditions(fresh)) == expected
 
 
 @pytest.mark.parametrize("family,g", [("D-odd", 80), ("D-even", 60)])

@@ -9,12 +9,15 @@ On top of the golden lists: dual-route agreement for every hyperelliptic
 tagging up to genus ten, the Clifford profile identity, ordinary-point
 budgets, the alternate 5/9 cutoff, dangling re-scoring, the
 symmetric-semigroup side search, and the nonvarying regression harness
-including its failure mode.
+including its failure mode.  The search decides its cutoff on ints
+(_threshold_x, _margin, _budget); a Fraction oracle here restates the
+cutoff, the Clifford cap and the budget, and every check compares the two.
 """
 
 import dataclasses
 import hashlib
 import logging
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,17 +31,16 @@ from gmspectra import catalog
 from gmspectra.classifier import (
     Tagging,
     UnresolvedSignatureError,
+    _budget,
+    _margin,
+    _threshold_x,
     alpha_search,
-    clifford_cap,
     clifford_profile_chi1,
     hyperelliptic_chi1,
-    hyperelliptic_chi1_routes,
     hyperelliptic_taggings,
     nonvarying_regression,
-    ordinary_point_budget,
     semigroup_search,
     threshold_coefficient,
-    threshold_rhs,
 )
 from gmspectra.signature import derive, enumerate_signatures
 
@@ -47,6 +49,45 @@ FIVE_NINTHS = Fraction(5, 9)
 
 def rows(cands):
     return [(c.signature, c.model, c.chi1_log, c.item, c.component) for c in cands]
+
+
+# ------------------------------------------------------- the Fraction oracle
+
+
+def oracle_rhs(sig, coeff, dangling=()):
+    """The cutoff c*((2g-2+n)*ell - sum_{i in Q} a_i) that chi1_log must reach."""
+    drop = sum(sig.weights_a[i] for i in dangling)
+    return coeff * ((2 * sig.genus - 2 + sig.n) * sig.ell - drop)
+
+
+def oracle_cap(sig):
+    """The Clifford cap (g+1)*ell/2: no curve model has a larger chi1_log."""
+    return Fraction((sig.genus + 1) * sig.ell, 2)
+
+
+def oracle_budget(sig, chi1, coeff, dangling=()):
+    """Largest k with chi1 >= the cutoff of sig with k ordinary points appended."""
+    return math.floor((chi1 - oracle_rhs(sig, coeff, dangling)) / (coeff * sig.ell))
+
+
+def prunes(sig, coeff):
+    """The search's Clifford-cap prune of sig, on ints."""
+    return _margin(coeff, (sig.genus + 1) * sig.ell, 2 * _threshold_x(sig)) < 0
+
+
+def budget(sig, chi1, tau=Fraction(3, 8), dangling=()):
+    """The search's ordinary-point budget of sig, on ints."""
+    coeff = threshold_coefficient(tau)
+    return _budget(coeff, chi1, _threshold_x(sig, dangling), sig.ell)
+
+
+def search_stages(caplog, g, tau=Fraction(3, 8)):
+    """The stage counts of alpha_search's DEBUG line for one search."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="gmspectra"):
+        alpha_search(g, threshold=tau)
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("alpha_search")]
+    return dict(part.split("=") for part in line.split()[1:])
 
 
 # ----------------------------------------------------------- golden lists
@@ -217,13 +258,16 @@ EQUALITY_CASES = [
 
 
 def test_equality_boundary_cases():
-    # these sit exactly on the cutoff: lhs == rhs
+    # these sit exactly on the cutoff: chi1_log == rhs, a zero margin
+    coeff = threshold_coefficient(Fraction(3, 8))
     by_genus = {g: alpha_search(g) for g in set(g for g, _, _ in EQUALITY_CASES)}
     for g, sig, model in EQUALITY_CASES:
         match = [c for c in by_genus[g]
                  if c.signature == sig and c.model == model]
         assert len(match) == 1, (g, sig, model)
-        assert match[0].threshold_lhs == match[0].threshold_rhs
+        c = match[0]
+        assert c.chi1_log == c.threshold_rhs == oracle_rhs(derive(sig), coeff)
+        assert _margin(coeff, c.chi1_log, _threshold_x(derive(sig))) == 0
 
 
 def test_g4_component_split():
@@ -246,10 +290,10 @@ def test_candidate_fields_reconstruct():
             for c in alpha_search(g, threshold=tau):
                 sig = derive(c.signature)
                 assert sum(c.signature) == 2 * g - 2
-                assert c.threshold_lhs == Fraction(c.chi1_log)
-                assert c.threshold_rhs == threshold_rhs(sig, coeff)
+                assert type(c.chi1_log) is int and c.chi1_log >= c.threshold_rhs
+                assert c.threshold_rhs == oracle_rhs(sig, coeff) == coeff * _threshold_x(sig)
                 assert c.threshold_rhs == coeff * (2 * g - 2 + sig.n) * sig.ell
-                assert c.passed and c.verdict == "pass"
+                assert c.passed and _margin(coeff, c.chi1_log, _threshold_x(sig)) >= 0
                 assert c.dangling == ()
 
 
@@ -273,7 +317,8 @@ def test_wider_enumeration_changes_nothing():
     wide = [sig for g in (2, 3, 4) for sig in enumerate_signatures(g, 7) if sig.n >= 5]
     assert len(wide) == 2  # (2,1,1,1,1) and (1,1,1,1,1,1) at genus 4
     for sig in wide:
-        assert clifford_cap(sig) < coeff * (2 * sig.genus - 2 + sig.n) * sig.ell, sig
+        assert oracle_cap(sig) < coeff * (2 * sig.genus - 2 + sig.n) * sig.ell, sig
+        assert prunes(sig, coeff), sig
 
 
 def test_genus_bounds():
@@ -287,19 +332,33 @@ def test_genus_bounds():
 
 
 def test_clifford_cap_values():
-    assert clifford_cap(derive((1, 1, 1, 1))) == 4
-    assert clifford_cap(derive((0,))) == 1
-    assert clifford_cap(derive((4,))) == 10  # genus 3, ell 5
+    # the prune's margin is 2q*(cap - c*X), so its sign is the cap's verdict
+    coeff = threshold_coefficient(Fraction(3, 8))
+    for orders, cap in [((1, 1, 1, 1), 4), ((0,), 1), ((4,), 10)]:  # (4,): genus 3, ell 5
+        sig = derive(orders)
+        assert oracle_cap(sig) == cap
+        margin = _margin(coeff, (sig.genus + 1) * sig.ell, 2 * _threshold_x(sig))
+        assert margin == 2 * coeff.denominator * (cap - oracle_rhs(sig, coeff))
 
 
-def test_cap_prunes_exactly_beyond_four_branches():
+def test_cap_prunes_exactly_beyond_four_branches(caplog):
     coeff = threshold_coefficient(Fraction(3, 8))
     for orders in [(2, 2, 2, 2, 2), (4, 2, 2, 1, 1), (1, 1, 1, 1, 1, 1)]:
         sig = derive(orders)
-        assert clifford_cap(sig) < coeff * (2 * sig.genus - 2 + sig.n) * sig.ell
+        assert oracle_cap(sig) < coeff * (2 * sig.genus - 2 + sig.n) * sig.ell
+        assert prunes(sig, coeff)
     for orders in [(4,), (3, 1), (2, 2, 2), (1, 1, 1, 1)]:
         sig = derive(orders)
-        assert clifford_cap(sig) >= coeff * (2 * sig.genus - 2 + sig.n) * sig.ell
+        assert oracle_cap(sig) >= coeff * (2 * sig.genus - 2 + sig.n) * sig.ell
+        assert not prunes(sig, coeff)
+    # the search prunes exactly the enumerated signatures the cap rules out
+    for tau in (Fraction(3, 8), FIVE_NINTHS, Fraction(1, 2), Fraction(2, 3)):
+        coeff = threshold_coefficient(tau)
+        for g in range(2, 9):
+            sigs = enumerate_signatures(g, 4)
+            stages = search_stages(caplog, g, tau)
+            assert int(stages["signatures"]) == len(sigs)
+            assert int(stages["pruned"]) == sum(oracle_cap(s) < oracle_rhs(s, coeff) for s in sigs)
 
 
 def test_threshold_coefficient_values():
@@ -326,15 +385,15 @@ def test_threshold_coefficient_monotone(t1, t2):
 
 
 def test_budget_table():
-    assert ordinary_point_budget(derive((6,)), 16) == 2
-    assert ordinary_point_budget(derive((5, 1)), 12) == 0
-    assert ordinary_point_budget(derive((3, 1)), 7) == 1
-    assert ordinary_point_budget(derive((4,)), 8) == 1  # <3,4> branch
-    assert ordinary_point_budget(derive((6,)), 14) == 1  # <3,5> branch
+    quarter = threshold_coefficient(Fraction(3, 8))
+    table = [((6,), 16, 2), ((5, 1), 12, 0), ((3, 1), 7, 1),
+             ((4,), 8, 1),  # <3,4> branch
+             ((6,), 14, 1)]  # <3,5> branch
     for g in range(2, 9):
-        assert ordinary_point_budget(derive((2 * g - 2,)), g * g) == 2
-        pair = derive((g - 1, g - 1))
-        assert ordinary_point_budget(pair, g * (g + 1) // 2) == 2
+        table += [((2 * g - 2,), g * g, 2), ((g - 1, g - 1), g * (g + 1) // 2, 2)]
+    for orders, chi1, k in table:
+        sig = derive(orders)
+        assert budget(sig, chi1) == oracle_budget(sig, chi1, quarter) == k, orders
 
 
 SOME_SIGS = [derive(t) for t in
@@ -349,9 +408,12 @@ def test_budget_is_the_floor(sig, chi1, tau, data):
     # c = p/q is 1/4 at 3/8 and has p > 1 at every other tau drawn here
     dangling = data.draw(st.sampled_from([(), (0,), tuple(range(sig.n))]))
     coeff = threshold_coefficient(tau)
-    k = ordinary_point_budget(sig, chi1, tau, dangling)
-    rhs = threshold_rhs(sig, coeff, dangling)
+    k = budget(sig, chi1, tau, dangling)
+    rhs = oracle_rhs(sig, coeff, dangling)
+    assert rhs == coeff * _threshold_x(sig, dangling)
+    assert (_margin(coeff, chi1, _threshold_x(sig, dangling)) >= 0) == (chi1 >= rhs)
     assert rhs + k * coeff * sig.ell <= chi1 < rhs + (k + 1) * coeff * sig.ell
+    assert k == oracle_budget(sig, chi1, coeff, dangling)
 
 
 # The candidate rows of alpha_search over g = 1..top at cutoffs whose
@@ -404,13 +466,18 @@ def test_tagging_labels():
 
 
 def test_hyperelliptic_routes_agree_up_to_genus_ten():
-    # summed model filtration vs the Weierstrass-correction closed form
+    # summed model filtration vs the Weierstrass-correction closed form:
+    # (g+1)*ell/2 less (ell - a_i)/4 for each zero tagged Weierstrass
     checked = 0
     for g in range(2, 11):
         for sig in enumerate_signatures(g, 4):
             for tagging in hyperelliptic_taggings(sig):
-                summed, shortcut = hyperelliptic_chi1_routes(sig, tagging)
-                assert summed == shortcut, (sig, tagging)
+                tags = tagging.model_tags(sig)
+                model = cm.HyperellipticModel(sig.genus, tags)
+                summed = cm.runs_chi_log(cm.filtration_dims(model, sig, 1))
+                shortcut = oracle_cap(sig) - sum(
+                    Fraction(sig.ell - a, 4) for a, tag in zip(sig.weights_a, tags) if tag == "w")
+                assert hyperelliptic_chi1(sig, tagging) == summed == shortcut, (sig, tagging)
                 checked += 1
     assert checked > 150
 
@@ -466,8 +533,10 @@ def test_dangling_candidates_all_pass_their_reduced_cutoff():
                 sig = derive(c.signature)
                 drop = sum(sig.weights_a[i] for i in c.dangling)
                 rhs = coeff * ((2 * sig.genus - 2 + sig.n) * sig.ell - drop)
-                assert c.threshold_rhs == threshold_rhs(sig, coeff, c.dangling) == rhs
-                assert c.threshold_lhs >= rhs
+                assert c.threshold_rhs == oracle_rhs(sig, coeff, c.dangling) == rhs
+                assert c.threshold_rhs == coeff * _threshold_x(sig, c.dangling)
+                assert c.chi1_log >= rhs
+                assert _margin(coeff, c.chi1_log, _threshold_x(sig, c.dangling)) >= 0
                 # chi2_log = chi1_log + (2g-2+n)*ell, less the weight a_i of
                 # each dangling branch, is rhs/c above chi1_log
                 assert inv.alpha(c.chi1_log, c.chi1_log + rhs / coeff) >= tau

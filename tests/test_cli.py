@@ -1,6 +1,7 @@
 """Command-line surface: exact rendering, report round-trips, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -424,6 +425,24 @@ def test_classify_alpha_dangling_column():
     rows = [line for line in result.output.splitlines()
             if "catalog[H(4,2)-odd]" in line]
     assert '"4,2","catalog[H(4,2)-odd]",29,115/4,pass,stratum,odd,1' in rows
+
+
+# sha256 of whole outputs, as CliRunner captures them (csv rows end in \n),
+# that carry threshold_lhs, threshold_rhs and the verdict; fixed before the
+# Candidate rendering properties moved into the CLI
+PINNED_ALPHA_OUTPUTS = [
+    (("-g", "6", "--format", "json"),
+     "34d826c9119770c43fdb858069267d365844c4b7a231d8632c38ad69dcdb5826"),
+    (("-g", "4", "--threshold", "1/2", "--dangling", "--format", "csv"),
+     "b6bcaee0b809007bd48c4bbda2a730128b2a0012d562b9cce68febfdd031a362"),
+]
+
+
+@pytest.mark.parametrize("args,digest", PINNED_ALPHA_OUTPUTS, ids=["g6-json", "g4-half-dangling-csv"])
+def test_classify_alpha_outputs_are_pinned(args, digest):
+    result = invoke("classify", "alpha", *args)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
 def test_classify_alpha_rejects_out_of_range_threshold():
