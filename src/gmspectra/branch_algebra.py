@@ -11,14 +11,15 @@ exact and runs on Python ints alone.  A generator is given as
 integer coefficients: generator() validates the terms and scales the
 rational coefficients once to an integer vector on the same line, as it
 does for membership vectors; dualizing units are scaled the same way.
-Each graded piece is stored as integer echelon rows.  Everything
-downstream reads the graded bases through one reader: degrees(top), the
-slot-carrying degrees; rank(k, positions); has_power, a row lookup; and
-contains.  Membership and rank read the pivots of the stored rows, found
-once per degree, and never eliminate those rows again: only the vector,
-or the rows pivoting outside the positions, is reduced.  The conductor
-has one proof, the closure's certificate (_conductor), kept once found;
-the Gorenstein length test and the condition (G3) both read it.
+Each graded piece is stored as its _rref map {pivot column: row}, built
+from a lazy product stream that is not read once the piece is full.
+Everything downstream reads the graded bases through one reader:
+degrees(top), the slot-carrying degrees; rank(k, positions); has_power,
+one lookup; and contains.  Membership and rank read rows off the map by
+pivot and never eliminate them again: only the vector, or the rows
+pivoting outside the positions, is reduced.  The conductor has one
+proof, the closure's certificate (_conductor), kept once found; the
+Gorenstein length test and the condition (G3) both read it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .signature import Signature, derive
 
 
 Generator = tuple[int, dict[int, int]]  # (degree, {branch: coefficient})
+Piece = dict[int, tuple[int, ...]]  # {pivot column: row}, see _rref
 
 
 def generator(sig: Signature, terms) -> Generator:
@@ -44,7 +46,7 @@ def generator(sig: Signature, terms) -> Generator:
     coeffs = {}
     degree = None
     for branch, exp, coeff in terms:
-        coeff = Fraction(coeff)
+        coeff = coeff if isinstance(coeff, int) else Fraction(coeff)
         if coeff == 0:
             continue
         if not 0 <= branch < sig.n:
@@ -93,12 +95,11 @@ def _primitive(r: list[int], lead: int) -> list[int]:
 def _echelon(rows, width: int) -> list[tuple[int, list[int]]]:
     """(pivot column, primitive row) pairs spanning rows of the given width;
     each row is zero in the pivot columns of the rows found before it.  The
-    rows left once there are width pivots lie in their span, so they are
-    never read."""
+    rows, any iterable, are read one at a time and only until there are
+    width pivots: the rest lie in their span."""
     pivots = []
-    for r in rows:
-        if len(pivots) == width:
-            break
+    rows = iter(rows)
+    while len(pivots) < width and (r := next(rows, None)) is not None:
         for col, p in pivots:
             f = r[col]
             if f:
@@ -110,12 +111,13 @@ def _echelon(rows, width: int) -> list[tuple[int, list[int]]]:
     return pivots
 
 
-def _rref(rows, width: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical integer echelon basis of the span of integer rows of the width.
+def _rref(rows, width: int) -> Piece:
+    """Canonical integer echelon basis of the span of integer rows of the
+    width, as {pivot column: row} in pivot order; rows are read as by _echelon.
 
-    Rows come out in pivot order; each is primitive with a positive pivot
+    Each row is primitive with a positive pivot, its first nonzero entry,
     and zero in every other pivot column, so it is the unique such
-    multiple of the matching reduced row echelon row: the identity rows
+    multiple of the matching reduced row echelon row: the identity map
     when the span is everything.
     """
     pivots = _echelon(rows, width)
@@ -130,12 +132,13 @@ def _rref(rows, width: int) -> tuple[tuple[int, ...], ...]:
                 c = r2[col2]
                 r = [c * x - f * y for x, y in zip(r, r2)]
         pivots[idx] = (col, _primitive(r, col))
-    return tuple(tuple(r) for _, r in pivots)
+    return {col: tuple(r) for col, r in pivots}
 
 
 @cache
-def _identity(s: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(j == p) for j in range(s)) for p in range(s))
+def _identity(s: int) -> Piece:
+    """The identity map of width s, one dict shared by every caller: never mutated."""
+    return {p: tuple(int(j == p) for j in range(s)) for p in range(s)}
 
 
 # ----------------------------------------------------------- the algebra
@@ -147,17 +150,12 @@ class BranchAlgebra:
 
     signature: Signature
     generators: tuple[Generator, ...]  # see generator()
-    graded_basis: dict[int, tuple[tuple[int, ...], ...]]  # _rref rows of R_k over slots(k)
+    graded_basis: dict[int, Piece]  # the _rref map of R_k over slots(k)
     stable_from: int | None = None  # R_k is full for every k >= stable_from
     _full_from: int | None = field(default=None, repr=False)  # start of the current full run
     _gap_full: tuple[int, ...] | None = field(default=None, repr=False)
     _conductor: tuple[int, ...] | None = field(default=None, repr=False)  # once certified
     _slots: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
-    _pivots: dict[int, dict[int, int]] = field(default_factory=dict, repr=False)
-
-    @property
-    def branches(self) -> int:
-        return self.signature.n
 
     @property
     def degree_cap(self) -> int:
@@ -193,19 +191,7 @@ class BranchAlgebra:
         step = max(self.signature.weights_a) - 1
         for k in range(len(basis), top + 1):
             sl = self.slots(k)
-            candidates = []
-            for d, coeffs in self.generators:
-                if d > k:
-                    continue
-                # a branch the generator touches carries degree d, so it is
-                # a slot of k - d whenever it is a slot of k
-                prev = self.slots(k - d)
-                picks = [(prev.index(i), coeffs[i]) if i in coeffs else (0, 0) for i in sl]
-                for v in basis[k - d]:
-                    w = [c * v[pos] for pos, c in picks]
-                    if any(w):
-                        candidates.append(w)
-            basis[k] = _rref(candidates, len(sl))
+            basis[k] = _rref(self._products(k, sl), len(sl))
             if len(basis[k]) < len(sl):
                 self._full_from = None
             elif self._full_from is None:
@@ -214,72 +200,74 @@ class BranchAlgebra:
                 self.stable_from = self._full_from
                 return
 
+    def _products(self, k: int, sl: tuple[int, ...]):
+        """Each generator times each row of R_{k-d}, on the slots sl of k: a
+        stream that _rref stops reading once R_k is full."""
+        for d, coeffs in self.generators:
+            if d > k:
+                continue
+            # a branch the generator touches carries degree d, so it is
+            # a slot of k - d whenever it is a slot of k
+            prev = self.slots(k - d)
+            picks = [(prev.index(i), coeffs[i]) if i in coeffs else (0, 0) for i in sl]
+            for v in self.graded_basis[k - d].values():
+                w = [c * v[pos] for pos, c in picks]
+                if any(w):
+                    yield w
+
     def _stable(self, k: int) -> bool:
         if k >= len(self.graded_basis):
             self._close_to(k)
         return self.stable_from is not None and k >= self.stable_from
 
-    def basis(self, k: int) -> tuple[tuple[int, ...], ...]:
-        """Integer echelon rows of R_k over slots(k) (see _rref); identity
-        rows of ints once stable."""
+    def basis(self, k: int) -> Piece:
+        """R_k over slots(k) as its _rref map {pivot column: row}; the
+        identity map once stable."""
         if not self._stable(k):
             return self.graded_basis[k]
         return _identity(len(self.slots(k)))
 
     def dim(self, k: int) -> int:
-        return len(self.slots(k)) if self._stable(k) else len(self.graded_basis[k])
+        return len(self.basis(k))
 
     def degrees(self, top: int) -> list[int]:
         """The degrees in [0, top] that carry a slot, ascending; R_k = 0 at the others."""
         return sorted(set().union(*(range(0, top + 1, a) for a in self.signature.weights_a)))
 
-    def _pivot_rows(self, k: int) -> dict[int, int]:
-        """{pivot column: row index} of R_k, a piece that is not full; found
-        at the first read of the degree.  A row's pivot is its first nonzero
-        entry, fixed when _rref stores the row."""
-        if k not in self._pivots:
-            self._pivots[k] = {r.index(next(filter(None, r))): i
-                               for i, r in enumerate(self.graded_basis[k])}
-        return self._pivots[k]
-
     def rank(self, k: int, positions) -> int:
         """Rank of R_k on the given (distinct) slot positions P, read at the pivots.
 
-        A full piece has rank len(P), a zero piece 0.  Otherwise every row
-        is zero in the other rows' pivot columns, so on P the rows pivoting
-        in P are zero on P ∩ pivots except at their own nonzero pivot entry,
-        and the other rows are zero on all of P ∩ pivots.  The restricted
-        matrix is block-triangular with an invertible diagonal block: its
-        rank is |P ∩ pivots| plus the rank of the other rows on P minus the
-        pivots, and only that remainder is eliminated.
+        A full piece has rank len(P).  Otherwise every row is zero in the
+        other rows' pivot columns, so on P the rows pivoting in P are zero
+        on P ∩ pivots except at their own nonzero pivot entry, and the
+        other rows are zero on all of P ∩ pivots.  The restricted matrix is
+        block-triangular with an invertible diagonal block: its rank is
+        |P ∩ pivots| plus the rank of the rows pivoting outside P on
+        P ∖ pivots, and only that remainder is eliminated.  A zero piece
+        (no pivots) and P ⊆ pivots (an empty remainder) are cases of it.
         """
-        rows = self.basis(k)
-        if len(rows) == len(self.slots(k)):
+        pivots = self.basis(k)
+        if len(pivots) == len(self.slots(k)):
             return len(positions)
-        if not rows:
-            return 0
-        pivots = self._pivot_rows(k)
+        inside = set(positions)
         free = [j for j in positions if j not in pivots]
-        if not free:
-            return len(positions)
-        if len(free) < len(positions):  # keep only the rows pivoting outside P
-            inside = set(positions)
-            rows = [rows[i] for col, i in pivots.items() if col not in inside]
-        return len(positions) - len(free) + len(_echelon([[r[j] for j in free] for r in rows],
-                                                         len(free)))
+        rest = ([r[j] for j in free] for col, r in pivots.items() if col not in inside)
+        return len(positions) - len(free) + len(_echelon(rest, len(free)))
 
     def has_power(self, branch: int, exp: int) -> bool:
-        """Whether t_branch^exp is in R: a unit vector lies in the span of _rref
-        rows exactly when it is one of them (the one pivoting at its entry)."""
+        """Whether t_branch^exp is in R, one lookup: a vector of the span is
+        fixed by its pivot entries, so the unit vector e_j lies in it
+        exactly when column j is a pivot whose row is e_j."""
         k = exp * self.signature.weights_a[branch]
         sl = self.slots(k)
-        return _identity(len(sl))[sl.index(branch)] in self.basis(k)
+        j = sl.index(branch)
+        return self.basis(k).get(j) == _identity(len(sl))[j]
 
     def contains(self, terms) -> bool:
-        """Membership of generator-style terms, read at R_k's pivots.
+        """Membership of generator-style terms, read off R_k's pivot map.
 
         A full piece holds everything.  Otherwise the vector v is reduced
-        once, fraction-free, v <- c*v - v[j]*r, by the row r pivoting at
+        once, fraction-free, v <- c*v - v[j]*r, by the row r = pivots[j] at
         each pivot column j where v is nonzero, c = r[j].  Every row is zero
         in the other pivot columns, so a step clears column j and only
         scales v's other pivot entries: the remainder is zero at every
@@ -289,17 +277,16 @@ class BranchAlgebra:
         lies in R_k exactly when the remainder is zero on the free columns.
         """
         k, coeffs = generator(self.signature, terms)  # every branch it touches is a slot of k
-        rows, sl = self.basis(k), self.slots(k)
-        if len(rows) == len(sl):
+        pivots, sl = self.basis(k), self.slots(k)
+        if len(pivots) == len(sl):
             return True
-        pivots = self._pivot_rows(k)
         free = [j for j in range(len(sl)) if j not in pivots]
         v = {sl.index(i): x for i, x in coeffs.items()}
         rest = [v.get(j, 0) for j in free]
         scale = 1  # the product of the c's so far: v's pivot entries carry it
         for j, x in v.items():
             if j in pivots:
-                r = rows[pivots[j]]
+                r = pivots[j]
                 c, f = r[j], scale * x
                 rest = [c * y - f * r[col] for y, col in zip(rest, free)]
                 scale *= c
@@ -317,7 +304,7 @@ def close(sig: Signature, generators_in) -> BranchAlgebra:
     BranchAlgebra._close_to); a read of any later degree extends the same
     closure."""
     gens = tuple(generator(sig, terms) for terms in generators_in)
-    alg = BranchAlgebra(sig, gens, {0: ((1,) * sig.n,)})
+    alg = BranchAlgebra(sig, gens, {0: {0: (1,) * sig.n}})
     alg._close_to(window(sig))
     return alg
 

@@ -175,6 +175,8 @@ def _hyperelliptic_spin(sig: Sequence[int]) -> Optional[str]:
 
 
 def _monomial_entry(H: NumericalSemigroup) -> CatalogEntry:
+    """k[t^h : h in H]; a stored entry of the same ring (one generator t^h per
+    minimal generator h) gives the id, component and nonvarying flag."""
     if not H.symmetric:
         raise ValueError(f"monomial entry needs a symmetric semigroup, got {H}")
     g = H.genus
@@ -184,17 +186,17 @@ def _monomial_entry(H: NumericalSemigroup) -> CatalogEntry:
     chi2_log = (2 * g - 1) ** 2 + chi1
     gap = tuple(0 if H.contains(j) else 1 for j in range(1, 2 * g))
     spin = H.spin or _hyperelliptic_spin(sig)
-    if H.hyperelliptic:
-        ident, component = f"A{2 * g}", "hyp"
-    else:
-        component = spin
-        ident = {(3, 4): "E6", (3, 5): "E8"}.get(H.generators, f"monomial{H}")
+    ident, component, nonvarying = ((f"A{2 * g}", "hyp", True) if H.hyperelliptic
+                                    else (f"monomial{H}", spin, False))
+    for e in entries():  # on one branch, each stored generator is one term c*t^h
+        if e.signature == sig and sorted(t[0][1] for _, t in e.generators) == list(H.generators):
+            ident, component, nonvarying = e.id, e.component, e.nonvarying
     return CatalogEntry(
         id=ident,
         aliases=(),
         signature=sig,
         component=component,
-        nonvarying=H.hyperelliptic or ident in ("E6", "E8"),
+        nonvarying=nonvarying,
         generators=gens,
         dualizing_units=(Fraction(1),),
         expected=_expected(sig, gap, g, chi1, chi2_log, spin, (*H.generators, 1)),

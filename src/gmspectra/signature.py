@@ -134,23 +134,22 @@ def n_plus(sig: Signature, lam_lo: int, lam_hi: int) -> int:
 
 
 def _partitions(total, max_part, max_len):
-    # non-increasing tuples of positive integers
+    # non-increasing tuples of positive integers, lexicographically descending;
+    # a first part below ceil(total / max_len) leaves a rest too large for the others
     if total == 0:
         yield ()
         return
     if max_len == 0:
         return
-    for first in range(min(total, max_part), 0, -1):
+    for first in range(min(total, max_part), -(-total // max_len) - 1, -1):
         for rest in _partitions(total - first, first, max_len - 1):
             yield (first,) + rest
 
 
 def enumerate_signatures(g: int, n_max: int):
     """All non-increasing positive order tuples of genus ``g`` with at most
-    ``n_max`` entries, sorted lexicographically descending; genus one has
-    none."""
+    ``n_max`` entries, lexicographically descending; genus one has none."""
     if g < 1 or n_max < 1:
         raise ValueError("need g >= 1 and n_max >= 1")
     total = 2 * g - 2
-    out = sorted(_partitions(total, total, n_max), reverse=True)
-    return [derive(t) for t in out if t]
+    return [derive(t) for t in _partitions(total, total, n_max) if t]

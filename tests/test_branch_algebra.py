@@ -223,7 +223,7 @@ def test_gap_sequence_properties():
         seq = ba.gap_sequence(alg)
         delta, genus = ba.delta_and_genus(alg)
         assert genus == sum(seq)
-        assert delta == alg.branches - 1 + genus
+        assert delta == alg.signature.n - 1 + genus
         # additivity of vanishing entries
         for i in range(1, len(seq) + 1):
             for j in range(1, len(seq) + 1):
@@ -496,9 +496,11 @@ def matrices(draw):
 def test_integer_kernel_matches_the_fraction_oracle(case):
     rows, vectors, cols = case
     width = len(vectors[0])
-    echelon = ba._rref([integer_row(r) for r in rows], width)
+    pivots = ba._rref([integer_row(r) for r in rows], width)
+    echelon = tuple(pivots.values())
     oracle = oracle_rref(rows)
     leads = [next(j for j, x in enumerate(r) if x) for r in echelon]
+    assert leads == list(pivots)  # each key is the first nonzero column of its row
     assert leads == sorted(set(leads))
     for r, lead in zip(echelon, leads):
         assert all(type(x) is int for x in r)
@@ -507,7 +509,7 @@ def test_integer_kernel_matches_the_fraction_oracle(case):
     assert len(echelon) == len(oracle)
     assert echelon == tuple(primitive(r) for r in oracle)  # same row space
     # the rows as R_1 of a ring whose every degree has one slot per column
-    alg = ba.BranchAlgebra(derive((0,) * width), (), {0: ((1,) * width,), 1: echelon})
+    alg = ba.BranchAlgebra(derive((0,) * width), (), {0: {0: (1,) * width}, 1: pivots})
     for v in vectors:
         if any(v):
             terms = [(i, 1, x) for i, x in enumerate(v)]
@@ -542,10 +544,12 @@ def partial_pieces(draw):
 def test_pivot_readers_match_the_fraction_oracle(case):
     rows, units = case
     width = len(units)
-    echelon = ba._rref([integer_row(r) for r in rows], width)
+    piece = ba._rref([integer_row(r) for r in rows], width)
+    echelon = tuple(piece.values())
     oracle = oracle_rref(rows)
-    alg = ba.BranchAlgebra(derive((0,) * width), (), {0: ((1,) * width,), 1: echelon})
+    alg = ba.BranchAlgebra(derive((0,) * width), (), {0: {0: (1,) * width}, 1: piece})
     pivots = {next(j for j, x in enumerate(r) if x) for r in echelon}
+    assert pivots == set(piece)  # each key is the first nonzero column of its row
     free = [j for j in range(width) if j not in pivots]
     assert free  # never a full piece: the pivot route is the one read
     kinds = set()
@@ -581,12 +585,12 @@ def reference_readers(monkeypatch):
     spans = {}
 
     def rank(self, k, positions):
-        return len(oracle_rref([[r[j] for j in positions] for r in self.basis(k)]))
+        return len(oracle_rref([[r[j] for j in positions] for r in self.basis(k).values()]))
 
     def contains(self, terms):
         k, coeffs = ba.generator(self.signature, terms)
         if (self, k) not in spans:
-            spans[self, k] = oracle_rref(self.basis(k))
+            spans[self, k] = oracle_rref(self.basis(k).values())
         return oracle_in_span(spans[self, k], [coeffs.get(i, 0) for i in self.slots(k)])
 
     monkeypatch.setattr(ba.BranchAlgebra, "rank", rank)
@@ -604,12 +608,50 @@ def test_elliptic_conditions_match_the_re_elimination(n, monkeypatch):
     assert reports == [ba.validate_G_conditions(entry.algebra(), u) for u in unit_sets]
 
 
+# ------------------------------------------------ the lazy product stream
+
+
+def stream_then_raise(rows):
+    """The rows, then an item that fails the test when it is read."""
+    yield from rows
+    raise AssertionError("the stream was read past its last needed row")
+
+
+def test_rref_reads_a_stream_only_up_to_its_last_pivot():
+    rows = [[0, 0, 0, 5], [0, 2, 4, 0], [3, 6, 0, 9], [0, 0, 7, 7]]  # independent
+    assert ba._rref(stream_then_raise(rows), 4) == ba._identity(4)
+    assert ba._rref(stream_then_raise([[0, 0], [2, 4], [4, 8], [0, 3]]), 2) == ba._identity(2)
+    assert ba._rref(stream_then_raise([]), 0) == {}  # a degree with no slots reads none
+
+
+def test_closure_reads_fewer_products_than_the_stream_offers(monkeypatch):
+    entry = catalog.family("elliptic", n=20)
+    plain = entry.algebra()
+    summary = ba.algebra_summary(plain)
+    reads = []
+    products = ba.BranchAlgebra._products
+
+    def counted(self, k, sl):
+        for w in products(self, k, sl):
+            reads.append(k)
+            yield w
+
+    monkeypatch.setattr(ba.BranchAlgebra, "_products", counted)
+    alg = entry.algebra()
+    assert ba.algebra_summary(alg) == summary
+    monkeypatch.undo()
+    assert alg.graded_basis == plain.graded_basis
+    offered = sum(sum(1 for _ in alg._products(k, alg.slots(k))) for k in alg.graded_basis if k)
+    assert 0 < len(reads) < offered
+
+
 # ------------------------------------------- the certified conductor stop
 
 
 def dense_close(sig, gens, top):
     """Reference closure: an oracle rref over Fraction at every degree up to
-    top, no stop; its rows are scaled to primitive integer rows at the end."""
+    top, no stop; its rows are scaled to primitive integer rows at the end
+    and stored as {first nonzero column: row}."""
     a, n = sig.weights_a, sig.n
 
     def slots(k):
@@ -632,7 +674,8 @@ def dense_close(sig, gens, top):
                 if any(w):
                     rows.append(w)
         basis[k] = oracle_rref(rows)
-    integer = {k: tuple(primitive(r) for r in rows) for k, rows in basis.items()}
+    integer = {k: {next(j for j, x in enumerate(r) if x): primitive(r) for r in rows}
+               for k, rows in basis.items()}
     return ba.BranchAlgebra(sig, tuple(ba.generator(sig, t) for t in gens), integer)
 
 
@@ -808,7 +851,7 @@ def test_graded_bases_hold_only_ints(entry):
     ba.algebra_summary(alg)  # reads past the window extend the closure
     ba.validate_G_conditions(alg, entry.dualizing_units)
     for k, rows in alg.graded_basis.items():
-        assert all(type(x) is int for r in rows for x in r), k
+        assert all(type(x) is int for r in rows.values() for x in r), k
 
 
 # ------------------------------------------------------- the one reader

@@ -8,6 +8,7 @@ the same treatment.
 """
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -305,6 +306,20 @@ def test_family_monomial():
             alg = catalog.family("monomial", H=H).algebra()
             h = ba.section_space(alg, (g - 1,)).dimension
             assert H.spin == (None if H.hyperelliptic else "odd" if h % 2 else "even"), H
+
+
+@pytest.mark.parametrize("stored", [e for e in catalog.entries() if len(e.signature) == 1],
+                         ids=lambda e: e.id)
+def test_monomial_family_agrees_with_the_stored_ring(stored):
+    H = sg.from_generators(sorted(terms[0][1] for _, terms in stored.generators))
+    member = catalog.family("monomial", H=H)
+    assert member.id == stored.id
+    assert member.signature == stored.signature
+    assert member.component == stored.component
+    assert member.nonvarying == stored.nonvarying
+    assert member.dualizing_units == stored.dualizing_units
+    for f in fields(catalog.ExpectedInvariants):  # computed from H, not copied
+        assert getattr(member.expected, f.name) == getattr(stored.expected, f.name), f.name
 
 
 def test_family_validation():
