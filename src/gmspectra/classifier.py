@@ -206,15 +206,13 @@ def hyperelliptic_chi1(sig: Signature, tagging: Tagging) -> int:
     """
     model = cm.HyperellipticModel(sig.genus, tagging.model_tags(sig))
     summed = cm.runs_chi_log(cm.filtration_dims(model, sig, 1))
-    shortcut = Fraction(
-        2 * (sig.genus + 1) * sig.ell
-        - sum(sig.ell - sig.ell // (v + 1) for v in tagging.weierstrass),
-        4,
-    )
-    if shortcut != summed:
+    shortcut = 2 * (sig.genus + 1) * sig.ell - sum(
+        sig.ell - sig.ell // (v + 1) for v in tagging.weierstrass
+    )  # four times the closed form
+    if 4 * summed != shortcut:
         raise RuntimeError(
             f"hyperelliptic chi1 routes disagree on {sig} {tagging.label}: "
-            f"model {summed}, closed form {shortcut}"
+            f"model {summed}, closed form {Fraction(shortcut, 4)}"
         )
     return summed
 

@@ -1,42 +1,58 @@
 """Section-count oracles for divisors supported on marked points.
 
 Each model answers h0 for a whole batch of divisors in one call,
-``h0_column(columns)``: the batch is one coefficient list per marked point
-(row r is the divisor ``(columns[0][r], ..., columns[n-1][r])``), as
-``filtration_dims`` builds it from the ladder columns, and the answer is
-one dimension per row.  That column read is each model's only h0 formula;
-``h0(divisor)`` is the point read, a one-row batch.  Models are used where
-no branch algebra is available: semigroup counts at a single point, tagged
-hyperelliptic closed forms, the Clifford-maximal profile, and finite
-override tables layered on any base model.  All of them agree with
-Riemann-Roch once deg D > 2g-2.
+``h0_frame(frame)``, one dimension per row.  A frame is any object with
+``degrees``, the degree of each row, and ``columns``, one coefficient list
+per marked point (row r is the divisor ``(columns[0][r], ...,
+columns[n-1][r])``).  ``filtration_dims`` reads a :class:`LadderFrame`,
+whose degrees are built with it and whose columns only on first read, so a
+model that reads the degree alone (Clifford-max) never builds them; a
+:class:`Batch` holds rows given outright.  That frame read is each model's
+only h0 formula; ``h0(divisor)`` is the point read, a one-row batch.
+Models are used where no branch algebra is available: semigroup counts at
+a single point, tagged hyperelliptic closed forms, the Clifford-maximal
+profile, and finite override tables layered on any base model.  All of
+them agree with Riemann-Roch once deg D > 2g-2.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
-from typing import Sequence
+from itertools import accumulate, repeat
+from typing import NamedTuple, Sequence
 
 from . import branch_algebra as ba
 from . import semigroup as sg
-from .signature import Signature, ladder_columns
+from .signature import Signature, ladder_runs
 
 Divisor = Sequence[int]
 Columns = Sequence[Sequence[int]]  # one coefficient list per marked point
 
 
-class _ColumnRead:
-    """The point read of a model that answers whole columns."""
+class Batch(NamedTuple):
+    """A frame of rows given outright."""
+
+    columns: Columns
+    degrees: Sequence[int]
+
+    @classmethod
+    def of(cls, columns: Columns) -> Batch:
+        """The batch whose row r is ``(columns[0][r], ..., columns[n-1][r])``."""
+        return cls(columns, [sum(row) for row in zip(*columns)])
+
+
+class _FrameRead:
+    """The point read of a model that answers whole frames."""
 
     def h0(self, divisor: Divisor) -> int:
-        (dim,) = self.h0_column([[c] for c in divisor])
+        (dim,) = self.h0_frame(Batch.of([[c] for c in divisor]))
         return dim
 
 
 @dataclass(frozen=True)
-class AlgebraModel(_ColumnRead):
+class AlgebraModel(_FrameRead):
     """h0 read off a graded branch algebra: one section space per row."""
 
     algebra: ba.BranchAlgebra
@@ -49,12 +65,13 @@ class AlgebraModel(_ColumnRead):
             raise ValueError("genus undefined: the ring's conductor is not certified")
         return ba.delta_and_genus(self.algebra)[1]
 
-    def h0_column(self, columns: Columns) -> list[int]:
-        return [ba.section_space(self.algebra, row).dimension for row in zip(*columns)]
+    def h0_frame(self, frame) -> list[int]:
+        return [ba.section_space(self.algebra, row).dimension
+                for row in zip(*frame.columns)]
 
 
 @dataclass(frozen=True)
-class UnibranchModel(_ColumnRead):
+class UnibranchModel(_FrameRead):
     """One marked point whose pole orders form the given semigroup.
 
     h0(c p) is the number of elements in [0, c]: read off the semigroup's
@@ -68,7 +85,8 @@ class UnibranchModel(_ColumnRead):
     def genus(self) -> int:
         return self.semigroup.genus
 
-    def h0_column(self, columns: Columns) -> list[int]:
+    def h0_frame(self, frame) -> list[int]:
+        columns = frame.columns
         if any(map(any, columns[1:])):
             raise ValueError(
                 "unibranch model only supports divisors on its single point"
@@ -79,7 +97,7 @@ class UnibranchModel(_ColumnRead):
 
 
 @dataclass(frozen=True)
-class HyperellipticModel(_ColumnRead):
+class HyperellipticModel(_FrameRead):
     """Marked points tagged as Weierstrass, conjugate pairs, or free.
 
     Tags: ``"w"`` for a Weierstrass point, ``"pair:<id>"`` for one half of
@@ -111,45 +129,49 @@ class HyperellipticModel(_ColumnRead):
                 raise ValueError(f"pair {key!r} has {len(members)} members, needs 2")
         return tuple(weierstrass), tuple((m[0], m[1]) for m in pairs.values())
 
-    def h0_column(self, columns: Columns) -> list[int]:
+    def h0_frame(self, frame) -> list[int]:
+        columns = frame.columns
         if len(columns) != len(self.tags):
             raise ValueError(f"divisor needs {len(self.tags)} coefficients")
         g = self.genus
+        canonical = 2 * g - 2
         weierstrass, pairs = self._groups
         parts = [[c // 2 for c in columns[i]] for i in weierstrass]
         parts += [list(map(min, columns[i], columns[j])) for i, j in pairs]
         pencils = map(sum, zip(*parts)) if parts else repeat(0)
-        return [0 if deg < 0 else deg - g + 1 if deg > 2 * g - 2 else max(1 + p, 0)
-                for deg, p in zip(map(sum, zip(*columns)), pencils)]
+        return [0 if deg < 0 else deg - g + 1 if deg > canonical
+                else 1 + p if p >= -1 else 0
+                for deg, p in zip(frame.degrees, pencils)]
 
 
 @dataclass(frozen=True)
-class CliffordMaxModel(_ColumnRead):
+class CliffordMaxModel(_FrameRead):
     """The largest h0 profile a nonhyperelliptic curve allows.
 
-    Only the degree matters, so the column read works on the row sums: 0
-    below degree zero, 1 at zero, g at the canonical degree 2g-2 (the only
-    degree-(2g-2) divisors that occur in the filtrations are canonical),
-    ceil(deg/2) strictly in between, and Riemann-Roch above.
+    Only the degree matters, so the frame read works on the row degrees
+    and never builds a frame's columns: 0 below degree zero, 1 at zero, g
+    at the canonical degree 2g-2 (the only degree-(2g-2) divisors that
+    occur in the filtrations are canonical), ceil(deg/2) strictly in
+    between, and Riemann-Roch above.
     """
 
     genus: int
 
-    def h0_column(self, columns: Columns) -> list[int]:
+    def h0_frame(self, frame) -> list[int]:
         g = self.genus
         canonical = 2 * g - 2
         return [0 if deg < 0 else 1 if deg == 0 else g if deg == canonical
                 else deg - g + 1 if deg > canonical else (deg + 1) // 2
-                for deg in map(sum, zip(*columns))]
+                for deg in frame.degrees]
 
 
 @dataclass(frozen=True)
-class OverrideModel(_ColumnRead):
+class OverrideModel(_FrameRead):
     """A base model with finitely many divisors pinned to other values.
 
-    The base column with the table rows patched in; when a divisor is
+    The base read with the table rows patched in; when a divisor is
     listed twice, its first entry wins.  A row whose divisor has another
-    length than the columns is a ValueError naming it.
+    length than the frame has columns is a ValueError naming it.
     """
 
     base: object
@@ -159,7 +181,8 @@ class OverrideModel(_ColumnRead):
     def genus(self) -> int:
         return self.base.genus
 
-    def h0_column(self, columns: Columns) -> list[int]:
+    def h0_frame(self, frame) -> list[int]:
+        columns = frame.columns
         for r, (divisor, _) in enumerate(self.table):
             if len(divisor) != len(columns):
                 raise ValueError(
@@ -168,7 +191,7 @@ class OverrideModel(_ColumnRead):
                 )
         table = dict(reversed(self.table))
         return [table.get(row, dim)
-                for row, dim in zip(zip(*columns), self.base.h0_column(columns))]
+                for row, dim in zip(zip(*columns), self.base.h0_frame(frame))]
 
 
 def _same_genus(model_genus: int, genus: int) -> None:
@@ -224,20 +247,36 @@ def model_from_spec(doc: dict, genus: int):
 Run = tuple[int, int, int]  # (lam_lo, lam_hi, dim), inclusive bounds
 
 
-@lru_cache(maxsize=1)
-def _ladder_frame(sig: Signature, m: int) -> tuple[tuple, tuple, tuple]:
-    """``(starts, ends, columns)``: the model-free part of a filtration.
+class LadderFrame(namedtuple("LadderFrame", "sig m starts ends degrees")):
+    """The model-free part of a filtration of (sig, m), degree first.
 
-    The runs of [0, m*ell] (ladder_columns) and, per marked point, the
-    coefficients m*(m_i + 1) - ceil(lam/a_i) at the run starts.  Only the
-    last frame is kept, so consecutive reads of one (signature, m) share it
-    and a change of either rebuilds it; tuples, so no model can alter it
-    for the next reader.
+    The runs of [0, m*ell] (ladder_runs) and, per run, the degree of the
+    divisor m*(m_i + 1) - ceil(lam/a_i) at its start: m(2g-2+n) less the
+    running count of branch steps.  The per-branch ``columns`` of those
+    divisors are built on first read, one pass per branch, and kept; a
+    model that reads only the degree never builds them.  Read-only fields
+    and tuples throughout, so no model can alter it for the next reader;
+    a named tuple, which costs far less at import than a dataclass.
     """
-    starts, ends, steps = ladder_columns(sig, 0, m * sig.ell)
-    columns = tuple(tuple([m * (order + 1) - s for s in col])
-                    for order, col in zip(sig.orders, steps))
-    return tuple(starts), tuple(ends), columns
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        starts, sig = self.starts, self.sig
+        tops = [self.m * (order + 1) for order in sig.orders]
+        # lam // -a is -ceil(lam/a)
+        return tuple(tuple([top + lam // -a for lam in starts])
+                     for top, a in zip(tops, sig.weights_a))
+
+
+@lru_cache(maxsize=1)
+def _ladder_frame(sig: Signature, m: int) -> LadderFrame:
+    """The frame of (sig, m).  Only the last frame is kept, so consecutive
+    reads of one (signature, m) share it, its columns included, and a
+    change of either rebuilds it."""
+    starts, ends, steps = ladder_runs(sig, 0, m * sig.ell)
+    top = m * (2 * sig.genus - 2 + sig.n)
+    return LadderFrame(sig, m, tuple(starts), tuple(ends),
+                       tuple([top - s for s in accumulate(steps)]))
 
 
 def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[Run, ...]:
@@ -247,20 +286,21 @@ def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[Run, ...]:
     order, so its dimension is h0 of m*(m_i + 1) minus the ladder at lam.
     The lam = 0 value is g-1+n for m = 1 and (2m-1)(g-1) + m*n beyond.
 
-    The ladder only steps at lam = k*a_i + 1, so the divisors are one
-    column per branch over those run starts, a frame that depends on
-    (sig, m) alone: it is built once per (signature, m) and reused by
-    consecutive reads, so a semigroup search of one genus builds it once.
-    The model answers the frame in one ``h0_column`` call: at most
-    m(2g-2+n) + 1 rows whatever ell is, with no per-level call.  The runs
-    are the ladder's, unmerged, the first at lam = 0; a level whose h0
-    exceeds the one before is a ValueError naming it.
+    The ladder only steps at lam = k*a_i + 1, so the divisors are the rows
+    of a frame over those run starts that depends on (sig, m) alone: it is
+    built once per (signature, m) and reused by consecutive reads, so a
+    semigroup search of one genus builds it once.  The model answers the
+    frame in one ``h0_frame`` call: at most m(2g-2+n) + 1 rows whatever
+    ell is, with no per-level call.  The runs are the ladder's, unmerged,
+    the first at lam = 0; a level whose h0 exceeds the one before is a
+    ValueError naming it.
     """
     if m < 1:
         raise ValueError("pluricanonical level m must be at least 1")
     _same_genus(model.genus, sig.genus)
-    starts, ends, columns = _ladder_frame(sig, m)
-    dims = model.h0_column(columns)
+    frame = _ladder_frame(sig, m)
+    starts, ends = frame.starts, frame.ends
+    dims = model.h0_frame(frame)
     if dims != sorted(dims, reverse=True):
         r = next(r for r in range(1, len(dims)) if dims[r] > dims[r - 1])
         raise ValueError(f"filtration dimensions are not non-increasing: {dims[r]} at "

@@ -4,10 +4,11 @@ A numerical semigroup is a cofinite additive submonoid of the naturals.
 Everything here is exact integer combinatorics on bitmasks: a semigroup
 stores only its Frobenius number F and its elements in [0, F] as one
 integer whose bit k is set when k is an element (every k > F is one).
-Gaps, minimal generators and the element sum are derived on first read and
-kept in slots, outside equality, hashing and repr; the symmetric walk fills
-the element-sum slot of each semigroup it finds with the sum it carried
-down, so its leaves build no gap tuple.
+The genus, gaps, minimal generators and the element sum are derived on
+first read and kept in slots, outside equality, hashing and repr; the
+symmetric walk fills the genus and element-sum slots of each semigroup it
+finds, the latter with the sum it carried down, so its leaves build no gap
+tuple and count no bits.
 The closure of a generating set is read off its Apery set, sumsets and
 minimal generators are shift-ors of such masks, and counting elements is a
 popcount.
@@ -43,10 +44,14 @@ class NumericalSemigroup:
     _gaps: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _generators: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _element_sum: int | None = field(default=None, init=False, repr=False, compare=False)
+    _genus: int | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def genus(self) -> int:
-        return self.conductor - self.mask.bit_count()
+        """The number of gaps, C - popcount(mask); kept on first read."""
+        if self._genus is None:
+            object.__setattr__(self, "_genus", self.conductor - self.mask.bit_count())
+        return self._genus
 
     @property
     def conductor(self) -> int:
@@ -285,10 +290,11 @@ def enumerate_symmetric(g: int) -> list[NumericalSemigroup]:
     comes k in the first and a larger gap in the second.  So the first
     leaf has the smaller gap tuple.
 
-    Each leaf arrives with its element sum kept.  Its elements in [0, F]
-    are 0 and the one chosen from each pair, g in all, so they are its g
-    smallest elements: the walk carries their running ``total``, one add
-    per node, and the leaf stores it in the slot ``element_sum`` reads.
+    Each leaf arrives with its genus g and its element sum kept.  Its
+    elements in [0, F] are 0 and the one chosen from each pair, g in all,
+    so they are its g smallest elements: the walk carries their running
+    ``total``, one add per node, and the leaf stores it in the slot
+    ``element_sum`` reads.
     The genus is capped at ``SEMIGROUP_GENUS_BOUND`` before the walk: the
     leaves grow about 1.3x per genus, and the walk recurses g deep.
     """
@@ -302,6 +308,7 @@ def enumerate_symmetric(g: int) -> list[NumericalSemigroup]:
     def walk(k: int, elems: int, sums: int, total: int) -> None:
         if k == g:
             H = NumericalSemigroup(F, elems)
+            object.__setattr__(H, "_genus", g)
             object.__setattr__(H, "_element_sum", total)
             found.append(H)
             return

@@ -8,7 +8,9 @@ ceil(lam / a_i)``, their summation identity, parity counts, and exhaustive
 enumeration of tuples of fixed genus.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -89,17 +91,21 @@ def parity_count(k1: int, k2: int) -> int:
     )
 
 
-def ladder_columns(sig: Signature, lam_lo: int, lam_hi: int):
-    """``(starts, ends, columns)``: the ladder's runs in ``[lam_lo, lam_hi]``,
+def ladder_runs(sig: Signature, lam_lo: int, lam_hi: int):
+    """``(starts, ends, steps)``: the ladder's runs in ``[lam_lo, lam_hi]``,
     the one place a run's bounds are set.  A run starts at ``lam_lo`` or a
     ``k*a_i + 1`` and ends one level before the next start, the last at
-    ``lam_hi``; per branch, ``columns`` lists ``ceil(lam/a_i)`` at the starts."""
+    ``lam_hi``.  ``steps`` counts, per run, the branches whose ladder steps
+    at its start, the first entry being the ladder sum at ``lam_lo``; so
+    ``accumulate(steps)`` is ``sum_i ceil(lam/a_i)`` at the starts."""
     if lam_lo < 0:
         raise ValueError("ladder level must be non-negative")
-    steps = (range(-(-lam_lo // a) * a + 1, lam_hi + 1, a) for a in sig.weights_a)
-    starts = sorted({lam_lo}.union(*steps))
-    ends = [lam - 1 for lam in starts[1:]] + [lam_hi]
-    return starts, ends, [[-(-lam // a) for lam in starts] for a in sig.weights_a]
+    firsts = [-(-lam_lo // a) for a in sig.weights_a]
+    stepped = Counter(chain.from_iterable(
+        range(k * a + 1, lam_hi + 1, a) for k, a in zip(firsts, sig.weights_a)))
+    later = sorted(stepped)
+    ends = [lam - 1 for lam in later] + [lam_hi]
+    return [lam_lo, *later], ends, [sum(firsts), *map(stepped.__getitem__, later)]
 
 
 def n_plus(sig: Signature, lam_lo: int, lam_hi: int) -> int:

@@ -5,12 +5,15 @@ is checked against either a direct count (semigroup membership), the
 algebra route (section spaces), or the Riemann-Roch line.
 """
 
+from functools import cached_property
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 import gmspectra.branch_algebra as ba
 import gmspectra.classifier as classifier
 import gmspectra.curve_models as cm
+import gmspectra.invariants as inv
 import gmspectra.semigroup as sg
 from gmspectra import catalog
 from gmspectra.signature import derive
@@ -246,9 +249,37 @@ def test_a_semigroup_search_builds_one_frame():
 
 
 def test_the_frame_is_immutable():
-    starts, ends, columns = cm._ladder_frame(derive((3, 1)), 2)
+    frame = cm._ladder_frame(derive((3, 1)), 2)
+    starts, ends, columns = frame.starts, frame.ends, frame.columns
     assert type(starts) is tuple and type(ends) is tuple and type(columns) is tuple
     assert all(type(col) is tuple for col in columns)
+    assert type(frame.degrees) is tuple
+    with pytest.raises(AttributeError):
+        frame.starts = ()
+
+
+def test_degree_only_reads_build_no_column(monkeypatch):
+    """Clifford-max filtrations and spectra read the frame's degrees alone;
+    a column reader builds the columns once per frame."""
+    built = []
+    columns = cm.LadderFrame.columns.func
+    counting = cached_property(lambda frame: built.append((frame.sig, frame.m))
+                               or columns(frame))
+    counting.__set_name__(cm.LadderFrame, "columns")
+    monkeypatch.setattr(cm.LadderFrame, "columns", counting)
+    cm._ladder_frame.cache_clear()
+    sig = derive((90, 12, 10, 4))
+    clifford = cm.CliffordMaxModel(sig.genus)
+    for m in (1, 2, 1):
+        cm.filtration_dims(clifford, sig, m)
+        inv.weight_spectrum(clifford, m, sig)
+    classifier.clifford_profile_chi1(sig)
+    assert built == []
+    hyperelliptic = cm.HyperellipticModel(sig.genus, ("w",) * 4)
+    for _ in range(2):
+        cm.filtration_dims(hyperelliptic, sig, 1)
+        cm.filtration_dims(clifford, sig, 1)
+    assert built == [(sig, 1)]
 
 
 # ------------------------------------------------------------ properties
@@ -290,11 +321,11 @@ def test_riemann_roch_regime_agreement():
                 assert model.h0(divisor(deg)) == deg - g + 1, (g, deg, model)
 
 
-# ---------------------------------------------------------- column reads
+# ----------------------------------------------------------- frame reads
 #
-# h0 is the one-row column read, so these check h0_column itself, on
-# arbitrary columns (negative and Riemann-Roch entries included), against
-# per-divisor formulas written out here.
+# h0 is the one-row frame read, so these check h0_frame itself, on
+# batches of arbitrary columns (negative and Riemann-Roch entries
+# included), against per-divisor formulas written out here.
 
 COEFFS = st.integers(min_value=-6, max_value=30)
 
@@ -339,11 +370,11 @@ def test_unibranch_column_counts_elements(column, gens):
     H = sg.from_generators(gens)
     model = cm.UnibranchModel(H)
     expected = [sum(1 for j in range(c + 1) if H.contains(j)) for c in column]
-    assert model.h0_column([column]) == expected
-    assert model.h0_column([column, [0] * len(column)]) == expected
+    assert model.h0_frame(cm.Batch.of([column])) == expected
+    assert model.h0_frame(cm.Batch.of([column, [0] * len(column)])) == expected
     if column:
         with pytest.raises(ValueError, match="single point"):
-            model.h0_column([column, [0] * (len(column) - 1) + [1]])
+            model.h0_frame(cm.Batch.of([column, [0] * (len(column) - 1) + [1]]))
 
 
 @given(st.integers(1, 8), st.integers(1, 4).flatmap(
@@ -351,7 +382,8 @@ def test_unibranch_column_counts_elements(column, gens):
 def test_clifford_max_column_matches_formula(g, case):
     n, rows = case
     model = cm.CliffordMaxModel(g)
-    assert model.h0_column(columns_of(rows, n)) == [clifford_formula(g, r) for r in rows]
+    expected = [clifford_formula(g, r) for r in rows]
+    assert model.h0_frame(cm.Batch.of(columns_of(rows, n))) == expected
 
 
 HYPERELLIPTIC_TAGS = [("w",), ("free",), ("w", "free"), ("pair:1", "pair:1"),
@@ -362,23 +394,24 @@ HYPERELLIPTIC_TAGS = [("w",), ("free",), ("w", "free"), ("pair:1", "pair:1"),
 @given(st.integers(1, 8), st.sampled_from(HYPERELLIPTIC_TAGS).flatmap(
     lambda tags: st.tuples(st.just(tags), rows_of(len(tags)))))
 @example(3, (("w", "free"), [(-6, 6), (-5, 7), (-1, 1)]))  # 1 + pencils < 0
+@example(3, (("w", "free"), [(-4, 4), (-3, 5), (-2, 2)]))  # pencils -2, -2, -1
 def test_hyperelliptic_column_matches_formula(g, case):
     tags, rows = case
     model = cm.HyperellipticModel(g, tags)
     expected = [hyperelliptic_formula(g, tags, r) for r in rows]
-    assert model.h0_column(columns_of(rows, len(tags))) == expected
+    assert model.h0_frame(cm.Batch.of(columns_of(rows, len(tags)))) == expected
 
 
 def test_hyperelliptic_column_clamp_and_errors():
     model = cm.HyperellipticModel(3, ("w", "free"))
     # degree 0, pencils -3: the clamp answers 0, not -2
-    assert model.h0_column([[-6, 0], [6, 0]]) == [0, 1]
+    assert model.h0_frame(cm.Batch.of([[-6, 0], [6, 0]])) == [0, 1]
     with pytest.raises(ValueError, match="needs 2 coefficients"):
-        model.h0_column([[1, 2]])
+        model.h0_frame(cm.Batch.of([[1, 2]]))
     with pytest.raises(ValueError, match="unknown tag"):
-        cm.HyperellipticModel(3, ("w", "wat")).h0_column([[1], [1]])
+        cm.HyperellipticModel(3, ("w", "wat")).h0_frame(cm.Batch.of([[1], [1]]))
     with pytest.raises(ValueError, match="needs 2"):
-        cm.HyperellipticModel(3, ("w", "pair:1")).h0_column([[1], [1]])
+        cm.HyperellipticModel(3, ("w", "pair:1")).h0_frame(cm.Batch.of([[1], [1]]))
 
 
 @given(rows_of(2), st.lists(st.tuples(st.tuples(COEFFS, COEFFS), st.integers(0, 9)),
@@ -393,27 +426,27 @@ def test_override_column_patches_table_rows(rows, table, data):
     for divisor, value in table:
         first.setdefault(divisor, value)
     expected = [first.get(r, clifford_formula(5, r)) for r in rows]
-    assert model.h0_column(columns_of(rows, 2)) == expected
+    assert model.h0_frame(cm.Batch.of(columns_of(rows, 2))) == expected
 
 
 def test_override_row_of_another_length_is_an_error():
     model = cm.OverrideModel(cm.CliffordMaxModel(3), (((3, 0), 2), ((1, 2, 3), 1)))
     with pytest.raises(ValueError, match=r"table\[1\]\.divisor has 3 coefficients.*\(2\)"):
-        model.h0_column([[4, 3], [0, 0]])
+        model.h0_frame(cm.Batch.of([[4, 3], [0, 0]]))
     with pytest.raises(ValueError, match=r"table\[0\]\.divisor"):
         cm.filtration_dims(model, derive((4,)), 1)
 
 
 def test_override_column_first_entry_wins():
     model = cm.OverrideModel(cm.CliffordMaxModel(5), (((3, 0), 2), ((3, 0), 7)))
-    assert model.h0_column([[4, 3, 2], [0, 0, 0]]) == [2, 2, 1]
+    assert model.h0_frame(cm.Batch.of([[4, 3, 2], [0, 0, 0]])) == [2, 2, 1]
 
 
 def test_algebra_column_reads_one_section_space_per_row():
     alg = catalog.get("E7").algebra()
     rows = [(0, 0), (3, 1), (1, 0), (2, 2), (-1, 3), (5, 0), (0, 0)]
     expected = [ba.section_space(alg, r).dimension for r in rows]
-    assert cm.AlgebraModel(alg).h0_column(columns_of(rows, 2)) == expected
+    assert cm.AlgebraModel(alg).h0_frame(cm.Batch.of(columns_of(rows, 2))) == expected
     assert expected[:2] == [1, 3]
 
 

@@ -1,8 +1,9 @@
 """Run-length filtrations against the per-level definitions they replace.
 
-``ladder_columns`` sets the bounds of every run: its ends are checked
-against a scan of where the ladder changes.  ``filtration_dims`` reads the
-model once per filtration, one column read over the ladder breakpoints,
+``ladder_runs`` sets the bounds of every run: its ends are checked
+against a scan of where the ladder changes, and the ladder frame of
+(sig, m) against the ladder at its run starts.  ``filtration_dims`` reads
+the model once per filtration, one frame read over the ladder breakpoints,
 and its runs are exactly the ladder's runs (equal neighbours are not
 merged); a filtration that increases is refused at its first rise.
 ``n_plus`` counts between the levels where the parity flips, pinned at its
@@ -16,6 +17,7 @@ at a period ell near 10^11, where only the run form can finish.
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +34,7 @@ from gmspectra.signature import (
     derive,
     enumerate_signatures,
     ladder,
-    ladder_columns,
+    ladder_runs,
     n_plus,
 )
 
@@ -105,7 +107,7 @@ def test_runs_tile_the_levels(case):
     for (lo, hi, _), (next_lo, _, _) in zip(runs, runs[1:]):
         assert lo <= hi
         assert next_lo == hi + 1
-    assert [lo for lo, _, _ in runs] == ladder_columns(sig, 0, m * sig.ell)[0]
+    assert [lo for lo, _, _ in runs] == ladder_runs(sig, 0, m * sig.ell)[0]
     assert len(runs) <= m * (2 * sig.genus - 2 + sig.n) + 1
 
 
@@ -135,18 +137,34 @@ def test_weight_spectrum_is_the_successive_differences(case):
     assert spectrum.entries == tuple((lam, c) for lam, c in diffs if c > 0)
 
 
+def ladder_changes(sig, lo, hi):
+    """The levels in [lo, hi) after which the ladder changes, by a scan."""
+    return [lam for lam in range(lo, hi) if ladder(sig, lam + 1) != ladder(sig, lam)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_ladder_columns_end_where_the_ladder_changes(data):
+def test_ladder_runs_and_frames_match_the_ladder(data):
     sig = data.draw(st.sampled_from(SIGNATURES))
+    m = data.draw(LEVELS)
     top = 3 * sig.ell + 2
     lo = data.draw(st.integers(0, top))
     hi = data.draw(st.integers(lo, top))
-    starts, ends, columns = ladder_columns(sig, lo, hi)
-    changes = [lam for lam in range(lo, hi) if ladder(sig, lam + 1) != ladder(sig, lam)]
+    starts, ends, steps = ladder_runs(sig, lo, hi)
+    changes = ladder_changes(sig, lo, hi)
     assert ends == changes + [hi]
     assert starts == [lo] + [lam + 1 for lam in changes]
-    assert [tuple(row) for row in zip(*columns)] == [ladder(sig, lam) for lam in starts]
+    assert list(accumulate(steps)) == [sum(ladder(sig, lam)) for lam in starts]
+    # the frame of (sig, m): the runs of [0, m*ell], each row's divisor
+    # m*(m_i + 1) - ceil(lam/a_i) at its start, and its degree the row sum
+    frame = cm._ladder_frame(sig, m)
+    changes = ladder_changes(sig, 0, m * sig.ell)
+    assert frame.ends == (*changes, m * sig.ell)
+    assert frame.starts == (0, *(lam + 1 for lam in changes))
+    assert frame.columns == tuple(zip(*(
+        [m * (order + 1) - step for order, step in zip(sig.orders, ladder(sig, lam))]
+        for lam in frame.starts)))
+    assert frame.degrees == tuple(map(sum, zip(*frame.columns)))
 
 
 @settings(max_examples=200, deadline=None)

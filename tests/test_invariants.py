@@ -5,6 +5,7 @@ structural identities against its level-one spectrum, and the two slope
 formulas must agree whenever the characters come from an actual ring.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ import gmspectra.curve_models as cm
 import gmspectra.invariants as inv
 import gmspectra.semigroup as sg
 from gmspectra import catalog
-from gmspectra.signature import derive
+from gmspectra.signature import derive, ladder
 
 ENTRY_IDS = [e.id for e in catalog.entries()]
 
@@ -105,6 +106,57 @@ def test_identity_report_catches_damage():
     assert report.notes
     with pytest.raises(ValueError):
         inv.verify_weight_identities(s1, s1, sig)
+
+
+def scanned_identities(spectrum_m, spectrum_1, sig):
+    """The identity report read level by level, each multiplicity by a
+    linear scan of the entries (WeightSpectrum.multiplicity)."""
+    m, n, ell = spectrum_m.m, sig.n, sig.ell
+    pivot = (m - 1) * ell
+    notes = []
+    top_ok = spectrum_m.multiplicity(pivot) == n - 1
+    if not top_ok:
+        notes.append(f"multiplicity at {pivot} is {spectrum_m.multiplicity(pivot)}, not {n - 1}")
+    ladder_ok = True
+    for lam in range(pivot):
+        expected = sum(ladder(sig, lam + 1)) - sum(ladder(sig, lam))
+        if spectrum_m.multiplicity(lam) != expected:
+            ladder_ok = False
+            notes.append(f"multiplicity at {lam} is {spectrum_m.multiplicity(lam)}, "
+                         f"ladder difference gives {expected}")
+            break
+    tail = tuple(w for w in spectrum_m.nonzero_weights() if w > pivot)
+    shifted = tuple(pivot + w for w in spectrum_1.nonzero_weights())
+    tail_ok = tail == shifted
+    if not tail_ok:
+        notes.append(f"tail weights {tail} differ from shifted {shifted}")
+    chi = (m - 1) * m * (2 * sig.genus - 2 + n) * ell // 2 + spectrum_1.chi_log
+    chi_ok = spectrum_m.chi_log == chi
+    if not chi_ok:
+        notes.append(f"chi_{m}^log is {spectrum_m.chi_log}, formula gives {chi}")
+    return inv.WeightIdentityReport(top_ok, ladder_ok, tail_ok, chi_ok, tuple(notes))
+
+
+def moved(spectrum, source, target):
+    """The spectrum with one unit of multiplicity moved from source to target."""
+    counts = Counter(dict(spectrum.entries))
+    counts[source] -= 1
+    counts[target] += 1
+    return inv.WeightSpectrum(spectrum.m, tuple(sorted((+counts).items())))
+
+
+@pytest.mark.parametrize("key", ENTRY_IDS)
+def test_weight_identities_match_a_linear_scan_oracle(key):
+    sig, (s1, *higher) = spectra(catalog.get(key), m_max=3)
+    for s_m in higher:
+        pivot = (s_m.m - 1) * sig.ell
+        first, last = s_m.entries[0][0], s_m.entries[-1][0]
+        damaged = [moved(s_m, first, first + 1), moved(s_m, pivot, 0),
+                   moved(s_m, last, pivot), moved(s_m, first, s_m.m * sig.ell + 1)]
+        for spectrum in [s_m, *damaged]:
+            report = inv.verify_weight_identities(spectrum, s1, sig)
+            assert report == scanned_identities(spectrum, s1, sig), (key, s_m.m)
+        assert all(not inv.verify_weight_identities(d, s1, sig).all_pass for d in damaged)
 
 
 def test_monomial_chi1_is_gap_sum():
