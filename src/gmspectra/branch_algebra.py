@@ -46,7 +46,7 @@ def generator(sig: Signature, terms) -> Generator:
     coeffs = {}
     degree = None
     for branch, exp, coeff in terms:
-        coeff = coeff if isinstance(coeff, int) else Fraction(coeff)
+        coeff = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
         if coeff == 0:
             continue
         if not 0 <= branch < sig.n:

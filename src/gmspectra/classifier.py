@@ -14,9 +14,10 @@ UnresolvedSignatureError.  The search enumerates signatures (at most
 four branches survive the Clifford cap), runs every admissible
 hyperelliptic tagging, resolves the nonhyperelliptic side through the
 Clifford profile, the shipped catalog, explicit exclusion rules and the
-special-locus overrides, walks symmetric semigroups when there is a
-single zero, appends ordinary marked points up to the budget, and
-optionally re-scores every record for dangling branch subsets.
+special-locus overrides, walks the symmetric semigroups within an
+element-sum bound when there is a single zero, appends ordinary marked
+points up to the budget, and optionally re-scores every record for
+dangling branch subsets.
 """
 
 from __future__ import annotations
@@ -383,12 +384,27 @@ class SemigroupRecord:
     passed: bool
 
 
+def _semigroup_record(H: sg.NumericalSemigroup, sig: Signature, coeff: Fraction,
+                      x: int) -> SemigroupRecord:
+    """H scored against c*x on the single-zero signature sig.
+
+    chi1_log = g(2g-1) - sum of the g smallest elements, cross-checked by
+    summing the section-count filtration of H before it is returned.
+    """
+    g = sig.genus
+    total = H.element_sum
+    chi1 = g * (2 * g - 1) - total
+    if cm.runs_chi_log(cm.filtration_dims(cm.UnibranchModel(H), sig, 1)) != chi1:
+        raise RuntimeError(f"unibranch chi1 routes disagree for {H}")
+    return SemigroupRecord(H, chi1, total, H.hyperelliptic, H.spin,
+                           _margin(coeff, chi1, x) >= 0)
+
+
 def semigroup_search(g: int, threshold=DEFAULT_THRESHOLD) -> tuple[SemigroupRecord, ...]:
     """Score every symmetric semigroup of genus g for the (2g-2) stratum.
 
-    chi1_log = g(2g-1) - sum of the g smallest elements, cross-checked by
-    summing the section-count filtration; at tau = 3/8 passing is the
-    element-sum bound sum <= g^2 - 1.
+    Each record is checked by _semigroup_record; at tau = 3/8 passing is
+    the element-sum bound sum <= g^2 - 1.
     """
     if g < 2:
         raise ValueError("single-zero strata need genus at least 2")
@@ -397,47 +413,60 @@ def semigroup_search(g: int, threshold=DEFAULT_THRESHOLD) -> tuple[SemigroupReco
     start = time.perf_counter()
     semigroups = sg.enumerate_symmetric(g)
     enumerated = time.perf_counter()
-    out = []
-    for H in semigroups:
-        total = H.element_sum
-        chi1 = g * (2 * g - 1) - total
-        runs = cm.filtration_dims(cm.UnibranchModel(H), sig, 1)
-        if cm.runs_chi_log(runs) != chi1:
-            raise RuntimeError(f"unibranch chi1 routes disagree for {H}")
-        out.append(
-            SemigroupRecord(
-                semigroup=H,
-                chi1_log=chi1,
-                element_sum=total,
-                hyperelliptic=H.hyperelliptic,
-                spin=H.spin,
-                passed=_margin(coeff, chi1, x) >= 0,
-            )
-        )
+    out = tuple([_semigroup_record(H, sig, coeff, x) for H in semigroups])
     log.debug(
         "semigroup_search g=%d enumerated=%d passed=%d enumerate_s=%.6f score_s=%.6f",
         g, len(out), sum(r.passed for r in out),
         enumerated - start, time.perf_counter() - enumerated,
     )
-    return tuple(out)
-
-
-def _unibranch_records(g: int, threshold) -> list[tuple[str, int, str, Optional[str]]]:
-    """Nonhyperelliptic semigroup rows; hyperelliptic ones are taggings.
-
-    A passing semigroup is a full stratum when every same-spin symmetric
-    semigroup of the genus passes (so the whole spin component clears the
-    bound), and only a locus inside the stratum otherwise.
-    """
-    records = [r for r in semigroup_search(g, threshold) if not r.hyperelliptic]
-    all_pass: dict[str, bool] = {}
-    for r in records:
-        all_pass[r.spin] = all_pass.get(r.spin, True) and r.passed
-    out = []
-    for r in records:
-        item = "stratum" if all_pass[r.spin] else "locus"
-        out.append((f"unibranch({r.semigroup})", r.chi1_log, item, r.spin))
     return out
+
+
+def _unibranch_records(sig: Signature, coeff: Fraction,
+                       stats: Counter) -> list[tuple[str, int, str, Optional[str]]]:
+    """Nonhyperelliptic semigroup rows of the single-zero signature sig.
+
+    Hyperelliptic semigroups are taggings.  A row that the search can emit
+    meets c*X_Q for some dangling set Q and some number of appended
+    ordinary points; each point raises X_Q by ell and X_Q is least at
+    Q = (0,), so the row meets c*X_(0,).  With chi1 = g(2g-1) - S for the
+    element sum S, that is q*S <= q*g(2g-1) - p*X_(0,), i.e. S <= S* for
+    the floor S* of (q*g(2g-1) - p*X_(0,))/q, and the symmetric walk
+    bounded by S* yields every such row.  Without dangling branches the
+    cutoff c*X is higher still, so the same rows serve both searches.
+
+    A passing row is a full stratum when every nonhyperelliptic symmetric
+    semigroup of its spin meets the strict cutoff c*X, and only a locus
+    otherwise.  A row that misses c*X settles its own spin; for each other
+    spin of a row the unbounded walk is read lazily up to a
+    nonhyperelliptic semigroup of that spin missing c*X, and stops once
+    every such spin has one.  That witness is a row too: it misses c*X_(0,)
+    as well (it is not among the bounded rows, which all meet c*X in its
+    spin), so it emits nothing.  Every row passes _semigroup_record's
+    cross-check.  Counts the rows as ``semigroups`` and the leaves both
+    walks built as ``leaves`` in ``stats``.
+    """
+    g = sig.genus
+    x = _threshold_x(sig)
+    p, q = coeff.numerator, coeff.denominator
+    bounded = sg.enumerate_symmetric(g, (q * g * (2 * g - 1) - p * _threshold_x(sig, (0,))) // q)
+    records = [_semigroup_record(H, sig, coeff, x) for H in bounded if not H.hyperelliptic]
+    failing = {r.spin for r in records if not r.passed}
+    need = {r.spin for r in records} - failing
+    leaves = len(bounded)
+    if need:
+        for H in sg.walk_symmetric(g):
+            leaves += 1
+            if H.spin in need and _margin(coeff, g * (2 * g - 1) - H.element_sum, x) < 0:
+                records.append(_semigroup_record(H, sig, coeff, x))
+                failing.add(H.spin)
+                need.discard(H.spin)
+                if not need:
+                    break
+    stats["semigroups"] += len(records)
+    stats["leaves"] += leaves
+    return [(f"unibranch({r.semigroup})", r.chi1_log,
+             "locus" if r.spin in failing else "stratum", r.spin) for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +474,7 @@ def _unibranch_records(g: int, threshold) -> list[tuple[str, int, str, Optional[
 
 # the stages alpha_search counts, in the order of its DEBUG line
 _STAGES = ("signatures", "pruned", "taggings", "screens", "screened_out", "profile",
-           "catalog", "override", "excluded", "semigroups")
+           "catalog", "override", "excluded", "semigroups", "leaves")
 _SEARCH_LOG = ("alpha_search g=%d tau=%s " + " ".join(f"{k}=%d" for k in _STAGES)
                + " candidates=%d score_s=%.6f emit_s=%.6f")
 
@@ -500,13 +529,10 @@ def alpha_search(
                     (sig, tagging.label, chi1, "hyperelliptic", "hyp", tagging)
                 )
                 stats["taggings"] += 1
-            if sig.n == 1:
-                for label, chi1, item, comp in _unibranch_records(g, threshold):
-                    rows.append((sig, label, chi1, item, comp, None))
-                    stats["semigroups"] += 1
-            else:
-                for label, chi1, item, comp in _nonhyp_records(sig, coeff, x, entries, stats):
-                    rows.append((sig, label, chi1, item, comp, None))
+            records = (_unibranch_records(sig, coeff, stats) if sig.n == 1
+                       else _nonhyp_records(sig, coeff, x, entries, stats))
+            for label, chi1, item, comp in records:
+                rows.append((sig, label, chi1, item, comp, None))
     scored = time.perf_counter()
 
     found: dict[tuple, Candidate] = {}

@@ -152,16 +152,21 @@ class CliffordMaxModel(_FrameRead):
     and never builds a frame's columns: 0 below degree zero, 1 at zero, g
     at the canonical degree 2g-2 (the only degree-(2g-2) divisors that
     occur in the filtrations are canonical), ceil(deg/2) strictly in
-    between, and Riemann-Roch above.
+    between, and Riemann-Roch above.  A genus below 0 is a ValueError at
+    the read; from genus 0 on the canonical degree is at least -2, so the
+    Riemann-Roch range, where most rows of an m >= 2 frame lie, is tested
+    first.
     """
 
     genus: int
 
     def h0_frame(self, frame) -> list[int]:
         g = self.genus
+        if g < 0:
+            raise ValueError(f"clifford-max genus {g} is below 0")
         canonical = 2 * g - 2
-        return [0 if deg < 0 else 1 if deg == 0 else g if deg == canonical
-                else deg - g + 1 if deg > canonical else (deg + 1) // 2
+        return [deg - g + 1 if deg > canonical else 0 if deg < 0 else 1 if deg == 0
+                else g if deg == canonical else (deg + 1) // 2
                 for deg in frame.degrees]
 
 

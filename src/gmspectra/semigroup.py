@@ -8,7 +8,7 @@ The genus, gaps, minimal generators and the element sum are derived on
 first read and kept in slots, outside equality, hashing and repr; the
 symmetric walk fills the genus and element-sum slots of each semigroup it
 finds, the latter with the sum it carried down, so its leaves build no gap
-tuple and count no bits.
+tuple and count no bits; the same sum bounds the walk when asked.
 The closure of a generating set is read off its Apery set, sumsets and
 minimal generators are shift-ors of such masks, and counting elements is a
 popcount.
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import gcd
+from typing import Iterator
 
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -266,22 +267,30 @@ def planar_gap_sum_formula(p: int, q: int) -> int:
     return num // 12
 
 
-def enumerate_symmetric(g: int) -> list[NumericalSemigroup]:
-    """All numerical semigroups of genus g with Frobenius number 2g-1.
+def enumerate_symmetric(g: int, max_element_sum: int | None = None) -> list[NumericalSemigroup]:
+    """The semigroups :func:`walk_symmetric` finds, as a list in its order."""
+    return list(walk_symmetric(g, max_element_sum))
+
+
+def walk_symmetric(g: int, max_element_sum: int | None = None) -> Iterator[NumericalSemigroup]:
+    """The numerical semigroups of genus g with Frobenius number 2g-1, lazily.
+
+    With ``max_element_sum``, only those whose g smallest elements sum to
+    at most that bound.
 
     Symmetry forces exactly one of k, F-k (F = 2g-1) to be an element for
     each 0 <= k <= F, so the search decides the pairs {k, F-k} for
-    k = 1..g-1 depth-first, after {0, F}.  Every decided pair holds one
-    element and one gap, so closure among decided positions fails exactly
-    when three decided elements a, b, c (0 allowed) sum to F: a decided
-    gap a+b pairs with the decided element c = F-a-b, and conversely
-    a+b = F-c is the decided gap paired with c.  The walk carries the
-    mask of decided elements and the mask of their pairwise sums (an
-    element with itself and with 0 included).  Deciding element e sets
-    ``elems |= 1 << e`` and then ``sums |= elems << e``; every new triple
-    contains e, so the node is pruned iff bit F-e of ``sums`` is set.
+    k = 1..g-1 depth-first, F-k before k, after {0, F}.  Every decided
+    pair holds one element and one gap, so closure among decided positions
+    fails exactly when three decided elements a, b, c (0 allowed) sum to F:
+    a decided gap a+b pairs with the decided element c = F-a-b, and
+    conversely a+b = F-c is the decided gap paired with c.  The walk
+    carries the mask of decided elements and the mask of their pairwise
+    sums (an element with itself and with 0 included).  Deciding element e
+    sets ``elems |= 1 << e`` and then ``sums |= elems << e``; every new
+    triple contains e, so the node is pruned iff bit F-e of ``sums`` is set.
 
-    The walk emits the semigroups in ascending order of their gap tuples,
+    The walk yields the semigroups in ascending order of their gap tuples,
     with no sort.  Every leaf has g gaps, F and one of each pair.  Take two
     leaves that first differ at pair k: the one walked first took F-k, so
     k is its gap, and the other took k as an element.  Every gap below k
@@ -295,31 +304,54 @@ def enumerate_symmetric(g: int) -> list[NumericalSemigroup]:
     so they are its g smallest elements: the walk carries their running
     ``total``, one add per node, and the leaf stores it in the slot
     ``element_sum`` reads.
-    The genus is capped at ``SEMIGROUP_GENUS_BOUND`` before the walk: the
-    leaves grow about 1.3x per genus, and the walk recurses g deep.
+
+    The bound prunes whole subtrees.  A node decided up to pair k with
+    running total T has only leaves of sum at least T + (k+1) + ... + (g-1),
+    since each later pair j adds j or F-j > j.  So a node can reach a leaf
+    within the bound B only if T <= cap[k] = B - sum_{j=k+1}^{g-1} j, and
+    the walk keeps exactly the nodes that pass: the root (T = 0) when
+    cap[0] >= 0, and a child that takes F-k when its total passes cap[k].
+    A child that takes k needs no test: its parent passed cap[k-1] =
+    cap[k] - k.  Every leaf within the bound passes at each of its nodes
+    (its own sum is one of the completions), so none is lost, and each
+    leaf kept has T <= cap[g-1] = B.  Without a bound the cap is g*F, above
+    every sum of g elements below F, so the one test never prunes.
+
+    The genus is capped at ``SEMIGROUP_GENUS_BOUND`` at the call, before
+    the walk starts: the leaves grow about 1.3x per genus.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
     if g > SEMIGROUP_GENUS_BOUND:
         raise ValueError(f"genus {g} beyond the semigroup search bound {SEMIGROUP_GENUS_BOUND}")
     F = 2 * g - 1
-    found: list[NumericalSemigroup] = []
+    bound = g * F if max_element_sum is None else max_element_sum
+    return _walk(g, F, [bound - (g - 1 - k) * (g + k) // 2 for k in range(g)])
 
-    def walk(k: int, elems: int, sums: int, total: int) -> None:
+
+def _walk(g: int, F: int, cap: list[int]) -> Iterator[NumericalSemigroup]:
+    # nodes (k, elems, sums, total) on a stack, the F-k child pushed last so
+    # that it is walked first; 0 is an element and 0 + 0 = 0
+    stack = [(1, 1, 1, 0)] if cap[0] >= 0 else []
+    pop, push = stack.pop, stack.append
+    while stack:
+        k, elems, sums, total = pop()
         if k == g:
             H = NumericalSemigroup(F, elems)
             object.__setattr__(H, "_genus", g)
             object.__setattr__(H, "_element_sum", total)
-            found.append(H)
-            return
-        for e in (F - k, k):
+            yield H
+            continue
+        e = F - k
+        new = elems | 1 << k
+        new_sums = sums | new << k
+        if not new_sums >> e & 1:
+            push((k + 1, new, new_sums, total + k))
+        if total + e <= cap[k]:
             new = elems | 1 << e
             new_sums = sums | new << e
-            if not new_sums >> (F - e) & 1:
-                walk(k + 1, new, new_sums, total + e)
-
-    walk(1, 1, 1, 0)  # 0 is an element and 0 + 0 = 0
-    return found
+            if not new_sums >> k & 1:
+                push((k + 1, new, new_sums, total + e))
 
 
 @dataclass(frozen=True)

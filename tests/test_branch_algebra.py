@@ -171,6 +171,19 @@ def test_generator_validation():
     assert ba.generator(sig, [(0, 2, 6), (1, 1, -4)]) == (2, {0: 6, 1: -4})
 
 
+def test_generator_builds_no_fraction_from_an_int_or_a_fraction(monkeypatch):
+    sig = derive((3, 1))
+    terms = [(0, 2, Fraction(1, 2)), (1, 1, -3)]
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw)))
+    assert ba.generator(sig, terms) == (2, {0: 1, 1: -6})
+    assert built == []
+    assert ba.generator(sig, [(0, 2, "1/2")]) == (2, {0: 1})
+    assert built == [("1/2",)]
+
+
 def test_close_deterministic():
     a1, a2 = alg62odd(), alg62odd()
     top = ba.window(a1.signature)

@@ -3,7 +3,7 @@
 The searches for genus up to six are pinned row by row (signature, model
 label, chi1_log, item, component); genus seven and eight must consist of
 the parametric hyperelliptic families and nothing else, and every search
-from genus seven to twenty of hyperelliptic candidates only.  Searches at
+from genus seven to thirty of hyperelliptic candidates only.  Searches at
 cutoffs whose coefficient has a numerator above one are pinned by digest.
 On top of the golden lists: dual-route agreement for every hyperelliptic
 tagging up to genus ten, the Clifford profile identity, ordinary-point
@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import logging
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -193,8 +194,8 @@ def test_search_matches_golden_list(g, expected):
     assert rows(alpha_search(g)) == expected
 
 
-def test_g7_to_g20_are_hyperelliptic_only():
-    for g in range(7, 21):
+def test_g7_to_g30_are_hyperelliptic_only():
+    for g in range(7, 31):
         cands = alpha_search(g, genus_bound=g)
         assert cands, g  # the parametric families never dry up
         assert all(c.component == "hyp" for c in cands), g
@@ -601,6 +602,86 @@ def test_semigroup_search_raises_when_either_chi1_route_is_off(monkeypatch):
         semigroup_search(5)
 
 
+TAU_GRID = [Fraction(0), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3), Fraction(3, 8),
+            Fraction(2, 5), Fraction(1, 2), FIVE_NINTHS, Fraction(2, 3)]
+
+
+def oracle_unibranch_rows(records):
+    """A row per nonhyperelliptic record: a stratum when every record of its
+    spin meets the strict cutoff, a locus otherwise."""
+    strict = {}
+    for r in records:
+        strict[r.spin] = strict.get(r.spin, True) and r.passed
+    return {(f"unibranch({r.semigroup})", r.chi1_log,
+             "stratum" if strict[r.spin] else "locus", r.spin)
+            for r in records if not r.hyperelliptic}
+
+
+def meeting_the_lenient_cutoff(rows, sig, coeff):
+    x = _threshold_x(sig, (0,))
+    return {row for row in rows if _margin(coeff, row[1], x) >= 0}
+
+
+def test_unibranch_rows_match_the_full_enumeration():
+    for g in range(2, 25):
+        sig = derive((2 * g - 2,))
+        for tau in TAU_GRID:
+            coeff = threshold_coefficient(tau)
+            every = oracle_unibranch_rows(semigroup_search(g, tau))
+            stats = Counter()
+            got = classifier._unibranch_records(sig, coeff, stats)
+            # every row that can emit, with its verdict; the rest are witnesses
+            assert len(set(got)) == len(got) == stats["semigroups"], (g, tau)
+            assert set(got) <= every, (g, tau)
+            assert (meeting_the_lenient_cutoff(got, sig, coeff)
+                    == meeting_the_lenient_cutoff(every, sig, coeff)), (g, tau)
+
+
+def test_a_witness_settles_the_verdict_at_genus_five():
+    # <4,6,7> meets only the lenient cutoff at 3/8, so its own spin fails
+    # the strict one: a locus, with or without dangling branches
+    sig, coeff = derive((8,)), threshold_coefficient(Fraction(3, 8))
+    stats = Counter()
+    assert classifier._unibranch_records(sig, coeff, stats) == [
+        ("unibranch(<4,6,7>)", 20, "locus", "even")]
+    assert stats["leaves"] == 2  # with <2,11>, and no witness read
+
+
+def test_the_single_zero_walk_builds_few_leaves_at_genus_forty():
+    # 53,629 symmetric semigroups; only <2,81> meets the lenient bound
+    stats = Counter()
+    rows = classifier._unibranch_records(derive((78,)), threshold_coefficient(Fraction(3, 8)),
+                                         stats)
+    assert rows == [] and stats["semigroups"] == 0
+    assert 1 <= stats["leaves"] <= 10
+
+
+def test_unibranch_rows_raise_when_either_chi1_route_is_off_on_a_witness(monkeypatch):
+    # at genus six <3,7> alone of its (even) spin meets the strict cutoff,
+    # and <5,7,8,9> is the witness that makes it a locus
+    sig, coeff = derive((10,)), threshold_coefficient(Fraction(3, 8))
+    witness = sg.from_generators((5, 7, 8, 9))
+    rows = classifier._unibranch_records(sig, coeff, Counter())
+    assert ("unibranch(<5,7,8,9>)", 27, "locus", "even") in rows
+    off = [False]
+    unibranch, filtration_route = cm.UnibranchModel, cm.runs_chi_log
+
+    def model(H):
+        off[0] = H == witness
+        return unibranch(H)
+
+    monkeypatch.setattr(cm, "UnibranchModel", model)
+    monkeypatch.setattr(cm, "runs_chi_log", lambda runs: filtration_route(runs) + off[0])
+    with pytest.raises(RuntimeError, match=r"unibranch chi1 routes disagree for <5,7,8,9>$"):
+        classifier._unibranch_records(sig, coeff, Counter())
+    monkeypatch.undo()
+    element_route = sg.NumericalSemigroup.element_sum.fget
+    monkeypatch.setattr(sg.NumericalSemigroup, "element_sum",
+                        property(lambda H: element_route(H) - (H == witness)))
+    with pytest.raises(RuntimeError, match=r"unibranch chi1 routes disagree for <5,7,8,9>$"):
+        classifier._unibranch_records(sig, coeff, Counter())
+
+
 def test_searches_refuse_a_genus_past_the_semigroup_bound():
     # (80,) is the first signature alpha_search scores at genus 41
     for search in (lambda: semigroup_search(41), lambda: alpha_search(41, genus_bound=41)):
@@ -652,8 +733,18 @@ def test_alpha_search_logs_its_stages_in_one_debug_line(caplog):
     assert fields["g"] == "6" and fields["tau"] == "3/8"
     assert int(fields["candidates"]) == len(found)
     assert int(fields["signatures"]) == len(enumerate_signatures(6, 4))
-    nonhyp = [r for r in semigroup_search(6) if not r.hyperelliptic]
-    assert int(fields["semigroups"]) == len(nonhyp)
+    # the rows scored: the two nonhyperelliptic semigroups within the lenient
+    # element-sum bound, <4,5> (odd, misses the strict cutoff) and <3,7>
+    # (even, meets it), and the first even one in walk order to miss it
+    records = semigroup_search(6)
+    sig, coeff = derive((10,)), threshold_coefficient(Fraction(3, 8))
+    bounded = [r for r in records
+               if _margin(coeff, r.chi1_log, _threshold_x(sig, (0,))) >= 0]
+    witness = next(i for i, r in enumerate(records) if r.spin == "even" and not r.passed)
+    assert [str(r.semigroup) for r in bounded] == ["<4,5>", "<3,7>", "<2,13>"]
+    assert int(fields["semigroups"]) == 3
+    # the bounded walk's leaves, then the lazy read up to the witness
+    assert int(fields["leaves"]) == len(bounded) + witness + 1 == 5
     # every signature of n >= 2 past the cap reaches the Clifford screen once
     assert int(fields["screens"]) == int(fields["signatures"]) - int(fields["pruned"]) - 1
     # two pass it: (7,3) is resolved by its override, both spins of (6,4)

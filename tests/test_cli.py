@@ -435,10 +435,15 @@ PINNED_ALPHA_OUTPUTS = [
      "34d826c9119770c43fdb858069267d365844c4b7a231d8632c38ad69dcdb5826"),
     (("-g", "4", "--threshold", "1/2", "--dangling", "--format", "csv"),
      "b6bcaee0b809007bd48c4bbda2a730128b2a0012d562b9cce68febfdd031a362"),
+    # its unibranch(<4,6,7>) locus row meets only the lenient cutoff, and its
+    # spin's verdict reads the strict one
+    (("-g", "5", "--dangling", "--format", "csv"),
+     "c450429fa3b2b9955920e64dafcdee25a857fb68e75f28eb13c2b85be3f0f551"),
 ]
 
 
-@pytest.mark.parametrize("args,digest", PINNED_ALPHA_OUTPUTS, ids=["g6-json", "g4-half-dangling-csv"])
+@pytest.mark.parametrize("args,digest", PINNED_ALPHA_OUTPUTS,
+                         ids=["g6-json", "g4-half-dangling-csv", "g5-dangling-csv"])
 def test_classify_alpha_outputs_are_pinned(args, digest):
     result = invoke("classify", "alpha", *args)
     assert result.exit_code == 0

@@ -110,6 +110,17 @@ def test_clifford_max_profile():
     assert model.h0((3 * g,)) == 2 * g + 1
 
 
+def test_clifford_max_refuses_a_negative_genus_after_the_signature_check():
+    model = cm.CliffordMaxModel(-1)
+    with pytest.raises(ValueError, match="^clifford-max genus -1 is below 0$"):
+        model.h0((0,))
+    with pytest.raises(ValueError, match="^clifford-max genus -1 is below 0$"):
+        cm.OverrideModel(model, ()).h0((5,))
+    # a filtration names the genus mismatch first, as the CLI reports it
+    with pytest.raises(ValueError, match="^model genus -1 differs from signature genus 3$"):
+        cm.filtration_dims(model, derive((4,)), 1)
+
+
 def test_clifford_max_principal_stratum():
     # all-ones signature: only three filtration levels survive
     for g in (3, 5, 8):
@@ -377,7 +388,7 @@ def test_unibranch_column_counts_elements(column, gens):
             model.h0_frame(cm.Batch.of([column, [0] * (len(column) - 1) + [1]]))
 
 
-@given(st.integers(1, 8), st.integers(1, 4).flatmap(
+@given(st.integers(0, 8), st.integers(1, 4).flatmap(
     lambda n: st.tuples(st.just(n), rows_of(n))))
 def test_clifford_max_column_matches_formula(g, case):
     n, rows = case

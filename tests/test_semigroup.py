@@ -361,6 +361,29 @@ def test_enumerate_symmetric_walks_in_gap_order():
         assert found == sorted(found, key=lambda H: H.gaps)
 
 
+def test_a_bounded_walk_keeps_exactly_the_semigroups_within_its_bound():
+    # every distinct element sum as the bound, one below the least and a
+    # negative one (the genus-one root is a leaf)
+    for g in range(1, 17):
+        every = sgp.enumerate_symmetric(g)
+        sums = sorted({H.element_sum for H in every})
+        for bound in (-1, sums[0] - 1, *sums):
+            kept = [H for H in every if H.element_sum <= bound]
+            assert sgp.enumerate_symmetric(g, bound) == kept, (g, bound)
+            assert list(sgp.walk_symmetric(g, bound)) == kept, (g, bound)
+
+
+def test_the_walk_is_lazy_and_checks_its_genus_at_the_call():
+    with pytest.raises(ValueError, match="^genus 41 beyond the semigroup search bound 40$"):
+        sgp.walk_symmetric(41)
+    # F-k first: the first leaf takes every F-k, the second swaps the last pair
+    walk = sgp.walk_symmetric(40)
+    first, second = next(walk), next(walk)
+    assert first.generators == tuple(range(40, 79))
+    assert first.gaps == (*range(1, 40), 79) and second.gaps == (*range(1, 39), 40, 79)
+    assert (first.spin, second.spin) == ("odd", "even")
+
+
 def test_symmetric_biconditional():
     for g in range(1, 13):
         for H in sgp.enumerate_symmetric(g):
