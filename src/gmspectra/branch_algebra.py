@@ -11,8 +11,10 @@ exact and runs on Python ints alone.  A generator is given as
 integer coefficients: generator() validates the terms and scales the
 rational coefficients once to an integer vector on the same line, as it
 does for membership vectors; dualizing units are scaled the same way.
-Each graded piece is stored as its _rref map {pivot column: row}, built
-from a lazy product stream that is not read once the piece is full.
+Only the degrees that carry a slot, S = union of the a_i*N, are computed
+and stored, each piece as its _rref map {pivot column: row}, built from a
+lazy product stream that is not read once the piece is full; R_k = 0 off S
+reads as the empty map.
 Everything downstream reads the graded bases through one reader:
 degrees(top), the slot-carrying degrees; rank(k, positions); has_power,
 one lookup; and contains.  Membership and rank read rows off the map by
@@ -146,21 +148,21 @@ def _identity(s: int) -> Piece:
 
 @dataclass(eq=False)
 class BranchAlgebra:
-    """The ring spanned by the generators; graded_basis holds R_0, R_1, ... so far."""
+    """The ring spanned by the generators; graded_basis holds R_k so far, k in S."""
 
     signature: Signature
     generators: tuple[Generator, ...]  # see generator()
     graded_basis: dict[int, Piece]  # the _rref map of R_k over slots(k)
     stable_from: int | None = None  # R_k is full for every k >= stable_from
-    _full_from: int | None = field(default=None, repr=False)  # start of the current full run
+    _full_from: int = field(default=1, repr=False)  # one past the last piece not full
     _gap_full: tuple[int, ...] | None = field(default=None, repr=False)
     _conductor: tuple[int, ...] | None = field(default=None, repr=False)  # once certified
     _slots: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     @property
     def degree_cap(self) -> int:
-        """The last degree computed so far; read only by perfbench/tracer.py."""
-        return len(self.graded_basis) - 1
+        """The last degree stored; every slot-carrying degree up to it is computed."""
+        return next(reversed(self.graded_basis))
 
     def slots(self, k: int) -> tuple[int, ...]:
         """Branches that carry degree k; they depend on k mod ell only."""
@@ -171,32 +173,37 @@ class BranchAlgebra:
         return self._slots[r]
 
     def _close_to(self, top: int) -> None:
-        """Compute R_k degree by degree up to top, stopping for good once certified.
+        """Compute R_k up to top at the degrees that carry a slot, stopping for
+        good once certified; a degree with no slot is neither computed nor
+        stored, and its piece R_k = 0 counts as full.
 
-        The closure tracks K, the first degree of the current unbroken run
-        of full pieces (a piece with no slots counts as full), and stops as
-        soon as the run covers [K, 2K + max_i a_i - 1], recording
-        stable_from = K.  Degree 0 never starts a run.
+        The closure tracks K = _full_from, one past the last piece that is
+        not full (1 before any: degree 0 never starts a run), and stops at
+        the first degree k >= 2K + max_i a_i - 1, recording stable_from = K.
+        K moves only at a slot-carrying degree and the stop is tested at
+        every degree, so both are those of a walk that stores every piece.
+        A stop tested only at slot-carrying degrees could fall up to
+        max_i a_i - 1 degrees later, past D (see _conductor): on (6, 4),
+        a = (5, 7), K = 56 = A*T stops at D = 118, which carries no slot.
 
         Proof that R_k is full for every k >= K: take branch i and
         E = ceil(K / a_i).  Every e in [E, 2E) has K <= e*a_i < 2K + a_i, so
         t_i^e lies in R.  Since t_i^e = t_i^E * t_i^(e-E), induction on e puts
         every t_i^e with e >= E in R, and each slot i of a degree k >= K has
         exponent k / a_i >= E.  A ring that is not cofinite never gets a
-        certificate, so every degree read is computed.
+        certificate, so every slot-carrying degree read is computed.
         """
         if self.stable_from is not None:
             return
         basis = self.graded_basis
         step = max(self.signature.weights_a) - 1
-        for k in range(len(basis), top + 1):
+        for k in range(self.degree_cap + 1, top + 1):
             sl = self.slots(k)
-            basis[k] = _rref(self._products(k, sl), len(sl))
-            if len(basis[k]) < len(sl):
-                self._full_from = None
-            elif self._full_from is None:
-                self._full_from = k
-            if self._full_from is not None and k >= 2 * self._full_from + step:
+            if sl:
+                basis[k] = _rref(self._products(k, sl), len(sl))
+                if len(basis[k]) < len(sl):
+                    self._full_from = k + 1
+            if k >= 2 * self._full_from + step:
                 self.stable_from = self._full_from
                 return
 
@@ -210,13 +217,13 @@ class BranchAlgebra:
             # a slot of k - d whenever it is a slot of k
             prev = self.slots(k - d)
             picks = [(prev.index(i), coeffs[i]) if i in coeffs else (0, 0) for i in sl]
-            for v in self.graded_basis[k - d].values():
+            for v in self.graded_basis.get(k - d, {}).values():
                 w = [c * v[pos] for pos, c in picks]
                 if any(w):
                     yield w
 
     def _stable(self, k: int) -> bool:
-        if k >= len(self.graded_basis):
+        if self.stable_from is None and k > self.degree_cap:
             self._close_to(k)
         return self.stable_from is not None and k >= self.stable_from
 
@@ -224,7 +231,7 @@ class BranchAlgebra:
         """R_k over slots(k) as its _rref map {pivot column: row}; the
         identity map once stable."""
         if not self._stable(k):
-            return self.graded_basis[k]
+            return self.graded_basis.get(k, {})
         return _identity(len(self.slots(k)))
 
     def dim(self, k: int) -> int:
@@ -382,8 +389,8 @@ def _conductor(alg: BranchAlgebra) -> tuple[int, ...] | None:
     Once certified, t_i^e lies in R whenever e*a_i >= stable_from, so c_i
     is found walking down from ceil(stable_from / a_i) with has_power,
     once per algebra: the certified exponents are kept.  Without a
-    certificate the closure has already run to D, so a second call costs
-    one check.
+    certificate the closure has already run to D, so a second call
+    computes no piece.
     """
     if alg._conductor is not None:
         return alg._conductor
@@ -527,7 +534,7 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
     if conductor is None:
         a = sig.weights_a
         _, last = _certificate_bound(sig)
-        k = next(k for k in range(last, -1, -1) if alg.dim(k) < len(alg.slots(k)))
+        k = next(k for k in reversed(alg.degrees(last)) if alg.dim(k) < len(alg.slots(k)))
         missing = next((i, k // a[i]) for i in alg.slots(k) if not alg.has_power(i, k // a[i]))
     else:
         missing = next(((i, c - 1) for i, c in enumerate(conductor) if c > top), None)

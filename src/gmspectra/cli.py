@@ -53,15 +53,12 @@ def fmt_rational(value, decimal: bool = False) -> str:
     return text
 
 
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.BadParameter(f"expected an integer or p/q, got {text!r}") from exc
-
-
 def parse_threshold(text: str) -> Fraction:
-    tau = parse_rational(text)
+    try:
+        tau = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.BadParameter(f"expected an integer or p/q, got {text!r}",
+                                 param_hint="--threshold") from exc
     try:
         threshold_coefficient(tau)  # validate range before searching
     except ValueError as exc:

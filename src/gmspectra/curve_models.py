@@ -132,7 +132,8 @@ class HyperellipticModel(_FrameRead):
     def h0_frame(self, frame) -> list[int]:
         columns = frame.columns
         if len(columns) != len(self.tags):
-            raise ValueError(f"divisor needs {len(self.tags)} coefficients")
+            raise ValueError(f"divisor needs {len(self.tags)} coefficients, one per tag "
+                             f"of the hyperelliptic model, got {len(columns)}")
         g = self.genus
         canonical = 2 * g - 2
         weierstrass, pairs = self._groups

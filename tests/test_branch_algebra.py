@@ -924,3 +924,52 @@ def test_spectrum_matches_the_dense_read(m):
     top = m * alg.signature.ell
     dense = [(lam, alg.dim(top - lam)) for lam in range(top + 1)]
     assert inv.weight_spectrum(alg, m).entries == tuple((lam, d) for lam, d in dense if d)
+
+
+# ------------------------------------------- the closure stores only S
+
+
+@pytest.mark.parametrize("entry", [*catalog.entries(), *FAMILY_MEMBERS], ids=lambda e: e.id)
+def test_closure_stores_only_the_degrees_that_carry_a_slot(entry):
+    alg = entry.algebra()
+    ba.algebra_summary(alg)
+    ba.validate_G_conditions(alg, entry.dualizing_units)
+    for m in (1, 2, 3):
+        inv.weight_spectrum(alg, m)
+    assert all(alg.slots(k) for k in alg.graded_basis)
+
+
+def test_a_ring_certified_past_its_last_slot_stores_only_its_slots():
+    # a = (999, 1001): stable_from = 2003 and the stop at 2K + A - 1 = 5006,
+    # a degree with no slot; the eleven slot-carrying degrees up to it are stored
+    alg = t345((1000, 998))
+    report = ba.conductor_and_gorenstein(alg)
+    assert (report.conductor, report.delta, report.gorenstein) == ((3, 3), 5, False)
+    assert alg.stable_from == 2003
+    assert len(alg.graded_basis) == 11 and alg.degree_cap == 5005
+
+
+def test_a_ring_that_is_not_cofinite_stores_only_its_slots_up_to_D():
+    # a = (99, 101), A*T = 10302 and D = 20704: 210 multiples of 99 and 205
+    # of 101 up to D, three of them (0, 9999, 19998) shared
+    alg = ba.close(derive((100, 98)), [[(0, e, 1)] for e in (3, 4, 5)])
+    assert not ba.conductor_and_gorenstein(alg).conductor_bound_ok
+    assert alg.stable_from is None
+    assert len(alg.graded_basis) == 412
+    dims = ba.graded_dims(alg, 400)  # zero off the stored degrees
+    assert [k for k, d in enumerate(dims) if d] == [0, 297, 396]  # 1, t1^3, t1^4
+
+
+def test_a_stop_at_a_degree_with_no_slot_still_certifies_by_D():
+    # on (6, 4), a = (5, 7): A*T = 56 and D = 118, which carries no slot.  R
+    # misses t1^11 at degree 55 and nothing later, so K = 56 and the stop
+    # falls on D itself: the conductor is certified there, read first or not
+    sig = derive((6, 4))
+    gens = [[(0, e, 1)] for e in range(12, 24)] + [[(1, 1, 1)]]
+    fresh = ba.close(sig, gens)
+    reports = (ba.conductor_and_gorenstein(fresh), ba.validate_G_conditions(fresh))
+    assert fresh.stable_from == 56 and not fresh.slots(118)
+    assert reports[0].conductor == (12, 1) and not reports[0].conductor_bound_ok
+    assert "pure power t1^11 missing from the ring" in reports[1].notes
+    read = read_first(ba.close(sig, gens), 400)
+    assert (ba.conductor_and_gorenstein(read), ba.validate_G_conditions(read)) == reports

@@ -506,6 +506,21 @@ def test_five_ninths_genus_three():
     # in particular 7 < (1/3)*6*4 knocks out the (3,1) stratum
 
 
+@pytest.mark.parametrize("g", range(2, 9))
+def test_a_search_at_tau_is_the_search_at_three_eighths_filtered_by_alpha(g):
+    # X = (2g-2+n)*ell of the emitted signature, appended zeros included, so
+    # that chi2_log = chi1_log + X; without --dangling no row is lost to a
+    # prune or a screen that a higher tau makes stricter
+    def triples(candidates):
+        return {(c.signature, c.model, c.chi1_log) for c in candidates}
+
+    floor = alpha_search(g, threshold=Fraction(3, 8))
+    for tau in (Fraction(2, 5), Fraction(1, 2), FIVE_NINTHS, Fraction(2, 3)):
+        kept = [c for c in floor
+                if inv.alpha(c.chi1_log, c.chi1_log + _threshold_x(derive(c.signature))) >= tau]
+        assert triples(alpha_search(g, threshold=tau)) == triples(kept), tau
+
+
 # ----------------------------------------------------------------- dangling
 
 

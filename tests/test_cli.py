@@ -200,6 +200,11 @@ BAD_INPUTS = [
     (["filtration", "--signature", "4", "--model",
       '{"kind": "unibranch", "generators": [1000003, 1000033]}'],
      ["model genus at least 1000002", "signature genus 3"]),
+    # one divisor coefficient per point, against no tag at all
+    (["filtration", "--signature", "2", "--model", "hyperelliptic:"],
+     ["divisor needs 0 coefficients, one per tag of the hyperelliptic model, got 1"]),
+    *((["classify", command, "--genus", "4", "--threshold", text], ["--threshold", repr(text)])
+      for command in ("alpha", "semigroups") for text in ("1/0", "zebra")),
 ]
 
 
