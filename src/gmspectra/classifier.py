@@ -389,7 +389,9 @@ def _semigroup_record(H: sg.NumericalSemigroup, sig: Signature, coeff: Fraction,
     """H scored against c*x on the single-zero signature sig.
 
     chi1_log = g(2g-1) - sum of the g smallest elements, cross-checked by
-    summing the section-count filtration of H before it is returned.
+    summing the section-count filtration of H before it is returned: one
+    h0 frame read of the genus's shared ladder frame and one reduction over
+    its columns (runs_chi_log), with no per-run tuple built.
     """
     g = sig.genus
     total = H.element_sum

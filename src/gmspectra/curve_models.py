@@ -9,6 +9,8 @@ whose degrees are built with it and whose columns only on first read, so a
 model that reads the degree alone (Clifford-max) never builds them; a
 :class:`Batch` holds rows given outright.  That frame read is each model's
 only h0 formula; ``h0(divisor)`` is the point read, a one-row batch.
+A filtration is returned as columns, :class:`Runs`, whose bounds are the
+frame's own tuples.
 Models are used where no branch algebra is available: semigroup counts at
 a single point, tagged hyperelliptic closed forms, the Clifford-maximal
 profile, and finite override tables layered on any base model.  All of
@@ -20,7 +22,8 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from . import branch_algebra as ba
@@ -250,19 +253,28 @@ def model_from_spec(doc: dict, genus: int):
     )
 
 
-Run = tuple[int, int, int]  # (lam_lo, lam_hi, dim), inclusive bounds
+class Runs(NamedTuple):
+    """A filtration as columns: run r covers the levels starts[r]..ends[r]
+    (inclusive), each of dimension dims[r]; lengths[r] = ends[r] - starts[r] + 1.
+    Every column but dims is its ladder frame's own tuple."""
+
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
+    dims: tuple[int, ...]
+    lengths: tuple[int, ...]
 
 
-class LadderFrame(namedtuple("LadderFrame", "sig m starts ends degrees")):
+class LadderFrame(namedtuple("LadderFrame", "sig m starts ends lengths degrees")):
     """The model-free part of a filtration of (sig, m), degree first.
 
-    The runs of [0, m*ell] (ladder_runs) and, per run, the degree of the
-    divisor m*(m_i + 1) - ceil(lam/a_i) at its start: m(2g-2+n) less the
-    running count of branch steps.  The per-branch ``columns`` of those
-    divisors are built on first read, one pass per branch, and kept; a
-    model that reads only the degree never builds them.  Read-only fields
-    and tuples throughout, so no model can alter it for the next reader;
-    a named tuple, which costs far less at import than a dataclass.
+    The runs of [0, m*ell] (ladder_runs), their lengths and, per run, the
+    degree of the divisor m*(m_i + 1) - ceil(lam/a_i) at its start:
+    m(2g-2+n) less the running count of branch steps.  The per-branch
+    ``columns`` of those divisors are built on first read, one pass per
+    branch, and kept; a model that reads only the degree never builds them.
+    Read-only fields and tuples throughout, so no model can alter it for
+    the next reader; a named tuple, which costs far less at import than a
+    dataclass.
     """
 
     @cached_property
@@ -282,11 +294,12 @@ def _ladder_frame(sig: Signature, m: int) -> LadderFrame:
     starts, ends, steps = ladder_runs(sig, 0, m * sig.ell)
     top = m * (2 * sig.genus - 2 + sig.n)
     return LadderFrame(sig, m, tuple(starts), tuple(ends),
+                       tuple([hi - lo + 1 for lo, hi in zip(starts, ends)]),
                        tuple([top - s for s in accumulate(steps)]))
 
 
-def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[Run, ...]:
-    """Weight filtration levels lam = 0..m*ell as the ladder's runs.
+def filtration_dims(model, sig: Signature, m: int = 1) -> Runs:
+    """Weight filtration levels lam = 0..m*ell as the ladder's runs, in columns.
 
     Level lam holds the m-fold pluricanonical sections vanishing to ladder
     order, so its dimension is h0 of m*(m_i + 1) minus the ladder at lam.
@@ -297,9 +310,11 @@ def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[Run, ...]:
     built once per (signature, m) and reused by consecutive reads, so a
     semigroup search of one genus builds it once.  The model answers the
     frame in one ``h0_frame`` call: at most m(2g-2+n) + 1 rows whatever
-    ell is, with no per-level call.  The runs are the ladder's, unmerged,
-    the first at lam = 0; a level whose h0 exceeds the one before is a
-    ValueError naming it.
+    ell is, with no per-level call.  The result's starts, ends and lengths
+    are the frame's own tuples, not copies, and its dims one tuple of the
+    model's answers: the runs are the ladder's, unmerged, the first at
+    lam = 0.  A level whose h0 exceeds the one before is a ValueError
+    naming it.
     """
     if m < 1:
         raise ValueError("pluricanonical level m must be at least 1")
@@ -311,18 +326,20 @@ def filtration_dims(model, sig: Signature, m: int = 1) -> tuple[Run, ...]:
         r = next(r for r in range(1, len(dims)) if dims[r] > dims[r - 1])
         raise ValueError(f"filtration dimensions are not non-increasing: {dims[r]} at "
                          f"lam = {starts[r]} exceeds {dims[r - 1]} at lam = {ends[r - 1]}")
-    return tuple(zip(starts, ends, dims))
+    return Runs(starts, ends, tuple(dims), frame.lengths)
 
 
-def expand_runs(runs) -> tuple[int, ...]:
-    """The dense dimension sequence, one entry per level."""
-    return tuple(dim for lo, hi, dim in runs for _ in range(hi - lo + 1))
+def expand_runs(runs: Runs) -> tuple[int, ...]:
+    """The dense dimension sequence, one entry per level: each run's
+    dimension repeated over its length."""
+    return tuple(chain.from_iterable(map(repeat, runs.dims, runs.lengths)))
 
 
-def runs_chi_log(runs) -> int:
+def runs_chi_log(runs: Runs) -> int:
     """Sum of the dimensions over the levels lam >= 1, i.e. chi_m^log.
 
-    Runs from filtration_dims start at lam = 0, so this is the sum over all
-    levels less the lam = 0 dimension, which is that of the first run.
+    The runs of filtration_dims start at lam = 0, so this is the sum of
+    length times dimension over the runs, one C-level reduction, less the
+    lam = 0 dimension, which is that of the first run.
     """
-    return sum([(hi - lo + 1) * dim for lo, hi, dim in runs]) - runs[0][2]
+    return sum(map(mul, runs.lengths, runs.dims)) - runs.dims[0]

@@ -53,9 +53,10 @@ def weight_spectrum(source, m: int = 1, sig: Signature | None = None) -> WeightS
 
     Algebra route: N_{m,lam} = dim R_{m*ell - lam}, at any level m (a
     level past the computed degrees extends the closure), read only on the
-    degrees that carry a slot.  Model route: one pass over the runs of
-    filtration_dims (which refuses an increase), the drop from each run to
-    the next at its last level, kept where it is nonzero.
+    degrees that carry a slot.  Model route: the ends of the runs of
+    filtration_dims (which refuses an increase) zipped with their dims, the
+    drop from each run to the next at its last level, kept where it is
+    nonzero.
     """
     if m < 1:
         raise ValueError("pluricanonical level m must be at least 1")
@@ -66,8 +67,9 @@ def weight_spectrum(source, m: int = 1, sig: Signature | None = None) -> WeightS
     if sig is None:
         raise ValueError("model sources need the signature")
     runs = filtration_dims(source, sig, m)
-    return WeightSpectrum(m, tuple([(hi, dim - after) for (_, hi, dim), (_, _, after)
-                                    in zip(runs, runs[1:] + ((0, 0, 0),)) if dim > after]))
+    dims = runs.dims
+    return WeightSpectrum(m, tuple([(hi, dim - after) for hi, dim, after
+                                    in zip(runs.ends, dims, dims[1:] + (0,)) if dim > after]))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import gmspectra.branch_algebra as ba
+import gmspectra.semigroup as sg
 from gmspectra import catalog, cli
 from gmspectra.classifier import clifford_profile_chi1
 from gmspectra.signature import derive
@@ -382,6 +384,84 @@ def test_slope_at_large_ell():
     result = invoke("slope", "--signature", LARGE_ELL)
     assert result.exit_code == 0
     assert result.output == cli.fmt_rational(12 - Fraction(deficit, chi1)) + "\n"
+
+
+# --------------------------------------------------- filtration/slope fuzz
+
+SMALL = st.integers(-2, 12)
+GENERATORS = st.lists(st.integers(-1, 40), max_size=4)
+TAG = st.sampled_from(["w", "free", "pair:1", "pair:2", "pair:x", "bogus"])
+
+
+@st.composite
+def model_docs(draw, genus, n, depth=1):
+    """A model document of any kind, mostly of the signature's genus and
+    number of points, some with fields of the wrong type or value."""
+    near = st.sampled_from([genus, genus, genus, -1, 0, "3"])
+    tags = st.one_of(st.lists(TAG, min_size=n, max_size=n), st.lists(TAG, max_size=4))
+    kind = draw(st.sampled_from(["clifford-max", "unibranch", "hyperelliptic", "override"] * 3
+                                + ["mystery", 5]))
+    if kind == "unibranch":
+        known = [list(H.generators) for H in sg.enumerate_symmetric(genus)] if 1 <= genus <= 6 else []
+        gens = draw(st.sampled_from(known) | GENERATORS if known else GENERATORS)
+        return {"kind": kind, "generators": gens}
+    if kind == "hyperelliptic":
+        return {"kind": kind, "genus": draw(near), "tags": draw(tags)}
+    if kind == "override":
+        rows = st.lists(st.fixed_dictionaries({
+            "divisor": st.one_of(st.lists(SMALL, min_size=n, max_size=n),
+                                 st.lists(SMALL, max_size=3), SMALL),
+            "h0": st.one_of(SMALL, st.just("1"))}), max_size=3)
+        base = draw(model_docs(genus, n, depth - 1)) if depth else {"kind": "clifford-max",
+                                                                    "genus": genus}
+        return {"kind": kind, "base": base, "table": draw(rows)}
+    return {"kind": kind, "genus": draw(near)}
+
+
+@st.composite
+def model_specs(draw, genus, n):
+    """A --model value: a short spec, a JSON document, or malformed JSON."""
+    doc = json.dumps(draw(model_docs(genus, n)))
+    form = draw(st.sampled_from(["json"] * 3 + ["short", "cut", "bad"]))
+    if form == "short":
+        return draw(st.one_of(
+            st.just("clifford-max"),
+            GENERATORS.map(lambda gens: "unibranch:" + ",".join(map(str, gens))),
+            st.lists(TAG, max_size=4).map(lambda tags: "hyperelliptic:" + ",".join(tags))))
+    if form == "cut":
+        return doc[:-draw(st.integers(1, len(doc)))]
+    if form == "bad":
+        return draw(st.sampled_from(["{bad", "{}", "[]", '{"kind": "unibranch"}', "mystery", ""]))
+    return doc
+
+
+@st.composite
+def filtration_and_slope_calls(draw):
+    # mostly valid zero orders (non-negative, even sum), some that are not
+    if draw(st.integers(0, 3)):
+        orders = draw(st.lists(st.integers(0, 10), min_size=1, max_size=4))
+        orders += [1] * (sum(orders) % 2)
+    else:
+        orders = draw(st.lists(st.integers(-1, 12), min_size=1, max_size=4))
+    spec = draw(model_specs(sum(orders) // 2 + 1, len(orders)))
+    args = ["--signature", ",".join(map(str, orders)), "--model", spec]
+    if draw(st.booleans()):
+        return ["slope", *args]
+    return ["filtration", *args, "--m", str(draw(st.sampled_from([-1, 0, 1, 2, 3])))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(filtration_and_slope_calls())
+def test_filtration_and_slope_end_in_a_result_or_one_error_line(args):
+    start = time.perf_counter()
+    result = invoke(*args)
+    assert time.perf_counter() - start < 5, args
+    assert result.exit_code in (0, 2), (args, result.output, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), args
+    assert "Traceback" not in result.output, args
+    if result.exit_code == 2:
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1, (args, result.output)
 
 
 # ---------------------------------------------------------------- classify

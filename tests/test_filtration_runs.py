@@ -102,13 +102,17 @@ def test_runs_tile_the_levels(case):
     runs, _ = runs_or_refusal(model, sig, m)
     if runs is None:
         return
-    assert runs[0][0] == 0
-    assert runs[-1][1] == m * sig.ell
-    for (lo, hi, _), (next_lo, _, _) in zip(runs, runs[1:]):
+    starts, ends, dims, lengths = runs
+    assert starts[0] == 0
+    assert ends[-1] == m * sig.ell
+    assert len(starts) == len(ends) == len(dims) == len(lengths)
+    for lo, hi, length, next_lo in zip(starts, ends, lengths, starts[1:]):
         assert lo <= hi
         assert next_lo == hi + 1
-    assert [lo for lo, _, _ in runs] == ladder_runs(sig, 0, m * sig.ell)[0]
-    assert len(runs) <= m * (2 * sig.genus - 2 + sig.n) + 1
+        assert length == hi - lo + 1
+    assert lengths[-1] == ends[-1] - starts[-1] + 1
+    assert list(starts) == ladder_runs(sig, 0, m * sig.ell)[0]
+    assert len(starts) <= m * (2 * sig.genus - 2 + sig.n) + 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -119,6 +123,32 @@ def test_expanded_runs_equal_the_dense_filtration(case):
         return
     assert cm.expand_runs(runs) == dense
     assert cm.runs_chi_log(runs) == sum(dense[1:])
+
+
+def pinned_last_run(model, sig, m):
+    """The model with the divisor of the last level pinned one below its
+    value (at least 0): a lower last run keeps the filtration non-increasing."""
+    divisor = level_divisor(sig, m, m * sig.ell)
+    return cm.OverrideModel(model, ((divisor, max(0, model.h0(divisor) - 1)),))
+
+
+@pytest.mark.parametrize("orders", [(4,), (6,), (3, 3), (2, 2), (4, 0)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_runs_share_the_frame_columns_and_sum_to_the_dense_chi(orders, m):
+    sig = derive(orders)
+    models = models_for(sig)
+    models += [pinned_last_run(model, sig, m) for model in models]
+    kinds = {type(model) for model in models}
+    assert {cm.CliffordMaxModel, cm.HyperellipticModel, cm.OverrideModel} <= kinds
+    assert (cm.UnibranchModel in kinds) == (sig.n == 1)
+    for model in models:
+        runs = cm.filtration_dims(model, sig, m)
+        frame = cm._ladder_frame(sig, m)
+        assert runs.starts is frame.starts
+        assert runs.ends is frame.ends
+        assert runs.lengths is frame.lengths
+        assert all(type(column) is tuple for column in runs)
+        assert cm.runs_chi_log(runs) == sum(dense_reference(model, sig, m)[1:])
 
 
 @settings(max_examples=200, deadline=None)
@@ -161,6 +191,7 @@ def test_ladder_runs_and_frames_match_the_ladder(data):
     changes = ladder_changes(sig, 0, m * sig.ell)
     assert frame.ends == (*changes, m * sig.ell)
     assert frame.starts == (0, *(lam + 1 for lam in changes))
+    assert frame.lengths == tuple(hi - lo + 1 for lo, hi in zip(frame.starts, frame.ends))
     assert frame.columns == tuple(zip(*(
         [m * (order + 1) - step for order, step in zip(sig.orders, ladder(sig, lam))]
         for lam in frame.starts)))

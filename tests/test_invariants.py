@@ -225,6 +225,16 @@ def test_slope_weierstrass_series():
         assert inv.slope(chi1, chi2_log, sig) == expected
 
 
+@pytest.mark.parametrize("name", ["A", "A-odd", "D-odd", "D-even"])
+@pytest.mark.parametrize("g", range(2, 9))
+def test_hyperelliptic_family_slopes_follow_the_closed_form(name, g):
+    # Eskin-Kontsevich-Zorich: s = 8 + 4/g on the hyperelliptic components,
+    # read off the computed ring; zero-order points leave it unchanged
+    e = catalog.family(name, g=g)
+    for entry in (e, *(catalog.with_ordinary_points(e, k) for k in (1, 2, 3))):
+        assert inv.algebra_report(entry.algebra())["slope"] == 8 + Fraction(4, g), entry.id
+
+
 def test_alpha_slope_record():
     sig = derive((3, 1))
     rec = inv.alpha_slope_record(7, 31, sig)

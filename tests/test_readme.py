@@ -1,7 +1,16 @@
-"""The `$ gmspectra ...` examples in README.md print exactly what they show."""
+"""The examples in README.md compute exactly what they show.
 
+The `$ gmspectra ...` lines of its text blocks print the lines below them,
+and each statement of its Python block whose comment opens with a value
+(the comment up to its first ": ", or a comment line right below the
+statement) evaluates to that value.
+"""
+
+import ast
+import io
 import re
 import shlex
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -45,3 +54,45 @@ def test_readme_example(command, shown):
 
 def test_every_example_is_collected():
     assert len(EXAMPLES) == 8
+
+
+def library_statements():
+    """(statement, shown) for each top-level statement of the Python block;
+    shown is the head of its comment, or None where it has no comment."""
+    source = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    comments = {tok.start[0]: tok.string[1:].strip()
+                for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                if tok.type == tokenize.COMMENT}
+    body = ast.parse(source).body
+    starts = {stmt.lineno for stmt in body}
+    out = []
+    for stmt in body:
+        below = stmt.end_lineno + 1
+        comment = comments.get(stmt.end_lineno) or (
+            comments.get(below) if below not in starts else None)
+        out.append((stmt, comment and comment.split(": ")[0]))
+    return out
+
+
+def test_library_example_shows_what_it_computes():
+    namespace = {}
+    checked = []
+    for stmt, shown in library_statements():
+        if isinstance(stmt, ast.Expr):
+            actual = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            actual = namespace[stmt.targets[0].id] if isinstance(stmt, ast.Assign) else None
+        if shown is None:
+            continue
+        try:
+            expected = eval(shown, dict(namespace))
+        except (SyntaxError, NameError):  # prose, not a value
+            continue
+        assert actual == expected, (ast.unparse(stmt), shown)
+        checked.append(shown)
+    # gap sequence, chi1, chi2, alpha twice, the runs' columns, the dense
+    # sequence, chi1_log and the alpha_search loci
+    assert checked == ["[1, 1, 0, 1]", "7", "31", "Fraction(29, 60)", "Fraction(29, 60)",
+                       "((0, 1, 2), (0, 1, 2))", "(6, 3, 1)", "(6, 3, 1)", "4",
+                       "[(7, 3), (10,)]"]
