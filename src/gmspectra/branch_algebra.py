@@ -21,7 +21,7 @@ one lookup; and contains.  Membership and rank read rows off the map by
 pivot and never eliminate them again: only the vector, or the rows
 pivoting outside the positions, is reduced.  The conductor has one
 proof, the closure's certificate (_conductor), kept once found; the
-Gorenstein length test and the condition (G3) both read it.
+Gorenstein test sum(c_i) = 2*delta and the condition (G3) both read it.
 """
 
 from __future__ import annotations
@@ -388,9 +388,10 @@ def _conductor(alg: BranchAlgebra) -> tuple[int, ...] | None:
 
     Once certified, t_i^e lies in R whenever e*a_i >= stable_from, so c_i
     is found walking down from ceil(stable_from / a_i) with has_power,
-    once per algebra: the certified exponents are kept.  Without a
-    certificate the closure has already run to D, so a second call
-    computes no piece.
+    once per algebra: the certified exponents are kept.  The walk may
+    reach e = 0: t_i^0 = e_i lies in R only when n = 1, so a smooth branch
+    k[t] has c = 0.  Without a certificate the closure has already run to
+    D, so a second call computes no piece.
     """
     if alg._conductor is not None:
         return alg._conductor
@@ -401,7 +402,7 @@ def _conductor(alg: BranchAlgebra) -> tuple[int, ...] | None:
     conductor = []
     for i, a in enumerate(alg.signature.weights_a):
         c = -(-alg.stable_from // a)
-        while c > 1 and alg.has_power(i, c - 1):
+        while c > 0 and alg.has_power(i, c - 1):
             c -= 1
         conductor.append(c)
     alg._conductor = tuple(conductor)
@@ -411,7 +412,7 @@ def _conductor(alg: BranchAlgebra) -> tuple[int, ...] | None:
 @dataclass(frozen=True)
 class ConductorReport:
     conductor: tuple[int, ...]  # per-branch exponents c_i
-    quotient_length: int  # dim of R modulo the pure-monomial ideal
+    quotient_length: int | None  # len(R/c) = sum(c_i) - delta, once delta is known
     gorenstein: bool
     conductor_bound_ok: bool  # certified, and every c_i <= max(m)+2
     delta: int
@@ -422,26 +423,23 @@ def conductor_and_gorenstein(alg: BranchAlgebra) -> ConductorReport:
 
     R is Gorenstein exactly when len(R/c) = delta (Serre, Groupes
     algebriques et corps de classes, IV 11), so the conductor is the one
-    _conductor proves.  conductor_bound_ok says it is proven and every c_i
-    is at most max(m)+2, which is also when the summed gap sequence is
-    delta (see delta_and_genus).  A ring with no certificate reports
-    c_i = max(m)+3 on every branch, a value never proven, and is not
-    Gorenstein; its length test still reads those values.
+    _conductor proves.  Lengths add along the normalization Rbar ⊇ R ⊇ c,
+    and Rbar/c = prod_i k[t_i]/(t_i^c_i) has length sum(c_i), so
+    len(R/c) = sum(c_i) - delta and the test reads sum(c_i) = 2*delta.
+    conductor_bound_ok says the conductor is proven and every c_i is at
+    most max(m)+2, which is also when the summed gap sequence is delta
+    (see delta_and_genus); otherwise quotient_length is None.  A ring with
+    no certificate reports c_i = max(m)+3 on every branch, a value never
+    proven, and is not Gorenstein.
     """
     sig = alg.signature
-    a = sig.weights_a
     top = sig.orders[0] + 2
     conductor = _conductor(alg)
     bound_ok = conductor is not None and max(conductor) <= top
     if conductor is None:
         conductor = (top + 1,) * sig.n
     delta, _ = delta_and_genus(alg)
-    k_top = max(a[i] * c for i, c in enumerate(conductor))
-    length = 0
-    for k in alg.degrees(k_top):
-        sl = alg.slots(k)
-        outside = [pos for pos, i in enumerate(sl) if k // a[i] < conductor[i]]
-        length += alg.rank(k, outside)  # dim R_k minus its part in c
+    length = sum(conductor) - delta if bound_ok else None
     return ConductorReport(
         conductor=conductor,
         quotient_length=length,
