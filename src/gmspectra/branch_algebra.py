@@ -11,10 +11,13 @@ exact and runs on Python ints alone.  A generator is given as
 integer coefficients: generator() validates the terms and scales the
 rational coefficients once to an integer vector on the same line, as it
 does for membership vectors; dualizing units are scaled the same way.
-Only the degrees that carry a slot, S = union of the a_i*N, are computed
-and stored, each piece as its _rref map {pivot column: row}, built from a
-lazy product stream that is not read once the piece is full; R_k = 0 off S
-reads as the empty map.
+Only the degrees that carry a slot, S = union of the a_i*N, are walked,
+computed and stored, each piece as its _rref map {pivot column: row}, built
+from a lazy product stream that is not read once the piece is full; R_k = 0
+off S reads as the empty map.  The walk jumps over the degrees with no
+slot, so its work follows the stored pieces, not ell.  Past the
+certificate bound D, a ring with no certificate is refused once it holds
+CLOSURE_PIECE_BOUND pieces.
 Everything downstream reads the graded bases through one reader:
 degrees(top), the slot-carrying degrees; rank(k, positions); has_power,
 one lookup; and contains.  Membership and rank read rows off the map by
@@ -36,6 +39,10 @@ from .signature import Signature, derive
 
 Generator = tuple[int, dict[int, int]]  # (degree, {branch: coefficient})
 Piece = dict[int, tuple[int, ...]]  # {pivot column: row}, see _rref
+
+# a piece past the certificate bound D (see _certificate_bound) is refused
+# once the closure holds this many: only a ring with no certificate gets there
+CLOSURE_PIECE_BOUND = 10**5
 
 
 def generator(sig: Signature, terms) -> Generator:
@@ -179,33 +186,54 @@ class BranchAlgebra:
 
         The closure tracks K = _full_from, one past the last piece that is
         not full (1 before any: degree 0 never starts a run), and stops at
-        the first degree k >= 2K + max_i a_i - 1, recording stable_from = K.
-        K moves only at a slot-carrying degree and the stop is tested at
-        every degree, so both are those of a walk that stores every piece.
-        A stop tested only at slot-carrying degrees could fall up to
-        max_i a_i - 1 degrees later, past D (see _conductor): on (6, 4),
-        a = (5, 7), K = 56 = A*T stops at D = 118, which carries no slot.
+        the first degree k >= 2K + A - 1, A = max_i a_i, slot or not,
+        recording stable_from = K.  The walk steps from a slot-carrying
+        degree to the next degree and jumps from one with no slot to the
+        least next multiple of any a_i.  K moves only at a computed piece,
+        so a jump over [k, next) passes the stop exactly when
+        next > 2K + A - 1: the walk goes on only while it has not, and one
+        test after it places the stop.  Stop, K and stored pieces are those
+        of a walk through every degree, while the work and the slots()
+        cache follow the pieces, not ell.  A stop tested only at
+        slot-carrying degrees could fall up to A - 1 degrees later, past D
+        (see _conductor): on (6, 4), a = (5, 7), K = 56 = A*T stops at
+        D = 118, which carries no slot.  A call with top <= degree_cap
+        computes and certifies nothing.
+
+        Past D = 2*A*T + A - 1, where every certificate _conductor uses has
+        fired, a piece is computed only while fewer than
+        CLOSURE_PIECE_BOUND are stored: a ring with no certificate read far
+        out is a ValueError, not one stored piece per degree read.
 
         Proof that R_k is full for every k >= K: take branch i and
         E = ceil(K / a_i).  Every e in [E, 2E) has K <= e*a_i < 2K + a_i, so
         t_i^e lies in R.  Since t_i^e = t_i^E * t_i^(e-E), induction on e puts
         every t_i^e with e >= E in R, and each slot i of a degree k >= K has
         exponent k / a_i >= E.  A ring that is not cofinite never gets a
-        certificate, so every slot-carrying degree read is computed.
+        certificate, so every slot-carrying degree read is computed, up to
+        the piece bound.
         """
-        if self.stable_from is not None:
+        if self.stable_from is not None or top <= self.degree_cap:
             return
-        basis = self.graded_basis
-        step = max(self.signature.weights_a) - 1
-        for k in range(self.degree_cap + 1, top + 1):
+        basis, a = self.graded_basis, self.signature.weights_a
+        step = max(a) - 1
+        _, last = _certificate_bound(self.signature)
+        k = self.degree_cap + 1
+        while k <= top and k <= 2 * self._full_from + step:
             sl = self.slots(k)
-            if sl:
-                basis[k] = _rref(self._products(k, sl), len(sl))
-                if len(basis[k]) < len(sl):
-                    self._full_from = k + 1
-            if k >= 2 * self._full_from + step:
-                self.stable_from = self._full_from
-                return
+            if not sl:
+                k = min(-(-k // x) * x for x in a)
+                continue
+            if k > last and len(basis) >= CLOSURE_PIECE_BOUND:
+                raise ValueError(f"{self.signature} has no certificate by degree D = {last}; "
+                                 f"closing it to degree {k} would store more than "
+                                 f"{CLOSURE_PIECE_BOUND} pieces")
+            basis[k] = _rref(self._products(k, sl), len(sl))
+            if len(basis[k]) < len(sl):
+                self._full_from = k + 1
+            k += 1
+        if 2 * self._full_from + step < min(k, top + 1):
+            self.stable_from = self._full_from
 
     def _products(self, k: int, sl: tuple[int, ...]):
         """Each generator times each row of R_{k-d}, on the slots sl of k: a

@@ -33,6 +33,10 @@ from .signature import Signature, ladder_runs
 Divisor = Sequence[int]
 Columns = Sequence[Sequence[int]]  # one coefficient list per marked point
 
+# a ladder frame has at most m(2g-2+n) + 1 rows whatever ell is; a frame
+# that could have more is refused before its runs are built
+FRAME_ROW_BOUND = 10**6
+
 
 class Batch(NamedTuple):
     """A frame of rows given outright."""
@@ -290,9 +294,13 @@ class LadderFrame(namedtuple("LadderFrame", "sig m starts ends lengths degrees")
 def _ladder_frame(sig: Signature, m: int) -> LadderFrame:
     """The frame of (sig, m).  Only the last frame is kept, so consecutive
     reads of one (signature, m) share it, its columns included, and a
-    change of either rebuilds it."""
-    starts, ends, steps = ladder_runs(sig, 0, m * sig.ell)
+    change of either rebuilds it.  More than FRAME_ROW_BOUND possible rows
+    is a ValueError."""
     top = m * (2 * sig.genus - 2 + sig.n)
+    if top + 1 > FRAME_ROW_BOUND:
+        raise ValueError(f"the ladder frame of {sig} at m = {m} has up to {top + 1} rows, "
+                         f"beyond the frame row bound {FRAME_ROW_BOUND}")
+    starts, ends, steps = ladder_runs(sig, 0, m * sig.ell)
     return LadderFrame(sig, m, tuple(starts), tuple(ends),
                        tuple([hi - lo + 1 for lo, hi in zip(starts, ends)]),
                        tuple([top - s for s in accumulate(steps)]))

@@ -959,7 +959,9 @@ def test_spectrum_matches_the_dense_read(m):
 
 
 @pytest.mark.parametrize("entry", [*catalog.entries(), *FAMILY_MEMBERS], ids=lambda e: e.id)
-def test_closure_stores_only_the_degrees_that_carry_a_slot(entry):
+def test_closure_stores_only_the_degrees_that_carry_a_slot(entry, monkeypatch):
+    # with no piece allowed past D: each of these rings is certified by D
+    monkeypatch.setattr(ba, "CLOSURE_PIECE_BOUND", 1)
     alg = entry.algebra()
     ba.algebra_summary(alg)
     ba.validate_G_conditions(alg, entry.dualizing_units)
@@ -1002,3 +1004,58 @@ def test_a_stop_at_a_degree_with_no_slot_still_certifies_by_D():
     assert "pure power t1^11 missing from the ring" in reports[1].notes
     read = read_first(ba.close(sig, gens), 400)
     assert (ba.conductor_and_gorenstein(read), ba.validate_G_conditions(read)) == reports
+
+
+# ------------------------------------------------ the closure walks S, not ell
+
+
+def test_the_closure_walk_does_not_grow_with_ell(monkeypatch):
+    # ell = 9,999 / 999,999 / 99,999,999: the same pieces, slots() calls and
+    # cache entries at each; a walk through every degree up to the stop at
+    # 2K + A - 1 made 524 / 5,024 / 50,024 calls
+    calls = []
+    slots = ba.BranchAlgebra.slots
+    monkeypatch.setattr(ba.BranchAlgebra, "slots",
+                        lambda self, k: calls.append(k) or slots(self, k))
+    work = set()
+    for orders, stable_from, degree_cap in [((100, 98), 203, 505), ((1000, 998), 2003, 5005),
+                                            ((10000, 9998), 20003, 50005)]:
+        calls.clear()
+        alg = t345(orders)
+        work.add((len(calls), len(alg._slots)))
+        assert (len(alg.graded_basis), alg.stable_from, alg.degree_cap) == (
+            11, stable_from, degree_cap)
+        assert ba.conductor_and_gorenstein(alg).conductor == (3, 3)
+    assert len(work) == 1
+
+
+def test_a_stop_inside_a_run_of_degrees_with_no_slot_matches_the_dense_closure():
+    # a = (99, 101): K = 203 and the stop at 2K + A - 1 = 506 falls inside
+    # the degrees 506..593 with no slot, which the walk jumps over at once
+    alg = t345((100, 98))
+    sig = alg.signature
+    ref = dense_close(sig, [[(i, e, 1)] for i in range(2) for e in (3, 4, 5)], ba.window(sig))
+    assert all(alg.basis(k) == ref.basis(k) for k in range(alg.degree_cap + 1))
+    short = [k for k in range(ba.window(sig) + 1) if ref.dim(k) < len(ref.slots(k))]
+    assert alg.stable_from == short[-1] + 1 == 203
+    ref.stable_from = alg.stable_from  # the dense closure is full from 203 to W
+    assert ba.conductor_and_gorenstein(alg) == ba.conductor_and_gorenstein(ref)
+
+
+def test_a_read_past_D_without_a_certificate_is_refused_at_the_piece_bound(monkeypatch):
+    # k[t^2] on (2), a = (1,): no certificate by D = 8, one piece per degree
+    monkeypatch.setattr(ba, "CLOSURE_PIECE_BOUND", 40)
+    alg = ba.close(derive((2,)), [[(0, 2, 1)]])
+    assert not ba.conductor_and_gorenstein(alg).conductor_bound_ok  # it reads up to D only
+    assert (alg.dim(38), alg.dim(39)) == (1, 0)  # the 40 pieces at degrees 0..39
+    with pytest.raises(ValueError, match=r"^\(2\) has no certificate by degree D = 8; "
+                                         r"closing it to degree 40 would store more than "
+                                         r"40 pieces$"):
+        alg.dim(40)
+    assert len(alg.graded_basis) == 40
+
+
+def test_a_certified_ring_reads_far_past_the_piece_bound():
+    alg = catalog.get("E7").algebra()
+    assert alg.dim(10**6) == len(alg.slots(10**6))
+    assert len(alg.graded_basis) < 100

@@ -15,6 +15,7 @@ import gmspectra.semigroup as sg
 from gmspectra import catalog, cli
 from gmspectra.classifier import clifford_profile_chi1
 from gmspectra.signature import derive
+from test_branch_algebra import closures
 
 runner = CliRunner()
 
@@ -207,6 +208,9 @@ BAD_INPUTS = [
      ["divisor needs 0 coefficients, one per tag of the hyperelliptic model, got 1"]),
     *((["classify", command, "--genus", "4", "--threshold", text], ["--threshold", repr(text)])
       for command in ("alpha", "semigroups") for text in ("1/0", "zebra")),
+    # the m = 2 ladder frame may have 2(2g - 2 + n) + 1 rows: refused before it is built
+    (["slope", "--signature", "799998"],
+     ["ladder frame of (799998) at m = 2", "1599999 rows", "frame row bound 1000000"]),
 ]
 
 
@@ -317,6 +321,17 @@ def test_ring_that_is_not_cofinite_is_not_gorenstein(tmp_path):
     assert "gorenstein: False\n" in result.output
     keys = {line.split(":")[0] for line in result.output.splitlines()}
     assert not keys & {"delta", "genus", "alpha", "slope"}
+
+
+def test_a_ring_that_is_not_cofinite_read_far_out_is_refused_at_the_piece_bound(tmp_path):
+    # k[t^2] on (2) up to level 333333 is within the printed bound, but has
+    # no certificate: one piece per degree, refused at the closure's bound
+    path = tmp_path / "t2.json"
+    path.write_text(json.dumps({"signature": [2], "generators": [
+        {"monomials": [{"branch": 0, "exp": 2, "coeff": "1"}]}]}))
+    result = invoke("invariants", "--input", str(path), "--m", "333333")
+    assert_usage_error(result, "(2) has no certificate by degree D = 8",
+                       f"more than {ba.CLOSURE_PIECE_BOUND} pieces")
 
 
 def test_elliptic_12_input_reports_without_alpha(tmp_path):
@@ -462,6 +477,57 @@ def test_filtration_and_slope_end_in_a_result_or_one_error_line(args):
     if result.exit_code == 2:
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1, (args, result.output)
+
+
+
+# ---------------------------------------------------------- invariants fuzz
+
+@st.composite
+def algebra_documents(draw):
+    """The rings of the closure tests as algebra documents: n <= 3, zero
+    orders allowed, 0-5 generators with rational coefficients, two in three
+    with consecutive pure powers per branch, so that many are certified;
+    one in four has one field broken."""
+    sig, gens, *_ = draw(closures())
+    orders, n, a = list(sig.orders), sig.n, sig.weights_a
+    doc = {"signature": orders, "generators": [
+        {"monomials": [{"branch": b, "exp": e, "coeff": str(c)} for b, e, c in terms]}
+        for terms in gens]}
+    if draw(st.integers(0, 3)):
+        return doc
+    broken = draw(st.sampled_from(["type", "1/0", "branch", "homogeneous"]))
+    if broken == "type":
+        field = draw(st.sampled_from(["signature", "generators", "branch", "exp", "coeff"]))
+        if field in ("signature", "generators") or not gens:
+            doc[field if field in doc else "signature"] = ",".join(map(str, orders))
+        else:
+            monomial = draw(st.sampled_from(doc["generators"]))["monomials"][0]
+            monomial[field] = {"branch": float, "exp": str, "coeff": list}[field](monomial[field])
+    elif broken == "homogeneous" and n > 1:  # t1 and a power of t2 of a higher degree
+        doc["generators"].append({"monomials": [
+            {"branch": 0, "exp": 1, "coeff": "1"},
+            {"branch": 1, "exp": a[0] // a[1] + 1, "coeff": "1"}]})
+    else:
+        doc["generators"].append({"monomials": [
+            {"branch": n if broken == "branch" else 0, "exp": 1,
+             "coeff": "1/0" if broken == "1/0" else "1"}]})
+        if broken == "homogeneous":  # one branch: an exponent below 1 instead
+            doc["generators"][-1]["monomials"][0]["exp"] = 0
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebra_documents(), st.sampled_from(["1", "1,2", "2,3"]))
+def test_invariants_input_ends_in_a_result_or_one_error_line(tmp_path_factory, doc, levels):
+    path = tmp_path_factory.mktemp("fuzz") / "algebra.json"
+    path.write_text(json.dumps(doc))
+    result = invoke("invariants", "--input", str(path), "--m", levels)
+    assert result.exit_code in (0, 2), (doc, result.output, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), doc
+    assert "Traceback" not in result.output, doc
+    if result.exit_code == 2:
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1, (doc, result.output)
 
 
 # ---------------------------------------------------------------- classify

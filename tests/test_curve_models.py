@@ -269,6 +269,28 @@ def test_the_frame_is_immutable():
         frame.starts = ()
 
 
+def test_a_frame_beyond_the_row_bound_is_refused_before_its_runs(monkeypatch):
+    runs = []
+    ladder_runs = cm.ladder_runs
+    monkeypatch.setattr(cm, "ladder_runs", lambda *args: runs.append(args) or ladder_runs(*args))
+    cm._ladder_frame.cache_clear()
+    # on (799998), m(2g - 2 + n) + 1 = 1599999 at m = 2, whatever the runs are
+    sig = derive((799998,))
+    with pytest.raises(ValueError, match=r"of \(799998\) at m = 2 has up to 1599999 rows, "
+                                         r"beyond the frame row bound 1000000"):
+        cm.filtration_dims(cm.CliffordMaxModel(sig.genus), sig, 2)
+    # at ell = 100280245065 the m = 2 frame may have 317 rows and has 299
+    sig = derive((30, 28, 22, 18, 16, 12, 10, 6, 4, 2))
+    model = cm.CliffordMaxModel(sig.genus)
+    monkeypatch.setattr(cm, "FRAME_ROW_BOUND", 316)
+    with pytest.raises(ValueError, match="up to 317 rows, beyond the frame row bound 316"):
+        cm.filtration_dims(model, sig, 2)
+    assert runs == []
+    monkeypatch.setattr(cm, "FRAME_ROW_BOUND", 317)
+    assert len(cm.filtration_dims(model, sig, 2).starts) == 299
+    assert len(runs) == 1
+
+
 def test_degree_only_reads_build_no_column(monkeypatch):
     """Clifford-max filtrations and spectra read the frame's degrees alone;
     a column reader builds the columns once per frame."""
