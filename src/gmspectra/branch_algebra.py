@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import gcd, lcm
 
 from .signature import Signature, derive
@@ -179,6 +179,16 @@ class BranchAlgebra:
             self._slots[r] = tuple(i for i in range(self.signature.n) if r % a[i] == 0)
         return self._slots[r]
 
+    @cached_property
+    def _span(self) -> int | None:
+        """M = max_i d_i, where d_i is the least degree of a generator with a
+        nonzero coefficient on branch i; None when some branch has none."""
+        least = {}
+        for d, coeffs in self.generators:
+            for i in coeffs:
+                least[i] = min(d, least.get(i, d))
+        return max(least.values()) if len(least) == self.signature.n else None
+
     def _close_to(self, top: int) -> None:
         """Compute R_k up to top at the degrees that carry a slot, stopping for
         good once certified; a degree with no slot is neither computed nor
@@ -186,18 +196,16 @@ class BranchAlgebra:
 
         The closure tracks K = _full_from, one past the last piece that is
         not full (1 before any: degree 0 never starts a run), and stops at
-        the first degree k >= 2K + A - 1, A = max_i a_i, slot or not,
-        recording stable_from = K.  The walk steps from a slot-carrying
-        degree to the next degree and jumps from one with no slot to the
-        least next multiple of any a_i.  K moves only at a computed piece,
-        so a jump over [k, next) passes the stop exactly when
-        next > 2K + A - 1: the walk goes on only while it has not, and one
-        test after it places the stop.  Stop, K and stored pieces are those
-        of a walk through every degree, while the work and the slots()
-        cache follow the pieces, not ell.  A stop tested only at
-        slot-carrying degrees could fall up to A - 1 degrees later, past D
-        (see _conductor): on (6, 4), a = (5, 7), K = 56 = A*T stops at
-        D = 118, which carries no slot.  A call with top <= degree_cap
+        the first degree past K + M - 1, slot or not, recording
+        stable_from = K; M = _span is the largest of the least generator
+        degrees d_i touching each branch i.  The walk steps from a
+        slot-carrying degree to the next degree and jumps from one with no
+        slot to the least next multiple of any a_i.  K moves only at a
+        computed piece, so a jump over [k, next) passes the stop exactly
+        when next > K + M - 1: the walk goes on only while it has not, and
+        one test after it places the stop.  Stop, K and stored pieces are
+        those of a walk through every degree, while the work and the slots()
+        cache follow the pieces, not ell.  A call with top <= degree_cap
         computes and certifies nothing.
 
         Past D = 2*A*T + A - 1, where every certificate _conductor uses has
@@ -205,21 +213,29 @@ class BranchAlgebra:
         CLOSURE_PIECE_BOUND are stored: a ring with no certificate read far
         out is a ValueError, not one stored piece per degree read.
 
-        Proof that R_k is full for every k >= K: take branch i and
-        E = ceil(K / a_i).  Every e in [E, 2E) has K <= e*a_i < 2K + a_i, so
-        t_i^e lies in R.  Since t_i^e = t_i^E * t_i^(e-E), induction on e puts
-        every t_i^e with e >= E in R, and each slot i of a degree k >= K has
-        exponent k / a_i >= E.  A ring that is not cofinite never gets a
-        certificate, so every slot-carrying degree read is computed, up to
-        the piece bound.
+        Proof that R_k is full for every k >= K once every R_k with
+        K <= k <= K + M - 1 is, by induction on k.  For k >= K + M and a
+        slot i of k, take a generator of degree d_i <= M with coefficient
+        c_i != 0 on branch i.  a_i divides d_i, so k - d_i >= K carries
+        slot i; R_{k-d_i} is full and holds e_i*t_i^((k-d_i)/a_i), and that
+        times the generator is c_i*e_i*t_i^(k/a_i).  So every slot of R_k
+        lies in it.  (This is the numerical-semigroup fact that m
+        consecutive elements from the conductor on, m the multiplicity,
+        give every larger integer.)
+
+        Full pieces on [K, K + A), A = max_i a_i, force M < K + A: a
+        product has a nonzero coefficient on branch i only if each factor
+        has, so R_k is zero on slot i for 0 < k < d_i, and [K, K + a_i)
+        holds a positive multiple of a_i.  A ring with an untouched branch
+        (no M) is not cofinite and never gets a certificate, so every
+        slot-carrying degree read is computed, up to the piece bound.
         """
         if self.stable_from is not None or top <= self.degree_cap:
             return
-        basis, a = self.graded_basis, self.signature.weights_a
-        step = max(a) - 1
+        basis, a, span = self.graded_basis, self.signature.weights_a, self._span
         _, last = _certificate_bound(self.signature)
         k = self.degree_cap + 1
-        while k <= top and k <= 2 * self._full_from + step:
+        while k <= top and (span is None or k < self._full_from + span):
             sl = self.slots(k)
             if not sl:
                 k = min(-(-k // x) * x for x in a)
@@ -232,7 +248,7 @@ class BranchAlgebra:
             if len(basis[k]) < len(sl):
                 self._full_from = k + 1
             k += 1
-        if 2 * self._full_from + step < min(k, top + 1):
+        if span is not None and self._full_from + span <= min(k, top + 1):
             self.stable_from = self._full_from
 
     def _products(self, k: int, sl: tuple[int, ...]):
@@ -352,25 +368,39 @@ def graded_dims(alg: BranchAlgebra, top: int) -> tuple[int, ...]:
 
 
 def _gap_sequence_full(alg: BranchAlgebra) -> tuple[int, ...]:
-    """Codimensions of the leading-coefficient spaces at orders 1..max(m)+2."""
+    """Codimensions alpha_j of the leading-coefficient spaces at orders
+    j = 1..T, T = max(m)+2.
+
+    Order j reads R_k at each k = j*a_i: the order-j coefficients of the
+    elements vanishing below order j have rank rank(below + level) -
+    rank(below), where below and level are the slots of k with exponent
+    k/a_i < j and = j, and alpha_j sums |level| minus that rank.  A full
+    piece adds 0, so one pass reads only the stored pieces at
+    0 < k <= A*T (A = max_i a_i) that are not full, at each exponent
+    j <= T of their slots.  The closure is first taken to A*T, which after
+    close() computes nothing: close() has computed every degree up to
+    A*T <= W, or certified that every later piece is full.
+    """
     if alg._gap_full is not None:
         return alg._gap_full
     sig = alg.signature
-    a = sig.weights_a
-    n = sig.n
-    top = sig.orders[0] + 2
-    alphas = []
-    for j in range(1, top + 1):
-        rank = 0
-        for k in sorted({j * a[i] for i in range(n)}):
-            # the order-j coefficients of the elements vanishing below order j:
-            # their rank is the rank over below + level minus that over below
-            sl = alg.slots(k)
-            below = [pos for pos, i in enumerate(sl) if k // a[i] < j]
-            level = [pos for pos, i in enumerate(sl) if k // a[i] == j]
-            rank += alg.rank(k, below + level) - alg.rank(k, below)
-        alphas.append(n - rank)
-    alg._gap_full = tuple(alphas)
+    a, top = sig.weights_a, sig.orders[0] + 2
+    start, _ = _certificate_bound(sig)
+    alg._close_to(start)
+    alphas = [0] * (top + 1)
+    for k, piece in alg.graded_basis.items():  # ascending
+        if k > start:
+            break
+        sl = alg.slots(k)
+        if not k or len(piece) == len(sl):
+            continue
+        exps = [k // a[i] for i in sl]
+        for j in set(exps):
+            if j <= top:
+                below = [pos for pos, e in enumerate(exps) if e < j]
+                level = [pos for pos, e in enumerate(exps) if e == j]
+                alphas[j] += len(level) - alg.rank(k, below + level) + alg.rank(k, below)
+    alg._gap_full = tuple(alphas[1:])
     return alg._gap_full
 
 
@@ -409,10 +439,11 @@ def _conductor(alg: BranchAlgebra) -> tuple[int, ...] | None:
     Proof that None means some c_i exceeds T: if every c_i <= T, each slot
     i of a degree k >= A*T has exponent k/a_i >= T >= c_i, so every R_k
     with k >= A*T is full.  The full run through D then starts at some
-    K <= A*T, and the stop rule of BranchAlgebra._close_to fires by
-    2K + A - 1 <= D.  Since W >= A*T, D <= 2W + A - 1.  A certificate with
-    stable_from > A*T fires past D, found only by a later read: it is not
-    used, so the answer does not depend on what was read before.
+    K <= A*T, so M < K + A (see BranchAlgebra._close_to) and its stop
+    fires by K + M - 1 < 2K + A - 1 <= D.  Since W >= A*T,
+    D <= 2W + A - 1.  A certificate with stable_from > A*T may be found
+    only by a later read past D: it is not used, so the answer does not
+    depend on what was read before.
 
     Once certified, t_i^e lies in R whenever e*a_i >= stable_from, so c_i
     is found walking down from ceil(stable_from / a_i) with has_power,
@@ -568,16 +599,18 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
     if not g3:
         notes.append(f"pure power t{missing[0] + 1}^{missing[1]} missing from the ring")
 
-    g4 = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            terms = [
-                (i, sig.orders[i] + 1, units[j]),
-                (j, sig.orders[j] + 1, -units[i]),
-            ]
-            if not alg.contains(terms):
-                g4 = False
-                notes.append(f"dualizing pair test fails for branches ({i}, {j})")
+    # (G4): with x_i = t_i^(m_i+1) e_i, all in R_ell, the pair (i, j) is
+    # u_i*u_j*(x_i/u_i - x_j/u_j), a combination of the consecutive pairs
+    # (k, k+1) with i <= k < j: all pairs lie in R iff those n - 1 do, and
+    # only a failure scans every pair, so the notes name each failing one
+    def pair_in_ring(i, j):
+        return alg.contains([(i, sig.orders[i] + 1, units[j]),
+                             (j, sig.orders[j] + 1, -units[i])])
+
+    g4 = all(pair_in_ring(i, i + 1) for i in range(n - 1))
+    if not g4:
+        notes += [f"dualizing pair test fails for branches ({i}, {j})"
+                  for i in range(n) for j in range(i + 1, n) if not pair_in_ring(i, j)]
 
     full = _gap_sequence_full(alg)
     maxm = sig.orders[0]

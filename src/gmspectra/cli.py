@@ -497,6 +497,7 @@ def slope(sig_text, model_spec, entry_id, decimal):
     """Slope of the one-parameter family attached to a model."""
     sig, model = resolve_model(entry_id, sig_text, model_spec,
                                "give --signature (with --model) or --catalog")
+    cm.frame_top(sig, 2)  # the larger frame is refused before the m = 1 one is built
     chi1 = cm.runs_chi_log(cm.filtration_dims(model, sig, 1))
     chi2_log = cm.runs_chi_log(cm.filtration_dims(model, sig, 2))
     click.echo(fmt_rational(inv.slope(chi1, chi2_log, sig), decimal))

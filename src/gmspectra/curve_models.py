@@ -290,16 +290,24 @@ class LadderFrame(namedtuple("LadderFrame", "sig m starts ends lengths degrees")
                      for top, a in zip(tops, sig.weights_a))
 
 
+def frame_top(sig: Signature, m: int) -> int:
+    """m(2g-2+n), the degree at lam = 0 of the frame of (sig, m), which has
+    at most that plus one rows; more than FRAME_ROW_BOUND is a ValueError,
+    raised before any run is built."""
+    top = m * (2 * sig.genus - 2 + sig.n)
+    if top + 1 > FRAME_ROW_BOUND:
+        raise ValueError(f"the ladder frame of {sig} at m = {m} has up to {top + 1} rows, "
+                         f"beyond the frame row bound {FRAME_ROW_BOUND}")
+    return top
+
+
 @lru_cache(maxsize=1)
 def _ladder_frame(sig: Signature, m: int) -> LadderFrame:
     """The frame of (sig, m).  Only the last frame is kept, so consecutive
     reads of one (signature, m) share it, its columns included, and a
     change of either rebuilds it.  More than FRAME_ROW_BOUND possible rows
-    is a ValueError."""
-    top = m * (2 * sig.genus - 2 + sig.n)
-    if top + 1 > FRAME_ROW_BOUND:
-        raise ValueError(f"the ladder frame of {sig} at m = {m} has up to {top + 1} rows, "
-                         f"beyond the frame row bound {FRAME_ROW_BOUND}")
+    is a ValueError (frame_top)."""
+    top = frame_top(sig, m)
     starts, ends, steps = ladder_runs(sig, 0, m * sig.ell)
     return LadderFrame(sig, m, tuple(starts), tuple(ends),
                        tuple([hi - lo + 1 for lo, hi in zip(starts, ends)]),

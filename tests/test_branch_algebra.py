@@ -846,7 +846,8 @@ def test_no_conductor_means_no_certificate():
     assert read_first(ba.close(sig, [[(0, 2, 1), (1, 1, 1)]]), far).stable_from is None
     assert read_first(ba.close(sig, [[(0, 2, 1)], [(0, 3, 1)]]), far).stable_from is None
     assert read_first(ba.close(sig, []), far).stable_from is None
-    assert alg31().stable_from is None  # the window W = 10 ends before the stop at 11
+    # certified inside the window W = 10: K = 5 and M = 2 stop at K + M - 1 = 6
+    assert alg31().stable_from == 5
     gens = [[(0, 2, 1), (1, 1, 1)], [(0, 3, 1)]]
     assert read_first(ba.close(sig, gens), 16).stable_from == 5  # t1^5, t2^3 on
 
@@ -856,7 +857,8 @@ def test_no_conductor_means_no_certificate():
 def test_conductor_reports_do_not_depend_on_what_was_read_before(exps):
     # on (2), A*T = 4 and D = 8: neither ring is certified by D, and a
     # level-5 spectrum reads past it, far enough to certify the first ring
-    # at stable_from = 6 and to meet the second one's last gap t1^9
+    # at stable_from = 6 and the second, past its last gap t1^9, at 10:
+    # both start above A*T, so neither certificate is used
     sig = derive((2,))
     gens = [[(0, e, 1)] for e in exps]
     fresh = ba.close(sig, gens)
@@ -866,7 +868,7 @@ def test_conductor_reports_do_not_depend_on_what_was_read_before(exps):
     read = ba.close(sig, gens)
     inv.weight_spectrum(read, 5)
     assert len(read.graded_basis) > 10
-    assert read.stable_from == (6 if 9 in exps else None)
+    assert read.stable_from == (6 if 9 in exps else 10)
     assert (ba.conductor_and_gorenstein(read), ba.validate_G_conditions(read)) == expected
     inv.weight_spectrum(fresh, 5)  # the same object, read past D after its reports
     assert (ba.conductor_and_gorenstein(fresh), ba.validate_G_conditions(fresh)) == expected
@@ -915,6 +917,75 @@ FAMILY_MEMBERS = [
     *(catalog.family("monomial", H=H) for g in range(2, 7) for H in sg.enumerate_symmetric(g)),
     catalog.with_ordinary_points(catalog.family("elliptic", n=11), 1),
 ]
+
+
+def gap_sequence_oracle(alg):
+    """alpha_j = n minus the rank R adds at order j, read at every k = j*a_i,
+    full piece or not: rank(below + level) - rank(below) over the slots of
+    k with exponent k/a_i < j and = j."""
+    sig = alg.signature
+    a = sig.weights_a
+    alphas = []
+    for j in range(1, sig.orders[0] + 3):
+        rank = 0
+        for k in sorted({j * x for x in a}):
+            sl = alg.slots(k)
+            below = [pos for pos, i in enumerate(sl) if k // a[i] < j]
+            level = [pos for pos, i in enumerate(sl) if k // a[i] == j]
+            rank += alg.rank(k, below + level) - alg.rank(k, below)
+        alphas.append(sig.n - rank)
+    return tuple(alphas)
+
+
+@pytest.mark.parametrize("entry", [*catalog.entries(), *FAMILY_MEMBERS], ids=lambda e: e.id)
+def test_gap_sequence_skips_only_full_pieces(entry):
+    assert ba._gap_sequence_full(entry.algebra()) == gap_sequence_oracle(entry.algebra())
+
+
+@settings(max_examples=200, deadline=None)
+@given(closures())
+def test_gap_sequence_skips_only_full_pieces_on_the_dense_closure(case):
+    sig, gens, _, _, _ = case
+    ref = dense_close(sig, gens, ba.window(sig))  # no certificate: every piece is read
+    assert ba._gap_sequence_full(ba.close(sig, gens)) == gap_sequence_oracle(ref)
+
+
+def full_scan_report(alg, units):
+    """validate_G_conditions with (G4) tested at every pair (i, j), i < j,
+    its notes in pair order between the (G3) and (G5) notes."""
+    report = ba.validate_G_conditions(alg, units)
+    sig = alg.signature
+    u = [Fraction(x) for x in units] if units is not None else [1] * sig.n
+    pairs = [f"dualizing pair test fails for branches ({i}, {j})"
+             for i, j in itertools.combinations(range(sig.n), 2)
+             if not alg.contains([(i, sig.orders[i] + 1, u[j]), (j, sig.orders[j] + 1, -u[i])])]
+    others = [note for note in report.notes if not note.startswith("dualizing pair")]
+    tail = [note for note in others if note.startswith("gap tail")]
+    return replace(report, dualizing_pairs=not pairs,
+                   notes=tuple(others[:len(others) - len(tail)] + pairs + tail))
+
+
+@pytest.mark.parametrize("entry", [*catalog.entries(), *FAMILY_MEMBERS], ids=lambda e: e.id)
+def test_dualizing_pairs_match_the_full_scan(entry):
+    n = len(entry.signature)
+    units = tuple(entry.dualizing_units)
+    altered = [units, None, (-units[0], *units[1:]), (*units[:-1], 2 * units[-1])]
+    if n > 2:
+        altered.append((*units[:1], -units[1], *units[2:]))
+    for u in altered:
+        assert ba.validate_G_conditions(entry.algebra(), u) == full_scan_report(entry.algebra(), u)
+
+
+def test_a_failing_consecutive_pair_reports_every_failing_pair():
+    # negating the first unit fails every pair (0, j), while the pairs
+    # among the other branches still hold: the consecutive pair (0, 1)
+    # fails, and the full scan names all five
+    entry = catalog.family("elliptic", n=6)
+    units = tuple(entry.dualizing_units)
+    report = ba.validate_G_conditions(entry.algebra(), (-units[0], *units[1:]))
+    assert not report.dualizing_pairs
+    assert [note for note in report.notes if note.startswith("dualizing pair")] == [
+        f"dualizing pair test fails for branches (0, {j})" for j in range(1, 6)]
 
 
 @pytest.mark.parametrize("entry", [*catalog.entries(), *FAMILY_MEMBERS], ids=lambda e: e.id)
@@ -971,8 +1042,8 @@ def test_closure_stores_only_the_degrees_that_carry_a_slot(entry, monkeypatch):
 
 
 def test_a_ring_certified_past_its_last_slot_stores_only_its_slots():
-    # a = (999, 1001): stable_from = 2003 and the stop at 2K + A - 1 = 5006,
-    # a degree with no slot; the eleven slot-carrying degrees up to it are stored
+    # a = (999, 1001): stable_from = 2003 and the stop at K + M - 1 = 5005,
+    # M = 3*1001; the eleven slot-carrying degrees up to it are stored
     alg = t345((1000, 998))
     report = ba.conductor_and_gorenstein(alg)
     assert (report.conductor, report.delta, report.gorenstein) == ((3, 3), 5, False)
@@ -993,8 +1064,9 @@ def test_a_ring_that_is_not_cofinite_stores_only_its_slots_up_to_D():
 
 def test_a_stop_at_a_degree_with_no_slot_still_certifies_by_D():
     # on (6, 4), a = (5, 7): A*T = 56 and D = 118, which carries no slot.  R
-    # misses t1^11 at degree 55 and nothing later, so K = 56 and the stop
-    # falls on D itself: the conductor is certified there, read first or not
+    # misses t1^11 at degree 55 and nothing later, so K = 56, and M = 5*12
+    # puts the stop at K + M - 1 = 115, before D: the conductor is
+    # certified, read first or not
     sig = derive((6, 4))
     gens = [[(0, e, 1)] for e in range(12, 24)] + [[(1, 1, 1)]]
     fresh = ba.close(sig, gens)
@@ -1011,8 +1083,8 @@ def test_a_stop_at_a_degree_with_no_slot_still_certifies_by_D():
 
 def test_the_closure_walk_does_not_grow_with_ell(monkeypatch):
     # ell = 9,999 / 999,999 / 99,999,999: the same pieces, slots() calls and
-    # cache entries at each; a walk through every degree up to the stop at
-    # 2K + A - 1 made 524 / 5,024 / 50,024 calls
+    # cache entries at each; a walk through every degree up to the stop
+    # made 524 / 5,024 / 50,024 calls
     calls = []
     slots = ba.BranchAlgebra.slots
     monkeypatch.setattr(ba.BranchAlgebra, "slots",
@@ -1030,8 +1102,9 @@ def test_the_closure_walk_does_not_grow_with_ell(monkeypatch):
 
 
 def test_a_stop_inside_a_run_of_degrees_with_no_slot_matches_the_dense_closure():
-    # a = (99, 101): K = 203 and the stop at 2K + A - 1 = 506 falls inside
-    # the degrees 506..593 with no slot, which the walk jumps over at once
+    # a = (99, 101): K = 203 and M = 303 put the stop at 505, a slot degree
+    # just before the degrees 506..593 with no slot (the next test stops
+    # inside such a run)
     alg = t345((100, 98))
     sig = alg.signature
     ref = dense_close(sig, [[(i, e, 1)] for i in range(2) for e in (3, 4, 5)], ba.window(sig))
@@ -1040,6 +1113,52 @@ def test_a_stop_inside_a_run_of_degrees_with_no_slot_matches_the_dense_closure()
     assert alg.stable_from == short[-1] + 1 == 203
     ref.stable_from = alg.stable_from  # the dense closure is full from 203 to W
     assert ba.conductor_and_gorenstein(alg) == ba.conductor_and_gorenstein(ref)
+
+
+def test_a_short_stop_inside_a_run_of_degrees_with_no_slot_matches_the_dense_closure():
+    # a = (99, 101): R misses t1^5 at degree 495, so K = 496; the least
+    # degrees touching each branch are 2*99 and 2*101, so M = 202 and the
+    # stop K + M - 1 = 697 falls inside the degrees 694..706 with no slot
+    sig = derive((100, 98))
+    gens = [[(0, e, 1)] for e in (2, *range(6, 12))] + [[(1, 2, 1)], [(1, 3, 1)]]
+    alg = ba.close(sig, gens)
+    assert alg._span == 202 and not any(alg.slots(k) for k in range(694, 707))
+    assert (alg.stable_from, alg.degree_cap) == (496, 693)
+    ref = dense_close(sig, gens, ba.window(sig))
+    assert all(alg.basis(k) == ref.basis(k) for k in range(ba.window(sig) + 1))
+    short = [k for k in range(ba.window(sig) + 1) if ref.dim(k) < len(ref.slots(k))]
+    assert alg.stable_from == short[-1] + 1
+    ref.stable_from = alg.stable_from  # the dense closure is full from 496 to W
+    assert ba.conductor_and_gorenstein(alg) == ba.conductor_and_gorenstein(ref)
+
+
+def test_the_closure_certifies_after_a_run_as_long_as_its_largest_generator_degree():
+    # K = 5 and M = 2: certified at degree 6, inside the window W = 10
+    alg = alg31()
+    assert (alg._span, alg.stable_from, alg.degree_cap) == (2, 5, 6)
+    # the doubling stop 2K + A - 1 stored 145 pieces here
+    alg = catalog.family("A", g=36).algebra()
+    assert (len(alg.graded_basis), alg.stable_from) == (74, 72)
+    # M = 3*101 = 303: the stop K + M - 1 = 505 is the last slot before 2K + A - 1
+    alg = t345((100, 98))
+    assert alg._span == 303
+    assert (len(alg.graded_basis), alg.stable_from, alg.degree_cap) == (11, 203, 505)
+    # an untouched branch has no M: never certified, read to D as before
+    alg = ba.close(derive((3, 1)), [[(0, 2, 1)], [(0, 3, 1)]])
+    assert alg._span is None and alg.stable_from is None
+
+
+def test_a_ring_certified_past_D_answers_a_read_far_beyond_it():
+    # (6, 7, 8, 10, 11) on (2), a = (1,): D = 8, yet the certificate at
+    # stable_from = 10 fires at K + M - 1 = 15 and a level-40000 spectrum
+    # reads to degree 120,000 on 16 stored pieces.  A piece bound checked
+    # before the read, counting the slot-carrying degrees up to it, would
+    # refuse this ring, which answers.
+    alg = ba.close(derive((2,)), [[(0, e, 1)] for e in (6, 7, 8, 10, 11)])
+    assert ba._certificate_bound(alg.signature) == (4, 8)
+    spectrum = inv.weight_spectrum(alg, 40000)
+    assert spectrum.entries[0] == (0, alg.dim(120000)) == (0, 1)
+    assert (alg.stable_from, len(alg.graded_basis), alg.degree_cap) == (10, 16, 15)
 
 
 def test_a_read_past_D_without_a_certificate_is_refused_at_the_piece_bound(monkeypatch):

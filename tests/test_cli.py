@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import gmspectra.branch_algebra as ba
+import gmspectra.curve_models as cm
 import gmspectra.semigroup as sg
 from gmspectra import catalog, cli
 from gmspectra.classifier import clifford_profile_chi1
@@ -217,6 +218,20 @@ BAD_INPUTS = [
 @pytest.mark.parametrize("args,fragments", BAD_INPUTS)
 def test_bad_input_is_one_error_line(args, fragments):
     assert_usage_error(invoke(*args), *fragments)
+
+
+def test_slope_refuses_the_level_two_frame_before_building_the_first(monkeypatch):
+    # the m = 1 frame of (799998) has 797,999 rows, within the bound: slope
+    # checks the m = 2 bound first, so no ladder run is built at all
+    built = []
+    runs = cm.ladder_runs
+    monkeypatch.setattr(cm, "ladder_runs", lambda *args: built.append(args) or runs(*args))
+    cm._ladder_frame.cache_clear()
+    result = invoke("slope", "--signature", "799998")
+    assert result.exit_code == 2 and built == []
+    assert [line for line in result.output.splitlines() if line.startswith("Error:")] == [
+        "Error: the ladder frame of (799998) at m = 2 has up to 1599999 rows, "
+        "beyond the frame row bound 1000000"]
 
 
 def test_unibranch_specs_are_decided_by_the_signature_genus():
