@@ -6,12 +6,13 @@ X = (2g-2+n)*ell - sum of a_i over the dangling branches and
 c = (2-tau)/(11-12tau) = p/q, the exact condition for the alpha-invariant
 to be at least tau.  Both chi1_log and X are integers, so the test is
 q*chi1_log >= p*X on Python ints (_margin); X comes from one function,
-_threshold_x.  The Clifford-cap prune, the nonhyperelliptic screen, the
-semigroup walk, the ordinary-point budget (_budget) and every candidate
-decide it that way.  A Fraction c*X is built only for the threshold_rhs
+_threshold_x.  The nonhyperelliptic screen, the semigroup walk, the
+ordinary-point budget (_budget) and every candidate decide it that way;
+the Clifford-cap prune decides it with ell cancelled, as a largest branch
+count (_branch_cap).  A Fraction c*X is built only for the threshold_rhs
 field of an emitted Candidate and for the message of an
-UnresolvedSignatureError.  The search enumerates signatures (at most
-four branches survive the Clifford cap), runs every admissible
+UnresolvedSignatureError.  The search decides the Clifford cap once per
+branch count, builds only the signatures it keeps, runs every admissible
 hyperelliptic tagging, resolves the nonhyperelliptic side through the
 Clifford profile, the shipped catalog, explicit exclusion rules and the
 special-locus overrides, walks the symmetric semigroups within an
@@ -34,7 +35,7 @@ from . import catalog as cat
 from . import curve_models as cm
 from . import invariants as inv
 from . import semigroup as sg
-from .signature import Signature, derive, enumerate_signatures, n_plus
+from .signature import Signature, count_signatures, derive, enumerate_signatures, n_plus
 
 DEFAULT_THRESHOLD = Fraction(3, 8)
 GENUS_BOUND = 8  # desk-scale searches; raise explicitly for more
@@ -68,6 +69,9 @@ def threshold_coefficient(threshold) -> Fraction:
     if not 0 <= tau < Fraction(11, 12):
         raise ValueError(f"threshold must lie in [0, 11/12), got {tau}")
     return (2 - tau) / (11 - 12 * tau)
+
+
+_DEFAULT_COEFF = threshold_coefficient(DEFAULT_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -170,32 +174,30 @@ def hyperelliptic_taggings(sig: Signature) -> tuple[Tagging, ...]:
     Zeros of odd order must sit in conjugate pairs of equal order, so an
     odd value occurring an odd number of times admits no tagging at all.
     Even values choose how many of their occurrences pair up; the rest go
-    to Weierstrass points.  Order-0 entries are always free.
+    to Weierstrass points.  Order-0 entries are always free.  The orders
+    are non-increasing, so each value is one run and every descriptor's
+    ``weierstrass`` and ``pairs`` come out non-increasing.
     """
-    counts = Counter(v for v in sig.orders if v > 0)
-    free = sum(1 for v in sig.orders if v == 0)
-    per_value: list[list[tuple[int, int]]] = []
-    for v, c in sorted(counts.items(), reverse=True):
-        if v % 2:
+    free = 0
+    per_value: list[list[tuple[int, int, int]]] = []  # (value, pairs, Weierstrass zeros)
+    for v, run in itertools.groupby(sig.orders):
+        c = len(list(run))
+        if v == 0:
+            free = c
+        elif v % 2:
             if c % 2:
                 return ()
-            per_value.append([(v, c // 2)])
+            per_value.append([(v, c // 2, 0)])
         else:
-            per_value.append([(v, p) for p in range(c // 2 + 1)])
+            per_value.append([(v, p, c - 2 * p) for p in range(c // 2 + 1)])
     out = []
     for combo in itertools.product(*per_value):
         w: list[int] = []
         pairs: list[int] = []
-        for v, p in combo:
-            pairs.extend([v] * p)
-            w.extend([v] * (counts[v] - 2 * p))
-        out.append(
-            Tagging(
-                tuple(sorted(w, reverse=True)),
-                tuple(sorted(pairs, reverse=True)),
-                free,
-            )
-        )
+        for v, p, left in combo:
+            pairs += [v] * p
+            w += [v] * left
+        out.append(Tagging(tuple(w), tuple(pairs), free))
     return tuple(out)
 
 
@@ -481,6 +483,20 @@ _SEARCH_LOG = ("alpha_search g=%d tau=%s " + " ".join(f"{k}=%d" for k in _STAGES
                + " candidates=%d score_s=%.6f emit_s=%.6f")
 
 
+def _branch_cap(g: int, coeff: Fraction) -> int:
+    """The most branches a genus-g signature can have and survive the Clifford cap.
+
+    No model has chi1_log above the cap (g+1)*ell/2, so a signature goes
+    when the cap misses c*X = c*(2g-2+n)*ell, i.e. when
+    q*(g+1) < 2p*(2g-2+n) for c = p/q: ell cancels, and the signature stays
+    exactly when n is at most the floor of (q*(g+1) - 2p*(2g-2))/(2p).  That
+    is 4 at tau = 3/8 (c = 1/4) for every g, below 4 above it, and below 1
+    at tau = 5/9 (c = 1/3) from g = 6 on.
+    """
+    p, q = coeff.numerator, coeff.denominator
+    return (q * (g + 1) - 2 * p * (2 * g - 2)) // (2 * p)
+
+
 def alpha_search(
     g: int,
     catalog=None,
@@ -495,10 +511,13 @@ def alpha_search(
     is re-evaluated for every subset Q of its core branches with the
     right-hand side lowered by sum of a_i over Q, which can admit models
     the plain search rejects; appended ordinary points never dangle.
-    Signatures have at most four branches (see the Clifford-cap prune).
-    A genus above genus_bound is a ValueError; pass genus_bound explicitly
-    to go further.  Logs one DEBUG line with the count of each stage and
-    the scoring and emission times.
+    Signatures are built only up to the Clifford cap's branch count
+    (_branch_cap).  A genus above genus_bound is a ValueError; pass
+    genus_bound explicitly to go further.  Logs one DEBUG line with the
+    count of each stage and the scoring and emission times; its
+    ``signatures`` cover every branch count up to the cap or up to the
+    default threshold's cap of 4, whichever is larger, and ``pruned`` those
+    past the cap, counted without being built.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
@@ -509,53 +528,43 @@ def alpha_search(
     start = time.perf_counter()
     stats: Counter = Counter()
 
-    # (sig, model label, chi1, item, component, tagging-or-None)
-    rows: list[tuple[Signature, str, int, str, Optional[str], Optional[Tagging]]] = []
+    # per signature, its (model label, chi1, item, component, tagging-or-None) rows
+    rows: list[tuple[Signature, list[tuple]]] = []
     if g == 1:
-        rows.append((derive((0,)), "elliptic", 1, "genus-one", None, None))
+        rows.append((derive((0,)), [("elliptic", 1, "genus-one", None, None)]))
     else:
-        signatures = enumerate_signatures(g, 4)
-        stats["signatures"] = len(signatures)
-        for sig in signatures:
-            x = _threshold_x(sig)
-            # the Clifford cap: no model has chi1_log above (g+1)*ell/2, so a
-            # signature whose cap misses c*x goes (doubled to stay on ints).
-            # At tau = 3/8 (c = 1/4) it misses exactly when n > 4, and a higher
-            # tau raises c, so enumerating at most four branches loses nothing
-            if _margin(coeff, (sig.genus + 1) * sig.ell, 2 * x) < 0:
-                stats["pruned"] += 1
-                continue
+        n_cap = _branch_cap(g, coeff)
+        stats["signatures"] = count_signatures(g, max(n_cap, _branch_cap(g, _DEFAULT_COEFF)))
+        stats["pruned"] = stats["signatures"] - count_signatures(g, n_cap)
+        for sig in enumerate_signatures(g, n_cap) if n_cap >= 1 else ():
+            sig_rows = []
             for tagging in hyperelliptic_taggings(sig):
                 chi1 = hyperelliptic_chi1(sig, tagging)
-                rows.append(
-                    (sig, tagging.label, chi1, "hyperelliptic", "hyp", tagging)
-                )
+                sig_rows.append((tagging.label, chi1, "hyperelliptic", "hyp", tagging))
                 stats["taggings"] += 1
             records = (_unibranch_records(sig, coeff, stats) if sig.n == 1
-                       else _nonhyp_records(sig, coeff, x, entries, stats))
-            for label, chi1, item, comp in records:
-                rows.append((sig, label, chi1, item, comp, None))
+                       else _nonhyp_records(sig, coeff, _threshold_x(sig), entries, stats))
+            sig_rows += [(label, chi1, item, comp, None) for label, chi1, item, comp in records]
+            if sig_rows:
+                rows.append((sig, sig_rows))
     scored = time.perf_counter()
 
     found: dict[tuple, Candidate] = {}
-    for sig, label, chi1, item, comp, tagging in rows:
-        subsets: list[tuple[int, ...]] = [()]
-        if dangling:
-            subsets = [
-                Q
-                for r in range(sig.n + 1)
-                for Q in itertools.combinations(range(sig.n), r)
-            ]
-        for Q in subsets:
-            x = _threshold_x(sig, Q)
-            # k appended zeros keep g, ell and the core a_i, so X grows by
-            # ell per point; a negative budget is a failing row
-            for k in range(_budget(coeff, chi1, x, sig.ell) + 1):
-                orders = sig.orders + (0,) * k
-                ext_label = tagging.with_free(k).label if tagging and k else label
-                if (orders, ext_label, Q) not in found:
-                    found[orders, ext_label, Q] = Candidate(
-                        orders, ext_label, chi1, coeff * (x + k * sig.ell), True, item, comp, Q)
+    for sig, sig_rows in rows:
+        subsets = ([Q for r in range(sig.n + 1) for Q in itertools.combinations(range(sig.n), r)]
+                   if dangling else [()])
+        cutoffs = [(Q, _threshold_x(sig, Q)) for Q in subsets]
+        for label, chi1, item, comp, tagging in sig_rows:
+            for Q, x in cutoffs:
+                # k appended zeros keep g, ell and the core a_i, so X grows by
+                # ell per point; a negative budget is a failing row
+                for k in range(_budget(coeff, chi1, x, sig.ell) + 1):
+                    orders = sig.orders + (0,) * k
+                    ext_label = tagging.with_free(k).label if tagging and k else label
+                    if (orders, ext_label, Q) not in found:
+                        found[orders, ext_label, Q] = Candidate(
+                            orders, ext_label, chi1, coeff * (x + k * sig.ell), True, item,
+                            comp, Q)
 
     log.debug(_SEARCH_LOG, g, threshold, *(stats[k] for k in _STAGES), len(found),
               scored - start, time.perf_counter() - scored)

@@ -421,15 +421,16 @@ HYPERELLIPTIC_ONLY = range(7, 21)  # as far as keeps verify under about 1 s
 
 def _verify_search() -> list[str]:
     failures = []
+    searched = {g: alpha_search(g) for g in SEARCH_SIZES}
     for g, expected in SEARCH_SIZES.items():
-        cands = alpha_search(g)
+        cands = searched[g]
         if len(cands) != expected:
             failures.append(f"genus {g}: {len(cands)} candidates, expected {expected}")
         if any(len(c.signature) > 4 for c in cands):
             failures.append(f"genus {g}: a candidate has more than four zeros")
         if any(not c.passed for c in cands):
             failures.append(f"genus {g}: emitted a failing candidate")
-    present = {(c.signature, c.component) for c in alpha_search(4)}
+    present = {(c.signature, c.component) for c in searched[4]}
     for sig, comp in [((5, 1), None), ((4, 2), "even"),
                       ((3, 3), "nonhyp"), ((2, 2, 2), "even")]:
         if (sig, comp) not in present:

@@ -118,7 +118,6 @@ class HyperellipticModel(_FrameRead):
     genus: int
     tags: tuple[str, ...]
 
-    @cached_property
     def _groups(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
         weierstrass = []
         pairs: dict[str, list[int]] = {}
@@ -143,7 +142,7 @@ class HyperellipticModel(_FrameRead):
                              f"of the hyperelliptic model, got {len(columns)}")
         g = self.genus
         canonical = 2 * g - 2
-        weierstrass, pairs = self._groups
+        weierstrass, pairs = self._groups()
         parts = [[c // 2 for c in columns[i]] for i in weierstrass]
         parts += [list(map(min, columns[i], columns[j])) for i, j in pairs]
         pencils = map(sum, zip(*parts)) if parts else repeat(0)

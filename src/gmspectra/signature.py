@@ -46,15 +46,17 @@ def derive(orders) -> Signature:
     orders = tuple(sorted(orders, reverse=True))
     if not orders:
         raise ValueError("signature must have at least one entry")
-    if any(m < 0 for m in orders):
+    if orders[-1] < 0:
         raise ValueError("zero orders must be non-negative")
-    total = sum(orders)
-    if total % 2:
+    if sum(orders) % 2:
         raise ValueError("sum of zero orders must be even")
-    g = total // 2 + 1
+    return _signature(orders)
+
+
+def _signature(orders: tuple) -> Signature:
+    # orders already non-increasing, non-negative and of even sum
     ell = lcm(*(m + 1 for m in orders))
-    a = tuple(ell // (m + 1) for m in orders)
-    return Signature(orders=orders, genus=g, ell=ell, weights_a=a)
+    return Signature(orders, sum(orders) // 2 + 1, ell, tuple(ell // (m + 1) for m in orders))
 
 
 def ladder(sig: Signature, lam: int):
@@ -139,17 +141,27 @@ def n_plus(sig: Signature, lam_lo: int, lam_hi: int) -> int:
     return sum(bounds[1::2]) - sum(bounds[:-1:2])
 
 
-def _partitions(total, max_part, max_len):
-    # non-increasing tuples of positive integers, lexicographically descending;
-    # a first part below ceil(total / max_len) leaves a rest too large for the others
-    if total == 0:
-        yield ()
-        return
-    if max_len == 0:
-        return
-    for first in range(min(total, max_part), -(-total // max_len) - 1, -1):
-        for rest in _partitions(total - first, first, max_len - 1):
-            yield (first,) + rest
+def _partitions(total: int, n_max: int):
+    """Non-increasing tuples of positive integers summing to ``total > 0``
+    with at most ``n_max`` parts, lexicographically descending.
+
+    The next tuple keeps the longest prefix it can: it lowers by one the
+    rightmost part whose suffix, less the lowered part, still fits in the
+    places left, each at most the lowered part, and fills those greedily.
+    """
+    parts = [total]
+    while True:
+        yield tuple(parts)
+        rest = 0
+        for i in range(len(parts) - 1, -1, -1):
+            v = parts[i] - 1
+            rest += parts[i]
+            if v and rest - v <= v * (n_max - 1 - i):
+                q, r = divmod(rest - v, v)
+                parts[i:] = [v] * (q + 1) + ([r] if r else [])
+                break
+        else:
+            return
 
 
 def enumerate_signatures(g: int, n_max: int):
@@ -158,4 +170,17 @@ def enumerate_signatures(g: int, n_max: int):
     if g < 1 or n_max < 1:
         raise ValueError("need g >= 1 and n_max >= 1")
     total = 2 * g - 2
-    return [derive(t) for t in _partitions(total, total, n_max) if t]
+    return list(map(_signature, _partitions(total, n_max))) if total else []
+
+
+def count_signatures(g: int, n_max: int) -> int:
+    """``len(enumerate_signatures(g, n_max))`` without building one: the
+    partitions of 2g-2 into parts of size at most ``n_max``, which
+    conjugation puts in bijection with those into at most ``n_max`` parts.
+    Zero for ``n_max <= 0`` and at genus one."""
+    total = 2 * g - 2
+    ways = [1] + [0] * total
+    for part in range(1, min(n_max, total) + 1):
+        for t in range(part, total + 1):
+            ways[t] += ways[t - part]
+    return ways[total] if total else 0

@@ -16,6 +16,7 @@ cutoff, the Clifford cap and the budget, and every check compares the two.
 
 import dataclasses
 import hashlib
+import itertools
 import logging
 import math
 from collections import Counter
@@ -32,6 +33,7 @@ from gmspectra import catalog
 from gmspectra.classifier import (
     Tagging,
     UnresolvedSignatureError,
+    _branch_cap,
     _budget,
     _margin,
     _threshold_x,
@@ -72,8 +74,8 @@ def oracle_budget(sig, chi1, coeff, dangling=()):
 
 
 def prunes(sig, coeff):
-    """The search's Clifford-cap prune of sig, on ints."""
-    return _margin(coeff, (sig.genus + 1) * sig.ell, 2 * _threshold_x(sig)) < 0
+    """The search's Clifford-cap prune of sig: more branches than its genus's cap."""
+    return sig.n > _branch_cap(sig.genus, coeff)
 
 
 def budget(sig, chi1, tau=Fraction(3, 8), dangling=()):
@@ -362,6 +364,81 @@ def test_cap_prunes_exactly_beyond_four_branches(caplog):
             assert int(stages["pruned"]) == sum(oracle_cap(s) < oracle_rhs(s, coeff) for s in sigs)
 
 
+TAUS_AROUND_THE_CAP = (Fraction(0), Fraction(1, 5), Fraction(1, 3), Fraction(3, 8),
+                       Fraction(2, 5), Fraction(1, 2), FIVE_NINTHS, Fraction(2, 3))
+
+
+def test_the_branch_cap_is_the_largest_branch_count_the_clifford_cap_keeps():
+    for g in range(2, 13):
+        sigs = enumerate_signatures(g, 2 * g - 2)
+        for tau in TAUS_AROUND_THE_CAP:
+            coeff = threshold_coefficient(tau)
+            kept = [s.n for s in sigs if oracle_cap(s) >= oracle_rhs(s, coeff)]
+            n_cap = _branch_cap(g, coeff)
+            # the kept signatures are exactly those with at most n_cap branches
+            assert kept == [s.n for s in sigs if s.n <= n_cap], (g, tau)
+            assert max(kept, default=0) == min(max(n_cap, 0), 2 * g - 2), (g, tau)
+    # four branches at 3/8 for every genus; none from genus six on at 5/9
+    assert {_branch_cap(g, Fraction(1, 4)) for g in range(2, 60)} == {4}
+    assert [g for g in range(2, 60) if _branch_cap(g, Fraction(1, 3)) >= 1] == [2, 3, 4, 5]
+    # below 3/8 the cap keeps more than four: floor((g+41)/10) at 1/3
+    coeff = threshold_coefficient(Fraction(1, 3))
+    assert [_branch_cap(g, coeff) for g in (2, 9, 19)] == [4, 5, 6]
+    assert all(_branch_cap(g, coeff) == (g + 41) // 10 for g in range(2, 60))
+
+
+def partitions_into_at_most_four(total):
+    """Partitions a >= b >= c >= d >= 0 of total > 0, counted by brute force."""
+    return sum(1 for a in range(1, total + 1) for b in range(a + 1) for c in range(b + 1)
+               if 0 <= total - a - b - c <= c)
+
+
+def test_a_pruned_branch_count_builds_no_signature(caplog, monkeypatch):
+    import gmspectra.signature as signature
+
+    built = []
+    constructor = signature._signature
+
+    def counted(orders):
+        built.append(orders)
+        return constructor(orders)
+
+    monkeypatch.setattr(signature, "_signature", counted)
+    for g in range(6, 17):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="gmspectra"):
+            assert alpha_search(g, threshold=FIVE_NINTHS, genus_bound=16) == ()
+        (line,) = [r.getMessage() for r in caplog.records]
+        stages = dict(part.split("=") for part in line.split()[1:])
+        assert built == [], g
+        assert int(stages["signatures"]) == int(stages["pruned"]) == \
+            partitions_into_at_most_four(2 * g - 2), g
+        assert int(stages["screens"]) == int(stages["taggings"]) == 0
+    # the wrapper sees every signature the search does build
+    alpha_search(5, threshold=FIVE_NINTHS)
+    assert built == [(8,)]
+
+
+@pytest.mark.parametrize("tau", [Fraction(0), Fraction(1, 5), Fraction(1, 3), Fraction(7, 20)])
+def test_the_cap_past_four_branches_changes_no_output_below_three_eighths(tau, monkeypatch):
+    # below 3/8 the cap keeps more than four branches; the wider signatures
+    # emit no row and raise no error that four branches do not.  Where wider
+    # signatures exist here (g >= 4 at tau = 0 and 1/5), the lexicographic
+    # walk meets an unresolved stratum with fewer branches first
+    def search(g, dangling):
+        try:
+            return alpha_search(g, threshold=tau, dangling=dangling)
+        except UnresolvedSignatureError as exc:
+            return str(exc)
+
+    wide = {(g, d): search(g, d) for g in range(1, 9) for d in (False, True)}
+    assert all(_branch_cap(g, threshold_coefficient(tau)) >= 4 for g in range(2, 9))
+    enumerate_all = classifier.enumerate_signatures
+    monkeypatch.setattr(classifier, "enumerate_signatures",
+                        lambda g, n_max: enumerate_all(g, min(n_max, 4)))
+    assert {key: search(*key) for key in wide} == wide
+
+
 def test_threshold_coefficient_values():
     assert threshold_coefficient(Fraction(3, 8)) == Fraction(1, 4)
     assert threshold_coefficient(FIVE_NINTHS) == Fraction(1, 3)
@@ -458,6 +535,36 @@ def test_taggings_even_orders_choose():
     assert set(got) == {Tagging((2, 2), ()), Tagging((), (2,))}
     # four equal odd zeros: both pairs forced, a single descriptor
     assert hyperelliptic_taggings(derive((1, 1, 1, 1))) == (Tagging((), (1, 1)),)
+
+
+def oracle_taggings(orders):
+    """Every placement of the zeros, deduplicated to descriptors.
+
+    An order-0 entry is free; a zero of positive order sits at a Weierstrass
+    point (even orders only) or in a conjugate pair, and the paired zeros of
+    each order must be even in number.
+    """
+    out = set()
+    for kinds in itertools.product(*[("free",) if v == 0 else ("w", "pair") for v in orders]):
+        placed = list(zip(orders, kinds))
+        paired = Counter(v for v, kind in placed if kind == "pair")
+        if any(v % 2 for v, kind in placed if kind == "w") or any(c % 2 for c in paired.values()):
+            continue
+        w = sorted((v for v, kind in placed if kind == "w"), reverse=True)
+        pairs = sorted((v for v, c in paired.items() for _ in range(c // 2)), reverse=True)
+        out.add(Tagging(tuple(w), tuple(pairs), kinds.count("free")))
+    return out
+
+
+@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=6)
+       .filter(lambda orders: sum(orders) % 2 == 0))
+def test_taggings_match_the_placement_oracle(orders):
+    got = hyperelliptic_taggings(derive(orders))
+    assert len(set(got)) == len(got)
+    assert set(got) == oracle_taggings(orders)
+    for t in got:
+        assert list(t.weierstrass) == sorted(t.weierstrass, reverse=True)
+        assert list(t.pairs) == sorted(t.pairs, reverse=True)
 
 
 def test_tagging_labels():
