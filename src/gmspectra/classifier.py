@@ -35,7 +35,7 @@ from . import catalog as cat
 from . import curve_models as cm
 from . import invariants as inv
 from . import semigroup as sg
-from .signature import Signature, count_signatures, derive, enumerate_signatures, n_plus
+from .signature import Signature, derive, enumerate_signatures, n_plus
 
 DEFAULT_THRESHOLD = Fraction(3, 8)
 GENUS_BOUND = 8  # desk-scale searches; raise explicitly for more
@@ -69,9 +69,6 @@ def threshold_coefficient(threshold) -> Fraction:
     if not 0 <= tau < Fraction(11, 12):
         raise ValueError(f"threshold must lie in [0, 11/12), got {tau}")
     return (2 - tau) / (11 - 12 * tau)
-
-
-_DEFAULT_COEFF = threshold_coefficient(DEFAULT_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +144,20 @@ class Tagging:
         return Tagging(self.weierstrass, self.pairs, self.free + extra)
 
     def model_tags(self, sig: Signature) -> tuple[str, ...]:
-        # spread the descriptor back over the concrete (sorted) orders
-        by_value: dict[int, list[int]] = {}
-        for i, v in enumerate(sig.orders):
-            by_value.setdefault(v, []).append(i)
-        tags: list[Optional[str]] = [None] * sig.n
+        # spread the descriptor back over the concrete orders: they are
+        # non-increasing, so each value is one run whose first 2p places
+        # hold its p pairs
+        tags: list[str] = []
         pair_id = 0
-        for v, idxs in by_value.items():
+        for v, run in itertools.groupby(sig.orders):
+            c = len(list(run))
             if v == 0:
-                for i in idxs:
-                    tags[i] = "free"
+                tags += ["free"] * c
                 continue
             p = self.pairs.count(v)
-            for k in range(p):
-                tags[idxs[2 * k]] = f"pair:{pair_id}"
-                tags[idxs[2 * k + 1]] = f"pair:{pair_id}"
-                pair_id += 1
-            for i in idxs[2 * p :]:
-                tags[i] = "w"
-        return tuple(tags)  # type: ignore[return-value]
+            tags += [f"pair:{pair_id + k // 2}" for k in range(2 * p)] + ["w"] * (c - 2 * p)
+            pair_id += p
+        return tuple(tags)
 
 
 def hyperelliptic_taggings(sig: Signature) -> tuple[Tagging, ...]:
@@ -476,8 +468,8 @@ def _unibranch_records(sig: Signature, coeff: Fraction,
 # ---------------------------------------------------------------------------
 # the search
 
-# the stages alpha_search counts, in the order of its DEBUG line
-_STAGES = ("signatures", "pruned", "taggings", "screens", "screened_out", "profile",
+# the branch cap and the stages alpha_search counts, in the order of its DEBUG line
+_STAGES = ("branch_cap", "signatures", "taggings", "screens", "screened_out", "profile",
            "catalog", "override", "excluded", "semigroups", "leaves")
 _SEARCH_LOG = ("alpha_search g=%d tau=%s " + " ".join(f"{k}=%d" for k in _STAGES)
                + " candidates=%d score_s=%.6f emit_s=%.6f")
@@ -513,11 +505,9 @@ def alpha_search(
     the plain search rejects; appended ordinary points never dangle.
     Signatures are built only up to the Clifford cap's branch count
     (_branch_cap).  A genus above genus_bound is a ValueError; pass
-    genus_bound explicitly to go further.  Logs one DEBUG line with the
-    count of each stage and the scoring and emission times; its
-    ``signatures`` cover every branch count up to the cap or up to the
-    default threshold's cap of 4, whichever is larger, and ``pruned`` those
-    past the cap, counted without being built.
+    genus_bound explicitly to go further.  Logs one DEBUG line with that
+    ``branch_cap``, the count of each stage (``signatures`` those built)
+    and the scoring and emission times.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
@@ -526,17 +516,17 @@ def alpha_search(
     entries = list(catalog) if catalog is not None else list(cat.entries())
     coeff = threshold_coefficient(threshold)
     start = time.perf_counter()
-    stats: Counter = Counter()
+    n_cap = _branch_cap(g, coeff)
+    stats: Counter = Counter(branch_cap=n_cap)
 
     # per signature, its (model label, chi1, item, component, tagging-or-None) rows
     rows: list[tuple[Signature, list[tuple]]] = []
     if g == 1:
         rows.append((derive((0,)), [("elliptic", 1, "genus-one", None, None)]))
     else:
-        n_cap = _branch_cap(g, coeff)
-        stats["signatures"] = count_signatures(g, max(n_cap, _branch_cap(g, _DEFAULT_COEFF)))
-        stats["pruned"] = stats["signatures"] - count_signatures(g, n_cap)
-        for sig in enumerate_signatures(g, n_cap) if n_cap >= 1 else ():
+        sigs = enumerate_signatures(g, n_cap) if n_cap >= 1 else []
+        stats["signatures"] = len(sigs)
+        for sig in sigs:
             sig_rows = []
             for tagging in hyperelliptic_taggings(sig):
                 chi1 = hyperelliptic_chi1(sig, tagging)

@@ -172,15 +172,3 @@ def enumerate_signatures(g: int, n_max: int):
     total = 2 * g - 2
     return list(map(_signature, _partitions(total, n_max))) if total else []
 
-
-def count_signatures(g: int, n_max: int) -> int:
-    """``len(enumerate_signatures(g, n_max))`` without building one: the
-    partitions of 2g-2 into parts of size at most ``n_max``, which
-    conjugation puts in bijection with those into at most ``n_max`` parts.
-    Zero for ``n_max <= 0`` and at genus one."""
-    total = 2 * g - 2
-    ways = [1] + [0] * total
-    for part in range(1, min(n_max, total) + 1):
-        for t in range(part, total + 1):
-            ways[t] += ways[t - part]
-    return ways[total] if total else 0

@@ -344,7 +344,7 @@ def test_clifford_cap_values():
         assert margin == 2 * coeff.denominator * (cap - oracle_rhs(sig, coeff))
 
 
-def test_cap_prunes_exactly_beyond_four_branches(caplog):
+def test_cap_prunes_exactly_beyond_four_branches(caplog, monkeypatch):
     coeff = threshold_coefficient(Fraction(3, 8))
     for orders in [(2, 2, 2, 2, 2), (4, 2, 2, 1, 1), (1, 1, 1, 1, 1, 1)]:
         sig = derive(orders)
@@ -354,14 +354,22 @@ def test_cap_prunes_exactly_beyond_four_branches(caplog):
         sig = derive(orders)
         assert oracle_cap(sig) >= coeff * (2 * sig.genus - 2 + sig.n) * sig.ell
         assert not prunes(sig, coeff)
-    # the search prunes exactly the enumerated signatures the cap rules out
+    # the search logs the branch cap it decides and builds exactly the
+    # signatures of its genus that the cap keeps, as many as the tracer's
+    # enumerate_signatures count reads
+    enumerate_all = classifier.enumerate_signatures
+    built = []
+    monkeypatch.setattr(classifier, "enumerate_signatures",
+                        lambda g, n_max: built.append(enumerate_all(g, n_max)) or built[-1])
     for tau in (Fraction(3, 8), FIVE_NINTHS, Fraction(1, 2), Fraction(2, 3)):
         coeff = threshold_coefficient(tau)
         for g in range(2, 9):
-            sigs = enumerate_signatures(g, 4)
+            kept = [s for s in enumerate_all(g, 2 * g - 2) if oracle_cap(s) >= oracle_rhs(s, coeff)]
+            built.clear()
             stages = search_stages(caplog, g, tau)
-            assert int(stages["signatures"]) == len(sigs)
-            assert int(stages["pruned"]) == sum(oracle_cap(s) < oracle_rhs(s, coeff) for s in sigs)
+            assert int(stages["branch_cap"]) == _branch_cap(g, coeff), (g, tau)
+            assert int(stages["signatures"]) == len(kept) == sum(map(len, built)), (g, tau)
+            assert [s for sigs in built for s in sigs] == kept, (g, tau)
 
 
 TAUS_AROUND_THE_CAP = (Fraction(0), Fraction(1, 5), Fraction(1, 3), Fraction(3, 8),
@@ -387,15 +395,14 @@ def test_the_branch_cap_is_the_largest_branch_count_the_clifford_cap_keeps():
     assert all(_branch_cap(g, coeff) == (g + 41) // 10 for g in range(2, 60))
 
 
-def partitions_into_at_most_four(total):
-    """Partitions a >= b >= c >= d >= 0 of total > 0, counted by brute force."""
-    return sum(1 for a in range(1, total + 1) for b in range(a + 1) for c in range(b + 1)
-               if 0 <= total - a - b - c <= c)
-
-
 def test_a_pruned_branch_count_builds_no_signature(caplog, monkeypatch):
     import gmspectra.signature as signature
 
+    # the Fraction oracle prunes every signature of these genera at 5/9
+    coeff = threshold_coefficient(FIVE_NINTHS)
+    for g in range(6, 17):
+        assert all(oracle_cap(s) < oracle_rhs(s, coeff)
+                   for s in enumerate_signatures(g, 2 * g - 2)), g
     built = []
     constructor = signature._signature
 
@@ -411,8 +418,8 @@ def test_a_pruned_branch_count_builds_no_signature(caplog, monkeypatch):
         (line,) = [r.getMessage() for r in caplog.records]
         stages = dict(part.split("=") for part in line.split()[1:])
         assert built == [], g
-        assert int(stages["signatures"]) == int(stages["pruned"]) == \
-            partitions_into_at_most_four(2 * g - 2), g
+        assert int(stages["branch_cap"]) == _branch_cap(g, coeff) < 1, g
+        assert int(stages["signatures"]) == 0, g
         assert int(stages["screens"]) == int(stages["taggings"]) == 0
     # the wrapper sees every signature the search does build
     alpha_search(5, threshold=FIVE_NINTHS)
@@ -565,6 +572,35 @@ def test_taggings_match_the_placement_oracle(orders):
     for t in got:
         assert list(t.weierstrass) == sorted(t.weierstrass, reverse=True)
         assert list(t.pairs) == sorted(t.pairs, reverse=True)
+
+
+def oracle_model_tags(tagging, sig):
+    """The tags of a tagging spread over sig's orders, regrouped by index per value."""
+    by_value = {}
+    for i, v in enumerate(sig.orders):
+        by_value.setdefault(v, []).append(i)
+    tags = [None] * sig.n
+    pair_id = 0
+    for v, idxs in by_value.items():
+        if v == 0:
+            for i in idxs:
+                tags[i] = "free"
+            continue
+        p = tagging.pairs.count(v)
+        for k in range(p):
+            tags[idxs[2 * k]] = tags[idxs[2 * k + 1]] = f"pair:{pair_id}"
+            pair_id += 1
+        for i in idxs[2 * p:]:
+            tags[i] = "w"
+    return tuple(tags)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=8)
+       .filter(lambda orders: sum(orders) % 2 == 0))
+def test_model_tags_match_the_regrouping_oracle(orders):
+    sig = derive(orders)
+    for tagging in hyperelliptic_taggings(sig):
+        assert tagging.model_tags(sig) == oracle_model_tags(tagging, sig), (sig, tagging)
 
 
 def test_tagging_labels():
@@ -867,8 +903,10 @@ def test_alpha_search_logs_its_stages_in_one_debug_line(caplog):
     assert int(fields["semigroups"]) == 3
     # the bounded walk's leaves, then the lazy read up to the witness
     assert int(fields["leaves"]) == len(bounded) + witness + 1 == 5
-    # every signature of n >= 2 past the cap reaches the Clifford screen once
-    assert int(fields["screens"]) == int(fields["signatures"]) - int(fields["pruned"]) - 1
+    # the cap keeps four branches at 3/8, and every built signature of
+    # n >= 2 reaches the Clifford screen once
+    assert int(fields["branch_cap"]) == 4
+    assert int(fields["screens"]) == int(fields["signatures"]) - 1
     # two pass it: (7,3) is resolved by its override, both spins of (6,4)
     # by exclusion rules
     assert int(fields["screens"]) - int(fields["screened_out"]) == 2

@@ -480,18 +480,24 @@ def filtration_and_slope_calls(draw):
     return ["filtration", *args, "--m", str(draw(st.sampled_from([-1, 0, 1, 2, 3])))]
 
 
-@settings(max_examples=300, deadline=None)
-@given(filtration_and_slope_calls())
-def test_filtration_and_slope_end_in_a_result_or_one_error_line(args):
+def assert_clean_end(args, codes):
+    """Run the CLI on args: within 5 s, an exit code in codes, no
+    traceback, and exactly one Error: line on exit code 2."""
     start = time.perf_counter()
     result = invoke(*args)
     assert time.perf_counter() - start < 5, args
-    assert result.exit_code in (0, 2), (args, result.output, result.exception)
+    assert result.exit_code in codes, (args, result.output, result.exception)
     assert result.exception is None or isinstance(result.exception, SystemExit), args
     assert "Traceback" not in result.output, args
     if result.exit_code == 2:
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1, (args, result.output)
+
+
+@settings(max_examples=300, deadline=None)
+@given(filtration_and_slope_calls())
+def test_filtration_and_slope_end_in_a_result_or_one_error_line(args):
+    assert_clean_end(args, (0, 2))
 
 
 
@@ -536,13 +542,7 @@ def algebra_documents(draw):
 def test_invariants_input_ends_in_a_result_or_one_error_line(tmp_path_factory, doc, levels):
     path = tmp_path_factory.mktemp("fuzz") / "algebra.json"
     path.write_text(json.dumps(doc))
-    result = invoke("invariants", "--input", str(path), "--m", levels)
-    assert result.exit_code in (0, 2), (doc, result.output, result.exception)
-    assert result.exception is None or isinstance(result.exception, SystemExit), doc
-    assert "Traceback" not in result.output, doc
-    if result.exit_code == 2:
-        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-        assert len(errors) == 1, (doc, result.output)
+    assert_clean_end(["invariants", "--input", str(path), "--m", levels], (0, 2))
 
 
 # ---------------------------------------------------------------- classify
@@ -706,3 +706,57 @@ def test_verify_search_flags_a_nonhyperelliptic_candidate_at_genus_20(monkeypatc
     assert result.exit_code == 1
     assert "  genus 20: unexpected nonhyperelliptic candidate\n" in result.output
     assert "genus 19" not in result.output
+
+
+@pytest.mark.parametrize("g, orders, ok", [(3, (1, 1, 1, 1, 0), True),
+                                           (4, (1, 1, 1, 1, 1, 1), False)])
+def test_verify_search_counts_zeros_of_positive_order(monkeypatch, g, orders, ok):
+    # an appended ordinary point (order 0) is no zero; the stub replaces the
+    # search's last row at genus g, so the row counts stay as expected
+    search = cli.alpha_search
+
+    def stubbed(genus, *args, **kwargs):
+        cands = search(genus, *args, **kwargs)
+        if genus != g:
+            return cands
+        return cands[:-1] + (dataclasses.replace(cands[-1], signature=orders),)
+
+    monkeypatch.setattr(cli, "alpha_search", stubbed)
+    result = invoke("verify", "--suite", "search")
+    if ok:
+        assert (result.exit_code, result.output) == (0, "ok   search\n")
+    else:
+        assert result.exit_code == 1
+        assert result.output == (f"FAIL search\n  genus {g}: a candidate has more than "
+                                 "four zeros\n1 mismatch(es)\n")
+
+
+# ------------------------------------------------------ classify/verify fuzz
+
+THRESHOLD_TEXTS = st.one_of(
+    st.fractions(min_value=0, max_value=1).map(str),  # valid below 11/12
+    st.sampled_from(["0", "3/8", "0.5", "5/9", "11/12", "1", "-1/3", "2", "1e5"]),
+    st.sampled_from(["", "abc", "1/0", "3/", "nan", "inf", "--dangling"]),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-2, 10), THRESHOLD_TEXTS, st.booleans(),
+       st.sampled_from(["text", "json", "csv"]))
+def test_classify_alpha_ends_in_a_result_or_one_error_line(g, tau, dangling, fmt):
+    args = ["classify", "alpha", "-g", str(g), "--threshold", tau, "--format", fmt]
+    assert_clean_end(args + ["--dangling"] * dangling, (0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-2, 26), THRESHOLD_TEXTS, st.sampled_from(["text", "json", "csv"]))
+def test_classify_semigroups_ends_in_a_result_or_one_error_line(g, tau, fmt):
+    assert_clean_end(["classify", "semigroups", "-g", str(g), "--threshold", tau,
+                      "--format", fmt], (0, 2))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["full", *sorted(cli.VERIFY_SECTIONS)]))
+def test_verify_suites_end_in_a_report(suite):
+    assert_clean_end(["verify", "--suite", suite], (0, 1))

@@ -163,7 +163,7 @@ def _brute_partitions(total, n_max):
 
 def test_enumerate_signatures_matches_partition_oracle():
     for g in range(2, 9):
-        for n_max in (1, 2, 4, 2 * g - 2):
+        for n_max in (1, 2, 3, 4, 5, 2 * g - 2, 2 * g + 3):
             got = [s.orders for s in sg.enumerate_signatures(g, n_max)]
             assert len(got) == len(set(got))
             assert set(got) == _brute_partitions(2 * g - 2, n_max)
@@ -177,15 +177,6 @@ def test_enumerated_signatures_are_their_derived_form():
                 d = sg.derive(s.orders)
                 assert s == d and hash(s) == hash(d), s
                 assert (s.genus, s.ell, s.weights_a) == (d.genus, d.ell, d.weights_a)
-
-
-def test_count_signatures_matches_the_partition_oracle():
-    for g in range(1, 13):
-        for n_max in (-1, 0, 1, 2, 3, 4, 5, 2 * g - 2, 2 * g + 3):
-            expected = len(_brute_partitions(2 * g - 2, n_max) - {()}) if n_max >= 0 else 0
-            assert sg.count_signatures(g, n_max) == expected, (g, n_max)
-            if n_max >= 1:
-                assert len(sg.enumerate_signatures(g, n_max)) == expected
 
 
 def test_enumerate_signatures_examples():
