@@ -25,6 +25,9 @@ pivot and never eliminate them again: only the vector, or the rows
 pivoting outside the positions, is reduced.  The conductor has one
 proof, the closure's certificate (_conductor), kept once found; the
 Gorenstein test sum(c_i) = 2*delta and the condition (G3) both read it.
+BranchAlgebra is the one mutable class; the reports are named tuples,
+immutable, equal to the plain tuple of their fields and copied with
+``_replace``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .signature import Signature, derive
 
@@ -468,8 +472,7 @@ def _conductor(alg: BranchAlgebra) -> tuple[int, ...] | None:
     return alg._conductor
 
 
-@dataclass(frozen=True)
-class ConductorReport:
+class ConductorReport(NamedTuple):
     conductor: tuple[int, ...]  # per-branch exponents c_i
     quotient_length: int | None  # len(R/c) = sum(c_i) - delta, once delta is known
     gorenstein: bool
@@ -508,8 +511,7 @@ def conductor_and_gorenstein(alg: BranchAlgebra) -> ConductorReport:
     )
 
 
-@dataclass(frozen=True)
-class SectionSpace:
+class SectionSpace(NamedTuple):
     dimension: int
     by_degree: tuple[tuple[int, int], ...]  # (degree, dim) with dim > 0
 
@@ -548,8 +550,7 @@ def spin_parity(alg: BranchAlgebra) -> str | None:
 # --------------------------------------------------------- validation
 
 
-@dataclass(frozen=True)
-class GConditionReport:
+class GConditionReport(NamedTuple):
     no_bare_parameters: bool  # (G1)
     conductor_bound: bool  # (G3)
     dualizing_pairs: bool  # (G4)

@@ -6,17 +6,18 @@ reproduce: gap sequence, delta, both characters, alpha, slope, spin parity,
 and the ambient weighted-projective weights.  Entries live in
 ``data/strata.json``; parametric families (A/D series, elliptic multiple
 points, monomial curves) are constructed on demand by :func:`family`, and
-store a spin parity wherever every zero order is even.
+store a spin parity wherever every zero order is even.  Entries and their
+expected invariants are named tuples: immutable, equal to the plain tuple
+of their fields, and copied with ``_replace``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
 from math import lcm
-from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import NamedTuple, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from . import branch_algebra as ba
 from . import invariants as inv
@@ -27,8 +28,7 @@ from .signature import derive
 Terms = tuple[tuple[int, int, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class ExpectedInvariants:
+class ExpectedInvariants(NamedTuple):
     gap_sequence: tuple[int, ...]
     delta: int
     chi1_log: int
@@ -39,8 +39,7 @@ class ExpectedInvariants:
     ambient_weights: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     id: str
     aliases: tuple[str, ...]
     signature: tuple[int, ...]
@@ -139,8 +138,7 @@ def as_dict(entry: CatalogEntry) -> dict:
             for name, terms in entry.generators
         ],
         "dualizing_units": [str(u) for u in entry.dualizing_units],
-        "expected": {f.name: _encode(getattr(entry.expected, f.name))
-                     for f in fields(entry.expected)},
+        "expected": {name: _encode(value) for name, value in entry.expected._asdict().items()},
     }
     if entry.locus_condition is not None:
         divisor, h0 = entry.locus_condition

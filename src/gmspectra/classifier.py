@@ -18,7 +18,9 @@ Clifford profile, the shipped catalog, explicit exclusion rules and the
 special-locus overrides, walks the symmetric semigroups within an
 element-sum bound when there is a single zero, appends ordinary marked
 points up to the budget, and optionally re-scores every record for
-dangling branch subsets.
+dangling branch subsets.  Candidates, taggings and the other records are
+named tuples: immutable, equal to the plain tuple of their fields, and
+copied with ``_replace``.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ import itertools
 import logging
 import time
 from collections import Counter
-from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import catalog as cat
 from . import curve_models as cm
@@ -75,8 +76,7 @@ def threshold_coefficient(threshold) -> Fraction:
 # candidates
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One (signature, model) pair scored against the threshold."""
 
     signature: tuple[int, ...]
@@ -117,8 +117,7 @@ def _budget(coeff: Fraction, chi1_log: int, x: int, ell: int) -> int:
 # hyperelliptic taggings
 
 
-@dataclass(frozen=True)
-class Tagging:
+class Tagging(NamedTuple):
     """A hyperelliptic placement of the zeros: Weierstrass, pairs, free.
 
     ``weierstrass`` lists the order of each zero at a Weierstrass point
@@ -133,11 +132,9 @@ class Tagging:
 
     @property
     def label(self) -> str:
-        parts = sorted(
-            [(v, "p") for v in self.pairs] + [(v, "w") for v in self.weierstrass],
-            key=lambda t: (-t[0], t[1]),
-        )
-        rendered = [f"{kind}{v}" for v, kind in parts] + ["o"] * self.free
+        # largest order first, a pair before a Weierstrass zero of its order
+        parts = sorted([(-v, "p") for v in self.pairs] + [(-v, "w") for v in self.weierstrass])
+        rendered = [f"{kind}{-v}" for v, kind in parts] + ["o"] * self.free
         return "hyperelliptic(" + ",".join(rendered) + ")"
 
     def with_free(self, extra: int) -> "Tagging":
@@ -366,8 +363,7 @@ def _nonhyp_records(sig, coeff, x, entries, stats: Counter):
 # symmetric semigroups at a single zero
 
 
-@dataclass(frozen=True)
-class SemigroupRecord:
+class SemigroupRecord(NamedTuple):
     """A symmetric semigroup scored against the single-zero threshold."""
 
     semigroup: sg.NumericalSemigroup
@@ -565,8 +561,7 @@ def alpha_search(
 # nonvarying regression
 
 
-@dataclass(frozen=True)
-class RegressionCheck:
+class RegressionCheck(NamedTuple):
     entry_id: str
     field: str
     expected: object
@@ -577,8 +572,7 @@ class RegressionCheck:
         return self.expected == self.actual
 
 
-@dataclass(frozen=True)
-class RegressionReport:
+class RegressionReport(NamedTuple):
     checks: tuple[RegressionCheck, ...]
 
     @property
@@ -612,7 +606,7 @@ def nonvarying_regression(entries=None) -> RegressionReport:
         report = inv.algebra_report(alg)
         got = {k: tuple(v) if isinstance(v, list) else v for k, v in report.items()}
         got["ambient_weights"] = sorted([d for d, _ in alg.generators] + [1])
-        exp = {f.name: getattr(e.expected, f.name) for f in fields(e.expected)}
+        exp = e.expected._asdict()
         exp |= {"genus": derive(e.signature).genus, "gorenstein": True,
                 "ambient_weights": sorted(exp["ambient_weights"])}
         order = sorted(exp, key=lambda k: (*_LEADING_CHECKS, k).index(k))

@@ -14,13 +14,15 @@ frame's own tuples.
 Models are used where no branch algebra is available: semigroup counts at
 a single point, tagged hyperelliptic closed forms, the Clifford-maximal
 profile, and finite override tables layered on any base model.  All of
-them agree with Riemann-Roch once deg D > 2g-2.
+them agree with Riemann-Roch once deg D > 2g-2.  Each model is a named
+tuple: immutable, equal to the plain tuple of its fields, and copied with
+``_replace``; none but AlgebraModel, which keeps its genus there, has a
+``__dict__``, so nothing can be set on one.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, repeat
 from operator import mul
@@ -53,14 +55,19 @@ class Batch(NamedTuple):
 class _FrameRead:
     """The point read of a model that answers whole frames."""
 
+    __slots__ = ()
+
     def h0(self, divisor: Divisor) -> int:
         (dim,) = self.h0_frame(Batch.of([[c] for c in divisor]))
         return dim
 
 
-@dataclass(frozen=True)
-class AlgebraModel(_FrameRead):
-    """h0 read off a graded branch algebra: one section space per row."""
+class AlgebraModel(namedtuple("AlgebraModel", "algebra"), _FrameRead):
+    """h0 read off a graded branch algebra: one section space per row.
+
+    The one model with a ``__dict__``, where its ``genus`` is kept on first
+    read; its field is read-only all the same.
+    """
 
     algebra: ba.BranchAlgebra
 
@@ -77,14 +84,15 @@ class AlgebraModel(_FrameRead):
                 for row in zip(*frame.columns)]
 
 
-@dataclass(frozen=True)
-class UnibranchModel(_FrameRead):
+class UnibranchModel(namedtuple("UnibranchModel", "semigroup"), _FrameRead):
     """One marked point whose pole orders form the given semigroup.
 
     h0(c p) is the number of elements in [0, c]: read off the semigroup's
     prefix counts up to F, and c - g + 1 (Riemann-Roch) from F on.  Any
     nonzero coefficient at a second point is a ValueError.
     """
+
+    __slots__ = ()
 
     semigroup: sg.NumericalSemigroup
 
@@ -103,8 +111,7 @@ class UnibranchModel(_FrameRead):
         return [c - g + 1 if c >= F else counts[c] if c >= 0 else 0 for c in columns[0]]
 
 
-@dataclass(frozen=True)
-class HyperellipticModel(_FrameRead):
+class HyperellipticModel(namedtuple("HyperellipticModel", "genus tags"), _FrameRead):
     """Marked points tagged as Weierstrass, conjugate pairs, or free.
 
     Tags: ``"w"`` for a Weierstrass point, ``"pair:<id>"`` for one half of
@@ -114,6 +121,8 @@ class HyperellipticModel(_FrameRead):
     from a Weierstrass coefficient c, min(b, c) from a pair, nothing from
     free points, clamped at 0.
     """
+
+    __slots__ = ()
 
     genus: int
     tags: tuple[str, ...]
@@ -151,8 +160,7 @@ class HyperellipticModel(_FrameRead):
                 for deg, p in zip(frame.degrees, pencils)]
 
 
-@dataclass(frozen=True)
-class CliffordMaxModel(_FrameRead):
+class CliffordMaxModel(namedtuple("CliffordMaxModel", "genus"), _FrameRead):
     """The largest h0 profile a nonhyperelliptic curve allows.
 
     Only the degree matters, so the frame read works on the row degrees
@@ -164,6 +172,8 @@ class CliffordMaxModel(_FrameRead):
     Riemann-Roch range, where most rows of an m >= 2 frame lie, is tested
     first.
     """
+
+    __slots__ = ()
 
     genus: int
 
@@ -177,14 +187,15 @@ class CliffordMaxModel(_FrameRead):
                 for deg in frame.degrees]
 
 
-@dataclass(frozen=True)
-class OverrideModel(_FrameRead):
+class OverrideModel(namedtuple("OverrideModel", "base table"), _FrameRead):
     """A base model with finitely many divisors pinned to other values.
 
     The base read with the table rows patched in; when a divisor is
     listed twice, its first entry wins.  A row whose divisor has another
     length than the frame has columns is a ValueError naming it.
     """
+
+    __slots__ = ()
 
     base: object
     table: tuple[tuple[tuple[int, ...], int], ...]

@@ -6,22 +6,23 @@ chi_m^log.  From the first two characters come the alpha-invariant and the
 slope, always as exact fractions; alpha reads the two characters alone
 (dangling branches lower only the search cutoff, classifier._threshold_x).
 A standalone lattice-point identity cross-checks the one-branch toric count.
+Spectra and reports are named tuples: immutable, equal to the plain tuple
+of their fields, and copied with ``_replace``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import branch_algebra as ba
 from .curve_models import filtration_dims
 from .signature import Signature
 
 
-@dataclass(frozen=True)
-class WeightSpectrum:
+class WeightSpectrum(NamedTuple):
     m: int
     entries: tuple[tuple[int, int], ...]  # (weight, multiplicity), ascending
 
@@ -72,8 +73,7 @@ def weight_spectrum(source, m: int = 1, sig: Signature | None = None) -> WeightS
                                     in zip(runs.ends, dims, dims[1:] + (0,)) if dim > after]))
 
 
-@dataclass(frozen=True)
-class WeightIdentityReport:
+class WeightIdentityReport(NamedTuple):
     top_multiplicity_ok: bool  # N_{m,(m-1)ell} = n - 1
     ladder_differences_ok: bool  # N_{m,lam} = sum_i (l_{lam+1,i} - l_{lam,i}) below (m-1)ell
     shifted_tail_ok: bool  # weights above (m-1)ell are (m-1)ell + w_i
@@ -186,8 +186,7 @@ def slope(chi1_log: int, chi2_log: int, sig: Signature) -> Fraction:
     return direct
 
 
-@dataclass(frozen=True)
-class AlphaSlopeRecord:
+class AlphaSlopeRecord(NamedTuple):
     chi1_log: int
     chi2_log: int
     chi2: int
@@ -233,8 +232,7 @@ def algebra_report(alg: ba.BranchAlgebra, levels=(1, 2)) -> dict:
 # ------------------------------------------------------- toric identity
 
 
-@dataclass(frozen=True)
-class ToricIdentityReport:
+class ToricIdentityReport(NamedTuple):
     p: int
     q: int
     branches: int  # b = gcd(p, q)

@@ -11,7 +11,8 @@ finds, the latter with the sum it carried down, so its leaves build no gap
 tuple and count no bits; the same sum bounds the walk when asked.
 The closure of a generating set is read off its Apery set, sumsets and
 minimal generators are shift-ors of such masks, and counting elements is a
-popcount.
+popcount.  ElementSumRecord is a named tuple: immutable, equal to the plain
+tuple of its fields, and copied with ``_replace``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -354,8 +355,7 @@ def _walk(g: int, F: int, cap: list[int]) -> Iterator[NumericalSemigroup]:
                 push((k + 1, new, new_sums, total + e))
 
 
-@dataclass(frozen=True)
-class ElementSumRecord:
+class ElementSumRecord(NamedTuple):
     """A semigroup passing the element-sum bound, with its slack."""
 
     semigroup: NumericalSemigroup

@@ -6,7 +6,6 @@ multiplication of the generator monomials before the engine existed.
 
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -819,7 +818,7 @@ def test_certified_stop_matches_the_dense_closure(case):
     else:
         assert report.quotient_length is None
     ref_conditions = ba.validate_G_conditions(ref)
-    assert replace(conditions, notes=()) == replace(ref_conditions, notes=())
+    assert conditions._replace(notes=()) == ref_conditions._replace(notes=())
     if within:
         assert conditions.notes == ref_conditions.notes
     assert len(ref.graded_basis) == top + 1  # the reference never extended itself
@@ -961,8 +960,8 @@ def full_scan_report(alg, units):
              if not alg.contains([(i, sig.orders[i] + 1, u[j]), (j, sig.orders[j] + 1, -u[i])])]
     others = [note for note in report.notes if not note.startswith("dualizing pair")]
     tail = [note for note in others if note.startswith("gap tail")]
-    return replace(report, dualizing_pairs=not pairs,
-                   notes=tuple(others[:len(others) - len(tail)] + pairs + tail))
+    return report._replace(dualizing_pairs=not pairs,
+                           notes=tuple(others[:len(others) - len(tail)] + pairs + tail))
 
 
 @pytest.mark.parametrize("entry", [*catalog.entries(), *FAMILY_MEMBERS], ids=lambda e: e.id)

@@ -14,7 +14,6 @@ including its failure mode.  The search decides its cutoff on ints
 cutoff, the Clifford cap and the budget, and every check compares the two.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import logging
@@ -609,6 +608,28 @@ def test_tagging_labels():
     assert Tagging((), (5, 2)).label == "hyperelliptic(p5,p2)"
 
 
+def oracle_label(tagging):
+    """The label sorted with a key: largest order first, p before w."""
+    parts = sorted([(v, "p") for v in tagging.pairs] + [(v, "w") for v in tagging.weierstrass],
+                   key=lambda t: (-t[0], t[1]))
+    rendered = [f"{kind}{v}" for v, kind in parts] + ["o"] * tagging.free
+    return "hyperelliptic(" + ",".join(rendered) + ")"
+
+
+def test_tagging_labels_match_the_key_sorted_label():
+    checked = 0
+    for g in range(2, 11):
+        for sig in enumerate_signatures(g, 2 * g - 2):
+            for tagging in hyperelliptic_taggings(sig):
+                for k in range(3):
+                    extended = tagging.with_free(k)
+                    assert extended.label == oracle_label(extended), (sig, extended)
+                    checked += 1
+    assert checked > 1000
+    # a tagging built out of order reads the same
+    assert Tagging((2, 6), (4, 6), 1).label == oracle_label(Tagging((2, 6), (4, 6), 1))
+
+
 def test_hyperelliptic_routes_agree_up_to_genus_ten():
     # summed model filtration vs the Weierstrass-correction closed form:
     # (g+1)*ell/2 less (ell - a_i)/4 for each zero tagged Weierstrass
@@ -942,8 +963,7 @@ def test_nonvarying_regression_is_green():
 
 def test_regression_names_entry_and_field_on_mismatch():
     e = catalog.get("E7")
-    bad = dataclasses.replace(
-        e, expected=dataclasses.replace(e.expected, delta=99))
+    bad = e._replace(expected=e.expected._replace(delta=99))
     report = nonvarying_regression([bad])
     assert not report.ok
     assert [(c.entry_id, c.field, c.expected, c.actual) for c in report.failures()] == [
@@ -962,7 +982,7 @@ def test_regression_reports_a_ring_without_a_certified_conductor():
     # k[t1^2] on the (3, 1) branches: delta, genus, alpha and slope are
     # left out of the report and read as None, so nothing raises
     e = catalog.get("E7")
-    bad = dataclasses.replace(e, generators=(("x", ((0, 2, Fraction(1)),)),))
+    bad = e._replace(generators=(("x", ((0, 2, Fraction(1)),)),))
     report = nonvarying_regression([bad])
     failed = {c.field: c.actual for c in report.failures()}
     assert [c.field for c in report.checks] == [
@@ -976,7 +996,24 @@ def test_regression_reports_a_ring_without_a_certified_conductor():
 
 def test_regression_catches_character_corruption():
     e = catalog.get("H(5,3)")
-    bad = dataclasses.replace(
-        e, expected=dataclasses.replace(e.expected, chi2_log=1))
+    bad = e._replace(expected=e.expected._replace(chi2_log=1))
     report = nonvarying_regression([bad])
     assert {c.field for c in report.failures()} == {"chi2_log"}
+
+
+def test_a_doctored_locus_entry_trips_the_override_check():
+    e = catalog.get("H(7,1)-special")
+    bad = e._replace(expected=e.expected._replace(chi1_log=e.expected.chi1_log + 1))
+    entries = [bad if x.id == e.id else x for x in catalog.entries()]
+    with pytest.raises(RuntimeError,
+                       match=r"^H\(7,1\)-special: override filtration gives 20, stored 21$"):
+        alpha_search(5, catalog=entries)
+
+
+def test_two_catalog_values_for_one_component_trip_the_catalog_check():
+    # H(2,2,2)-even-1 and -2 agree; a copy of one with another chi1_log does not
+    e = catalog.get("H(2,2,2)-even-1")
+    bad = e._replace(id="H(2,2,2)-even-3",
+                     expected=e.expected._replace(chi1_log=e.expected.chi1_log + 1))
+    with pytest.raises(RuntimeError, match=r"^catalog disagrees on chi1_log for \(2, 2, 2\) even$"):
+        alpha_search(4, catalog=[*catalog.entries(), bad])

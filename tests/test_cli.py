@@ -1,6 +1,5 @@
 """Command-line surface: exact rendering, report round-trips, exit codes."""
 
-import dataclasses
 import hashlib
 import json
 import time
@@ -699,7 +698,7 @@ def test_verify_search_flags_a_nonhyperelliptic_candidate_at_genus_20(monkeypatc
 
     def doctored(g, *args, **kwargs):
         cands = search(g, *args, **kwargs)
-        return cands + (dataclasses.replace(cands[0], component="odd"),) if g == 20 else cands
+        return cands + (cands[0]._replace(component="odd"),) if g == 20 else cands
 
     monkeypatch.setattr(cli, "alpha_search", doctored)
     result = invoke("verify", "--suite", "search")
@@ -719,7 +718,7 @@ def test_verify_search_counts_zeros_of_positive_order(monkeypatch, g, orders, ok
         cands = search(genus, *args, **kwargs)
         if genus != g:
             return cands
-        return cands[:-1] + (dataclasses.replace(cands[-1], signature=orders),)
+        return cands[:-1] + (cands[-1]._replace(signature=orders),)
 
     monkeypatch.setattr(cli, "alpha_search", stubbed)
     result = invoke("verify", "--suite", "search")
