@@ -179,7 +179,8 @@ def _monomial_entry(H: NumericalSemigroup) -> CatalogEntry:
         raise ValueError(f"monomial entry needs a symmetric semigroup, got {H}")
     g = H.genus
     sig = (2 * g - 2,)
-    gens = tuple((f"x{i+1}", ((0, h, Fraction(1)),)) for i, h in enumerate(H.generators))
+    minimal = list(H.generators)
+    gens = tuple((f"x{i+1}", ((0, h, Fraction(1)),)) for i, h in enumerate(minimal))
     chi1 = sum(H.gaps)
     chi2_log = (2 * g - 1) ** 2 + chi1
     gap = tuple(0 if H.contains(j) else 1 for j in range(1, 2 * g))
@@ -187,7 +188,7 @@ def _monomial_entry(H: NumericalSemigroup) -> CatalogEntry:
     ident, component, nonvarying = ((f"A{2 * g}", "hyp", True) if H.hyperelliptic
                                     else (f"monomial{H}", spin, False))
     for e in entries():  # on one branch, each stored generator is one term c*t^h
-        if e.signature == sig and sorted(t[0][1] for _, t in e.generators) == list(H.generators):
+        if e.signature == sig and sorted(t[0][1] for _, t in e.generators) == minimal:
             ident, component, nonvarying = e.id, e.component, e.nonvarying
     return CatalogEntry(
         id=ident,
@@ -197,7 +198,7 @@ def _monomial_entry(H: NumericalSemigroup) -> CatalogEntry:
         nonvarying=nonvarying,
         generators=gens,
         dualizing_units=(Fraction(1),),
-        expected=_expected(sig, gap, g, chi1, chi2_log, spin, (*H.generators, 1)),
+        expected=_expected(sig, gap, g, chi1, chi2_log, spin, (*minimal, 1)),
     )
 
 

@@ -2,22 +2,21 @@
 
 A numerical semigroup is a cofinite additive submonoid of the naturals.
 Everything here is exact integer combinatorics on bitmasks: a semigroup
-stores only its Frobenius number F and its elements in [0, F] as one
-integer whose bit k is set when k is an element (every k > F is one).
-The genus, gaps, minimal generators and the element sum are derived on
-first read and kept in slots, outside equality, hashing and repr; the
-symmetric walk fills the genus and element-sum slots of each semigroup it
-finds, the latter with the sum it carried down, so its leaves build no gap
-tuple and count no bits; the same sum bounds the walk when asked.
-The closure of a generating set is read off its Apery set, sumsets and
-minimal generators are shift-ors of such masks, and counting elements is a
-popcount.  ElementSumRecord is a named tuple: immutable, equal to the plain
-tuple of its fields, and copied with ``_replace``.
+stores its Frobenius number F, its elements in [0, F] as one integer whose
+bit k is set when k is an element (every k > F is one), its genus and its
+element sum.  It is a named tuple, built whole by its two constructors:
+the symmetric walk passes each leaf its genus and the element sum it
+carried down, so its leaves build no gap tuple and count no bits, and the
+same sum bounds the walk when asked; :func:`from_generators` reads both off
+the Apery set it builds the mask from.  The gaps and minimal generators are
+derived on each read.  Sumsets and minimal generators are shift-ors of
+masks, and counting elements is a popcount.  ElementSumRecord is a named
+tuple too: immutable, equal to the plain tuple of its fields, and copied
+with ``_replace``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 from math import gcd
 from typing import Iterator, NamedTuple
@@ -39,21 +38,11 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple([i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"])
 
 
-@dataclass(frozen=True, slots=True)
-class NumericalSemigroup:
+class NumericalSemigroup(NamedTuple):
     frobenius: int  # largest gap, -1 if there are none
     mask: int  # bit k set iff k in [0, F] is an element; no higher bits
-    _gaps: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _generators: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _element_sum: int | None = field(default=None, init=False, repr=False, compare=False)
-    _genus: int | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def genus(self) -> int:
-        """The number of gaps, C - popcount(mask); kept on first read."""
-        if self._genus is None:
-            object.__setattr__(self, "_genus", self.conductor - self.mask.bit_count())
-        return self._genus
+    genus: int  # the number of gaps
+    element_sum: int  # sum of the g smallest elements
 
     @property
     def conductor(self) -> int:
@@ -62,17 +51,10 @@ class NumericalSemigroup:
     @property
     def gaps(self) -> tuple[int, ...]:
         """Ascending; empty for the full monoid."""
-        if self._gaps is None:
-            object.__setattr__(self, "_gaps", _bits(~self.mask & ((1 << self.conductor) - 1)))
-        return self._gaps
+        return _bits(~self.mask & ((1 << self.conductor) - 1))
 
     @property
     def generators(self) -> tuple[int, ...]:
-        if self._generators is None:
-            object.__setattr__(self, "_generators", self._minimal_generators())
-        return self._generators
-
-    def _minimal_generators(self) -> tuple[int, ...]:
         """The minimal generating set, ascending.
 
         The minimal generators are the positive elements that are not sums
@@ -91,27 +73,6 @@ class NumericalSemigroup:
             sums |= pos << e
         return _bits(pos & ~sums)
 
-    @property
-    def element_sum(self) -> int:
-        """Sum of the g smallest elements, g the genus.
-
-        Each k in [0, F] has at most one of k, F - k in H, or F = k + (F - k)
-        would be an element; so the F + 1 - g elements of [0, F] number at
-        most (F + 1) / 2, i.e. F <= 2g - 1, and they are the F + 1 - g
-        smallest elements, at most g of them.  Their sum is F(F+1)/2 minus
-        the gap sum.  The other r = 2g - 1 - F >= 0 of the g smallest are
-        C, C+1, ..., C+r-1 from the conductor C = F + 1 on, summing to
-        r*C + r(r-1)/2.  Computed on first read and kept; a semigroup found
-        by :func:`enumerate_symmetric` arrives with it already kept.
-        """
-        if self._element_sum is None:
-            F, C = self.frobenius, self.conductor
-            r = 2 * self.genus - 1 - F
-            object.__setattr__(
-                self, "_element_sum", F * C // 2 - sum(self.gaps) + r * C + r * (r - 1) // 2
-            )
-        return self._element_sum
-
     def contains(self, k: int) -> bool:
         if k < 0:
             return False
@@ -119,7 +80,7 @@ class NumericalSemigroup:
             return True
         return bool(self.mask >> k & 1)
 
-    def __contains__(self, k: int) -> bool:
+    def __contains__(self, k: int) -> bool:  # a tuple's own would test the fields
         return self.contains(k)
 
     @property
@@ -219,14 +180,25 @@ def _apery(gset: list[int]) -> list[int]:
     return least  # type: ignore[return-value]
 
 
-def generated_genus(gens) -> int:
-    """Genus of the semigroup the generators span, without its element mask.
+def _apery_gaps(lo: int, least: list[int]) -> tuple[int, int]:
+    """The genus and the gap sum of the semigroup with Apery list ``least``.
 
-    The gaps of class r mod lo are r, r + lo, ..., below the least element
-    w_r of the class, (w_r - r) / lo of them (Selmer's formula).
+    The gaps of class r mod lo are r, r + lo, ..., w_r - lo below the least
+    element w_r of the class: k_r = (w_r - r) / lo of them (Selmer's
+    formula), summing to k_r*r + lo*k_r(k_r - 1)/2.
     """
+    genus = total = 0
+    for r, w in enumerate(least):
+        k = (w - r) // lo
+        genus += k
+        total += k * r + lo * k * (k - 1) // 2
+    return genus, total
+
+
+def generated_genus(gens) -> int:
+    """Genus of the semigroup the generators span, without its element mask."""
     gset = generator_set(gens)
-    return sum((w - r) // gset[0] for r, w in enumerate(_apery(gset)))
+    return _apery_gaps(gset[0], _apery(gset))[0]
 
 
 def from_generators(gens) -> NumericalSemigroup:
@@ -238,6 +210,15 @@ def from_generators(gens) -> NumericalSemigroup:
     generator in the span of the smaller ones (every one above F among
     them) costs one step, never F bits.  An F above SEMIGROUP_SIZE_BOUND is
     a ValueError before the mask is built.
+
+    The genus g and the gap sum come off the same list in O(lo) steps, and
+    with them the sum of the g smallest elements.  Each k in [0, F] has at
+    most one of k, F - k in H, or F = k + (F - k) would be an element; so
+    the F + 1 - g elements of [0, F] number at most (F + 1) / 2, i.e.
+    F <= 2g - 1, and they are the F + 1 - g smallest elements, at most g of
+    them.  Their sum is F(F+1)/2 minus the gap sum.  The other
+    r = 2g - 1 - F >= 0 of the g smallest are C, C+1, ..., C+r-1 from the
+    conductor C = F + 1 on, summing to r*C + r(r-1)/2.
     """
     gset = generator_set(gens)
     lo = gset[0]
@@ -250,7 +231,11 @@ def from_generators(gens) -> NumericalSemigroup:
     mask = 0
     for w in least:
         mask |= comb << w
-    return NumericalSemigroup(F, mask & ((1 << (F + 1)) - 1))
+    g, gap_total = _apery_gaps(lo, least)
+    C = F + 1
+    r = 2 * g - C
+    return NumericalSemigroup(F, mask & ((1 << C) - 1), g,
+                              F * C // 2 - gap_total + r * C + r * (r - 1) // 2)
 
 
 def gap_sum(H: NumericalSemigroup) -> int:
@@ -300,11 +285,10 @@ def walk_symmetric(g: int, max_element_sum: int | None = None) -> Iterator[Numer
     comes k in the first and a larger gap in the second.  So the first
     leaf has the smaller gap tuple.
 
-    Each leaf arrives with its genus g and its element sum kept.  Its
-    elements in [0, F] are 0 and the one chosen from each pair, g in all,
-    so they are its g smallest elements: the walk carries their running
-    ``total``, one add per node, and the leaf stores it in the slot
-    ``element_sum`` reads.
+    Each leaf is built with its genus g and its element sum.  Its elements
+    in [0, F] are 0 and the one chosen from each pair, g in all, so they
+    are its g smallest elements: the walk carries their running ``total``,
+    one add per node, and the leaf takes it as its ``element_sum``.
 
     The bound prunes whole subtrees.  A node decided up to pair k with
     running total T has only leaves of sum at least T + (k+1) + ... + (g-1),
@@ -338,10 +322,7 @@ def _walk(g: int, F: int, cap: list[int]) -> Iterator[NumericalSemigroup]:
     while stack:
         k, elems, sums, total = pop()
         if k == g:
-            H = NumericalSemigroup(F, elems)
-            object.__setattr__(H, "_genus", g)
-            object.__setattr__(H, "_element_sum", total)
-            yield H
+            yield NumericalSemigroup(F, elems, g, total)
             continue
         e = F - k
         new = elems | 1 << k

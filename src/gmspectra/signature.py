@@ -9,13 +9,12 @@ enumeration of tuples of fixed genus.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """Zero-order tuple with its derived scaling data.
 
     Orders are stored non-increasing; use :func:`derive` to build one.
@@ -29,9 +28,6 @@ class Signature:
     @property
     def n(self):
         return len(self.orders)
-
-    def __iter__(self):
-        return iter(self.orders)
 
     def __str__(self):
         return "(" + ",".join(str(m) for m in self.orders) + ")"

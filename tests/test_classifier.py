@@ -774,9 +774,9 @@ def test_semigroup_search_raises_when_either_chi1_route_is_off(monkeypatch):
     with pytest.raises(RuntimeError, match="unibranch chi1 routes disagree"):
         semigroup_search(5)
     monkeypatch.undo()
-    element_route = sg.NumericalSemigroup.element_sum.fget
-    monkeypatch.setattr(sg.NumericalSemigroup, "element_sum",
-                        property(lambda H: element_route(H) - 1))
+    walk = sg.walk_symmetric
+    monkeypatch.setattr(sg, "walk_symmetric", lambda g, bound=None: (
+        H._replace(element_sum=H.element_sum - 1) for H in walk(g, bound)))
     with pytest.raises(RuntimeError, match="unibranch chi1 routes disagree"):
         semigroup_search(5)
 
@@ -854,9 +854,9 @@ def test_unibranch_rows_raise_when_either_chi1_route_is_off_on_a_witness(monkeyp
     with pytest.raises(RuntimeError, match=r"unibranch chi1 routes disagree for <5,7,8,9>$"):
         classifier._unibranch_records(sig, coeff, Counter())
     monkeypatch.undo()
-    element_route = sg.NumericalSemigroup.element_sum.fget
-    monkeypatch.setattr(sg.NumericalSemigroup, "element_sum",
-                        property(lambda H: element_route(H) - (H == witness)))
+    walk = sg.walk_symmetric
+    monkeypatch.setattr(sg, "walk_symmetric", lambda g, bound=None: (
+        H._replace(element_sum=H.element_sum - (H == witness)) for H in walk(g, bound)))
     with pytest.raises(RuntimeError, match=r"unibranch chi1 routes disagree for <5,7,8,9>$"):
         classifier._unibranch_records(sig, coeff, Counter())
 

@@ -139,13 +139,13 @@ def test_closure_invariants(raw):
 
 def assert_matches_brute_force(H, gens):
     """Every read of H against the saturation oracle on [0, 2F+3]."""
-    built = sgp.from_generators(H.generators)  # fields compare, whatever was read
+    built = sgp.from_generators(H.generators)  # every field compares, the sum included
     assert built == H and hash(built) == hash(H)
     F = H.frobenius
     top = 2 * F + 3  # >= F + multiplicity, past every minimal generator
     elems = sorted(brute_membership(sorted(set(gens)), top))
-    for k in range(-1, top + 1):
-        assert H.contains(k) == (k in elems)
+    for k in range(-2, top + 1):
+        assert H.contains(k) == (k in H) == (k in elems)  # a tuple's `in` would test fields
         assert H.count_upto(k) == sum(1 for e in elems if e <= k)
     assert H.prefix_counts() == [sum(1 for e in elems if e <= k) for k in range(F + 1)]
     assert H.element_sum == sum(elems[:H.genus])
@@ -244,10 +244,9 @@ def test_generators_sumset_reaches_half_of_f_plus_multiplicity():
         positive = [e for e in range(1, F + mult + 1) if H.contains(e)]
         minimal = tuple(e for e in positive if not any(H.contains(e - a) for a in positive
                                                         if 0 < a < e))
-        assert sgp.NumericalSemigroup(F, H.mask).generators == minimal == H.generators, H
+        assert H.generators == minimal, H
     assert pinned >= 20
-    H = sgp.from_generators([3, 4])  # F + mult = 8 = 4 + 4 only
-    assert H.generators == (3, 4) and sgp.NumericalSemigroup(5, H.mask).generators == (3, 4)
+    assert sgp.from_generators([3, 4]).generators == (3, 4)  # F + mult = 8 = 4 + 4 only
 
 
 def test_counting_helpers():
@@ -265,10 +264,13 @@ def test_counting_helpers():
     assert str(H) == "<3,7>"
 
 
-def test_element_sum_is_kept_outside_equality_hash_and_repr():
-    H, fresh = sgp.from_generators([3, 7]), sgp.from_generators([3, 7])
-    assert H.element_sum == 35 and H._element_sum == 35 and fresh._element_sum is None
+def test_element_sum_is_a_field_of_equality_hash_and_repr():
+    # built whole: reading gaps or generators leaves no trace on either copy
+    H, fresh = sgp.from_generators([3, 7]), sgp.from_generators([7, 3, 10])
+    assert H.gaps and H.generators and H.element_sum == 35
     assert H == fresh and hash(H) == hash(fresh) and repr(H) == repr(fresh)
+    assert repr(H) == "NumericalSemigroup(frobenius=11, mask=1737, genus=6, element_sum=35)"
+    assert H._replace(element_sum=34) != H
 
 
 # ------------------------------------------------------------ gap sums
@@ -339,13 +341,21 @@ def test_enumerate_symmetric_matches_brute_force():
 
 
 def test_walk_leaves_arrive_with_their_element_sum():
-    # the walk's running sum against the property's formula on a fresh copy
+    # the walk's carried genus and running sum against the Apery route
     for g in range(1, 21):
         for H in sgp.enumerate_symmetric(g):
-            assert H._element_sum is not None and H._gaps is None
-            fresh = sgp.NumericalSemigroup(H.frobenius, H.mask)
-            assert H.element_sum == fresh.element_sum
-            assert fresh._gaps is not None  # the formula read the gaps
+            built = sgp.from_generators(H.generators)
+            assert H == built and H.genus == g, (H, built)
+
+
+def test_apery_element_sum_matches_brute_force():
+    # <3,4,5>, <4,5,7>, <5,6,8> and <3,5,7> have F < 2g - 1: their g
+    # smallest elements run past the conductor
+    for gens in [(1,), (3, 4, 5), (4, 5, 7), (4, 6, 7), (5, 6, 8), (6, 7, 8, 9, 10),
+                 (3, 5, 7)]:
+        H = sgp.from_generators(gens)
+        assert H.symmetric == (gens in [(1,), (4, 6, 7), (6, 7, 8, 9, 10)]), H
+        assert_matches_brute_force(H, gens)
 
 
 def test_enumerate_symmetric_refuses_a_genus_past_its_bound():
