@@ -89,18 +89,23 @@ class NumericalSemigroup(NamedTuple):
 
     @property
     def hyperelliptic(self) -> bool:
-        """True when 2 is an element (genus >= 2 gap sequences 1,3,5,...)."""
-        return self.contains(2)
+        """True when 2 is an element (genus >= 2 gap sequences 1,3,5,...).
+
+        2 is an element past F, and below it when bit 2 of the mask is set.
+        """
+        return self.frobenius < 2 or self.mask & 4 != 0
 
     @property
     def spin(self) -> str | None:
         """Spin parity: that of the number of elements in [0, g-1].
 
         None when hyperelliptic, where the stratum has no spin components.
+        Every gap is at most F, so g <= F for g >= 1 and [0, g-1] lies in
+        the mask: the count is one masked popcount (0 when g = 0).
         """
         if self.hyperelliptic:
             return None
-        return "odd" if self.count_upto(self.genus - 1) % 2 else "even"
+        return "odd" if (self.mask & ((1 << self.genus) - 1)).bit_count() % 2 else "even"
 
     def count_upto(self, k: int) -> int:
         """Number of elements in [0, k]."""
@@ -266,15 +271,25 @@ def walk_symmetric(g: int, max_element_sum: int | None = None) -> Iterator[Numer
 
     Symmetry forces exactly one of k, F-k (F = 2g-1) to be an element for
     each 0 <= k <= F, so the search decides the pairs {k, F-k} for
-    k = 1..g-1 depth-first, F-k before k, after {0, F}.  Every decided
-    pair holds one element and one gap, so closure among decided positions
-    fails exactly when three decided elements a, b, c (0 allowed) sum to F:
-    a decided gap a+b pairs with the decided element c = F-a-b, and
-    conversely a+b = F-c is the decided gap paired with c.  The walk
-    carries the mask of decided elements and the mask of their pairwise
-    sums (an element with itself and with 0 included).  Deciding element e
-    sets ``elems |= 1 << e`` and then ``sums |= elems << e``; every new
-    triple contains e, so the node is pruned iff bit F-e of ``sums`` is set.
+    k = 1..g-1 depth-first, F-k before k, after {0, F}.  Each node carries
+    the mask ``elems`` of decided elements and the mask ``sums`` of their
+    pairwise sums (an element with itself and with 0 included), and their
+    reflections in [0, F]: ``relems`` has bit F-x for each decided element
+    x, and ``rsums`` bit F-s for each of those sums s <= F.  Deciding
+    element e sets ``elems |= 1 << e``, ``sums |= elems << e``,
+    ``relems |= 1 << (F-e)`` and then ``rsums |= relems >> e`` (bit
+    F-(x+e) for each decided x, the shift dropping the sums past F).
+
+    A child is kept iff ``sums & rsums`` is 0: no y has both y and F-y in
+    the sumset.  No leaf is lost.  Sums of elements are elements, and a
+    symmetric semigroup holds exactly one of y and F-y, so a node whose
+    sumset holds both has no leaf below it.  And every leaf kept is a
+    semigroup: a sum a+b <= F of two of its elements that were a gap would
+    pair with the element F-a-b, putting both a+b and F-(a+b) in the
+    sumset.  The test's case y = e is the triple test, bit F-e of ``sums``
+    (e = e + 0 is a sum, so that bit says a + b + e = F for decided a, b);
+    the full test drops a node as soon as both y and F-y are sums, where
+    the triple test waits for the child that decides the pair {y, F-y}.
 
     The walk yields the semigroups in ascending order of their gap tuples,
     with no sort.  Every leaf has g gaps, F and one of each pair.  Take two
@@ -315,25 +330,30 @@ def walk_symmetric(g: int, max_element_sum: int | None = None) -> Iterator[Numer
 
 
 def _walk(g: int, F: int, cap: list[int]) -> Iterator[NumericalSemigroup]:
-    # nodes (k, elems, sums, total) on a stack, the F-k child pushed last so
-    # that it is walked first; 0 is an element and 0 + 0 = 0
-    stack = [(1, 1, 1, 0)] if cap[0] >= 0 else []
+    # nodes (k, elems, sums, relems, rsums, total) on a stack, the F-k child
+    # pushed last so that it is walked first; 0 is an element, 0 + 0 = 0
+    # and both reflect to F
+    stack = [(1, 1, 1, 1 << F, 1 << F, 0)] if cap[0] >= 0 else []
     pop, push = stack.pop, stack.append
     while stack:
-        k, elems, sums, total = pop()
+        k, elems, sums, relems, rsums, total = pop()
         if k == g:
             yield NumericalSemigroup(F, elems, g, total)
             continue
         e = F - k
         new = elems | 1 << k
         new_sums = sums | new << k
-        if not new_sums >> e & 1:
-            push((k + 1, new, new_sums, total + k))
+        new_rel = relems | 1 << e
+        new_rsums = rsums | new_rel >> k
+        if not new_sums & new_rsums:
+            push((k + 1, new, new_sums, new_rel, new_rsums, total + k))
         if total + e <= cap[k]:
             new = elems | 1 << e
             new_sums = sums | new << e
-            if not new_sums >> k & 1:
-                push((k + 1, new, new_sums, total + e))
+            new_rel = relems | 1 << k
+            new_rsums = rsums | new_rel >> e
+            if not new_sums & new_rsums:
+                push((k + 1, new, new_sums, new_rel, new_rsums, total + e))
 
 
 class ElementSumRecord(NamedTuple):

@@ -56,6 +56,30 @@ def brute_symmetric_gap_sets(g):
     return sorted(out)
 
 
+def one_sided_walk(g, max_element_sum=None):
+    """The symmetric walk with the one-sided test alone: a child deciding
+    element e is cut once bit F-e of its sumset is set (a triple summing
+    to F through e), and the F-k child once its total passes the cap."""
+    F = 2 * g - 1
+    bound = g * F if max_element_sum is None else max_element_sum
+    cap = [bound - (g - 1 - k) * (g + k) // 2 for k in range(g)]
+    out = []
+
+    def visit(k, elems, sums, total):
+        if k == g:
+            out.append(sgp.NumericalSemigroup(F, elems, g, total))
+            return
+        for e in (F - k, k):
+            new = elems | 1 << e
+            new_sums = sums | new << e
+            if not new_sums >> (F - e) & 1 and (e == k or total + e <= cap[k]):
+                visit(k + 1, new, new_sums, total + e)
+
+    if cap[0] >= 0:
+        visit(1, 1, 1, 0)
+    return out
+
+
 # ---------------------------------------------------------- construction
 
 
@@ -323,6 +347,8 @@ def test_enumerate_symmetric_counts():
     expected.update({9: 15, 10: 20, 11: 18, 12: 36, 13: 44, 14: 45, 15: 83,
                      16: 109, 17: 101, 18: 174, 19: 246, 20: 227, 21: 420,
                      22: 546, 23: 498, 24: 926})
+    # frozen from the one-sided walk
+    expected.update({26: 1121, 28: 2496, 32: 5317, 36: 19812, 40: 53629})
     for g, count in expected.items():
         assert len(sgp.enumerate_symmetric(g)) == count
 
@@ -369,6 +395,18 @@ def test_enumerate_symmetric_walks_in_gap_order():
     for g in range(1, 25):
         found = sgp.enumerate_symmetric(g)
         assert found == sorted(found, key=lambda H: H.gaps)
+
+
+def test_the_reflected_sumset_walk_keeps_the_leaves_of_the_one_sided_walk():
+    # it cuts only subtrees with no leaf: same leaves, same order
+    for g in range(1, 29):
+        assert sgp.enumerate_symmetric(g) == one_sided_walk(g), g
+
+
+def test_the_bounded_reflected_sumset_walk_keeps_the_leaves_of_the_one_sided_walk():
+    for g in range(1, 17):
+        for bound in sorted({H.element_sum for H in one_sided_walk(g)}):
+            assert list(sgp.walk_symmetric(g, bound)) == one_sided_walk(g, bound), (g, bound)
 
 
 def test_a_bounded_walk_keeps_exactly_the_semigroups_within_its_bound():
