@@ -22,17 +22,16 @@ Everything downstream reads the graded bases through one reader:
 degrees(top), the slot-carrying degrees; rank(k, positions); has_power,
 one lookup; and contains.  Membership and rank read rows off the map by
 pivot and never eliminate them again: only the vector, or the rows
-pivoting outside the positions, is reduced.  The conductor has one
-proof, the closure's certificate (_conductor), kept once found; the
-Gorenstein test sum(c_i) = 2*delta and the condition (G3) both read it.
-BranchAlgebra is the one mutable class; the reports are named tuples,
-immutable, equal to the plain tuple of their fields and copied with
-``_replace``.
+pivoting outside the positions, is reduced.  The conductor, whose one
+proof is the closure's certificate, and the gap sequence are cached
+properties of BranchAlgebra, the one mutable class, decided at their first
+read; the Gorenstein test sum(c_i) = 2*delta and the condition (G3) read
+them.  The reports are named tuples, immutable, equal to the plain tuple
+of their fields and copied with ``_replace``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
@@ -157,18 +156,17 @@ def _identity(s: int) -> Piece:
 # ----------------------------------------------------------- the algebra
 
 
-@dataclass(eq=False)
 class BranchAlgebra:
     """The ring spanned by the generators; graded_basis holds R_k so far, k in S."""
 
-    signature: Signature
-    generators: tuple[Generator, ...]  # see generator()
-    graded_basis: dict[int, Piece]  # the _rref map of R_k over slots(k)
-    stable_from: int | None = None  # R_k is full for every k >= stable_from
-    _full_from: int = field(default=1, repr=False)  # one past the last piece not full
-    _gap_full: tuple[int, ...] | None = field(default=None, repr=False)
-    _conductor: tuple[int, ...] | None = field(default=None, repr=False)  # once certified
-    _slots: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
+    def __init__(self, signature: Signature, generators: tuple[Generator, ...],
+                 graded_basis: dict[int, Piece]):
+        self.signature = signature
+        self.generators = generators  # see generator()
+        self.graded_basis = graded_basis  # the _rref map of R_k over slots(k)
+        self.stable_from: int | None = None  # R_k is full for every k >= stable_from
+        self._full_from = 1  # one past the last piece not full
+        self._slots: dict[int, tuple[int, ...]] = {}
 
     @property
     def degree_cap(self) -> int:
@@ -212,8 +210,8 @@ class BranchAlgebra:
         cache follow the pieces, not ell.  A call with top <= degree_cap
         computes and certifies nothing.
 
-        Past D = 2*A*T + A - 1, where every certificate _conductor uses has
-        fired, a piece is computed only while fewer than
+        Past D = 2*A*T + A - 1, where every certificate certified_conductor
+        uses has fired, a piece is computed only while fewer than
         CLOSURE_PIECE_BOUND are stored: a ring with no certificate read far
         out is a ValueError, not one stored piece per degree read.
 
@@ -347,10 +345,85 @@ class BranchAlgebra:
                 scale *= c
         return not any(rest)
 
+    @cached_property
+    def gap_full(self) -> tuple[int, ...]:
+        """Codimensions alpha_j of the leading-coefficient spaces at orders
+        j = 1..T, T = max(m)+2.
+
+        Order j reads R_k at each k = j*a_i: the order-j coefficients of the
+        elements vanishing below order j have rank rank(below + level) -
+        rank(below), where below and level are the slots of k with exponent
+        k/a_i < j and = j, and alpha_j sums |level| minus that rank.  A full
+        piece adds 0, so one pass reads only the stored pieces at
+        0 < k <= A*T (A = max_i a_i) that are not full, at each exponent
+        j <= T of their slots.  The closure is first taken to A*T, which after
+        close() computes nothing: close() has computed every degree up to
+        A*T <= W, or certified that every later piece is full.
+        """
+        a, top = self.signature.weights_a, self.signature.orders[0] + 2
+        start, _ = _certificate_bound(self.signature)
+        self._close_to(start)
+        alphas = [0] * (top + 1)
+        for k, piece in self.graded_basis.items():  # ascending
+            if k > start:
+                break
+            sl = self.slots(k)
+            if not k or len(piece) == len(sl):
+                continue
+            exps = [k // a[i] for i in sl]
+            for j in set(exps):
+                if j <= top:
+                    below = [pos for pos, e in enumerate(exps) if e < j]
+                    level = [pos for pos, e in enumerate(exps) if e == j]
+                    alphas[j] += len(level) - self.rank(k, below + level) + self.rank(k, below)
+        return tuple(alphas[1:])
+
+    @cached_property
+    def certified_conductor(self) -> tuple[int, ...] | None:
+        """The per-branch conductor exponents c_i, proven by the closure's
+        certificate, or None when there is none by degree D = 2*A*T + A - 1,
+        where A = max_i a_i and T = max(m)+2.  c_i is the least exponent with
+        t_i^e in R for every e >= c_i.
+
+        Proof that None means some c_i exceeds T: if every c_i <= T, each slot
+        i of a degree k >= A*T has exponent k/a_i >= T >= c_i, so every R_k
+        with k >= A*T is full.  The full run through D then starts at some
+        K <= A*T, so M < K + A (see _close_to) and its stop fires by
+        K + M - 1 < 2K + A - 1 <= D.  Since W >= A*T, D <= 2W + A - 1.  A
+        certificate that only a read past D finds starts above A*T, since
+        one starting at K <= A*T fires by D as above; it is not used, so the
+        answer, None included, is the same whether a far read came before
+        this first read or comes after it.
+
+        Once certified, t_i^e lies in R whenever e*a_i >= stable_from, so c_i
+        is found walking down from ceil(stable_from / a_i) with has_power.
+        The walk may reach e = 0: t_i^0 = e_i lies in R only when n = 1, so a
+        smooth branch k[t] has c = 0.
+        """
+        start, last = _certificate_bound(self.signature)
+        self._close_to(last)
+        if self.stable_from is None or self.stable_from > start:
+            return None
+        conductor = []
+        for i, a in enumerate(self.signature.weights_a):
+            c = -(-self.stable_from // a)
+            while c > 0 and self.has_power(i, c - 1):
+                c -= 1
+            conductor.append(c)
+        return tuple(conductor)
+
+
+def _certificate_bound(sig: Signature) -> tuple[int, int]:
+    """(A*T, D = 2*A*T + A - 1) with A = max_i a_i and T = max(m)+2 (see
+    BranchAlgebra.certified_conductor)."""
+    reach = max(sig.weights_a)
+    start = reach * (sig.orders[0] + 2)
+    return start, 2 * start + reach - 1
+
 
 def window(sig: Signature) -> int:
-    """W = max(2*ell, max_i a_i*(max(m)+2)): levels 1, 2 and the conductor window."""
-    return max(2 * sig.ell, max(a * (sig.orders[0] + 2) for a in sig.weights_a))
+    """W = max(2*ell, A*T): levels 1, 2 and the conductor window."""
+    return max(2 * sig.ell, _certificate_bound(sig)[0])
 
 
 def close(sig: Signature, generators_in) -> BranchAlgebra:
@@ -371,46 +444,9 @@ def graded_dims(alg: BranchAlgebra, top: int) -> tuple[int, ...]:
 # --------------------------------------------------- singularity numbers
 
 
-def _gap_sequence_full(alg: BranchAlgebra) -> tuple[int, ...]:
-    """Codimensions alpha_j of the leading-coefficient spaces at orders
-    j = 1..T, T = max(m)+2.
-
-    Order j reads R_k at each k = j*a_i: the order-j coefficients of the
-    elements vanishing below order j have rank rank(below + level) -
-    rank(below), where below and level are the slots of k with exponent
-    k/a_i < j and = j, and alpha_j sums |level| minus that rank.  A full
-    piece adds 0, so one pass reads only the stored pieces at
-    0 < k <= A*T (A = max_i a_i) that are not full, at each exponent
-    j <= T of their slots.  The closure is first taken to A*T, which after
-    close() computes nothing: close() has computed every degree up to
-    A*T <= W, or certified that every later piece is full.
-    """
-    if alg._gap_full is not None:
-        return alg._gap_full
-    sig = alg.signature
-    a, top = sig.weights_a, sig.orders[0] + 2
-    start, _ = _certificate_bound(sig)
-    alg._close_to(start)
-    alphas = [0] * (top + 1)
-    for k, piece in alg.graded_basis.items():  # ascending
-        if k > start:
-            break
-        sl = alg.slots(k)
-        if not k or len(piece) == len(sl):
-            continue
-        exps = [k // a[i] for i in sl]
-        for j in set(exps):
-            if j <= top:
-                below = [pos for pos, e in enumerate(exps) if e < j]
-                level = [pos for pos, e in enumerate(exps) if e == j]
-                alphas[j] += len(level) - alg.rank(k, below + level) + alg.rank(k, below)
-    alg._gap_full = tuple(alphas[1:])
-    return alg._gap_full
-
-
 def gap_sequence(alg: BranchAlgebra) -> tuple[int, ...]:
     """Gap sequence (alpha_1, ..., alpha_{max(m)+1}) of the singular point."""
-    return _gap_sequence_full(alg)[: alg.signature.orders[0] + 1]
+    return alg.gap_full[: alg.signature.orders[0] + 1]
 
 
 def delta_and_genus(alg: BranchAlgebra) -> tuple[int, int]:
@@ -427,51 +463,6 @@ def delta_and_genus(alg: BranchAlgebra) -> tuple[int, int]:
     return delta, g
 
 
-def _certificate_bound(sig: Signature) -> tuple[int, int]:
-    """(A*T, D = 2*A*T + A - 1) with A = max_i a_i and T = max(m)+2 (see _conductor)."""
-    reach = max(sig.weights_a)
-    start = reach * (sig.orders[0] + 2)
-    return start, 2 * start + reach - 1
-
-
-def _conductor(alg: BranchAlgebra) -> tuple[int, ...] | None:
-    """The per-branch conductor exponents c_i, proven by the closure's
-    certificate, or None when there is none by degree D = 2*A*T + A - 1,
-    where A = max_i a_i and T = max(m)+2.  c_i is the least exponent with
-    t_i^e in R for every e >= c_i.
-
-    Proof that None means some c_i exceeds T: if every c_i <= T, each slot
-    i of a degree k >= A*T has exponent k/a_i >= T >= c_i, so every R_k
-    with k >= A*T is full.  The full run through D then starts at some
-    K <= A*T, so M < K + A (see BranchAlgebra._close_to) and its stop
-    fires by K + M - 1 < 2K + A - 1 <= D.  Since W >= A*T,
-    D <= 2W + A - 1.  A certificate with stable_from > A*T may be found
-    only by a later read past D: it is not used, so the answer does not
-    depend on what was read before.
-
-    Once certified, t_i^e lies in R whenever e*a_i >= stable_from, so c_i
-    is found walking down from ceil(stable_from / a_i) with has_power,
-    once per algebra: the certified exponents are kept.  The walk may
-    reach e = 0: t_i^0 = e_i lies in R only when n = 1, so a smooth branch
-    k[t] has c = 0.  Without a certificate the closure has already run to
-    D, so a second call computes no piece.
-    """
-    if alg._conductor is not None:
-        return alg._conductor
-    start, last = _certificate_bound(alg.signature)
-    alg._close_to(last)
-    if alg.stable_from is None or alg.stable_from > start:
-        return None
-    conductor = []
-    for i, a in enumerate(alg.signature.weights_a):
-        c = -(-alg.stable_from // a)
-        while c > 0 and alg.has_power(i, c - 1):
-            c -= 1
-        conductor.append(c)
-    alg._conductor = tuple(conductor)
-    return alg._conductor
-
-
 class ConductorReport(NamedTuple):
     conductor: tuple[int, ...]  # per-branch exponents c_i
     quotient_length: int | None  # len(R/c) = sum(c_i) - delta, once delta is known
@@ -485,8 +476,8 @@ def conductor_and_gorenstein(alg: BranchAlgebra) -> ConductorReport:
 
     R is Gorenstein exactly when len(R/c) = delta (Serre, Groupes
     algebriques et corps de classes, IV 11), so the conductor is the one
-    _conductor proves.  Lengths add along the normalization Rbar ⊇ R ⊇ c,
-    and Rbar/c = prod_i k[t_i]/(t_i^c_i) has length sum(c_i), so
+    certified_conductor proves.  Lengths add along the normalization
+    Rbar ⊇ R ⊇ c, and Rbar/c = prod_i k[t_i]/(t_i^c_i) has length sum(c_i), so
     len(R/c) = sum(c_i) - delta and the test reads sum(c_i) = 2*delta.
     conductor_bound_ok says the conductor is proven and every c_i is at
     most max(m)+2, which is also when the summed gap sequence is delta
@@ -496,7 +487,7 @@ def conductor_and_gorenstein(alg: BranchAlgebra) -> ConductorReport:
     """
     sig = alg.signature
     top = sig.orders[0] + 2
-    conductor = _conductor(alg)
+    conductor = alg.certified_conductor
     bound_ok = conductor is not None and max(conductor) <= top
     if conductor is None:
         conductor = (top + 1,) * sig.n
@@ -586,9 +577,9 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
 
     # (G3) is conductor_bound_ok; the note names a pure power past max(m)+2
     # that R misses, from the last piece up to D that is not full when there
-    # is no certificate: that piece lies at k >= A*T (see _conductor)
+    # is no certificate: that piece lies at k >= A*T (see certified_conductor)
     top = sig.orders[0] + 2
-    conductor = _conductor(alg)
+    conductor = alg.certified_conductor
     if conductor is None:
         a = sig.weights_a
         _, last = _certificate_bound(sig)
@@ -613,7 +604,7 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
         notes += [f"dualizing pair test fails for branches ({i}, {j})"
                   for i in range(n) for j in range(i + 1, n) if not pair_in_ring(i, j)]
 
-    full = _gap_sequence_full(alg)
+    full = alg.gap_full
     maxm = sig.orders[0]
     g5 = full[maxm] == 1 and all(v == 0 for v in full[maxm + 1 :])
     if not g5:

@@ -16,8 +16,7 @@ a single point, tagged hyperelliptic closed forms, the Clifford-maximal
 profile, and finite override tables layered on any base model.  All of
 them agree with Riemann-Roch once deg D > 2g-2.  Each model is a named
 tuple: immutable, equal to the plain tuple of its fields, and copied with
-``_replace``; none but AlgebraModel, which keeps its genus there, has a
-``__dict__``, so nothing can be set on one.
+``_replace``; none has a ``__dict__``, so nothing can be set on one.
 """
 
 from __future__ import annotations
@@ -63,18 +62,17 @@ class _FrameRead:
 
 
 class AlgebraModel(namedtuple("AlgebraModel", "algebra"), _FrameRead):
-    """h0 read off a graded branch algebra: one section space per row.
+    """h0 read off a graded branch algebra: one section space per row."""
 
-    The one model with a ``__dict__``, where its ``genus`` is kept on first
-    read; its field is read-only all the same.
-    """
+    __slots__ = ()
 
     algebra: ba.BranchAlgebra
 
-    @cached_property
+    @property
     def genus(self) -> int:
-        """The arithmetic genus; a ValueError unless the conductor is certified,
-        since the summed gap sequence is delta only then."""
+        """The arithmetic genus, read off the ring's cached conductor and gap
+        sequence; a ValueError unless the conductor is certified, since the
+        summed gap sequence is delta only then."""
         if not ba.conductor_and_gorenstein(self.algebra).conductor_bound_ok:
             raise ValueError("genus undefined: the ring's conductor is not certified")
         return ba.delta_and_genus(self.algebra)[1]

@@ -778,7 +778,7 @@ def test_certified_stop_matches_the_dense_closure(case):
     sig, gens, bound, first_reads, descending = case
     alg = ba.close(sig, gens)
     assert alg.degree_cap <= ba.window(sig)  # close() itself stops at W
-    # the conductor reads up to D = 2*A*T + A - 1 (see branch_algebra._conductor)
+    # the conductor reads up to D = 2*A*T + A - 1 (see BranchAlgebra.certified_conductor)
     reach, T = max(sig.weights_a), sig.orders[0] + 2
     top = max(bound, 2 * reach * T + reach - 1)
     ref = dense_close(sig, gens, top)
@@ -836,6 +836,8 @@ def test_ring_that_is_not_cofinite_gets_no_conductor(orders, gens):
     assert not report.conductor_bound_ok and not report.gorenstein
     assert not ba.validate_G_conditions(alg).conductor_bound
     assert "delta" not in ba.algebra_summary(alg) and "genus" not in ba.algebra_summary(alg)
+    inv.weight_spectrum(alg, 5)  # reads past D after the conductor is decided
+    assert ba.conductor_and_gorenstein(alg) == report
 
 
 def test_no_conductor_means_no_certificate():
@@ -870,7 +872,9 @@ def test_conductor_reports_do_not_depend_on_what_was_read_before(exps):
     assert read.stable_from == (6 if 9 in exps else 10)
     assert (ba.conductor_and_gorenstein(read), ba.validate_G_conditions(read)) == expected
     inv.weight_spectrum(fresh, 5)  # the same object, read past D after its reports
+    stored = len(fresh.graded_basis)
     assert (ba.conductor_and_gorenstein(fresh), ba.validate_G_conditions(fresh)) == expected
+    assert len(fresh.graded_basis) == stored  # the decided conductor and gaps are cached
 
 
 @pytest.mark.parametrize("family,g", [("D-odd", 80), ("D-even", 60)])
@@ -938,7 +942,7 @@ def gap_sequence_oracle(alg):
 
 @pytest.mark.parametrize("entry", [*catalog.entries(), *FAMILY_MEMBERS], ids=lambda e: e.id)
 def test_gap_sequence_skips_only_full_pieces(entry):
-    assert ba._gap_sequence_full(entry.algebra()) == gap_sequence_oracle(entry.algebra())
+    assert entry.algebra().gap_full == gap_sequence_oracle(entry.algebra())
 
 
 @settings(max_examples=200, deadline=None)
@@ -946,7 +950,7 @@ def test_gap_sequence_skips_only_full_pieces(entry):
 def test_gap_sequence_skips_only_full_pieces_on_the_dense_closure(case):
     sig, gens, _, _, _ = case
     ref = dense_close(sig, gens, ba.window(sig))  # no certificate: every piece is read
-    assert ba._gap_sequence_full(ba.close(sig, gens)) == gap_sequence_oracle(ref)
+    assert ba.close(sig, gens).gap_full == gap_sequence_oracle(ref)
 
 
 def full_scan_report(alg, units):
