@@ -319,20 +319,18 @@ class BranchAlgebra:
     def contains(self, terms) -> bool:
         """Membership of generator-style terms, read off R_k's pivot map.
 
-        A full piece holds everything.  Otherwise the vector v is reduced
-        once, fraction-free, v <- c*v - v[j]*r, by the row r = pivots[j] at
-        each pivot column j where v is nonzero, c = r[j].  Every row is zero
-        in the other pivot columns, so a step clears column j and only
-        scales v's other pivot entries: the remainder is zero at every
-        pivot, and only its entries on the other (free) columns are
-        computed.  It is a nonzero multiple of v minus a combination of
-        rows, and a vector of the span is fixed by its pivot entries, so v
-        lies in R_k exactly when the remainder is zero on the free columns.
+        The vector v is reduced once, fraction-free, v <- c*v - v[j]*r, by
+        the row r = pivots[j] at each pivot column j where v is nonzero,
+        c = r[j].  Every row is zero in the other pivot columns, so a step
+        clears column j and only scales v's other pivot entries: the
+        remainder is zero at every pivot, and only its entries on the other
+        (free) columns are computed.  It is a nonzero multiple of v minus a
+        combination of rows, and a vector of the span is fixed by its pivot
+        entries, so v lies in R_k exactly when the remainder is zero on the
+        free columns; a full piece has none, and holds everything.
         """
         k, coeffs = generator(self.signature, terms)  # every branch it touches is a slot of k
         pivots, sl = self.basis(k), self.slots(k)
-        if len(pivots) == len(sl):
-            return True
         free = [j for j in range(len(sl)) if j not in pivots]
         v = {sl.index(i): x for i, x in coeffs.items()}
         rest = [v.get(j, 0) for j in free]

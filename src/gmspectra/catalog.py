@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from math import lcm
 from typing import NamedTuple, Optional, Sequence, Union, get_args, get_origin, get_type_hints
@@ -92,16 +93,11 @@ def _entry_from_doc(doc: dict) -> CatalogEntry:
     )
 
 
-_CACHE: Optional[tuple[CatalogEntry, ...]] = None
-
-
+@cache
 def entries() -> tuple[CatalogEntry, ...]:
-    """All stored entries, in file order."""
-    global _CACHE
-    if _CACHE is None:
-        text = resources.files("gmspectra.data").joinpath("strata.json").read_text()
-        _CACHE = tuple(_entry_from_doc(doc) for doc in json.loads(text)["entries"])
-    return _CACHE
+    """All stored entries, in file order, read from the file once."""
+    text = resources.files("gmspectra.data").joinpath("strata.json").read_text()
+    return tuple(_entry_from_doc(doc) for doc in json.loads(text)["entries"])
 
 
 def get(key: str) -> CatalogEntry:
@@ -115,11 +111,6 @@ def get(key: str) -> CatalogEntry:
 
 def nonvarying_entries() -> tuple[CatalogEntry, ...]:
     return tuple(e for e in entries() if e.nonvarying)
-
-
-def special_locus_entries() -> tuple[CatalogEntry, ...]:
-    """Entries pinned to an h^0 locus inside a varying stratum."""
-    return tuple(e for e in entries() if e.locus_condition is not None)
 
 
 def as_dict(entry: CatalogEntry) -> dict:
@@ -181,7 +172,7 @@ def _monomial_entry(H: NumericalSemigroup) -> CatalogEntry:
     sig = (2 * g - 2,)
     minimal = list(H.generators)
     gens = tuple((f"x{i+1}", ((0, h, Fraction(1)),)) for i, h in enumerate(minimal))
-    chi1 = sum(H.gaps)
+    chi1 = sg.gap_sum(H)
     chi2_log = (2 * g - 1) ** 2 + chi1
     gap = tuple(0 if H.contains(j) else 1 for j in range(1, 2 * g))
     spin = H.spin or _hyperelliptic_spin(sig)

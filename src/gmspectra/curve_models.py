@@ -70,12 +70,12 @@ class AlgebraModel(namedtuple("AlgebraModel", "algebra"), _FrameRead):
 
     @property
     def genus(self) -> int:
-        """The arithmetic genus, read off the ring's cached conductor and gap
-        sequence; a ValueError unless the conductor is certified, since the
-        summed gap sequence is delta only then."""
-        if not ba.conductor_and_gorenstein(self.algebra).conductor_bound_ok:
+        """The arithmetic genus off ba.algebra_summary, which has one only
+        when the ring's conductor is certified; a ValueError otherwise."""
+        summary = ba.algebra_summary(self.algebra)
+        if "genus" not in summary:
             raise ValueError("genus undefined: the ring's conductor is not certified")
-        return ba.delta_and_genus(self.algebra)[1]
+        return summary["genus"]
 
     def h0_frame(self, frame) -> list[int]:
         return [ba.section_space(self.algebra, row).dimension
@@ -117,30 +117,16 @@ class HyperellipticModel(namedtuple("HyperellipticModel", "genus tags"), _FrameR
     general position.  Below the Riemann-Roch range the dimension is
     1 + (number of extractable copies of the degree-two pencil): floor(c/2)
     from a Weierstrass coefficient c, min(b, c) from a pair, nothing from
-    free points, clamped at 0.
+    free points, clamped at 0.  The frame read is one pass over the tags
+    and their columns; a ValueError names the first fault: another column
+    count than tags, then the first unknown tag, then the first pair id seen
+    other than twice.
     """
 
     __slots__ = ()
 
     genus: int
     tags: tuple[str, ...]
-
-    def _groups(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        weierstrass = []
-        pairs: dict[str, list[int]] = {}
-        for i, tag in enumerate(self.tags):
-            if tag == "w":
-                weierstrass.append(i)
-            elif tag == "free":
-                continue
-            elif tag.startswith("pair:"):
-                pairs.setdefault(tag[5:], []).append(i)
-            else:
-                raise ValueError(f"unknown tag {tag!r}")
-        for key, members in pairs.items():
-            if len(members) != 2:
-                raise ValueError(f"pair {key!r} has {len(members)} members, needs 2")
-        return tuple(weierstrass), tuple((m[0], m[1]) for m in pairs.values())
 
     def h0_frame(self, frame) -> list[int]:
         columns = frame.columns
@@ -149,9 +135,18 @@ class HyperellipticModel(namedtuple("HyperellipticModel", "genus tags"), _FrameR
                              f"of the hyperelliptic model, got {len(columns)}")
         g = self.genus
         canonical = 2 * g - 2
-        weierstrass, pairs = self._groups()
-        parts = [[c // 2 for c in columns[i]] for i in weierstrass]
-        parts += [list(map(min, columns[i], columns[j])) for i, j in pairs]
+        parts, pairs = [], {}
+        for tag, column in zip(self.tags, columns):
+            if tag == "w":
+                parts.append([c // 2 for c in column])
+            elif tag.startswith("pair:"):
+                pairs.setdefault(tag[5:], []).append(column)
+            elif tag != "free":
+                raise ValueError(f"unknown tag {tag!r}")
+        for key, members in pairs.items():
+            if len(members) != 2:
+                raise ValueError(f"pair {key!r} has {len(members)} members, needs 2")
+            parts.append(list(map(min, *members)))
         pencils = map(sum, zip(*parts)) if parts else repeat(0)
         return [0 if deg < 0 else deg - g + 1 if deg > canonical
                 else 1 + p if p >= -1 else 0
@@ -316,7 +311,7 @@ def _ladder_frame(sig: Signature, m: int) -> LadderFrame:
     change of either rebuilds it.  More than FRAME_ROW_BOUND possible rows
     is a ValueError (frame_top)."""
     top = frame_top(sig, m)
-    starts, ends, steps = ladder_runs(sig, 0, m * sig.ell)
+    starts, ends, steps = ladder_runs(sig, m * sig.ell)
     return LadderFrame(sig, m, tuple(starts), tuple(ends),
                        tuple([hi - lo + 1 for lo, hi in zip(starts, ends)]),
                        tuple([top - s for s in accumulate(steps)]))

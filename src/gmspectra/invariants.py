@@ -134,9 +134,7 @@ def verify_weight_identities(
         notes.append(f"tail weights {tail} differ from shifted {shifted}")
 
     g = sig.genus
-    expected_chi = (m - 1) * m * (2 * g - 2 + n) * ell // 2 + sum(
-        spectrum_1.nonzero_weights()
-    )
+    expected_chi = (m - 1) * m * (2 * g - 2 + n) * ell // 2 + spectrum_1.chi_log
     chi_ok = spectrum_m.chi_log == expected_chi
     if not chi_ok:
         notes.append(f"chi_{m}^log is {spectrum_m.chi_log}, formula gives {expected_chi}")

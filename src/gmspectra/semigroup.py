@@ -107,14 +107,6 @@ class NumericalSemigroup(NamedTuple):
             return None
         return "odd" if (self.mask & ((1 << self.genus) - 1)).bit_count() % 2 else "even"
 
-    def count_upto(self, k: int) -> int:
-        """Number of elements in [0, k]."""
-        if k < 0:
-            return 0
-        if k >= self.frobenius:
-            return k - self.genus + 1
-        return (self.mask & ((1 << (k + 1)) - 1)).bit_count()
-
     def prefix_counts(self) -> list[int]:
         """Entry k is the number of elements in [0, k], for k = 0..F.
 

@@ -89,21 +89,17 @@ def parity_count(k1: int, k2: int) -> int:
     )
 
 
-def ladder_runs(sig: Signature, lam_lo: int, lam_hi: int):
-    """``(starts, ends, steps)``: the ladder's runs in ``[lam_lo, lam_hi]``,
-    the one place a run's bounds are set.  A run starts at ``lam_lo`` or a
-    ``k*a_i + 1`` and ends one level before the next start, the last at
-    ``lam_hi``.  ``steps`` counts, per run, the branches whose ladder steps
-    at its start, the first entry being the ladder sum at ``lam_lo``; so
-    ``accumulate(steps)`` is ``sum_i ceil(lam/a_i)`` at the starts."""
-    if lam_lo < 0:
-        raise ValueError("ladder level must be non-negative")
-    firsts = [-(-lam_lo // a) for a in sig.weights_a]
-    stepped = Counter(chain.from_iterable(
-        range(k * a + 1, lam_hi + 1, a) for k, a in zip(firsts, sig.weights_a)))
+def ladder_runs(sig: Signature, lam_hi: int):
+    """``(starts, ends, steps)``: the ladder's runs in ``[0, lam_hi]``, the
+    one place a run's bounds are set.  A run starts at 0 or a ``k*a_i + 1``
+    and ends one level before the next start, the last at ``lam_hi``.
+    ``steps`` counts, per run, the branches whose ladder steps at its start,
+    the first entry being 0, the ladder sum at 0; so ``accumulate(steps)``
+    is ``sum_i ceil(lam/a_i)`` at the starts."""
+    stepped = Counter(chain.from_iterable(range(1, lam_hi + 1, a) for a in sig.weights_a))
     later = sorted(stepped)
     ends = [lam - 1 for lam in later] + [lam_hi]
-    return [lam_lo, *later], ends, [sum(firsts), *map(stepped.__getitem__, later)]
+    return [0, *later], ends, [0, *map(stepped.__getitem__, later)]
 
 
 def n_plus(sig: Signature, lam_lo: int, lam_hi: int) -> int:

@@ -158,7 +158,7 @@ def test_even_component_models_share_spectra():
 
 
 def test_special_locus_entries():
-    special = {e.id: e for e in catalog.special_locus_entries()}
+    special = {e.id: e for e in catalog.entries() if e.locus_condition is not None}
     assert set(special) == {"H(7,1)-special", "H(7,3)-special"}
     assert special["H(7,1)-special"].locus_condition == ((3, 0), 2)
     assert special["H(7,3)-special"].locus_condition == ((2, 1), 2)

@@ -5,6 +5,7 @@ is checked against either a direct count (semigroup membership), the
 algebra route (section spaces), or the Riemann-Roch line.
 """
 
+from fractions import Fraction
 from functools import cached_property
 
 import pytest
@@ -445,6 +446,30 @@ def test_hyperelliptic_column_clamp_and_errors():
         cm.HyperellipticModel(3, ("w", "wat")).h0_frame(cm.Batch.of([[1], [1]]))
     with pytest.raises(ValueError, match="needs 2"):
         cm.HyperellipticModel(3, ("w", "pair:1")).h0_frame(cm.Batch.of([[1], [1]]))
+
+
+def test_one_pass_hyperelliptic_read():
+    """One pass over the tags: of several faults the column count comes
+    first, then the first unknown tag, then the pair ids seen other than
+    twice, first seen first; every kind of tag at once reads as before."""
+    def refusal(tags, columns):
+        with pytest.raises(ValueError) as caught:
+            cm.HyperellipticModel(3, tags).h0_frame(cm.Batch.of(columns))
+        return str(caught.value)
+
+    assert refusal(("wat", "pair:1"), [[1]]) == (
+        "divisor needs 2 coefficients, one per tag of the hyperelliptic model, got 1")
+    assert refusal(("pair:1", "w", "wat", "bad"), [[1]] * 4) == "unknown tag 'wat'"
+    assert refusal(("pair:z", "pair:a", "pair:a", "pair:a", "pair:q"), [[1]] * 5) == (
+        "pair 'z' has 1 members, needs 2")
+    assert refusal(("pair:a", "pair:a", "pair:z", "pair:z", "pair:z", "pair:q"),
+                   [[1]] * 6) == "pair 'z' has 3 members, needs 2"
+    sig = derive((4, 2, 2, 0))
+    model = cm.HyperellipticModel(sig.genus, ("w", "pair:1", "pair:1", "free"))
+    chi1_log = cm.runs_chi_log(cm.filtration_dims(model, sig, 1))
+    chi2_log = cm.runs_chi_log(cm.filtration_dims(model, sig, 2))
+    assert chi2_log == 222
+    assert inv.slope(chi1_log, chi2_log, sig) == Fraction(176, 21)
 
 
 @given(rows_of(2), st.lists(st.tuples(st.tuples(COEFFS, COEFFS), st.integers(0, 9)),

@@ -111,7 +111,7 @@ def test_runs_tile_the_levels(case):
         assert next_lo == hi + 1
         assert length == hi - lo + 1
     assert lengths[-1] == ends[-1] - starts[-1] + 1
-    assert list(starts) == ladder_runs(sig, 0, m * sig.ell)[0]
+    assert list(starts) == ladder_runs(sig, m * sig.ell)[0]
     assert len(starts) <= m * (2 * sig.genus - 2 + sig.n) + 1
 
 
@@ -167,9 +167,9 @@ def test_weight_spectrum_is_the_successive_differences(case):
     assert spectrum.entries == tuple((lam, c) for lam, c in diffs if c > 0)
 
 
-def ladder_changes(sig, lo, hi):
-    """The levels in [lo, hi) after which the ladder changes, by a scan."""
-    return [lam for lam in range(lo, hi) if ladder(sig, lam + 1) != ladder(sig, lam)]
+def ladder_changes(sig, hi):
+    """The levels in [0, hi) after which the ladder changes, by a scan."""
+    return [lam for lam in range(hi) if ladder(sig, lam + 1) != ladder(sig, lam)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -177,18 +177,16 @@ def ladder_changes(sig, lo, hi):
 def test_ladder_runs_and_frames_match_the_ladder(data):
     sig = data.draw(st.sampled_from(SIGNATURES))
     m = data.draw(LEVELS)
-    top = 3 * sig.ell + 2
-    lo = data.draw(st.integers(0, top))
-    hi = data.draw(st.integers(lo, top))
-    starts, ends, steps = ladder_runs(sig, lo, hi)
-    changes = ladder_changes(sig, lo, hi)
+    hi = data.draw(st.integers(0, 3 * sig.ell + 2))
+    starts, ends, steps = ladder_runs(sig, hi)
+    changes = ladder_changes(sig, hi)
     assert ends == changes + [hi]
-    assert starts == [lo] + [lam + 1 for lam in changes]
+    assert starts == [0] + [lam + 1 for lam in changes]
     assert list(accumulate(steps)) == [sum(ladder(sig, lam)) for lam in starts]
     # the frame of (sig, m): the runs of [0, m*ell], each row's divisor
     # m*(m_i + 1) - ceil(lam/a_i) at its start, and its degree the row sum
     frame = cm._ladder_frame(sig, m)
-    changes = ladder_changes(sig, 0, m * sig.ell)
+    changes = ladder_changes(sig, m * sig.ell)
     assert frame.ends == (*changes, m * sig.ell)
     assert frame.starts == (0, *(lam + 1 for lam in changes))
     assert frame.lengths == tuple(hi - lo + 1 for lo, hi in zip(frame.starts, frame.ends))

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+import gmspectra.curve_models as cm
 import gmspectra.semigroup as sgp
 
 
@@ -168,9 +169,10 @@ def assert_matches_brute_force(H, gens):
     F = H.frobenius
     top = 2 * F + 3  # >= F + multiplicity, past every minimal generator
     elems = sorted(brute_membership(sorted(set(gens)), top))
+    model = cm.UnibranchModel(H)
     for k in range(-2, top + 1):
         assert H.contains(k) == (k in H) == (k in elems)  # a tuple's `in` would test fields
-        assert H.count_upto(k) == sum(1 for e in elems if e <= k)
+        assert model.h0((k,)) == sum(1 for e in elems if e <= k)
     assert H.prefix_counts() == [sum(1 for e in elems if e <= k) for k in range(F + 1)]
     assert H.element_sum == sum(elems[:H.genus])
     assert H.mask == sum(1 << e for e in elems if e <= F)
@@ -276,10 +278,11 @@ def test_generators_sumset_reaches_half_of_f_plus_multiplicity():
 def test_counting_helpers():
     H = sgp.from_generators([3, 7])
     # elements: 0,3,6,7,9,10,12,13,14,...
-    assert H.count_upto(9) == 5
-    assert H.count_upto(0) == 1
-    assert H.count_upto(-1) == 0
-    assert H.count_upto(100) == 100 - 6 + 1
+    model = cm.UnibranchModel(H)
+    assert model.h0((9,)) == 5
+    assert model.h0((0,)) == 1
+    assert model.h0((-1,)) == 0
+    assert model.h0((100,)) == 100 - 6 + 1
     assert H.prefix_counts() == [1, 1, 1, 2, 2, 2, 3, 4, 4, 5, 6, 6]
     assert sgp.from_generators([1]).prefix_counts() == []
     assert sgp.from_generators([1]).element_sum == 0  # genus 0: nothing summed
@@ -440,7 +443,7 @@ def test_symmetric_biconditional():
             for k in range(0, 2 * g):
                 assert H.contains(k) == (not H.contains(2 * g - 1 - k))
             # a symmetric semigroup has exactly g elements up to 2g-1
-            assert H.count_upto(2 * g - 1) == g
+            assert cm.UnibranchModel(H).h0((2 * g - 1,)) == g
 
 
 # ------------------------------------------------------ bound filtering
