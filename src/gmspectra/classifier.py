@@ -13,14 +13,15 @@ count (_branch_cap).  A Fraction c*X is built only for the threshold_rhs
 field of an emitted Candidate and for the message of an
 UnresolvedSignatureError.  The search decides the Clifford cap once per
 branch count, builds only the signatures it keeps, runs every admissible
-hyperelliptic tagging, resolves the nonhyperelliptic side through the
-Clifford profile, the shipped catalog, explicit exclusion rules and the
-special-locus overrides, walks the symmetric semigroups within an
-element-sum bound when there is a single zero, appends ordinary marked
-points up to the budget, and optionally re-scores every record for
-dangling branch subsets.  Candidates, taggings and the other records are
-named tuples: immutable, equal to the plain tuple of their fields, and
-copied with ``_replace``.
+hyperelliptic tagging, drops a nonhyperelliptic side whose parity ceiling
+floor(g*ell/2) + a_1 (_clifford_ceiling) misses the cutoff before any
+frame is built, resolves the rest through the Clifford profile, the
+shipped catalog, explicit exclusion rules and the special-locus overrides,
+walks the symmetric semigroups within an element-sum bound when there is
+a single zero, appends ordinary marked points up to the budget, and
+optionally re-scores every record for dangling branch subsets.
+Candidates, taggings and the other records are named tuples: immutable,
+equal to the plain tuple of their fields, and copied with ``_replace``.
 """
 
 from __future__ import annotations
@@ -261,6 +262,24 @@ def clifford_profile_chi1(sig: Signature) -> int:
     return total
 
 
+def _clifford_ceiling(sig: Signature) -> int:
+    """floor(g*ell/2) + a_1, a bound on clifford_profile_chi1 read with no frame.
+
+    For positive orders the degree at level lam is
+    d = 2g-2 - sum_i (ceil(lam/a_i) - 1), and a_1 is the least weight.  On
+    lam in [1, a_1] no branch has stepped, so d = 2g-2 and h0 = g; on
+    (ell-a_1, ell] every branch has, so d = 0 and h0 = 1.  In between,
+    0 < d < 2g-2 and h0 = (d + [d odd])/2, and d is even exactly at the N+
+    levels that n_plus(sig, a_1 + 1, ell - a_1) counts.  With
+    sum_lam ceil(lam/a_i) = (m_i+2)*ell/2 over one period the degrees sum
+    to (g-1)*ell over [1, ell], so to (g-1)*ell - (2g-2)*a_1 in between,
+    and 2*chi1 = 2(g+1)*a_1 + (g-1)*ell - (2g-2)*a_1 + (ell-2a_1) - N+
+    = g*ell - N+ + 2a_1, the identity clifford_profile_chi1 checks.  As
+    N+ >= 0 and chi1 is an integer, chi1 <= floor(g*ell/2) + a_1.
+    """
+    return sig.genus * sig.ell // 2 + sig.weights_a[0]
+
+
 def _nonhyp_components(sig: Signature) -> list[Optional[str]]:
     # spin components exist once all orders are even; an equal odd pair
     # (g-1, g-1) carries a single nonhyperelliptic component; genus three
@@ -291,12 +310,17 @@ def _divisor_condition_label(divisor: Sequence[int], h0: int) -> str:
 def _nonhyp_records(sig, coeff, x, entries, stats: Counter):
     """(model, chi1, item, component) rows for the nonhyperelliptic side.
 
-    Counts each stage it reaches in ``stats``: Clifford screens and those
-    screened out, exact profiles, override and catalog resolutions and
-    exclusions.
+    The parity ceiling (_clifford_ceiling) bounds the Clifford profile, so a
+    signature whose ceiling misses c*X fails the screen and no frame is
+    built for it.  Counts each stage it reaches in ``stats``: signatures
+    the ceiling decides, Clifford screens and those screened out, exact
+    profiles, override and catalog resolutions and exclusions.
     """
     g = sig.genus
     if g < 3:
+        return []
+    if _margin(coeff, _clifford_ceiling(sig), x) < 0:
+        stats["parity_out"] += 1
         return []
     stats["screens"] += 1
     cap_total = clifford_profile_chi1(sig)
@@ -465,8 +489,8 @@ def _unibranch_records(sig: Signature, coeff: Fraction,
 # the search
 
 # the branch cap and the stages alpha_search counts, in the order of its DEBUG line
-_STAGES = ("branch_cap", "signatures", "taggings", "screens", "screened_out", "profile",
-           "catalog", "override", "excluded", "semigroups", "leaves")
+_STAGES = ("branch_cap", "signatures", "taggings", "parity_out", "screens", "screened_out",
+           "profile", "catalog", "override", "excluded", "semigroups", "leaves")
 _SEARCH_LOG = ("alpha_search g=%d tau=%s " + " ".join(f"{k}=%d" for k in _STAGES)
                + " candidates=%d score_s=%.6f emit_s=%.6f")
 

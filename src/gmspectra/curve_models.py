@@ -130,8 +130,8 @@ class HyperellipticModel(namedtuple("HyperellipticModel", "genus tags"), _FrameR
 
     def h0_frame(self, frame) -> list[int]:
         columns = frame.columns
-        if len(columns) != len(self.tags):
-            raise ValueError(f"divisor needs {len(self.tags)} coefficients, one per tag "
+        if len(columns) != (n := len(self.tags)):
+            raise ValueError(f"divisor needs {n} coefficient{'s' * (n != 1)}, one per tag "
                              f"of the hyperelliptic model, got {len(columns)}")
         g = self.genus
         canonical = 2 * g - 2
@@ -144,8 +144,8 @@ class HyperellipticModel(namedtuple("HyperellipticModel", "genus tags"), _FrameR
             elif tag != "free":
                 raise ValueError(f"unknown tag {tag!r}")
         for key, members in pairs.items():
-            if len(members) != 2:
-                raise ValueError(f"pair {key!r} has {len(members)} members, needs 2")
+            if (n := len(members)) != 2:
+                raise ValueError(f"pair {key!r} has {n} member{'s' * (n != 1)}, needs 2")
             parts.append(list(map(min, *members)))
         pencils = map(sum, zip(*parts)) if parts else repeat(0)
         return [0 if deg < 0 else deg - g + 1 if deg > canonical

@@ -34,6 +34,7 @@ from gmspectra.classifier import (
     UnresolvedSignatureError,
     _branch_cap,
     _budget,
+    _clifford_ceiling,
     _margin,
     _threshold_x,
     alpha_search,
@@ -653,6 +654,43 @@ def test_clifford_profile_identity_holds():
             clifford_profile_chi1(sig)  # raises if the parity identity breaks
 
 
+def test_the_parity_ceiling_bounds_the_clifford_profile():
+    # 2*chi1 = g*ell - N+ + 2a_1 and N+ >= 0: the ceiling floor(g*ell/2) + a_1
+    # bounds every profile, so what it decides the computed screen decides too
+    profiles = {sig: clifford_profile_chi1(sig)
+                for g in range(3, 13) for sig in enumerate_signatures(g, 6) if sig.n >= 2}
+    assert len(profiles) == 1217
+    assert all(chi1 <= _clifford_ceiling(sig) for sig, chi1 in profiles.items())
+    decided = 0
+    for tau in TAUS_AROUND_THE_CAP:
+        coeff = threshold_coefficient(tau)
+        for sig, chi1 in profiles.items():
+            x = _threshold_x(sig)
+            if _margin(coeff, _clifford_ceiling(sig), x) < 0:
+                assert _margin(coeff, chi1, x) < 0, (sig, tau)
+                decided += 1
+    assert decided > 0
+    # N+ = 0 somewhere: no lower ceiling holds
+    attained = {sig.orders for sig, chi1 in profiles.items() if chi1 == _clifford_ceiling(sig)}
+    assert {(2, 2), (3, 1)} <= attained
+
+
+@pytest.mark.parametrize("tau", [Fraction(0), Fraction(1, 5), Fraction(3, 8), Fraction(2, 5),
+                                 Fraction(1, 2), FIVE_NINTHS])
+def test_the_parity_ceiling_changes_no_output(tau, monkeypatch):
+    # with the ceiling off every signature of n >= 2 reaches the computed
+    # screen; the candidates and the first unresolved stratum stay the same
+    def search(g, dangling):
+        try:
+            return alpha_search(g, threshold=tau, dangling=dangling, genus_bound=12)
+        except UnresolvedSignatureError as exc:
+            return str(exc)
+
+    ceiling = {(g, d): search(g, d) for g in range(1, 13) for d in (False, True)}
+    monkeypatch.setattr(classifier, "_clifford_ceiling", lambda sig: math.inf)
+    assert {key: search(*key) for key in ceiling} == ceiling
+
+
 # ----------------------------------------------------------- other cutoffs
 
 
@@ -925,9 +963,10 @@ def test_alpha_search_logs_its_stages_in_one_debug_line(caplog):
     # the bounded walk's leaves, then the lazy read up to the witness
     assert int(fields["leaves"]) == len(bounded) + witness + 1 == 5
     # the cap keeps four branches at 3/8, and every built signature of
-    # n >= 2 reaches the Clifford screen once
+    # n >= 2 is decided once: by the parity ceiling or by the Clifford screen
     assert int(fields["branch_cap"]) == 4
-    assert int(fields["screens"]) == int(fields["signatures"]) - 1
+    assert int(fields["parity_out"]) + int(fields["screens"]) == int(fields["signatures"]) - 1
+    assert (fields["parity_out"], fields["screens"], fields["screened_out"]) == ("17", "5", "3")
     # two pass it: (7,3) is resolved by its override, both spins of (6,4)
     # by exclusion rules
     assert int(fields["screens"]) - int(fields["screened_out"]) == 2

@@ -165,7 +165,7 @@ BAD_INPUTS = [
     (["filtration", "--signature", "4", "--model", "unibranch:3,7"],
      ["model genus 6", "genus 3"]),
     (["filtration", "--signature", "4,2", "--model", "hyperelliptic:w"],
-     ["divisor needs 1"]),
+     ["divisor needs 1 coefficient, one per tag"]),
     (["filtration", "--signature", "4", "--model", "mystery"], ["'mystery'"]),
     (["invariants", "--catalog", "E7", "--m", "1,x"], ["'--m'", "integers", "'x'"]),
     (["invariants", "--catalog", "E7", "--m", "0,1"], ["'--m'", "positive"]),

@@ -461,7 +461,7 @@ def test_one_pass_hyperelliptic_read():
         "divisor needs 2 coefficients, one per tag of the hyperelliptic model, got 1")
     assert refusal(("pair:1", "w", "wat", "bad"), [[1]] * 4) == "unknown tag 'wat'"
     assert refusal(("pair:z", "pair:a", "pair:a", "pair:a", "pair:q"), [[1]] * 5) == (
-        "pair 'z' has 1 members, needs 2")
+        "pair 'z' has 1 member, needs 2")
     assert refusal(("pair:a", "pair:a", "pair:z", "pair:z", "pair:z", "pair:q"),
                    [[1]] * 6) == "pair 'z' has 3 members, needs 2"
     sig = derive((4, 2, 2, 0))
