@@ -679,7 +679,7 @@ def algebra_summary(alg: BranchAlgebra) -> dict:
     report = conductor_and_gorenstein(alg)
     finite = {}
     if report.conductor_bound_ok:
-        finite = dict(zip(("delta", "genus"), delta_and_genus(alg)))
+        finite = {"delta": report.delta, "genus": report.delta - alg.signature.n + 1}
     return {
         **finite,
         "gap_sequence": list(gap_sequence(alg)),

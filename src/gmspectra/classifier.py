@@ -308,7 +308,7 @@ def _divisor_condition_label(divisor: Sequence[int], h0: int) -> str:
 
 
 def _nonhyp_records(sig, coeff, x, entries, stats: Counter):
-    """(model, chi1, item, component) rows for the nonhyperelliptic side.
+    """(model, chi1, item, component, None) rows for the nonhyperelliptic side.
 
     The parity ceiling (_clifford_ceiling) bounds the Clifford profile, so a
     signature whose ceiling misses c*X fails the screen and no frame is
@@ -331,7 +331,7 @@ def _nonhyp_records(sig, coeff, x, entries, stats: Counter):
         # every level is canonical or trivial, so the profile is exact for
         # any nonhyperelliptic curve
         stats["profile"] += 1
-        return [("clifford-max", cap_total, "stratum", None)]
+        return [("clifford-max", cap_total, "stratum", None, None)]
     specials = [
         e for e in entries if e.signature == sig.orders and e.locus_condition
     ]
@@ -349,7 +349,7 @@ def _nonhyp_records(sig, coeff, x, entries, stats: Counter):
                     f"stored {e.expected.chi1_log}"
                 )
             out.append(
-                (_divisor_condition_label(divisor, h0), chi1, "locus", e.component)
+                (_divisor_condition_label(divisor, h0), chi1, "locus", e.component, None)
             )
         stats["override"] += len(out)
         return out
@@ -369,7 +369,7 @@ def _nonhyp_records(sig, coeff, x, entries, stats: Counter):
                     f"catalog disagrees on chi1_log for {sig.orders} {comp}"
                 )
             label = "catalog[" + "|".join(sorted(e.id for e in matches)) + "]"
-            out.append((label, values.pop(), "stratum", comp))
+            out.append((label, values.pop(), "stratum", comp, None))
             stats["catalog"] += 1
         elif (sig.orders, comp) in EXCLUSIONS:
             stats["excluded"] += 1
@@ -438,9 +438,8 @@ def semigroup_search(g: int, threshold=DEFAULT_THRESHOLD) -> tuple[SemigroupReco
     return out
 
 
-def _unibranch_records(sig: Signature, coeff: Fraction,
-                       stats: Counter) -> list[tuple[str, int, str, Optional[str]]]:
-    """Nonhyperelliptic semigroup rows of the single-zero signature sig.
+def _unibranch_records(sig: Signature, coeff: Fraction, stats: Counter) -> list[tuple]:
+    """(model, chi1, item, spin, None) rows of the nonhyperelliptic semigroups of sig.
 
     Hyperelliptic semigroups are taggings.  A row that the search can emit
     meets c*X_Q for some dangling set Q and some number of appended
@@ -482,7 +481,7 @@ def _unibranch_records(sig: Signature, coeff: Fraction,
     stats["semigroups"] += len(records)
     stats["leaves"] += leaves
     return [(f"unibranch({r.semigroup})", r.chi1_log,
-             "locus" if r.spin in failing else "stratum", r.spin) for r in records]
+             "locus" if r.spin in failing else "stratum", r.spin, None) for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +522,10 @@ def alpha_search(
     is re-evaluated for every subset Q of its core branches with the
     right-hand side lowered by sum of a_i over Q, which can admit models
     the plain search rejects; appended ordinary points never dangle.
+    Each scored (model, chi1, item, component, tagging-or-None) row gives
+    one candidate per Q and number of appended points that clears the
+    cutoff, into one list sorted by (signature, model, dangling); two loci
+    of one condition on different components both stay.
     Signatures are built only up to the Clifford cap's branch count
     (_branch_cap).  A genus above genus_bound is a ValueError; pass
     genus_bound explicitly to go further.  Logs one DEBUG line with that
@@ -539,7 +542,7 @@ def alpha_search(
     n_cap = _branch_cap(g, coeff)
     stats: Counter = Counter(branch_cap=n_cap)
 
-    # per signature, its (model label, chi1, item, component, tagging-or-None) rows
+    # per signature, its scored rows
     rows: list[tuple[Signature, list[tuple]]] = []
     if g == 1:
         rows.append((derive((0,)), [("elliptic", 1, "genus-one", None, None)]))
@@ -547,19 +550,16 @@ def alpha_search(
         sigs = enumerate_signatures(g, n_cap) if n_cap >= 1 else []
         stats["signatures"] = len(sigs)
         for sig in sigs:
-            sig_rows = []
-            for tagging in hyperelliptic_taggings(sig):
-                chi1 = hyperelliptic_chi1(sig, tagging)
-                sig_rows.append((tagging.label, chi1, "hyperelliptic", "hyp", tagging))
-                stats["taggings"] += 1
-            records = (_unibranch_records(sig, coeff, stats) if sig.n == 1
-                       else _nonhyp_records(sig, coeff, _threshold_x(sig), entries, stats))
-            sig_rows += [(label, chi1, item, comp, None) for label, chi1, item, comp in records]
+            sig_rows = [(t.label, hyperelliptic_chi1(sig, t), "hyperelliptic", "hyp", t)
+                        for t in hyperelliptic_taggings(sig)]
+            stats["taggings"] += len(sig_rows)
+            sig_rows += (_unibranch_records(sig, coeff, stats) if sig.n == 1
+                         else _nonhyp_records(sig, coeff, _threshold_x(sig), entries, stats))
             if sig_rows:
                 rows.append((sig, sig_rows))
     scored = time.perf_counter()
 
-    found: dict[tuple, Candidate] = {}
+    cands: list[Candidate] = []
     for sig, sig_rows in rows:
         subsets = ([Q for r in range(sig.n + 1) for Q in itertools.combinations(range(sig.n), r)]
                    if dangling else [()])
@@ -568,17 +568,15 @@ def alpha_search(
             for Q, x in cutoffs:
                 # k appended zeros keep g, ell and the core a_i, so X grows by
                 # ell per point; a negative budget is a failing row
-                for k in range(_budget(coeff, chi1, x, sig.ell) + 1):
-                    orders = sig.orders + (0,) * k
-                    ext_label = tagging.with_free(k).label if tagging and k else label
-                    if (orders, ext_label, Q) not in found:
-                        found[orders, ext_label, Q] = Candidate(
-                            orders, ext_label, chi1, coeff * (x + k * sig.ell), True, item,
-                            comp, Q)
+                cands += [Candidate(sig.orders + (0,) * k,
+                                    tagging.with_free(k).label if tagging and k else label,
+                                    chi1, coeff * (x + k * sig.ell), True, item, comp, Q)
+                          for k in range(_budget(coeff, chi1, x, sig.ell) + 1)]
+    cands.sort(key=Candidate.sort_key)
 
-    log.debug(_SEARCH_LOG, g, threshold, *(stats[k] for k in _STAGES), len(found),
+    log.debug(_SEARCH_LOG, g, threshold, *(stats[k] for k in _STAGES), len(cands),
               scored - start, time.perf_counter() - scored)
-    return tuple(sorted(found.values(), key=Candidate.sort_key))
+    return tuple(cands)
 
 
 # ---------------------------------------------------------------------------

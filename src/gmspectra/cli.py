@@ -27,6 +27,7 @@ from . import curve_models as cm
 from . import invariants as inv
 from . import semigroup as sg
 from .classifier import (
+    DEFAULT_THRESHOLD,
     UnresolvedSignatureError,
     alpha_search,
     nonvarying_regression,
@@ -297,7 +298,7 @@ def candidate_row(c, decimal=False) -> dict:
 
 @classify.command("alpha")
 @click.option("--genus", "-g", type=int, required=True)
-@click.option("--threshold", default="3/8", show_default=True)
+@click.option("--threshold", default=str(DEFAULT_THRESHOLD), show_default=True)
 @click.option("--dangling", is_flag=True,
               help="Also score every subset of dangling branches.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
@@ -327,7 +328,7 @@ SEMIGROUP_COLUMNS = ["semigroup", "hyperelliptic", "spin", "chi1_log",
 
 @classify.command("semigroups")
 @click.option("--genus", "-g", type=int, required=True)
-@click.option("--threshold", default="3/8", show_default=True)
+@click.option("--threshold", default=str(DEFAULT_THRESHOLD), show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text")
 def classify_semigroups(genus, threshold, fmt):
@@ -428,7 +429,7 @@ def _verify_search() -> list[str]:
             failures.append(f"genus {g}: {len(cands)} candidates, expected {expected}")
         if any(sum(m > 0 for m in c.signature) > 4 for c in cands):
             failures.append(f"genus {g}: a candidate has more than four zeros")
-        if any(not c.passed for c in cands):
+        if any(c.chi1_log < c.threshold_rhs for c in cands):
             failures.append(f"genus {g}: emitted a failing candidate")
     present = {(c.signature, c.component) for c in searched[4]}
     for sig, comp in [((5, 1), None), ((4, 2), "even"),
@@ -451,9 +452,10 @@ def _verify_semigroups() -> list[str]:
         for q in range(p + 1, 14):
             if gcd(p, q) != 1:
                 continue
-            H = sg.from_generators((p, q))
-            if sg.gap_sum(H) != sg.planar_gap_sum_formula(p, q):
-                failures.append(f"gap_sum(<{p},{q}>) disagrees with the closed form")
+            toric = inv.toric_lattice_identity(p, q)
+            gaps = sg.gap_sum(sg.from_generators((p, q)))
+            if not gaps == toric.closed_form == toric.lattice_count:
+                failures.append(f"gap_sum(<{p},{q}>) disagrees with the toric identity")
     return failures
 
 

@@ -248,7 +248,9 @@ def toric_lattice_identity(p: int, q: int) -> ToricIdentityReport:
 
     With b = gcd(p, q) and c = pq - p - q, the claim is
     (c^2 + pq(c + 1) - b^2) / (12b) = sum over n = 0..(c-b)/b of the number
-    of lattice points (i, j) >= 0 with qi + pj <= nb.  Degenerate inputs
+    of lattice points (i, j) >= 0 with qi + pj <= nb.  At b = 1 the closed
+    form is (p-1)(q-1)(2pq-p-q-1)/12, the gap sum of <p, q>, and
+    ``gmspectra verify`` checks both sides against it.  Degenerate inputs
     with c < b (genus zero) are rejected.
     """
     if p < 2 or q < 2:

@@ -240,16 +240,6 @@ def gap_sum(H: NumericalSemigroup) -> int:
     return sum(H.gaps)
 
 
-def planar_gap_sum_formula(p: int, q: int) -> int:
-    """Closed form (p-1)(q-1)(2pq-p-q-1)/12 for the gap sum of <p,q>."""
-    if p < 2 or q < 2:
-        raise ValueError("both parameters must be at least 2")
-    if gcd(p, q) != 1:
-        raise ValueError(f"{p} and {q} are not coprime")
-    num = (p - 1) * (q - 1) * (2 * p * q - p - q - 1)
-    return num // 12
-
-
 def enumerate_symmetric(g: int, max_element_sum: int | None = None) -> list[NumericalSemigroup]:
     """The semigroups :func:`walk_symmetric` finds, as a list in its order."""
     return list(walk_symmetric(g, max_element_sum))

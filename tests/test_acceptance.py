@@ -304,7 +304,7 @@ def test_criterion_06_classification_lists_through_cli():
 
 # ------------------------------------------------------------------ 7
 # Genus-six symmetric semigroups passing the element-sum bound, and the
-# closed form for planar gap sums.
+# toric closed form at b = 1 for planar gap sums.
 
 
 def test_criterion_07_semigroup_search_and_gap_sums():
@@ -316,7 +316,7 @@ def test_criterion_07_semigroup_search_and_gap_sums():
         for q in range(p + 1, 31):
             if gcd(p, q) == 1:
                 H = sg.from_generators((p, q))
-                assert sg.gap_sum(H) == sg.planar_gap_sum_formula(p, q), (p, q)
+                assert sg.gap_sum(H) == inv.toric_lattice_identity(p, q).closed_form, (p, q)
 
 
 # ------------------------------------------------------------------ 8

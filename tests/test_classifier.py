@@ -830,7 +830,7 @@ def oracle_unibranch_rows(records):
     for r in records:
         strict[r.spin] = strict.get(r.spin, True) and r.passed
     return {(f"unibranch({r.semigroup})", r.chi1_log,
-             "stratum" if strict[r.spin] else "locus", r.spin)
+             "stratum" if strict[r.spin] else "locus", r.spin, None)
             for r in records if not r.hyperelliptic}
 
 
@@ -860,7 +860,7 @@ def test_a_witness_settles_the_verdict_at_genus_five():
     sig, coeff = derive((8,)), threshold_coefficient(Fraction(3, 8))
     stats = Counter()
     assert classifier._unibranch_records(sig, coeff, stats) == [
-        ("unibranch(<4,6,7>)", 20, "locus", "even")]
+        ("unibranch(<4,6,7>)", 20, "locus", "even", None)]
     assert stats["leaves"] == 2  # with <2,11>, and no witness read
 
 
@@ -879,7 +879,7 @@ def test_unibranch_rows_raise_when_either_chi1_route_is_off_on_a_witness(monkeyp
     sig, coeff = derive((10,)), threshold_coefficient(Fraction(3, 8))
     witness = sg.from_generators((5, 7, 8, 9))
     rows = classifier._unibranch_records(sig, coeff, Counter())
-    assert ("unibranch(<5,7,8,9>)", 27, "locus", "even") in rows
+    assert ("unibranch(<5,7,8,9>)", 27, "locus", "even", None) in rows
     off = [False]
     unibranch, filtration_route = cm.UnibranchModel, cm.runs_chi_log
 
@@ -1047,6 +1047,34 @@ def test_a_doctored_locus_entry_trips_the_override_check():
     with pytest.raises(RuntimeError,
                        match=r"^H\(7,1\)-special: override filtration gives 20, stored 21$"):
         alpha_search(5, catalog=entries)
+
+
+def test_a_twin_locus_on_another_component_keeps_both_rows():
+    # a second locus entry of (7, 1) with the same condition on another
+    # component shares its row's (signature, model, dangling): both stay
+    e = catalog.get("H(7,1)-special")
+    twin = e._replace(id="H(7,1)-special-odd", component="odd")
+    for dangling in (False, True):
+        rows = [c for c in alpha_search(5, catalog=[*catalog.entries(), twin], dangling=dangling)
+                if c.model == "override[h0(3p1)=2]"]
+        by_component = Counter(c.component for c in rows)
+        assert by_component == {None: len(rows) // 2, "odd": len(rows) // 2}, dangling
+        assert len(rows) == (8 if dangling else 2)
+        assert {c.signature for c in rows} == {(7, 1)}
+
+
+UNIQUENESS_TAUS = [Fraction(3, 8), Fraction(2, 5), Fraction(5, 12), Fraction(9, 20),
+                   Fraction(1, 2), FIVE_NINTHS, Fraction(3, 5), Fraction(2, 3)]
+
+
+def test_no_two_shipped_candidates_share_their_key():
+    # over the shipped catalog one row per (signature, model, dangling, component)
+    for g in range(1, 13):
+        for tau in UNIQUENESS_TAUS:
+            for dangling in (False, True):
+                cands = alpha_search(g, threshold=tau, dangling=dangling, genus_bound=12)
+                keys = [(c.signature, c.model, c.dangling, c.component) for c in cands]
+                assert len(set(keys)) == len(keys), (g, tau, dangling)
 
 
 def test_two_catalog_values_for_one_component_trip_the_catalog_check():

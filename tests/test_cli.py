@@ -707,6 +707,22 @@ def test_verify_search_flags_a_nonhyperelliptic_candidate_at_genus_20(monkeypatc
     assert "genus 19" not in result.output
 
 
+def test_verify_search_flags_a_candidate_below_its_cutoff(monkeypatch):
+    # verify re-decides chi1_log >= threshold_rhs; the passed flag is not read
+    search = cli.alpha_search
+
+    def doctored(g, *args, **kwargs):
+        cands = search(g, *args, **kwargs)
+        if g != 5:
+            return cands
+        return cands[:-1] + (cands[-1]._replace(chi1_log=cands[-1].threshold_rhs - 1),)
+
+    monkeypatch.setattr(cli, "alpha_search", doctored)
+    result = invoke("verify", "--suite", "search")
+    assert result.exit_code == 1
+    assert result.output == "FAIL search\n  genus 5: emitted a failing candidate\n1 mismatch(es)\n"
+
+
 @pytest.mark.parametrize("g, orders, ok", [(3, (1, 1, 1, 1, 0), True),
                                            (4, (1, 1, 1, 1, 1, 1), False)])
 def test_verify_search_counts_zeros_of_positive_order(monkeypatch, g, orders, ok):

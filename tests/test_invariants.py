@@ -304,7 +304,8 @@ def test_toric_coprime_matches_planar_formula():
         for q in range(p + 1, 16):
             if gcd(p, q) != 1:
                 continue
-            assert inv.toric_lattice_identity(p, q).chi1_log == sg.planar_gap_sum_formula(p, q)
+            report = inv.toric_lattice_identity(p, q)
+            assert report.chi1_log == report.closed_form == sg.gap_sum(sg.from_generators((p, q)))
 
 
 def test_toric_degenerate():
