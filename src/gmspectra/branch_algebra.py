@@ -23,11 +23,11 @@ degrees(top), the slot-carrying degrees; rank(k, positions); has_power,
 one lookup; and contains.  Membership and rank read rows off the map by
 pivot and never eliminate them again: only the vector, or the rows
 pivoting outside the positions, is reduced.  The conductor, whose one
-proof is the closure's certificate, and the gap sequence are cached
+proof is the closure's certificate, the gap sequence and delta are cached
 properties of BranchAlgebra, the one mutable class, decided at their first
-read; the Gorenstein test sum(c_i) = 2*delta and the condition (G3) read
-them.  The reports are named tuples, immutable, equal to the plain tuple
-of their fields and copied with ``_replace``.
+read; the Gorenstein test sum(c_i) = 2*delta of algebra_summary and the
+condition (G3) read them.  The reports are named tuples, immutable, equal
+to the plain tuple of their fields and copied with ``_replace``.
 """
 
 from __future__ import annotations
@@ -410,6 +410,22 @@ class BranchAlgebra:
             conductor.append(c)
         return tuple(conductor)
 
+    @cached_property
+    def delta(self) -> int | None:
+        """delta = dim Rbar/R, or None unless the conductor is certified with
+        every c_i <= T = max(m)+2.
+
+        delta counts the order-0 piece, n - 1, plus the gaps at every order
+        j >= 1.  Order j has no gap once j >= every c_i, so past T no order
+        has one and the gap sequence, summed over orders 1..max(m)+1, is the
+        rest.  Without that bound the sum need not be delta, which is
+        infinite on a ring that is not cofinite.
+        """
+        conductor, top = self.certified_conductor, self.signature.orders[0] + 2
+        if conductor is None or max(conductor) > top:
+            return None
+        return self.signature.n - 1 + sum(gap_sequence(self))
+
 
 def _certificate_bound(sig: Signature) -> tuple[int, int]:
     """(A*T, D = 2*A*T + A - 1) with A = max_i a_i and T = max(m)+2 (see
@@ -445,59 +461,6 @@ def graded_dims(alg: BranchAlgebra, top: int) -> tuple[int, ...]:
 def gap_sequence(alg: BranchAlgebra) -> tuple[int, ...]:
     """Gap sequence (alpha_1, ..., alpha_{max(m)+1}) of the singular point."""
     return alg.gap_full[: alg.signature.orders[0] + 1]
-
-
-def delta_and_genus(alg: BranchAlgebra) -> tuple[int, int]:
-    """(delta, arithmetic genus): delta counts the order-0 piece too.
-
-    The gap sequence is summed over orders 1..max(m)+1 only.  Order j has
-    no gap once j >= every c_i, so the sum is delta exactly when every c_i
-    is at most max(m)+2: when ``conductor_and_gorenstein(alg)`` reports
-    ``conductor_bound_ok``.  A ring that is not cofinite has infinite delta
-    yet still gets a finite sum here.
-    """
-    g = sum(gap_sequence(alg))
-    delta = alg.signature.n - 1 + g
-    return delta, g
-
-
-class ConductorReport(NamedTuple):
-    conductor: tuple[int, ...]  # per-branch exponents c_i
-    quotient_length: int | None  # len(R/c) = sum(c_i) - delta, once delta is known
-    gorenstein: bool
-    conductor_bound_ok: bool  # certified, and every c_i <= max(m)+2
-    delta: int
-
-
-def conductor_and_gorenstein(alg: BranchAlgebra) -> ConductorReport:
-    """Per-branch conductor exponents and the length test len(R/c) = delta.
-
-    R is Gorenstein exactly when len(R/c) = delta (Serre, Groupes
-    algebriques et corps de classes, IV 11), so the conductor is the one
-    certified_conductor proves.  Lengths add along the normalization
-    Rbar ⊇ R ⊇ c, and Rbar/c = prod_i k[t_i]/(t_i^c_i) has length sum(c_i), so
-    len(R/c) = sum(c_i) - delta and the test reads sum(c_i) = 2*delta.
-    conductor_bound_ok says the conductor is proven and every c_i is at
-    most max(m)+2, which is also when the summed gap sequence is delta
-    (see delta_and_genus); otherwise quotient_length is None.  A ring with
-    no certificate reports c_i = max(m)+3 on every branch, a value never
-    proven, and is not Gorenstein.
-    """
-    sig = alg.signature
-    top = sig.orders[0] + 2
-    conductor = alg.certified_conductor
-    bound_ok = conductor is not None and max(conductor) <= top
-    if conductor is None:
-        conductor = (top + 1,) * sig.n
-    delta, _ = delta_and_genus(alg)
-    length = sum(conductor) - delta if bound_ok else None
-    return ConductorReport(
-        conductor=conductor,
-        quotient_length=length,
-        gorenstein=bound_ok and length == delta,
-        conductor_bound_ok=bound_ok,
-        delta=delta,
-    )
 
 
 class SectionSpace(NamedTuple):
@@ -573,20 +536,21 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
              for i in range(n) if alg.has_power(i, 1)]
     g1 = not notes
 
-    # (G3) is conductor_bound_ok; the note names a pure power past max(m)+2
-    # that R misses, from the last piece up to D that is not full when there
-    # is no certificate: that piece lies at k >= A*T (see certified_conductor)
-    top = sig.orders[0] + 2
-    conductor = alg.certified_conductor
-    if conductor is None:
-        a = sig.weights_a
-        _, last = _certificate_bound(sig)
-        k = next(k for k in reversed(alg.degrees(last)) if alg.dim(k) < len(alg.slots(k)))
-        missing = next((i, k // a[i]) for i in alg.slots(k) if not alg.has_power(i, k // a[i]))
-    else:
-        missing = next(((i, c - 1) for i, c in enumerate(conductor) if c > top), None)
-    g3 = missing is None
+    # (G3), a certified c with every c_i <= max(m)+2, holds exactly when delta
+    # is known; the note names a pure power past max(m)+2 that R misses, from
+    # the last piece up to D that is not full when there is no certificate: it
+    # lies at k >= A*T (see certified_conductor)
+    g3 = alg.delta is not None
     if not g3:
+        conductor = alg.certified_conductor
+        if conductor is None:
+            a = sig.weights_a
+            _, last = _certificate_bound(sig)
+            k = next(k for k in reversed(alg.degrees(last)) if alg.dim(k) < len(alg.slots(k)))
+            missing = next((i, k // a[i]) for i in alg.slots(k) if not alg.has_power(i, k // a[i]))
+        else:
+            top = sig.orders[0] + 2
+            missing = next((i, c - 1) for i, c in enumerate(conductor) if c > top)
         notes.append(f"pure power t{missing[0] + 1}^{missing[1]} missing from the ring")
 
     # (G4): with x_i = t_i^(m_i+1) e_i, all in R_ell, the pair (i, j) is
@@ -672,17 +636,21 @@ def generators_from_json(doc: dict):
 def algebra_summary(alg: BranchAlgebra) -> dict:
     """Plain-JSON summary of the computed singularity invariants.
 
-    delta and genus are left out unless the conductor is certified: without
-    that, the summed gap sequence need not be delta, which is infinite on a
-    ring that is not cofinite.
+    delta and genus = delta - n + 1 are left out when alg.delta is None.
+    The conductor is the one certified_conductor proves; a ring with no
+    certificate reports c_i = max(m)+3 on every branch, a value never
+    proven, and is not Gorenstein.  R is Gorenstein exactly when len(R/c)
+    = delta (Serre, Groupes algebriques et corps de classes, IV 11).
+    Lengths add along the normalization Rbar ⊇ R ⊇ c, and Rbar/c =
+    prod_i k[t_i]/(t_i^c_i) has length sum(c_i), so len(R/c) = sum(c_i) -
+    delta and the test reads sum(c_i) = 2*delta.
     """
-    report = conductor_and_gorenstein(alg)
-    finite = {}
-    if report.conductor_bound_ok:
-        finite = {"delta": report.delta, "genus": report.delta - alg.signature.n + 1}
+    sig, delta = alg.signature, alg.delta
+    conductor = alg.certified_conductor or (sig.orders[0] + 3,) * sig.n
+    finite = {} if delta is None else {"delta": delta, "genus": delta - sig.n + 1}
     return {
         **finite,
         "gap_sequence": list(gap_sequence(alg)),
-        "conductor": list(report.conductor),
-        "gorenstein": report.gorenstein,
+        "conductor": list(conductor),
+        "gorenstein": delta is not None and sum(conductor) == 2 * delta,
     }

@@ -163,8 +163,9 @@ def load_entry(entry_id: str, param_hint: str = "'--catalog'") -> cat.CatalogEnt
 class Main(click.Group):
     """Reports bad input as one `Error:` line with exit code 2.
 
-    Covers ValueError (malformed JSON included) and KeyError; the
-    RuntimeError and AssertionError of failed cross-checks still raise.
+    Covers ValueError (malformed JSON included), KeyError and the
+    RecursionError of a JSON document nested too deeply to read; every other
+    RuntimeError, and the AssertionError of failed cross-checks, still raise.
     """
 
     def invoke(self, ctx):
@@ -174,6 +175,8 @@ class Main(click.Group):
             raise click.UsageError(f"missing key {exc}") from exc
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
+        except RecursionError as exc:
+            raise click.UsageError("the document is nested too deeply") from exc
 
 
 @click.group(cls=Main)

@@ -236,7 +236,6 @@ class ToricIdentityReport(NamedTuple):
     branches: int  # b = gcd(p, q)
     closed_form: Fraction
     lattice_count: int
-    chi1_log: int  # the lattice count, which is the character
 
     @property
     def equal(self) -> bool:
@@ -265,4 +264,4 @@ def toric_lattice_identity(p: int, q: int) -> ToricIdentityReport:
         cap = step * b
         for i in range(cap // q + 1):
             total += (cap - q * i) // p + 1
-    return ToricIdentityReport(p, q, b, closed, total, total)
+    return ToricIdentityReport(p, q, b, closed, total)

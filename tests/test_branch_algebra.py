@@ -233,9 +233,7 @@ def test_gap_sequence_properties():
     for build, _ in GAP_CASES:
         alg = build()
         seq = ba.gap_sequence(alg)
-        delta, genus = ba.delta_and_genus(alg)
-        assert genus == sum(seq)
-        assert delta == alg.signature.n - 1 + genus
+        assert alg.delta == alg.signature.n - 1 + sum(seq)
         # additivity of vanishing entries
         for i in range(1, len(seq) + 1):
             for j in range(1, len(seq) + 1):
@@ -244,44 +242,47 @@ def test_gap_sequence_properties():
 
 
 def test_delta_examples():
-    assert ba.delta_and_genus(alg31()) == (4, 3)
-    assert ba.delta_and_genus(alg321()) == (6, 4)
-    assert ba.delta_and_genus(cusp23()) == (1, 1)
+    for build, delta, gaps in ((alg31, 4, 3), (alg321, 6, 4), (cusp23, 1, 1)):
+        alg = build()
+        assert (alg.delta, sum(ba.gap_sequence(alg))) == (delta, gaps)
 
 
 # ------------------------------------------------- conductor / Gorenstein
 
 
 def test_conductor_31():
-    rep = ba.conductor_and_gorenstein(alg31())
-    assert rep.conductor == (5, 3)
-    assert rep.quotient_length == 4 == rep.delta
-    assert rep.gorenstein
-    assert rep.conductor_bound_ok
+    alg = alg31()
+    summary = ba.algebra_summary(alg)
+    assert summary["conductor"] == [5, 3]
+    assert sum(summary["conductor"]) - alg.delta == 4 == alg.delta
+    assert summary["gorenstein"]
+    assert "delta" in summary
 
 
 def test_conductor_211():
-    rep = ba.conductor_and_gorenstein(alg211())
-    assert rep.conductor == (4, 3, 3)
-    assert rep.quotient_length == 5 == rep.delta
-    assert rep.gorenstein
+    alg = alg211()
+    summary = ba.algebra_summary(alg)
+    assert summary["conductor"] == [4, 3, 3]
+    assert sum(summary["conductor"]) - alg.delta == 5 == alg.delta
+    assert summary["gorenstein"]
 
 
 def test_conductor_catalog_pattern():
     # every stratum algebra has c_i = m_i + 2 and passes the length test
     for build, _ in GAP_CASES:
         alg = build()
-        rep = ba.conductor_and_gorenstein(alg)
-        assert rep.conductor == tuple(m + 2 for m in alg.signature.orders)
-        assert rep.gorenstein
-        assert rep.quotient_length == rep.delta
+        summary = ba.algebra_summary(alg)
+        assert summary["conductor"] == [m + 2 for m in alg.signature.orders]
+        assert summary["gorenstein"]
+        assert sum(summary["conductor"]) - alg.delta == alg.delta
 
 
 @pytest.mark.parametrize("orders", [(0,), (2,)])
 def test_smooth_branch_is_gorenstein_with_conductor_zero(orders):
-    rep = ba.conductor_and_gorenstein(ba.close(derive(orders), [[(0, 1, 1)]]))
-    assert rep.conductor == (0,) and rep.delta == 0 == rep.quotient_length
-    assert rep.conductor_bound_ok and rep.gorenstein
+    alg = ba.close(derive(orders), [[(0, 1, 1)]])
+    summary = ba.algebra_summary(alg)
+    assert summary["conductor"] == [0] and alg.delta == 0 == sum(summary["conductor"]) - alg.delta
+    assert "delta" in summary and summary["gorenstein"]
 
 
 KUNZ_CASES = [H for g in range(1, 8) for H in sg.enumerate_symmetric(g)] + [
@@ -293,9 +294,9 @@ def test_monomial_ring_is_gorenstein_exactly_when_its_semigroup_is_symmetric(H):
     # Kunz: k[t^h : h in H] is Gorenstein iff H is symmetric, read on the
     # algebra side through sum(c_i) = 2*delta
     alg = ba.close(derive((2 * H.genus - 2,)), [[(0, h, 1)] for h in H.generators])
-    rep = ba.conductor_and_gorenstein(alg)
-    assert rep.conductor == (H.conductor,) and rep.delta == H.genus
-    assert rep.gorenstein == H.symmetric
+    summary = ba.algebra_summary(alg)
+    assert summary["conductor"] == [H.conductor] and alg.delta == H.genus
+    assert summary["gorenstein"] == H.symmetric
 
 
 def test_mutilated_31_not_gorenstein():
@@ -303,12 +304,12 @@ def test_mutilated_31_not_gorenstein():
     sig = derive((3, 1))
     gens = [[(0, 2, 1), (1, 1, 1)]]
     alg = ba.close(sig, gens)
-    rep = ba.conductor_and_gorenstein(alg)  # reads degree D = 21, past the window W = 10
-    assert not rep.conductor_bound_ok
-    assert not rep.gorenstein
-    assert rep.quotient_length != rep.delta
-    assert rep.quotient_length is None  # len(R/c) waits for a certified conductor
-    assert ba.conductor_and_gorenstein(read_first(ba.close(sig, gens), 16)) == rep
+    summary = ba.algebra_summary(alg)  # reads degree D = 21, past the window W = 10
+    assert "delta" not in summary
+    assert not summary["gorenstein"]
+    assert alg.delta is None  # delta, hence len(R/c), waits for a certified conductor
+    read = read_first(ba.close(sig, gens), 16)
+    assert ba.algebra_summary(read) == summary and read.delta == alg.delta
 
 
 # ----------------------------------------------------------- sections
@@ -346,7 +347,7 @@ def test_section_space_riemann_roch_totals():
     for build, _ in GAP_CASES:
         alg = build()
         sig = alg.signature
-        _, g = ba.delta_and_genus(alg)
+        g = sum(ba.gap_sequence(alg))
         n = sig.n
         assert sum(alg.dim(k) for k in range(sig.ell + 1)) == g - 1 + n
         assert sum(alg.dim(k) for k in range(2 * sig.ell + 1)) == 3 * (g - 1) + 2 * n
@@ -789,7 +790,7 @@ def test_certified_stop_matches_the_dense_closure(case):
         assert alg.dim(k) == ref.dim(k), k
     assert ba.graded_dims(alg, bound) == ba.graded_dims(ref, bound)
     assert ba.gap_sequence(alg) == ba.gap_sequence(ref)
-    report, conditions = ba.conductor_and_gorenstein(alg), ba.validate_G_conditions(alg)
+    summary, conditions = ba.algebra_summary(alg), ba.validate_G_conditions(alg)
     touched = {b for terms in gens for b, _, _ in terms}
     if len(touched) < sig.n:
         assert alg.stable_from is None  # no pure powers on an untouched branch
@@ -800,23 +801,24 @@ def test_certified_stop_matches_the_dense_closure(case):
     # decides the window, and supplies one where every c_i <= T
     oracle = doubling_oracle(ref, top)
     within = all(c <= T for c in oracle)
-    assert report.conductor_bound_ok == conditions.conductor_bound == within
-    assert report.conductor == (oracle if alg.stable_from is not None and alg.stable_from <= reach * T
-                                else (T + 1,) * sig.n)
-    assert within or not report.gorenstein
+    assert ("delta" in summary) == conditions.conductor_bound == within
+    assert tuple(summary["conductor"]) == (
+        oracle if alg.stable_from is not None and alg.stable_from <= reach * T
+        else (T + 1,) * sig.n)
+    assert within or not summary["gorenstein"]
     assert all(e >= T and not ref.has_power(i, e) for i, e in missing_powers(conditions.notes))
     assert bool(missing_powers(conditions.notes)) == (not within)
     if within:  # every R_k is full from max_i a_i*c_i on
         ref.stable_from = max(a * c for a, c in zip(sig.weights_a, oracle))
     if within or alg.stable_from is None:  # both read the same conductor
-        assert report == ba.conductor_and_gorenstein(ref)
-    if report.conductor_bound_ok:  # len(R/c), read degree by degree on the dense closure
-        a, c = sig.weights_a, report.conductor
-        assert report.quotient_length == sum(
+        assert summary == ba.algebra_summary(ref) and alg.delta == ref.delta
+    if "delta" in summary:  # len(R/c), read degree by degree on the dense closure
+        a, c = sig.weights_a, summary["conductor"]
+        assert sum(c) - alg.delta == sum(
             ref.rank(k, [pos for pos, i in enumerate(ref.slots(k)) if k // a[i] < c[i]])
             for k in ref.degrees(max(x * y for x, y in zip(a, c))))
     else:
-        assert report.quotient_length is None
+        assert alg.delta is None
     ref_conditions = ba.validate_G_conditions(ref)
     assert conditions._replace(notes=()) == ref_conditions._replace(notes=())
     if within:
@@ -831,13 +833,13 @@ def test_certified_stop_matches_the_dense_closure(case):
 ], ids=["t2-on-2", "t2-on-4", "one-branch-on-31"])
 def test_ring_that_is_not_cofinite_gets_no_conductor(orders, gens):
     alg = ba.close(derive(orders), gens)
-    report = ba.conductor_and_gorenstein(alg)
+    summary = ba.algebra_summary(alg)
     assert alg.stable_from is None
-    assert not report.conductor_bound_ok and not report.gorenstein
+    assert alg.delta is None and not summary["gorenstein"]
     assert not ba.validate_G_conditions(alg).conductor_bound
-    assert "delta" not in ba.algebra_summary(alg) and "genus" not in ba.algebra_summary(alg)
+    assert "delta" not in summary and "genus" not in summary
     inv.weight_spectrum(alg, 5)  # reads past D after the conductor is decided
-    assert ba.conductor_and_gorenstein(alg) == report
+    assert ba.algebra_summary(alg) == summary and alg.delta is None
 
 
 def test_no_conductor_means_no_certificate():
@@ -863,17 +865,17 @@ def test_conductor_reports_do_not_depend_on_what_was_read_before(exps):
     sig = derive((2,))
     gens = [[(0, e, 1)] for e in exps]
     fresh = ba.close(sig, gens)
-    expected = (ba.conductor_and_gorenstein(fresh), ba.validate_G_conditions(fresh))
-    assert expected[0].conductor == (5,) and not expected[0].conductor_bound_ok
+    expected = (ba.algebra_summary(fresh), ba.validate_G_conditions(fresh), fresh.delta)
+    assert expected[0]["conductor"] == [5] and "delta" not in expected[0]
     assert expected[1].notes[0] == "pure power t1^5 missing from the ring"
     read = ba.close(sig, gens)
     inv.weight_spectrum(read, 5)
     assert len(read.graded_basis) > 10
     assert read.stable_from == (6 if 9 in exps else 10)
-    assert (ba.conductor_and_gorenstein(read), ba.validate_G_conditions(read)) == expected
+    assert (ba.algebra_summary(read), ba.validate_G_conditions(read), read.delta) == expected
     inv.weight_spectrum(fresh, 5)  # the same object, read past D after its reports
     stored = len(fresh.graded_basis)
-    assert (ba.conductor_and_gorenstein(fresh), ba.validate_G_conditions(fresh)) == expected
+    assert (ba.algebra_summary(fresh), ba.validate_G_conditions(fresh), fresh.delta) == expected
     assert len(fresh.graded_basis) == stored  # the decided conductor and gaps are cached
 
 
@@ -881,7 +883,7 @@ def test_conductor_reports_do_not_depend_on_what_was_read_before(exps):
 def test_close_stops_within_twice_the_conductor(family, g):
     alg = catalog.family(family, g=g).algebra()
     sig = alg.signature
-    conductor = ba.conductor_and_gorenstein(alg).conductor
+    conductor = ba.algebra_summary(alg)["conductor"]
     top = max(a * c for a, c in zip(sig.weights_a, conductor))
     assert alg.stable_from is not None and alg.stable_from <= top
     assert len(alg.graded_basis) <= 2 * top + max(sig.weights_a)
@@ -1048,8 +1050,8 @@ def test_a_ring_certified_past_its_last_slot_stores_only_its_slots():
     # a = (999, 1001): stable_from = 2003 and the stop at K + M - 1 = 5005,
     # M = 3*1001; the eleven slot-carrying degrees up to it are stored
     alg = t345((1000, 998))
-    report = ba.conductor_and_gorenstein(alg)
-    assert (report.conductor, report.delta, report.gorenstein) == ((3, 3), 5, False)
+    summary = ba.algebra_summary(alg)
+    assert (summary["conductor"], alg.delta, summary["gorenstein"]) == ([3, 3], 5, False)
     assert alg.stable_from == 2003
     assert len(alg.graded_basis) == 11 and alg.degree_cap == 5005
 
@@ -1058,7 +1060,7 @@ def test_a_ring_that_is_not_cofinite_stores_only_its_slots_up_to_D():
     # a = (99, 101), A*T = 10302 and D = 20704: 210 multiples of 99 and 205
     # of 101 up to D, three of them (0, 9999, 19998) shared
     alg = ba.close(derive((100, 98)), [[(0, e, 1)] for e in (3, 4, 5)])
-    assert not ba.conductor_and_gorenstein(alg).conductor_bound_ok
+    assert "delta" not in ba.algebra_summary(alg)
     assert alg.stable_from is None
     assert len(alg.graded_basis) == 412
     dims = ba.graded_dims(alg, 400)  # zero off the stored degrees
@@ -1073,12 +1075,12 @@ def test_a_stop_at_a_degree_with_no_slot_still_certifies_by_D():
     sig = derive((6, 4))
     gens = [[(0, e, 1)] for e in range(12, 24)] + [[(1, 1, 1)]]
     fresh = ba.close(sig, gens)
-    reports = (ba.conductor_and_gorenstein(fresh), ba.validate_G_conditions(fresh))
+    reports = (ba.algebra_summary(fresh), ba.validate_G_conditions(fresh), fresh.delta)
     assert fresh.stable_from == 56 and not fresh.slots(118)
-    assert reports[0].conductor == (12, 1) and not reports[0].conductor_bound_ok
+    assert reports[0]["conductor"] == [12, 1] and "delta" not in reports[0]
     assert "pure power t1^11 missing from the ring" in reports[1].notes
     read = read_first(ba.close(sig, gens), 400)
-    assert (ba.conductor_and_gorenstein(read), ba.validate_G_conditions(read)) == reports
+    assert (ba.algebra_summary(read), ba.validate_G_conditions(read), read.delta) == reports
 
 
 # ------------------------------------------------ the closure walks S, not ell
@@ -1100,7 +1102,7 @@ def test_the_closure_walk_does_not_grow_with_ell(monkeypatch):
         work.add((len(calls), len(alg._slots)))
         assert (len(alg.graded_basis), alg.stable_from, alg.degree_cap) == (
             11, stable_from, degree_cap)
-        assert ba.conductor_and_gorenstein(alg).conductor == (3, 3)
+        assert ba.algebra_summary(alg)["conductor"] == [3, 3]
     assert len(work) == 1
 
 
@@ -1115,7 +1117,7 @@ def test_a_stop_inside_a_run_of_degrees_with_no_slot_matches_the_dense_closure()
     short = [k for k in range(ba.window(sig) + 1) if ref.dim(k) < len(ref.slots(k))]
     assert alg.stable_from == short[-1] + 1 == 203
     ref.stable_from = alg.stable_from  # the dense closure is full from 203 to W
-    assert ba.conductor_and_gorenstein(alg) == ba.conductor_and_gorenstein(ref)
+    assert ba.algebra_summary(alg) == ba.algebra_summary(ref) and alg.delta == ref.delta
 
 
 def test_a_short_stop_inside_a_run_of_degrees_with_no_slot_matches_the_dense_closure():
@@ -1132,7 +1134,7 @@ def test_a_short_stop_inside_a_run_of_degrees_with_no_slot_matches_the_dense_clo
     short = [k for k in range(ba.window(sig) + 1) if ref.dim(k) < len(ref.slots(k))]
     assert alg.stable_from == short[-1] + 1
     ref.stable_from = alg.stable_from  # the dense closure is full from 496 to W
-    assert ba.conductor_and_gorenstein(alg) == ba.conductor_and_gorenstein(ref)
+    assert ba.algebra_summary(alg) == ba.algebra_summary(ref) and alg.delta == ref.delta
 
 
 def test_the_closure_certifies_after_a_run_as_long_as_its_largest_generator_degree():
@@ -1168,7 +1170,7 @@ def test_a_read_past_D_without_a_certificate_is_refused_at_the_piece_bound(monke
     # k[t^2] on (2), a = (1,): no certificate by D = 8, one piece per degree
     monkeypatch.setattr(ba, "CLOSURE_PIECE_BOUND", 40)
     alg = ba.close(derive((2,)), [[(0, 2, 1)]])
-    assert not ba.conductor_and_gorenstein(alg).conductor_bound_ok  # it reads up to D only
+    assert "delta" not in ba.algebra_summary(alg)  # it reads up to D only
     assert (alg.dim(38), alg.dim(39)) == (1, 0)  # the 40 pieces at degrees 0..39
     with pytest.raises(ValueError, match=r"^\(2\) has no certificate by degree D = 8; "
                                          r"closing it to degree 40 would store more than "

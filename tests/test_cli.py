@@ -211,6 +211,10 @@ BAD_INPUTS = [
     # the m = 2 ladder frame may have 2(2g - 2 + n) + 1 rows: refused before it is built
     (["slope", "--signature", "799998"],
      ["ladder frame of (799998) at m = 2", "1599999 rows", "frame row bound 1000000"]),
+    # an override spec nested 1,200 levels deep is read past the recursion limit
+    (["slope", "--signature", "2", "--model",
+      '{"kind": "override", "base": ' * 1200 + '{"kind": "clifford-max", "genus": 2}'
+      + ', "table": []}' * 1200], ["nested too deeply"]),
 ]
 
 
@@ -282,6 +286,23 @@ def test_input_without_signature_is_one_error_line(tmp_path):
     assert_usage_error(invoke("invariants", "--input", str(path)), "'signature'")
 
 
+def test_a_document_nested_too_deeply_is_one_error_line(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert_usage_error(invoke("invariants", "--input", str(path)), "nested too deeply")
+
+
+def test_a_failed_cross_check_still_raises(monkeypatch):
+    # a RecursionError is a RuntimeError; no other RuntimeError becomes an Error: line
+    def fail(*args):
+        raise RuntimeError("cross-check failed")
+
+    monkeypatch.setattr(cli.inv, "algebra_report", fail)
+    result = invoke("invariants", "--catalog", "E7")
+    assert result.exit_code == 1 and isinstance(result.exception, RuntimeError)
+    assert "Error:" not in result.output
+
+
 def monomial_doc(**fields):
     """The (3, 1) document with one generator t1^2, its monomial overridden."""
     return {"signature": [3, 1], "generators": [
@@ -335,6 +356,34 @@ def test_ring_that_is_not_cofinite_is_not_gorenstein(tmp_path):
     assert "gorenstein: False\n" in result.output
     keys = {line.split(":")[0] for line in result.output.splitlines()}
     assert not keys & {"delta", "genus", "alpha", "slope"}
+
+
+def pure_powers_doc(orders, powers):
+    """The algebra document generated by the pure powers t_(i+1)^e, (i, e) in powers."""
+    return {"signature": list(orders), "generators": [
+        {"monomials": [{"branch": i, "exp": e, "coeff": "1"}]} for i, e in powers]}
+
+
+@pytest.mark.parametrize("doc,lines", [
+    # certified within T = max(m) + 2, and Gorenstein
+    (catalog.as_dict(catalog.get("E7")),
+     ["delta: 4", "genus: 3", "conductor: 5 3", "gorenstein: True"]),
+    # certified within T, not Gorenstein: sum(c) = 6 is not 2*delta = 10
+    (pure_powers_doc((100, 98), [(i, e) for i in (0, 1) for e in (3, 4, 5)]),
+     ["delta: 5", "genus: 4", "conductor: 3 3", "gorenstein: False"]),
+    # certified past T: c_1 = 12 > 8, so no delta and no genus
+    (pure_powers_doc((6, 4), [*((0, e) for e in range(12, 24)), (1, 1)]),
+     ["conductor: 12 1", "gorenstein: False"]),
+    # no certificate: the stand-in conductor max(m) + 3
+    (pure_powers_doc((2,), [(0, 2)]), ["conductor: 5", "gorenstein: False"]),
+], ids=["E7", "t345", "t64", "t2"])
+def test_the_report_of_each_conductor_case(tmp_path, doc, lines):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    result = invoke("invariants", "--input", str(path))
+    assert result.exit_code == 0, result.output
+    keys = ("delta:", "genus:", "conductor:", "gorenstein:")
+    assert [line for line in result.output.splitlines() if line.startswith(keys)] == lines
 
 
 def test_a_ring_that_is_not_cofinite_read_far_out_is_refused_at_the_piece_bound(tmp_path):

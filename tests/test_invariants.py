@@ -282,8 +282,8 @@ def test_ordinary_point_rule_on_catalog():
 def test_toric_small_cases():
     r = inv.toric_lattice_identity(2, 3)
     assert r.branches == 1 and r.lattice_count == 1 and r.equal
-    assert inv.toric_lattice_identity(3, 4).chi1_log == 8
-    assert inv.toric_lattice_identity(3, 4).chi1_log == sg.gap_sum(sg.from_generators((3, 4)))
+    assert inv.toric_lattice_identity(3, 4).lattice_count == 8
+    assert inv.toric_lattice_identity(3, 4).lattice_count == sg.gap_sum(sg.from_generators((3, 4)))
     r46 = inv.toric_lattice_identity(4, 6)
     assert r46.branches == 2 and r46.equal and r46.lattice_count == 23
 
@@ -305,7 +305,7 @@ def test_toric_coprime_matches_planar_formula():
             if gcd(p, q) != 1:
                 continue
             report = inv.toric_lattice_identity(p, q)
-            assert report.chi1_log == report.closed_form == sg.gap_sum(sg.from_generators((p, q)))
+            assert report.lattice_count == report.closed_form == sg.gap_sum(sg.from_generators((p, q)))
 
 
 def test_toric_degenerate():

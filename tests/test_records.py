@@ -28,8 +28,6 @@ from gmspectra import signature
 # each record's field order as it was in its dataclass form; a semigroup
 # also carries the genus and element sum its constructors compute
 FIELDS = {
-    ba.ConductorReport: ["conductor", "quotient_length", "gorenstein", "conductor_bound_ok",
-                         "delta"],
     ba.SectionSpace: ["dimension", "by_degree"],
     ba.GConditionReport: ["no_bare_parameters", "conductor_bound", "dualizing_pairs",
                           "gap_tail", "notes"],
@@ -48,8 +46,7 @@ FIELDS = {
     inv.WeightIdentityReport: ["top_multiplicity_ok", "ladder_differences_ok",
                                "shifted_tail_ok", "chi_formula_ok", "notes"],
     inv.AlphaSlopeRecord: ["chi1_log", "chi2_log", "chi2", "alpha", "slope"],
-    inv.ToricIdentityReport: ["p", "q", "branches", "closed_form", "lattice_count",
-                              "chi1_log"],
+    inv.ToricIdentityReport: ["p", "q", "branches", "closed_form", "lattice_count"],
     sg.ElementSumRecord: ["semigroup", "element_sum", "slack"],
     sg.NumericalSemigroup: ["frobenius", "mask", "genus", "element_sum"],
     signature.Signature: ["orders", "genus", "ell", "weights_a"],
