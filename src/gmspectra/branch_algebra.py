@@ -465,7 +465,6 @@ def gap_sequence(alg: BranchAlgebra) -> tuple[int, ...]:
 
 class SectionSpace(NamedTuple):
     dimension: int
-    by_degree: tuple[tuple[int, int], ...]  # (degree, dim) with dim > 0
 
 
 def section_space(alg: BranchAlgebra, divisor) -> SectionSpace:
@@ -480,14 +479,10 @@ def section_space(alg: BranchAlgebra, divisor) -> SectionSpace:
     if len(divisor) != sig.n:
         raise ValueError(f"divisor needs {sig.n} coefficients, got {len(divisor)}")
     k_top = max((a[i] * c for i, c in enumerate(divisor) if c >= 0), default=-1)
-    per = []
-    for k in alg.degrees(k_top):
-        sl = alg.slots(k)
-        excluded = [pos for pos, i in enumerate(sl) if k > a[i] * divisor[i]]
-        d = alg.dim(k) - alg.rank(k, excluded)
-        if d:
-            per.append((k, d))
-    return SectionSpace(sum(d for _, d in per), tuple(per))
+    return SectionSpace(sum(
+        alg.dim(k) - alg.rank(k, [pos for pos, i in enumerate(alg.slots(k))
+                                  if k > a[i] * divisor[i]])
+        for k in alg.degrees(k_top)))
 
 
 def spin_parity(alg: BranchAlgebra) -> str | None:

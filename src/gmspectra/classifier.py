@@ -286,8 +286,6 @@ def _nonhyp_components(sig: Signature) -> list[Optional[str]]:
     # splits off hyperelliptic pieces only for (4) and (2,2)
     orders = sig.orders
     g = sig.genus
-    if g < 3:
-        return []
     if g == 3:
         return ["odd"] if orders in ((4,), (2, 2)) else [None]
     if all(v % 2 == 0 for v in orders):

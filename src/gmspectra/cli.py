@@ -114,11 +114,12 @@ def build_model(spec: str, sig):
 
 
 def resolve_model(entry_id, sig_text, model_spec, missing: str, check=lambda sig: None):
-    """(signature, model) from --catalog alone or from --signature and --model.
+    """(signature, source): the entry's ring from --catalog alone, or the
+    model from --signature and --model; inv.weight_spectrum reads either.
 
     A --catalog given together with --signature or an explicit --model is
     refused, as is a missing source (the ``missing`` message).  ``check``
-    sees the signature before the model is built.
+    sees the signature before the ring or model is built.
     """
     if entry_id is not None:
         source = click.get_current_context().get_parameter_source("model_spec")
@@ -126,7 +127,7 @@ def resolve_model(entry_id, sig_text, model_spec, missing: str, check=lambda sig
             raise click.UsageError("give --catalog alone, without --signature or --model")
         entry = load_entry(entry_id)
         check(sig := derive(entry.signature))
-        return sig, cm.AlgebraModel(entry.algebra())
+        return sig, entry.algebra()
     if sig_text is None or model_spec is None:
         raise click.UsageError(missing)
     check(sig := parse_signature(sig_text))
@@ -236,19 +237,18 @@ def invariants(entry_id, path, levels_text, fmt, decimal):
 
 
 @main.command()
-@click.option("--catalog", "entry_id", help="Algebra-backed model from the catalog.")
+@click.option("--catalog", "entry_id", help="Catalog entry whose ring is read, e.g. E7.")
 @click.option("--signature", "sig_text", help="Zero orders, e.g. 6,2.")
 @click.option("--model", "model_spec", help="Model spec (see build_model).")
 @click.option("--m", "m", type=int, default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def filtration(entry_id, sig_text, model_spec, m, fmt):
     """Dimension sequence of the weight filtration at level m."""
-    sig, model = resolve_model(
+    sig, source = resolve_model(
         entry_id, sig_text, model_spec, "give --catalog, or both --signature and --model",
         lambda sig: check_printed(sig, m * sig.ell + 1, "filtration levels", m))
-    runs = cm.filtration_dims(model, sig, m)
-    dims = cm.expand_runs(runs)
-    chi = cm.runs_chi_log(runs)
+    spectrum = inv.weight_spectrum(source, m, sig)
+    dims, chi = spectrum.levels(m * sig.ell), spectrum.chi_log
     if fmt == "json":
         click.echo(json.dumps({"signature": list(sig.orders), "m": m,
                                "dims": list(dims), f"chi{m}_log": chi}))
@@ -501,11 +501,10 @@ def verify(suite):
 @click.option("--decimal", is_flag=True)
 def slope(sig_text, model_spec, entry_id, decimal):
     """Slope of the one-parameter family attached to a model."""
-    sig, model = resolve_model(entry_id, sig_text, model_spec,
-                               "give --signature (with --model) or --catalog")
+    sig, source = resolve_model(entry_id, sig_text, model_spec,
+                                "give --signature (with --model) or --catalog")
     cm.frame_top(sig, 2)  # the larger frame is refused before the m = 1 one is built
-    chi1 = cm.runs_chi_log(cm.filtration_dims(model, sig, 1))
-    chi2_log = cm.runs_chi_log(cm.filtration_dims(model, sig, 2))
+    chi1, chi2_log = (inv.weight_spectrum(source, k, sig).chi_log for k in (1, 2))
     click.echo(fmt_rational(inv.slope(chi1, chi2_log, sig), decimal))
 
 

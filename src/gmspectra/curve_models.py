@@ -11,9 +11,10 @@ model that reads the degree alone (Clifford-max) never builds them; a
 only h0 formula; ``h0(divisor)`` is the point read, a one-row batch.
 A filtration is returned as columns, :class:`Runs`, whose bounds are the
 frame's own tuples.
-Models are used where no branch algebra is available: semigroup counts at
-a single point, tagged hyperelliptic closed forms, the Clifford-maximal
-profile, and finite override tables layered on any base model.  All of
+Models stand in where no ring is given (a ring's filtration is its graded
+dimensions, invariants.weight_spectrum): semigroup counts at one point,
+tagged hyperelliptic closed forms, the Clifford-maximal profile, and
+finite override tables layered on any base model.  All of
 them agree with Riemann-Roch once deg D > 2g-2.  Each model is a named
 tuple: immutable, equal to the plain tuple of its fields, and copied with
 ``_replace``; none has a ``__dict__``, so nothing can be set on one.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -59,27 +60,6 @@ class _FrameRead:
     def h0(self, divisor: Divisor) -> int:
         (dim,) = self.h0_frame(Batch.of([[c] for c in divisor]))
         return dim
-
-
-class AlgebraModel(namedtuple("AlgebraModel", "algebra"), _FrameRead):
-    """h0 read off a graded branch algebra: one section space per row."""
-
-    __slots__ = ()
-
-    algebra: ba.BranchAlgebra
-
-    @property
-    def genus(self) -> int:
-        """The arithmetic genus off ba.algebra_summary, which has one only
-        when the ring's conductor is certified; a ValueError otherwise."""
-        summary = ba.algebra_summary(self.algebra)
-        if "genus" not in summary:
-            raise ValueError("genus undefined: the ring's conductor is not certified")
-        return summary["genus"]
-
-    def h0_frame(self, frame) -> list[int]:
-        return [ba.section_space(self.algebra, row).dimension
-                for row in zip(*frame.columns)]
 
 
 class UnibranchModel(namedtuple("UnibranchModel", "semigroup"), _FrameRead):
@@ -185,7 +165,8 @@ class OverrideModel(namedtuple("OverrideModel", "base table"), _FrameRead):
 
     The base read with the table rows patched in; when a divisor is
     listed twice, its first entry wins.  A row whose divisor has another
-    length than the frame has columns is a ValueError naming it.
+    length than the frame has columns, or whose h0 is below 0, is a
+    ValueError naming it.
     """
 
     __slots__ = ()
@@ -199,12 +180,14 @@ class OverrideModel(namedtuple("OverrideModel", "base table"), _FrameRead):
 
     def h0_frame(self, frame) -> list[int]:
         columns = frame.columns
-        for r, (divisor, _) in enumerate(self.table):
+        for r, (divisor, h0) in enumerate(self.table):
             if len(divisor) != len(columns):
                 raise ValueError(
                     f"table[{r}].divisor has {len(divisor)} coefficients, "
                     f"not one per marked point ({len(columns)})"
                 )
+            if h0 < 0:
+                raise ValueError(f"table[{r}].h0 is {h0}, below 0")
         table = dict(reversed(self.table))
         return [table.get(row, dim)
                 for row, dim in zip(zip(*columns), self.base.h0_frame(frame))]
@@ -346,12 +329,6 @@ def filtration_dims(model, sig: Signature, m: int = 1) -> Runs:
         raise ValueError(f"filtration dimensions are not non-increasing: {dims[r]} at "
                          f"lam = {starts[r]} exceeds {dims[r - 1]} at lam = {ends[r - 1]}")
     return Runs(starts, ends, tuple(dims), frame.lengths)
-
-
-def expand_runs(runs: Runs) -> tuple[int, ...]:
-    """The dense dimension sequence, one entry per level: each run's
-    dimension repeated over its length."""
-    return tuple(chain.from_iterable(map(repeat, runs.dims, runs.lengths)))
 
 
 def runs_chi_log(runs: Runs) -> int:

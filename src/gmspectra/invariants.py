@@ -5,6 +5,7 @@ on m-fold pluricanonical sections; its weighted sum is the character
 chi_m^log.  From the first two characters come the alpha-invariant and the
 slope, always as exact fractions; alpha reads the two characters alone
 (dangling branches lower only the search cutoff, classifier._threshold_x).
+``levels`` gives the filtration: for a ring, its graded dimensions summed.
 A standalone lattice-point identity cross-checks the one-branch toric count.
 Spectra and reports are named tuples: immutable, equal to the plain tuple
 of their fields, and copied with ``_replace``.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from typing import NamedTuple
 
@@ -33,6 +35,13 @@ class WeightSpectrum(NamedTuple):
     @property
     def total_multiplicity(self) -> int:
         return sum(mult for _, mult in self.entries)
+
+    def levels(self, top: int) -> tuple[int, ...]:
+        """The filtration's dimension at each level lam = 0..top: the
+        multiplicities at the weights >= lam, summed.  ``top`` is given, as
+        a filtration that ends at dimension 0 has no weight at its top."""
+        drops = dict(self.entries)
+        return tuple(accumulate(drops.get(lam, 0) for lam in range(top, -1, -1)))[::-1]
 
     def multiplicity(self, lam: int) -> int:
         for weight, mult in self.entries:
@@ -54,7 +63,14 @@ def weight_spectrum(source, m: int = 1, sig: Signature | None = None) -> WeightS
 
     Algebra route: N_{m,lam} = dim R_{m*ell - lam}, at any level m (a
     level past the computed degrees extends the closure), read only on the
-    degrees that carry a slot.  Model route: the ends of the runs of
+    degrees that carry a slot.  It is the ring's filtration: on the ladder
+    divisor c_i = m(m_i + 1) - ceil(lam/a_i), ba.section_space drops slot i
+    of degree k when k > a_i*c_i = m*ell - a_i*ceil(lam/a_i).  As a_i
+    divides k and m*ell, j = (m*ell - k)/a_i is an integer, and
+    ceil(lam/a_i) > j exactly when lam > m*ell - k, whatever i is.  So
+    each degree counts all of R_k or none of it, h0(D_lam) is dim R_k
+    summed over k <= m*ell - lam (WeightSpectrum.levels), and the drop at
+    lam is dim R_{m*ell - lam}.  Model route: the ends of the runs of
     filtration_dims (which refuses an increase) zipped with their dims, the
     drop from each run to the next at its last level, kept where it is
     nonzero.

@@ -21,7 +21,7 @@ import gmspectra.invariants as inv
 import gmspectra.semigroup as sg
 from gmspectra.classifier import semigroup_search
 from gmspectra.cli import main as cli_main
-from gmspectra.signature import derive, ladder_sum_identity, parity_count
+from gmspectra.signature import derive, ladder, ladder_sum_identity, parity_count
 
 
 def spectra(entry, top_level=2):
@@ -338,8 +338,8 @@ def weierstrass_point_model(g):
 
 def slope_record(orders, model):
     sig = derive(orders)
-    chi1 = sum(cm.expand_runs(cm.filtration_dims(model, sig, 1))[1:])
-    chi2 = sum(cm.expand_runs(cm.filtration_dims(model, sig, 2))[1:])
+    chi1 = sum(inv.weight_spectrum(model, 1, sig).levels(sig.ell)[1:])
+    chi2 = sum(inv.weight_spectrum(model, 2, sig).levels(2 * sig.ell)[1:])
     return inv.alpha_slope_record(chi1, chi2, sig)
 
 
@@ -380,8 +380,12 @@ def test_criterion_09_filtration_level_dimensions():
     for ident, dims in LEVEL_DIMS.items():
         entry = cat.get(ident)
         sig = derive(entry.signature)
-        model = cm.AlgebraModel(entry.algebra())
-        assert cm.expand_runs(cm.filtration_dims(model, sig, 1)) == dims, ident
+        alg = entry.algebra()
+        assert inv.weight_spectrum(alg, 1).levels(sig.ell) == dims, ident
+        sections = tuple(ba.section_space(alg, [order + 1 - step for order, step
+                                                in zip(sig.orders, ladder(sig, lam))]).dimension
+                         for lam in range(sig.ell + 1))
+        assert sections == dims, ident
         assert sum(dims[1:]) == entry.expected.chi1_log, ident
 
 

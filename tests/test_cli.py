@@ -128,6 +128,29 @@ def test_filtration_hyperelliptic_spec():
     assert result.output.splitlines()[1] == "chi1_log: 6"
 
 
+OVERRIDE_TABLE = ('{{"kind": "override", "base": {{"kind": "clifford-max", "genus": 3}},'
+                  ' "table": [{{"divisor": [0], "h0": {h0}}}]}}')
+INCREASING = OVERRIDE_TABLE.format(h0=9)
+
+
+def test_filtration_override_may_pin_level_zero_to_nothing():
+    # h0(0) = 0 ends the filtration at dimension 0: no weight sits at ell
+    result = invoke("filtration", "--signature", "4", "--model", OVERRIDE_TABLE.format(h0=0))
+    assert result.output.splitlines() == ["3 3 2 1 1 0", "chi1_log: 7"]
+
+
+def test_catalog_filtration_reads_the_graded_pieces(monkeypatch):
+    # the ring's levels are its graded dimensions summed: no section space
+    # is read at any ladder row of H(6,2)-odd (ell = 21) at m = 400
+    def fail(*args):
+        raise AssertionError("section_space read")
+    monkeypatch.setattr(ba, "section_space", fail)
+    result = invoke("filtration", "--catalog", "H(6,2)-odd", "--m", "400", "--format", "json")
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == (
+        "acd432c0324a6628f152e07588229ad2a9353546cdf76fadfc3848339ef00e6f")
+
+
 def test_filtration_rejects_unknown_model():
     result = invoke("filtration", "--signature", "4", "--model", "mystery")
     assert result.exit_code != 0
@@ -148,9 +171,6 @@ def test_filtration_rejects_invalid_signatures():
         result = invoke("filtration", "--signature", text, "--model", "clifford-max")
         assert_usage_error(result, "--signature", reason, text)
 
-
-INCREASING = ('{"kind": "override", "base": {"kind": "clifford-max", "genus": 3},'
-              ' "table": [{"divisor": [0], "h0": 9}]}')
 
 BAD_INPUTS = [
     (["classify", "alpha", "--genus", "9"], ["--genus", "genus 9", "bound 8"]),
@@ -199,6 +219,10 @@ BAD_INPUTS = [
     (["filtration", "--signature", "4", "--model", INCREASING],
      ["not non-increasing", "9 at lam = 5", "1 at lam = 4"]),
     (["slope", "--signature", "4", "--model", INCREASING], ["not non-increasing", "lam = 5"]),
+    # a negative h0 is no dimension: refused naming the row
+    (["filtration", "--signature", "4", "--model", OVERRIDE_TABLE.format(h0=-5)],
+     ["table[0].h0", "-5"]),
+    (["slope", "--signature", "4", "--model", OVERRIDE_TABLE.format(h0=-5)], ["table[0].h0", "-5"]),
     # refused before a mask of about 10^12 bits is built
     (["filtration", "--signature", "4", "--model",
       '{"kind": "unibranch", "generators": [1000003, 1000033]}'],

@@ -71,7 +71,7 @@ def test_hyperelliptic_free_points_inert():
     assert model.h0((4, 1)) == model.h0((4, 0)) == 3
     # the two-branch family filtration at level two: dims 3g - lam
     sig = derive((2 * g - 2, 0))
-    dims = cm.expand_runs(cm.filtration_dims(model, sig, 2))
+    dims = inv.weight_spectrum(model, 2, sig).levels(2 * sig.ell)
     assert dims[0] == 3 * (g - 1) + 2 * 2
     for lam in range(1, 2 * g + 1):
         assert dims[lam] == 3 * g - lam
@@ -126,7 +126,7 @@ def test_clifford_max_principal_stratum():
     # all-ones signature: only three filtration levels survive
     for g in (3, 5, 8):
         sig = derive((1,) * (2 * g - 2))
-        dims = cm.expand_runs(cm.filtration_dims(cm.CliffordMaxModel(g), sig, 1))
+        dims = inv.weight_spectrum(cm.CliffordMaxModel(g), 1, sig).levels(sig.ell)
         assert dims == (3 * g - 3, g, 1)
 
 
@@ -149,33 +149,29 @@ def test_override_special_locus_filtration():
     sig = derive(e.signature)
     divisor, value = e.locus_condition
     model = cm.OverrideModel(cm.CliffordMaxModel(sig.genus), ((divisor, value),))
-    dims = cm.expand_runs(cm.filtration_dims(model, sig, 1))
+    dims = inv.weight_spectrum(model, 1, sig).levels(sig.ell)
     assert sum(dims[1:]) == e.expected.chi1_log == 20
     # and the algebra computes the same filtration
-    alg_dims = cm.expand_runs(cm.filtration_dims(cm.AlgebraModel(e.algebra()), sig, 1))
+    alg_dims = inv.weight_spectrum(e.algebra(), 1).levels(sig.ell)
     assert dims == alg_dims
-    assert cm.AlgebraModel(e.algebra()).h0(divisor) == value
+    assert ba.section_space(e.algebra(), divisor).dimension == value
 
 
-def test_algebra_model_sections():
-    e = catalog.get("E7")
-    model = cm.AlgebraModel(e.algebra())
-    assert model.genus == 3
-    assert model.h0((0, 0)) == 1
-    assert model.h0((3, 1)) == 3  # the zero divisor of the form is canonical
+def test_catalog_ring_sections():
+    alg = catalog.get("E7").algebra()
+    assert ba.algebra_summary(alg)["genus"] == 3
+    assert ba.section_space(alg, (0, 0)).dimension == 1
+    assert ba.section_space(alg, (3, 1)).dimension == 3  # the zero divisor of the form is canonical
 
 
-def test_algebra_model_genus_needs_a_certified_conductor():
+def test_ring_genus_needs_a_certified_conductor():
     # no generators: the ring is not cofinite, so delta is infinite, yet
     # the summed gap sequence is finite
     sig, gens, _units = ba.generators_from_json({"signature": [3, 1], "generators": []})
     alg = ba.close(sig, [terms for _, terms in gens])
     assert sum(ba.gap_sequence(alg)) == 8 and alg.delta is None
-    model = cm.AlgebraModel(alg)
-    with pytest.raises(ValueError, match="conductor is not certified") as info:
-        model.genus
-    assert "\n" not in str(info.value)
-    assert model.h0((0, 0)) == 1  # sections are still read
+    assert "genus" not in ba.algebra_summary(alg)
+    assert ba.section_space(alg, (0, 0)).dimension == 1  # sections are still read
 
 
 # ---------------------------------------------------------- filtrations
@@ -190,7 +186,7 @@ def test_filtration_level_zero_law():
     for model, sig in models:
         g, n = sig.genus, sig.n
         for m in (1, 2, 3):
-            dims = cm.expand_runs(cm.filtration_dims(model, sig, m))
+            dims = inv.weight_spectrum(model, m, sig).levels(m * sig.ell)
             assert len(dims) == m * sig.ell + 1
             expected0 = g - 1 + n if m == 1 else (2 * m - 1) * (g - 1) + m * n
             assert dims[0] == expected0
@@ -207,7 +203,8 @@ def test_filtration_genus_mismatch():
 
 def test_filtration_genus_one():
     model = cm.UnibranchModel(sg.from_generators((2, 3)))
-    dims = cm.expand_runs(cm.filtration_dims(model, derive((0,)), 1))
+    sig = derive((0,))
+    dims = inv.weight_spectrum(model, 1, sig).levels(sig.ell)
     assert dims == (1, 1)
 
 
@@ -225,8 +222,6 @@ def frame_pairs():
         "clifford-max": ((clifford, derive((4,))), (clifford, derive((3, 1)))),
         "override": ((cm.OverrideModel(clifford, (((3,), 1),)), derive((4,))),
                      (cm.OverrideModel(clifford, (((2, 1), 1),)), derive((3, 1)))),
-        "algebra": ((cm.AlgebraModel(catalog.get("E6").algebra()), derive((4,))),
-                    (cm.AlgebraModel(catalog.get("E7").algebra()), derive((3, 1)))),
     }
 
 
@@ -498,14 +493,6 @@ def test_override_row_of_another_length_is_an_error():
 def test_override_column_first_entry_wins():
     model = cm.OverrideModel(cm.CliffordMaxModel(5), (((3, 0), 2), ((3, 0), 7)))
     assert model.h0_frame(cm.Batch.of([[4, 3, 2], [0, 0, 0]])) == [2, 2, 1]
-
-
-def test_algebra_column_reads_one_section_space_per_row():
-    alg = catalog.get("E7").algebra()
-    rows = [(0, 0), (3, 1), (1, 0), (2, 2), (-1, 3), (5, 0), (0, 0)]
-    expected = [ba.section_space(alg, r).dimension for r in rows]
-    assert cm.AlgebraModel(alg).h0_frame(cm.Batch.of(columns_of(rows, 2))) == expected
-    assert expected[:2] == [1, 3]
 
 
 # ------------------------------------------------------------- JSON spec

@@ -117,11 +117,12 @@ def test_runs_tile_the_levels(case):
 
 @settings(max_examples=200, deadline=None)
 @given(cases())
-def test_expanded_runs_equal_the_dense_filtration(case):
+def test_spectrum_levels_equal_the_dense_filtration(case):
     runs, dense = runs_or_refusal(*case)
     if runs is None:
         return
-    assert cm.expand_runs(runs) == dense
+    model, sig, m = case
+    assert inv.weight_spectrum(model, m, sig).levels(m * sig.ell) == dense
     assert cm.runs_chi_log(runs) == sum(dense[1:])
 
 

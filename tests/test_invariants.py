@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import gmspectra.branch_algebra as ba
 import gmspectra.curve_models as cm
 import gmspectra.invariants as inv
 import gmspectra.semigroup as sg
@@ -65,14 +66,44 @@ def test_spectrum_cap_and_level_errors():
         inv.weight_spectrum(cm.CliffordMaxModel(3), 1)  # needs the signature
 
 
-def test_spectrum_model_route_agrees():
-    for key in ["E7", "H(5,3)", "H(2,2,2)-even-2", "H(7,3)-special", "H(1,1,1,1)-sample"]:
-        e = catalog.get(key)
-        sig = derive(e.signature)
-        alg = e.algebra()
-        model = cm.AlgebraModel(alg)
-        for m in (1, 2):
-            assert inv.weight_spectrum(alg, m) == inv.weight_spectrum(model, m, sig), key
+IDENTITY_ENTRIES = (*catalog.entries(),
+                    catalog.family("D-odd", g=5), catalog.family("D-odd", g=9),
+                    catalog.family("elliptic", n=5), catalog.family("A-odd", g=4),
+                    catalog.family("D-even", g=4),
+                    catalog.with_ordinary_points(catalog.get("E7"), 2),
+                    catalog.family("monomial", H=(4, 6, 9)))
+
+
+def sections_one_slot_too_many(alg, divisor):
+    """ba.section_space's count, but dropping slot i of degree k already at
+    k = a_i*c_i: a deliberately broken copy the identity check must catch."""
+    a = alg.signature.weights_a
+    k_top = max((a[i] * c for i, c in enumerate(divisor) if c >= 0), default=-1)
+    return sum(alg.dim(k) - alg.rank(k, [pos for pos, i in enumerate(alg.slots(k))
+                                         if k >= a[i] * divisor[i]])
+               for k in alg.degrees(k_top))
+
+
+def ladder_identity_holds(alg, m, sections):
+    """At every level lam, the section count of the ladder row is dim R_k
+    summed over k <= m*ell - lam, and the level-m spectrum's levels are
+    that dense section read."""
+    sig = alg.signature
+    top = m * sig.ell
+    dense = tuple(sections(alg, [m * (order + 1) - step for order, step
+                                 in zip(sig.orders, ladder(sig, lam))])
+                  for lam in range(top + 1))
+    graded = ba.graded_dims(alg, top)
+    return (dense == tuple(sum(graded[:top - lam + 1]) for lam in range(top + 1))
+            and inv.weight_spectrum(alg, m).levels(top) == dense)
+
+
+@pytest.mark.parametrize("entry", IDENTITY_ENTRIES, ids=lambda e: e.id)
+def test_ladder_sections_are_the_summed_graded_dimensions(entry):
+    alg = entry.algebra()
+    for m in (1, 2, 3):
+        assert ladder_identity_holds(alg, m, lambda a, d: ba.section_space(a, d).dimension)
+        assert not ladder_identity_holds(alg, m, sections_one_slot_too_many)
 
 
 # ------------------------------------------------------------- identities
