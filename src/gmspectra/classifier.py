@@ -12,8 +12,10 @@ the Clifford-cap prune decides it with ell cancelled, as a largest branch
 count (_branch_cap).  A Fraction c*X is built only for the threshold_rhs
 field of an emitted Candidate and for the message of an
 UnresolvedSignatureError.  The search decides the Clifford cap once per
-branch count, builds only the signatures it keeps, runs every admissible
-hyperelliptic tagging, drops a nonhyperelliptic side whose parity ceiling
+branch count, builds only the signatures it keeps, drops a hyperelliptic
+tagging whose closed-form chi1 (proved in hyperelliptic_chi1) misses the
+most lenient cutoff it can emit at (_lenient_x) and runs every other
+admissible tagging, drops a nonhyperelliptic side whose parity ceiling
 floor(g*ell/2) + a_1 (_clifford_ceiling) misses the cutoff before any
 frame is built, resolves the rest through the Clifford profile, the
 shipped catalog, explicit exclusion rules and the special-locus overrides,
@@ -104,6 +106,14 @@ def _threshold_x(sig: Signature, dangling=()) -> int:
     return (2 * sig.genus - 2 + sig.n) * sig.ell - sum(map(sig.weights_a.__getitem__, dangling))
 
 
+def _lenient_x(sig: Signature, dangling: bool) -> int:
+    """The least X the search emits a candidate of sig at: X_Q with Q every
+    core branch when ``dangling``, Q = () otherwise.  Appended ordinary
+    points only raise X, by ell each, so a value below c times this emits
+    no candidate at all."""
+    return _threshold_x(sig, range(sig.n) if dangling else ())
+
+
 def _margin(coeff: Fraction, value: int, x: int) -> int:
     """q*value - p*x for c = p/q: value >= c*x exactly when it is >= 0."""
     return coeff.denominator * value - coeff.numerator * x
@@ -191,21 +201,36 @@ def hyperelliptic_taggings(sig: Signature) -> tuple[Tagging, ...]:
     return tuple(out)
 
 
+def _hyperelliptic_four_chi1(sig: Signature, tagging: Tagging) -> int:
+    """4*chi1_log of a tagging in closed form: 2(g+1)*ell - sum_w (ell - a_i)."""
+    ell = sig.ell
+    return 2 * (sig.genus + 1) * ell - sum(ell - ell // (v + 1) for v in tagging.weierstrass)
+
+
 def hyperelliptic_chi1(sig: Signature, tagging: Tagging) -> int:
     """chi1_log of a tagging: the summed model filtration, checked by a closed form.
 
-    The closed form is (g+1)*ell/2 minus half the correction (ell - a_i)/2
-    per Weierstrass zero; pairs and free points contribute no correction.
+    The closed form is chi1 = (g+1)*ell/2 - sum_w (ell - a_i)/4 over the
+    Weierstrass zeros (_hyperelliptic_four_chi1 gives four times it, an
+    int).  Proof: on lam in [1, ell] each column c_i = m_i + 1 - ceil(lam/a_i)
+    lies in [0, m_i], so every ladder divisor has degree in [0, 2g-2] and
+    the model reads h0 = 1 + sum_w floor(c_i/2) + sum_pairs c (both halves
+    of a pair share one order, hence one column).  Over one period
+    ceil(lam/a_i) takes each value 1..m_i+1 exactly a_i times, so c_i takes
+    each value 0..m_i exactly a_i times, and a free point (m_i = 0,
+    a_i = ell) reads 0 throughout.  A Weierstrass order m_i is even, and
+    the sum of floor(c/2) over c = 0..m_i is m_i^2/4; a pair of order v
+    sums a*v(v+1)/2 = ell*v/2.  So chi1 = ell + sum_w a_i*m_i^2/4 +
+    sum_pairs ell*v/2.  The orders sum to 2g-2, so the pairs give
+    (g-1)*ell/2 - sum_w ell*m_i/4, and with ell = a_i(m_i + 1) each
+    a_i*m_i^2/4 - ell*m_i/4 is -a_i*m_i/4 = -(ell - a_i)/4.
     """
     model = cm.HyperellipticModel(sig.genus, tagging.model_tags(sig))
     summed = cm.runs_chi_log(cm.filtration_dims(model, sig, 1))
-    shortcut = 2 * (sig.genus + 1) * sig.ell - sum(
-        sig.ell - sig.ell // (v + 1) for v in tagging.weierstrass
-    )  # four times the closed form
-    if 4 * summed != shortcut:
+    if 4 * summed != (closed := _hyperelliptic_four_chi1(sig, tagging)):
         raise RuntimeError(
             f"hyperelliptic chi1 routes disagree on {sig} {tagging.label}: "
-            f"model {summed}, closed form {Fraction(shortcut, 4)}"
+            f"model {summed}, closed form {Fraction(closed, 4)}"
         )
     return summed
 
@@ -486,8 +511,8 @@ def _unibranch_records(sig: Signature, coeff: Fraction, stats: Counter) -> list[
 # the search
 
 # the branch cap and the stages alpha_search counts, in the order of its DEBUG line
-_STAGES = ("branch_cap", "signatures", "taggings", "parity_out", "screens", "screened_out",
-           "profile", "catalog", "override", "excluded", "semigroups", "leaves")
+_STAGES = ("branch_cap", "signatures", "taggings", "closed_out", "parity_out", "screens",
+           "screened_out", "profile", "catalog", "override", "excluded", "semigroups", "leaves")
 _SEARCH_LOG = ("alpha_search g=%d tau=%s " + " ".join(f"{k}=%d" for k in _STAGES)
                + " candidates=%d score_s=%.6f emit_s=%.6f")
 
@@ -527,8 +552,9 @@ def alpha_search(
     Signatures are built only up to the Clifford cap's branch count
     (_branch_cap).  A genus above genus_bound is a ValueError; pass
     genus_bound explicitly to go further.  Logs one DEBUG line with that
-    ``branch_cap``, the count of each stage (``signatures`` those built)
-    and the scoring and emission times.
+    ``branch_cap``, the count of each stage (``signatures`` those built,
+    ``taggings`` every admissible tagging, ``closed_out`` those the closed
+    form drops) and the scoring and emission times.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
@@ -548,9 +574,16 @@ def alpha_search(
         sigs = enumerate_signatures(g, n_cap) if n_cap >= 1 else []
         stats["signatures"] = len(sigs)
         for sig in sigs:
+            # a tagging whose closed form misses the most lenient cutoff
+            # emits nothing: it is dropped before its label or frame is built
+            taggings = hyperelliptic_taggings(sig)
+            x4 = 4 * _lenient_x(sig, dangling)
+            kept = [t for t in taggings
+                    if _margin(coeff, _hyperelliptic_four_chi1(sig, t), x4) >= 0]
+            stats["taggings"] += len(taggings)
+            stats["closed_out"] += len(taggings) - len(kept)
             sig_rows = [(t.label, hyperelliptic_chi1(sig, t), "hyperelliptic", "hyp", t)
-                        for t in hyperelliptic_taggings(sig)]
-            stats["taggings"] += len(sig_rows)
+                        for t in kept]
             sig_rows += (_unibranch_records(sig, coeff, stats) if sig.n == 1
                          else _nonhyp_records(sig, coeff, _threshold_x(sig), entries, stats))
             if sig_rows:

@@ -34,7 +34,7 @@ from .classifier import (
     semigroup_search,
     threshold_coefficient,
 )
-from .signature import Signature, derive
+from .signature import Signature, derive, ladder_sum_identity, parity_count
 
 logging.basicConfig(level=os.environ.get("LOG_LEVEL", "WARNING").upper())
 
@@ -410,12 +410,20 @@ def _verify_identities() -> list[str]:
     failures = []
     for e in cat.entries():
         sig, alg = derive(e.signature), e.algebra()
+        for i, order in enumerate(sig.orders):
+            if 2 * ladder_sum_identity(sig, i) != (order + 2) * sig.ell:
+                failures.append(f"{e.id} branch {i}: ladder sum is not (m_i+2)*ell/2")
         spectrum_1 = inv.weight_spectrum(alg, 1)
         for m in (2, 3, 4):
             rep = inv.verify_weight_identities(
                 inv.weight_spectrum(alg, m), spectrum_1, sig)
             if not rep.all_pass:
                 failures.append(f"{e.id} m={m}: {'; '.join(rep.notes)}")
+    # coprime k1 > k2: (k1*k2 + 1)/2 when both are odd, k1*k2/2 when one is
+    for k1 in range(2, 14):
+        for k2 in range(1, k1):
+            if gcd(k1, k2) == 1 and parity_count(k1, k2) != (k1 * k2 + 1) // 2:
+                failures.append(f"parity_count({k1}, {k2}) is not its closed form")
     return failures
 
 

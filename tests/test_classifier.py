@@ -35,6 +35,8 @@ from gmspectra.classifier import (
     _branch_cap,
     _budget,
     _clifford_ceiling,
+    _hyperelliptic_four_chi1,
+    _lenient_x,
     _margin,
     _threshold_x,
     alpha_search,
@@ -633,19 +635,26 @@ def test_tagging_labels_match_the_key_sorted_label():
 
 def test_hyperelliptic_routes_agree_up_to_genus_ten():
     # summed model filtration vs the Weierstrass-correction closed form:
-    # (g+1)*ell/2 less (ell - a_i)/4 for each zero tagged Weierstrass
+    # (g+1)*ell/2 less (ell - a_i)/4 for each zero tagged Weierstrass.  The
+    # search reads only the closed form on a tagging it drops, so every
+    # tagging of every branch count is read here, with 0, 1 and 2 appended
+    # free points (at tau = 0 the cap keeps up to 12 branches at g = 10)
     checked = 0
     for g in range(2, 11):
-        for sig in enumerate_signatures(g, 4):
-            for tagging in hyperelliptic_taggings(sig):
-                tags = tagging.model_tags(sig)
-                model = cm.HyperellipticModel(sig.genus, tags)
-                summed = cm.runs_chi_log(cm.filtration_dims(model, sig, 1))
-                shortcut = oracle_cap(sig) - sum(
-                    Fraction(sig.ell - a, 4) for a, tag in zip(sig.weights_a, tags) if tag == "w")
-                assert hyperelliptic_chi1(sig, tagging) == summed == shortcut, (sig, tagging)
-                checked += 1
-    assert checked > 150
+        for core in enumerate_signatures(g, 2 * g - 2):
+            for k in range(3):
+                sig = derive(core.orders + (0,) * k)
+                for tagging in hyperelliptic_taggings(sig):
+                    assert tagging.free == k
+                    tags = tagging.model_tags(sig)
+                    model = cm.HyperellipticModel(sig.genus, tags)
+                    summed = cm.runs_chi_log(cm.filtration_dims(model, sig, 1))
+                    shortcut = oracle_cap(sig) - sum(
+                        Fraction(sig.ell - a, 4) for a, tag in zip(sig.weights_a, tags) if tag == "w")
+                    assert hyperelliptic_chi1(sig, tagging) == summed == shortcut, (sig, tagging)
+                    assert _hyperelliptic_four_chi1(sig, tagging) == 4 * summed, (sig, tagging)
+                    checked += 1
+    assert checked == 3 * 733
 
 
 def test_clifford_profile_identity_holds():
@@ -689,6 +698,43 @@ def test_the_parity_ceiling_changes_no_output(tau, monkeypatch):
     ceiling = {(g, d): search(g, d) for g in range(1, 13) for d in (False, True)}
     monkeypatch.setattr(classifier, "_clifford_ceiling", lambda sig: math.inf)
     assert {key: search(*key) for key in ceiling} == ceiling
+
+
+@pytest.mark.parametrize("tau", [Fraction(0), Fraction(1, 5), Fraction(3, 8), Fraction(2, 5),
+                                 Fraction(1, 2), FIVE_NINTHS])
+def test_the_hyperelliptic_screen_changes_no_output(tau, monkeypatch):
+    # with the screen off every tagging reaches its model and its checked
+    # chi1; the candidates and the first unresolved stratum stay the same
+    def search(g, dangling):
+        try:
+            return alpha_search(g, threshold=tau, dangling=dangling, genus_bound=12)
+        except UnresolvedSignatureError as exc:
+            return str(exc)
+
+    screened = {(g, d): search(g, d) for g in range(1, 13) for d in (False, True)}
+    monkeypatch.setattr(classifier, "_lenient_x", lambda sig, dangling: -math.inf)
+    assert {key: search(*key) for key in screened} == screened
+
+
+def test_the_hyperelliptic_screen_reads_the_most_lenient_cutoff():
+    # a tagging is kept exactly when some dangling set and number of
+    # appended points gives it a candidate
+    tau = Fraction(2, 5)
+    coeff = threshold_coefficient(tau)
+    kept = dropped = 0
+    for g in range(2, 9):
+        for sig in enumerate_signatures(g, 6):
+            for dangling in (False, True):
+                subsets = range(sig.n + 1) if dangling else (0,)
+                x4 = 4 * _lenient_x(sig, dangling)
+                for tagging in hyperelliptic_taggings(sig):
+                    chi1 = hyperelliptic_chi1(sig, tagging)
+                    emits = any(oracle_budget(sig, chi1, coeff, Q) >= 0
+                                for r in subsets for Q in itertools.combinations(range(sig.n), r))
+                    keep = _margin(coeff, _hyperelliptic_four_chi1(sig, tagging), x4) >= 0
+                    assert keep == emits, (sig, tagging, dangling)
+                    kept, dropped = kept + keep, dropped + (not keep)
+    assert kept > 0 and dropped > 0
 
 
 # ----------------------------------------------------------- other cutoffs
@@ -971,7 +1017,10 @@ def test_alpha_search_logs_its_stages_in_one_debug_line(caplog):
     # by exclusion rules
     assert int(fields["screens"]) - int(fields["screened_out"]) == 2
     assert (fields["override"], fields["excluded"], fields["catalog"]) == ("1", "2", "0")
-    assert int(fields["taggings"]) > 0 and float(fields["score_s"]) >= 0
+    # every admissible tagging is counted, and the closed form drops 7 of
+    # the 17 before any frame is built
+    assert (fields["taggings"], fields["closed_out"]) == ("17", "7")
+    assert float(fields["score_s"]) >= 0
 
 
 # ------------------------------------------------------------- resolution

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import gmspectra.branch_algebra as ba
 import gmspectra.curve_models as cm
 import gmspectra.semigroup as sg
+import gmspectra.signature as signature
 from gmspectra import catalog, cli
 from gmspectra.classifier import clifford_profile_chi1
 from gmspectra.signature import derive
@@ -764,6 +765,30 @@ def test_verify_exits_nonzero_on_mismatch(monkeypatch):
     assert result.exit_code == 1
     assert "FAIL search" in result.output
     assert "lost a stratum" in result.output
+
+
+@pytest.mark.parametrize("name, doctored, line", [
+    ("ladder_sum_identity", lambda sig, i: 0, "  E6 branch 0: ladder sum is not (m_i+2)*ell/2\n"),
+    ("parity_count", lambda k1, k2: k1 * k2, "  parity_count(2, 1) is not its closed form\n"),
+])
+def test_verify_identities_reads_the_ladder_facts(monkeypatch, name, doctored, line):
+    # both ladder facts behind the closed forms are checked, with no change
+    # to the green output
+    checks = []
+
+    def counted(*args):
+        checks.append(args)
+        return getattr(signature, name)(*args)
+
+    monkeypatch.setattr(cli, name, counted)
+    result = invoke("verify", "--suite", "identities")
+    assert (result.exit_code, result.output) == (0, "ok   identities\n")
+    assert len(checks) == {"ladder_sum_identity": 42, "parity_count": 57}[name]
+    monkeypatch.setattr(cli, name, doctored)
+    result = invoke("verify", "--suite", "identities")
+    assert result.exit_code == 1
+    assert result.output.startswith("FAIL identities\n")
+    assert line in result.output
 
 
 def test_verify_search_flags_a_nonhyperelliptic_candidate_at_genus_20(monkeypatch):
