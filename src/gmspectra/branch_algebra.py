@@ -20,14 +20,16 @@ certificate bound D, a ring with no certificate is refused once it holds
 CLOSURE_PIECE_BOUND pieces.
 Everything downstream reads the graded bases through one reader:
 degrees(top), the slot-carrying degrees; rank(k, positions); has_power,
-one lookup; and contains.  Membership and rank read rows off the map by
-pivot and never eliminate them again: only the vector, or the rows
-pivoting outside the positions, is reduced.  The conductor, whose one
-proof is the closure's certificate, the gap sequence and delta are cached
-properties of BranchAlgebra, the one mutable class, decided at their first
-read; the Gorenstein test sum(c_i) = 2*delta of algebra_summary and the
-condition (G3) read them.  The reports are named tuples, immutable, equal
-to the plain tuple of their fields and copied with ``_replace``.
+one lookup; and contains.  One fraction-free step, _reduce, is the only
+elimination: _echelon runs it on each incoming row, _rref back-substitutes
+with it, and membership reduces the vector by the stored rows with it; rank
+reads the rows off the map by pivot and eliminates only those pivoting
+outside the positions.  The conductor, whose one proof is the closure's
+certificate, the gap sequence and delta are cached properties of
+BranchAlgebra, the one mutable class, decided at their first read; the
+Gorenstein test sum(c_i) = 2*delta of algebra_summary and the condition
+(G3) read them.  The reports are named tuples, immutable, equal to the
+plain tuple of their fields and copied with ``_replace``.
 """
 
 from __future__ import annotations
@@ -83,10 +85,10 @@ def generator(sig: Signature, terms) -> Generator:
 
 # ------------------------------------------------- exact linear algebra
 #
-# Rows are lists or tuples of Python ints.  Elimination is fraction-free,
-# r <- p[c]*r - r[c]*p, and a row is stored primitive: the gcd of its
-# entries is 1 and its leading entry is positive.  Rationals are scaled
-# to integers once, where they enter (_integral).
+# Rows are lists or tuples of Python ints.  Elimination is one fraction-free
+# step, r <- p[c]*r - r[c]*p in _reduce, and a row is stored primitive: the
+# gcd of its entries is 1 and its leading entry is positive.  Rationals are
+# scaled to integers once, where they enter (_integral).
 
 
 def _integral(values) -> list[int]:
@@ -104,6 +106,24 @@ def _primitive(r: list[int], lead: int) -> list[int]:
     return r if g == 1 else [x // g for x in r]
 
 
+def _reduce(row, pivots) -> list[int]:
+    """The row after one fraction-free step r <- p[c]*r - r[c]*p by each
+    (pivot column c, row p) of pivots, in order: a nonzero multiple of the
+    row minus a combination of the pivot rows.
+
+    Precondition: each pivot row is zero in the pivot columns of the rows
+    before it.  A step then clears its own column and leaves the earlier
+    ones zero, so the result is zero at every pivot column; it is zero
+    exactly when the row lies in the span of the pivot rows.
+    """
+    for col, p in pivots:
+        f = row[col]
+        if f:
+            c = p[col]
+            row = [c * x - f * y for x, y in zip(row, p)]
+    return row
+
+
 def _echelon(rows, width: int) -> list[tuple[int, list[int]]]:
     """(pivot column, primitive row) pairs spanning rows of the given width;
     each row is zero in the pivot columns of the rows found before it.  The
@@ -112,11 +132,7 @@ def _echelon(rows, width: int) -> list[tuple[int, list[int]]]:
     pivots = []
     rows = iter(rows)
     while len(pivots) < width and (r := next(rows, None)) is not None:
-        for col, p in pivots:
-            f = r[col]
-            if f:
-                c = p[col]
-                r = [c * x - f * y for x, y in zip(r, p)]
+        r = _reduce(r, pivots)
         lead = next((j for j, x in enumerate(r) if x), None)
         if lead is not None:
             pivots.append((lead, _primitive(r, lead)))
@@ -136,14 +152,10 @@ def _rref(rows, width: int) -> Piece:
     if len(pivots) == width:
         return _identity(width)
     pivots.sort()  # pivot columns are distinct
+    # the rows after idx are already zero in each other's pivot columns
     for idx in range(len(pivots) - 2, -1, -1):
         col, r = pivots[idx]
-        for col2, r2 in pivots[idx + 1 :]:
-            f = r[col2]
-            if f:
-                c = r2[col2]
-                r = [c * x - f * y for x, y in zip(r, r2)]
-        pivots[idx] = (col, _primitive(r, col))
+        pivots[idx] = (col, _primitive(_reduce(r, pivots[idx + 1 :]), col))
     return {col: tuple(r) for col, r in pivots}
 
 
@@ -317,31 +329,10 @@ class BranchAlgebra:
         return self.basis(k).get(j) == _identity(len(sl))[j]
 
     def contains(self, terms) -> bool:
-        """Membership of generator-style terms, read off R_k's pivot map.
-
-        The vector v is reduced once, fraction-free, v <- c*v - v[j]*r, by
-        the row r = pivots[j] at each pivot column j where v is nonzero,
-        c = r[j].  Every row is zero in the other pivot columns, so a step
-        clears column j and only scales v's other pivot entries: the
-        remainder is zero at every pivot, and only its entries on the other
-        (free) columns are computed.  It is a nonzero multiple of v minus a
-        combination of rows, and a vector of the span is fixed by its pivot
-        entries, so v lies in R_k exactly when the remainder is zero on the
-        free columns; a full piece has none, and holds everything.
-        """
+        """Membership of generator-style terms: the vector reduced by R_k's
+        pivot rows (_reduce) is zero exactly when it lies in R_k."""
         k, coeffs = generator(self.signature, terms)  # every branch it touches is a slot of k
-        pivots, sl = self.basis(k), self.slots(k)
-        free = [j for j in range(len(sl)) if j not in pivots]
-        v = {sl.index(i): x for i, x in coeffs.items()}
-        rest = [v.get(j, 0) for j in free]
-        scale = 1  # the product of the c's so far: v's pivot entries carry it
-        for j, x in v.items():
-            if j in pivots:
-                r = pivots[j]
-                c, f = r[j], scale * x
-                rest = [c * y - f * r[col] for y, col in zip(rest, free)]
-                scale *= c
-        return not any(rest)
+        return not any(_reduce([coeffs.get(i, 0) for i in self.slots(k)], self.basis(k).items()))
 
     @cached_property
     def gap_full(self) -> tuple[int, ...]:
@@ -477,7 +468,8 @@ def section_space(alg: BranchAlgebra, divisor) -> SectionSpace:
     sig = alg.signature
     a = sig.weights_a
     if len(divisor) != sig.n:
-        raise ValueError(f"divisor needs {sig.n} coefficients, got {len(divisor)}")
+        raise ValueError(f"divisor needs {sig.n} coefficient{'s' * (sig.n != 1)}, "
+                         f"got {len(divisor)}")
     k_top = max((a[i] * c for i, c in enumerate(divisor) if c >= 0), default=-1)
     return SectionSpace(sum(
         alg.dim(k) - alg.rank(k, [pos for pos, i in enumerate(alg.slots(k))

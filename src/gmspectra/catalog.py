@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-from math import lcm
+from math import comb
 from typing import NamedTuple, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from . import branch_algebra as ba
@@ -266,17 +266,11 @@ def family(name: str, *, g: Optional[int] = None, n: Optional[int] = None,
 def _elliptic_units(n: int) -> list[Fraction]:
     # residues of t_i^{-1} dt_i pairing: for concurrent lines with slopes
     # v_i = i+1 the dualizing germ weights are the Lagrange denominators
-    # u_i = 1 / prod_{j != i} (v_i - v_j), scaled to integers
-    vals = [i + 1 for i in range(n)]
-    units = []
-    for i, v in enumerate(vals):
-        prod = 1
-        for j, w in enumerate(vals):
-            if j != i:
-                prod *= v - w
-        units.append(Fraction(1, prod))
-    scale = lcm(*(u.denominator for u in units))
-    return [u * scale for u in units]
+    # u_i = 1 / prod_{j != i} (v_i - v_j), scaled to integers.  At the nodes
+    # 1..n that product is (-1)^(n-1-i) * i! * (n-1-i)!, which divides
+    # (n-1)!, the i = 0 term, so the lcm scale is (n-1)! and the units are
+    # the signed binomial row (-1)^(n-1-i) * C(n-1, i)
+    return [Fraction((-1) ** (n - 1 - i) * comb(n - 1, i)) for i in range(n)]
 
 
 def with_ordinary_points(entry: CatalogEntry, k: int) -> CatalogEntry:

@@ -183,7 +183,8 @@ class OverrideModel(namedtuple("OverrideModel", "base table"), _FrameRead):
         for r, (divisor, h0) in enumerate(self.table):
             if len(divisor) != len(columns):
                 raise ValueError(
-                    f"table[{r}].divisor has {len(divisor)} coefficients, "
+                    f"table[{r}].divisor has {len(divisor)} "
+                    f"coefficient{'s' * (len(divisor) != 1)}, "
                     f"not one per marked point ({len(columns)})"
                 )
             if h0 < 0:

@@ -325,8 +325,12 @@ def test_section_space_examples():
 
 def test_section_space_negative_and_errors():
     assert ba.section_space(alg31(), (2, -1)).dimension == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^divisor needs 2 coefficients, got 1$"):
         ba.section_space(alg31(), (2,))
+    # the noun agrees with the count
+    cusp = ba.close(derive((2,)), [[(0, 2, 1)], [(0, 3, 1)]])
+    with pytest.raises(ValueError, match=r"^divisor needs 1 coefficient, got 5$"):
+        ba.section_space(cusp, (1, 1, 1, 1, 1))
     # reads past the window W = 10: the closure extends, certifies at 11 and
     # answers 1 (constants) + 1 (t1^3) + 96 (t1^k, 5 <= k <= 100)
     assert ba.section_space(alg31(), (100, 0)).dimension == 98

@@ -8,6 +8,7 @@ the same treatment.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -264,6 +265,18 @@ def test_family_elliptic():
         assert inv.chi2_from_log(n + 1, sig) == 1
         assert e.expected.slope == 12
         assert ba.validate_G_conditions(alg, e.dualizing_units).all_pass
+
+
+def test_elliptic_units_are_the_scaled_lagrange_denominators():
+    # u_i = 1 / prod_{j != i} (v_i - v_j) at the nodes v = 1..n, times the lcm
+    # of their denominators: the closed form's signed binomial row
+    for n in range(3, 41):
+        units = [Fraction(1, math.prod(v - w for w in range(1, n + 1) if w != v))
+                 for v in range(1, n + 1)]
+        scale = math.lcm(*(u.denominator for u in units))
+        closed = catalog._elliptic_units(n)
+        assert closed == [u * scale for u in units], n
+        assert all(isinstance(u, Fraction) for u in closed)
 
 
 def test_family_elliptic_12_stores_alpha_as_undefined():

@@ -684,8 +684,14 @@ def test_the_parity_ceiling_bounds_the_clifford_profile():
     assert {(2, 2), (3, 1)} <= attained
 
 
-@pytest.mark.parametrize("tau", [Fraction(0), Fraction(1, 5), Fraction(3, 8), Fraction(2, 5),
-                                 Fraction(1, 2), FIVE_NINTHS])
+# at tau = 0 and 1/5 every search from g = 4 on is unresolved; at 37/100
+# every g = 1..12 resolves, dangling or not, so a screen below 3/8 is compared
+# on rows, not only on error messages
+SCREEN_TAUS = [Fraction(0), Fraction(1, 5), Fraction(37, 100), Fraction(3, 8), Fraction(2, 5),
+               Fraction(1, 2), FIVE_NINTHS]
+
+
+@pytest.mark.parametrize("tau", SCREEN_TAUS)
 def test_the_parity_ceiling_changes_no_output(tau, monkeypatch):
     # with the ceiling off every signature of n >= 2 reaches the computed
     # screen; the candidates and the first unresolved stratum stay the same
@@ -700,8 +706,7 @@ def test_the_parity_ceiling_changes_no_output(tau, monkeypatch):
     assert {key: search(*key) for key in ceiling} == ceiling
 
 
-@pytest.mark.parametrize("tau", [Fraction(0), Fraction(1, 5), Fraction(3, 8), Fraction(2, 5),
-                                 Fraction(1, 2), FIVE_NINTHS])
+@pytest.mark.parametrize("tau", SCREEN_TAUS)
 def test_the_hyperelliptic_screen_changes_no_output(tau, monkeypatch):
     # with the screen off every tagging reaches its model and its checked
     # chi1; the candidates and the first unresolved stratum stay the same

@@ -216,6 +216,11 @@ BAD_INPUTS = [
       '{"kind": "override", "base": {"kind": "clifford-max", "genus": 3},'
       ' "table": [{"divisor": [1, 2, 3], "h0": 1}]}'],
      ["table[0].divisor", "3 coefficients", "(1)"]),
+    # one coefficient on a two-point signature: the noun agrees with the count
+    (["filtration", "--signature", "2,2", "--model",
+      '{"kind": "override", "base": {"kind": "clifford-max", "genus": 3},'
+      ' "table": [{"divisor": [1], "h0": 1}]}'],
+     ["table[0].divisor has 1 coefficient, not one per marked point (2)"]),
     # h0 = 9 at the last level, above the 1 before it: refused naming the level
     (["filtration", "--signature", "4", "--model", INCREASING],
      ["not non-increasing", "9 at lam = 5", "1 at lam = 4"]),
