@@ -28,7 +28,9 @@ outside the positions.  The conductor, whose one proof is the closure's
 certificate, the gap sequence and delta are cached properties of
 BranchAlgebra, the one mutable class, decided at their first read; the
 Gorenstein test sum(c_i) = 2*delta of algebra_summary and the condition
-(G3) read them.  The reports are named tuples, immutable, equal to the
+(G3) read them.  A check's verdict is its notes: validate_G_conditions
+returns Checks(notes), one note per failure, and all_pass reads
+``not notes``.  The records are named tuples, immutable, equal to the
 plain tuple of their fields and copied with ``_replace``.
 """
 
@@ -489,26 +491,21 @@ def spin_parity(alg: BranchAlgebra) -> str | None:
 # --------------------------------------------------------- validation
 
 
-class GConditionReport(NamedTuple):
-    no_bare_parameters: bool  # (G1)
-    conductor_bound: bool  # (G3)
-    dualizing_pairs: bool  # (G4)
-    gap_tail: bool  # (G5)
+class Checks(NamedTuple):
+    """The verdict of a family of checks: one note per failure, in check order."""
+
     notes: tuple[str, ...]
 
     @property
     def all_pass(self) -> bool:
-        return (
-            self.no_bare_parameters
-            and self.conductor_bound
-            and self.dualizing_pairs
-            and self.gap_tail
-        )
+        return not self.notes
 
 
-def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditionReport:
+def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> Checks:
     """Check (G1) and (G3)-(G5) of a dualizing-graded branch ring; (G2),
-    homogeneity, holds by construction in close()."""
+    homogeneity, holds by construction in close().  A condition fails
+    exactly when it adds a note: (G3) names one missing pure power and a
+    failing (G4) at least the consecutive pair that failed."""
     sig = alg.signature
     n = sig.n
     if dualizing_units is None:
@@ -521,14 +518,12 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
 
     notes = [f"bare parameter on branch {i} lies in the ring"
              for i in range(n) if alg.has_power(i, 1)]
-    g1 = not notes
 
     # (G3), a certified c with every c_i <= max(m)+2, holds exactly when delta
     # is known; the note names a pure power past max(m)+2 that R misses, from
     # the last piece up to D that is not full when there is no certificate: it
     # lies at k >= A*T (see certified_conductor)
-    g3 = alg.delta is not None
-    if not g3:
+    if alg.delta is None:
         conductor = alg.certified_conductor
         if conductor is None:
             a = sig.weights_a
@@ -548,24 +543,16 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> GConditio
         return alg.contains([(i, sig.orders[i] + 1, units[j]),
                              (j, sig.orders[j] + 1, -units[i])])
 
-    g4 = all(pair_in_ring(i, i + 1) for i in range(n - 1))
-    if not g4:
+    if not all(pair_in_ring(i, i + 1) for i in range(n - 1)):
         notes += [f"dualizing pair test fails for branches ({i}, {j})"
                   for i in range(n) for j in range(i + 1, n) if not pair_in_ring(i, j)]
 
     full = alg.gap_full
     maxm = sig.orders[0]
-    g5 = full[maxm] == 1 and all(v == 0 for v in full[maxm + 1 :])
-    if not g5:
+    if full[maxm] != 1 or any(full[maxm + 1 :]):
         notes.append(f"gap tail is {full[maxm:]}, expected (1, 0, ...)")
 
-    return GConditionReport(
-        no_bare_parameters=g1,
-        conductor_bound=g3,
-        dualizing_pairs=g4,
-        gap_tail=g5,
-        notes=tuple(notes),
-    )
+    return Checks(tuple(notes))
 
 
 # ------------------------------------------------------------- JSON I/O

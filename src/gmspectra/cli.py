@@ -99,8 +99,9 @@ def build_model(spec: str, sig):
     """Model from an inline JSON document or a short spec (clifford-max,
     unibranch:3,7, hyperelliptic:w,pair:1,pair:1), which is first rewritten
     to that document with the signature's genus.  Either is built for the
-    signature's genus, so a unibranch model of another is refused before
-    its semigroup is built."""
+    signature, so a unibranch model of another genus is refused before its
+    semigroup is built, and hyperelliptic tags its orders cannot carry
+    before any frame is."""
     if spec.lstrip().startswith("{"):
         doc = json.loads(spec)
     else:
@@ -110,7 +111,7 @@ def build_model(spec: str, sig):
             doc["generators"] = parse_ints(rest, "'--model'") if rest else []
         elif kind == "hyperelliptic":
             doc["tags"] = rest.split(",") if rest else []
-    return cm.model_from_spec(doc, sig.genus)
+    return cm.model_from_spec(doc, sig)
 
 
 def resolve_model(entry_id, sig_text, model_spec, missing: str, check=lambda sig: None):
@@ -401,9 +402,8 @@ def catalog_show(entry_id, as_json):
 
 
 def _verify_regression() -> list[str]:
-    report = nonvarying_regression()
     return [f"{c.entry_id}.{c.field}: expected {c.expected!r}, got {c.actual!r}"
-            for c in report.failures()]
+            for c in nonvarying_regression() if not c.ok]
 
 
 def _verify_identities() -> list[str]:

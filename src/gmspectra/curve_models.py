@@ -199,7 +199,23 @@ def _same_genus(model_genus: int, genus: int) -> None:
         raise ValueError(f"model genus {model_genus} differs from signature genus {genus}")
 
 
-def model_from_spec(doc: dict, genus: int):
+def _refuse_inadmissible_tags(tags: tuple[str, ...], orders: tuple[int, ...]) -> None:
+    """A ValueError naming the first tag that no hyperelliptic differential
+    carries on its zero: ``w`` on an odd order, ``free`` on a nonzero order,
+    or a pair whose halves have different orders."""
+    halves = {}
+    for tag, v in zip(tags, orders):
+        if tag == "w" and v % 2:
+            raise ValueError(f"tag 'w' on a zero of odd order {v}: "
+                             "a Weierstrass zero has even order")
+        if tag == "free" and v:
+            raise ValueError(f"tag 'free' on a zero of order {v}: a free point has order 0")
+        if tag.startswith("pair:") and halves.setdefault(tag[5:], v) != v:
+            raise ValueError(f"pair {tag[5:]!r} joins zeros of orders {halves[tag[5:]]} and "
+                             f"{v}: conjugate zeros have equal order")
+
+
+def model_from_spec(doc: dict, sig: Signature):
     """Build a model from its JSON description.
 
     Kinds: {"kind": "unibranch", "generators": [3, 7]},
@@ -209,9 +225,13 @@ def model_from_spec(doc: dict, genus: int):
     A field of the wrong JSON type is a ValueError naming it, as in
     branch_algebra.generators_from_json.
 
-    ``genus`` is the genus of the signature the model is read on.  A
-    unibranch spec of another genus is refused before its element mask,
-    which grows with its own genus, is built: 1, ..., lo-1 are gaps of a
+    ``sig`` is the signature the model is read on.  A hyperelliptic spec,
+    also as an override's base, is checked against its orders: ``w`` only
+    on an even order (0 included), both halves of a pair on equal orders
+    and ``free`` only on order 0; the tag count, an unknown tag and a pair
+    seen other than twice are refused first, as the model's read refuses
+    them.  A unibranch spec of another genus is refused before its element
+    mask, which grows with its own genus, is built: 1, ..., lo-1 are gaps of a
     semigroup whose smallest generator is lo, so lo > genus + 1 is refused
     at once, and otherwise the genus is read off the Apery set of lo
     (semigroup.generated_genus) in O(lo * min(k, lo)) steps for k
@@ -221,14 +241,17 @@ def model_from_spec(doc: dict, genus: int):
     kind = doc["kind"]
     if kind == "unibranch":
         gens = sg.generator_set(ba._entries(doc, "generators", "an integer"))
-        if gens[0] > genus + 1:
+        if gens[0] > sig.genus + 1:
             raise ValueError(f"model genus at least {gens[0] - 1} differs from "
-                             f"signature genus {genus}")
-        _same_genus(sg.generated_genus(gens), genus)
+                             f"signature genus {sig.genus}")
+        _same_genus(sg.generated_genus(gens), sig.genus)
         return UnibranchModel(sg.from_generators(gens))
     if kind == "hyperelliptic":
-        return HyperellipticModel(ba._field(doc["genus"], "an integer", "genus"),
-                                  tuple(ba._entries(doc, "tags", "a string")))
+        model = HyperellipticModel(ba._field(doc["genus"], "an integer", "genus"),
+                                   tuple(ba._entries(doc, "tags", "a string")))
+        model.h0((0,) * sig.n)  # the model's own refusals come first
+        _refuse_inadmissible_tags(model.tags, sig.orders)
+        return model
     if kind == "clifford-max":
         return CliffordMaxModel(ba._field(doc["genus"], "an integer", "genus"))
     if kind == "override":
@@ -237,7 +260,7 @@ def model_from_spec(doc: dict, genus: int):
              ba._field(e["h0"], "an integer", f"table[{r}].h0"))
             for r, e in enumerate(ba._entries(doc, "table", "an object"))
         )
-        return OverrideModel(model_from_spec(doc["base"], genus), table)
+        return OverrideModel(model_from_spec(doc["base"], sig), table)
     raise ValueError(
         f"unknown model kind {kind!r}; use unibranch, hyperelliptic, "
         "clifford-max or override"

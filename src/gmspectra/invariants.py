@@ -7,8 +7,9 @@ slope, always as exact fractions; alpha reads the two characters alone
 (dangling branches lower only the search cutoff, classifier._threshold_x).
 ``levels`` gives the filtration: for a ring, its graded dimensions summed.
 A standalone lattice-point identity cross-checks the one-branch toric count.
-Spectra and reports are named tuples: immutable, equal to the plain tuple
-of their fields, and copied with ``_replace``.
+verify_weight_identities returns branch_algebra.Checks, its notes the
+verdict.  Spectra and records are named tuples: immutable, equal to the
+plain tuple of their fields, and copied with ``_replace``.
 """
 
 from __future__ import annotations
@@ -89,27 +90,14 @@ def weight_spectrum(source, m: int = 1, sig: Signature | None = None) -> WeightS
                                     in zip(runs.ends, dims, dims[1:] + (0,)) if dim > after]))
 
 
-class WeightIdentityReport(NamedTuple):
-    top_multiplicity_ok: bool  # N_{m,(m-1)ell} = n - 1
-    ladder_differences_ok: bool  # N_{m,lam} = sum_i (l_{lam+1,i} - l_{lam,i}) below (m-1)ell
-    shifted_tail_ok: bool  # weights above (m-1)ell are (m-1)ell + w_i
-    chi_formula_ok: bool  # chi_m^log = (m-1)m(2g-2+n)ell/2 + sum w_i
-    notes: tuple[str, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.top_multiplicity_ok
-            and self.ladder_differences_ok
-            and self.shifted_tail_ok
-            and self.chi_formula_ok
-        )
-
-
 def verify_weight_identities(
     spectrum_m: WeightSpectrum, spectrum_1: WeightSpectrum, sig: Signature
-) -> WeightIdentityReport:
-    """Check the four structural identities tying level m to level one."""
+) -> ba.Checks:
+    """Check the four structural identities tying level m to level one, a
+    note per failed identity: N_{m,(m-1)ell} = n - 1; below (m-1)ell,
+    N_{m,lam} = sum_i (l_{lam+1,i} - l_{lam,i}), the first mismatch named;
+    the weights above (m-1)ell are (m-1)ell + w_i for the level-one weights
+    w_i; and chi_m^log = (m-1)m(2g-2+n)ell/2 + chi_1^log."""
     m = spectrum_m.m
     if m < 2:
         raise ValueError("identities compare level m >= 2 against level one")
@@ -121,8 +109,7 @@ def verify_weight_identities(
     notes = []
     held = dict(spectrum_m.entries)
 
-    top_ok = held.get(pivot, 0) == n - 1
-    if not top_ok:
+    if held.get(pivot, 0) != n - 1:
         notes.append(f"multiplicity at {pivot} is {held.get(pivot, 0)}, not {n - 1}")
 
     # l_{lam+1,i} - l_{lam,i} is 1 exactly when a_i divides lam, so below the
@@ -131,10 +118,8 @@ def verify_weight_identities(
     # first, finds the first mismatch of the per-level loop
     expected = Counter(lam for a in sig.weights_a for lam in range(0, pivot, a))
     below = {lam for lam in held if 0 <= lam < pivot}
-    ladder_ok = True
     for lam in sorted(below.union(expected)):
         if held.get(lam, 0) != expected[lam]:
-            ladder_ok = False
             notes.append(
                 f"multiplicity at {lam} is {held.get(lam, 0)}, "
                 f"ladder difference gives {expected[lam]}"
@@ -145,17 +130,15 @@ def verify_weight_identities(
         lam for lam, mult in spectrum_m.entries if lam > pivot for _ in range(mult)
     )
     shifted = tuple(pivot + w for w in spectrum_1.nonzero_weights())
-    tail_ok = sorted(tail) == sorted(shifted)
-    if not tail_ok:
+    if sorted(tail) != sorted(shifted):
         notes.append(f"tail weights {tail} differ from shifted {shifted}")
 
     g = sig.genus
     expected_chi = (m - 1) * m * (2 * g - 2 + n) * ell // 2 + spectrum_1.chi_log
-    chi_ok = spectrum_m.chi_log == expected_chi
-    if not chi_ok:
+    if spectrum_m.chi_log != expected_chi:
         notes.append(f"chi_{m}^log is {spectrum_m.chi_log}, formula gives {expected_chi}")
 
-    return WeightIdentityReport(top_ok, ladder_ok, tail_ok, chi_ok, tuple(notes))
+    return ba.Checks(tuple(notes))
 
 
 # ------------------------------------------------- characters and ratios

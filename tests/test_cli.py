@@ -233,6 +233,15 @@ BAD_INPUTS = [
     (["filtration", "--signature", "4", "--model",
       '{"kind": "unibranch", "generators": [1000003, 1000033]}'],
      ["model genus at least 1000002", "signature genus 3"]),
+    # tags that no hyperelliptic differential carries on its zeros
+    (["slope", "--signature", "3,1", "--model", "hyperelliptic:pair:1,pair:1"],
+     ["pair '1' joins zeros of orders 3 and 1: conjugate zeros have equal order"]),
+    (["slope", "--signature", "3,3", "--model", "hyperelliptic:w,w"],
+     ["tag 'w' on a zero of odd order 3: a Weierstrass zero has even order"]),
+    (["slope", "--signature", "4", "--model", "hyperelliptic:free"],
+     ["tag 'free' on a zero of order 4: a free point has order 0"]),
+    (["slope", "--signature", "2,2", "--model", "hyperelliptic:free,free"],
+     ["tag 'free' on a zero of order 2: a free point has order 0"]),
     # one divisor coefficient per point, against no tag at all
     (["filtration", "--signature", "2", "--model", "hyperelliptic:"],
      ["divisor needs 0 coefficients, one per tag of the hyperelliptic model, got 1"]),
@@ -770,6 +779,38 @@ def test_verify_exits_nonzero_on_mismatch(monkeypatch):
     assert result.exit_code == 1
     assert "FAIL search" in result.output
     assert "lost a stratum" in result.output
+
+
+def test_verify_regression_prints_each_failing_check(monkeypatch):
+    e7 = catalog.get("E7")
+    bad = e7._replace(expected=e7.expected._replace(delta=99))
+    monkeypatch.setattr(catalog, "nonvarying_entries", lambda: (bad,))
+    result = invoke("verify", "--suite", "regression")
+    assert (result.exit_code, result.output) == (
+        1, "FAIL regression\n  E7.delta: expected 99, got 4\n1 mismatch(es)\n")
+
+
+def test_verify_identities_prints_the_notes_of_a_doctored_spectrum(monkeypatch):
+    # one more weight at the pivot ell of E7's level-two spectrum breaks the
+    # top multiplicity and the character formula, and nothing else
+    e7 = catalog.get("E7")
+    spectrum = cli.inv.weight_spectrum
+
+    def doctored(source, m=1, sig=None):
+        s = spectrum(source, m, sig)
+        if m != 2:
+            return s
+        held = dict(s.entries)
+        held[source.signature.ell] = held.get(source.signature.ell, 0) + 1
+        return cli.inv.WeightSpectrum(2, tuple(sorted(held.items())))
+
+    monkeypatch.setattr(catalog, "entries", lambda: (e7,))
+    monkeypatch.setattr(cli.inv, "weight_spectrum", doctored)
+    result = invoke("verify", "--suite", "identities")
+    assert (result.exit_code, result.output) == (
+        1, "FAIL identities\n"
+           "  E7 m=2: multiplicity at 4 is 2, not 1; chi_2^log is 35, formula gives 31\n"
+           "1 mismatch(es)\n")
 
 
 @pytest.mark.parametrize("name, doctored, line", [

@@ -17,7 +17,7 @@ import gmspectra.curve_models as cm
 import gmspectra.invariants as inv
 import gmspectra.semigroup as sg
 from gmspectra import catalog
-from gmspectra.signature import derive
+from gmspectra.signature import derive, enumerate_signatures
 
 
 # ------------------------------------------------------------- unibranch
@@ -499,13 +499,13 @@ def test_override_column_first_entry_wins():
 
 
 def test_model_from_spec():
-    m1 = cm.model_from_spec({"kind": "unibranch", "generators": [3, 7]}, 6)
+    m1 = cm.model_from_spec({"kind": "unibranch", "generators": [3, 7]}, derive((10,)))
     assert isinstance(m1, cm.UnibranchModel) and m1.genus == 6
     m2 = cm.model_from_spec(
-        {"kind": "hyperelliptic", "genus": 4, "tags": ["w", "pair:1", "pair:1"]}, 4
+        {"kind": "hyperelliptic", "genus": 4, "tags": ["w", "pair:1", "pair:1"]}, derive((4, 1, 1))
     )
     assert m2.h0((2, 0, 0)) == 2
-    m3 = cm.model_from_spec({"kind": "clifford-max", "genus": 5}, 5)
+    m3 = cm.model_from_spec({"kind": "clifford-max", "genus": 5}, derive((8,)))
     assert m3.h0((8,)) == 5
     m4 = cm.model_from_spec(
         {
@@ -513,17 +513,58 @@ def test_model_from_spec():
             "base": {"kind": "clifford-max", "genus": 5},
             "table": [{"divisor": [3, 0], "h0": 2}],
         },
-        5,
+        derive((7, 1)),
     )
     assert m4.h0((3, 0)) == 2 and m4.h0((5, 0)) == 3
     with pytest.raises(ValueError):
-        cm.model_from_spec({"kind": "mystery"}, 5)
+        cm.model_from_spec({"kind": "mystery"}, derive((8,)))
+
+
+def hyperelliptic_spec(genus, tags):
+    return {"kind": "hyperelliptic", "genus": genus, "tags": list(tags)}
+
+
+@pytest.mark.parametrize("orders,tags,message", [
+    ((3, 1), ["pair:1", "pair:1"], "pair '1' joins zeros of orders 3 and 1"),
+    ((3, 3), ["w", "w"], "tag 'w' on a zero of odd order 3"),
+    ((4,), ["free"], "tag 'free' on a zero of order 4"),
+    ((2, 2), ["free", "free"], "tag 'free' on a zero of order 2"),
+    # the first fault by position: the pair before the odd Weierstrass zero
+    ((2, 2, 1, 1), ["pair:1", "w", "pair:1", "w"], "pair '1' joins zeros of orders 2 and 1"),
+])
+def test_model_from_spec_refuses_tags_no_hyperelliptic_differential_carries(
+        orders, tags, message, monkeypatch):
+    sig = derive(orders)
+    monkeypatch.setattr(cm, "ladder_runs", lambda *args: pytest.fail("a frame was built"))
+    with pytest.raises(ValueError, match=message):
+        cm.model_from_spec(hyperelliptic_spec(sig.genus, tags), sig)
+    override = {"kind": "override", "base": hyperelliptic_spec(sig.genus, tags), "table": []}
+    with pytest.raises(ValueError, match=message):
+        cm.model_from_spec(override, sig)
+
+
+def test_model_from_spec_refuses_malformed_tags_before_inadmissible_ones():
+    sig = derive((3, 1))
+    for tags, message in [(["w"], "divisor needs 1 coefficient, one per tag"),
+                          (["w", "zebra"], "unknown tag 'zebra'"),
+                          (["w", "pair:1"], "pair '1' has 1 member, needs 2")]:
+        with pytest.raises(ValueError, match=message):
+            cm.model_from_spec(hyperelliptic_spec(sig.genus, tags), sig)
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_model_from_spec_accepts_every_tagging_the_classifier_reads(g):
+    for core in enumerate_signatures(g, 2 * g - 2):
+        sig = derive(core.orders + (0,))  # a free point too
+        for tagging in classifier.hyperelliptic_taggings(sig):
+            spec = hyperelliptic_spec(g, tagging.model_tags(sig))
+            assert cm.model_from_spec(spec, sig).tags == tagging.model_tags(sig)
 
 
 def test_model_from_spec_decides_a_unibranch_genus_before_the_mask():
     spec = {"kind": "unibranch", "generators": [3, 5, 10**12]}  # <3,5>
-    assert cm.model_from_spec(spec, 4).semigroup == sg.from_generators((3, 5))
+    assert cm.model_from_spec(spec, derive((6,))).semigroup == sg.from_generators((3, 5))
     with pytest.raises(ValueError, match="model genus 6 differs from signature genus 3"):
-        cm.model_from_spec({"kind": "unibranch", "generators": [3, 7]}, 3)
+        cm.model_from_spec({"kind": "unibranch", "generators": [3, 7]}, derive((4,)))
     with pytest.raises(ValueError, match="model genus at least 1000002 differs"):
-        cm.model_from_spec({"kind": "unibranch", "generators": [1000003, 1000033]}, 3)
+        cm.model_from_spec({"kind": "unibranch", "generators": [1000003, 1000033]}, derive((4,)))

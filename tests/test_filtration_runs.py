@@ -246,7 +246,7 @@ def test_ladder_differences_match_the_per_level_loop(data):
         spectrum = moved(spectrum, source, data.draw(st.integers(0, m * sig.ell)))
     report = inv.verify_weight_identities(spectrum, level_one, sig)
     note = dense_ladder_note(spectrum, sig)
-    assert report.ladder_differences_ok == (note is None)
+    assert any("ladder difference" in n for n in report.notes) == (note is not None)
     assert [n for n in report.notes if "ladder difference" in n] == ([note] if note else [])
 
 
@@ -331,7 +331,7 @@ def test_large_ell_weight_identities():
     broken = moved(level_two, a, a + 1)
     report = inv.verify_weight_identities(broken, level_one, LARGE)
     assert time.perf_counter() - start < 5
-    assert not report.ladder_differences_ok
+    assert any("ladder difference" in n for n in report.notes)
     assert report.notes[0] == (
         f"multiplicity at {a} is {held - 1}, ladder difference gives {held}"
     )

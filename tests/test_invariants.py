@@ -145,27 +145,22 @@ def scanned_identities(spectrum_m, spectrum_1, sig):
     m, n, ell = spectrum_m.m, sig.n, sig.ell
     pivot = (m - 1) * ell
     notes = []
-    top_ok = spectrum_m.multiplicity(pivot) == n - 1
-    if not top_ok:
+    if spectrum_m.multiplicity(pivot) != n - 1:
         notes.append(f"multiplicity at {pivot} is {spectrum_m.multiplicity(pivot)}, not {n - 1}")
-    ladder_ok = True
     for lam in range(pivot):
         expected = sum(ladder(sig, lam + 1)) - sum(ladder(sig, lam))
         if spectrum_m.multiplicity(lam) != expected:
-            ladder_ok = False
             notes.append(f"multiplicity at {lam} is {spectrum_m.multiplicity(lam)}, "
                          f"ladder difference gives {expected}")
             break
     tail = tuple(w for w in spectrum_m.nonzero_weights() if w > pivot)
     shifted = tuple(pivot + w for w in spectrum_1.nonzero_weights())
-    tail_ok = tail == shifted
-    if not tail_ok:
+    if tail != shifted:
         notes.append(f"tail weights {tail} differ from shifted {shifted}")
     chi = (m - 1) * m * (2 * sig.genus - 2 + n) * ell // 2 + spectrum_1.chi_log
-    chi_ok = spectrum_m.chi_log == chi
-    if not chi_ok:
+    if spectrum_m.chi_log != chi:
         notes.append(f"chi_{m}^log is {spectrum_m.chi_log}, formula gives {chi}")
-    return inv.WeightIdentityReport(top_ok, ladder_ok, tail_ok, chi_ok, tuple(notes))
+    return ba.Checks(tuple(notes))
 
 
 def moved(spectrum, source, target):

@@ -25,12 +25,12 @@ from gmspectra import invariants as inv
 from gmspectra import semigroup as sg
 from gmspectra import signature
 
-# each record's field order as it was in its dataclass form; a semigroup
-# also carries the genus and element sum its constructors compute
+# each record's field order as it was in its dataclass form (Checks never
+# had one); a semigroup also carries the genus and element sum its
+# constructors compute
 FIELDS = {
     ba.SectionSpace: ["dimension"],
-    ba.GConditionReport: ["no_bare_parameters", "conductor_bound", "dualizing_pairs",
-                          "gap_tail", "notes"],
+    ba.Checks: ["notes"],
     catalog.ExpectedInvariants: ["gap_sequence", "delta", "chi1_log", "chi2_log", "alpha",
                                  "slope", "spin", "ambient_weights"],
     catalog.CatalogEntry: ["id", "aliases", "signature", "component", "nonvarying",
@@ -41,10 +41,7 @@ FIELDS = {
     classifier.SemigroupRecord: ["semigroup", "chi1_log", "element_sum", "hyperelliptic",
                                  "spin", "passed"],
     classifier.RegressionCheck: ["entry_id", "field", "expected", "actual"],
-    classifier.RegressionReport: ["checks"],
     inv.WeightSpectrum: ["m", "entries"],
-    inv.WeightIdentityReport: ["top_multiplicity_ok", "ladder_differences_ok",
-                               "shifted_tail_ok", "chi_formula_ok", "notes"],
     inv.AlphaSlopeRecord: ["chi1_log", "chi2_log", "chi2", "alpha", "slope"],
     inv.ToricIdentityReport: ["p", "q", "branches", "closed_form", "lattice_count"],
     sg.ElementSumRecord: ["semigroup", "element_sum", "slack"],
