@@ -150,21 +150,19 @@ class Tagging(NamedTuple):
     def with_free(self, extra: int) -> "Tagging":
         return Tagging(self.weierstrass, self.pairs, self.free + extra)
 
-    def model_tags(self, sig: Signature) -> tuple[str, ...]:
+    def model(self, sig: Signature) -> cm.HyperellipticModel:
         # spread the descriptor back over the concrete orders: they are
         # non-increasing, so each value is one run whose first 2p places
-        # hold its p pairs
-        tags: list[str] = []
-        pair_id = 0
+        # hold its p pairs and the rest its Weierstrass zeros
+        weierstrass, pairs, start = [], [], 0
         for v, run in itertools.groupby(sig.orders):
-            c = len(list(run))
-            if v == 0:
-                tags += ["free"] * c
-                continue
-            p = self.pairs.count(v)
-            tags += [f"pair:{pair_id + k // 2}" for k in range(2 * p)] + ["w"] * (c - 2 * p)
-            pair_id += p
-        return tuple(tags)
+            end = start + len(list(run))
+            if v:
+                p = self.pairs.count(v)
+                pairs += [(i, i + 1) for i in range(start, start + 2 * p, 2)]
+                weierstrass += range(start + 2 * p, end)
+            start = end
+        return cm.HyperellipticModel(sig.genus, tuple(weierstrass), tuple(pairs))
 
 
 def hyperelliptic_taggings(sig: Signature) -> tuple[Tagging, ...]:
@@ -224,8 +222,7 @@ def hyperelliptic_chi1(sig: Signature, tagging: Tagging) -> int:
     (g-1)*ell/2 - sum_w ell*m_i/4, and with ell = a_i(m_i + 1) each
     a_i*m_i^2/4 - ell*m_i/4 is -a_i*m_i/4 = -(ell - a_i)/4.
     """
-    model = cm.HyperellipticModel(sig.genus, tagging.model_tags(sig))
-    summed = cm.runs_chi_log(cm.filtration_dims(model, sig, 1))
+    summed = cm.runs_chi_log(cm.filtration_dims(tagging.model(sig), sig, 1))
     if 4 * summed != (closed := _hyperelliptic_four_chi1(sig, tagging)):
         raise RuntimeError(
             f"hyperelliptic chi1 routes disagree on {sig} {tagging.label}: "

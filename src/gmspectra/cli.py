@@ -99,9 +99,8 @@ def build_model(spec: str, sig):
     """Model from an inline JSON document or a short spec (clifford-max,
     unibranch:3,7, hyperelliptic:w,pair:1,pair:1), which is first rewritten
     to that document with the signature's genus.  Either is built for the
-    signature, so a unibranch model of another genus is refused before its
-    semigroup is built, and hyperelliptic tags its orders cannot carry
-    before any frame is."""
+    signature: every fault of the spec against it is refused before any
+    frame is built, a unibranch model of another genus before its semigroup."""
     if spec.lstrip().startswith("{"):
         doc = json.loads(spec)
     else:

@@ -8,7 +8,9 @@ columns[n-1][r])``).  ``filtration_dims`` reads a :class:`LadderFrame`,
 whose degrees are built with it and whose columns only on first read, so a
 model that reads the degree alone (Clifford-max) never builds them; a
 :class:`Batch` holds rows given outright.  That frame read is each model's
-only h0 formula; ``h0(divisor)`` is the point read, a one-row batch.
+only h0 formula and refuses nothing: ``model_from_spec`` checks a spec
+against its signature once, before any frame is built, and a model built
+directly is trusted.  ``h0(divisor)`` is the point read, a one-row batch.
 A filtration is returned as columns, :class:`Runs`, whose bounds are the
 frame's own tuples.
 Models stand in where no ring is given (a ring's filtration is its graded
@@ -66,8 +68,8 @@ class UnibranchModel(namedtuple("UnibranchModel", "semigroup"), _FrameRead):
     """One marked point whose pole orders form the given semigroup.
 
     h0(c p) is the number of elements in [0, c]: read off the semigroup's
-    prefix counts up to F, and c - g + 1 (Riemann-Roch) from F on.  Any
-    nonzero coefficient at a second point is a ValueError.
+    prefix counts up to F, and c - g + 1 (Riemann-Roch) from F on.  Only
+    the first column is read.
     """
 
     __slots__ = ()
@@ -79,54 +81,35 @@ class UnibranchModel(namedtuple("UnibranchModel", "semigroup"), _FrameRead):
         return self.semigroup.genus
 
     def h0_frame(self, frame) -> list[int]:
-        columns = frame.columns
-        if any(map(any, columns[1:])):
-            raise ValueError(
-                "unibranch model only supports divisors on its single point"
-            )
         H = self.semigroup
         F, g, counts = H.frobenius, H.genus, H.prefix_counts()
-        return [c - g + 1 if c >= F else counts[c] if c >= 0 else 0 for c in columns[0]]
+        return [c - g + 1 if c >= F else counts[c] if c >= 0 else 0 for c in frame.columns[0]]
 
 
-class HyperellipticModel(namedtuple("HyperellipticModel", "genus tags"), _FrameRead):
-    """Marked points tagged as Weierstrass, conjugate pairs, or free.
+class HyperellipticModel(namedtuple("HyperellipticModel",
+                                    "genus weierstrass_points pair_points"), _FrameRead):
+    """Marked points at Weierstrass points, in conjugate pairs, or free.
 
-    Tags: ``"w"`` for a Weierstrass point, ``"pair:<id>"`` for one half of
-    a conjugate pair (each id exactly twice), ``"free"`` for a point in
-    general position.  Below the Riemann-Roch range the dimension is
-    1 + (number of extractable copies of the degree-two pencil): floor(c/2)
-    from a Weierstrass coefficient c, min(b, c) from a pair, nothing from
-    free points, clamped at 0.  The frame read is one pass over the tags
-    and their columns; a ValueError names the first fault: another column
-    count than tags, then the first unknown tag, then the first pair id seen
-    other than twice.
+    ``weierstrass_points`` holds the column index of each Weierstrass
+    point, ``pair_points`` the ``(i, j)`` indices of each conjugate pair;
+    every other column is a free point in general position.  Below the
+    Riemann-Roch range the dimension is 1 + (number of extractable copies
+    of the degree-two pencil): floor(c/2) from a Weierstrass coefficient c,
+    min(b, c) from a pair, nothing from free points, clamped at 0.
     """
 
     __slots__ = ()
 
     genus: int
-    tags: tuple[str, ...]
+    weierstrass_points: tuple[int, ...]
+    pair_points: tuple[tuple[int, int], ...]
 
     def h0_frame(self, frame) -> list[int]:
         columns = frame.columns
-        if len(columns) != (n := len(self.tags)):
-            raise ValueError(f"divisor needs {n} coefficient{'s' * (n != 1)}, one per tag "
-                             f"of the hyperelliptic model, got {len(columns)}")
         g = self.genus
         canonical = 2 * g - 2
-        parts, pairs = [], {}
-        for tag, column in zip(self.tags, columns):
-            if tag == "w":
-                parts.append([c // 2 for c in column])
-            elif tag.startswith("pair:"):
-                pairs.setdefault(tag[5:], []).append(column)
-            elif tag != "free":
-                raise ValueError(f"unknown tag {tag!r}")
-        for key, members in pairs.items():
-            if (n := len(members)) != 2:
-                raise ValueError(f"pair {key!r} has {n} member{'s' * (n != 1)}, needs 2")
-            parts.append(list(map(min, *members)))
+        parts = [[c // 2 for c in columns[i]] for i in self.weierstrass_points]
+        parts += [list(map(min, columns[i], columns[j])) for i, j in self.pair_points]
         pencils = map(sum, zip(*parts)) if parts else repeat(0)
         return [0 if deg < 0 else deg - g + 1 if deg > canonical
                 else 1 + p if p >= -1 else 0
@@ -140,10 +123,8 @@ class CliffordMaxModel(namedtuple("CliffordMaxModel", "genus"), _FrameRead):
     and never builds a frame's columns: 0 below degree zero, 1 at zero, g
     at the canonical degree 2g-2 (the only degree-(2g-2) divisors that
     occur in the filtrations are canonical), ceil(deg/2) strictly in
-    between, and Riemann-Roch above.  A genus below 0 is a ValueError at
-    the read; from genus 0 on the canonical degree is at least -2, so the
-    Riemann-Roch range, where most rows of an m >= 2 frame lie, is tested
-    first.
+    between, and Riemann-Roch above.  The Riemann-Roch range, where most
+    rows of an m >= 2 frame lie, is tested first.
     """
 
     __slots__ = ()
@@ -152,8 +133,6 @@ class CliffordMaxModel(namedtuple("CliffordMaxModel", "genus"), _FrameRead):
 
     def h0_frame(self, frame) -> list[int]:
         g = self.genus
-        if g < 0:
-            raise ValueError(f"clifford-max genus {g} is below 0")
         canonical = 2 * g - 2
         return [deg - g + 1 if deg > canonical else 0 if deg < 0 else 1 if deg == 0
                 else g if deg == canonical else (deg + 1) // 2
@@ -164,9 +143,7 @@ class OverrideModel(namedtuple("OverrideModel", "base table"), _FrameRead):
     """A base model with finitely many divisors pinned to other values.
 
     The base read with the table rows patched in; when a divisor is
-    listed twice, its first entry wins.  A row whose divisor has another
-    length than the frame has columns, or whose h0 is below 0, is a
-    ValueError naming it.
+    listed twice, its first entry wins.
     """
 
     __slots__ = ()
@@ -179,19 +156,9 @@ class OverrideModel(namedtuple("OverrideModel", "base table"), _FrameRead):
         return self.base.genus
 
     def h0_frame(self, frame) -> list[int]:
-        columns = frame.columns
-        for r, (divisor, h0) in enumerate(self.table):
-            if len(divisor) != len(columns):
-                raise ValueError(
-                    f"table[{r}].divisor has {len(divisor)} "
-                    f"coefficient{'s' * (len(divisor) != 1)}, "
-                    f"not one per marked point ({len(columns)})"
-                )
-            if h0 < 0:
-                raise ValueError(f"table[{r}].h0 is {h0}, below 0")
         table = dict(reversed(self.table))
         return [table.get(row, dim)
-                for row, dim in zip(zip(*columns), self.base.h0_frame(frame))]
+                for row, dim in zip(zip(*frame.columns), self.base.h0_frame(frame))]
 
 
 def _same_genus(model_genus: int, genus: int) -> None:
@@ -199,20 +166,39 @@ def _same_genus(model_genus: int, genus: int) -> None:
         raise ValueError(f"model genus {model_genus} differs from signature genus {genus}")
 
 
-def _refuse_inadmissible_tags(tags: tuple[str, ...], orders: tuple[int, ...]) -> None:
-    """A ValueError naming the first tag that no hyperelliptic differential
-    carries on its zero: ``w`` on an odd order, ``free`` on a nonzero order,
-    or a pair whose halves have different orders."""
-    halves = {}
+def _hyperelliptic_model(genus: int, tags: Sequence[str],
+                         orders: tuple[int, ...]) -> HyperellipticModel:
+    """The model of per-point tags: ``"w"`` for a Weierstrass point,
+    ``"pair:<id>"`` for one half of a conjugate pair, ``"free"`` for a
+    point in general position.  A ValueError names the first fault:
+    another tag count than orders, then the first unknown tag, then the
+    first pair id seen other than twice, then, in point order, a tag that
+    no hyperelliptic differential carries on its zero: ``w`` on an odd
+    order, ``free`` on a nonzero order, or a pair whose second half has
+    another order than its first."""
+    if len(tags) != len(orders):
+        raise ValueError(f"divisor needs {len(tags)} coefficient{'s' * (len(tags) != 1)}, "
+                         f"one per tag of the hyperelliptic model, got {len(orders)}")
+    points: dict[str, list[int]] = {}  # tag -> the indices of its points
+    for i, tag in enumerate(tags):
+        if tag not in ("w", "free") and not tag.startswith("pair:"):
+            raise ValueError(f"unknown tag {tag!r}")
+        points.setdefault(tag, []).append(i)
+    pairs = [(tag, members) for tag, members in points.items() if tag.startswith("pair:")]
+    for tag, members in pairs:
+        if (k := len(members)) != 2:
+            raise ValueError(f"pair {tag[5:]!r} has {k} member{'s' * (k != 1)}, needs 2")
     for tag, v in zip(tags, orders):
         if tag == "w" and v % 2:
             raise ValueError(f"tag 'w' on a zero of odd order {v}: "
                              "a Weierstrass zero has even order")
         if tag == "free" and v:
             raise ValueError(f"tag 'free' on a zero of order {v}: a free point has order 0")
-        if tag.startswith("pair:") and halves.setdefault(tag[5:], v) != v:
-            raise ValueError(f"pair {tag[5:]!r} joins zeros of orders {halves[tag[5:]]} and "
+        if tag.startswith("pair:") and (u := orders[points[tag][0]]) != v:
+            raise ValueError(f"pair {tag[5:]!r} joins zeros of orders {u} and "
                              f"{v}: conjugate zeros have equal order")
+    return HyperellipticModel(genus, tuple(points.get("w", ())),
+                              tuple(tuple(members) for _, members in pairs))
 
 
 def model_from_spec(doc: dict, sig: Signature):
@@ -225,17 +211,18 @@ def model_from_spec(doc: dict, sig: Signature):
     A field of the wrong JSON type is a ValueError naming it, as in
     branch_algebra.generators_from_json.
 
-    ``sig`` is the signature the model is read on.  A hyperelliptic spec,
-    also as an override's base, is checked against its orders: ``w`` only
-    on an even order (0 included), both halves of a pair on equal orders
-    and ``free`` only on order 0; the tag count, an unknown tag and a pair
-    seen other than twice are refused first, as the model's read refuses
-    them.  A unibranch spec of another genus is refused before its element
-    mask, which grows with its own genus, is built: 1, ..., lo-1 are gaps of a
-    semigroup whose smallest generator is lo, so lo > genus + 1 is refused
-    at once, and otherwise the genus is read off the Apery set of lo
-    (semigroup.generated_genus) in O(lo * min(k, lo)) steps for k
-    generators, a walk refused past semigroup.APERY_WORK_BOUND steps.
+    ``sig`` is the signature the model is read on; every fault of the spec
+    against it is refused here.  Hyperelliptic tags, also an override's
+    base's, are read by _hyperelliptic_model.  An override row whose
+    divisor has another length than sig.n, or whose h0 is below 0, is
+    refused after the table's JSON types and the base's refusals.  A
+    unibranch spec of another genus, or on more than one point, is refused
+    before its element mask, which grows with its own genus, is built:
+    1, ..., lo-1 are gaps of a semigroup whose smallest generator is lo, so
+    lo > genus + 1 is refused at once, and otherwise the genus is read off
+    the Apery set of lo (semigroup.generated_genus) in O(lo * min(k, lo))
+    steps for k generators, a walk refused past semigroup.APERY_WORK_BOUND
+    steps.
     """
     ba._field(doc, "an object", "the model spec")
     kind = doc["kind"]
@@ -245,13 +232,12 @@ def model_from_spec(doc: dict, sig: Signature):
             raise ValueError(f"model genus at least {gens[0] - 1} differs from "
                              f"signature genus {sig.genus}")
         _same_genus(sg.generated_genus(gens), sig.genus)
+        if sig.n != 1:
+            raise ValueError("unibranch model only supports divisors on its single point")
         return UnibranchModel(sg.from_generators(gens))
     if kind == "hyperelliptic":
-        model = HyperellipticModel(ba._field(doc["genus"], "an integer", "genus"),
-                                   tuple(ba._entries(doc, "tags", "a string")))
-        model.h0((0,) * sig.n)  # the model's own refusals come first
-        _refuse_inadmissible_tags(model.tags, sig.orders)
-        return model
+        return _hyperelliptic_model(ba._field(doc["genus"], "an integer", "genus"),
+                                    ba._entries(doc, "tags", "a string"), sig.orders)
     if kind == "clifford-max":
         return CliffordMaxModel(ba._field(doc["genus"], "an integer", "genus"))
     if kind == "override":
@@ -260,7 +246,15 @@ def model_from_spec(doc: dict, sig: Signature):
              ba._field(e["h0"], "an integer", f"table[{r}].h0"))
             for r, e in enumerate(ba._entries(doc, "table", "an object"))
         )
-        return OverrideModel(model_from_spec(doc["base"], sig), table)
+        base = model_from_spec(doc["base"], sig)
+        for r, (divisor, h0) in enumerate(table):
+            if len(divisor) != sig.n:
+                raise ValueError(f"table[{r}].divisor has {len(divisor)} "
+                                 f"coefficient{'s' * (len(divisor) != 1)}, "
+                                 f"not one per marked point ({sig.n})")
+            if h0 < 0:
+                raise ValueError(f"table[{r}].h0 is {h0}, below 0")
+        return OverrideModel(base, table)
     raise ValueError(
         f"unknown model kind {kind!r}; use unibranch, hyperelliptic, "
         "clifford-max or override"

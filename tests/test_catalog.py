@@ -166,6 +166,10 @@ def test_special_locus_entries():
     for e in special.values():
         assert e.expected.alpha == Fraction(3, 8)
         assert not e.nonvarying
+        # the classifier wraps the condition in an OverrideModel built directly,
+        # with no spec check: one coefficient per point and h0 >= 0 hold here
+        divisor, h0 = e.locus_condition
+        assert len(divisor) == len(e.signature) and h0 >= 0, e.id
 
 
 def test_nonvarying_flags():

@@ -576,33 +576,31 @@ def test_taggings_match_the_placement_oracle(orders):
         assert list(t.pairs) == sorted(t.pairs, reverse=True)
 
 
-def oracle_model_tags(tagging, sig):
-    """The tags of a tagging spread over sig's orders, regrouped by index per value."""
+def oracle_model_points(tagging, sig):
+    """The point indices of a tagging spread over sig's orders, regrouped
+    by index per value: (Weierstrass indices, pair indices)."""
     by_value = {}
     for i, v in enumerate(sig.orders):
         by_value.setdefault(v, []).append(i)
-    tags = [None] * sig.n
-    pair_id = 0
+    weierstrass, pairs = [], []
     for v, idxs in by_value.items():
         if v == 0:
-            for i in idxs:
-                tags[i] = "free"
             continue
         p = tagging.pairs.count(v)
-        for k in range(p):
-            tags[idxs[2 * k]] = tags[idxs[2 * k + 1]] = f"pair:{pair_id}"
-            pair_id += 1
-        for i in idxs[2 * p:]:
-            tags[i] = "w"
-    return tuple(tags)
+        pairs += [(idxs[2 * k], idxs[2 * k + 1]) for k in range(p)]
+        weierstrass += idxs[2 * p:]
+    return tuple(weierstrass), tuple(pairs)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=8)
        .filter(lambda orders: sum(orders) % 2 == 0))
-def test_model_tags_match_the_regrouping_oracle(orders):
+def test_model_matches_the_regrouping_oracle(orders):
     sig = derive(orders)
     for tagging in hyperelliptic_taggings(sig):
-        assert tagging.model_tags(sig) == oracle_model_tags(tagging, sig), (sig, tagging)
+        model = tagging.model(sig)
+        assert model.genus == sig.genus
+        assert (model.weierstrass_points, model.pair_points) == oracle_model_points(
+            tagging, sig), (sig, tagging)
 
 
 def test_tagging_labels():
@@ -646,11 +644,10 @@ def test_hyperelliptic_routes_agree_up_to_genus_ten():
                 sig = derive(core.orders + (0,) * k)
                 for tagging in hyperelliptic_taggings(sig):
                     assert tagging.free == k
-                    tags = tagging.model_tags(sig)
-                    model = cm.HyperellipticModel(sig.genus, tags)
+                    model = tagging.model(sig)
                     summed = cm.runs_chi_log(cm.filtration_dims(model, sig, 1))
                     shortcut = oracle_cap(sig) - sum(
-                        Fraction(sig.ell - a, 4) for a, tag in zip(sig.weights_a, tags) if tag == "w")
+                        Fraction(sig.ell - sig.weights_a[i], 4) for i in model.weierstrass_points)
                     assert hyperelliptic_chi1(sig, tagging) == summed == shortcut, (sig, tagging)
                     assert _hyperelliptic_four_chi1(sig, tagging) == 4 * summed, (sig, tagging)
                     checked += 1

@@ -250,6 +250,12 @@ BAD_INPUTS = [
     # the m = 2 ladder frame may have 2(2g - 2 + n) + 1 rows: refused before it is built
     (["slope", "--signature", "799998"],
      ["ladder frame of (799998) at m = 2", "1599999 rows", "frame row bound 1000000"]),
+    # a spec fault comes before any frame: the two-coefficient row is named,
+    # not the m = 2 frame of up to 1599999 rows
+    (["slope", "--signature", "799998", "--model",
+      '{"kind":"override","base":{"kind":"clifford-max","genus":399000},'
+      '"table":[{"divisor":[1,2],"h0":1}]}'],
+     ["table[0].divisor has 2 coefficients, not one per marked point (1)"]),
     # an override spec nested 1,200 levels deep is read past the recursion limit
     (["slope", "--signature", "2", "--model",
       '{"kind": "override", "base": ' * 1200 + '{"kind": "clifford-max", "genus": 2}'

@@ -5,6 +5,7 @@ is checked against either a direct count (semigroup membership), the
 algebra route (section spaces), or the Riemann-Roch line.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 
@@ -30,8 +31,8 @@ def test_unibranch_37():
     assert model.h0((0,)) == 1
     assert model.h0((-1,)) == 0
     assert model.h0((11,)) == 6  # beyond 2g-2: Riemann-Roch
-    with pytest.raises(ValueError):
-        model.h0((3, 1))
+    with pytest.raises(ValueError, match="single point"):
+        cm.model_from_spec({"kind": "unibranch", "generators": [3, 7]}, derive((9, 1)))
 
 
 def test_unibranch_matches_membership_count():
@@ -45,9 +46,13 @@ def test_unibranch_matches_membership_count():
 # --------------------------------------------------------- hyperelliptic
 
 
+def hyperelliptic_spec(genus, tags):
+    return {"kind": "hyperelliptic", "genus": genus, "tags": list(tags)}
+
+
 def test_hyperelliptic_weierstrass_canonical():
     for g in range(2, 7):
-        model = cm.HyperellipticModel(g, ("w",))
+        model = cm.HyperellipticModel(g, (0,), ())
         assert model.h0((2 * g - 2,)) == g
         assert model.h0((2 * g - 1,)) == g  # first Riemann-Roch degree
         assert model.h0((1,)) == 1
@@ -57,7 +62,7 @@ def test_hyperelliptic_weierstrass_canonical():
 def test_hyperelliptic_pair_ladder():
     # conjugate pair: h0((g - lam)(p1 + p2)) = g - lam + 1 down to the constants
     g = 5
-    model = cm.HyperellipticModel(g, ("pair:1", "pair:1"))
+    model = cm.HyperellipticModel(g, (), ((0, 1),))
     for lam in range(0, g + 1):
         c = g - lam
         expected = g + 1 - lam if lam >= 1 else g + 1  # lam = 0 is already RR
@@ -66,11 +71,12 @@ def test_hyperelliptic_pair_ladder():
 
 def test_hyperelliptic_free_points_inert():
     g = 4
-    model = cm.HyperellipticModel(g, ("w", "free"))
+    sig = derive((2 * g - 2, 0))
+    model = cm.model_from_spec(hyperelliptic_spec(g, ("w", "free")), sig)
+    assert model == cm.HyperellipticModel(g, (0,), ())
     # below Riemann-Roch a general point changes nothing
     assert model.h0((4, 1)) == model.h0((4, 0)) == 3
     # the two-branch family filtration at level two: dims 3g - lam
-    sig = derive((2 * g - 2, 0))
     dims = inv.weight_spectrum(model, 2, sig).levels(2 * sig.ell)
     assert dims[0] == 3 * (g - 1) + 2 * 2
     for lam in range(1, 2 * g + 1):
@@ -79,7 +85,7 @@ def test_hyperelliptic_free_points_inert():
 
 def test_hyperelliptic_mixed_tags():
     # one Weierstrass point and one pair on genus 6
-    model = cm.HyperellipticModel(6, ("w", "pair:1", "pair:1"))
+    model = cm.HyperellipticModel(6, (0,), ((1, 2),))
     assert model.h0((2, 1, 1)) == 3
     assert model.h0((3, 1, 1)) == 3
     assert model.h0((0, 0, 0)) == 1
@@ -87,12 +93,10 @@ def test_hyperelliptic_mixed_tags():
 
 
 def test_hyperelliptic_tag_validation():
-    with pytest.raises(ValueError):
-        cm.HyperellipticModel(3, ("w", "pair:1")).h0((1, 1))
-    with pytest.raises(ValueError):
-        cm.HyperellipticModel(3, ("w", "wat")).h0((1, 1))
-    with pytest.raises(ValueError):
-        cm.HyperellipticModel(3, ("w",)).h0((1, 1))
+    sig = derive((2, 2))
+    for tags in (("w", "pair:1"), ("w", "wat"), ("w",)):
+        with pytest.raises(ValueError):
+            cm.model_from_spec(hyperelliptic_spec(sig.genus, tags), sig)
 
 
 # ---------------------------------------------------------- clifford-max
@@ -111,15 +115,15 @@ def test_clifford_max_profile():
     assert model.h0((3 * g,)) == 2 * g + 1
 
 
-def test_clifford_max_refuses_a_negative_genus_after_the_signature_check():
-    model = cm.CliffordMaxModel(-1)
-    with pytest.raises(ValueError, match="^clifford-max genus -1 is below 0$"):
-        model.h0((0,))
-    with pytest.raises(ValueError, match="^clifford-max genus -1 is below 0$"):
-        cm.OverrideModel(model, ()).h0((5,))
-    # a filtration names the genus mismatch first, as the CLI reports it
-    with pytest.raises(ValueError, match="^model genus -1 differs from signature genus 3$"):
-        cm.filtration_dims(model, derive((4,)), 1)
+def test_a_negative_clifford_max_genus_is_refused_by_the_signature_check():
+    # every signature has genus at least 1, so a filtration's genus check
+    # refuses a negative genus before the frame is read, as the CLI reports it
+    sig = derive((4,))
+    clifford = {"kind": "clifford-max", "genus": -1}
+    for spec in (clifford, {"kind": "override", "base": clifford, "table": []}):
+        model = cm.model_from_spec(spec, sig)
+        with pytest.raises(ValueError, match="^model genus -1 differs from signature genus 3$"):
+            cm.filtration_dims(model, sig, 1)
 
 
 def test_clifford_max_principal_stratum():
@@ -180,7 +184,7 @@ def test_ring_genus_needs_a_certified_conductor():
 def test_filtration_level_zero_law():
     models = [
         (cm.UnibranchModel(sg.from_generators((3, 5))), derive((6,))),
-        (cm.HyperellipticModel(3, ("pair:1", "pair:1")), derive((2, 2))),
+        (cm.HyperellipticModel(3, (), ((0, 1),)), derive((2, 2))),
         (cm.CliffordMaxModel(4), derive((3, 3))),
     ]
     for model, sig in models:
@@ -217,8 +221,8 @@ def frame_pairs():
     return {
         "unibranch": ((cm.UnibranchModel(sg.from_generators((3, 4))), derive((4,))),
                       (cm.UnibranchModel(sg.from_generators((3, 5))), derive((6,)))),
-        "hyperelliptic": ((cm.HyperellipticModel(3, ("w",)), derive((4,))),
-                          (cm.HyperellipticModel(3, ("pair:1", "pair:1")), derive((2, 2)))),
+        "hyperelliptic": ((cm.HyperellipticModel(3, (0,), ()), derive((4,))),
+                          (cm.HyperellipticModel(3, (), ((0, 1),)), derive((2, 2)))),
         "clifford-max": ((clifford, derive((4,))), (clifford, derive((3, 1)))),
         "override": ((cm.OverrideModel(clifford, (((3,), 1),)), derive((4,))),
                      (cm.OverrideModel(clifford, (((2, 1), 1),)), derive((3, 1)))),
@@ -304,7 +308,7 @@ def test_degree_only_reads_build_no_column(monkeypatch):
         inv.weight_spectrum(clifford, m, sig)
     classifier.clifford_profile_chi1(sig)
     assert built == []
-    hyperelliptic = cm.HyperellipticModel(sig.genus, ("w",) * 4)
+    hyperelliptic = cm.HyperellipticModel(sig.genus, (0, 1, 2, 3), ())
     for _ in range(2):
         cm.filtration_dims(hyperelliptic, sig, 1)
         cm.filtration_dims(clifford, sig, 1)
@@ -325,7 +329,7 @@ def test_unibranch_monotone(k):
 
 @given(st.tuples(DEGREES, DEGREES, DEGREES), st.integers(0, 2))
 def test_hyperelliptic_monotone(divisor, slot):
-    model = cm.HyperellipticModel(5, ("w", "pair:1", "pair:1"))
+    model = cm.HyperellipticModel(5, (0,), ((1, 2),))
     up = tuple(c + (1 if i == slot else 0) for i, c in enumerate(divisor))
     assert 0 <= model.h0(divisor) <= model.h0(up)
 
@@ -341,7 +345,7 @@ def test_riemann_roch_regime_agreement():
     # every model settles on deg - g + 1 beyond the canonical degree
     for g in range(2, 9):
         models = [
-            (cm.HyperellipticModel(g, ("w", "free")), lambda deg: (deg - 1, 1)),
+            (cm.HyperellipticModel(g, (0,), ()), lambda deg: (deg - 1, 1)),
             (cm.CliffordMaxModel(g), lambda deg: (deg, 0)),
             (cm.UnibranchModel(sg.from_generators((2, 2 * g + 1))), lambda deg: (deg,)),
         ]
@@ -380,16 +384,14 @@ def clifford_formula(g, divisor):
     return (deg + 1) // 2
 
 
-def hyperelliptic_formula(g, tags, divisor):
+def hyperelliptic_formula(g, weierstrass, pairs, divisor):
     deg = sum(divisor)
     if deg < 0:
         return 0
     if deg > 2 * g - 2:
         return deg - g + 1
-    pencils = sum(c // 2 for c, tag in zip(divisor, tags) if tag == "w")
-    for key in {tag for tag in tags if tag.startswith("pair:")}:
-        i, j = (k for k, tag in enumerate(tags) if tag == key)
-        pencils += min(divisor[i], divisor[j])
+    pencils = sum(divisor[i] // 2 for i in weierstrass)
+    pencils += sum(min(divisor[i], divisor[j]) for i, j in pairs)
     return max(1 + pencils, 0)
 
 
@@ -401,9 +403,8 @@ def test_unibranch_column_counts_elements(column, gens):
     expected = [sum(1 for j in range(c + 1) if H.contains(j)) for c in column]
     assert model.h0_frame(cm.Batch.of([column])) == expected
     assert model.h0_frame(cm.Batch.of([column, [0] * len(column)])) == expected
-    if column:
-        with pytest.raises(ValueError, match="single point"):
-            model.h0_frame(cm.Batch.of([column, [0] * (len(column) - 1) + [1]]))
+    # only the first column is read: model_from_spec refuses a second point
+    assert model.h0_frame(cm.Batch.of([column, [1] * len(column)])) == expected
 
 
 @given(st.integers(0, 8), st.integers(1, 4).flatmap(
@@ -415,52 +416,57 @@ def test_clifford_max_column_matches_formula(g, case):
     assert model.h0_frame(cm.Batch.of(columns_of(rows, n))) == expected
 
 
-HYPERELLIPTIC_TAGS = [("w",), ("free",), ("w", "free"), ("pair:1", "pair:1"),
-                      ("w", "pair:1", "pair:1"), ("pair:a", "w", "pair:b", "pair:a",
-                                                  "free", "pair:b")]
+# (column count, Weierstrass indices, pair indices) of the per-point tags
+# w; free; w, free; pair:1 x2; w, pair:1 x2; pair:a, w, pair:b, pair:a, free, pair:b
+HYPERELLIPTIC_POINTS = [(1, (0,), ()), (1, (), ()), (2, (0,), ()), (2, (), ((0, 1),)),
+                        (3, (0,), ((1, 2),)), (6, (1,), ((0, 3), (2, 5)))]
 
 
-@given(st.integers(1, 8), st.sampled_from(HYPERELLIPTIC_TAGS).flatmap(
-    lambda tags: st.tuples(st.just(tags), rows_of(len(tags)))))
-@example(3, (("w", "free"), [(-6, 6), (-5, 7), (-1, 1)]))  # 1 + pencils < 0
-@example(3, (("w", "free"), [(-4, 4), (-3, 5), (-2, 2)]))  # pencils -2, -2, -1
+@given(st.integers(1, 8), st.sampled_from(HYPERELLIPTIC_POINTS).flatmap(
+    lambda points: st.tuples(st.just(points), rows_of(points[0]))))
+@example(3, ((2, (0,), ()), [(-6, 6), (-5, 7), (-1, 1)]))  # 1 + pencils < 0
+@example(3, ((2, (0,), ()), [(-4, 4), (-3, 5), (-2, 2)]))  # pencils -2, -2, -1
 def test_hyperelliptic_column_matches_formula(g, case):
-    tags, rows = case
-    model = cm.HyperellipticModel(g, tags)
-    expected = [hyperelliptic_formula(g, tags, r) for r in rows]
-    assert model.h0_frame(cm.Batch.of(columns_of(rows, len(tags)))) == expected
+    (n, weierstrass, pairs), rows = case
+    model = cm.HyperellipticModel(g, weierstrass, pairs)
+    expected = [hyperelliptic_formula(g, weierstrass, pairs, r) for r in rows]
+    assert model.h0_frame(cm.Batch.of(columns_of(rows, n))) == expected
 
 
 def test_hyperelliptic_column_clamp_and_errors():
-    model = cm.HyperellipticModel(3, ("w", "free"))
+    model = cm.HyperellipticModel(3, (0,), ())
     # degree 0, pencils -3: the clamp answers 0, not -2
     assert model.h0_frame(cm.Batch.of([[-6, 0], [6, 0]])) == [0, 1]
-    with pytest.raises(ValueError, match="needs 2 coefficients"):
-        model.h0_frame(cm.Batch.of([[1, 2]]))
-    with pytest.raises(ValueError, match="unknown tag"):
-        cm.HyperellipticModel(3, ("w", "wat")).h0_frame(cm.Batch.of([[1], [1]]))
-    with pytest.raises(ValueError, match="needs 2"):
-        cm.HyperellipticModel(3, ("w", "pair:1")).h0_frame(cm.Batch.of([[1], [1]]))
+    for orders, tags, message in (((4,), ("w", "free"), "needs 2 coefficients"),
+                                  ((2, 2), ("w", "wat"), "unknown tag"),
+                                  ((2, 2), ("w", "pair:1"), "needs 2")):
+        sig = derive(orders)
+        with pytest.raises(ValueError, match=message):
+            cm.model_from_spec(hyperelliptic_spec(sig.genus, tags), sig)
 
 
 def test_one_pass_hyperelliptic_read():
-    """One pass over the tags: of several faults the column count comes
-    first, then the first unknown tag, then the pair ids seen other than
-    twice, first seen first; every kind of tag at once reads as before."""
-    def refusal(tags, columns):
+    """The tag parser names the first fault: the tag count comes first,
+    then the first unknown tag, then the pair ids seen other than twice,
+    first seen first, each before a tag its order cannot carry (w on an
+    odd order below); every kind of tag at once reads as before."""
+    def refusal(tags, orders):
+        sig = derive(orders)
         with pytest.raises(ValueError) as caught:
-            cm.HyperellipticModel(3, tags).h0_frame(cm.Batch.of(columns))
+            cm.model_from_spec(hyperelliptic_spec(sig.genus, tags), sig)
         return str(caught.value)
 
-    assert refusal(("wat", "pair:1"), [[1]]) == (
+    assert refusal(("wat", "pair:1"), (4,)) == (
         "divisor needs 2 coefficients, one per tag of the hyperelliptic model, got 1")
-    assert refusal(("pair:1", "w", "wat", "bad"), [[1]] * 4) == "unknown tag 'wat'"
-    assert refusal(("pair:z", "pair:a", "pair:a", "pair:a", "pair:q"), [[1]] * 5) == (
+    assert refusal(("pair:1", "w", "wat", "bad"), (1,) * 4) == "unknown tag 'wat'"
+    assert refusal(("pair:z", "pair:a", "pair:a", "pair:a", "pair:q", "w"), (1,) * 6) == (
         "pair 'z' has 1 member, needs 2")
     assert refusal(("pair:a", "pair:a", "pair:z", "pair:z", "pair:z", "pair:q"),
-                   [[1]] * 6) == "pair 'z' has 3 members, needs 2"
+                   (1,) * 6) == "pair 'z' has 3 members, needs 2"
     sig = derive((4, 2, 2, 0))
-    model = cm.HyperellipticModel(sig.genus, ("w", "pair:1", "pair:1", "free"))
+    model = cm.model_from_spec(hyperelliptic_spec(sig.genus, ("w", "pair:1", "pair:1", "free")),
+                               sig)
+    assert model == cm.HyperellipticModel(sig.genus, (0,), ((1, 2),))
     chi1_log = cm.runs_chi_log(cm.filtration_dims(model, sig, 1))
     chi2_log = cm.runs_chi_log(cm.filtration_dims(model, sig, 2))
     assert chi2_log == 222
@@ -482,12 +488,17 @@ def test_override_column_patches_table_rows(rows, table, data):
     assert model.h0_frame(cm.Batch.of(columns_of(rows, 2))) == expected
 
 
-def test_override_row_of_another_length_is_an_error():
-    model = cm.OverrideModel(cm.CliffordMaxModel(3), (((3, 0), 2), ((1, 2, 3), 1)))
-    with pytest.raises(ValueError, match=r"table\[1\]\.divisor has 3 coefficients.*\(2\)"):
-        model.h0_frame(cm.Batch.of([[4, 3], [0, 0]]))
-    with pytest.raises(ValueError, match=r"table\[0\]\.divisor"):
-        cm.filtration_dims(model, derive((4,)), 1)
+def test_override_row_of_another_length_is_an_error(monkeypatch):
+    monkeypatch.setattr(cm, "ladder_runs", lambda *args: pytest.fail("a frame was built"))
+    spec = {"kind": "override", "base": {"kind": "clifford-max", "genus": 3},
+            "table": [{"divisor": [3, 0], "h0": 2}, {"divisor": [1, 2, 3], "h0": 1}]}
+    with pytest.raises(ValueError, match=r"table\[1\]\.divisor has 3 coefficients.*\(2\)$"):
+        cm.model_from_spec(spec, derive((3, 1)))
+    with pytest.raises(ValueError, match=r"table\[0\]\.divisor has 2 coefficients.*\(1\)$"):
+        cm.model_from_spec(spec, derive((4,)))
+    spec["table"][0]["h0"] = -2
+    with pytest.raises(ValueError, match=r"^table\[0\]\.h0 is -2, below 0$"):
+        cm.model_from_spec(spec, derive((3, 1)))
 
 
 def test_override_column_first_entry_wins():
@@ -520,10 +531,6 @@ def test_model_from_spec():
         cm.model_from_spec({"kind": "mystery"}, derive((8,)))
 
 
-def hyperelliptic_spec(genus, tags):
-    return {"kind": "hyperelliptic", "genus": genus, "tags": list(tags)}
-
-
 @pytest.mark.parametrize("orders,tags,message", [
     ((3, 1), ["pair:1", "pair:1"], "pair '1' joins zeros of orders 3 and 1"),
     ((3, 3), ["w", "w"], "tag 'w' on a zero of odd order 3"),
@@ -552,13 +559,33 @@ def test_model_from_spec_refuses_malformed_tags_before_inadmissible_ones():
             cm.model_from_spec(hyperelliptic_spec(sig.genus, tags), sig)
 
 
+def point_tags(tagging, sig):
+    """The per-point tags of a tagging, point by point: a nonzero order
+    opens a pair while the tagging has pairs of it left and closes the one
+    it opened, is a Weierstrass zero when none is left, and order 0 is free."""
+    left, opened, tags = Counter(tagging.pairs), {}, []
+    for v in sig.orders:
+        if v in opened:
+            tags.append(opened.pop(v))
+        elif left[v]:
+            left[v] -= 1
+            opened[v] = f"pair:{len(tags)}"
+            tags.append(opened[v])
+        else:
+            tags.append("w" if v else "free")
+    return tags
+
+
 @pytest.mark.parametrize("g", range(2, 7))
 def test_model_from_spec_accepts_every_tagging_the_classifier_reads(g):
+    checked = 0
     for core in enumerate_signatures(g, 2 * g - 2):
         sig = derive(core.orders + (0,))  # a free point too
         for tagging in classifier.hyperelliptic_taggings(sig):
-            spec = hyperelliptic_spec(g, tagging.model_tags(sig))
-            assert cm.model_from_spec(spec, sig).tags == tagging.model_tags(sig)
+            spec = hyperelliptic_spec(g, point_tags(tagging, sig))
+            assert tagging.model(sig) == cm.model_from_spec(spec, sig), (sig, tagging)
+            checked += 1
+    assert checked >= g
 
 
 def test_model_from_spec_decides_a_unibranch_genus_before_the_mask():
@@ -568,3 +595,10 @@ def test_model_from_spec_decides_a_unibranch_genus_before_the_mask():
         cm.model_from_spec({"kind": "unibranch", "generators": [3, 7]}, derive((4,)))
     with pytest.raises(ValueError, match="model genus at least 1000002 differs"):
         cm.model_from_spec({"kind": "unibranch", "generators": [1000003, 1000033]}, derive((4,)))
+
+
+def test_model_from_spec_refuses_a_unibranch_spec_on_two_points_before_the_mask(monkeypatch):
+    monkeypatch.setattr(sg, "from_generators", lambda gens: pytest.fail("a mask was built"))
+    with pytest.raises(ValueError, match="^unibranch model only supports divisors on its "
+                                         "single point$"):
+        cm.model_from_spec({"kind": "unibranch", "generators": [3, 4]}, derive((4, 0)))

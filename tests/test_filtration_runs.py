@@ -61,10 +61,7 @@ def dense_reference(model, sig, m):
 def models_for(sig):
     """Clifford-max, every hyperelliptic tagging, and unibranch when n = 1."""
     out = [cm.CliffordMaxModel(sig.genus)]
-    out += [
-        cm.HyperellipticModel(sig.genus, t.model_tags(sig))
-        for t in hyperelliptic_taggings(sig)
-    ]
+    out += [t.model(sig) for t in hyperelliptic_taggings(sig)]
     if sig.n == 1:
         out += [cm.UnibranchModel(H) for H in sg.enumerate_symmetric(sig.genus)]
     return out

@@ -48,7 +48,7 @@ FIELDS = {
     sg.NumericalSemigroup: ["frobenius", "mask", "genus", "element_sum"],
     signature.Signature: ["orders", "genus", "ell", "weights_a"],
     cm.UnibranchModel: ["semigroup"],
-    cm.HyperellipticModel: ["genus", "tags"],
+    cm.HyperellipticModel: ["genus", "weierstrass_points", "pair_points"],
     cm.CliffordMaxModel: ["genus"],
     cm.OverrideModel: ["base", "table"],
 }
