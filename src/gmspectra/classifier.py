@@ -12,12 +12,16 @@ the Clifford-cap prune decides it with ell cancelled, as a largest branch
 count (_branch_cap).  A Fraction c*X is built only for the threshold_rhs
 field of an emitted Candidate and for the message of an
 UnresolvedSignatureError.  The search decides the Clifford cap once per
-branch count, builds only the signatures it keeps, drops a hyperelliptic
-tagging whose closed-form chi1 (proved in hyperelliptic_chi1) misses the
-most lenient cutoff it can emit at (_lenient_x) and runs every other
-admissible tagging, drops a nonhyperelliptic side whose parity ceiling
-floor(g*ell/2) + a_1 (_clifford_ceiling) misses the cutoff before any
-frame is built, resolves the rest through the Clifford profile, the
+branch count and walks only the order tuples it keeps, which its DEBUG
+line counts as ``signatures``; it settles a tuple whose best tagging and
+parity ceiling both miss from g, ell and the orders (_settled_taggings)
+and builds no Signature for it.  For every other tuple it drops a
+hyperelliptic tagging whose closed-form chi1 (proved in
+hyperelliptic_chi1) misses the most lenient cutoff it can emit at
+(_lenient_x) and runs every other admissible tagging, drops a
+nonhyperelliptic side whose parity ceiling floor(g*ell/2) + a_1
+(_clifford_ceiling) misses the cutoff before any frame is built, resolves
+the rest through the Clifford profile, the
 shipped catalog, explicit exclusion rules and the special-locus overrides,
 walks the symmetric semigroups within an element-sum bound when there is
 a single zero, appends ordinary marked points up to the budget, and
@@ -33,13 +37,15 @@ import logging
 import time
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from . import catalog as cat
 from . import curve_models as cm
 from . import invariants as inv
 from . import semigroup as sg
-from .signature import Signature, derive, enumerate_signatures, n_plus
+from . import signature as sgn
+from .signature import Signature, derive, n_plus
 
 DEFAULT_THRESHOLD = Fraction(3, 8)
 GENUS_BOUND = 8  # desk-scale searches; raise explicitly for more
@@ -105,12 +111,15 @@ def _threshold_x(sig: Signature, dangling=()) -> int:
     return (2 * sig.genus - 2 + sig.n) * sig.ell - sum(map(sig.weights_a.__getitem__, dangling))
 
 
-def _lenient_x(sig: Signature, dangling: bool) -> int:
-    """The least X the search emits a candidate of sig at: X_Q with Q every
-    core branch when ``dangling``, Q = () otherwise.  Appended ordinary
-    points only raise X, by ell each, so a value below c times this emits
-    no candidate at all."""
-    return _threshold_x(sig, range(sig.n) if dangling else ())
+def _lenient_x(g: int, ell: int, orders: Sequence[int], dangling: bool) -> int:
+    """The least X the search emits a candidate of the orders at: X_Q
+    (_threshold_x) with Q every core branch when ``dangling``, Q = ()
+    otherwise.  Appended ordinary points only raise X, by ell each, so a
+    value below c times this emits no candidate at all.  It reads g, ell
+    and the orders, so an order tuple is screened before its Signature is
+    built."""
+    dropped = sum(ell // (m + 1) for m in orders) if dangling else 0
+    return (2 * g - 2 + len(orders)) * ell - dropped
 
 
 def _margin(coeff: Fraction, value: int, x: int) -> int:
@@ -198,10 +207,38 @@ def hyperelliptic_taggings(sig: Signature) -> tuple[Tagging, ...]:
     return tuple(out)
 
 
-def _hyperelliptic_four_chi1(sig: Signature, tagging: Tagging) -> int:
-    """4*chi1_log of a tagging in closed form: 2(g+1)*ell - sum_w (ell - a_i)."""
-    ell = sig.ell
-    return 2 * (sig.genus + 1) * ell - sum(ell - ell // (v + 1) for v in tagging.weierstrass)
+def _hyperelliptic_four_chi1(g: int, ell: int, weierstrass: Sequence[int]) -> int:
+    """4*chi1_log of a tagging in closed form: 2(g+1)*ell - sum_w (ell - a_i)
+    over the orders of its Weierstrass zeros."""
+    return 2 * (g + 1) * ell - sum(ell - ell // (v + 1) for v in weierstrass)
+
+
+def _best_tagging(orders: Sequence[int]) -> tuple[int, list[int]]:
+    """(the number of admissible taggings, the Weierstrass orders, unsorted,
+    of the tagging whose closed-form chi1 is largest), read off the orders;
+    (0, []) when no tagging is admissible.
+
+    As in hyperelliptic_taggings, an odd value pairs all its c occurrences
+    or admits no tagging (c odd), an even value v > 0 chooses its number of
+    pairs among c//2 + 1, and 0 is free; so the count is the product of
+    c//2 + 1 over the even values, or 0.  Each Weierstrass zero of order
+    v > 0 lowers 4*chi1 by ell - a_i > 0 (_hyperelliptic_four_chi1), and
+    every tagging of the orders shares g and ell, so the largest 4*chi1
+    belongs to the tagging with the fewest Weierstrass zeros: every even
+    value paired as far as it goes, one Weierstrass zero left for each
+    even value of odd count.
+    """
+    count, weierstrass = 1, []
+    for v in set(orders):
+        c = orders.count(v)
+        if v % 2:
+            if c % 2:
+                return 0, []
+        elif v:
+            count *= c // 2 + 1
+            if c % 2:
+                weierstrass.append(v)
+    return count, weierstrass
 
 
 def hyperelliptic_chi1(sig: Signature, tagging: Tagging) -> int:
@@ -223,7 +260,7 @@ def hyperelliptic_chi1(sig: Signature, tagging: Tagging) -> int:
     a_i*m_i^2/4 - ell*m_i/4 is -a_i*m_i/4 = -(ell - a_i)/4.
     """
     summed = cm.runs_chi_log(cm.filtration_dims(tagging.model(sig), sig, 1))
-    if 4 * summed != (closed := _hyperelliptic_four_chi1(sig, tagging)):
+    if 4 * summed != (closed := _hyperelliptic_four_chi1(sig.genus, sig.ell, tagging.weierstrass)):
         raise RuntimeError(
             f"hyperelliptic chi1 routes disagree on {sig} {tagging.label}: "
             f"model {summed}, closed form {Fraction(closed, 4)}"
@@ -283,8 +320,9 @@ def clifford_profile_chi1(sig: Signature) -> int:
     return total
 
 
-def _clifford_ceiling(sig: Signature) -> int:
-    """floor(g*ell/2) + a_1, a bound on clifford_profile_chi1 read with no frame.
+def _clifford_ceiling(g: int, ell: int, orders: Sequence[int]) -> int:
+    """floor(g*ell/2) + a_1, a bound on clifford_profile_chi1 read with no
+    frame, and with no Signature: a_1 = ell/(m_1 + 1) for the largest order.
 
     For positive orders the degree at level lam is
     d = 2g-2 - sum_i (ceil(lam/a_i) - 1), and a_1 is the least weight.  On
@@ -298,7 +336,7 @@ def _clifford_ceiling(sig: Signature) -> int:
     = g*ell - N+ + 2a_1, the identity clifford_profile_chi1 checks.  As
     N+ >= 0 and chi1 is an integer, chi1 <= floor(g*ell/2) + a_1.
     """
-    return sig.genus * sig.ell // 2 + sig.weights_a[0]
+    return g * ell // 2 + ell // (orders[0] + 1)
 
 
 def _nonhyp_components(sig: Signature) -> list[Optional[str]]:
@@ -338,7 +376,7 @@ def _nonhyp_records(sig, coeff, x, entries, stats: Counter):
     g = sig.genus
     if g < 3:
         return []
-    if _margin(coeff, _clifford_ceiling(sig), x) < 0:
+    if _margin(coeff, _clifford_ceiling(g, sig.ell, sig.orders), x) < 0:
         stats["parity_out"] += 1
         return []
     stats["screens"] += 1
@@ -513,6 +551,33 @@ _SEARCH_LOG = ("alpha_search g=%d tau=%s " + " ".join(f"{k}=%d" for k in _STAGES
                + " candidates=%d score_s=%.6f emit_s=%.6f")
 
 
+def _settled_taggings(orders: tuple, g: int, coeff: Fraction, dangling: bool) -> Optional[int]:
+    """The tagging count of an order tuple that the closed forms settle, else None.
+
+    Only g, the orders and ell = lcm(m_i + 1) are read, so no Signature,
+    tagging, label or frame is built.  A tuple of n >= 2 zeros at g >= 3 is
+    settled when neither side can emit a row: its parity ceiling
+    (_clifford_ceiling) misses c*X at Q = () (_lenient_x with no dangling
+    branch), which is how _nonhyp_records drops it, and the best tagging
+    (_best_tagging) misses the most lenient cutoff (_lenient_x), which every
+    tagging shares, so every tagging misses it.  The per-signature path
+    would count that tuple's taggings as ``taggings`` and ``closed_out``
+    and the tuple as ``parity_out``, emit nothing and raise nothing; the
+    caller counts it the same way.  Any other tuple gets None and takes
+    that path, every check on.
+    """
+    if g < 3 or len(orders) < 2:
+        return None
+    ell = lcm(*[m + 1 for m in orders])
+    if _margin(coeff, _clifford_ceiling(g, ell, orders), _lenient_x(g, ell, orders, False)) >= 0:
+        return None
+    count, weierstrass = _best_tagging(orders)
+    if count and _margin(coeff, _hyperelliptic_four_chi1(g, ell, weierstrass),
+                         4 * _lenient_x(g, ell, orders, dangling)) >= 0:
+        return None
+    return count
+
+
 def _branch_cap(g: int, coeff: Fraction) -> int:
     """The most branches a genus-g signature can have and survive the Clifford cap.
 
@@ -545,12 +610,14 @@ def alpha_search(
     one candidate per Q and number of appended points that clears the
     cutoff, into one list sorted by (signature, model, dangling); two loci
     of one condition on different components both stay.
-    Signatures are built only up to the Clifford cap's branch count
-    (_branch_cap).  A genus above genus_bound is a ValueError; pass
-    genus_bound explicitly to go further.  Logs one DEBUG line with that
-    ``branch_cap``, the count of each stage (``signatures`` those built,
-    ``taggings`` every admissible tagging, ``closed_out`` those the closed
-    form drops) and the scoring and emission times.
+    Order tuples are walked only up to the Clifford cap's branch count
+    (_branch_cap), and a Signature is built only for a tuple the closed
+    forms do not settle (_settled_taggings).  A genus above genus_bound is
+    a ValueError; pass genus_bound explicitly to go further.  Logs one
+    DEBUG line with that ``branch_cap``, the count of each stage
+    (``signatures`` the tuples walked, ``taggings`` every admissible
+    tagging, ``closed_out`` those the closed form drops) and the scoring
+    and emission times.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
@@ -567,15 +634,20 @@ def alpha_search(
     if g == 1:
         rows.append((derive((0,)), [("elliptic", 1, "genus-one", None, None)]))
     else:
-        sigs = enumerate_signatures(g, n_cap) if n_cap >= 1 else []
-        stats["signatures"] = len(sigs)
-        for sig in sigs:
+        for orders in sgn.order_tuples(g, n_cap) if n_cap >= 1 else ():
+            stats["signatures"] += 1
+            if (settled := _settled_taggings(orders, g, coeff, dangling)) is not None:
+                stats["taggings"] += settled
+                stats["closed_out"] += settled
+                stats["parity_out"] += 1
+                continue
+            sig = sgn._signature(orders)
             # a tagging whose closed form misses the most lenient cutoff
             # emits nothing: it is dropped before its label or frame is built
             taggings = hyperelliptic_taggings(sig)
-            x4 = 4 * _lenient_x(sig, dangling)
+            x4 = 4 * _lenient_x(g, sig.ell, orders, dangling)
             kept = [t for t in taggings
-                    if _margin(coeff, _hyperelliptic_four_chi1(sig, t), x4) >= 0]
+                    if _margin(coeff, _hyperelliptic_four_chi1(g, sig.ell, t.weierstrass), x4) >= 0]
             stats["taggings"] += len(taggings)
             stats["closed_out"] += len(taggings) - len(kept)
             sig_rows = [(t.label, hyperelliptic_chi1(sig, t), "hyperelliptic", "hyp", t)

@@ -212,8 +212,11 @@ def model_from_spec(doc: dict, sig: Signature):
     branch_algebra.generators_from_json.
 
     ``sig`` is the signature the model is read on; every fault of the spec
-    against it is refused here.  Hyperelliptic tags, also an override's
-    base's, are read by _hyperelliptic_model.  An override row whose
+    against it is refused here.  A hyperelliptic or clifford-max ``genus``
+    other than sig.genus is refused as soon as it is read, before any tag;
+    so an override whose base has another genus names the base, not a bad
+    row.  Hyperelliptic tags, also an override's base's, are read by
+    _hyperelliptic_model.  An override row whose
     divisor has another length than sig.n, or whose h0 is below 0, is
     refused after the table's JSON types and the base's refusals.  A
     unibranch spec of another genus, or on more than one point, is refused
@@ -235,11 +238,12 @@ def model_from_spec(doc: dict, sig: Signature):
         if sig.n != 1:
             raise ValueError("unibranch model only supports divisors on its single point")
         return UnibranchModel(sg.from_generators(gens))
-    if kind == "hyperelliptic":
-        return _hyperelliptic_model(ba._field(doc["genus"], "an integer", "genus"),
-                                    ba._entries(doc, "tags", "a string"), sig.orders)
-    if kind == "clifford-max":
-        return CliffordMaxModel(ba._field(doc["genus"], "an integer", "genus"))
+    if kind in ("hyperelliptic", "clifford-max"):
+        genus = ba._field(doc["genus"], "an integer", "genus")
+        _same_genus(genus, sig.genus)
+        if kind == "clifford-max":
+            return CliffordMaxModel(genus)
+        return _hyperelliptic_model(genus, ba._entries(doc, "tags", "a string"), sig.orders)
     if kind == "override":
         table = tuple(
             (tuple(ba._entries(e, "divisor", "an integer", f"table[{r}].")),

@@ -133,16 +133,22 @@ def n_plus(sig: Signature, lam_lo: int, lam_hi: int) -> int:
     return sum(bounds[1::2]) - sum(bounds[:-1:2])
 
 
-def _partitions(total: int, n_max: int):
-    """Non-increasing tuples of positive integers summing to ``total > 0``
-    with at most ``n_max`` parts, lexicographically descending.
+def order_tuples(g: int, n_max: int):
+    """Every non-increasing positive order tuple of genus ``g`` with at most
+    ``n_max`` entries, one at a time and lexicographically descending: the
+    partitions of 2g-2 into at most ``n_max`` parts.  Genus one has none.
+    Nothing is derived from a tuple here, so a reader can settle it before
+    any :class:`Signature` is built; ``g < 1`` or ``n_max < 1`` is a
+    ValueError at the first read.
 
     The next tuple keeps the longest prefix it can: it lowers by one the
     rightmost part whose suffix, less the lowered part, still fits in the
     places left, each at most the lowered part, and fills those greedily.
     """
-    parts = [total]
-    while True:
+    if g < 1 or n_max < 1:
+        raise ValueError("need g >= 1 and n_max >= 1")
+    parts = [2 * g - 2]
+    while parts[0]:  # at genus one the one part is 0: no positive tuple
         yield tuple(parts)
         rest = 0
         for i in range(len(parts) - 1, -1, -1):
@@ -157,10 +163,5 @@ def _partitions(total: int, n_max: int):
 
 
 def enumerate_signatures(g: int, n_max: int):
-    """All non-increasing positive order tuples of genus ``g`` with at most
-    ``n_max`` entries, lexicographically descending; genus one has none."""
-    if g < 1 or n_max < 1:
-        raise ValueError("need g >= 1 and n_max >= 1")
-    total = 2 * g - 2
-    return list(map(_signature, _partitions(total, n_max))) if total else []
-
+    """The signatures of :func:`order_tuples`, in its order, as a list."""
+    return list(map(_signature, order_tuples(g, n_max)))

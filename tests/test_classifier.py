@@ -28,6 +28,7 @@ import gmspectra.classifier as classifier
 import gmspectra.curve_models as cm
 import gmspectra.invariants as inv
 import gmspectra.semigroup as sg
+import gmspectra.signature as signature
 from gmspectra import catalog
 from gmspectra.classifier import (
     Tagging,
@@ -356,22 +357,23 @@ def test_cap_prunes_exactly_beyond_four_branches(caplog, monkeypatch):
         sig = derive(orders)
         assert oracle_cap(sig) >= coeff * (2 * sig.genus - 2 + sig.n) * sig.ell
         assert not prunes(sig, coeff)
-    # the search logs the branch cap it decides and builds exactly the
-    # signatures of its genus that the cap keeps, as many as the tracer's
-    # enumerate_signatures count reads
-    enumerate_all = classifier.enumerate_signatures
-    built = []
-    monkeypatch.setattr(classifier, "enumerate_signatures",
-                        lambda g, n_max: built.append(enumerate_all(g, n_max)) or built[-1])
+    # the search logs the branch cap it decides and walks exactly the order
+    # tuples of its genus that the cap keeps, which its DEBUG line counts as
+    # signatures
+    walk = signature.order_tuples
+    walked = []
+    monkeypatch.setattr(signature, "order_tuples",
+                        lambda g, n_max: (walked.append(t) or t for t in walk(g, n_max)))
     for tau in (Fraction(3, 8), FIVE_NINTHS, Fraction(1, 2), Fraction(2, 3)):
         coeff = threshold_coefficient(tau)
         for g in range(2, 9):
-            kept = [s for s in enumerate_all(g, 2 * g - 2) if oracle_cap(s) >= oracle_rhs(s, coeff)]
-            built.clear()
+            kept = [s for s in enumerate_signatures(g, 2 * g - 2)
+                    if oracle_cap(s) >= oracle_rhs(s, coeff)]
+            walked.clear()
             stages = search_stages(caplog, g, tau)
             assert int(stages["branch_cap"]) == _branch_cap(g, coeff), (g, tau)
-            assert int(stages["signatures"]) == len(kept) == sum(map(len, built)), (g, tau)
-            assert [s for sigs in built for s in sigs] == kept, (g, tau)
+            assert int(stages["signatures"]) == len(kept) == len(walked), (g, tau)
+            assert walked == [s.orders for s in kept], (g, tau)
 
 
 TAUS_AROUND_THE_CAP = (Fraction(0), Fraction(1, 5), Fraction(1, 3), Fraction(3, 8),
@@ -398,8 +400,6 @@ def test_the_branch_cap_is_the_largest_branch_count_the_clifford_cap_keeps():
 
 
 def test_a_pruned_branch_count_builds_no_signature(caplog, monkeypatch):
-    import gmspectra.signature as signature
-
     # the Fraction oracle prunes every signature of these genera at 5/9
     coeff = threshold_coefficient(FIVE_NINTHS)
     for g in range(6, 17):
@@ -442,10 +442,12 @@ def test_the_cap_past_four_branches_changes_no_output_below_three_eighths(tau, m
 
     wide = {(g, d): search(g, d) for g in range(1, 9) for d in (False, True)}
     assert all(_branch_cap(g, threshold_coefficient(tau)) >= 4 for g in range(2, 9))
-    enumerate_all = classifier.enumerate_signatures
-    monkeypatch.setattr(classifier, "enumerate_signatures",
-                        lambda g, n_max: enumerate_all(g, min(n_max, 4)))
+    walk, caps = signature.order_tuples, []
+    monkeypatch.setattr(signature, "order_tuples",
+                        lambda g, n_max: caps.append(n_max) or walk(g, min(n_max, 4)))
     assert {key: search(*key) for key in wide} == wide
+    # every search past genus one walked its tuples through the capped walk
+    assert len(caps) == 2 * 7
 
 
 def test_threshold_coefficient_values():
@@ -649,7 +651,8 @@ def test_hyperelliptic_routes_agree_up_to_genus_ten():
                     shortcut = oracle_cap(sig) - sum(
                         Fraction(sig.ell - sig.weights_a[i], 4) for i in model.weierstrass_points)
                     assert hyperelliptic_chi1(sig, tagging) == summed == shortcut, (sig, tagging)
-                    assert _hyperelliptic_four_chi1(sig, tagging) == 4 * summed, (sig, tagging)
+                    assert _hyperelliptic_four_chi1(sig.genus, sig.ell, tagging.weierstrass) \
+                        == 4 * summed, (sig, tagging)
                     checked += 1
     assert checked == 3 * 733
 
@@ -666,18 +669,19 @@ def test_the_parity_ceiling_bounds_the_clifford_profile():
     profiles = {sig: clifford_profile_chi1(sig)
                 for g in range(3, 13) for sig in enumerate_signatures(g, 6) if sig.n >= 2}
     assert len(profiles) == 1217
-    assert all(chi1 <= _clifford_ceiling(sig) for sig, chi1 in profiles.items())
+    ceilings = {sig: _clifford_ceiling(sig.genus, sig.ell, sig.orders) for sig in profiles}
+    assert all(chi1 <= ceilings[sig] for sig, chi1 in profiles.items())
     decided = 0
     for tau in TAUS_AROUND_THE_CAP:
         coeff = threshold_coefficient(tau)
         for sig, chi1 in profiles.items():
             x = _threshold_x(sig)
-            if _margin(coeff, _clifford_ceiling(sig), x) < 0:
+            if _margin(coeff, ceilings[sig], x) < 0:
                 assert _margin(coeff, chi1, x) < 0, (sig, tau)
                 decided += 1
     assert decided > 0
     # N+ = 0 somewhere: no lower ceiling holds
-    attained = {sig.orders for sig, chi1 in profiles.items() if chi1 == _clifford_ceiling(sig)}
+    attained = {sig.orders for sig, chi1 in profiles.items() if chi1 == ceilings[sig]}
     assert {(2, 2), (3, 1)} <= attained
 
 
@@ -699,7 +703,7 @@ def test_the_parity_ceiling_changes_no_output(tau, monkeypatch):
             return str(exc)
 
     ceiling = {(g, d): search(g, d) for g in range(1, 13) for d in (False, True)}
-    monkeypatch.setattr(classifier, "_clifford_ceiling", lambda sig: math.inf)
+    monkeypatch.setattr(classifier, "_clifford_ceiling", lambda *args: math.inf)
     assert {key: search(*key) for key in ceiling} == ceiling
 
 
@@ -714,7 +718,7 @@ def test_the_hyperelliptic_screen_changes_no_output(tau, monkeypatch):
             return str(exc)
 
     screened = {(g, d): search(g, d) for g in range(1, 13) for d in (False, True)}
-    monkeypatch.setattr(classifier, "_lenient_x", lambda sig, dangling: -math.inf)
+    monkeypatch.setattr(classifier, "_lenient_x", lambda *args: -math.inf)
     assert {key: search(*key) for key in screened} == screened
 
 
@@ -728,15 +732,81 @@ def test_the_hyperelliptic_screen_reads_the_most_lenient_cutoff():
         for sig in enumerate_signatures(g, 6):
             for dangling in (False, True):
                 subsets = range(sig.n + 1) if dangling else (0,)
-                x4 = 4 * _lenient_x(sig, dangling)
+                x4 = 4 * _lenient_x(sig.genus, sig.ell, sig.orders, dangling)
+                assert x4 == 4 * _threshold_x(sig, range(sig.n) if dangling else ())
                 for tagging in hyperelliptic_taggings(sig):
                     chi1 = hyperelliptic_chi1(sig, tagging)
                     emits = any(oracle_budget(sig, chi1, coeff, Q) >= 0
                                 for r in subsets for Q in itertools.combinations(range(sig.n), r))
-                    keep = _margin(coeff, _hyperelliptic_four_chi1(sig, tagging), x4) >= 0
+                    four_chi1 = _hyperelliptic_four_chi1(sig.genus, sig.ell, tagging.weierstrass)
+                    keep = _margin(coeff, four_chi1, x4) >= 0
                     assert keep == emits, (sig, tagging, dangling)
                     kept, dropped = kept + keep, dropped + (not keep)
     assert kept > 0 and dropped > 0
+
+
+def test_the_closed_form_tagging_count_and_best_tagging():
+    # _best_tagging counts the taggings hyperelliptic_taggings lists, and its
+    # Weierstrass orders give the largest closed-form chi1 among them; zeros
+    # appended up to six points are free and change neither
+    checked = 0
+    for g in range(2, 13):
+        for core in enumerate_signatures(g, 6):
+            for k in range(6 - core.n + 1):
+                sig = derive(core.orders + (0,) * k)
+                taggings = hyperelliptic_taggings(sig)
+                count, best = classifier._best_tagging(sig.orders)
+                assert count == len(taggings), sig
+                if taggings:
+                    best_w = tuple(sorted(best, reverse=True))
+                    assert best_w in {t.weierstrass for t in taggings}, sig
+                    assert _hyperelliptic_four_chi1(sig.genus, sig.ell, best) == max(
+                        _hyperelliptic_four_chi1(sig.genus, sig.ell, t.weierstrass)
+                        for t in taggings), sig
+                checked += 1
+    assert checked == 2958
+
+
+TUPLE_SCREEN_TAUS = sorted({*SCREEN_TAUS, Fraction(1, 3), Fraction(2, 3)})
+
+
+@pytest.mark.parametrize("tau", TUPLE_SCREEN_TAUS)
+def test_the_order_tuple_screen_changes_no_output(tau, caplog, monkeypatch):
+    # with the screen keeping every tuple, each is built and decided by the
+    # per-signature path; the candidates, the first unresolved stratum and
+    # every DEBUG stage count stay the same, and no settled tuple is built
+    built, settled = [], []
+
+    def search(g, dangling):
+        built.clear()
+        settled.append([])
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="gmspectra"):
+            try:
+                out = alpha_search(g, threshold=tau, dangling=dangling, genus_bound=12)
+            except UnresolvedSignatureError as exc:
+                out = str(exc)
+        assert not set(built) & set(settled[-1]), (g, dangling)
+        return out, [r.getMessage().split(" score_s=")[0] for r in caplog.records
+                     if r.getMessage().startswith("alpha_search")]
+
+    constructor, screen = signature._signature, classifier._settled_taggings
+
+    def counted(orders, *args):
+        if (count := screen(orders, *args)) is not None:
+            settled[-1].append(orders)
+        return count
+
+    monkeypatch.setattr(signature, "_signature",
+                        lambda orders: built.append(orders) or constructor(orders))
+    monkeypatch.setattr(classifier, "_settled_taggings", counted)
+    keys = [(g, d) for g in range(1, 13) for d in (False, True)]
+    screened = {key: search(*key) for key in keys}
+    # below 1/3 the walk reaches an unresolved stratum before any tuple the
+    # screen settles; at 2/3 the cap keeps too few branches for one
+    assert any(settled) == (Fraction(1, 3) <= tau <= FIVE_NINTHS)
+    monkeypatch.setattr(classifier, "_settled_taggings", lambda *args: None)
+    assert {key: search(*key) for key in keys} == screened
 
 
 # ----------------------------------------------------------- other cutoffs

@@ -253,9 +253,18 @@ BAD_INPUTS = [
     # a spec fault comes before any frame: the two-coefficient row is named,
     # not the m = 2 frame of up to 1599999 rows
     (["slope", "--signature", "799998", "--model",
-      '{"kind":"override","base":{"kind":"clifford-max","genus":399000},'
+      '{"kind":"override","base":{"kind":"clifford-max","genus":400000},'
       '"table":[{"divisor":[1,2],"h0":1}]}'],
      ["table[0].divisor has 2 coefficients, not one per marked point (1)"]),
+    # with a base of another genus too, the base is named first
+    (["slope", "--signature", "799998", "--model",
+      '{"kind":"override","base":{"kind":"clifford-max","genus":399000},'
+      '"table":[{"divisor":[1,2],"h0":1}]}'],
+     ["model genus 399000 differs from signature genus 400000"]),
+    # a hyperelliptic spec of another genus is refused at build
+    (["slope", "--signature", "4,4", "--model",
+      '{"kind":"hyperelliptic","genus":4,"tags":["w","w"]}'],
+     ["model genus 4 differs from signature genus 5"]),
     # an override spec nested 1,200 levels deep is read past the recursion limit
     (["slope", "--signature", "2", "--model",
       '{"kind": "override", "base": ' * 1200 + '{"kind": "clifford-max", "genus": 2}'

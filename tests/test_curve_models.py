@@ -115,15 +115,35 @@ def test_clifford_max_profile():
     assert model.h0((3 * g,)) == 2 * g + 1
 
 
-def test_a_negative_clifford_max_genus_is_refused_by_the_signature_check():
-    # every signature has genus at least 1, so a filtration's genus check
-    # refuses a negative genus before the frame is read, as the CLI reports it
+def test_a_negative_clifford_max_genus_is_refused_by_the_signature_check(monkeypatch):
+    # every signature has genus at least 1, so the genus check refuses a
+    # negative genus: a spec's when it is built, a model built directly's
+    # before its frame is read, with one message, as the CLI reports it
     sig = derive((4,))
+    message = "^model genus -1 differs from signature genus 3$"
+    with pytest.raises(ValueError, match=message):
+        cm.filtration_dims(cm.CliffordMaxModel(-1), sig, 1)
+    monkeypatch.setattr(cm, "ladder_runs", lambda *args: pytest.fail("a frame was built"))
     clifford = {"kind": "clifford-max", "genus": -1}
     for spec in (clifford, {"kind": "override", "base": clifford, "table": []}):
-        model = cm.model_from_spec(spec, sig)
-        with pytest.raises(ValueError, match="^model genus -1 differs from signature genus 3$"):
-            cm.filtration_dims(model, sig, 1)
+        with pytest.raises(ValueError, match=message):
+            cm.model_from_spec(spec, sig)
+
+
+def test_model_from_spec_refuses_a_genus_before_tags_and_rows(monkeypatch):
+    # a hyperelliptic or clifford-max genus other than the signature's is
+    # refused at build, before a bad tag or an override's bad row is read
+    monkeypatch.setattr(cm, "ladder_runs", lambda *args: pytest.fail("a frame was built"))
+    sig = derive((4, 4))
+    message = "^model genus 4 differs from signature genus 5$"
+    for spec in (hyperelliptic_spec(4, ("w", "w")), hyperelliptic_spec(4, ("w", "wat")),
+                 {"kind": "clifford-max", "genus": 4},
+                 {"kind": "override", "base": hyperelliptic_spec(4, ("w", "w")),
+                  "table": [{"divisor": [1, 2, 3], "h0": 1}]}):
+        with pytest.raises(ValueError, match=message):
+            cm.model_from_spec(spec, sig)
+    assert cm.model_from_spec(hyperelliptic_spec(5, ("w", "w")), sig) == cm.HyperellipticModel(
+        5, (0, 1), ())
 
 
 def test_clifford_max_principal_stratum():
