@@ -13,19 +13,20 @@ count (_branch_cap).  A Fraction c*X is built only for the threshold_rhs
 field of an emitted Candidate and for the message of an
 UnresolvedSignatureError.  The search decides the Clifford cap once per
 branch count and walks only the order tuples it keeps, which its DEBUG
-line counts as ``signatures``; it settles a tuple whose best tagging and
-parity ceiling both miss from g, ell and the orders (_settled_taggings)
-and builds no Signature for it.  For every other tuple it drops a
-hyperelliptic tagging whose closed-form chi1 (proved in
-hyperelliptic_chi1) misses the most lenient cutoff it can emit at
-(_lenient_x) and runs every other admissible tagging, drops a
-nonhyperelliptic side whose parity ceiling floor(g*ell/2) + a_1
-(_clifford_ceiling) misses the cutoff before any frame is built, resolves
-the rest through the Clifford profile, the
-shipped catalog, explicit exclusion rules and the special-locus overrides,
-walks the symmetric semigroups within an element-sum bound when there is
-a single zero, appends ordinary marked points up to the budget, and
-optionally re-scores every record for dangling branch subsets.
+line counts as ``signatures``.  It decides each tuple once, from g, ell
+and its orders, before any Signature is built: the nonhyperelliptic side
+is open at a single zero, or when the parity ceiling floor(g*ell/2) + a_1
+(_clifford_ceiling) reaches c*X, and a tuple whose side is closed and
+whose best tagging (_best_tagging) misses the most lenient cutoff it can
+emit at, X_Q with Q every core branch when dangling, builds nothing.  For
+every other tuple it drops a hyperelliptic tagging whose closed-form chi1
+(proved in hyperelliptic_chi1) misses that lenient cutoff and runs every
+other admissible tagging.  It resolves an open nonhyperelliptic side
+through the Clifford profile, the shipped catalog, explicit exclusion
+rules and the special-locus overrides, or at a single zero through the
+symmetric semigroups within an element-sum bound.  Then it appends
+ordinary marked points up to the budget, and optionally re-scores every
+record for dangling branch subsets.
 Candidates, taggings and the other records are named tuples: immutable,
 equal to the plain tuple of their fields, and copied with ``_replace``.
 """
@@ -100,26 +101,21 @@ class Candidate(NamedTuple):
         return (self.signature, self.model, self.dangling)
 
 
-def _threshold_x(sig: Signature, dangling=()) -> int:
-    """X = (2g-2+n)*ell - sum_{i in Q} a_i, the integer the cutoff is c*X of.
+def _threshold_x(g: int, ell: int, orders: Sequence[int], dangling=()) -> int:
+    """X = (2g-2+n)*ell - sum_{i in Q} a_i, the integer the cutoff is c*X of,
+    with a_i = ell/(m_i + 1) and Q the indices ``dangling``.
 
     With chi2_log = chi1_log + (2g-2+n)*ell (the level-two identity), alpha
     = (13x1 - 2x2)/(13x1 - x2) >= tau is chi1_log >= c*(2g-2+n)*ell.  A
     dangling branch i in Q drops its weight a_i from chi2_log first, which
-    lowers the cutoff by c*a_i.
+    lowers the cutoff by c*a_i.  It reads g, ell and the orders, so an
+    order tuple is decided before its Signature is built.  Appended
+    ordinary points only raise X, by ell each, so X_Q with Q every core
+    branch (Q = () without dangling) is the least X the search emits a
+    candidate at.
     """
-    return (2 * sig.genus - 2 + sig.n) * sig.ell - sum(map(sig.weights_a.__getitem__, dangling))
-
-
-def _lenient_x(g: int, ell: int, orders: Sequence[int], dangling: bool) -> int:
-    """The least X the search emits a candidate of the orders at: X_Q
-    (_threshold_x) with Q every core branch when ``dangling``, Q = ()
-    otherwise.  Appended ordinary points only raise X, by ell each, so a
-    value below c times this emits no candidate at all.  It reads g, ell
-    and the orders, so an order tuple is screened before its Signature is
-    built."""
-    dropped = sum(ell // (m + 1) for m in orders) if dangling else 0
-    return (2 * g - 2 + len(orders)) * ell - dropped
+    x = (2 * g - 2 + len(orders)) * ell
+    return x - sum(ell // (orders[i] + 1) for i in dangling) if dangling else x
 
 
 def _margin(coeff: Fraction, value: int, x: int) -> int:
@@ -367,18 +363,13 @@ def _divisor_condition_label(divisor: Sequence[int], h0: int) -> str:
 def _nonhyp_records(sig, coeff, x, entries, stats: Counter):
     """(model, chi1, item, component, None) rows for the nonhyperelliptic side.
 
-    The parity ceiling (_clifford_ceiling) bounds the Clifford profile, so a
-    signature whose ceiling misses c*X fails the screen and no frame is
-    built for it.  Counts each stage it reaches in ``stats``: signatures
-    the ceiling decides, Clifford screens and those screened out, exact
+    It receives only a signature of n >= 2 zeros at g >= 3 whose parity
+    ceiling (_clifford_ceiling) reaches c*X: alpha_search decides the
+    ceiling on the order tuple and sends no other.  Counts each stage it
+    reaches in ``stats``: Clifford screens and those screened out, exact
     profiles, override and catalog resolutions and exclusions.
     """
     g = sig.genus
-    if g < 3:
-        return []
-    if _margin(coeff, _clifford_ceiling(g, sig.ell, sig.orders), x) < 0:
-        stats["parity_out"] += 1
-        return []
     stats["screens"] += 1
     cap_total = clifford_profile_chi1(sig)
     if _margin(coeff, cap_total, x) < 0:
@@ -482,7 +473,7 @@ def semigroup_search(g: int, threshold=DEFAULT_THRESHOLD) -> tuple[SemigroupReco
     if g < 2:
         raise ValueError("single-zero strata need genus at least 2")
     sig = derive((2 * g - 2,))
-    coeff, x = threshold_coefficient(threshold), _threshold_x(sig)
+    coeff, x = threshold_coefficient(threshold), _threshold_x(g, sig.ell, sig.orders)
     start = time.perf_counter()
     semigroups = sg.enumerate_symmetric(g)
     enumerated = time.perf_counter()
@@ -519,9 +510,10 @@ def _unibranch_records(sig: Signature, coeff: Fraction, stats: Counter) -> list[
     walks built as ``leaves`` in ``stats``.
     """
     g = sig.genus
-    x = _threshold_x(sig)
+    x = _threshold_x(g, sig.ell, sig.orders)
     p, q = coeff.numerator, coeff.denominator
-    bounded = sg.enumerate_symmetric(g, (q * g * (2 * g - 1) - p * _threshold_x(sig, (0,))) // q)
+    bounded = sg.enumerate_symmetric(
+        g, (q * g * (2 * g - 1) - p * _threshold_x(g, sig.ell, sig.orders, (0,))) // q)
     records = [_semigroup_record(H, sig, coeff, x) for H in bounded if not H.hyperelliptic]
     failing = {r.spin for r in records if not r.passed}
     need = {r.spin for r in records} - failing
@@ -549,33 +541,6 @@ _STAGES = ("branch_cap", "signatures", "taggings", "closed_out", "parity_out", "
            "screened_out", "profile", "catalog", "override", "excluded", "semigroups", "leaves")
 _SEARCH_LOG = ("alpha_search g=%d tau=%s " + " ".join(f"{k}=%d" for k in _STAGES)
                + " candidates=%d score_s=%.6f emit_s=%.6f")
-
-
-def _settled_taggings(orders: tuple, g: int, coeff: Fraction, dangling: bool) -> Optional[int]:
-    """The tagging count of an order tuple that the closed forms settle, else None.
-
-    Only g, the orders and ell = lcm(m_i + 1) are read, so no Signature,
-    tagging, label or frame is built.  A tuple of n >= 2 zeros at g >= 3 is
-    settled when neither side can emit a row: its parity ceiling
-    (_clifford_ceiling) misses c*X at Q = () (_lenient_x with no dangling
-    branch), which is how _nonhyp_records drops it, and the best tagging
-    (_best_tagging) misses the most lenient cutoff (_lenient_x), which every
-    tagging shares, so every tagging misses it.  The per-signature path
-    would count that tuple's taggings as ``taggings`` and ``closed_out``
-    and the tuple as ``parity_out``, emit nothing and raise nothing; the
-    caller counts it the same way.  Any other tuple gets None and takes
-    that path, every check on.
-    """
-    if g < 3 or len(orders) < 2:
-        return None
-    ell = lcm(*[m + 1 for m in orders])
-    if _margin(coeff, _clifford_ceiling(g, ell, orders), _lenient_x(g, ell, orders, False)) >= 0:
-        return None
-    count, weierstrass = _best_tagging(orders)
-    if count and _margin(coeff, _hyperelliptic_four_chi1(g, ell, weierstrass),
-                         4 * _lenient_x(g, ell, orders, dangling)) >= 0:
-        return None
-    return count
 
 
 def _branch_cap(g: int, coeff: Fraction) -> int:
@@ -611,12 +576,15 @@ def alpha_search(
     cutoff, into one list sorted by (signature, model, dangling); two loci
     of one condition on different components both stay.
     Order tuples are walked only up to the Clifford cap's branch count
-    (_branch_cap), and a Signature is built only for a tuple the closed
-    forms do not settle (_settled_taggings).  A genus above genus_bound is
-    a ValueError; pass genus_bound explicitly to go further.  Logs one
-    DEBUG line with that ``branch_cap``, the count of each stage
-    (``signatures`` the tuples walked, ``taggings`` every admissible
-    tagging, ``closed_out`` those the closed form drops) and the scoring
+    (_branch_cap), and each is decided once, from g, ell and its orders:
+    its nonhyperelliptic side is open at one zero or when the parity
+    ceiling reaches c*X, and a tuple whose side is closed and whose best
+    tagging misses the most lenient cutoff builds no Signature.  A genus
+    above genus_bound is a ValueError; pass genus_bound explicitly to go
+    further.  Logs one DEBUG line with that ``branch_cap``, the count of
+    each stage (``signatures`` the tuples walked, ``taggings`` every
+    admissible tagging, ``closed_out`` those the closed form drops,
+    ``parity_out`` the tuples whose parity ceiling misses) and the scoring
     and emission times.
     """
     if g < 1:
@@ -636,24 +604,34 @@ def alpha_search(
     else:
         for orders in sgn.order_tuples(g, n_cap) if n_cap >= 1 else ():
             stats["signatures"] += 1
-            if (settled := _settled_taggings(orders, g, coeff, dangling)) is not None:
-                stats["taggings"] += settled
-                stats["closed_out"] += settled
-                stats["parity_out"] += 1
-                continue
-            sig = sgn._signature(orders)
+            ell = lcm(*[m + 1 for m in orders])
+            x = _threshold_x(g, ell, orders)
             # a tagging whose closed form misses the most lenient cutoff
             # emits nothing: it is dropped before its label or frame is built
+            x4 = 4 * (_threshold_x(g, ell, orders, range(len(orders))) if dangling else x)
+            # the nonhyperelliptic side is the semigroup walk at one zero;
+            # for more, the parity ceiling bounds every Clifford profile
+            open_side = len(orders) == 1
+            if not open_side and g >= 3:
+                open_side = _margin(coeff, _clifford_ceiling(g, ell, orders), x) >= 0
+                stats["parity_out"] += not open_side
+            if not open_side:
+                count, best = _best_tagging(orders)
+                if not count or _margin(coeff, _hyperelliptic_four_chi1(g, ell, best), x4) < 0:
+                    stats["taggings"] += count
+                    stats["closed_out"] += count
+                    continue
+            sig = sgn._signature(orders)
             taggings = hyperelliptic_taggings(sig)
-            x4 = 4 * _lenient_x(g, sig.ell, orders, dangling)
             kept = [t for t in taggings
-                    if _margin(coeff, _hyperelliptic_four_chi1(g, sig.ell, t.weierstrass), x4) >= 0]
+                    if _margin(coeff, _hyperelliptic_four_chi1(g, ell, t.weierstrass), x4) >= 0]
             stats["taggings"] += len(taggings)
             stats["closed_out"] += len(taggings) - len(kept)
             sig_rows = [(t.label, hyperelliptic_chi1(sig, t), "hyperelliptic", "hyp", t)
                         for t in kept]
-            sig_rows += (_unibranch_records(sig, coeff, stats) if sig.n == 1
-                         else _nonhyp_records(sig, coeff, _threshold_x(sig), entries, stats))
+            if open_side:
+                sig_rows += (_unibranch_records(sig, coeff, stats) if sig.n == 1
+                             else _nonhyp_records(sig, coeff, x, entries, stats))
             if sig_rows:
                 rows.append((sig, sig_rows))
     scored = time.perf_counter()
@@ -662,7 +640,7 @@ def alpha_search(
     for sig, sig_rows in rows:
         subsets = ([Q for r in range(sig.n + 1) for Q in itertools.combinations(range(sig.n), r)]
                    if dangling else [()])
-        cutoffs = [(Q, _threshold_x(sig, Q)) for Q in subsets]
+        cutoffs = [(Q, _threshold_x(g, sig.ell, sig.orders, Q)) for Q in subsets]
         for label, chi1, item, comp, tagging in sig_rows:
             for Q, x in cutoffs:
                 # k appended zeros keep g, ell and the core a_i, so X grows by

@@ -37,7 +37,6 @@ from gmspectra.classifier import (
     _budget,
     _clifford_ceiling,
     _hyperelliptic_four_chi1,
-    _lenient_x,
     _margin,
     _threshold_x,
     alpha_search,
@@ -81,10 +80,15 @@ def prunes(sig, coeff):
     return sig.n > _branch_cap(sig.genus, coeff)
 
 
+def threshold_x(sig, dangling=()):
+    """The search's X of sig with the branches ``dangling`` dropped, on ints."""
+    return _threshold_x(sig.genus, sig.ell, sig.orders, dangling)
+
+
 def budget(sig, chi1, tau=Fraction(3, 8), dangling=()):
     """The search's ordinary-point budget of sig, on ints."""
     coeff = threshold_coefficient(tau)
-    return _budget(coeff, chi1, _threshold_x(sig, dangling), sig.ell)
+    return _budget(coeff, chi1, threshold_x(sig, dangling), sig.ell)
 
 
 def search_stages(caplog, g, tau=Fraction(3, 8)):
@@ -273,7 +277,7 @@ def test_equality_boundary_cases():
         assert len(match) == 1, (g, sig, model)
         c = match[0]
         assert c.chi1_log == c.threshold_rhs == oracle_rhs(derive(sig), coeff)
-        assert _margin(coeff, c.chi1_log, _threshold_x(derive(sig))) == 0
+        assert _margin(coeff, c.chi1_log, threshold_x(derive(sig))) == 0
 
 
 def test_g4_component_split():
@@ -297,9 +301,9 @@ def test_candidate_fields_reconstruct():
                 sig = derive(c.signature)
                 assert sum(c.signature) == 2 * g - 2
                 assert type(c.chi1_log) is int and c.chi1_log >= c.threshold_rhs
-                assert c.threshold_rhs == oracle_rhs(sig, coeff) == coeff * _threshold_x(sig)
+                assert c.threshold_rhs == oracle_rhs(sig, coeff) == coeff * threshold_x(sig)
                 assert c.threshold_rhs == coeff * (2 * g - 2 + sig.n) * sig.ell
-                assert c.passed and _margin(coeff, c.chi1_log, _threshold_x(sig)) >= 0
+                assert c.passed and _margin(coeff, c.chi1_log, threshold_x(sig)) >= 0
                 assert c.dangling == ()
 
 
@@ -343,7 +347,7 @@ def test_clifford_cap_values():
     for orders, cap in [((1, 1, 1, 1), 4), ((0,), 1), ((4,), 10)]:  # (4,): genus 3, ell 5
         sig = derive(orders)
         assert oracle_cap(sig) == cap
-        margin = _margin(coeff, (sig.genus + 1) * sig.ell, 2 * _threshold_x(sig))
+        margin = _margin(coeff, (sig.genus + 1) * sig.ell, 2 * threshold_x(sig))
         assert margin == 2 * coeff.denominator * (cap - oracle_rhs(sig, coeff))
 
 
@@ -428,12 +432,12 @@ def test_a_pruned_branch_count_builds_no_signature(caplog, monkeypatch):
     assert built == [(8,)]
 
 
-@pytest.mark.parametrize("tau", [Fraction(0), Fraction(1, 5), Fraction(1, 3), Fraction(7, 20)])
+@pytest.mark.parametrize("tau", [Fraction(0), Fraction(1, 5), Fraction(1, 4), Fraction(3, 10)])
 def test_the_cap_past_four_branches_changes_no_output_below_three_eighths(tau, monkeypatch):
-    # below 3/8 the cap keeps more than four branches; the wider signatures
-    # emit no row and raise no error that four branches do not.  Where wider
-    # signatures exist here (g >= 4 at tau = 0 and 1/5), the lexicographic
-    # walk meets an unresolved stratum with fewer branches first
+    # below 3/8 the cap keeps more than four branches (five from g = 3 at
+    # 1/4, from g = 5 at 3/10); capping the walk at four changes no output,
+    # because the lexicographic walk reaches an unresolved stratum with at
+    # most four branches before any wider signature is decided
     def search(g, dangling):
         try:
             return alpha_search(g, threshold=tau, dangling=dangling)
@@ -446,8 +450,10 @@ def test_the_cap_past_four_branches_changes_no_output_below_three_eighths(tau, m
     monkeypatch.setattr(signature, "order_tuples",
                         lambda g, n_max: caps.append(n_max) or walk(g, min(n_max, 4)))
     assert {key: search(*key) for key in wide} == wide
-    # every search past genus one walked its tuples through the capped walk
+    # every search past genus one walked its tuples through the capped walk,
+    # and some walk was cut below its cap
     assert len(caps) == 2 * 7
+    assert max(caps) > 4
 
 
 def test_threshold_coefficient_values():
@@ -499,8 +505,8 @@ def test_budget_is_the_floor(sig, chi1, tau, data):
     coeff = threshold_coefficient(tau)
     k = budget(sig, chi1, tau, dangling)
     rhs = oracle_rhs(sig, coeff, dangling)
-    assert rhs == coeff * _threshold_x(sig, dangling)
-    assert (_margin(coeff, chi1, _threshold_x(sig, dangling)) >= 0) == (chi1 >= rhs)
+    assert rhs == coeff * threshold_x(sig, dangling)
+    assert (_margin(coeff, chi1, threshold_x(sig, dangling)) >= 0) == (chi1 >= rhs)
     assert rhs + k * coeff * sig.ell <= chi1 < rhs + (k + 1) * coeff * sig.ell
     assert k == oracle_budget(sig, chi1, coeff, dangling)
 
@@ -675,7 +681,7 @@ def test_the_parity_ceiling_bounds_the_clifford_profile():
     for tau in TAUS_AROUND_THE_CAP:
         coeff = threshold_coefficient(tau)
         for sig, chi1 in profiles.items():
-            x = _threshold_x(sig)
+            x = threshold_x(sig)
             if _margin(coeff, ceilings[sig], x) < 0:
                 assert _margin(coeff, chi1, x) < 0, (sig, tau)
                 decided += 1
@@ -710,7 +716,9 @@ def test_the_parity_ceiling_changes_no_output(tau, monkeypatch):
 @pytest.mark.parametrize("tau", SCREEN_TAUS)
 def test_the_hyperelliptic_screen_changes_no_output(tau, monkeypatch):
     # with the screen off every tagging reaches its model and its checked
-    # chi1; the candidates and the first unresolved stratum stay the same
+    # chi1; the candidates and the first unresolved stratum stay the same.
+    # The closed form reads +inf to the screen, on the tuple and on each
+    # tagging, and its true value to the cross-check in hyperelliptic_chi1
     def search(g, dangling):
         try:
             return alpha_search(g, threshold=tau, dangling=dangling, genus_bound=12)
@@ -718,7 +726,18 @@ def test_the_hyperelliptic_screen_changes_no_output(tau, monkeypatch):
             return str(exc)
 
     screened = {(g, d): search(g, d) for g in range(1, 13) for d in (False, True)}
-    monkeypatch.setattr(classifier, "_lenient_x", lambda *args: -math.inf)
+    closed_form, checked_chi1, checking = _hyperelliptic_four_chi1, hyperelliptic_chi1, []
+
+    def chi1(sig, tagging):
+        checking.append(tagging)
+        try:
+            return checked_chi1(sig, tagging)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(classifier, "_hyperelliptic_four_chi1",
+                        lambda *args: closed_form(*args) if checking else math.inf)
+    monkeypatch.setattr(classifier, "hyperelliptic_chi1", chi1)
     assert {key: search(*key) for key in screened} == screened
 
 
@@ -732,8 +751,8 @@ def test_the_hyperelliptic_screen_reads_the_most_lenient_cutoff():
         for sig in enumerate_signatures(g, 6):
             for dangling in (False, True):
                 subsets = range(sig.n + 1) if dangling else (0,)
-                x4 = 4 * _lenient_x(sig.genus, sig.ell, sig.orders, dangling)
-                assert x4 == 4 * _threshold_x(sig, range(sig.n) if dangling else ())
+                x4 = 4 * threshold_x(sig, range(sig.n) if dangling else ())
+                assert x4 == 4 * oracle_rhs(sig, 1, range(sig.n) if dangling else ())
                 for tagging in hyperelliptic_taggings(sig):
                     chi1 = hyperelliptic_chi1(sig, tagging)
                     emits = any(oracle_budget(sig, chi1, coeff, Q) >= 0
@@ -772,12 +791,29 @@ TUPLE_SCREEN_TAUS = sorted({*SCREEN_TAUS, Fraction(1, 3), Fraction(2, 3)})
 
 @pytest.mark.parametrize("tau", TUPLE_SCREEN_TAUS)
 def test_the_order_tuple_screen_changes_no_output(tau, caplog, monkeypatch):
-    # with the screen keeping every tuple, each is built and decided by the
-    # per-signature path; the candidates, the first unresolved stratum and
-    # every DEBUG stage count stay the same, and no settled tuple is built
+    # with the best tagging free of Weierstrass zeros its closed form is the
+    # Clifford cap, which every walked tuple reaches, so a tuple is closed
+    # before its Signature only when it admits no tagging at all; every other
+    # tuple is built and decided by the per-signature path.  The candidates,
+    # the first unresolved stratum and every DEBUG stage count stay the same,
+    # and no settled tuple is built
+    coeff = threshold_coefficient(tau)
     built, settled = [], []
+    constructor, best_tagging = signature._signature, classifier._best_tagging
 
-    def search(g, dangling):
+    def search(g, dangling, best):
+        # the search asks for the best tagging of a tuple whose
+        # nonhyperelliptic side is closed; the tuple is settled when no
+        # tagging is admissible or the best one misses the lenient cutoff
+        def screened(orders):
+            count, weierstrass = best(orders)
+            ell = math.lcm(*[m + 1 for m in orders])
+            x4 = 4 * _threshold_x(g, ell, orders, range(len(orders)) if dangling else ())
+            if not count or _margin(coeff, _hyperelliptic_four_chi1(g, ell, weierstrass), x4) < 0:
+                settled[-1].append(orders)
+            return count, weierstrass
+
+        monkeypatch.setattr(classifier, "_best_tagging", screened)
         built.clear()
         settled.append([])
         caplog.clear()
@@ -790,23 +826,49 @@ def test_the_order_tuple_screen_changes_no_output(tau, caplog, monkeypatch):
         return out, [r.getMessage().split(" score_s=")[0] for r in caplog.records
                      if r.getMessage().startswith("alpha_search")]
 
-    constructor, screen = signature._signature, classifier._settled_taggings
-
-    def counted(orders, *args):
-        if (count := screen(orders, *args)) is not None:
-            settled[-1].append(orders)
-        return count
-
     monkeypatch.setattr(signature, "_signature",
                         lambda orders: built.append(orders) or constructor(orders))
-    monkeypatch.setattr(classifier, "_settled_taggings", counted)
     keys = [(g, d) for g in range(1, 13) for d in (False, True)]
-    screened = {key: search(*key) for key in keys}
+    screened = {key: search(*key, best_tagging) for key in keys}
     # below 1/3 the walk reaches an unresolved stratum before any tuple the
     # screen settles; at 2/3 the cap keeps too few branches for one
     assert any(settled) == (Fraction(1, 3) <= tau <= FIVE_NINTHS)
-    monkeypatch.setattr(classifier, "_settled_taggings", lambda *args: None)
-    assert {key: search(*key) for key in keys} == screened
+    def free(orders):
+        return best_tagging(orders)[0], []
+
+    assert {key: search(*key, free) for key in keys} == screened
+
+
+def test_each_order_tuple_reads_its_parity_ceiling_once(monkeypatch):
+    # the tuple loop decides the nonhyperelliptic side of n >= 2 zeros once,
+    # before any Signature, and sends _nonhyp_records only the open ones
+    walk, ceiling, records = signature.order_tuples, _clifford_ceiling, classifier._nonhyp_records
+    walked, reads, received = [], [], []
+
+    def nonhyp(sig, coeff, x, *args):
+        assert x == threshold_x(sig)
+        assert _margin(coeff, ceiling(sig.genus, sig.ell, sig.orders), x) >= 0, sig
+        received.append(sig.orders)
+        return records(sig, coeff, x, *args)
+
+    monkeypatch.setattr(signature, "order_tuples",
+                        lambda g, n_max: (walked.append(t) or t for t in walk(g, n_max)))
+    monkeypatch.setattr(classifier, "_clifford_ceiling",
+                        lambda *args: reads.append(args[2]) or ceiling(*args))
+    monkeypatch.setattr(classifier, "_nonhyp_records", nonhyp)
+    read = 0
+    for tau in TUPLE_SCREEN_TAUS:
+        for g in range(3, 13):
+            walked.clear()
+            reads.clear()
+            try:
+                alpha_search(g, threshold=tau, genus_bound=12)
+            except UnresolvedSignatureError:
+                pass
+            assert reads == [t for t in walked if len(t) >= 2], (g, tau)
+            read += len(reads)
+    # both verdicts occur on the grid
+    assert 0 < len(received) < read
 
 
 # ----------------------------------------------------------- other cutoffs
@@ -837,7 +899,7 @@ def test_a_search_at_tau_is_the_search_at_three_eighths_filtered_by_alpha(g):
     floor = alpha_search(g, threshold=Fraction(3, 8))
     for tau in (Fraction(2, 5), Fraction(1, 2), FIVE_NINTHS, Fraction(2, 3)):
         kept = [c for c in floor
-                if inv.alpha(c.chi1_log, c.chi1_log + _threshold_x(derive(c.signature))) >= tau]
+                if inv.alpha(c.chi1_log, c.chi1_log + threshold_x(derive(c.signature))) >= tau]
         assert triples(alpha_search(g, threshold=tau)) == triples(kept), tau
 
 
@@ -870,9 +932,9 @@ def test_dangling_candidates_all_pass_their_reduced_cutoff():
                 drop = sum(sig.weights_a[i] for i in c.dangling)
                 rhs = coeff * ((2 * sig.genus - 2 + sig.n) * sig.ell - drop)
                 assert c.threshold_rhs == oracle_rhs(sig, coeff, c.dangling) == rhs
-                assert c.threshold_rhs == coeff * _threshold_x(sig, c.dangling)
+                assert c.threshold_rhs == coeff * threshold_x(sig, c.dangling)
                 assert c.chi1_log >= rhs
-                assert _margin(coeff, c.chi1_log, _threshold_x(sig, c.dangling)) >= 0
+                assert _margin(coeff, c.chi1_log, threshold_x(sig, c.dangling)) >= 0
                 # chi2_log = chi1_log + (2g-2+n)*ell, less the weight a_i of
                 # each dangling branch, is rhs/c above chi1_log
                 assert inv.alpha(c.chi1_log, c.chi1_log + rhs / coeff) >= tau
@@ -953,7 +1015,7 @@ def oracle_unibranch_rows(records):
 
 
 def meeting_the_lenient_cutoff(rows, sig, coeff):
-    x = _threshold_x(sig, (0,))
+    x = threshold_x(sig, (0,))
     return {row for row in rows if _margin(coeff, row[1], x) >= 0}
 
 
@@ -1074,7 +1136,7 @@ def test_alpha_search_logs_its_stages_in_one_debug_line(caplog):
     records = semigroup_search(6)
     sig, coeff = derive((10,)), threshold_coefficient(Fraction(3, 8))
     bounded = [r for r in records
-               if _margin(coeff, r.chi1_log, _threshold_x(sig, (0,))) >= 0]
+               if _margin(coeff, r.chi1_log, threshold_x(sig, (0,))) >= 0]
     witness = next(i for i, r in enumerate(records) if r.spin == "even" and not r.passed)
     assert [str(r.semigroup) for r in bounded] == ["<4,5>", "<3,7>", "<2,13>"]
     assert int(fields["semigroups"]) == 3
