@@ -16,15 +16,15 @@ branch count and walks only the order tuples it keeps, which its DEBUG
 line counts as ``signatures``.  It decides each tuple once, from g, ell
 and its orders, before any Signature is built: the nonhyperelliptic side
 is open at a single zero, or when the parity ceiling floor(g*ell/2) + a_1
-(_clifford_ceiling) reaches c*X, and a tuple whose side is closed and
-whose best tagging (_best_tagging) misses the most lenient cutoff it can
-emit at, X_Q with Q every core branch when dangling, builds nothing.  For
-every other tuple it drops a hyperelliptic tagging whose closed-form chi1
-(proved in hyperelliptic_chi1) misses that lenient cutoff and runs every
-other admissible tagging.  It resolves an open nonhyperelliptic side
+(_clifford_ceiling) reaches c*X; the hyperelliptic side when the tagging
+of largest closed-form chi1 (_best_tagging, hyperelliptic_chi1) meets the
+most lenient cutoff it can emit at, X_Q with Q every core branch when
+dangling, and then each tagging meeting it runs.  A tuple with both
+sides closed builds nothing.  It resolves an open nonhyperelliptic side
 through the Clifford profile, the shipped catalog, explicit exclusion
 rules and the special-locus overrides, or at a single zero through the
-symmetric semigroups within an element-sum bound.  Then it appends
+symmetric semigroups within an element-sum bound, each spin's verdict
+read off its largest element sum.  Then it appends
 ordinary marked points up to the budget, and optionally re-scores every
 record for dangling branch subsets.
 Candidates, taggings and the other records are named tuples: immutable,
@@ -495,19 +495,21 @@ def _unibranch_records(sig: Signature, coeff: Fraction, stats: Counter) -> list[
     Q = (0,), so the row meets c*X_(0,).  With chi1 = g(2g-1) - S for the
     element sum S, that is q*S <= q*g(2g-1) - p*X_(0,), i.e. S <= S* for
     the floor S* of (q*g(2g-1) - p*X_(0,))/q, and the symmetric walk
-    bounded by S* yields every such row.  Without dangling branches the
-    cutoff c*X is higher still, so the same rows serve both searches.
+    bounded by S* yields exactly those rows.  Without dangling branches
+    the cutoff c*X is higher still, so the same rows serve both searches.
 
-    A passing row is a full stratum when every nonhyperelliptic symmetric
-    semigroup of its spin meets the strict cutoff c*X, and only a locus
-    otherwise.  A row that misses c*X settles its own spin; for each other
-    spin of a row the unbounded walk is read lazily up to a
-    nonhyperelliptic semigroup of that spin missing c*X, and stops once
-    every such spin has one.  That witness is a row too: it misses c*X_(0,)
-    as well (it is not among the bounded rows, which all meet c*X in its
-    spin), so it emits nothing.  Every row passes _semigroup_record's
-    cross-check.  Counts the rows as ``semigroups`` and the leaves both
-    walks built as ``leaves`` in ``stats``.
+    A row is a full stratum when every nonhyperelliptic symmetric
+    semigroup of its spin meets the strict cutoff c*X, a locus otherwise.
+    Meeting it is S <= a bound, so a spin is a stratum exactly when its
+    largest S meets it.  With F = 2g-1 the elements below F are 0 and one
+    of each pair {k, F-k}, k = 1..g-1, so S <= S_odd = (g-1)(3g-2)/2, the
+    sum of every F-k, attained by <g, g+1, ..., 2g-2> (odd spin: 0 is its
+    one element in [0, g-1]).  An even spin takes an odd number of k <= g-1,
+    each lowering S by F-2k >= 1, so its largest S is S_odd - 1, attained
+    by <g-1, g+1, ..., 2g-2> from g = 4 on; at g = 3 no nonhyperelliptic
+    semigroup has even spin.  Every row passes _semigroup_record's
+    cross-check.  Counts the rows as ``semigroups`` and the bounded walk's
+    leaves as ``leaves`` in ``stats``.
     """
     g = sig.genus
     x = _threshold_x(g, sig.ell, sig.orders)
@@ -515,22 +517,13 @@ def _unibranch_records(sig: Signature, coeff: Fraction, stats: Counter) -> list[
     bounded = sg.enumerate_symmetric(
         g, (q * g * (2 * g - 1) - p * _threshold_x(g, sig.ell, sig.orders, (0,))) // q)
     records = [_semigroup_record(H, sig, coeff, x) for H in bounded if not H.hyperelliptic]
-    failing = {r.spin for r in records if not r.passed}
-    need = {r.spin for r in records} - failing
-    leaves = len(bounded)
-    if need:
-        for H in sg.walk_symmetric(g):
-            leaves += 1
-            if H.spin in need and _margin(coeff, g * (2 * g - 1) - H.element_sum, x) < 0:
-                records.append(_semigroup_record(H, sig, coeff, x))
-                failing.add(H.spin)
-                need.discard(H.spin)
-                if not need:
-                    break
+    s_odd = (g - 1) * (3 * g - 2) // 2
+    strata = {spin for spin, s in (("odd", s_odd), ("even", s_odd - 1))
+              if _margin(coeff, g * (2 * g - 1) - s, x) >= 0}
     stats["semigroups"] += len(records)
-    stats["leaves"] += leaves
+    stats["leaves"] += len(bounded)
     return [(f"unibranch({r.semigroup})", r.chi1_log,
-             "locus" if r.spin in failing else "stratum", r.spin, None) for r in records]
+             "stratum" if r.spin in strata else "locus", r.spin, None) for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -578,14 +571,14 @@ def alpha_search(
     Order tuples are walked only up to the Clifford cap's branch count
     (_branch_cap), and each is decided once, from g, ell and its orders:
     its nonhyperelliptic side is open at one zero or when the parity
-    ceiling reaches c*X, and a tuple whose side is closed and whose best
-    tagging misses the most lenient cutoff builds no Signature.  A genus
-    above genus_bound is a ValueError; pass genus_bound explicitly to go
-    further.  Logs one DEBUG line with that ``branch_cap``, the count of
-    each stage (``signatures`` the tuples walked, ``taggings`` every
-    admissible tagging, ``closed_out`` those the closed form drops,
-    ``parity_out`` the tuples whose parity ceiling misses) and the scoring
-    and emission times.
+    ceiling reaches c*X, its hyperelliptic side when its best tagging
+    meets the most lenient cutoff, and a tuple with both sides closed
+    builds no Signature.  A genus above genus_bound is a ValueError; pass
+    genus_bound explicitly to go further.  Logs one DEBUG line with that
+    ``branch_cap``, the count of each stage (``signatures`` the tuples
+    walked, ``taggings`` every admissible tagging, ``closed_out`` those the
+    closed form drops, ``parity_out`` the tuples whose parity ceiling
+    misses) and the scoring and emission times.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
@@ -615,18 +608,19 @@ def alpha_search(
             if not open_side and g >= 3:
                 open_side = _margin(coeff, _clifford_ceiling(g, ell, orders), x) >= 0
                 stats["parity_out"] += not open_side
-            if not open_side:
-                count, best = _best_tagging(orders)
-                if not count or _margin(coeff, _hyperelliptic_four_chi1(g, ell, best), x4) < 0:
-                    stats["taggings"] += count
-                    stats["closed_out"] += count
-                    continue
-            sig = sgn._signature(orders)
-            taggings = hyperelliptic_taggings(sig)
-            kept = [t for t in taggings
-                    if _margin(coeff, _hyperelliptic_four_chi1(g, ell, t.weierstrass), x4) >= 0]
-            stats["taggings"] += len(taggings)
-            stats["closed_out"] += len(taggings) - len(kept)
+            # the best tagging has the largest closed form, so the taggings
+            # are listed only when it meets the lenient cutoff, and a tuple
+            # with neither side open builds no Signature
+            count, best = _best_tagging(orders)
+            tagged = count and _margin(coeff, _hyperelliptic_four_chi1(g, ell, best), x4) >= 0
+            sig = sgn._signature(orders) if open_side or tagged else None
+            kept = [t for t in hyperelliptic_taggings(sig)
+                    if _margin(coeff, _hyperelliptic_four_chi1(g, ell, t.weierstrass), x4) >= 0
+                    ] if tagged else []
+            stats["taggings"] += count
+            stats["closed_out"] += count - len(kept)
+            if sig is None:
+                continue
             sig_rows = [(t.label, hyperelliptic_chi1(sig, t), "hyperelliptic", "hyp", t)
                         for t in kept]
             if open_side:

@@ -177,8 +177,8 @@ def _hyperelliptic_model(genus: int, tags: Sequence[str],
     order, ``free`` on a nonzero order, or a pair whose second half has
     another order than its first."""
     if len(tags) != len(orders):
-        raise ValueError(f"divisor needs {len(tags)} coefficient{'s' * (len(tags) != 1)}, "
-                         f"one per tag of the hyperelliptic model, got {len(orders)}")
+        raise ValueError(f"hyperelliptic model has {len(tags)} tag{'s' * (len(tags) != 1)}, "
+                         f"not one per marked point ({len(orders)})")
     points: dict[str, list[int]] = {}  # tag -> the indices of its points
     for i, tag in enumerate(tags):
         if tag not in ("w", "free") and not tag.startswith("pair:"):

@@ -802,14 +802,19 @@ def test_the_order_tuple_screen_changes_no_output(tau, caplog, monkeypatch):
     constructor, best_tagging = signature._signature, classifier._best_tagging
 
     def search(g, dangling, best):
-        # the search asks for the best tagging of a tuple whose
-        # nonhyperelliptic side is closed; the tuple is settled when no
-        # tagging is admissible or the best one misses the lenient cutoff
+        # the search asks every tuple for its best tagging; the tuple is
+        # settled when its nonhyperelliptic side is closed too, by more than
+        # one zero below genus three or by a parity ceiling missing c*X,
+        # and no tagging is admissible or the best one misses the lenient cutoff
         def screened(orders):
             count, weierstrass = best(orders)
             ell = math.lcm(*[m + 1 for m in orders])
+            x = _threshold_x(g, ell, orders)
             x4 = 4 * _threshold_x(g, ell, orders, range(len(orders)) if dangling else ())
-            if not count or _margin(coeff, _hyperelliptic_four_chi1(g, ell, weierstrass), x4) < 0:
+            closed = len(orders) > 1 and (
+                g < 3 or _margin(coeff, _clifford_ceiling(g, ell, orders), x) < 0)
+            if closed and (not count or _margin(
+                    coeff, _hyperelliptic_four_chi1(g, ell, weierstrass), x4) < 0):
                 settled[-1].append(orders)
             return count, weierstrass
 
@@ -1027,21 +1032,63 @@ def test_unibranch_rows_match_the_full_enumeration():
             every = oracle_unibranch_rows(semigroup_search(g, tau))
             stats = Counter()
             got = classifier._unibranch_records(sig, coeff, stats)
-            # every row that can emit, with its verdict; the rest are witnesses
+            # every row that can emit, with its verdict, and no other
             assert len(set(got)) == len(got) == stats["semigroups"], (g, tau)
             assert set(got) <= every, (g, tau)
+            assert meeting_the_lenient_cutoff(got, sig, coeff) == set(got), (g, tau)
             assert (meeting_the_lenient_cutoff(got, sig, coeff)
                     == meeting_the_lenient_cutoff(every, sig, coeff)), (g, tau)
 
 
-def test_a_witness_settles_the_verdict_at_genus_five():
-    # <4,6,7> meets only the lenient cutoff at 3/8, so its own spin fails
-    # the strict one: a locus, with or without dangling branches
+def extremal_semigroups(g):
+    """{spin: (its largest element sum, the semigroup attaining it)} in
+    closed form: <g, ..., 2g-2> for odd spin, <g-1, g+1, ..., 2g-2> for even
+    spin from genus four on."""
+    s_odd = (g - 1) * (3 * g - 2) // 2
+    out = {"odd": (s_odd, sg.from_generators(range(g, 2 * g - 1)))}
+    if g >= 4:
+        out["even"] = (s_odd - 1, sg.from_generators((g - 1, *range(g + 1, 2 * g - 1))))
+    return out
+
+
+def test_each_spin_has_its_largest_element_sum_in_closed_form():
+    for g in range(3, 31):
+        by_spin = {}
+        for H in sg.enumerate_symmetric(g):
+            if not H.hyperelliptic:
+                by_spin.setdefault(H.spin, []).append(H)
+        largest = {}
+        for spin, semigroups in by_spin.items():
+            top = max(H.element_sum for H in semigroups)
+            (H,) = [H for H in semigroups if H.element_sum == top]  # attained once
+            largest[spin] = (top, H)
+        assert largest == extremal_semigroups(g), g
+
+
+def test_a_spin_is_a_stratum_exactly_when_its_extremal_semigroup_meets_the_cutoff():
+    # a coefficient c putting the extremal semigroup of a spin on the strict
+    # cutoff c*X makes the spin a stratum, and the next one up a locus; the
+    # other spin's extremal chi1 differs by one, so it sits on the other side
+    for g in range(4, 17):
+        sig = derive((2 * g - 2,))
+        x = threshold_x(sig)
+        for spin, (total, _) in extremal_semigroups(g).items():
+            chi1 = g * (2 * g - 1) - total
+            for coeff, item in ((Fraction(chi1, x), "stratum"),
+                                (Fraction(chi1 * x + 1, x * x), "locus")):
+                rows = classifier._unibranch_records(sig, coeff, Counter())
+                assert {row[2] for row in rows if row[3] == spin} == {item}, (g, spin, coeff)
+
+
+def test_the_largest_element_sum_settles_the_verdict_at_genus_five():
+    # <4,6,7> meets only the lenient cutoff at 3/8, and it has the largest
+    # element sum of its spin, so that spin fails the strict one: a locus,
+    # with or without dangling branches
     sig, coeff = derive((8,)), threshold_coefficient(Fraction(3, 8))
     stats = Counter()
     assert classifier._unibranch_records(sig, coeff, stats) == [
         ("unibranch(<4,6,7>)", 20, "locus", "even", None)]
-    assert stats["leaves"] == 2  # with <2,11>, and no witness read
+    assert stats["leaves"] == 2  # with <2,11>
 
 
 def test_the_single_zero_walk_builds_few_leaves_at_genus_forty():
@@ -1053,29 +1100,29 @@ def test_the_single_zero_walk_builds_few_leaves_at_genus_forty():
     assert 1 <= stats["leaves"] <= 10
 
 
-def test_unibranch_rows_raise_when_either_chi1_route_is_off_on_a_witness(monkeypatch):
+def test_unibranch_rows_raise_when_either_chi1_route_is_off_on_a_bounded_row(monkeypatch):
     # at genus six <3,7> alone of its (even) spin meets the strict cutoff,
-    # and <5,7,8,9> is the witness that makes it a locus
+    # and the spin's largest element sum, that of <5,7,8,9>, misses it
     sig, coeff = derive((10,)), threshold_coefficient(Fraction(3, 8))
-    witness = sg.from_generators((5, 7, 8, 9))
+    row = sg.from_generators((3, 7))
     rows = classifier._unibranch_records(sig, coeff, Counter())
-    assert ("unibranch(<5,7,8,9>)", 27, "locus", "even", None) in rows
+    assert ("unibranch(<3,7>)", 31, "locus", "even", None) in rows
     off = [False]
     unibranch, filtration_route = cm.UnibranchModel, cm.runs_chi_log
 
     def model(H):
-        off[0] = H == witness
+        off[0] = H == row
         return unibranch(H)
 
     monkeypatch.setattr(cm, "UnibranchModel", model)
     monkeypatch.setattr(cm, "runs_chi_log", lambda runs: filtration_route(runs) + off[0])
-    with pytest.raises(RuntimeError, match=r"unibranch chi1 routes disagree for <5,7,8,9>$"):
+    with pytest.raises(RuntimeError, match=r"unibranch chi1 routes disagree for <3,7>$"):
         classifier._unibranch_records(sig, coeff, Counter())
     monkeypatch.undo()
     walk = sg.walk_symmetric
     monkeypatch.setattr(sg, "walk_symmetric", lambda g, bound=None: (
-        H._replace(element_sum=H.element_sum - (H == witness)) for H in walk(g, bound)))
-    with pytest.raises(RuntimeError, match=r"unibranch chi1 routes disagree for <5,7,8,9>$"):
+        H._replace(element_sum=H.element_sum - (H == row)) for H in walk(g, bound)))
+    with pytest.raises(RuntimeError, match=r"unibranch chi1 routes disagree for <3,7>$"):
         classifier._unibranch_records(sig, coeff, Counter())
 
 
@@ -1132,16 +1179,14 @@ def test_alpha_search_logs_its_stages_in_one_debug_line(caplog):
     assert int(fields["signatures"]) == len(enumerate_signatures(6, 4))
     # the rows scored: the two nonhyperelliptic semigroups within the lenient
     # element-sum bound, <4,5> (odd, misses the strict cutoff) and <3,7>
-    # (even, meets it), and the first even one in walk order to miss it
+    # (even, meets it); the leaves are those of the bounded walk alone
     records = semigroup_search(6)
     sig, coeff = derive((10,)), threshold_coefficient(Fraction(3, 8))
     bounded = [r for r in records
                if _margin(coeff, r.chi1_log, threshold_x(sig, (0,))) >= 0]
-    witness = next(i for i, r in enumerate(records) if r.spin == "even" and not r.passed)
     assert [str(r.semigroup) for r in bounded] == ["<4,5>", "<3,7>", "<2,13>"]
-    assert int(fields["semigroups"]) == 3
-    # the bounded walk's leaves, then the lazy read up to the witness
-    assert int(fields["leaves"]) == len(bounded) + witness + 1 == 5
+    assert int(fields["semigroups"]) == 2
+    assert int(fields["leaves"]) == len(bounded) == 3
     # the cap keeps four branches at 3/8, and every built signature of
     # n >= 2 is decided once: by the parity ceiling or by the Clifford screen
     assert int(fields["branch_cap"]) == 4

@@ -186,7 +186,7 @@ BAD_INPUTS = [
     (["filtration", "--signature", "4", "--model", "unibranch:3,7"],
      ["model genus 6", "genus 3"]),
     (["filtration", "--signature", "4,2", "--model", "hyperelliptic:w"],
-     ["divisor needs 1 coefficient, one per tag"]),
+     ["hyperelliptic model has 1 tag, not one per marked point (2)"]),
     (["filtration", "--signature", "4", "--model", "mystery"], ["'mystery'"]),
     (["invariants", "--catalog", "E7", "--m", "1,x"], ["'--m'", "integers", "'x'"]),
     (["invariants", "--catalog", "E7", "--m", "0,1"], ["'--m'", "positive"]),
@@ -242,9 +242,9 @@ BAD_INPUTS = [
      ["tag 'free' on a zero of order 4: a free point has order 0"]),
     (["slope", "--signature", "2,2", "--model", "hyperelliptic:free,free"],
      ["tag 'free' on a zero of order 2: a free point has order 0"]),
-    # one divisor coefficient per point, against no tag at all
+    # a tag per marked point, against no tag at all
     (["filtration", "--signature", "2", "--model", "hyperelliptic:"],
-     ["divisor needs 0 coefficients, one per tag of the hyperelliptic model, got 1"]),
+     ["hyperelliptic model has 0 tags, not one per marked point (1)"]),
     *((["classify", command, "--genus", "4", "--threshold", text], ["--threshold", repr(text)])
       for command in ("alpha", "semigroups") for text in ("1/0", "zebra")),
     # the m = 2 ladder frame may have 2(2g - 2 + n) + 1 rows: refused before it is built

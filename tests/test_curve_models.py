@@ -457,7 +457,7 @@ def test_hyperelliptic_column_clamp_and_errors():
     model = cm.HyperellipticModel(3, (0,), ())
     # degree 0, pencils -3: the clamp answers 0, not -2
     assert model.h0_frame(cm.Batch.of([[-6, 0], [6, 0]])) == [0, 1]
-    for orders, tags, message in (((4,), ("w", "free"), "needs 2 coefficients"),
+    for orders, tags, message in (((4,), ("w", "free"), r"has 2 tags, not one per marked point"),
                                   ((2, 2), ("w", "wat"), "unknown tag"),
                                   ((2, 2), ("w", "pair:1"), "needs 2")):
         sig = derive(orders)
@@ -477,7 +477,7 @@ def test_one_pass_hyperelliptic_read():
         return str(caught.value)
 
     assert refusal(("wat", "pair:1"), (4,)) == (
-        "divisor needs 2 coefficients, one per tag of the hyperelliptic model, got 1")
+        "hyperelliptic model has 2 tags, not one per marked point (1)")
     assert refusal(("pair:1", "w", "wat", "bad"), (1,) * 4) == "unknown tag 'wat'"
     assert refusal(("pair:z", "pair:a", "pair:a", "pair:a", "pair:q", "w"), (1,) * 6) == (
         "pair 'z' has 1 member, needs 2")
@@ -572,7 +572,7 @@ def test_model_from_spec_refuses_tags_no_hyperelliptic_differential_carries(
 
 def test_model_from_spec_refuses_malformed_tags_before_inadmissible_ones():
     sig = derive((3, 1))
-    for tags, message in [(["w"], "divisor needs 1 coefficient, one per tag"),
+    for tags, message in [(["w"], r"hyperelliptic model has 1 tag, not one per marked point \(2\)"),
                           (["w", "zebra"], "unknown tag 'zebra'"),
                           (["w", "pair:1"], "pair '1' has 1 member, needs 2")]:
         with pytest.raises(ValueError, match=message):
