@@ -12,16 +12,14 @@ import io
 from fractions import Fraction
 from math import gcd
 
-from click.testing import CliRunner
-
 import gmspectra.branch_algebra as ba
 import gmspectra.catalog as cat
 import gmspectra.curve_models as cm
 import gmspectra.invariants as inv
 import gmspectra.semigroup as sg
 from gmspectra.classifier import semigroup_search
-from gmspectra.cli import main as cli_main
 from gmspectra.signature import derive, ladder, ladder_sum_identity, parity_count
+from cli_invoke import invoke
 
 
 def spectra(entry, top_level=2):
@@ -31,7 +29,7 @@ def spectra(entry, top_level=2):
 
 
 def run_cli(*args):
-    result = CliRunner().invoke(cli_main, list(args))
+    result = invoke(*args)
     assert result.exit_code == 0, result.output
     return result.output
 

@@ -1,12 +1,16 @@
 """Command-line surface: exact rendering, report round-trips, exit codes."""
 
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from contextlib import redirect_stderr
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import gmspectra.branch_algebra as ba
@@ -16,13 +20,8 @@ import gmspectra.signature as signature
 from gmspectra import catalog, cli
 from gmspectra.classifier import clifford_profile_chi1
 from gmspectra.signature import derive
+from cli_invoke import invoke
 from test_branch_algebra import closures
-
-runner = CliRunner()
-
-
-def invoke(*args):
-    return runner.invoke(cli.main, list(args))
 
 
 # ------------------------------------------------------------------- slope
@@ -695,7 +694,7 @@ def test_classify_alpha_dangling_column():
     assert '"4,2","catalog[H(4,2)-odd]",29,115/4,pass,stratum,odd,1' in rows
 
 
-# sha256 of whole outputs, as CliRunner captures them (csv rows end in \n),
+# sha256 of whole outputs, as invoke captures them (csv rows end in \n),
 # that carry threshold_lhs, threshold_rhs and the verdict; fixed before the
 # Candidate rendering properties moved into the CLI
 PINNED_ALPHA_OUTPUTS = [
@@ -763,7 +762,7 @@ def test_catalog_show_json_rebuilds_the_algebra(tmp_path):
             stored = invoke("invariants", "--catalog", entry.id, *flags)
             rebuilt = invoke("invariants", "--input", str(path), *flags)
             assert stored.exit_code == rebuilt.exit_code == 0, (entry.id, flags)
-            assert rebuilt.stdout_bytes == stored.stdout_bytes, (entry.id, flags)
+            assert rebuilt.stdout == stored.stdout, (entry.id, flags)
 
 
 def test_catalog_show_unknown_id():
@@ -934,3 +933,196 @@ def test_classify_semigroups_ends_in_a_result_or_one_error_line(g, tau, fmt):
 @given(st.sampled_from(["full", *sorted(cli.VERIFY_SECTIONS)]))
 def test_verify_suites_end_in_a_report(suite):
     assert_clean_end(["verify", "--suite", suite], (0, 1))
+
+
+# ------------------------------------------------------------ command line
+
+# each refused command line and its one Error: line, byte for byte as the
+# click-based parser printed them
+PARSER_ERRORS = [
+    (["classify", "alpha"], "Missing option '--genus' / '-g'."),
+    (["classify", "semigroups", "-g", "x"],
+     "Invalid value for '--genus' / '-g': 'x' is not a valid integer."),
+    (["classify", "alpha", "-g=3"],
+     "Invalid value for '--genus' / '-g': '=3' is not a valid integer."),
+    (["classify", "alpha", "-g", "3", "--format", "xml"],
+     "Invalid value for '--format': 'xml' is not one of 'text', 'json', 'csv'."),
+    # the given options are read in the order given, then the missing ones
+    (["classify", "alpha", "--format", "xml", "-g", "x"],
+     "Invalid value for '--format': 'xml' is not one of 'text', 'json', 'csv'."),
+    (["classify", "alpha", "-g", "x", "--format", "xml"],
+     "Invalid value for '--genus' / '-g': 'x' is not a valid integer."),
+    (["verify", "--suite", "bogus"], "Invalid value for '--suite': 'bogus' is not one of "
+     "'full', 'identities', 'regression', 'search', 'semigroups'."),
+    (["filtration", "--m", "x"], "Invalid value for '--m': 'x' is not a valid integer."),
+    (["slope", "--bogus"], "No such option '--bogus'."),
+    (["classify", "alpha", "-g", "3", "--thresh", "1/2"],
+     "No such option '--thresh'. Did you mean '--threshold'?"),
+    (["classify", "alpha", "--dangl"],
+     "No such option '--dangl'. (Did you mean one of: '--dangling', '--decimal'?)"),
+    (["classify", "alpha", "-g", "3", "-x"], "No such option '-x'."),
+    (["catalog", "show", "-2,4"], "No such option '-2'."),
+    (["--hel"], "No such option '--hel'. Did you mean '--help'?"),
+    (["nosuch"], "No such command 'nosuch'."),
+    (["classif"], "No such command 'classif'. Did you mean 'classify'?"),
+    (["classify", "nosuch", "--help"], "No such command 'nosuch'."),
+    (["--"], "Missing command."),
+    (["catalog", "show"], "Missing argument 'ENTRY_ID'."),
+    (["catalog", "show", "E7", "extra"], "Got unexpected extra argument (extra)"),
+    (["classify", "alpha", "-g", "3", "extra", "more"],
+     "Got unexpected extra arguments (extra more)"),
+    (["classify", "alpha", "-g", "3", "--", "--dangling"],
+     "Got unexpected extra argument (--dangling)"),
+    (["classify", "alpha", "-g", "3", "--threshold", "zebra"],
+     "Invalid value for --threshold: expected an integer or p/q, got 'zebra'"),
+    # a value is the next argument whatever it looks like
+    (["classify", "alpha", "-g", "3", "--threshold", "--dangling"],
+     "Invalid value for --threshold: expected an integer or p/q, got '--dangling'"),
+    (["filtration", "--signature", "-2,4", "--model", "clifford-max"],
+     "Invalid value for '--signature': zero orders must be non-negative, got '-2,4'"),
+    (["classify", "alpha", "-g"], "Option '-g' requires an argument."),
+    (["classify", "alpha", "-g", "3", "--dangling=1"], "Option '--dangling' does not take a value."),
+]
+
+
+def error_line(result) -> str:
+    """The one Error: line of a refusal: exit code 2, all of it on stderr."""
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1, result.stderr
+    return errors[0]
+
+
+@pytest.mark.parametrize("args,line", PARSER_ERRORS, ids=[" ".join(a) for a, _ in PARSER_ERRORS])
+def test_parser_errors_keep_their_lines(args, line):
+    assert error_line(invoke(*args)) == f"Error: {line}"
+
+
+def test_an_input_file_must_exist_and_not_be_a_directory(tmp_path):
+    for path, fault in ((tmp_path / "nonexistent.json", "does not exist"),
+                        (tmp_path, "is a directory")):
+        assert error_line(invoke("invariants", "--input", str(path))) == (
+            f"Error: Invalid value for '--input': File '{path}' {fault}.")
+
+
+@pytest.mark.parametrize("args,stderr", [
+    (["catalog", "show"], "Usage: gmspectra catalog show [OPTIONS] ENTRY_ID\n"
+                          "Try 'gmspectra catalog show --help' for help.\n\n"
+                          "Error: Missing argument 'ENTRY_ID'.\n"),
+    (["classify", "nosuch"], "Usage: gmspectra classify [OPTIONS] COMMAND [ARGS]...\n"
+                             "Try 'gmspectra classify --help' for help.\n\n"
+                             "Error: No such command 'nosuch'.\n"),
+    # an option without its value, and input refused inside a command, show no usage
+    (["slope", "--model"], "Error: Option '--model' requires an argument.\n"),
+    (["filtration", "--signature", "4", "--model", "{bad"],
+     "Error: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"),
+])
+def test_a_refusal_is_the_usage_block_of_its_command(args, stderr):
+    result = invoke(*args)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", stderr)
+
+
+def test_attached_values_read_as_separate_ones():
+    spaced = invoke("classify", "alpha", "-g", "3", "--format", "csv")
+    assert spaced.exit_code == 0
+    for args in (["-g3", "--format=csv"], ["--genus=3", "--format", "csv"],
+                 ["-g", "2", "--format", "csv", "-g", "3"]):  # the last value given counts
+        assert invoke("classify", "alpha", *args).output == spaced.output
+
+
+@pytest.mark.parametrize("group,names", [
+    ((), ["catalog", "classify", "filtration", "invariants", "slope", "verify"]),
+    (("classify",), ["alpha", "semigroups"]),
+    (("catalog",), ["list", "show"]),
+])
+def test_a_bare_group_lists_its_commands_and_exits_2(group, names):
+    result = invoke(*group)
+    assert (result.exit_code, result.stdout) == (2, "")
+    listed = result.stderr.split("\nCommands:\n")[1].splitlines()
+    assert [line.split()[0] for line in listed] == names
+    assert invoke(*group, "--help").stdout == result.stderr
+
+
+COMMAND_OPTIONS = {
+    ("invariants",): ["--catalog", "--input", "--m", "--format", "--decimal"],
+    ("filtration",): ["--catalog", "--signature", "--model", "--m", "--format"],
+    ("classify", "alpha"): ["-g", "--genus", "--threshold", "--dangling", "--format",
+                            "--decimal"],
+    ("classify", "semigroups"): ["-g", "--genus", "--threshold", "--format"],
+    ("catalog", "list"): [],
+    ("catalog", "show"): ["--json"],
+    ("verify",): ["--suite"],
+    ("slope",): ["--signature", "--model", "--catalog", "--decimal"],
+}
+
+
+def test_every_command_is_known():
+    assert set(cli.COMMANDS) == set(COMMAND_OPTIONS)
+
+
+@pytest.mark.parametrize("path", COMMAND_OPTIONS, ids=" ".join)
+def test_help_names_every_option_before_any_check(path):
+    # --help is read before a missing or bad value is refused
+    for extra in ([], ["--m", "x"] if "--m" in COMMAND_OPTIONS[path] else ["extra"]):
+        result = invoke(*path, "--help", *extra)
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout.startswith(f"Usage: gmspectra {' '.join(path)} [OPTIONS]")
+        words = set(result.stdout.replace(",", " ").split())
+        assert {*COMMAND_OPTIONS[path], "--help"} <= words
+
+
+def test_an_unknown_log_level_is_one_error_line(monkeypatch):
+    monkeypatch.setenv("LOG_LEVEL", "bogus")
+    assert error_line(invoke("catalog", "list")) == (
+        "Error: unknown LOG_LEVEL 'bogus'; use DEBUG, INFO, WARNING, ERROR or CRITICAL")
+    monkeypatch.setenv("LOG_LEVEL", "debug")  # a level's name in any case
+    assert invoke("slope", "--catalog", "E7").output == "9\n"
+
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+
+def test_the_cli_import_loads_the_library_but_not_click():
+    # a fresh, isolated interpreter: the library's modules load with the CLI,
+    # and the import configures no logging
+    probe = (f"import logging, sys; sys.path.insert(0, {SRC!r}); import gmspectra.cli; "
+             "print('click' in sys.modules, 'gmspectra.catalog' in sys.modules, "
+             "logging.getLogger().handlers)")
+    out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "False True []\n"
+
+
+def test_main_reads_log_level():
+    probe = (f"import sys; sys.path.insert(0, {SRC!r}); from gmspectra.cli import main; "
+             "sys.argv[1:] = ['classify', 'alpha', '-g', '2']; main()")
+    out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "LOG_LEVEL": "debug"})
+    assert ":alpha_search g=2 tau=3/8 " in out.stderr
+
+
+def test_a_closed_pipe_is_met_inside_main(monkeypatch):
+    # a short output is still buffered when the command returns: main flushes
+    # it, so the closed pipe ends in exit code 1, not in an error at exit
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as stdout, redirect_stderr(io.StringIO()) as stderr:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "argv", ["gmspectra", "slope", "--catalog", "E7"])
+        with pytest.raises(SystemExit) as end:
+            cli.main()
+        monkeypatch.undo()
+    assert end.value.code == 1 and stderr.getvalue() == ""
+
+
+def test_a_closed_pipe_ends_quietly():
+    # about 600 kB of table rows: the reader's close is met mid-write, as `| head -1` does
+    probe = (f"import sys; sys.path.insert(0, {SRC!r}); from gmspectra.cli import main; "
+             "sys.argv[1:] = ['classify', 'semigroups', '-g', '30']; main()")
+    with subprocess.Popen([sys.executable, "-I", "-c", probe], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"semigroup ")
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait() == 1

@@ -14,9 +14,7 @@ import tokenize
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from gmspectra import cli
+from cli_invoke import invoke
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,7 +40,7 @@ EXAMPLES = examples()
 @pytest.mark.parametrize("command,shown", EXAMPLES, ids=[c for c, _ in EXAMPLES])
 def test_readme_example(command, shown):
     args = shlex.split(command, comments=True)[1:]
-    result = CliRunner().invoke(cli.main, args)
+    result = invoke(*args)
     assert result.exit_code == 0, result.output
     lines = result.output.splitlines()
     if shown and shown[-1] == "...":
