@@ -450,15 +450,15 @@ def _semigroup_record(H: sg.NumericalSemigroup, sig: Signature, coeff: Fraction,
                       x: int) -> SemigroupRecord:
     """H scored against c*x on the single-zero signature sig.
 
-    chi1_log = g(2g-1) - sum of the g smallest elements, cross-checked by
-    summing the section-count filtration of H before it is returned: one
-    h0 frame read of the genus's shared ladder frame and one reduction over
-    its columns (runs_chi_log), with no per-run tuple built.
+    chi1_log = g(2g-1) - sum of the g smallest elements, cross-checked
+    before it is returned by the sum of H's section-count filtration, read
+    off H's element mask against the genus's shared weight planes
+    (curve_models.unibranch_chi_log), never off the element sum.
     """
     g = sig.genus
     total = H.element_sum
     chi1 = g * (2 * g - 1) - total
-    if cm.runs_chi_log(cm.filtration_dims(cm.UnibranchModel(H), sig, 1)) != chi1:
+    if cm.unibranch_chi_log(H, sig) != chi1:
         raise RuntimeError(f"unibranch chi1 routes disagree for {H}")
     return SemigroupRecord(H, chi1, total, H.hyperelliptic, H.spin,
                            _margin(coeff, chi1, x) >= 0)
@@ -478,11 +478,12 @@ def semigroup_search(g: int, threshold=DEFAULT_THRESHOLD) -> tuple[SemigroupReco
     semigroups = sg.enumerate_symmetric(g)
     enumerated = time.perf_counter()
     out = tuple([_semigroup_record(H, sig, coeff, x) for H in semigroups])
-    log.debug(
-        "semigroup_search g=%d enumerated=%d passed=%d enumerate_s=%.6f score_s=%.6f",
-        g, len(out), sum(r.passed for r in out),
-        enumerated - start, time.perf_counter() - enumerated,
-    )
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "semigroup_search g=%d enumerated=%d passed=%d enumerate_s=%.6f score_s=%.6f",
+            g, len(out), sum(r.passed for r in out),
+            enumerated - start, time.perf_counter() - enumerated,
+        )
     return out
 
 

@@ -992,8 +992,8 @@ def test_hyperelliptic_semigroup_always_passes():
 
 
 def test_semigroup_search_raises_when_either_chi1_route_is_off(monkeypatch):
-    filtration_route = cm.runs_chi_log
-    monkeypatch.setattr(cm, "runs_chi_log", lambda runs: filtration_route(runs) + 1)
+    mask_route = cm.unibranch_chi_log
+    monkeypatch.setattr(cm, "unibranch_chi_log", lambda H, sig, m=1: mask_route(H, sig, m) + 1)
     with pytest.raises(RuntimeError, match="unibranch chi1 routes disagree"):
         semigroup_search(5)
     monkeypatch.undo()
@@ -1002,6 +1002,22 @@ def test_semigroup_search_raises_when_either_chi1_route_is_off(monkeypatch):
         H._replace(element_sum=H.element_sum - 1) for H in walk(g, bound)))
     with pytest.raises(RuntimeError, match="unibranch chi1 routes disagree"):
         semigroup_search(5)
+
+
+def test_semigroup_search_reads_no_filtration_and_builds_the_planes_once(monkeypatch):
+    calls = Counter()
+    mask_route = cm.unibranch_chi_log
+
+    def counted(H, sig, m=1):
+        calls["chi"] += 1
+        return mask_route(H, sig, m)
+
+    monkeypatch.setattr(cm, "filtration_dims", lambda *args: pytest.fail("a filtration was read"))
+    monkeypatch.setattr(cm, "unibranch_chi_log", counted)
+    cm._weight_planes.cache_clear()
+    records = semigroup_search(12)
+    assert cm._weight_planes.cache_info().misses == 1
+    assert calls["chi"] == len(records) == len(sg.enumerate_symmetric(12))
 
 
 TAU_GRID = [Fraction(0), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3), Fraction(3, 8),
@@ -1107,15 +1123,9 @@ def test_unibranch_rows_raise_when_either_chi1_route_is_off_on_a_bounded_row(mon
     row = sg.from_generators((3, 7))
     rows = classifier._unibranch_records(sig, coeff, Counter())
     assert ("unibranch(<3,7>)", 31, "locus", "even", None) in rows
-    off = [False]
-    unibranch, filtration_route = cm.UnibranchModel, cm.runs_chi_log
-
-    def model(H):
-        off[0] = H == row
-        return unibranch(H)
-
-    monkeypatch.setattr(cm, "UnibranchModel", model)
-    monkeypatch.setattr(cm, "runs_chi_log", lambda runs: filtration_route(runs) + off[0])
+    mask_route = cm.unibranch_chi_log
+    monkeypatch.setattr(cm, "unibranch_chi_log",
+                        lambda H, sig, m=1: mask_route(H, sig, m) + (H == row))
     with pytest.raises(RuntimeError, match=r"unibranch chi1 routes disagree for <3,7>$"):
         classifier._unibranch_records(sig, coeff, Counter())
     monkeypatch.undo()

@@ -43,6 +43,36 @@ def test_unibranch_matches_membership_count():
             assert model.h0((k,)) == sum(1 for j in range(k + 1) if H.contains(j))
 
 
+def filtration_chi_log(H, sig, m):
+    return cm.runs_chi_log(cm.filtration_dims(cm.UnibranchModel(H), sig, m))
+
+
+def test_unibranch_chi_log_equals_the_filtration_route():
+    cases = [H for g in range(2, 17) for H in sg.enumerate_symmetric(g)]
+    cases += [sg.from_generators(gens) for gens in ((4, 5, 6, 7), (3, 5, 7), (4, 7, 9))]
+    assert not any(H.symmetric for H in cases[-3:])
+    for H in cases:
+        sig = derive((2 * H.genus - 2,))
+        for m in (1, 2, 3):
+            assert cm.unibranch_chi_log(H, sig, m) == filtration_chi_log(H, sig, m), (H, m)
+
+
+def test_unibranch_chi_log_builds_no_model(monkeypatch):
+    # the second route reads the mask against the frame's columns alone
+    H, sig = sg.from_generators((3, 7)), derive((10,))
+    expected = filtration_chi_log(H, sig, 1)
+    monkeypatch.setattr(cm, "UnibranchModel", lambda H: pytest.fail("a model was built"))
+    assert cm.unibranch_chi_log(H, sig) == expected == 31
+
+
+def test_unibranch_chi_log_refuses_another_genus_and_level_zero():
+    H = sg.from_generators((3, 7))  # genus 6
+    with pytest.raises(ValueError, match="^model genus 6 differs from signature genus 5$"):
+        cm.unibranch_chi_log(H, derive((8,)))
+    with pytest.raises(ValueError, match="^pluricanonical level m must be at least 1$"):
+        cm.unibranch_chi_log(H, derive((10,)), 0)
+
+
 # --------------------------------------------------------- hyperelliptic
 
 
@@ -273,9 +303,13 @@ def test_shared_frames_give_the_runs_of_fresh_frames():
 
 
 def test_a_semigroup_search_builds_one_frame():
+    # read once, by the weight planes, which every record then shares
     cm._ladder_frame.cache_clear()
+    cm._weight_planes.cache_clear()
     records = classifier.semigroup_search(10)
     info = cm._ladder_frame.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    info = cm._weight_planes.cache_info()
     assert (info.misses, info.hits) == (1, len(records) - 1)
 
 
