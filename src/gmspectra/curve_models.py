@@ -364,14 +364,14 @@ def runs_chi_log(runs: Runs) -> int:
 
 
 @lru_cache(maxsize=1)
-def _weight_planes(sig: Signature, m: int) -> tuple[int, ...]:
+def _weight_planes(sig: Signature) -> tuple[int, ...]:
     """The bit planes of W(e), e = 0..top, for top the first column's value
-    at lam = 0: plane j has bit e set when bit j of W(e) is.  W(e) is the
-    number of levels lam >= 1 whose first-column value is at least e: one
-    suffix sum over the frame's columns[0] and lengths, less lam = 0, whose
-    value top is at least every such e.  Only the last (signature, m) is
-    kept, as its frame is."""
-    frame = _ladder_frame(sig, m)
+    at lam = 0 of the canonical (m = 1) ladder frame: plane j has bit e set
+    when bit j of W(e) is.  W(e) is the number of levels lam >= 1 whose
+    first-column value is at least e: one suffix sum over the frame's
+    columns[0] and lengths, less lam = 0, whose value top is at least every
+    such e.  Only the last signature is kept, as its frame is."""
+    frame = _ladder_frame(sig, 1)
     column = frame.columns[0]
     top = column[0]
     levels = [0] * (top + 1)  # entry top - v: the levels of column value v
@@ -383,26 +383,23 @@ def _weight_planes(sig: Signature, m: int) -> tuple[int, ...]:
                  for j in range(weights[-1].bit_length()))
 
 
-def unibranch_chi_log(H: sg.NumericalSemigroup, sig: Signature, m: int = 1) -> int:
-    """chi_m^log of H's unibranch model on sig, read off H's element mask.
+def unibranch_chi_log(H: sg.NumericalSemigroup, sig: Signature) -> int:
+    """chi_1^log of H's unibranch model on sig, read off H's element mask.
 
-    Equal to runs_chi_log(filtration_dims(UnibranchModel(H), sig, m)), by a
+    Equal to runs_chi_log(filtration_dims(UnibranchModel(H), sig, 1)), by a
     second route that builds no model and reads no h0 frame.  Level lam has
     dimension h0(c p) for c = c(lam) its first-column value, and h0(c p) is
     the number of elements of H in [0, c] (none when c < 0), so
-        chi_m^log = sum_{lam >= 1} #{e in H : e <= c(lam)}
+        chi_1^log = sum_{lam >= 1} #{e in H : e <= c(lam)}
                   = sum_{e in H} #{lam >= 1 : c(lam) >= e} = sum_{e in H} W(e),
     and W(e) = 0 past top = c(0), as c never rises.  The elements up to top
     are the mask's bits with every bit from the conductor on (one OR with
     -2^C, whose set bits are all of those), and splitting W into its bit
-    planes P_j (_weight_planes, built once per signature and m) makes the
-    sum one masked popcount per plane: sum_j popcount(elems & P_j) << j.
-    Another genus than sig's is refused with _same_genus's message, and
-    m < 1 as filtration_dims refuses it.
+    planes P_j (_weight_planes, built once per signature) makes the sum one
+    masked popcount per plane: sum_j popcount(elems & P_j) << j.  Another
+    genus than sig's is refused with _same_genus's message.
     """
-    if m < 1:
-        raise ValueError("pluricanonical level m must be at least 1")
     _same_genus(H.genus, sig.genus)
     elems = H.mask | -(1 << H.conductor)
     return sum([(elems & plane).bit_count() << j
-                for j, plane in enumerate(_weight_planes(sig, m))])
+                for j, plane in enumerate(_weight_planes(sig))])

@@ -993,7 +993,7 @@ def test_hyperelliptic_semigroup_always_passes():
 
 def test_semigroup_search_raises_when_either_chi1_route_is_off(monkeypatch):
     mask_route = cm.unibranch_chi_log
-    monkeypatch.setattr(cm, "unibranch_chi_log", lambda H, sig, m=1: mask_route(H, sig, m) + 1)
+    monkeypatch.setattr(cm, "unibranch_chi_log", lambda H, sig: mask_route(H, sig) + 1)
     with pytest.raises(RuntimeError, match="unibranch chi1 routes disagree"):
         semigroup_search(5)
     monkeypatch.undo()
@@ -1008,9 +1008,9 @@ def test_semigroup_search_reads_no_filtration_and_builds_the_planes_once(monkeyp
     calls = Counter()
     mask_route = cm.unibranch_chi_log
 
-    def counted(H, sig, m=1):
+    def counted(H, sig):
         calls["chi"] += 1
-        return mask_route(H, sig, m)
+        return mask_route(H, sig)
 
     monkeypatch.setattr(cm, "filtration_dims", lambda *args: pytest.fail("a filtration was read"))
     monkeypatch.setattr(cm, "unibranch_chi_log", counted)
@@ -1125,7 +1125,7 @@ def test_unibranch_rows_raise_when_either_chi1_route_is_off_on_a_bounded_row(mon
     assert ("unibranch(<3,7>)", 31, "locus", "even", None) in rows
     mask_route = cm.unibranch_chi_log
     monkeypatch.setattr(cm, "unibranch_chi_log",
-                        lambda H, sig, m=1: mask_route(H, sig, m) + (H == row))
+                        lambda H, sig: mask_route(H, sig) + (H == row))
     with pytest.raises(RuntimeError, match=r"unibranch chi1 routes disagree for <3,7>$"):
         classifier._unibranch_records(sig, coeff, Counter())
     monkeypatch.undo()

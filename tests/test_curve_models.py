@@ -43,8 +43,8 @@ def test_unibranch_matches_membership_count():
             assert model.h0((k,)) == sum(1 for j in range(k + 1) if H.contains(j))
 
 
-def filtration_chi_log(H, sig, m):
-    return cm.runs_chi_log(cm.filtration_dims(cm.UnibranchModel(H), sig, m))
+def filtration_chi_log(H, sig):
+    return cm.runs_chi_log(cm.filtration_dims(cm.UnibranchModel(H), sig, 1))
 
 
 def test_unibranch_chi_log_equals_the_filtration_route():
@@ -53,24 +53,21 @@ def test_unibranch_chi_log_equals_the_filtration_route():
     assert not any(H.symmetric for H in cases[-3:])
     for H in cases:
         sig = derive((2 * H.genus - 2,))
-        for m in (1, 2, 3):
-            assert cm.unibranch_chi_log(H, sig, m) == filtration_chi_log(H, sig, m), (H, m)
+        assert cm.unibranch_chi_log(H, sig) == filtration_chi_log(H, sig), H
 
 
 def test_unibranch_chi_log_builds_no_model(monkeypatch):
     # the second route reads the mask against the frame's columns alone
     H, sig = sg.from_generators((3, 7)), derive((10,))
-    expected = filtration_chi_log(H, sig, 1)
+    expected = filtration_chi_log(H, sig)
     monkeypatch.setattr(cm, "UnibranchModel", lambda H: pytest.fail("a model was built"))
     assert cm.unibranch_chi_log(H, sig) == expected == 31
 
 
-def test_unibranch_chi_log_refuses_another_genus_and_level_zero():
+def test_unibranch_chi_log_refuses_another_genus():
     H = sg.from_generators((3, 7))  # genus 6
     with pytest.raises(ValueError, match="^model genus 6 differs from signature genus 5$"):
         cm.unibranch_chi_log(H, derive((8,)))
-    with pytest.raises(ValueError, match="^pluricanonical level m must be at least 1$"):
-        cm.unibranch_chi_log(H, derive((10,)), 0)
 
 
 # --------------------------------------------------------- hyperelliptic
