@@ -558,16 +558,43 @@ def validate_G_conditions(alg: BranchAlgebra, dualizing_units=None) -> Checks:
 # ------------------------------------------------------------- JSON I/O
 
 
+# the most characters of a rational string from outside the program, and the
+# largest size of its exponent: its Fraction, about 2,000 digits a side at most,
+# is built at once and prints, as do the thresholds made from it, under
+# Python's 4,300-digit bound on int-to-text conversion
+RATIONAL_BOUND = 1000
+
+
+def parse_rational(text: str) -> Fraction:
+    """The Fraction of a rational string from outside the program: an
+    integer, p/q or a decimal such as "0.375" or "375e-3", as Fraction reads
+    it.  Text of more than RATIONAL_BOUND characters, or whose exponent is
+    beyond RATIONAL_BOUND in size, is an OverflowError raised before
+    Fraction would build 10**e; text Fraction refuses is its ValueError or
+    ZeroDivisionError."""
+    exponent = text.lower().partition("e")[2]
+    try:
+        big = len(text) > RATIONAL_BOUND or abs(int(exponent or 0)) > RATIONAL_BOUND
+    except ValueError:  # no exponent Fraction reads: it refuses the text
+        big = False
+    if big:
+        raise OverflowError(f"exceeds the bound on rational strings: at most {RATIONAL_BOUND} "
+                            f"characters and an exponent of at most {RATIONAL_BOUND} in size")
+    return Fraction(text)
+
+
 _JSON_TYPES = {"an object": dict, "a list": list, "an integer": int, "a string": str,
                "a rational string": (int, str)}
 
 
 def _field(value, kind: str, name: str, *args):
-    """value (a Fraction for a rational string) if it has the JSON kind, else
-    a ValueError naming the field name.format(*args)."""
+    """value (for a rational string, parse_rational's Fraction of its text) if
+    it has the JSON kind, else a ValueError naming the field name.format(*args)."""
     if not isinstance(value, bool) and isinstance(value, _JSON_TYPES[kind]):
         try:
-            return Fraction(value) if kind == "a rational string" else value
+            return parse_rational(str(value)) if kind == "a rational string" else value
+        except OverflowError as exc:
+            raise ValueError(f"{name.format(*args)} {exc}") from None
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"{name.format(*args)} must be {kind}, got {value!r}")

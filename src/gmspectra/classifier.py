@@ -446,19 +446,18 @@ class SemigroupRecord(NamedTuple):
     passed: bool
 
 
-def _semigroup_record(H: sg.NumericalSemigroup, sig: Signature, coeff: Fraction,
-                      x: int) -> SemigroupRecord:
-    """H scored against c*x on the single-zero signature sig.
+def _semigroup_record(H: sg.NumericalSemigroup, coeff: Fraction, x: int) -> SemigroupRecord:
+    """H scored against c*x on the single zero (2g-2) of its genus g.
 
     chi1_log = g(2g-1) - sum of the g smallest elements, cross-checked
     before it is returned by the sum of H's section-count filtration, read
     off H's element mask against the genus's shared weight planes
     (curve_models.unibranch_chi_log), never off the element sum.
     """
-    g = sig.genus
+    g = H.genus
     total = H.element_sum
     chi1 = g * (2 * g - 1) - total
-    if cm.unibranch_chi_log(H, sig) != chi1:
+    if cm.unibranch_chi_log(H) != chi1:
         raise RuntimeError(f"unibranch chi1 routes disagree for {H}")
     return SemigroupRecord(H, chi1, total, H.hyperelliptic, H.spin,
                            _margin(coeff, chi1, x) >= 0)
@@ -472,12 +471,11 @@ def semigroup_search(g: int, threshold=DEFAULT_THRESHOLD) -> tuple[SemigroupReco
     """
     if g < 2:
         raise ValueError("single-zero strata need genus at least 2")
-    sig = derive((2 * g - 2,))
-    coeff, x = threshold_coefficient(threshold), _threshold_x(g, sig.ell, sig.orders)
+    coeff, x = threshold_coefficient(threshold), _threshold_x(g, 2 * g - 1, (2 * g - 2,))
     start = time.perf_counter()
     semigroups = sg.enumerate_symmetric(g)
     enumerated = time.perf_counter()
-    out = tuple([_semigroup_record(H, sig, coeff, x) for H in semigroups])
+    out = tuple([_semigroup_record(H, coeff, x) for H in semigroups])
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "semigroup_search g=%d enumerated=%d passed=%d enumerate_s=%.6f score_s=%.6f",
@@ -487,7 +485,7 @@ def semigroup_search(g: int, threshold=DEFAULT_THRESHOLD) -> tuple[SemigroupReco
     return out
 
 
-def _unibranch_records(sig: Signature, coeff: Fraction, stats: Counter) -> list[tuple]:
+def _unibranch_records(sig: Signature, coeff: Fraction, x: int, stats: Counter) -> list[tuple]:
     """(model, chi1, item, spin, None) rows of the nonhyperelliptic semigroups of sig.
 
     Hyperelliptic semigroups are taggings.  A row that the search can emit
@@ -509,15 +507,14 @@ def _unibranch_records(sig: Signature, coeff: Fraction, stats: Counter) -> list[
     each lowering S by F-2k >= 1, so its largest S is S_odd - 1, attained
     by <g-1, g+1, ..., 2g-2> from g = 4 on; at g = 3 no nonhyperelliptic
     semigroup has even spin.  Every row passes _semigroup_record's
-    cross-check.  Counts the rows as ``semigroups`` and the bounded walk's
-    leaves as ``leaves`` in ``stats``.
+    cross-check against c*x, x the search's X at Q = ().  Counts the rows
+    as ``semigroups`` and the bounded walk's leaves as ``leaves`` in ``stats``.
     """
     g = sig.genus
-    x = _threshold_x(g, sig.ell, sig.orders)
     p, q = coeff.numerator, coeff.denominator
     bounded = sg.enumerate_symmetric(
         g, (q * g * (2 * g - 1) - p * _threshold_x(g, sig.ell, sig.orders, (0,))) // q)
-    records = [_semigroup_record(H, sig, coeff, x) for H in bounded if not H.hyperelliptic]
+    records = [_semigroup_record(H, coeff, x) for H in bounded if not H.hyperelliptic]
     s_odd = (g - 1) * (3 * g - 2) // 2
     strata = {spin for spin, s in (("odd", s_odd), ("even", s_odd - 1))
               if _margin(coeff, g * (2 * g - 1) - s, x) >= 0}
@@ -625,7 +622,7 @@ def alpha_search(
             sig_rows = [(t.label, hyperelliptic_chi1(sig, t), "hyperelliptic", "hyp", t)
                         for t in kept]
             if open_side:
-                sig_rows += (_unibranch_records(sig, coeff, stats) if sig.n == 1
+                sig_rows += (_unibranch_records(sig, coeff, x, stats) if sig.n == 1
                              else _nonhyp_records(sig, coeff, x, entries, stats))
             if sig_rows:
                 rows.append((sig, sig_rows))

@@ -11,7 +11,6 @@ below, on the standard library alone.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import os
@@ -229,15 +228,14 @@ def help_page(path) -> str:
 
 def fmt_rational(value, decimal: bool = False) -> str:
     f = Fraction(value)
-    text = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    if decimal and f.denominator != 1:
-        text += f" ~{float(f):.6g}"
-    return text
+    return f"{f} ~{float(f):.6g}" if decimal and f.denominator != 1 else str(f)
 
 
 def parse_threshold(text: str) -> Fraction:
     try:
-        tau = Fraction(text)
+        tau = ba.parse_rational(text)
+    except OverflowError as exc:
+        raise bad_value("--threshold", str(exc)) from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise bad_value("--threshold", f"expected an integer or p/q, got {text!r}") from exc
     try:
@@ -422,11 +420,9 @@ def emit_search(rows: list[dict], columns: list[str], fmt: str, payload: list) -
     if fmt == "json":
         print(json.dumps(payload, indent=2))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns)
+        writer = csv.DictWriter(sys.stdout, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
-        print(buf.getvalue(), end="")
     elif rows:
         emit_table(rows, columns)
     else:

@@ -459,6 +459,51 @@ def test_json_bad_units():
         ba.generators_from_json(doc)
 
 
+# the forms Fraction reads, with signs, spaces and underscores, up to the bound
+ACCEPTED_RATIONALS = ["0", "-7", "+12", " 3/8 ", "-1/2", "29/60", "0.375", ".5", "5.",
+                      "-2.5E+3", "375e-3", "1_000", "1e1000", "1E-1000", "1" * 1000,
+                      "1/" + "3" * 998]
+
+
+@pytest.mark.parametrize("text", ACCEPTED_RATIONALS)
+def test_parse_rational_reads_what_fraction_reads(text):
+    assert ba.parse_rational(text) == Fraction(text)
+
+
+@given(st.one_of(st.integers(-10**30, 10**30), st.fractions(max_denominator=10**12),
+                 st.decimals(-10**9, 10**9, places=9)).map(str))
+def test_parse_rational_agrees_with_fraction_below_the_bound(text):
+    assert ba.parse_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1e1001", "1E-1001", "1e-100000000", "1" * 1001,
+                                  "1/" + "3" * 999, "0." + "0" * 999])
+def test_parse_rational_refuses_text_past_the_bound(text):
+    with pytest.raises(OverflowError, match="at most 1000 characters and an exponent"):
+        ba.parse_rational(text)
+
+
+@pytest.mark.parametrize("text,error", [("zebra", ValueError), ("1/0", ZeroDivisionError),
+                                        ("1e", ValueError), ("1e5/2", ValueError),
+                                        ("1ee5", ValueError), ("", ValueError)])
+def test_parse_rational_leaves_other_faults_to_fraction(text, error):
+    with pytest.raises(error):
+        ba.parse_rational(text)
+
+
+def test_json_rationals_past_the_bound_are_refused_naming_the_field():
+    def doc(coeff="1", unit="1"):
+        return {"signature": [4], "dualizing_units": [unit],
+                "generators": [{"monomials": [{"branch": 0, "exp": 3, "coeff": coeff}]}]}
+
+    # a JSON int is read as its text: 1000 digits pass, 1001 do not
+    assert ba.generators_from_json(doc("1e-1000", 10**999))[2] == (10**999,)
+    with pytest.raises(ValueError, match=r"^generators\[0\]\.monomials\[0\]\.coeff exceeds "):
+        ba.generators_from_json(doc(coeff="1e-100000000"))
+    with pytest.raises(ValueError, match=r"^dualizing_units\[0\] exceeds the bound"):
+        ba.generators_from_json(doc(unit=10**1000))
+
+
 # ------------------------------------------------- the integer kernel
 
 

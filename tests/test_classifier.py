@@ -993,7 +993,7 @@ def test_hyperelliptic_semigroup_always_passes():
 
 def test_semigroup_search_raises_when_either_chi1_route_is_off(monkeypatch):
     mask_route = cm.unibranch_chi_log
-    monkeypatch.setattr(cm, "unibranch_chi_log", lambda H, sig: mask_route(H, sig) + 1)
+    monkeypatch.setattr(cm, "unibranch_chi_log", lambda H: mask_route(H) + 1)
     with pytest.raises(RuntimeError, match="unibranch chi1 routes disagree"):
         semigroup_search(5)
     monkeypatch.undo()
@@ -1008,9 +1008,9 @@ def test_semigroup_search_reads_no_filtration_and_builds_the_planes_once(monkeyp
     calls = Counter()
     mask_route = cm.unibranch_chi_log
 
-    def counted(H, sig):
+    def counted(H):
         calls["chi"] += 1
-        return mask_route(H, sig)
+        return mask_route(H)
 
     monkeypatch.setattr(cm, "filtration_dims", lambda *args: pytest.fail("a filtration was read"))
     monkeypatch.setattr(cm, "unibranch_chi_log", counted)
@@ -1018,6 +1018,16 @@ def test_semigroup_search_reads_no_filtration_and_builds_the_planes_once(monkeyp
     records = semigroup_search(12)
     assert cm._weight_planes.cache_info().misses == 1
     assert calls["chi"] == len(records) == len(sg.enumerate_symmetric(12))
+
+
+def test_a_search_and_a_semigroup_search_of_one_genus_share_the_planes():
+    # the planes are kept per genus, whichever search reads them first:
+    # alpha_search scores two unibranch rows at genus six, <4,5> and <3,7>
+    cm._weight_planes.cache_clear()
+    alpha_search(6)
+    records = semigroup_search(6)
+    info = cm._weight_planes.cache_info()
+    assert (info.misses, info.hits) == (1, 1 + len(records))
 
 
 TAU_GRID = [Fraction(0), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3), Fraction(3, 8),
@@ -1047,7 +1057,7 @@ def test_unibranch_rows_match_the_full_enumeration():
             coeff = threshold_coefficient(tau)
             every = oracle_unibranch_rows(semigroup_search(g, tau))
             stats = Counter()
-            got = classifier._unibranch_records(sig, coeff, stats)
+            got = classifier._unibranch_records(sig, coeff, threshold_x(sig), stats)
             # every row that can emit, with its verdict, and no other
             assert len(set(got)) == len(got) == stats["semigroups"], (g, tau)
             assert set(got) <= every, (g, tau)
@@ -1092,7 +1102,7 @@ def test_a_spin_is_a_stratum_exactly_when_its_extremal_semigroup_meets_the_cutof
             chi1 = g * (2 * g - 1) - total
             for coeff, item in ((Fraction(chi1, x), "stratum"),
                                 (Fraction(chi1 * x + 1, x * x), "locus")):
-                rows = classifier._unibranch_records(sig, coeff, Counter())
+                rows = classifier._unibranch_records(sig, coeff, x, Counter())
                 assert {row[2] for row in rows if row[3] == spin} == {item}, (g, spin, coeff)
 
 
@@ -1102,7 +1112,7 @@ def test_the_largest_element_sum_settles_the_verdict_at_genus_five():
     # with or without dangling branches
     sig, coeff = derive((8,)), threshold_coefficient(Fraction(3, 8))
     stats = Counter()
-    assert classifier._unibranch_records(sig, coeff, stats) == [
+    assert classifier._unibranch_records(sig, coeff, threshold_x(sig), stats) == [
         ("unibranch(<4,6,7>)", 20, "locus", "even", None)]
     assert stats["leaves"] == 2  # with <2,11>
 
@@ -1110,8 +1120,9 @@ def test_the_largest_element_sum_settles_the_verdict_at_genus_five():
 def test_the_single_zero_walk_builds_few_leaves_at_genus_forty():
     # 53,629 symmetric semigroups; only <2,81> meets the lenient bound
     stats = Counter()
-    rows = classifier._unibranch_records(derive((78,)), threshold_coefficient(Fraction(3, 8)),
-                                         stats)
+    sig = derive((78,))
+    rows = classifier._unibranch_records(sig, threshold_coefficient(Fraction(3, 8)),
+                                         threshold_x(sig), stats)
     assert rows == [] and stats["semigroups"] == 0
     assert 1 <= stats["leaves"] <= 10
 
@@ -1121,19 +1132,19 @@ def test_unibranch_rows_raise_when_either_chi1_route_is_off_on_a_bounded_row(mon
     # and the spin's largest element sum, that of <5,7,8,9>, misses it
     sig, coeff = derive((10,)), threshold_coefficient(Fraction(3, 8))
     row = sg.from_generators((3, 7))
-    rows = classifier._unibranch_records(sig, coeff, Counter())
+    rows = classifier._unibranch_records(sig, coeff, threshold_x(sig), Counter())
     assert ("unibranch(<3,7>)", 31, "locus", "even", None) in rows
     mask_route = cm.unibranch_chi_log
     monkeypatch.setattr(cm, "unibranch_chi_log",
-                        lambda H, sig: mask_route(H, sig) + (H == row))
+                        lambda H: mask_route(H) + (H == row))
     with pytest.raises(RuntimeError, match=r"unibranch chi1 routes disagree for <3,7>$"):
-        classifier._unibranch_records(sig, coeff, Counter())
+        classifier._unibranch_records(sig, coeff, threshold_x(sig), Counter())
     monkeypatch.undo()
     walk = sg.walk_symmetric
     monkeypatch.setattr(sg, "walk_symmetric", lambda g, bound=None: (
         H._replace(element_sum=H.element_sum - (H == row)) for H in walk(g, bound)))
     with pytest.raises(RuntimeError, match=r"unibranch chi1 routes disagree for <3,7>$"):
-        classifier._unibranch_records(sig, coeff, Counter())
+        classifier._unibranch_records(sig, coeff, threshold_x(sig), Counter())
 
 
 def test_searches_refuse_a_genus_past_the_semigroup_bound():

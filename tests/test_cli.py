@@ -44,6 +44,15 @@ def test_slope_from_catalog_entry():
     assert result.output == "9\n"
 
 
+@pytest.mark.parametrize("value,text,decimal", [
+    (0, "0", "0"), (7, "7", "7"), (-3, "-3", "-3"),
+    (Fraction(29, 60), "29/60", "29/60 ~0.483333"), (Fraction(-1, 2), "-1/2", "-1/2 ~-0.5"),
+])
+def test_fmt_rational_renders_integers_bare_and_marks_the_approximation(value, text, decimal):
+    assert cli.fmt_rational(value) == text
+    assert cli.fmt_rational(value, decimal=True) == decimal
+
+
 def test_slope_needs_a_source():
     result = invoke("slope")
     assert result.exit_code != 0
@@ -172,6 +181,22 @@ def test_filtration_rejects_invalid_signatures():
         assert_usage_error(result, "--signature", reason, text)
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+RATIONAL_BOUND = ["at most 1000 characters", "an exponent of at most 1000 in size"]
+
+# rational text past the bound is refused before Fraction builds 10**e: the
+# first took over 60 s, and 1e-5000, a threshold in range, failed to print
+RATIONAL_REFUSALS = [
+    *((["classify", command, "--genus", "4", "--threshold", text],
+       ["Invalid value for --threshold", *RATIONAL_BOUND])
+      for command in ("alpha", "semigroups")
+      for text in ("1e-100000000", "1e-10000000", "1e-5000", "1e1001", "0" * 1001)),
+    (["invariants", "--input", os.path.join(DATA, "coeff-past-the-rational-bound.json")],
+     ["generators[0].monomials[0].coeff exceeds", *RATIONAL_BOUND]),
+    (["invariants", "--input", os.path.join(DATA, "unit-past-the-rational-bound.json")],
+     ["dualizing_units[1] exceeds", *RATIONAL_BOUND]),
+]
+
 BAD_INPUTS = [
     (["classify", "alpha", "--genus", "9"], ["--genus", "genus 9", "bound 8"]),
     (["classify", "alpha", "--genus", "0"], ["--genus", "genus must be at least 1", "at least 1"]),
@@ -268,12 +293,20 @@ BAD_INPUTS = [
     (["slope", "--signature", "2", "--model",
       '{"kind": "override", "base": ' * 1200 + '{"kind": "clifford-max", "genus": 2}'
       + ', "table": []}' * 1200], ["nested too deeply"]),
+    *RATIONAL_REFUSALS,
 ]
 
 
 @pytest.mark.parametrize("args,fragments", BAD_INPUTS)
 def test_bad_input_is_one_error_line(args, fragments):
     assert_usage_error(invoke(*args), *fragments)
+
+
+@pytest.mark.parametrize("args,fragments", RATIONAL_REFUSALS)
+def test_a_rational_past_the_bound_is_refused_within_a_second(args, fragments):
+    start = time.perf_counter()
+    assert_usage_error(invoke(*args), *fragments)
+    assert time.perf_counter() - start < 1
 
 
 def test_slope_refuses_the_level_two_frame_before_building_the_first(monkeypatch):
@@ -1116,13 +1149,16 @@ def test_a_closed_pipe_is_met_inside_main(monkeypatch):
     assert end.value.code == 1 and stderr.getvalue() == ""
 
 
-def test_a_closed_pipe_ends_quietly():
-    # about 600 kB of table rows: the reader's close is met mid-write, as `| head -1` does
+@pytest.mark.parametrize("fmt,header", [("text", b"semigroup "), ("csv", b"semigroup,")],
+                         ids=["text", "csv"])
+def test_a_closed_pipe_ends_quietly(fmt, header):
+    # about 600 kB of rows, csv ones written one at a time: the reader's close
+    # is met mid-write, as `| head -1` does
     probe = (f"import sys; sys.path.insert(0, {SRC!r}); from gmspectra.cli import main; "
-             "sys.argv[1:] = ['classify', 'semigroups', '-g', '30']; main()")
+             f"sys.argv[1:] = ['classify', 'semigroups', '-g', '30', '--format', {fmt!r}]; main()")
     with subprocess.Popen([sys.executable, "-I", "-c", probe], stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.readline().startswith(b"semigroup ")
+        assert proc.stdout.readline().startswith(header)
         proc.stdout.close()
         assert proc.stderr.read() == b""
         assert proc.wait() == 1

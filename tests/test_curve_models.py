@@ -53,7 +53,7 @@ def test_unibranch_chi_log_equals_the_filtration_route():
     assert not any(H.symmetric for H in cases[-3:])
     for H in cases:
         sig = derive((2 * H.genus - 2,))
-        assert cm.unibranch_chi_log(H, sig) == filtration_chi_log(H, sig), H
+        assert cm.unibranch_chi_log(H) == filtration_chi_log(H, sig), H
 
 
 def test_unibranch_chi_log_builds_no_model(monkeypatch):
@@ -61,13 +61,15 @@ def test_unibranch_chi_log_builds_no_model(monkeypatch):
     H, sig = sg.from_generators((3, 7)), derive((10,))
     expected = filtration_chi_log(H, sig)
     monkeypatch.setattr(cm, "UnibranchModel", lambda H: pytest.fail("a model was built"))
-    assert cm.unibranch_chi_log(H, sig) == expected == 31
+    assert cm.unibranch_chi_log(H) == expected == 31
 
 
-def test_unibranch_chi_log_refuses_another_genus():
-    H = sg.from_generators((3, 7))  # genus 6
-    with pytest.raises(ValueError, match="^model genus 6 differs from signature genus 5$"):
-        cm.unibranch_chi_log(H, derive((8,)))
+def test_unibranch_chi_log_refuses_genus_zero():
+    # <1> = N has no gaps, and genus 0 has no single-zero signature (-2)
+    H = sg.from_generators((1,))
+    assert H.genus == 0
+    with pytest.raises(ValueError, match="^zero orders must be non-negative$"):
+        cm.unibranch_chi_log(H)
 
 
 # --------------------------------------------------------- hyperelliptic
